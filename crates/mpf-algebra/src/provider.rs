@@ -10,9 +10,15 @@ pub trait RelationProvider {
 }
 
 /// A simple in-memory relation store.
+///
+/// Relations are held behind `Arc`, so cloning a store copies one pointer
+/// per relation and two stores share every relation neither has replaced
+/// or mutated since. [`RelationStore::relation_mut`] is the copy-on-write
+/// entry point: it clones the one relation it is asked for, and only when
+/// another store still shares it.
 #[derive(Debug, Clone, Default)]
 pub struct RelationStore {
-    relations: HashMap<String, FunctionalRelation>,
+    relations: HashMap<String, Arc<FunctionalRelation>>,
 }
 
 impl RelationStore {
@@ -23,11 +29,11 @@ impl RelationStore {
 
     /// Insert (or replace) a relation under its own name.
     pub fn insert(&mut self, rel: FunctionalRelation) {
-        self.relations.insert(rel.name().to_string(), rel);
+        self.relations.insert(rel.name().to_string(), Arc::new(rel));
     }
 
     /// Remove a relation by name.
-    pub fn remove(&mut self, name: &str) -> Option<FunctionalRelation> {
+    pub fn remove(&mut self, name: &str) -> Option<Arc<FunctionalRelation>> {
         self.relations.remove(name)
     }
 
@@ -36,9 +42,22 @@ impl RelationStore {
         self.relations.contains_key(name)
     }
 
+    /// The shared handle of a relation — `Arc::ptr_eq` on two stores'
+    /// handles tells whether they share the relation's storage.
+    pub fn shared(&self, name: &str) -> Option<&Arc<FunctionalRelation>> {
+        self.relations.get(name)
+    }
+
+    /// Mutable access to one relation, copying it first if another store
+    /// (an older snapshot, a hypothetical copy) still shares it. No other
+    /// relation of the store is touched.
+    pub fn relation_mut(&mut self, name: &str) -> Option<&mut FunctionalRelation> {
+        self.relations.get_mut(name).map(Arc::make_mut)
+    }
+
     /// Iterate over the stored relations.
     pub fn iter(&self) -> impl Iterator<Item = &FunctionalRelation> {
-        self.relations.values()
+        self.relations.values().map(Arc::as_ref)
     }
 
     /// Names of all stored relations (unordered).
@@ -59,7 +78,7 @@ impl RelationStore {
 
 impl RelationProvider for RelationStore {
     fn relation_of(&self, name: &str) -> Option<&FunctionalRelation> {
-        self.relations.get(name)
+        self.relations.get(name).map(Arc::as_ref)
     }
 }
 

@@ -1,4 +1,3 @@
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -376,11 +375,10 @@ impl Database {
     pub fn from_parts(catalog: Catalog, store: RelationStore) -> Database {
         let db = Database::new();
         *db.shared.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(Snapshot {
-            catalog,
+            catalog: Arc::new(catalog),
             store,
-            views: HashMap::new(),
-            fds: HashMap::new(),
             version: fresh_version(),
+            ..Snapshot::default()
         });
         db
     }
@@ -396,7 +394,7 @@ impl Database {
         // A pure catalog addition: no existing relation or view changes,
         // so cached trees carry forward.
         self.mutate_with(CacheEvent::Touched(Vec::new()), |snap| {
-            Ok(snap.catalog.add_var(name, domain)?)
+            Ok(Arc::make_mut(&mut snap.catalog).add_var(name, domain)?)
         })
     }
 
@@ -418,7 +416,8 @@ impl Database {
     /// are value indices. Returns the row count.
     pub fn load_csv(&self, name: &str, mut reader: impl std::io::BufRead) -> Result<usize> {
         self.mutate_with(CacheEvent::Touched(vec![name.to_string()]), |snap| {
-            let rel = mpf_storage::csv_io::read_csv(&mut snap.catalog, name, &mut reader)?;
+            let catalog = Arc::make_mut(&mut snap.catalog);
+            let rel = mpf_storage::csv_io::read_csv(catalog, name, &mut reader)?;
             let n = rel.len();
             snap.store.insert(rel);
             Ok(n)
@@ -460,7 +459,7 @@ impl Database {
                     },
                 ));
             }
-            snap.fds.insert(relation.to_string(), ids);
+            Arc::make_mut(&mut snap.fds).insert(relation.to_string(), ids);
             Ok(())
         })
     }
@@ -492,23 +491,34 @@ impl Database {
     /// Update the measure of one existing row of a base relation,
     /// returning the previous measure. This is the real (non-
     /// hypothetical) counterpart of [`Override::Measure`]: the change
-    /// installs a new snapshot atomically, and cached view trees over
-    /// the relation are patched forward with the paper's update
-    /// semijoin where the semiring admits division (evicted where it
-    /// does not), so a warm cache survives point updates.
+    /// installs a new snapshot atomically — sharing every other relation
+    /// with the old one — and cached view trees over the relation,
+    /// conditioned or not, are patched forward by delta propagation
+    /// where the semiring admits division (evicted where it does not),
+    /// so a warm cache survives point updates.
     ///
     /// # Errors
     /// [`EngineError::InvalidUpdate`] when the relation or row does not
-    /// exist.
+    /// exist, or `measure` is NaN or infinite.
     pub fn update_measure(&self, relation: &str, row: &[Value], measure: f64) -> Result<f64> {
+        let t0 = Instant::now();
+        if !measure.is_finite() {
+            return Err(EngineError::InvalidUpdate(format!(
+                "measure {measure} for row {row:?} of `{relation}` is not finite"
+            )));
+        }
         let old = self.mutate_with_late_event(|snap| {
             let rel = snap.store.relation_of(relation).ok_or_else(|| {
                 EngineError::InvalidUpdate(format!("unknown relation `{relation}`"))
             })?;
-            let (updated, old) = crate::delta::patch_measure(rel, row, measure).ok_or_else(|| {
+            let idx = crate::delta::find_row(rel, row).ok_or_else(|| {
                 EngineError::InvalidUpdate(format!("no row {row:?} in `{relation}`"))
             })?;
-            snap.store.insert(updated);
+            let old = rel.measure(idx);
+            // Copy-on-write: the old snapshot keeps its relation, every
+            // other relation stays shared.
+            let rel = snap.store.relation_mut(relation).expect("looked up above");
+            rel.set_measure(idx, measure);
             Ok((
                 old,
                 CacheEvent::MeasureUpdate {
@@ -519,6 +529,9 @@ impl Database {
                 },
             ))
         })?;
+        if let Some(m) = &self.metrics {
+            m.observe("engine.update_us", t0.elapsed());
+        }
         Ok(old)
     }
 
@@ -530,6 +543,21 @@ impl Database {
         f: impl FnOnce(&mut Snapshot) -> Result<(T, CacheEvent)>,
     ) -> Result<T> {
         let _serialize = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let held = Instant::now();
+        let result = self.install(f);
+        if let Some(m) = &self.metrics {
+            m.observe("engine.writer_lock_hold_us", held.elapsed());
+            if let Some(vc) = &self.view_cache {
+                vc.publish(m);
+            }
+        }
+        result
+    }
+
+    /// The body of one mutation, run under the writer lock: build the
+    /// next snapshot from a pointer copy of the current one, install it,
+    /// then bring the view cache forward.
+    fn install<T>(&self, f: impl FnOnce(&mut Snapshot) -> Result<(T, CacheEvent)>) -> Result<T> {
         let mut next = (*self.snapshot()).clone();
         let old_version = next.version;
         let (out, event) = f(&mut next)?;
@@ -581,8 +609,9 @@ impl Database {
                 count: req.scenarios.len(),
             })
         } else {
-            // One scenario: the classic hypothetical path — a patched
-            // store copy, evidence folded into the query's predicates.
+            // One scenario: the classic hypothetical path — a store copy
+            // (one pointer per relation) with the overridden relations
+            // replaced, evidence folded into the query's predicates.
             let sc = &req.scenarios.items[0];
             let mut store = snap.store.clone();
             for ov in sc.overrides() {
@@ -1395,7 +1424,7 @@ fn create_view_in(snap: &mut Snapshot, name: &str, base: &[&str], combine: Combi
             ));
         }
     }
-    snap.views.insert(
+    Arc::make_mut(&mut snap.views).insert(
         name.to_string(),
         MpfView {
             name: name.to_string(),

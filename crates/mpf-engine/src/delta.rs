@@ -14,19 +14,26 @@ use mpf_storage::{Catalog, FunctionalRelation, Value};
 
 use crate::{EngineError, Override, Result};
 
+/// Index of the row equal to `row` — the exact-match rule every measure
+/// patch, hypothetical or real, locates its target by.
+pub(crate) fn find_row(rel: &FunctionalRelation, row: &[Value]) -> Option<usize> {
+    (0..rel.len()).find(|&i| rel.row(i) == row)
+}
+
 /// Replace the measure of the row equal to `row`, returning the patched
 /// relation and the previous measure. `None` when no row matches.
 ///
 /// The patch is a clone + in-place [`FunctionalRelation::set_measure`]:
 /// row order and representation are preserved exactly, so a patched
 /// relation scans bit-identically to the original everywhere but the one
-/// measure.
+/// measure. ([`crate::Database::update_measure`] does the same to the
+/// store's own copy-on-write handle instead of a clone.)
 pub(crate) fn patch_measure(
     rel: &FunctionalRelation,
     row: &[Value],
     measure: f64,
 ) -> Option<(FunctionalRelation, f64)> {
-    let idx = (0..rel.len()).find(|&i| rel.row(i) == row)?;
+    let idx = find_row(rel, row)?;
     let old = rel.measure(idx);
     let mut updated = rel.clone();
     updated.set_measure(idx, measure);

@@ -45,7 +45,8 @@
 //!   byte-accurate residency accounting under an `MPF_CACHE_BYTES`
 //!   budget, cost-based admission, LRU/cost hybrid eviction, and
 //!   snapshot-keyed invalidation ([`CacheEvent`]) that patches point
-//!   measure updates forward with the paper's Section 6 update semijoin.
+//!   measure updates forward — the paper's Section 6 update semijoin,
+//!   restricted to the separator keys the update reaches.
 //!   [`Database::run`] serves from it automatically; [`Answer::cache`]
 //!   ([`CacheServed`]) records when it did.
 
@@ -68,7 +69,7 @@ pub use scenario::{
     Divergence, GroupDelta, Scenario, ScenarioOutcome, ScenarioReport, ScenarioSet,
 };
 pub use snapshot::{CatalogRef, RelationRef, Snapshot, StoreRef, ViewRef};
-pub use viewcache::{CacheEvent, CacheKey, ViewCache};
+pub use viewcache::{CacheEvent, CacheKey, ViewCache, MAX_PATCHES};
 // `Strategy::Ve`/`VePlus` take a heuristic, so consumers of this crate
 // alone must be able to name it; likewise the trace/metrics/config types
 // a `QueryRequest`, `Database::with_metrics`, and `Database::from_env`

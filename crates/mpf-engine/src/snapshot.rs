@@ -14,7 +14,11 @@
 //!   mutators built on it) clone the current snapshot, apply their
 //!   changes to the private copy, and install it with one pointer swap.
 //!   Writers serialize among themselves; a failed mutation installs
-//!   nothing.
+//!   nothing. The clone is copy-on-write: catalog, view definitions and
+//!   FDs sit behind `Arc`s and the store holds one `Arc` per relation,
+//!   so the copy is a handful of pointers and a writer pays only for the
+//!   parts it actually changes (`Arc::make_mut`). Successive snapshots
+//!   share every relation no writer touched in between.
 //!
 //! The accessor guards ([`CatalogRef`], [`StoreRef`], [`RelationRef`],
 //! [`ViewRef`]) keep the old reference-returning `Database` accessors
@@ -45,16 +49,16 @@ pub(crate) fn fresh_version() -> u64 {
 }
 
 /// One immutable version of the database: catalog, base relations, view
-/// definitions, and declared FDs. Cheap to share (`Arc`), cloned in full
-/// by writers building the next version.
+/// definitions, and declared FDs. Cheap to share (`Arc`) and cheap to
+/// clone (pointer copies; see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    pub(crate) catalog: Catalog,
+    pub(crate) catalog: Arc<Catalog>,
     pub(crate) store: RelationStore,
-    pub(crate) views: HashMap<String, MpfView>,
+    pub(crate) views: Arc<HashMap<String, MpfView>>,
     /// Declared narrow functional dependencies (`X -> f` with
     /// `X ⊂ Var(s)`), keyed by relation name; feed Proposition 1.
-    pub(crate) fds: HashMap<String, Vec<VarId>>,
+    pub(crate) fds: Arc<HashMap<String, Vec<VarId>>>,
     /// Globally unique version number, reassigned on every install.
     /// Everything keyed by it (the engine view cache) is implicitly
     /// invalidated when a writer installs a successor.

@@ -32,17 +32,22 @@
 //! snapshot they were built against, and
 //! [`crate::Database::mutate`] reports every install as a
 //! [`CacheEvent`]. A point measure update patches affected trees forward
-//! with the paper's update semijoin ([`VeCache::update_measure`]) where
-//! the semiring admits division, re-keys untouched trees to the new
-//! version, and evicts what it cannot patch; a mutation of unknown shape
-//! evicts everything built against the old version. A query can
+//! — unconditioned and evidence-conditioned alike, the update commutes
+//! with selection — by propagating the delta along separators
+//! ([`VeCache::update_measure`]) where the semiring admits division,
+//! re-keys untouched trees to the new version, and evicts what it cannot
+//! patch (or has patched [`MAX_PATCHES`] times); a mutation of unknown
+//! shape evicts everything built against the old version. A query can
 //! therefore never observe a stale tree: it looks up under its pinned
 //! snapshot's version, and no mutation path leaves an entry behind under
-//! a version it did not verify.
+//! a version it did not verify. Patching runs outside the cache lock on
+//! a tree that shares every untouched table with the one readers still
+//! hold; the lock is taken only to collect the entries and to swap them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use mpf_algebra::MetricsRegistry;
 use mpf_infer::VeCache;
@@ -54,6 +59,17 @@ use mpf_storage::{Value, VarId};
 /// reach this many mean recomputes, so one-off queries never pay a
 /// build. With steady per-query cost this is simply the second miss.
 pub const ADMIT_FACTOR: f64 = 2.0;
+
+/// Point updates one resident tree absorbs before it is evicted and
+/// rebuilt from the base relations on demand. A patch is exact when its
+/// ratios are exact in `f64`; otherwise every rewritten measure picks up
+/// a handful of roundings (≈1e-16 relative each). The drift suite
+/// (`mpf-infer/tests/maintenance_drift.rs`) holds patched trees to 1e-9
+/// relative agreement with a cold rebuild — as a property over up to 256
+/// patches (observed ≈3e-15) and once at exactly this many (observed
+/// ≈8e-15) — so a tree at the bound is still five orders of magnitude
+/// inside the tolerance.
+pub const MAX_PATCHES: u32 = 4096;
 
 /// Identity of one cached elimination tree. Equal keys guarantee equal
 /// answers: the snapshot version pins catalog + data + view definitions
@@ -92,10 +108,11 @@ impl CacheKey {
 #[derive(Debug, Clone, PartialEq)]
 pub enum CacheEvent {
     /// One row of one base relation changed its measure from `old` to
-    /// `new`. Trees over views containing the relation are patched
-    /// forward with the update semijoin when the semiring admits
-    /// division and `old` is not the additive identity; trees over
-    /// other views are carried forward untouched.
+    /// `new`. Trees over views containing the relation — conditioned
+    /// ones included — are patched forward by delta propagation when
+    /// the semiring admits division and `old` is not the additive
+    /// identity; trees over other views, and conditioned trees whose
+    /// evidence excludes the row, are carried forward untouched.
     MeasureUpdate {
         /// The mutated base relation.
         relation: String,
@@ -133,6 +150,19 @@ struct Entry {
     cost_us: f64,
     /// Logical clock of the last lookup (LRU tiebreak).
     last_used: u64,
+    /// Point updates patched into the tree since it was built or derived
+    /// (bounded by [`MAX_PATCHES`]).
+    patches: u32,
+}
+
+/// What a mutation does to one resident entry.
+enum Fate {
+    /// Still valid as is: re-key to the new version.
+    Carry,
+    /// Cannot be brought forward.
+    Evict,
+    /// Replace the tree with its patched successor.
+    Patched(Arc<VeCache>),
 }
 
 impl Entry {
@@ -171,6 +201,9 @@ struct Counters {
     evictions: AtomicU64,
     invalidations: AtomicU64,
     patched: AtomicU64,
+    patched_conditioned: AtomicU64,
+    patched_rows: AtomicU64,
+    patch_us: AtomicU64,
     carried: AtomicU64,
     derived: AtomicU64,
     uncovered: AtomicU64,
@@ -298,6 +331,7 @@ impl ViewCache {
             hits: 0,
             cost_us,
             last_used: inner.clock,
+            patches: 0,
         };
         if !self.make_room(&mut inner, &candidate) {
             self.counters.build_discarded.fetch_add(1, Ordering::Relaxed);
@@ -350,81 +384,104 @@ impl ViewCache {
     /// are left alone. Demand recorded against `old_version` is dropped.
     ///
     /// Patch failures (no division in the semiring, a zero old measure, a
-    /// budget trip or injected fault inside the semijoin) degrade to
-    /// eviction — correctness never depends on a patch landing.
+    /// ratio outside the carrier, an injected fault) and trees that have
+    /// absorbed [`MAX_PATCHES`] updates degrade to eviction — correctness
+    /// never depends on a patch landing. Trees are patched with the cache
+    /// unlocked: readers pinned to the old snapshot keep hitting the old
+    /// entries until the swap.
     pub fn on_mutation(&self, old_version: u64, new_version: u64, event: &CacheEvent) {
         if !self.enabled() || old_version == new_version {
             return;
         }
+        let reads = |entry: &Entry, name: &String| entry.base.contains(name);
+        // Under the lock: each stale entry's fate, and the trees a measure
+        // update reaches (evicted unless their patch lands).
+        let mut to_patch: Vec<(usize, Arc<VeCache>)> = Vec::new();
+        let mut fates: Vec<(CacheKey, Fate)> = Vec::new();
+        {
+            let mut inner = lock(&self.inner);
+            inner.demand.retain(|k, _| k.version != old_version);
+            for (key, entry) in inner.entries.iter().filter(|(k, _)| k.version == old_version) {
+                let fate = match event {
+                    CacheEvent::Unknown => Fate::Evict,
+                    CacheEvent::Touched(names) if names.iter().any(|n| reads(entry, n)) => {
+                        Fate::Evict
+                    }
+                    CacheEvent::Touched(_) => Fate::Carry,
+                    CacheEvent::MeasureUpdate { relation, .. } if !reads(entry, relation) => {
+                        Fate::Carry
+                    }
+                    CacheEvent::MeasureUpdate { .. } => {
+                        if entry.patches < MAX_PATCHES {
+                            to_patch.push((fates.len(), Arc::clone(&entry.tree)));
+                        }
+                        Fate::Evict
+                    }
+                };
+                fates.push((key.clone(), fate));
+            }
+        }
+
+        // Unlocked: patching a tree is the only real work of an install.
+        if let CacheEvent::MeasureUpdate {
+            relation,
+            row,
+            old,
+            new,
+        } = event
+        {
+            let c = &self.counters;
+            for (at, tree) in to_patch {
+                let t0 = Instant::now();
+                match tree.update_measure(relation, row, *old, *new) {
+                    // The tree's evidence excludes the row (or the measure
+                    // did not move): nothing to rewrite.
+                    Ok((_, 0)) => fates[at].1 = Fate::Carry,
+                    Ok((patched, rows)) => {
+                        c.patched.fetch_add(1, Ordering::Relaxed);
+                        if !fates[at].0.evidence.is_empty() {
+                            c.patched_conditioned.fetch_add(1, Ordering::Relaxed);
+                        }
+                        c.patched_rows.fetch_add(rows as u64, Ordering::Relaxed);
+                        fates[at].1 = Fate::Patched(Arc::new(patched));
+                    }
+                    Err(_) => {}
+                }
+                c.patch_us
+                    .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+            }
+        }
+
         let mut inner = lock(&self.inner);
-        inner.demand.retain(|k, _| k.version != old_version);
-        let stale: Vec<CacheKey> = inner
-            .entries
-            .keys()
-            .filter(|k| k.version == old_version)
-            .cloned()
-            .collect();
-        for key in stale {
-            let Some(entry) = inner.entries.remove(&key) else {
+        for (mut key, fate) in fates {
+            // An admission may have evicted the entry while it was patched.
+            let Some(mut entry) = inner.entries.remove(&key) else {
                 continue;
             };
             inner.bytes -= entry.bytes;
             self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
-            let carried = match event {
-                CacheEvent::Unknown => None,
-                CacheEvent::Touched(names) => {
-                    if names.iter().any(|n| entry.base.iter().any(|b| b == n)) {
-                        None
-                    } else {
-                        self.counters.carried.fetch_add(1, Ordering::Relaxed);
-                        Some(entry)
-                    }
-                }
-                CacheEvent::MeasureUpdate {
-                    relation,
-                    row,
-                    old,
-                    new,
-                } => {
-                    if !entry.base.iter().any(|b| b == relation) {
-                        self.counters.carried.fetch_add(1, Ordering::Relaxed);
-                        Some(entry)
-                    } else if !key.evidence.is_empty() {
-                        // Conditioned trees are derived cheaply from the
-                        // base tree; re-derive after the patch rather
-                        // than reason about selection/patch commutation.
-                        None
-                    } else {
-                        match entry.tree.update_measure(relation, row, *old, *new) {
-                            Ok(patched) => {
-                                self.counters.patched.fetch_add(1, Ordering::Relaxed);
-                                let bytes = patched.heap_bytes();
-                                Some(Entry {
-                                    tree: Arc::new(patched),
-                                    bytes,
-                                    ..entry
-                                })
-                            }
-                            Err(_) => None,
-                        }
-                    }
-                }
-            };
-            match carried {
-                Some(entry) => {
-                    let mut key = key;
-                    key.version = new_version;
-                    inner.bytes += entry.bytes;
-                    if let Some(old) = inner.entries.insert(key, entry) {
-                        inner.bytes -= old.bytes;
-                    }
-                }
-                None => {
+            match fate {
+                Fate::Evict => {
                     self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                Fate::Carry => {
+                    self.counters.carried.fetch_add(1, Ordering::Relaxed);
+                }
+                Fate::Patched(tree) => {
+                    entry.bytes = tree.heap_bytes();
+                    entry.tree = tree;
+                    entry.patches += 1;
                 }
             }
+            key.version = new_version;
+            inner.bytes += entry.bytes;
+            if let Some(old) = inner.entries.insert(key, entry) {
+                inner.bytes -= old.bytes;
+            }
         }
-        // A patch can grow an entry past the budget; shed by score.
+        // The first patch of a tree adds its separator row groups; shed
+        // by score if that crosses the budget.
         self.shed_over_budget(&mut inner);
     }
 
@@ -475,6 +532,15 @@ impl ViewCache {
             c.invalidations.load(Ordering::Relaxed),
         );
         m.set("engine.cache.patched", c.patched.load(Ordering::Relaxed));
+        m.set(
+            "engine.cache.patched_conditioned",
+            c.patched_conditioned.load(Ordering::Relaxed),
+        );
+        m.set(
+            "engine.cache.patched_rows",
+            c.patched_rows.load(Ordering::Relaxed),
+        );
+        m.set("engine.cache.patch_us", c.patch_us.load(Ordering::Relaxed));
         m.set("engine.cache.carried", c.carried.load(Ordering::Relaxed));
         m.set("engine.cache.derived", c.derived.load(Ordering::Relaxed));
         m.set("engine.cache.uncovered", c.uncovered.load(Ordering::Relaxed));
@@ -488,7 +554,8 @@ impl ViewCache {
 
     /// A named cumulative counter, for tests and diagnostics: one of
     /// `hits`, `misses`, `admits`, `evictions`, `invalidations`,
-    /// `patched`, `carried`, `derived`, `uncovered`, `build_discarded`.
+    /// `patched`, `patched_conditioned`, `patched_rows`, `patch_us`,
+    /// `carried`, `derived`, `uncovered`, `build_discarded`.
     pub fn counter(&self, name: &str) -> u64 {
         let c = &self.counters;
         match name {
@@ -498,6 +565,9 @@ impl ViewCache {
             "evictions" => c.evictions.load(Ordering::Relaxed),
             "invalidations" => c.invalidations.load(Ordering::Relaxed),
             "patched" => c.patched.load(Ordering::Relaxed),
+            "patched_conditioned" => c.patched_conditioned.load(Ordering::Relaxed),
+            "patched_rows" => c.patched_rows.load(Ordering::Relaxed),
+            "patch_us" => c.patch_us.load(Ordering::Relaxed),
             "carried" => c.carried.load(Ordering::Relaxed),
             "derived" => c.derived.load(Ordering::Relaxed),
             "uncovered" => c.uncovered.load(Ordering::Relaxed),

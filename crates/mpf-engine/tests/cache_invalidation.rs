@@ -219,3 +219,164 @@ fn measure_updates_patch_resident_trees_instead_of_evicting() {
     assert!(matches!(err, mpf_engine::EngineError::InvalidUpdate(_)));
     assert_eq!(warm.snapshot().version(), before);
 }
+
+/// Warm `v`'s base tree and the tree conditioned on `b = 1`, and return
+/// the conditioned tree's cache key at the current snapshot version.
+fn warm_with_conditioned_tree(db: &Database) -> mpf_engine::CacheKey {
+    for q in workload() {
+        for _ in 0..2 {
+            db.run(&q).unwrap();
+        }
+    }
+    let snap = db.snapshot();
+    mpf_engine::CacheKey {
+        version: snap.version(),
+        view: "v".into(),
+        semiring: mpf_semiring::SemiringKind::SumProduct,
+        evidence: vec![(snap.catalog().var("b").unwrap(), 1)],
+    }
+}
+
+/// Conditioned trees ride the same delta as the base tree: a row the
+/// evidence keeps is patched in, a row the evidence filtered out leaves
+/// the tree exactly as it was, and neither evicts anything.
+#[test]
+fn conditioned_trees_are_patched_or_carried_not_evicted() {
+    let warm = build_db(16 << 20);
+    let cold = build_db(0);
+    let mut key = warm_with_conditioned_tree(&warm);
+    let vc = warm.view_cache().unwrap();
+    let before = vc.lookup(&key).expect("conditioned tree resident");
+    let evictions = vc.counter("evictions");
+
+    // r1(a=0, b=0) is outside `b = 1`: the conditioned tree is carried
+    // forward as the very same allocation while the base tree is patched.
+    for db in [&warm, &cold] {
+        db.update_measure("r1", &[0, 0], 0.5).unwrap();
+    }
+    key.version = warm.snapshot().version();
+    let carried = vc.lookup(&key).expect("conditioned tree survived the update");
+    assert!(std::sync::Arc::ptr_eq(&before, &carried));
+    assert_eq!(vc.counter("patched"), 1, "the base tree only");
+    assert_eq!(vc.counter("patched_conditioned"), 0);
+
+    // r1(a=1, b=1) is inside: both trees are patched.
+    for db in [&warm, &cold] {
+        db.update_measure("r1", &[1, 1], 3.0).unwrap();
+    }
+    assert_eq!(vc.counter("patched"), 3);
+    assert_eq!(vc.counter("patched_conditioned"), 1);
+    assert!(vc.counter("patched_rows") > 0);
+    assert_eq!(vc.counter("evictions"), evictions, "a point update evicted a tree");
+
+    let derived = vc.counter("derived");
+    for q in workload() {
+        let served = warm.run(&q).unwrap();
+        assert!(served.cache.is_some(), "{q} fell out of the cache");
+        assert_eq!(canon(&served), canon(&cold.run(&q).unwrap()), "{q}");
+    }
+    assert_eq!(vc.counter("derived"), derived, "a conditioned tree was re-derived");
+}
+
+/// `x → 0 → y`: zeroing a measure is an ordinary patch, but the way back
+/// has no ratio — the trees are evicted and rebuilt on demand, never
+/// divided by zero. Non-finite measures never install at all.
+#[test]
+fn degenerate_updates_have_typed_outcomes() {
+    let warm = build_db(16 << 20);
+    let cold = build_db(0);
+    warm_with_conditioned_tree(&warm);
+    let vc = warm.view_cache().unwrap();
+
+    let version = warm.snapshot().version();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let err = warm.update_measure("r1", &[1, 1], bad).unwrap_err();
+        assert!(matches!(err, mpf_engine::EngineError::InvalidUpdate(_)), "{bad}");
+    }
+    assert_eq!(warm.snapshot().version(), version);
+    assert_eq!(vc.counter("invalidations"), 0);
+
+    for db in [&warm, &cold] {
+        db.update_measure("r1", &[1, 1], 0.0).unwrap();
+    }
+    assert_eq!(vc.counter("patched"), 2);
+    assert_eq!(vc.counter("evictions"), 0);
+    for q in workload() {
+        assert_eq!(canon(&warm.run(&q).unwrap()), canon(&cold.run(&q).unwrap()), "{q}");
+    }
+
+    for db in [&warm, &cold] {
+        assert_eq!(db.update_measure("r1", &[1, 1], 2.5).unwrap(), 0.0);
+    }
+    assert_eq!(vc.counter("patched"), 2, "a 0 → y update was patched");
+    assert_eq!(vc.counter("evictions"), 2);
+    for _ in 0..2 {
+        for q in workload() {
+            let (w, c) = (warm.run(&q).unwrap(), cold.run(&q).unwrap());
+            assert_eq!(canon(&w), canon(&c), "{q}");
+            assert!(w.relation.measures().iter().all(|m| m.is_finite()));
+        }
+    }
+}
+
+/// An install shares everything it did not touch with the snapshot it
+/// replaced, and whoever pinned the old snapshot or the old tree keeps
+/// reading exactly what they pinned.
+#[test]
+fn update_shares_untouched_state_and_isolates_pinned_readers() {
+    let db = build_db(16 << 20);
+    let key = warm_with_conditioned_tree(&db);
+    let vc = db.view_cache().unwrap();
+    let a = db.catalog().var("a").unwrap();
+
+    let old_snap = db.snapshot();
+    let old_tree = vc.lookup(&key).unwrap();
+    let old_answer = old_tree.answer(a).unwrap();
+    let old_measures = old_snap.relation_of("r1").unwrap().measures().to_vec();
+
+    db.update_measure("r1", &[1, 1], 3.0).unwrap();
+    let new_snap = db.snapshot();
+    let shared = |s: &mpf_engine::Snapshot, name: &str| s.store().shared(name).unwrap().clone();
+    assert!(std::sync::Arc::ptr_eq(&shared(&old_snap, "r2"), &shared(&new_snap, "r2")));
+    assert!(!std::sync::Arc::ptr_eq(&shared(&old_snap, "r1"), &shared(&new_snap, "r1")));
+    assert!(std::ptr::eq(old_snap.catalog(), new_snap.catalog()));
+    assert!(std::ptr::eq(
+        old_snap.view_of("v").unwrap(),
+        new_snap.view_of("v").unwrap()
+    ));
+
+    assert_eq!(old_snap.relation_of("r1").unwrap().measures(), old_measures);
+    assert_eq!(new_snap.relation_of("r1").unwrap().lookup(&[1, 1]), Some(3.0));
+    let again = old_tree.answer(a).unwrap();
+    let bits = |r: &FunctionalRelation| r.measures().iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&old_answer), bits(&again));
+    let new_key = mpf_engine::CacheKey { version: new_snap.version(), ..key };
+    let new_tree = vc.lookup(&new_key).unwrap();
+    assert_ne!(bits(&new_tree.answer(a).unwrap()), bits(&old_answer));
+}
+
+/// A tree absorbs at most `MAX_PATCHES` updates; the next one evicts it
+/// and demand rebuilds it from the base relations.
+#[test]
+fn a_tree_is_rebuilt_after_max_patches() {
+    let warm = build_db(16 << 20);
+    let cold = build_db(0);
+    let q = Query::on("v").group_by(["a"]);
+    for _ in 0..3 {
+        warm.run(&q).unwrap();
+    }
+    let vc = warm.view_cache().unwrap();
+    for step in 0..=mpf_engine::MAX_PATCHES {
+        assert_eq!(vc.counter("evictions"), 0, "evicted early at patch {step}");
+        let m = if step % 2 == 0 { 2.5 } else { 1.25 };
+        for db in [&warm, &cold] {
+            db.update_measure("r1", &[1, 1], m).unwrap();
+        }
+    }
+    assert_eq!(vc.counter("patched"), u64::from(mpf_engine::MAX_PATCHES));
+    assert_eq!(vc.counter("evictions"), 1);
+    for _ in 0..3 {
+        assert_eq!(canon(&warm.run(&q).unwrap()), canon(&cold.run(&q).unwrap()));
+    }
+    assert!(warm.run(&q).unwrap().cache.is_some(), "the tree was not rebuilt");
+}

@@ -146,3 +146,76 @@ proptest! {
         prop_assert_eq!(expected.get(&last), Some(&(versions - 1)));
     }
 }
+
+/// Readers racing `Database::update_measure` through a warm view cache:
+/// resident trees are patched copy-on-write while readers serve from
+/// them, so every concurrent answer must still be bit-identical to the
+/// serial answer after *some* prefix of the updates — never a half-
+/// patched tree — and no update may evict.
+#[test]
+fn readers_racing_point_updates_see_only_whole_versions() {
+    let query = Query::on("v").group_by(["a"]);
+    let updates = 48usize;
+    // Update `i` halves or doubles one row of r1 (dyadic measures: every
+    // patch ratio, sum and product is exact, so patched == recomputed).
+    let step = |db: &Database, i: usize| {
+        let (row, old) = {
+            let r1 = db.relation("r1").unwrap();
+            let at = (i * 5) % r1.len();
+            (r1.row(at).to_vec(), r1.measure(at))
+        };
+        let new = if old >= 1.0 { old / 2.0 } else { old * 2.0 };
+        db.update_measure("r1", &row, new).unwrap();
+    };
+
+    let serial = fresh_db(0);
+    let mut expected = HashSet::from([canon(&serial.run(&query).unwrap())]);
+    for i in 0..updates {
+        step(&serial, i);
+        expected.insert(canon(&serial.run(&query).unwrap()));
+    }
+    let last = canon(&serial.run(&query).unwrap());
+
+    let db = Arc::new(fresh_db(0).with_cache_bytes(16 << 20));
+    for _ in 0..3 {
+        db.run(&query).unwrap();
+    }
+    assert!(db.run(&query).unwrap().cache.is_some(), "tree not resident");
+
+    let readers = 3;
+    let start = Arc::new(std::sync::Barrier::new(readers + 1));
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let handles: Vec<_> = (0..readers)
+        .map(|_| {
+            let (db, query) = (Arc::clone(&db), query.clone());
+            let (start, done) = (Arc::clone(&start), Arc::clone(&done));
+            thread::spawn(move || {
+                start.wait();
+                let mut seen = Vec::new();
+                // Keep reading for as long as the writer writes.
+                while !done.load(std::sync::atomic::Ordering::SeqCst) || seen.len() < 50 {
+                    seen.push(canon(&db.run(&query).unwrap()));
+                }
+                seen
+            })
+        })
+        .collect();
+    start.wait();
+    for i in 0..updates {
+        step(&db, i);
+    }
+    done.store(true, std::sync::atomic::Ordering::SeqCst);
+
+    for h in handles {
+        for answer in h.join().expect("reader clean") {
+            assert!(
+                expected.contains(&answer),
+                "concurrent answer matches no prefix of the updates: {answer:?}"
+            );
+        }
+    }
+    assert_eq!(canon(&db.run(&query).unwrap()), last);
+    let vc = db.view_cache().unwrap();
+    assert_eq!(vc.counter("patched"), updates as u64);
+    assert_eq!(vc.counter("evictions"), 0);
+}

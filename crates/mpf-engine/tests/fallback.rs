@@ -297,4 +297,29 @@ mod faults {
         );
         fault::clear_all();
     }
+
+    /// A fault inside cache maintenance never fails the update: the tree
+    /// that could not be patched is evicted, and demand rebuilds it.
+    #[test]
+    fn fault_while_patching_evicts_the_tree() {
+        let _g = lock();
+        fault::clear_all();
+        let db = tiny_db().with_cache_bytes(1 << 20);
+        let q = Query::on("v").group_by(["c"]);
+        for _ in 0..3 {
+            db.run(&q).unwrap();
+        }
+        let vc = db.view_cache().unwrap().clone();
+        assert_eq!(vc.len(), 1);
+
+        fault::inject("vecache::propagate", 1);
+        assert_eq!(db.update_measure("r1", &[0, 0], 2.0).unwrap(), 1.0);
+        assert_eq!(vc.counter("patched"), 0);
+        assert_eq!(vc.counter("evictions"), 1);
+        assert!(vc.is_empty());
+        // c=0: (2+3)·10 + (2+4)·30 = 230.
+        let ans = db.run(&q).unwrap();
+        assert!(approx_eq(ans.relation.lookup(&[0]).unwrap(), 230.0));
+        fault::clear_all();
+    }
 }

@@ -174,7 +174,7 @@ pub fn bp_acyclic_in(
 pub fn satisfies_invariant(
     sr: SemiringKind,
     base: &[&FunctionalRelation],
-    tables: &[FunctionalRelation],
+    tables: &[impl std::borrow::Borrow<FunctionalRelation>],
 ) -> Result<bool> {
     assert!(!base.is_empty());
     let cx = &mut ExecContext::new(sr);
@@ -183,6 +183,7 @@ pub fn satisfies_invariant(
         view = mpf_algebra::ops::product_join(cx, &view, r)?;
     }
     for t in tables {
+        let t = t.borrow();
         for v in t.schema().iter() {
             let from_table = mpf_algebra::ops::group_by(cx, t, &[v])?;
             let from_view = mpf_algebra::ops::group_by(cx, &view, &[v])?;

@@ -21,12 +21,25 @@
 //! makes the restricted-range evidence protocol of Theorem 5 work: apply
 //! the selection to one cached table, then propagate update-semijoin
 //! reductions outward along the tree.
+//!
+//! **Maintenance.** Evidence conditioning ([`VeCache::with_evidence`]) and
+//! point measure updates ([`VeCache::update_measure`]) share one routine:
+//! change the rows of one table, then walk the tree outward and, per edge,
+//! apply the update semijoin's ratio `marg_parent(U) / marg_child(U)` on
+//! the separator keys `U` that a changed row carries — nowhere else, since
+//! a calibrated tree already agrees on every other key. A point update
+//! therefore rewrites only the rows whose measure really changes; evidence
+//! is the same walk with every row of the source in the change set.
+//! Tables sit behind `Arc`s: a derived or patched tree shares every table
+//! the walk did not touch with the tree it came from, and a reader holding
+//! the old tree never observes a partial patch.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
-use mpf_algebra::ExecContext;
+use mpf_algebra::{fault, ExecContext};
 use mpf_semiring::SemiringKind;
-use mpf_storage::{FunctionalRelation, Value, VarId};
+use mpf_storage::{FunctionalRelation, Key, Value, VarId};
 
 use crate::triangulate::min_fill_order;
 use crate::{InferError, JoinTree, Result, VariableGraph};
@@ -48,7 +61,8 @@ pub struct WorkloadQuery {
 #[derive(Debug, Clone)]
 pub struct VeCache {
     semiring: SemiringKind,
-    tables: Vec<FunctionalRelation>,
+    /// The cached tables; table `i` is always named `t{i}`.
+    tables: Vec<Arc<FunctionalRelation>>,
     /// Producer edges `(i, j)`: `GroupBy(tables[i])` was an input of the
     /// join that created `tables[j]`.
     edges: Vec<(usize, usize)>,
@@ -61,6 +75,121 @@ pub struct VeCache {
     /// For each base relation, the cached table whose join consumed it
     /// (`None` for zero-arity bases that never join).
     base_consumer: Vec<Option<usize>>,
+    /// Every table's rows grouped by the separator key of each incident
+    /// edge. Built by the first point update and — updates change
+    /// measures, never keys or row order — shared by every tree patched
+    /// from this one.
+    groups: OnceLock<Arc<SeparatorGroups>>,
+}
+
+/// The rows of one cached table grouped by the key they carry on one
+/// edge's separator: what lets a point update reach the rows sharing a
+/// changed separator value without scanning the table.
+#[derive(Debug)]
+struct RowGroups {
+    /// Separator key → `(start, len)` in `rows`.
+    ranges: HashMap<Key, (u32, u32)>,
+    /// Row ids grouped by key, ascending within a group, so walking a
+    /// group folds measures in table row order.
+    rows: Vec<u32>,
+}
+
+impl RowGroups {
+    fn build(table: &FunctionalRelation, positions: &[usize]) -> RowGroups {
+        let mut group_ids: HashMap<Key, u32> = HashMap::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut group_of_row: Vec<u32> = Vec::with_capacity(table.len());
+        for i in 0..table.len() {
+            let fresh = counts.len() as u32;
+            let g = *group_ids
+                .entry(Key::extract(table.row(i), positions))
+                .or_insert(fresh);
+            if g == fresh {
+                counts.push(0);
+            }
+            counts[g as usize] += 1;
+            group_of_row.push(g);
+        }
+        let mut starts: Vec<u32> = Vec::with_capacity(counts.len());
+        let mut at = 0;
+        for &c in &counts {
+            starts.push(at);
+            at += c;
+        }
+        let mut cursor = starts.clone();
+        let mut rows = vec![0u32; table.len()];
+        for (i, &g) in group_of_row.iter().enumerate() {
+            rows[cursor[g as usize] as usize] = i as u32;
+            cursor[g as usize] += 1;
+        }
+        let ranges = group_ids
+            .into_iter()
+            .map(|(k, g)| (k, (starts[g as usize], counts[g as usize])))
+            .collect();
+        RowGroups { ranges, rows }
+    }
+
+    /// The rows carrying `key`, ascending (empty when none does).
+    fn rows_of(&self, key: &Key) -> &[u32] {
+        match self.ranges.get(key) {
+            Some(&(start, len)) => &self.rows[start as usize..(start + len) as usize],
+            None => &[],
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.ranges.capacity() * std::mem::size_of::<(Key, (u32, u32))>()
+            + self.rows.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// [`RowGroups`] of both tables of every tree edge, keyed
+/// `(table, neighbour)`.
+#[derive(Debug)]
+struct SeparatorGroups {
+    sides: HashMap<(usize, usize), RowGroups>,
+}
+
+impl SeparatorGroups {
+    fn side(&self, table: usize, neighbour: usize) -> &RowGroups {
+        &self.sides[&(table, neighbour)]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.sides.capacity() * std::mem::size_of::<((usize, usize), RowGroups)>()
+            + self.sides.values().map(RowGroups::heap_bytes).sum::<usize>()
+    }
+}
+
+/// What a propagation step knows about the rows of one table.
+#[derive(Debug)]
+enum Changed {
+    /// Any row may have changed and rows may be gone (an evidence
+    /// selection): a neighbour is rescaled on every separator key and
+    /// loses the rows whose key this table no longer carries.
+    All,
+    /// Exactly these rows changed their measure; none was added or
+    /// removed.
+    Rows(Vec<u32>),
+}
+
+impl Changed {
+    /// How many rows of `table` the change set covers.
+    fn count(&self, table: &FunctionalRelation) -> usize {
+        match self {
+            Changed::All => table.len(),
+            Changed::Rows(rows) => rows.len(),
+        }
+    }
+}
+
+/// Fold measures with the semiring's additive operation, first value
+/// first — the accumulation order of `GroupBy`.
+fn fold(sr: SemiringKind, mut measures: impl Iterator<Item = f64>) -> f64 {
+    match measures.next() {
+        Some(first) => measures.fold(first, |acc, m| sr.add(acc, m)),
+        None => sr.zero(),
+    }
 }
 
 /// Where a live VE factor came from during the forward pass.
@@ -121,7 +250,7 @@ impl VeCache {
             .enumerate()
             .map(|(i, r)| ((*r).clone(), Origin::Base(i)))
             .collect();
-        let mut tables: Vec<FunctionalRelation> = Vec::new();
+        let mut tables: Vec<Arc<FunctionalRelation>> = Vec::new();
         let mut edges: Vec<(usize, usize)> = Vec::new();
         let mut base_consumer: Vec<Option<usize>> = vec![None; rels.len()];
         let mut leftover_scalars: Vec<(f64, Option<usize>)> = Vec::new();
@@ -158,7 +287,7 @@ impl VeCache {
             }
             let joined = mpf_algebra::sparse::materialize(cx, joined)?;
             // Cache the pre-GroupBy table.
-            tables.push(joined.clone().with_name(format!("t{j}")));
+            tables.push(Arc::new(joined.clone().with_name(format!("t{j}"))));
             // Eliminate v.
             let keep: Vec<VarId> = joined.schema().iter().filter(|&u| u != v).collect();
             let p = mpf_algebra::sparse::agg_auto(cx, &joined, &keep)?;
@@ -189,6 +318,7 @@ impl VeCache {
             base_names: rels.iter().map(|r| r.name().to_string()).collect(),
             base_schemas: rels.iter().map(|r| r.schema().clone()).collect(),
             base_consumer,
+            groups: OnceLock::new(),
         };
 
         // Backward pass (lines 3–7 of Algorithm 3).
@@ -200,12 +330,10 @@ impl VeCache {
                 .map(|&(i, _)| i)
                 .collect();
             for i in children {
-                cache.tables[i] = mpf_algebra::ops::update_semijoin(
-                    cx,
-                    &cache.tables[i],
-                    &cache.tables[j],
-                )?
-                .with_name(format!("t{i}"));
+                cache.tables[i] = Arc::new(
+                    mpf_algebra::ops::update_semijoin(cx, &cache.tables[i], &cache.tables[j])?
+                        .with_name(format!("t{i}")),
+                );
             }
         }
 
@@ -273,7 +401,7 @@ impl VeCache {
             if let Some(root) = root_k {
                 if let Some(ci) = comp_of(root) {
                     for &t in &comps[ci] {
-                        crate::bp::scale(self.semiring, &mut self.tables[t], other);
+                        crate::bp::scale(self.semiring, Arc::make_mut(&mut self.tables[t]), other);
                     }
                 }
             }
@@ -281,8 +409,9 @@ impl VeCache {
         Ok(())
     }
 
-    /// The cached tables.
-    pub fn tables(&self) -> &[FunctionalRelation] {
+    /// The cached tables (table `i` is named `t{i}`). The `Arc`s tell
+    /// what a derived or patched tree shares with its origin.
+    pub fn tables(&self) -> &[Arc<FunctionalRelation>] {
         &self.tables
     }
 
@@ -307,15 +436,18 @@ impl VeCache {
         self.tables.iter().map(|t| t.len() as u64).sum()
     }
 
-    /// Heap bytes owned by the cache: every cached table plus the tree
-    /// bookkeeping (edges, order, base-relation names/schemas/consumer
-    /// map), all charged at vector *capacity*. This is what a residency
-    /// budget (the engine's `MPF_CACHE_BYTES` view cache) accounts per
-    /// entry.
+    /// Heap bytes reachable from the cache: every cached table, the
+    /// separator row groups once a point update has built them, and the
+    /// tree bookkeeping (edges, order, base-relation names/schemas/
+    /// consumer map), all charged at vector *capacity*. This is what a
+    /// residency budget (the engine's `MPF_CACHE_BYTES` view cache)
+    /// accounts per entry; tables and groups shared with another tree
+    /// are charged to each holder in full.
     pub fn heap_bytes(&self) -> usize {
-        let tables: usize = self.tables.iter().map(FunctionalRelation::heap_bytes).sum();
+        let tables: usize = self.tables.iter().map(|t| t.heap_bytes()).sum();
         tables
-            + self.tables.capacity() * std::mem::size_of::<FunctionalRelation>()
+            + self.tables.capacity() * std::mem::size_of::<Arc<FunctionalRelation>>()
+            + self.groups.get().map_or(0, |g| g.heap_bytes())
             + self.edges.capacity() * std::mem::size_of::<(usize, usize)>()
             + self.order.capacity() * std::mem::size_of::<VarId>()
             + self
@@ -389,15 +521,21 @@ impl VeCache {
     /// applied to one cached table containing `var`, then update-semijoin
     /// reductions are propagated outward along the cache tree.
     pub fn with_evidence(&self, var: VarId, value: Value) -> Result<VeCache> {
-        let mut out = self.clone();
-        let source = out.best_table_for(&[var])?;
-        let old_total = out.table_total(source)?;
-        out.tables[source] = mpf_algebra::ops::select_eq(
-            &mut ExecContext::new(self.semiring),
-            &out.tables[source],
-            &[(var, value)],
-        )?;
-        out.repropagate_from(source, old_total)?;
+        let source = self.best_table_for(&[var])?;
+        let sr = self.semiring;
+        // Selection removes rows, so the row groups of `self` do not
+        // describe the conditioned tables.
+        let mut out = VeCache {
+            groups: OnceLock::new(),
+            ..self.clone()
+        };
+        out.change_and_propagate(source, |table| {
+            let selected =
+                mpf_algebra::ops::select_eq(&mut ExecContext::new(sr), table, &[(var, value)])?
+                    .with_name(table.name().to_string());
+            *table = Arc::new(selected);
+            Ok(Changed::All)
+        })?;
         Ok(out)
     }
 
@@ -421,27 +559,36 @@ impl VeCache {
 
     /// Incremental view maintenance: return a cache reflecting a changed
     /// measure of one row of a base relation (the materialize-and-maintain
-    /// option the paper's introduction raises), without rebuilding.
+    /// option the paper's introduction raises), without rebuilding, plus
+    /// the number of cached rows the change rewrote.
     ///
     /// The base row's measure enters the view product exactly once — inside
     /// the cached table whose join consumed the base relation — so the
-    /// update multiplies the matching rows of that table by
-    /// `new / old` and repropagates update-semijoin reductions outward
-    /// along the cache tree (the same recalibration as evidence
-    /// conditioning).
+    /// update multiplies the matching rows of that table by `new / old`
+    /// and carries the change outward along the cache tree, rescaling on
+    /// each edge only the rows whose separator key a changed row carries
+    /// (the same walk as evidence conditioning, with a smaller change
+    /// set). Rows, row order and every untouched table are shared with
+    /// `self`; a tree conditioned on evidence that excludes `row` comes
+    /// back with nothing rewritten.
+    ///
+    /// The result equals a rebuild bit for bit when every ratio involved
+    /// is exact in `f64`; otherwise each rewritten measure picks up a few
+    /// roundings per patch.
     ///
     /// # Errors
     /// [`InferError::InvalidUpdate`] if the relation is unknown, the old
     /// measure is the additive identity (a `0 → x` change alters the view's
-    /// support and needs a rebuild), or the semiring cannot express the
-    /// ratio.
+    /// support and needs a rebuild), a separator ratio leaves the carrier
+    /// (a marginal collapsed to the additive identity), or the semiring
+    /// cannot express the ratio.
     pub fn update_measure(
         &self,
         relation: &str,
         row: &[Value],
         old: f64,
         new: f64,
-    ) -> Result<VeCache> {
+    ) -> Result<(VeCache, usize)> {
         let sr = self.semiring;
         let base = self
             .base_names
@@ -463,71 +610,225 @@ impl VeCache {
                 "base relation `{relation}` has no variables; rebuild the cache"
             )));
         };
-
-        let mut out = self.clone();
-        let old_total = out.table_total(source)?;
-        // Multiply the consuming table's rows matching the base row.
-        let positions = out.tables[source]
+        let positions = self.tables[source]
             .schema()
             .positions(self.base_schemas[base].vars())
             .expect("base variables are inside the consuming clique");
-        let table = &mut out.tables[source];
-        for i in 0..table.len() {
-            let matches = positions
-                .iter()
-                .zip(row)
-                .all(|(&p, &v)| table.row(i)[p] == v);
-            if matches {
-                let m = table.measure(i);
-                table.set_measure(i, sr.mul(m, ratio));
+
+        let mut out = self.clone();
+        let rewritten = out.change_and_propagate(source, |table| {
+            // The consuming table's rows matching the base row.
+            let matches = |i: &usize| positions.iter().zip(row).all(|(&p, &v)| table.row(*i)[p] == v);
+            let hits: Vec<u32> = if ratio == sr.one() {
+                Vec::new()
+            } else {
+                (0..table.len()).filter(matches).map(|i| i as u32).collect()
+            };
+            if !hits.is_empty() {
+                let table = Arc::make_mut(table);
+                for &i in &hits {
+                    let m = table.measure(i as usize);
+                    table.set_measure(i as usize, sr.mul(m, ratio));
+                }
             }
-        }
-        out.repropagate_from(source, old_total)?;
-        Ok(out)
+            Ok(Changed::Rows(hits))
+        })?;
+        Ok((out, rewritten))
     }
 
-    /// Total (zero-ary marginal) of a cached table.
-    fn table_total(&self, idx: usize) -> Result<f64> {
-        let t = mpf_algebra::ops::group_by(
-            &mut ExecContext::new(self.semiring),
-            &self.tables[idx],
-            &[],
-        )?;
-        Ok(if t.is_empty() {
-            self.semiring.zero()
-        } else {
-            t.measure(0)
-        })
+    /// Column positions of the separator between tables `a` and `b`, in
+    /// `a` and in `b`. Both follow one variable order, so keys extracted
+    /// on either side compare equal.
+    fn separator(&self, a: usize, b: usize) -> (Vec<usize>, Vec<usize>) {
+        let (lo, hi) = (a.min(b), a.max(b));
+        let shared = self.tables[lo]
+            .schema()
+            .intersect(self.tables[hi].schema());
+        let positions = |t: usize| {
+            self.tables[t]
+                .schema()
+                .positions(shared.vars())
+                .expect("separator variables lie in both tables")
+        };
+        (positions(a), positions(b))
     }
 
-    /// After `tables[source]` changed, push update-semijoin reductions
-    /// outward along the cache tree and rescale other components by the
-    /// total's change, restoring Definition 5.
-    fn repropagate_from(&mut self, source: usize, old_total: f64) -> Result<()> {
+    /// The separator row groups of this tree's tables, built on first use.
+    fn separator_groups(&self) -> Arc<SeparatorGroups> {
+        Arc::clone(self.groups.get_or_init(|| {
+            let mut sides = HashMap::with_capacity(2 * self.edges.len());
+            for &(i, j) in &self.edges {
+                let (in_i, in_j) = self.separator(i, j);
+                sides.insert((i, j), RowGroups::build(&self.tables[i], &in_i));
+                sides.insert((j, i), RowGroups::build(&self.tables[j], &in_j));
+            }
+            Arc::new(SeparatorGroups { sides })
+        }))
+    }
+
+    /// The one maintenance routine: let `change` rewrite `tables[source]`
+    /// and say which rows it changed, then restore Definition 5 by pushing
+    /// the change outward along the cache tree ([`VeCache::push_across`]
+    /// per edge, parents before children) and rescaling the tables of
+    /// other components by the change of the view's total. Returns the
+    /// number of rows rewritten, the source's included.
+    ///
+    /// `vecache::propagate` is the routine's fault site.
+    fn change_and_propagate(
+        &mut self,
+        source: usize,
+        change: impl FnOnce(&mut Arc<FunctionalRelation>) -> Result<Changed>,
+    ) -> Result<usize> {
+        fault::check("vecache::propagate")?;
         let sr = self.semiring;
-        let tree = self.as_join_tree();
-        let visited: Vec<usize> = tree.bfs_from(source).iter().map(|&(n, _)| n).collect();
-        for (node, parent) in tree.bfs_from(source) {
-            if let Some(p) = parent {
-                self.tables[node] = mpf_algebra::ops::update_semijoin(
-                    &mut ExecContext::new(sr),
-                    &self.tables[node],
-                    &self.tables[p],
-                )?;
-            }
+        let walk = self.as_join_tree().bfs_from(source);
+        // Tables of other components carry the view's total as a factor.
+        let total = |t: &FunctionalRelation| fold(sr, t.measures().iter().copied());
+        let old_total = (walk.len() < self.tables.len()).then(|| total(&self.tables[source]));
+
+        let changed = change(&mut self.tables[source])?;
+        if matches!(&changed, Changed::Rows(rows) if rows.is_empty()) {
+            return Ok(0);
         }
-        // Tables in *other* components carry the old global total as a
-        // factor; rescale them so Definition 5 keeps holding.
-        let new_total = self.table_total(source)?;
-        if visited.len() < self.tables.len() && new_total != old_total {
-            let ratio = sr.div(new_total, old_total);
-            for i in 0..self.tables.len() {
-                if !visited.contains(&i) {
-                    crate::bp::scale(sr, &mut self.tables[i], ratio);
+        let mut rewritten = changed.count(&self.tables[source]);
+        let mut state: Vec<Option<Changed>> = (0..self.tables.len()).map(|_| None).collect();
+        state[source] = Some(changed);
+        for &(node, parent) in &walk {
+            let Some(parent) = parent else { continue };
+            let from = state[parent]
+                .as_ref()
+                .expect("the walk visits a parent before its children");
+            let next = self.push_across(parent, node, from)?;
+            rewritten += next.count(&self.tables[node]);
+            state[node] = Some(next);
+        }
+
+        if let Some(old_total) = old_total {
+            let new_total = total(&self.tables[source]);
+            if new_total != old_total {
+                let ratio = sr.div(new_total, old_total);
+                if !sr.is_valid_accumulation(ratio) {
+                    return Err(InferError::InvalidUpdate(format!(
+                        "the view's total changed by {ratio}; rebuild the cache"
+                    )));
+                }
+                for i in 0..self.tables.len() {
+                    if walk.iter().all(|&(n, _)| n != i) {
+                        crate::bp::scale(sr, Arc::make_mut(&mut self.tables[i]), ratio);
+                        rewritten += self.tables[i].len();
+                    }
                 }
             }
         }
-        Ok(())
+        Ok(rewritten)
+    }
+
+    /// One edge of the maintenance walk: the update semijoin
+    /// `node ⋉ parent`, restricted to the separator keys that a changed
+    /// row of `parent` carries. For each such key the parent's and the
+    /// node's marginals are folded over *all* their rows with that key, in
+    /// row order — the `GroupBy`s of the full semijoin on those keys — and
+    /// the node's rows with that key are multiplied by the quotient where
+    /// they sit. A calibrated tree agrees on every other key (quotient
+    /// one), so those rows are not read at all.
+    fn push_across(&mut self, parent: usize, node: usize, from: &Changed) -> Result<Changed> {
+        let sr = self.semiring;
+        let (in_parent, in_node) = self.separator(parent, node);
+        let above = Arc::clone(&self.tables[parent]);
+        let below = Arc::clone(&self.tables[node]);
+        let quotient = |above: f64, below: f64| {
+            let q = sr.div(above, below);
+            if sr.is_valid_accumulation(q) {
+                Ok(q)
+            } else {
+                Err(InferError::InvalidUpdate(format!(
+                    "separator ratio {q} between t{parent} and t{node} is outside the \
+                     semiring's carrier; rebuild the cache"
+                )))
+            }
+        };
+        // The node's rows whose quotient is not one, with their new measures.
+        let mut rescaled: Vec<(u32, f64)> = Vec::new();
+        let one = sr.one();
+        let scaled = |i: u32, q: f64| (i, sr.mul(below.measure(i as usize), q));
+
+        match from {
+            Changed::Rows(rows) => {
+                // Key by key through the row groups: no row outside them
+                // is read, none of them is hashed.
+                let groups = self.separator_groups();
+                let (same_above, same_below) =
+                    (groups.side(parent, node), groups.side(node, parent));
+                let keys: HashSet<Key> = rows
+                    .iter()
+                    .map(|&r| Key::extract(above.row(r as usize), &in_parent))
+                    .collect();
+                for key in &keys {
+                    let members = same_below.rows_of(key);
+                    if members.is_empty() {
+                        continue;
+                    }
+                    let marginal = |t: &FunctionalRelation, rows: &[u32]| {
+                        fold(sr, rows.iter().map(|&i| t.measure(i as usize)))
+                    };
+                    let q = quotient(
+                        marginal(&above, same_above.rows_of(key)),
+                        marginal(&below, members),
+                    )?;
+                    if q != one {
+                        rescaled.extend(members.iter().map(|&i| scaled(i, q)));
+                    }
+                }
+            }
+            Changed::All => {
+                // The whole semijoin, including its loss of the node's
+                // rows whose key the parent no longer carries.
+                let by_key = |t: &FunctionalRelation, positions: &[usize]| {
+                    let mut marginals: HashMap<Key, f64> = HashMap::new();
+                    for (row, m) in t.rows() {
+                        marginals
+                            .entry(Key::extract(row, positions))
+                            .and_modify(|acc| *acc = sr.add(*acc, m))
+                            .or_insert(m);
+                    }
+                    marginals
+                };
+                let mut quotients = by_key(&above, &in_parent);
+                for (key, own) in by_key(&below, &in_node) {
+                    if let Some(q) = quotients.get_mut(&key) {
+                        *q = quotient(*q, own)?;
+                    }
+                }
+                let key_of = |i: u32| Key::extract(below.row(i as usize), &in_node);
+                let rows = 0..below.len() as u32;
+                if rows.clone().all(|i| quotients.contains_key(&key_of(i))) {
+                    let moved = rows.filter(|&i| quotients[&key_of(i)] != one);
+                    rescaled.extend(moved.map(|i| scaled(i, quotients[&key_of(i)])));
+                } else {
+                    let mut kept =
+                        FunctionalRelation::new(below.name().to_string(), below.schema().clone());
+                    for (row, m) in below.rows() {
+                        if let Some(&q) = quotients.get(&Key::extract(row, &in_node)) {
+                            kept.push_row_unchecked(row, sr.mul(m, q));
+                        }
+                    }
+                    self.tables[node] = Arc::new(kept);
+                    return Ok(Changed::All);
+                }
+            }
+        }
+
+        drop(below);
+        if !rescaled.is_empty() {
+            let table = Arc::make_mut(&mut self.tables[node]);
+            for &(i, m) in &rescaled {
+                table.set_measure(i as usize, m);
+            }
+        }
+        Ok(match from {
+            Changed::All => Changed::All,
+            Changed::Rows(_) => Changed::Rows(rescaled.into_iter().map(|(i, _)| i).collect()),
+        })
     }
 
     /// Expected workload cost `C(S) + E[cost(Q(q, S))]` of Section 6, with
@@ -750,7 +1051,7 @@ mod tests {
         let row = rels[wh_idx].row(0).to_vec();
         let old = rels[wh_idx].measure(0);
         let new = old * 3.5;
-        let maintained = cache
+        let (maintained, _) = cache
             .update_measure("warehouses", &row, old, new)
             .unwrap();
 
@@ -784,6 +1085,160 @@ mod tests {
             cache.update_measure("missing", &[0, 0], 1.0, 2.0),
             Err(InferError::InvalidUpdate(_))
         ));
+    }
+
+    /// r0(a,b) — r1(b,c) — r2(c): eliminating a, b, c in that order caches
+    /// exactly t0(a,b), t1(b,c), t2(c), a three-table chain.
+    fn sparse_chain(cat: &mut Catalog) -> (Vec<FunctionalRelation>, [VarId; 3]) {
+        let a = cat.add_var("a", 2).unwrap();
+        let b = cat.add_var("b", 3).unwrap();
+        let c = cat.add_var("c", 3).unwrap();
+        let r0 = FunctionalRelation::complete("r0", Schema::new(vec![a, b]).unwrap(), cat, |r| {
+            1.0 + (r[0] * 3 + r[1]) as f64 / 4.0
+        });
+        let r1 = FunctionalRelation::from_rows(
+            "r1",
+            Schema::new(vec![b, c]).unwrap(),
+            [
+                (vec![0, 0], 0.5),
+                (vec![1, 1], 1.5),
+                (vec![1, 2], 2.5),
+                (vec![2, 0], 3.5),
+            ],
+        )
+        .unwrap();
+        let r2 = FunctionalRelation::complete("r2", Schema::new(vec![c]).unwrap(), cat, |r| {
+            2.0 + r[0] as f64
+        });
+        (vec![r0, r1, r2], [a, b, c])
+    }
+
+    /// Row indices whose measure bits differ between two same-shaped tables.
+    fn rewritten_rows(before: &FunctionalRelation, after: &FunctionalRelation) -> Vec<usize> {
+        assert_eq!(before.values_col(), after.values_col(), "keys or row order moved");
+        (0..before.len())
+            .filter(|&i| before.measure(i).to_bits() != after.measure(i).to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn point_update_rewrites_exactly_the_changed_key_closure() {
+        let mut cat = Catalog::new();
+        let (rels, order) = sparse_chain(&mut cat);
+        let refs: Vec<&FunctionalRelation> = rels.iter().collect();
+        let sr = SemiringKind::SumProduct;
+        let cache = VeCache::build_in(&mut ExecContext::new(sr), &refs, Some(&order)).unwrap();
+        assert_eq!(cache.edges(), &[(0, 1), (1, 2)]);
+        let rows: Vec<usize> = cache.tables().iter().map(|t| t.len()).collect();
+        assert_eq!(rows, [6, 4, 3]);
+
+        // r0(a=0, b=1) × 3: one row of t0; b = 1 reaches the two rows
+        // (1,1), (1,2) of t1; their c ∈ {1, 2} reaches two rows of t2.
+        let (patched, n) = cache.update_measure("r0", &[0, 1], 1.25, 3.75).unwrap();
+        assert_eq!(n, 1 + 2 + 2);
+        let changed: Vec<Vec<usize>> = (0..3)
+            .map(|i| rewritten_rows(&cache.tables()[i], &patched.tables()[i]))
+            .collect();
+        assert_eq!(changed, [vec![1], vec![1, 2], vec![1, 2]]);
+
+        // From the other end: r2(c=0) reaches t1's (0,0), (2,0), whose
+        // b ∈ {0, 2} reaches four rows of t0.
+        let (patched, n) = patched.update_measure("r2", &[0], 2.0, 5.0).unwrap();
+        assert_eq!(n, 1 + 2 + 4);
+
+        let mut modified = rels.clone();
+        modified[0].set_measure(1, 3.75);
+        modified[2].set_measure(0, 5.0);
+        let mod_refs: Vec<&FunctionalRelation> = modified.iter().collect();
+        assert!(satisfies_invariant(sr, &mod_refs, patched.tables()).unwrap());
+    }
+
+    #[test]
+    fn update_that_moves_no_marginal_shares_downstream_tables() {
+        // In max-product a row below its group's maximum does not move the
+        // max-marginal, so the quotient is exactly one and the walk stops.
+        let mut cat = Catalog::new();
+        let (rels, order) = sparse_chain(&mut cat);
+        let refs: Vec<&FunctionalRelation> = rels.iter().collect();
+        let sr = SemiringKind::MaxProduct;
+        let cache = VeCache::build_in(&mut ExecContext::new(sr), &refs, Some(&order)).unwrap();
+        // r0(a=0,b=1) = 1.25 < r0(a=1,b=1) = 2.0; raising it to 1.5 keeps
+        // the max over a at b = 1.
+        let before = cache.tables()[0].measure(1);
+        let (patched, n) = cache.update_measure("r0", &[0, 1], 1.25, 1.5).unwrap();
+        assert_eq!(n, 1);
+        assert!(!Arc::ptr_eq(&cache.tables()[0], &patched.tables()[0]));
+        assert!(Arc::ptr_eq(&cache.tables()[1], &patched.tables()[1]));
+        assert!(Arc::ptr_eq(&cache.tables()[2], &patched.tables()[2]));
+        // The origin tree is untouched.
+        assert_eq!(cache.tables()[0].measure(1).to_bits(), before.to_bits());
+        assert_ne!(patched.tables()[0].measure(1).to_bits(), before.to_bits());
+        let mut modified = rels.clone();
+        modified[0].set_measure(1, 1.5);
+        let mod_refs: Vec<&FunctionalRelation> = modified.iter().collect();
+        assert!(satisfies_invariant(sr, &mod_refs, patched.tables()).unwrap());
+    }
+
+    #[test]
+    fn two_hundred_patches_leave_names_bytes_and_rows_unchanged() {
+        let mut cat = Catalog::new();
+        let mut rels = supply_chain(&mut cat);
+        let sr = SemiringKind::SumProduct;
+        let refs: Vec<&FunctionalRelation> = rels.iter().collect();
+        let tid = cat.var("tid").unwrap();
+        let built = VeCache::build_in(&mut ExecContext::new(sr), &refs, None).unwrap();
+        let mut trees = [built.clone(), built.with_evidence(tid, 1).unwrap()];
+        let shape = |t: &VeCache| -> Vec<(String, usize)> {
+            t.tables()
+                .iter()
+                .map(|t| (t.name().to_string(), t.len()))
+                .collect()
+        };
+        let table_bytes = |t: &VeCache| t.tables().iter().map(|t| t.heap_bytes()).sum::<usize>();
+        let shapes = trees.each_ref().map(shape);
+        let built_bytes = trees.each_ref().map(table_bytes);
+        for (i, names) in shapes.iter().enumerate() {
+            for (j, (name, _)) in names.iter().enumerate() {
+                assert_eq!(name, &format!("t{j}"), "tree {i}");
+            }
+        }
+
+        let mut bytes_after_first = None;
+        for step in 0..200usize {
+            let r = step % rels.len();
+            let i = (step * 7) % rels[r].len();
+            let (row, old) = (rels[r].row(i).to_vec(), rels[r].measure(i));
+            let new = if step % 2 == 0 { old * 1.7 } else { old / 1.3 };
+            rels[r].set_measure(i, new);
+            for tree in &mut trees {
+                *tree = tree.update_measure(rels[r].name(), &row, old, new).unwrap().0;
+            }
+            // The first patch adds the separator row groups and copies the
+            // tables it touches (here: all) to exact capacity — once.
+            let bytes = trees.each_ref().map(VeCache::heap_bytes);
+            assert_eq!(*bytes_after_first.get_or_insert(bytes), bytes, "step {step}");
+        }
+        assert_eq!(trees.each_ref().map(shape), shapes);
+        for (after, built) in trees.each_ref().map(table_bytes).iter().zip(built_bytes) {
+            assert!(*after <= built, "tables grew: {built} -> {after}");
+        }
+        let refs: Vec<&FunctionalRelation> = rels.iter().collect();
+        assert!(satisfies_invariant(sr, &refs, trees[0].tables()).unwrap());
+    }
+
+    #[test]
+    fn evidence_keeps_table_names() {
+        let mut cat = Catalog::new();
+        let rels = supply_chain(&mut cat);
+        let refs: Vec<&FunctionalRelation> = rels.iter().collect();
+        let cache =
+            VeCache::build_in(&mut ExecContext::new(SemiringKind::SumProduct), &refs, None).unwrap();
+        let tid = cat.var("tid").unwrap();
+        let sid = cat.var("sid").unwrap();
+        let conditioned = cache.with_evidence_set(&[(tid, 1), (sid, 0)]).unwrap();
+        for (i, t) in conditioned.tables().iter().enumerate() {
+            assert_eq!(t.name(), format!("t{i}"));
+        }
     }
 
     #[test]

@@ -489,6 +489,50 @@ mod tests {
     }
 
     #[test]
+    fn metrics_frame_carries_update_and_patch_metrics() {
+        let db = Database::new().with_cache_bytes(1 << 20);
+        let a = db.add_var("a", 2).unwrap();
+        let b = db.add_var("b", 2).unwrap();
+        let r1 = FunctionalRelation::complete(
+            "r1",
+            Schema::new(vec![a, b]).unwrap(),
+            &db.catalog(),
+            |r| (r[0] + 2 * r[1] + 1) as f64,
+        );
+        db.insert_relation(r1).unwrap();
+        db.create_view("v", &["r1"], Combine::Product).unwrap();
+        let server = Server::new(db, ServeConfig::default());
+        // Two misses admit the base tree; the filtered query derives a
+        // conditioned one from it.
+        for sql in [
+            "select a, sum(f) from v group by a",
+            "select a, sum(f) from v group by a",
+            "select a, sum(f) from v where b = 1 group by a",
+        ] {
+            let (out, _) = server.handle_line(&format!("QUERY t1 {sql}"));
+            assert_eq!(out.last().unwrap(), "END", "{out:?}");
+        }
+        server.db().update_measure("r1", &[1, 1], 8.0).unwrap();
+
+        let m = server.metrics();
+        assert_eq!(m.histogram("engine.update_us").unwrap().count, 1);
+        assert!(m.histogram("engine.writer_lock_hold_us").unwrap().count >= 1);
+        assert_eq!(m.counter("engine.cache.patched"), 2);
+        assert_eq!(m.counter("engine.cache.patched_conditioned"), 1);
+        assert!(m.counter("engine.cache.patched_rows") >= 2);
+        let (frame, _) = server.handle_line("METRICS");
+        for name in [
+            "engine.update_us",
+            "engine.writer_lock_hold_us",
+            "engine.cache.patch_us",
+            "engine.cache.patched_rows",
+            "engine.cache.patched_conditioned",
+        ] {
+            assert!(frame[1].contains(name), "METRICS lacks {name}: {}", frame[1]);
+        }
+    }
+
+    #[test]
     fn ping_metrics_and_shutdown_frames() {
         let server = seeded_server(ServeConfig::default());
         assert_eq!(server.handle_line("PING").0, vec!["PONG"]);

@@ -156,7 +156,7 @@ proptest! {
         let new = old * (factor as f64) / 2.0;
         let name = rels[ri].name().to_string();
 
-        let maintained = cache.update_measure(&name, &row, old, new).unwrap();
+        let (maintained, _) = cache.update_measure(&name, &row, old, new).unwrap();
         rels[ri].set_measure(row_i, new);
         let mod_refs: Vec<&FunctionalRelation> = rels.iter().collect();
 
