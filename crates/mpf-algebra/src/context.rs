@@ -557,6 +557,13 @@ impl<'b> ExecContext<'b> {
         self.trace.set_kernel(mode.name());
     }
 
+    /// Tag the active (fused dense) span with the loop nest its kernel
+    /// ran — `nest=row` or `nest=cell`. Same call-order rule as
+    /// [`ExecContext::note_kernel_op`].
+    pub(crate) fn note_fused_nest(&mut self, nest: &'static str) {
+        self.trace.set_nest(nest);
+    }
+
     /// [`ExecContext::record_join_ex`]/[`ExecContext::record_group_by_ex`]
     /// from cardinalities alone, for the factor-carrying operators whose
     /// operands are never row-materialized. Pages are estimated from the

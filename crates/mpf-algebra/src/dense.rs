@@ -75,7 +75,21 @@
 //! unfused join-then-agg pipeline would, so the fused result is
 //! bit-identical to the unfused dense pipeline under the same kernel
 //! mode, while peak memory drops from the union grid to the output
-//! grid.
+//! grid. The union grid is only indexed, never allocated, so it may
+//! exceed [`mpf_storage::dense::MAX_DENSE_CELLS`]; the operands and the
+//! output may not.
+//!
+//! The chunked kernel picks its loop nest from the operand strides
+//! (`join_agg_impl`): when some group axis is unit-stride in one operand
+//! and unit-stride or broadcast in the other, the innermost loop runs
+//! along that axis over a contiguous accumulator row, with the eliminated
+//! axes outside it (`join_agg_rows` — the axpy form of the contraction:
+//! every load streams, no loop-carried dependence); otherwise both
+//! operands are contiguous along an eliminated axis and each cell folds
+//! its own run (`join_agg_cells`, also the scalar reference). The nest
+//! changes the order cells are *visited*, never the order one cell's
+//! products are folded, so it cannot move a bit; spans report it as
+//! `nest=row|cell`.
 
 use mpf_semiring::kernel::{fold_run, reduce_lanes, SemiringOps, LANES};
 use mpf_semiring::for_each_semiring;
@@ -470,10 +484,11 @@ pub fn join_agg(
         return ops::join_group_by(cx, l, r, group_vars);
     }
     match join_agg_impl(cx, l, r, group_vars, &ld, &rd)? {
-        Some(out) => {
+        Some((out, nest)) => {
             let rel = from_dense(cx, out)?;
             cx.record_join_agg_ex(&[l, r], &rel, crate::trace::OpRepr::Dense);
             cx.note_kernel_op(cx.kernel_mode());
+            cx.note_fused_nest(nest);
             Ok(rel)
         }
         None => ops::join_group_by(cx, l, r, group_vars),
@@ -512,12 +527,13 @@ fn join_agg_impl(
     group_vars: &[VarId],
     ld: &[u64],
     rd: &[u64],
-) -> Result<Option<DenseFactor>> {
+) -> Result<Option<(DenseFactor, &'static str)>> {
+    // The join grid is only ever *indexed*, never allocated: the kernel
+    // needs the two operands and the output grid, so a join grid beyond
+    // `MAX_DENSE_CELLS` is no reason to refuse.
     let join_schema = l.schema().union(r.schema());
     let join_domains = union_domains(l, r, &join_schema, ld, rd);
-    let Some(join_cells_total) = grid_cells(&join_domains) else {
-        return Ok(None);
-    };
+    let join_cells_total = join_domains.iter().fold(1u64, |n, &d| n.saturating_mul(d));
     let side_domains = |s: &Schema| -> Vec<u64> {
         s.iter()
             .map(|v| join_domains[join_schema.position(v).expect("var in union")])
@@ -584,11 +600,32 @@ fn join_agg_impl(
     } else {
         1
     };
+    // Nest selection: the chunked kernel runs row-major along the last
+    // group axis that is unit-stride in one operand and unit-stride or
+    // broadcast in the other (so the innermost loop streams and
+    // vectorizes, with the eliminated axes outside it). Without such an
+    // axis both operands are contiguous along an eliminated axis and the
+    // cell-major lane fold already vectorizes; the scalar mode keeps the
+    // cell-major nest as the reference shape. Either nest folds each
+    // cell's products in the same order, so the choice never moves a bit.
+    let row_axis = match mode {
+        KernelMode::Scalar => None,
+        KernelMode::Chunked => gdims
+            .iter()
+            .rposition(|d| d.dom > 1 && matches!((d.sa, d.sb), (1, 0) | (0, 1) | (1, 1))),
+    };
+    let (av, bv) = (a.values, b.values);
+    let (gdims, edims, out_strides) = (&gdims, &edims, &out_strides);
+    let kernel = move |start: usize, slice: &mut [f64]| match row_axis {
+        Some(row) => for_each_semiring!(sr, join_agg_rows(
+            av, bv, gdims, out_strides, edims, row, start, slice, budget, arity, lane_ok,
+        )),
+        None => for_each_semiring!(sr, join_agg_cells(
+            av, bv, gdims, out_strides, edims, start, slice, budget, arity, mode, lane_ok,
+        )),
+    };
     if workers <= 1 {
-        for_each_semiring!(sr, join_agg_cells(
-            a.values, b.values, &gdims, &out_strides, &edims, 0, out.values_mut(),
-            budget, arity, mode, lane_ok,
-        ))?;
+        kernel(0, out.values_mut())?;
     } else {
         // Chunk along output axis 0, as the unfused kernels do: each
         // worker owns a contiguous output slice and every cell's fold
@@ -602,16 +639,7 @@ fn join_agg_impl(
                 .values_mut()
                 .chunks_mut(chunk)
                 .enumerate()
-                .map(|(i, slice)| {
-                    let (gdims, edims, out_strides) = (&gdims, &edims, &out_strides);
-                    let (av, bv) = (a.values, b.values);
-                    scope.spawn(move || {
-                        for_each_semiring!(sr, join_agg_cells(
-                            av, bv, gdims, out_strides, edims, i * chunk, slice, budget,
-                            arity, mode, lane_ok,
-                        ))
-                    })
-                })
+                .map(|(i, slice)| scope.spawn(move || kernel(i * chunk, slice)))
                 .collect();
             handles
                 .into_iter()
@@ -630,7 +658,155 @@ fn join_agg_impl(
             b.checkpoint()?;
         }
     }
-    Ok(Some(out))
+    Ok(Some((out, if row_axis.is_some() { "row" } else { "cell" })))
+}
+
+/// Cells per accumulator row of the row-major fused nest: the scratch is
+/// `LANES + 1` such rows on the kernel's stack (18 KB — L1-resident), so
+/// a wider output row is contracted one block at a time.
+const ROW_BLOCK: usize = 256;
+
+/// Row-major fused contraction kernel over the output box `[start,
+/// start + out.len())` (whole axis-0 slabs, like every chunk the parallel
+/// split hands out): the outer-product / axpy form of [`join_agg_cells`].
+/// Group axis `row` is unit-stride in one operand and unit-stride or
+/// broadcast in the other, so each block of at most [`ROW_BLOCK`] output
+/// cells along it is accumulated as one contiguous row while the
+/// eliminated axes advance *outside* that loop — every load streams and
+/// the loop carries no dependence, where the cell-major nest walks an
+/// eliminated stride per cell through one serial accumulator. Each
+/// cell's fold is exactly the cell-major one: first product, then
+/// `S::add` in eliminated-odometer order, or — `lane` — per eliminated
+/// run the [`LANES`]-way fold of [`fold_products`] ([`reduce_lanes`]
+/// tree, scalar tail), runs combined in order. The finished row is
+/// validated cell by cell and stored with the output layout's stride
+/// along `row`; the guard polls and charges once per row block.
+#[allow(clippy::too_many_arguments)]
+fn join_agg_rows<S: SemiringOps>(
+    av: &[f64],
+    bv: &[f64],
+    gdims: &[FusedDim],
+    out_strides: &[u64],
+    edims: &[FusedDim],
+    row: usize,
+    start: usize,
+    out: &mut [f64],
+    budget: Option<&ExecBudget>,
+    arity: usize,
+    lane: bool,
+) -> Result<()> {
+    let mut guard = OpGuard::new(budget, arity);
+    let k = gdims.len();
+    let stride0 = out_strides[0] as usize;
+    let (lo0, hi0) = (start / stride0, (start + out.len()) / stride0);
+    let bounds = |j: usize| if j == 0 { (lo0, hi0) } else { (0, gdims[j].dom as usize) };
+    let (rlo, rhi) = bounds(row);
+    let (sar, sbr, sor) = (gdims[row].sa, gdims[row].sb, out_strides[row] as usize);
+    let (runs, inner) = edims.split_at(edims.len().saturating_sub(1));
+    let (delast, sal, sbl) = inner.first().map_or((1, 0, 0), |d| (d.dom as usize, d.sa, d.sb));
+    let eruns: u64 = runs.iter().map(|d| d.dom).product();
+    let row_work = eruns.saturating_mul(delast as u64);
+    let mut ecoords = vec![0u64; runs.len()];
+    let mut scratch = [[0.0f64; ROW_BLOCK]; LANES + 1];
+    let (lanes, rest) = scratch.split_at_mut(LANES);
+    let acc_row = &mut rest[0];
+    // The other group axes run as an outer odometer, in output order.
+    let mut coords: Vec<usize> = (0..k).map(|j| bounds(j).0).collect();
+    loop {
+        let (mut abase, mut bbase, mut obase) = (0usize, 0usize, 0usize);
+        for j in (0..k).filter(|&j| j != row) {
+            abase += coords[j] * gdims[j].sa;
+            bbase += coords[j] * gdims[j].sb;
+            obase += coords[j] * out_strides[j] as usize;
+        }
+        let mut x0 = rlo;
+        while x0 < rhi {
+            let n = (rhi - x0).min(ROW_BLOCK);
+            guard.poll_many(row_work.saturating_mul(n as u64))?;
+            let acc = &mut acc_row[..n];
+            let (mut ea, mut eb) = (abase + x0 * sar, bbase + x0 * sbr);
+            for run in 0..eruns {
+                if run > 0 {
+                    for j in (0..runs.len()).rev() {
+                        ecoords[j] += 1;
+                        ea += runs[j].sa;
+                        eb += runs[j].sb;
+                        if ecoords[j] < runs[j].dom {
+                            break;
+                        }
+                        ecoords[j] = 0;
+                        ea -= runs[j].sa * runs[j].dom as usize;
+                        eb -= runs[j].sb * runs[j].dom as usize;
+                    }
+                }
+                // Fold the products at step `t` of this run into a row.
+                let add = |t: usize, into: &mut [f64]| {
+                    add_products::<S>(av, ea + t * sal, sar, bv, eb + t * sbl, sbr, into)
+                };
+                if lane {
+                    for l in lanes.iter_mut() {
+                        l[..n].fill(S::ZERO);
+                    }
+                    let mut t = 0usize;
+                    while t + LANES <= delast {
+                        for (q, l) in lanes.iter_mut().enumerate() {
+                            add(t + q, &mut l[..n]);
+                        }
+                        t += LANES;
+                    }
+                    // `lanes` is indexed by lane, then by cell: no iterator form.
+                    #[allow(clippy::needless_range_loop)]
+                    for x in 0..n {
+                        lanes[0][x] = reduce_lanes::<S>(std::array::from_fn(|q| lanes[q][x]));
+                    }
+                    while t < delast {
+                        add(t, &mut lanes[0][..n]);
+                        t += 1;
+                    }
+                    if run == 0 {
+                        acc.copy_from_slice(&lanes[0][..n]);
+                    } else {
+                        for (slot, &v) in acc.iter_mut().zip(&lanes[0][..n]) {
+                            *slot = S::add(*slot, v);
+                        }
+                    }
+                } else {
+                    if run == 0 {
+                        write_products::<S>(av, ea, sar, bv, eb, sbr, acc);
+                    }
+                    for t in usize::from(run == 0)..delast {
+                        add(t, acc);
+                    }
+                }
+            }
+            ecoords.fill(0);
+            let obase = obase + x0 * sor - start;
+            for (t, &v) in acc.iter().enumerate() {
+                if !S::KIND.is_valid_accumulation(v) {
+                    return Err(AlgebraError::NonFiniteMeasure {
+                        op: "dense::join_agg",
+                        value: v,
+                    });
+                }
+                out[obase + t * sor] = v;
+            }
+            guard.produced_many(n as u64)?;
+            x0 += n;
+        }
+        let mut done = true;
+        for j in (0..k).rev().filter(|&j| j != row) {
+            coords[j] += 1;
+            if coords[j] < bounds(j).1 {
+                done = false;
+                break;
+            }
+            coords[j] = bounds(j).0;
+        }
+        if done {
+            break;
+        }
+    }
+    guard.finish()
 }
 
 /// Fused contraction kernel over one contiguous output-cell range: the
@@ -765,11 +941,51 @@ struct JoinDim {
     sb: usize,
 }
 
-/// Elementwise product of one contiguous output run, specialized per
-/// input-stride pattern so the common broadcast shapes ((1,1), (1,0),
-/// (0,1)) compile to vector loops. Every branch computes the same
-/// values in the same cells — the specialization is for the compiler,
-/// not the semantics.
+/// Visit the elementwise products of one contiguous output run,
+/// specialized per input-stride pattern so the common broadcast shapes
+/// ((1,1), (1,0), (0,1)) compile to vector loops. Every branch computes
+/// the same values for the same cells — the specialization is for the
+/// compiler, not the semantics.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn for_products<S: SemiringOps>(
+    av: &[f64],
+    ai: usize,
+    sal: usize,
+    bv: &[f64],
+    bi: usize,
+    sbl: usize,
+    out: &mut [f64],
+    put: impl Fn(&mut f64, f64),
+) {
+    match (sal, sbl) {
+        (1, 1) => {
+            let (xs, ys) = (&av[ai..ai + out.len()], &bv[bi..bi + out.len()]);
+            for (t, slot) in out.iter_mut().enumerate() {
+                put(slot, S::mul(xs[t], ys[t]));
+            }
+        }
+        (1, 0) => {
+            let (xs, y) = (&av[ai..ai + out.len()], bv[bi]);
+            for (t, slot) in out.iter_mut().enumerate() {
+                put(slot, S::mul(xs[t], y));
+            }
+        }
+        (0, 1) => {
+            let (x, ys) = (av[ai], &bv[bi..bi + out.len()]);
+            for (t, slot) in out.iter_mut().enumerate() {
+                put(slot, S::mul(x, ys[t]));
+            }
+        }
+        _ => {
+            for (t, slot) in out.iter_mut().enumerate() {
+                put(slot, S::mul(av[ai + t * sal], bv[bi + t * sbl]));
+            }
+        }
+    }
+}
+
+/// Write one contiguous output run of elementwise products (the join).
 #[inline(always)]
 fn write_products<S: SemiringOps>(
     av: &[f64],
@@ -780,31 +996,22 @@ fn write_products<S: SemiringOps>(
     sbl: usize,
     out: &mut [f64],
 ) {
-    match (sal, sbl) {
-        (1, 1) => {
-            let (xs, ys) = (&av[ai..ai + out.len()], &bv[bi..bi + out.len()]);
-            for (t, slot) in out.iter_mut().enumerate() {
-                *slot = S::mul(xs[t], ys[t]);
-            }
-        }
-        (1, 0) => {
-            let (xs, y) = (&av[ai..ai + out.len()], bv[bi]);
-            for (t, slot) in out.iter_mut().enumerate() {
-                *slot = S::mul(xs[t], y);
-            }
-        }
-        (0, 1) => {
-            let (x, ys) = (av[ai], &bv[bi..bi + out.len()]);
-            for (t, slot) in out.iter_mut().enumerate() {
-                *slot = S::mul(x, ys[t]);
-            }
-        }
-        _ => {
-            for (t, slot) in out.iter_mut().enumerate() {
-                *slot = S::mul(av[ai + t * sal], bv[bi + t * sbl]);
-            }
-        }
-    }
+    for_products::<S>(av, ai, sal, bv, bi, sbl, out, |slot, v| *slot = v);
+}
+
+/// `S::add` one run of elementwise products into a contiguous
+/// accumulator row — the axpy step of [`join_agg_rows`].
+#[inline(always)]
+fn add_products<S: SemiringOps>(
+    av: &[f64],
+    ai: usize,
+    sal: usize,
+    bv: &[f64],
+    bi: usize,
+    sbl: usize,
+    acc: &mut [f64],
+) {
+    for_products::<S>(av, ai, sal, bv, bi, sbl, acc, |slot, v| *slot = S::add(*slot, v));
 }
 
 /// Chunked fold of `add(mul(a, b))` over one eliminated run of length
@@ -1837,6 +2044,132 @@ mod tests {
         let sparse_err =
             ops::product_join(&mut ExecContext::with_limits(sr, limits), &l, &r).unwrap_err();
         assert_eq!(err, sparse_err);
+    }
+
+    /// Complete `l(x, e)` and `r(e, y)` of side `d` — the spine's D³
+    /// elimination step, `group by [x, y]`.
+    fn contraction(d: u64) -> (Catalog, FunctionalRelation, FunctionalRelation) {
+        let mut cat = Catalog::new();
+        let x = cat.add_var("x", d).unwrap();
+        let e = cat.add_var("e", d).unwrap();
+        let y = cat.add_var("y", d).unwrap();
+        let l = FunctionalRelation::complete("l", Schema::new(vec![x, e]).unwrap(), &cat, |row| {
+            0.5 + ((row[0] * 31 + row[1] * 7) % 13) as f64 / 8.0
+        });
+        let r = FunctionalRelation::complete("r", Schema::new(vec![e, y]).unwrap(), &cat, |row| {
+            0.25 + ((row[0] * 5 + row[1] * 11) % 17) as f64 / 4.0
+        });
+        (cat, l, r)
+    }
+
+    #[test]
+    fn fused_kernel_never_needs_the_join_grid() {
+        // D = 288: operands and output are D² = 82 944 cells, the join
+        // grid D³ = 2.39·10⁷ is beyond MAX_DENSE_CELLS = 2²⁴. The fused
+        // kernel only indexes that grid, so it still runs dense — and its
+        // peak intermediate is the output, not the join.
+        const D: usize = 288;
+        let (cat, l, r) = contraction(D as u64);
+        let gv = [cat.var("x").unwrap(), cat.var("y").unwrap()];
+        assert!(grid_cells(&[D as u64; 3]).is_none(), "join grid is over the cap");
+        assert!(!dense_join_applies(DenseMode::On, &l, &r), "the unfused join stays refused");
+        let (lm, rm) = (l.measures(), r.measures());
+        for mode in [KernelMode::Chunked, KernelMode::Scalar] {
+            let mut cx = ExecContext::new(SemiringKind::SumProduct).with_kernel(mode);
+            let out = join_agg(&mut cx, &l, &r, &gv).unwrap();
+            let stats = cx.stats();
+            assert_eq!((stats.fused_join_aggs, stats.dense_joins), (1, 1), "{mode:?} ran dense");
+            assert_eq!(stats.max_intermediate_rows, (D * D) as u64);
+            let got = out.measures();
+            assert_eq!(got.len(), D * D);
+            for x in 0..D {
+                for y in 0..D {
+                    let mut want = lm[x * D] * rm[y];
+                    for e in 1..D {
+                        want += lm[x * D + e] * rm[e * D + y];
+                    }
+                    assert_eq!(got[x * D + y].to_bits(), want.to_bits(), "{mode:?} ({x}, {y})");
+                }
+            }
+        }
+    }
+
+    /// Run the row-major kernel on the `contraction(d)` shape under
+    /// `limits`, over a NaN-filled output: the error it stops with and
+    /// how many cells it had stored by then.
+    fn row_kernel_under(d: usize, limits: crate::ExecLimits) -> (AlgebraError, usize) {
+        let (_, l, r) = contraction(d as u64);
+        let gdims = [
+            FusedDim { dom: d as u64, sa: d, sb: 0 },
+            FusedDim { dom: d as u64, sa: 0, sb: 1 },
+        ];
+        let edims = [FusedDim { dom: d as u64, sa: 1, sb: d }];
+        let budget = ExecBudget::new(limits);
+        let mut out = vec![f64::NAN; d * d];
+        let err = join_agg_rows::<mpf_semiring::kernel::SumProduct>(
+            l.measures(), r.measures(), &gdims, &[d as u64, 1], &edims, 1, 0, &mut out,
+            Some(&budget), 2, false,
+        )
+        .unwrap_err();
+        (err, out.iter().filter(|v| !v.is_nan()).count())
+    }
+
+    #[test]
+    fn row_nest_trips_deadline_and_cancel_within_one_output_row() {
+        // One output row is 67 cells × 67 eliminated values ≥ TICK_INTERVAL
+        // units of work, so every row polls: a cancelled token or an
+        // expired deadline stops the kernel before it stores anything.
+        let token = crate::CancelToken::new();
+        token.cancel();
+        let (err, stored) =
+            row_kernel_under(67, crate::ExecLimits::none().with_cancel_token(token));
+        assert_eq!(err, AlgebraError::Cancelled);
+        assert_eq!(stored, 0);
+        let (err, stored) = row_kernel_under(
+            67,
+            crate::ExecLimits::none().with_timeout(std::time::Duration::ZERO),
+        );
+        assert!(
+            matches!(
+                err,
+                AlgebraError::ResourceExhausted { resource: crate::ResourceKind::WallClock, .. }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(stored, 0);
+    }
+
+    #[test]
+    fn row_nest_trips_row_and_cell_budgets_within_one_output_row() {
+        // Rows are charged a row at a time and settled on the same
+        // cumulative thresholds as the per-cell nest: the trip comes at
+        // the first settlement past the cap, at most one output row later
+        // than a per-cell guard would report it.
+        const D: usize = 67;
+        let slack = (crate::limits::TICK_INTERVAL as usize + D) as u64;
+        let (err, stored) =
+            row_kernel_under(D, crate::ExecLimits::none().with_max_output_rows(2000));
+        match err {
+            AlgebraError::ResourceExhausted {
+                resource: crate::ResourceKind::OutputRows,
+                limit: 2000,
+                observed,
+            } => assert!(observed > 2000 && observed <= 2000 + slack, "{observed}"),
+            other => panic!("expected OutputRows trip, got {other:?}"),
+        }
+        assert!(stored < D * D && stored % D == 0, "stopped on a row boundary: {stored}");
+        // 3 cells per output row (two variables + the measure).
+        let (err, stored) =
+            row_kernel_under(D, crate::ExecLimits::none().with_max_total_cells(6000));
+        match err {
+            AlgebraError::ResourceExhausted {
+                resource: crate::ResourceKind::TotalCells,
+                limit: 6000,
+                observed,
+            } => assert!(observed > 6000 && observed <= 6000 + 3 * slack, "{observed}"),
+            other => panic!("expected TotalCells trip, got {other:?}"),
+        }
+        assert!(stored < D * D && stored % D == 0, "stopped on a row boundary: {stored}");
     }
 
     #[test]

@@ -360,6 +360,24 @@ impl<'a> OpGuard<'a> {
         Ok(())
     }
 
+    /// Count `units` of scanned work at once — the row-granular
+    /// equivalent of `units` calls to [`OpGuard::poll`], used by the
+    /// row-major fused dense kernel, whose unit of progress is one output
+    /// row of `cells × eliminated` multiply-adds: a row worth at least
+    /// [`TICK_INTERVAL`] units polls the deadline and the cancellation
+    /// token itself, cheaper rows share a poll.
+    #[inline]
+    pub fn poll_many(&mut self, units: u64) -> Result<()> {
+        if let Some(budget) = self.budget {
+            self.poll_count = self.poll_count.saturating_add(units.min(u32::MAX as u64) as u32);
+            if self.poll_count >= TICK_INTERVAL {
+                self.poll_count = 0;
+                budget.checkpoint()?;
+            }
+        }
+        Ok(())
+    }
+
     /// Count one emitted output row.
     #[inline]
     pub fn produced(&mut self) -> Result<()> {

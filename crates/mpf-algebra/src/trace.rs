@@ -169,6 +169,10 @@ pub struct TraceSpan {
     /// monomorphized kernel ran with; `None` for operators that never
     /// touched a monomorphized kernel (hash path, scans, phases).
     pub kernel: Option<&'static str>,
+    /// The loop nest a fused dense contraction ran: `"row"` (row-major,
+    /// innermost loop along an output axis) or `"cell"` (one serial fold
+    /// per output cell); `None` for every other operator.
+    pub nest: Option<&'static str>,
     /// True when the span is a fused join→marginalize contraction (one
     /// operator accounting as a join *and* a group-by).
     pub fused: bool,
@@ -195,6 +199,7 @@ impl TraceSpan {
             workers: desc.workers,
             repr: desc.repr,
             kernel: None,
+            nest: None,
             fused: false,
             est_rows: None,
             fault: None,
@@ -247,6 +252,9 @@ impl TraceSpan {
             if let Some(k) = self.kernel {
                 out.push_str(&format!(", kernel={k}"));
             }
+            if let Some(n) = self.nest {
+                out.push_str(&format!(", nest={n}"));
+            }
             if self.fused {
                 out.push_str(", fused=true");
             }
@@ -282,6 +290,9 @@ impl TraceSpan {
         }
         if let Some(k) = self.kernel {
             out.push_str(&format!(",\"kernel\":\"{k}\""));
+        }
+        if let Some(n) = self.nest {
+            out.push_str(&format!(",\"nest\":\"{n}\""));
         }
         if self.fused {
             out.push_str(",\"fused\":true");
@@ -501,26 +512,32 @@ impl TraceCollector {
     /// recently attached at the current level (ad-hoc operator calls,
     /// whose accounting attaches a leaf just before this runs).
     pub(crate) fn set_kernel(&mut self, kernel: &'static str) {
-        if !self.enabled() {
-            return;
-        }
         if let Some(span) = self.active_span() {
             span.kernel = Some(kernel);
+        }
+    }
+
+    /// Tag the active span with the fused kernel's loop nest (same
+    /// targeting rule as [`TraceCollector::set_kernel`]).
+    pub(crate) fn set_nest(&mut self, nest: &'static str) {
+        if let Some(span) = self.active_span() {
+            span.nest = Some(nest);
         }
     }
 
     /// Mark the active span as a fused join→marginalize contraction (same
     /// targeting rule as [`TraceCollector::set_kernel`]).
     pub(crate) fn set_fused(&mut self, fused: bool) {
-        if !self.enabled() {
-            return;
-        }
         if let Some(span) = self.active_span() {
             span.fused = fused;
         }
     }
 
+    /// The span a tag belongs to; `None` when tracing is off.
     fn active_span(&mut self) -> Option<&mut TraceSpan> {
+        if !self.enabled() {
+            return None;
+        }
         match self.stack.last_mut() {
             // A filled operator span is the operator this tag belongs
             // to; a phase span (or an operator span whose accounting

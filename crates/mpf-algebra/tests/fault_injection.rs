@@ -9,8 +9,8 @@
 use std::sync::Mutex;
 
 use mpf_algebra::{
-    fault, ops, partitioned, sort_ops, AlgebraError, ExecContext, Executor, PhysicalPlan, Plan,
-    RelationStore,
+    dense, fault, ops, partitioned, sort_ops, AlgebraError, ExecContext, Executor, PhysicalPlan,
+    Plan, RelationStore,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema};
@@ -104,6 +104,23 @@ fn each_operator_site_fires_once() {
         (
             "parallel_group_by",
             Box::new(|| partitioned::parallel_group_by(&mut ExecContext::new(sr), &l, &[a], 2)),
+        ),
+        (
+            "dense::join",
+            Box::new(|| dense::join(&mut ExecContext::new(sr), &l, &r)),
+        ),
+        (
+            "dense::agg",
+            Box::new(|| dense::agg(&mut ExecContext::new(sr), &l, &[a])),
+        ),
+        (
+            "dense::join_agg",
+            Box::new(|| dense::join_agg(&mut ExecContext::new(sr), &l, &r, &[a])),
+        ),
+        // The operand borrow inside the fused kernel, ahead of either nest.
+        (
+            "dense::convert",
+            Box::new(|| dense::join_agg(&mut ExecContext::new(sr), &l, &r, &[a])),
         ),
     ];
 

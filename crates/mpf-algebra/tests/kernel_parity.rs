@@ -24,8 +24,8 @@
 use std::collections::BTreeMap;
 
 use mpf_algebra::{
-    sparse, AggAlgo, DenseMode, ExecContext, Executor, JoinAlgo, KernelMode, PhysicalPlan, Plan,
-    RelationStore, ReprMode, SpanKind, TraceLevel,
+    dense, sparse, AggAlgo, DenseMode, ExecContext, Executor, JoinAlgo, KernelMode, PhysicalPlan,
+    Plan, RelationStore, ReprMode, SpanKind, TraceLevel,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -349,6 +349,203 @@ fn fused_span_reports_kernel_and_reconciles() {
         rendered.contains("fused=true") && rendered.contains("kernel=chunked"),
         "render surfaces the tags:\n{rendered}"
     );
+}
+
+/// One fused dense contraction under pinned (kernel, threads), traced:
+/// the output's measure bits in odometer order and the nest tag of the
+/// fused span. Panics unless the dense fused kernel itself ran.
+fn fused_bits(
+    sr: SemiringKind,
+    l: &FunctionalRelation,
+    r: &FunctionalRelation,
+    gv: &[VarId],
+    kernel: KernelMode,
+    threads: usize,
+) -> (Vec<u64>, &'static str) {
+    let mut cx = ExecContext::new(sr)
+        .with_dense(DenseMode::On)
+        .with_kernel(kernel)
+        .with_threads(threads)
+        .with_trace(TraceLevel::Spans);
+    let out = dense::join_agg(&mut cx, l, r, gv).unwrap();
+    let stats = *cx.stats();
+    assert_eq!((stats.fused_join_aggs, stats.dense_joins), (1, 1), "fused kernel ran dense");
+    let mut nest = None;
+    cx.take_trace().for_each(&mut |span| {
+        if span.fused {
+            nest = span.nest;
+        }
+    });
+    (out.measures().iter().map(|m| m.to_bits()).collect(), nest.expect("fused span has a nest"))
+}
+
+/// The unfused dense pipeline (join, then marginalize) under the same
+/// pinned mode — the reference the fused kernel must match bit for bit.
+fn unfused_bits(
+    sr: SemiringKind,
+    l: &FunctionalRelation,
+    r: &FunctionalRelation,
+    gv: &[VarId],
+    kernel: KernelMode,
+    threads: usize,
+) -> Vec<u64> {
+    let mut cx = ExecContext::new(sr)
+        .with_dense(DenseMode::On)
+        .with_kernel(kernel)
+        .with_threads(threads);
+    let joined = dense::join(&mut cx, l, r).unwrap();
+    let out = dense::agg(&mut cx, &joined, gv).unwrap();
+    assert_eq!((cx.stats().dense_joins, cx.stats().dense_group_bys), (1, 1), "reference ran dense");
+    out.measures().iter().map(|m| m.to_bits()).collect()
+}
+
+/// Check one contraction `γ_gv(l ⨝ r)` across all seven semirings ×
+/// both kernel modes × threads {1, 4}: fused ≡ unfused bitwise under the
+/// same mode, thread-count-invariant, scalar always on the cell-major
+/// nest and chunked on `chunked_nest`; where the fold is sequential in
+/// both modes (`lane_ok` false) chunked ≡ scalar bitwise for *every*
+/// semiring, otherwise for the selective ones.
+fn check_contraction(
+    doms: [u64; 3],
+    l_vars: [usize; 2],
+    r_vars: [usize; 2],
+    group: &[usize],
+    lane_ok: bool,
+    chunked_nest: &str,
+) {
+    let mut cat = Catalog::new();
+    let vars = [
+        cat.add_var("x", doms[0]).unwrap(),
+        cat.add_var("e", doms[1]).unwrap(),
+        cat.add_var("y", doms[2]).unwrap(),
+    ];
+    let gv: Vec<VarId> = group.iter().map(|&i| vars[i]).collect();
+    let what = format!("doms {doms:?} l {l_vars:?} r {r_vars:?} group {group:?}");
+    for sr in SemiringKind::ALL {
+        let side = |name: &str, idx: [usize; 2], salt: u64| {
+            gen_rel(name, idx.map(|i| vars[i]).to_vec(), &idx.map(|i| doms[i]), 1.0, salt, sr)
+        };
+        let (l, r) = (side("l", l_vars, 6), side("r", r_vars, 7));
+        let mut per_kernel = Vec::new();
+        for kernel in KERNELS {
+            let mut per_thread = Vec::new();
+            for t in THREADS {
+                let (got, nest) = fused_bits(sr, &l, &r, &gv, kernel, t);
+                let want_nest = match kernel {
+                    KernelMode::Scalar => "cell",
+                    KernelMode::Chunked => chunked_nest,
+                };
+                assert_eq!(nest, want_nest, "nest: {what} sr {sr:?} kernel {kernel:?}");
+                assert_eq!(
+                    got,
+                    unfused_bits(sr, &l, &r, &gv, kernel, t),
+                    "fused diverged from unfused: {what} sr {sr:?} kernel {kernel:?} threads {t}"
+                );
+                per_thread.push(got);
+            }
+            assert_eq!(
+                per_thread[0], per_thread[1],
+                "thread count changed bits: {what} sr {sr:?} kernel {kernel:?}"
+            );
+            per_kernel.push(per_thread.swap_remove(0));
+        }
+        if !lane_ok || selective(sr) {
+            assert_eq!(per_kernel[0], per_kernel[1], "chunked diverged from scalar: {what} sr {sr:?}");
+        }
+    }
+}
+
+/// The stride-layout matrix: operand layouts `L[x,e]`/`L[e,x]` ×
+/// `R[e,y]`/`R[y,e]` × output order `[x,y]`/`[y,x]`, at sides covering
+/// the degenerate row (1), sub-lane (7), exact-lane (8), lane-plus-tail
+/// (9) and multi-block, parallel (67: the join grid clears
+/// `PARALLEL_MIN_CELLS`) cases. The join grid's innermost axis is always
+/// a group axis here, so the fold is sequential in both modes and every
+/// cell of the matrix is bit-identical to everything else. Two of the
+/// layouts are the D³ steps the benchmark spine issues on `tri`:
+/// `L[e,x] R[y,e] → [x,y]` (`g=[(D,1,0),(D,0,D)] e=[(D,D,1)]`) and
+/// `L[x,e] R[e,y] → [x,y]` (`g=[(D,D,0),(D,0,1)] e=[(D,1,D)]`).
+#[test]
+fn stride_layout_matrix_parity() {
+    for d in [1u64, 7, 8, 9, 67] {
+        for l_vars in [[0, 1], [1, 0]] {
+            for r_vars in [[1, 2], [2, 1]] {
+                // Row-major needs a group axis that is some operand's
+                // unit-stride axis (and more than one cell long);
+                // `L[x,e] R[y,e]` has both operands contiguous along `e`
+                // instead and keeps the cell-major nest.
+                let nest = if d > 1 && (l_vars[1] == 0 || r_vars[1] == 2) { "row" } else { "cell" };
+                for group in [[0, 2], [2, 0]] {
+                    check_contraction([d; 3], l_vars, r_vars, &group, false, nest);
+                }
+            }
+        }
+    }
+}
+
+/// Layouts whose join grid ends in an eliminated axis (`lane_ok`): the
+/// chunked fold is the `LANES`-way tree per eliminated run, which the
+/// row-major nest must reproduce with whole accumulator rows — over one
+/// eliminated axis and over two (runs combined in order), with the row
+/// axis unit-stride in one operand or in both — and which the
+/// cell-major nest keeps where no group axis qualifies. Uneven sides so
+/// a transposed stride cannot pass by symmetry.
+#[test]
+fn lane_fold_layouts_parity() {
+    for doms in [[5u64, 9, 19], [11, 3, 8], [37, 29, 41]] {
+        // L[e,x] R[e,y] → [x]: row axis x broadcast in R; e and y eliminated.
+        check_contraction(doms, [1, 0], [1, 2], &[0], true, "row");
+        // L[e,x] R[y,e] → [x]: the same with R transposed.
+        check_contraction(doms, [1, 0], [2, 1], &[0], true, "row");
+        // L[e,x] R[e,y] → [x,e] / [e,x]: one eliminated run per cell.
+        check_contraction(doms, [1, 0], [1, 2], &[0, 1], true, "row");
+        check_contraction(doms, [1, 0], [1, 2], &[1, 0], true, "row");
+        // L[x,e] R[e,y] → [x]: no group axis is unit-stride — cell-major.
+        check_contraction(doms, [0, 1], [1, 2], &[0], true, "cell");
+    }
+    // L[e,x] R[y,x] → [x]: the row axis is unit-stride in both operands.
+    check_contraction([23, 6, 10], [1, 0], [2, 0], &[0], true, "row");
+}
+
+/// Output rows longer than one accumulator block (256 cells), with the
+/// row axis as the output's *outer* axis so the parallel split cuts the
+/// row itself into per-worker boxes: sequential and lane folds.
+#[test]
+fn blocked_and_boxed_rows_parity() {
+    // L[e,x] R[y,e] → [x,y]: x (600 cells, 3 blocks) is axis 0.
+    check_contraction([600, 8, 9], [1, 0], [2, 1], &[0, 2], false, "row");
+    // L[e,x] R[e,y] → [x]: the same row under the lane fold.
+    check_contraction([600, 3, 19], [1, 0], [1, 2], &[0], true, "row");
+    // L[x,e] R[e,y] → [x,y]: y (300 cells, 2 blocks) is the inner axis.
+    check_contraction([12, 10, 300], [0, 1], [1, 2], &[0, 2], false, "row");
+}
+
+/// Both D³ shapes the spine issues take the row-major nest under the
+/// default kernel for every semiring, and the choice is visible from
+/// outside: the fused span renders `nest=row` next to `kernel=` and
+/// `fused=true` (and `nest=cell` under the scalar reference).
+#[test]
+fn spine_shapes_take_the_row_nest_in_every_semiring() {
+    let mut cat = Catalog::new();
+    let x = cat.add_var("x", 16).unwrap();
+    let e = cat.add_var("e", 16).unwrap();
+    let y = cat.add_var("y", 16).unwrap();
+    for sr in SemiringKind::ALL {
+        for (l_vars, r_vars) in [([e, x], [y, e]), ([x, e], [e, y])] {
+            let l = gen_rel("l", l_vars.to_vec(), &[16, 16], 1.0, 8, sr);
+            let r = gen_rel("r", r_vars.to_vec(), &[16, 16], 1.0, 9, sr);
+            for (kernel, nest) in [(KernelMode::Chunked, "row"), (KernelMode::Scalar, "cell")] {
+                let mut cx = ExecContext::new(sr)
+                    .with_dense(DenseMode::On)
+                    .with_kernel(kernel)
+                    .with_trace(TraceLevel::Spans);
+                dense::join_agg(&mut cx, &l, &r, &[x, y]).unwrap();
+                let rendered = cx.take_trace().render();
+                let tags = format!("repr=dense, kernel={}, nest={nest}, fused=true", kernel.name());
+                assert!(rendered.contains(&tags), "sr {sr:?}: want `{tags}` in:\n{rendered}");
+            }
+        }
+    }
 }
 
 proptest! {

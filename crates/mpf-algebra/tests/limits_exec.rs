@@ -4,8 +4,10 @@
 
 use std::time::Duration;
 
+use mpf_algebra::limits::TICK_INTERVAL;
 use mpf_algebra::{
-    AlgebraError, CancelToken, ExecLimits, Executor, Plan, RelationStore, ResourceKind,
+    dense, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits, Executor, KernelMode,
+    Plan, RelationStore, ResourceKind,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -117,6 +119,101 @@ fn unlimited_limits_mean_no_budget() {
     let (s, _, _, _) = store_with(&[1.0; 9], &[1.0; 9]);
     let exec = Executor::with_limits(&s, SemiringKind::SumProduct, ExecLimits::none());
     assert!(exec.budget().is_none());
+}
+
+/// Complete `l(x, e)`, `r(e, y)` of side 67 with constant measures: the
+/// fused dense contraction onto `[x, y]` has 4 489 output rows of 3 cells,
+/// each output row (67 cells × 67 eliminated values) well over one guard
+/// tick of work.
+fn contraction(measure: f64) -> (FunctionalRelation, FunctionalRelation, [VarId; 2]) {
+    let mut c = Catalog::new();
+    let x = c.add_var("x", 67).unwrap();
+    let e = c.add_var("e", 67).unwrap();
+    let y = c.add_var("y", 67).unwrap();
+    let l = FunctionalRelation::complete("l", Schema::new(vec![x, e]).unwrap(), &c, |_| measure);
+    let r = FunctionalRelation::complete("r", Schema::new(vec![e, y]).unwrap(), &c, |_| measure);
+    (l, r, [x, y])
+}
+
+fn fused_under(
+    kernel: KernelMode,
+    limits: ExecLimits,
+    measure: f64,
+) -> Result<FunctionalRelation, AlgebraError> {
+    let (l, r, gv) = contraction(measure);
+    let mut cx = ExecContext::with_limits(SemiringKind::SumProduct, limits)
+        .with_dense(DenseMode::On)
+        .with_kernel(kernel)
+        .with_threads(1);
+    dense::join_agg(&mut cx, &l, &r, &gv)
+}
+
+/// The fused dense kernel charges and polls once per output row in its
+/// row-major nest (chunked) and once per cell in the cell-major one
+/// (scalar); either way every limit trips with its typed error *inside*
+/// the kernel — the observed count shows it stopped at the first
+/// settlement past the cap (at most a tick plus one output row later),
+/// not after materializing all 4 489 rows.
+#[test]
+fn fused_dense_kernel_trips_every_limit_mid_flight() {
+    let slack = u64::from(TICK_INTERVAL) + 67;
+    for kernel in [KernelMode::Chunked, KernelMode::Scalar] {
+        match fused_under(kernel, ExecLimits::none().with_max_output_rows(2000), 1.0) {
+            Err(AlgebraError::ResourceExhausted {
+                resource: ResourceKind::OutputRows,
+                limit: 2000,
+                observed,
+            }) => assert!(observed <= 2000 + slack, "{kernel:?}: stopped late at {observed}"),
+            other => panic!("{kernel:?}: expected OutputRows trip, got {other:?}"),
+        }
+        match fused_under(kernel, ExecLimits::none().with_max_total_cells(6000), 1.0) {
+            Err(AlgebraError::ResourceExhausted {
+                resource: ResourceKind::TotalCells,
+                limit: 6000,
+                observed,
+            }) => assert!(observed <= 6000 + 3 * slack, "{kernel:?}: stopped late at {observed}"),
+            other => panic!("{kernel:?}: expected TotalCells trip, got {other:?}"),
+        }
+        let token = CancelToken::new();
+        token.cancel();
+        assert_eq!(
+            fused_under(kernel, ExecLimits::none().with_cancel_token(token), 1.0).unwrap_err(),
+            AlgebraError::Cancelled,
+            "{kernel:?}"
+        );
+        match fused_under(kernel, ExecLimits::none().with_timeout(Duration::ZERO), 1.0) {
+            Err(AlgebraError::ResourceExhausted {
+                resource: ResourceKind::WallClock,
+                ..
+            }) => {}
+            other => panic!("{kernel:?}: expected WallClock trip, got {other:?}"),
+        }
+        // Generous limits are transparent, bit for bit.
+        let generous = ExecLimits::none()
+            .with_max_output_rows(1_000_000)
+            .with_max_total_cells(10_000_000)
+            .with_timeout(Duration::from_secs(3600))
+            .with_cancel_token(CancelToken::new());
+        let got = fused_under(kernel, generous, 1.5).unwrap();
+        let want = fused_under(kernel, ExecLimits::none(), 1.5).unwrap();
+        assert_eq!(got.measures(), want.measures(), "{kernel:?}");
+    }
+}
+
+/// A `SumProduct` contraction that overflows to `+∞` is a typed
+/// `NonFiniteMeasure` from the fused kernel in both nests: rows are
+/// validated cell by cell before they are stored.
+#[test]
+fn fused_dense_kernel_rejects_overflow_in_both_nests() {
+    for kernel in [KernelMode::Chunked, KernelMode::Scalar] {
+        match fused_under(kernel, ExecLimits::none(), 1e200) {
+            Err(AlgebraError::NonFiniteMeasure {
+                op: "dense::join_agg",
+                value,
+            }) => assert_eq!(value, f64::INFINITY, "{kernel:?}"),
+            other => panic!("{kernel:?}: expected NonFiniteMeasure, got {other:?}"),
+        }
+    }
 }
 
 proptest! {

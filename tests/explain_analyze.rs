@@ -10,6 +10,7 @@ use mpf::engine::{
 use mpf::infer::BayesNet;
 use mpf::optimizer::Heuristic;
 use mpf::semiring::Combine;
+use mpf::storage::{FunctionalRelation, Schema};
 use proptest::prelude::*;
 
 /// Strip the run-dependent parts of an explain-analyze rendering: every
@@ -129,6 +130,53 @@ JoinAgg (Fused)  (est rows=2.0, rows=2, cells=4, time=_, repr=rows, fused=true)
       Scan cpt_cloudy  (est rows=2.0, rows=2, cells=4, time=_, repr=rows)
       Scan cpt_sprinkler  (est rows=4.0, rows=4, cells=12, time=_, repr=rows)
     Scan cpt_rain  (est rows=4.0, rows=4, cells=12, time=_, repr=rows)
+";
+    assert_eq!(normalize(&text), expected, "got:\n{}", normalize(&text));
+}
+
+/// The benchmark spine's dense triangle `tri = r1(a,b)·r2(b,c)·r3(c,a)`
+/// over complete relations, at side 4.
+fn triangle_db() -> Database {
+    let db = Database::new()
+        .with_dense(DenseMode::Auto)
+        .with_repr(ReprMode::Auto);
+    let [a, b, c] = ["a", "b", "c"].map(|v| db.add_var(v, 4).unwrap());
+    let catalog = db.snapshot().catalog().clone();
+    for (name, vars) in [("r1", [a, b]), ("r2", [b, c]), ("r3", [c, a])] {
+        let schema = Schema::new(vars.to_vec()).unwrap();
+        let rel = FunctionalRelation::complete(name, schema, &catalog, |row| {
+            1.0 + (row[0] * 4 + row[1]) as f64 / 8.0
+        });
+        db.insert_relation(rel).unwrap();
+    }
+    db.create_view("tri", &["r1", "r2", "r3"], Combine::Product)
+        .unwrap();
+    db
+}
+
+/// A fused elimination step that runs on the dense kernels reports the
+/// loop nest it took (`nest=row`: innermost loop along an output axis)
+/// next to the kernel mode — the D³ step of every `tri` marginal.
+#[test]
+fn dense_triangle_explain_analyze_snapshot() {
+    let db = triangle_db();
+    let text = db
+        .explain_analyze(
+            Query::on("tri")
+                .group_by(["a"])
+                .strategy(Strategy::Ve(Heuristic::Degree)),
+        )
+        .unwrap();
+    let expected = "\
+-- strategy: ve(degree)
+-- estimated cost: 300.00
+-- rows scanned=48, processed=92, peak intermediate=16, page io=11
+GroupBy (DenseAgg)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked)
+  JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked, nest=cell, fused=true)
+    Scan r3  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
+    JoinAgg (Fused)  (est rows=16.0, rows=16, cells=48, time=_, repr=dense, kernel=chunked, nest=row, fused=true)
+      Scan r1  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
+      Scan r2  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
 ";
     assert_eq!(normalize(&text), expected, "got:\n{}", normalize(&text));
 }
