@@ -5,7 +5,7 @@
 //! the optional [`ExecBudget`] (row/cell caps, deadline, cancellation),
 //! the mutable [`ExecStats`] work counters, and the fault-injection hooks
 //! ([`crate::fault`]). Every operator in [`crate::ops`],
-//! [`crate::sort_ops`], and [`crate::partitioned`] takes
+//! [`crate::partitioned`], [`crate::dense`] and [`crate::sparse`] takes
 //! `&mut ExecContext` as its first argument, so budgets, stats, and
 //! failpoints apply uniformly whether an operator is reached through the
 //! [`Executor`](crate::Executor), the inference layer (Belief
@@ -41,7 +41,7 @@ use mpf_semiring::SemiringKind;
 use mpf_storage::FunctionalRelation;
 
 use crate::dense::{DenseMode, KernelMode};
-use crate::limits::{ExecBudget, ExecLimits, OpGuard, DEFAULT_WORKSPACE_BYTES};
+use crate::limits::{ExecBudget, ExecLimits, OpGuard};
 use crate::sparse::ReprMode;
 use crate::trace::{OpRepr, SpanDesc, SpanKind, TraceCollector, TraceLevel, TraceTree};
 use crate::{fault, ExecStats, Result};
@@ -73,8 +73,6 @@ pub struct ExecContext<'b> {
     charged_scans: Arc<Mutex<HashSet<String>>>,
     /// Worker threads this execution may use (including the caller).
     threads: usize,
-    /// Workspace bytes used to derive partition counts.
-    workspace_bytes: u64,
     /// Spare worker tokens (`threads - 1`) shared by every fork of one
     /// root context, bounding total fan-out across nested fork points.
     fork_tokens: Arc<AtomicIsize>,
@@ -96,7 +94,7 @@ pub struct ExecContext<'b> {
 }
 
 impl<'b> ExecContext<'b> {
-    fn build(semiring: SemiringKind, budget: BudgetSlot<'b>, threads: usize, workspace_bytes: u64) -> ExecContext<'b> {
+    fn build(semiring: SemiringKind, budget: BudgetSlot<'b>, threads: usize) -> ExecContext<'b> {
         let threads = threads.max(1);
         ExecContext {
             semiring,
@@ -104,7 +102,6 @@ impl<'b> ExecContext<'b> {
             stats: ExecStats::default(),
             charged_scans: Arc::new(Mutex::new(HashSet::new())),
             threads,
-            workspace_bytes,
             fork_tokens: Arc::new(AtomicIsize::new(threads as isize - 1)),
             trace: TraceCollector::new(TraceLevel::Off),
             dense: DenseMode::from_env(),
@@ -116,21 +113,15 @@ impl<'b> ExecContext<'b> {
     /// An unlimited context: no budget, fresh stats, environment-default
     /// parallelism ([`crate::limits::default_threads`]).
     pub fn new(semiring: SemiringKind) -> ExecContext<'static> {
-        ExecContext::build(
-            semiring,
-            BudgetSlot::None,
-            crate::limits::default_threads(),
-            DEFAULT_WORKSPACE_BYTES,
-        )
+        ExecContext::build(semiring, BudgetSlot::None, crate::limits::default_threads())
     }
 
     /// A context enforcing `limits` through an owned budget. Unlimited
     /// `limits` allocate no budget (zero per-row overhead); a deadline's
-    /// wall clock starts now. The `threads`/`workspace_bytes` knobs are
-    /// taken from `limits` either way.
+    /// wall clock starts now. The `threads` knob is taken from `limits`
+    /// either way.
     pub fn with_limits(semiring: SemiringKind, limits: ExecLimits) -> ExecContext<'static> {
         let threads = limits.effective_threads();
-        let workspace = limits.effective_workspace_bytes();
         ExecContext::build(
             semiring,
             if limits.is_unlimited() {
@@ -139,23 +130,19 @@ impl<'b> ExecContext<'b> {
                 BudgetSlot::Owned(Arc::new(ExecBudget::new(limits)))
             },
             threads,
-            workspace,
         )
     }
 
     /// A context charging a budget owned by the caller (the executor's
-    /// per-query budget, whose counters outlive this context). Knobs are
-    /// taken from the budget's limits when present.
+    /// per-query budget, whose counters outlive this context). The thread
+    /// count is taken from the budget's limits when present.
     pub fn with_budget(
         semiring: SemiringKind,
         budget: Option<&'b ExecBudget>,
     ) -> ExecContext<'b> {
-        let (threads, workspace) = match budget {
-            Some(b) => (
-                b.limits().effective_threads(),
-                b.limits().effective_workspace_bytes(),
-            ),
-            None => (crate::limits::default_threads(), DEFAULT_WORKSPACE_BYTES),
+        let threads = match budget {
+            Some(b) => b.limits().effective_threads(),
+            None => crate::limits::default_threads(),
         };
         ExecContext::build(
             semiring,
@@ -164,7 +151,6 @@ impl<'b> ExecContext<'b> {
                 None => BudgetSlot::None,
             },
             threads,
-            workspace,
         )
     }
 
@@ -273,12 +259,6 @@ impl<'b> ExecContext<'b> {
         self.trace.close(fault);
     }
 
-    /// Update the innermost open span's partition count (operators that
-    /// re-derive partitioning at run time report the actual count).
-    pub fn span_set_partitions(&mut self, partitions: usize) {
-        self.trace.set_partitions(partitions);
-    }
-
     /// Take the finished trace, resetting the collector.
     pub fn take_trace(&mut self) -> TraceTree {
         self.trace.take()
@@ -300,12 +280,6 @@ impl<'b> ExecContext<'b> {
     /// Worker threads this execution may use (including the caller).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Workspace bytes used to derive partition counts for the
-    /// partitioned operators.
-    pub fn workspace_bytes(&self) -> u64 {
-        self.workspace_bytes
     }
 
     /// The budget being charged, if limits are configured.
@@ -332,7 +306,6 @@ impl<'b> ExecContext<'b> {
             stats: ExecStats::default(),
             charged_scans: Arc::clone(&self.charged_scans),
             threads: self.threads,
-            workspace_bytes: self.workspace_bytes,
             fork_tokens: Arc::clone(&self.fork_tokens),
             trace: TraceCollector::new(self.trace.level()),
             dense: self.dense,
@@ -397,14 +370,13 @@ impl<'b> ExecContext<'b> {
         }
     }
 
-    /// Record a scan of base relation `name`: counts rows/pages in the
+    /// Record a scan of base relation `name`: counts rows in the
     /// stats on every scan, but charges the budget only the first time
     /// each relation is scanned (scans borrow the stored relation — there
     /// is no per-scan clone to charge). The ledger is shared across
     /// forks, so concurrent subplans also charge each relation once.
     pub fn record_scan(&mut self, name: &str, rel: &FunctionalRelation) -> Result<()> {
         self.stats.rows_scanned += rel.len() as u64;
-        self.stats.pages_io += rel.estimated_pages();
         self.trace_op(SpanKind::Scan, &[], rel, OpRepr::Rows);
         if let Some(budget) = self.budget() {
             budget.checkpoint()?;
@@ -423,7 +395,7 @@ impl<'b> ExecContext<'b> {
     }
 
     /// Account one operator's input/output cardinalities in the stats
-    /// (rows processed, simulated page IO, high-water intermediate size).
+    /// (rows processed, high-water intermediate size).
     pub(crate) fn account(
         &mut self,
         inputs: &[&FunctionalRelation],
@@ -431,10 +403,8 @@ impl<'b> ExecContext<'b> {
     ) {
         for rel in inputs {
             self.stats.rows_processed += rel.len() as u64;
-            self.stats.pages_io += rel.estimated_pages();
         }
         self.stats.rows_processed += output.len() as u64;
-        self.stats.pages_io += output.estimated_pages();
         self.stats.max_intermediate_rows =
             self.stats.max_intermediate_rows.max(output.len() as u64);
     }
@@ -566,10 +536,7 @@ impl<'b> ExecContext<'b> {
 
     /// [`ExecContext::record_join_ex`]/[`ExecContext::record_group_by_ex`]
     /// from cardinalities alone, for the factor-carrying operators whose
-    /// operands are never row-materialized. Pages are estimated from the
-    /// columnar footprint (a `u64` coordinate plus an `f64` measure per
-    /// present cell — the same 16 bytes/row the row-major accounting
-    /// charges).
+    /// operands are never row-materialized.
     pub(crate) fn record_factor_op(
         &mut self,
         kind: SpanKind,
@@ -578,15 +545,8 @@ impl<'b> ExecContext<'b> {
         arity: usize,
         repr: OpRepr,
     ) {
-        const CELL_BYTES: u64 = 16;
-        const PAGE_BYTES: u64 = 8192;
-        let pages = |rows: u64| (rows * CELL_BYTES).div_ceil(PAGE_BYTES).max(1);
         let total_in: u64 = rows_in.iter().sum();
-        for &rows in rows_in {
-            self.stats.pages_io += pages(rows);
-        }
         self.stats.rows_processed += total_in + rows_out;
-        self.stats.pages_io += pages(rows_out);
         self.stats.max_intermediate_rows = self.stats.max_intermediate_rows.max(rows_out);
         match kind {
             SpanKind::Join => {

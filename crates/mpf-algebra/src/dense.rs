@@ -15,8 +15,9 @@
 //!   (the same cell always folds the same values in the same order);
 //! * [`to_dense`] / [`from_dense`] are the boundary conversions. Absent
 //!   cells take the semiring's additive identity, which is what a missing
-//!   row denotes under MPF semantics ([`SemiringKind::mul`] annihilates on
-//!   the identity), so densification preserves the *function* at any
+//!   row denotes under MPF semantics
+//!   ([`SemiringKind::mul`](mpf_semiring::SemiringKind::mul) annihilates
+//!   on the identity), so densification preserves the *function* at any
 //!   density. It does not preserve the *support* — a zero-filled grid
 //!   materializes identity rows the sparse operators never emit — so the
 //!   public operators only run the kernels when the inputs are
@@ -55,7 +56,7 @@
 //!   per cell: the reference shape.
 //! * [`KernelMode::Chunked`] (default) — contiguous runs processed in
 //!   blocks: elementwise loops (join) write whole runs with one budget
-//!   charge per [`KERNEL_BLOCK`] cells, and marginalization folds
+//!   charge per `KERNEL_BLOCK` cells, and marginalization folds
 //!   contiguous runs through [`mpf_semiring::kernel::LANES`]-wide
 //!   accumulators with the fixed reduction tree of
 //!   [`mpf_semiring::kernel::reduce_lanes`]. The chunked fold shape is a
@@ -1835,7 +1836,7 @@ mod tests {
     fn dense_join_matches_hash_join() {
         let (_, l, r) = fixtures();
         for sr in SemiringKind::ALL {
-            let want = ops::raw::product_join(sr, &l, &r).unwrap();
+            let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
             let got = join(&mut ExecContext::new(sr), &l, &r).unwrap();
             assert!(want.function_eq(&got), "{sr:?}");
         }
@@ -1848,7 +1849,7 @@ mod tests {
         let b = cat.var("b").unwrap();
         for sr in SemiringKind::ALL {
             for gv in [vec![a], vec![b, a], vec![]] {
-                let want = ops::raw::group_by(sr, &l, &gv).unwrap();
+                let want = ops::group_by(&mut ExecContext::new(sr), &l, &gv).unwrap();
                 let got = agg(&mut ExecContext::new(sr), &l, &gv).unwrap();
                 assert!(want.function_eq(&got), "{sr:?} {gv:?}");
             }
@@ -1885,7 +1886,7 @@ mod tests {
                 ((row[0] * 7 + row[1] * 3) % 11) as f64 + 0.25
             });
         let sr = SemiringKind::SumProduct;
-        let want = ops::raw::product_join(sr, &l, &r).unwrap();
+        let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
         let got1 = join(&mut ExecContext::new(sr).with_threads(1), &l, &r).unwrap();
         let got4 = join(&mut ExecContext::new(sr).with_threads(4), &l, &r).unwrap();
         assert!(want.function_eq(&got1));
@@ -1906,7 +1907,7 @@ mod tests {
                 0.5 + ((row[0] * 13 + row[1] * 5) % 17) as f64
             });
         let sr = SemiringKind::LogSumProduct;
-        let want = ops::raw::group_by(sr, &input, &[g]).unwrap();
+        let want = ops::group_by(&mut ExecContext::new(sr), &input, &[g]).unwrap();
         let got1 = agg(&mut ExecContext::new(sr).with_threads(1), &input, &[g]).unwrap();
         let got4 = agg(&mut ExecContext::new(sr).with_threads(4), &input, &[g]).unwrap();
         assert!(want.function_eq(&got1));
@@ -1931,7 +1932,7 @@ mod tests {
         )
         .unwrap();
         for sr in SemiringKind::ALL {
-            let want = ops::raw::product_join(sr, &l, &r).unwrap();
+            let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
             // An incomplete input never borrows as a dense operand — the
             // kernel itself refuses (its support would differ from the
             // hash join's) and reports infeasibility to the caller...
@@ -1950,7 +1951,7 @@ mod tests {
             let got = join(&mut cx, &l, &r).unwrap();
             assert_eq!(cx.stats().dense_joins, 0, "{sr:?} fell back");
             assert!(want.function_eq(&got), "{sr:?} row-identical");
-            let wg = ops::raw::group_by(sr, &want, &[b]).unwrap();
+            let wg = ops::group_by(&mut ExecContext::new(sr), &want, &[b]).unwrap();
             let mut gx = ExecContext::new(sr);
             let gg = agg(&mut gx, &got, &[b]).unwrap();
             assert_eq!(gx.stats().dense_group_bys, 0, "{sr:?} agg fell back");

@@ -181,23 +181,6 @@ impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
                 let (l, r) = self.run_inputs(cx, left, right)?;
                 let out = match algo {
                     JoinAlgo::Hash => ops::product_join(cx, &l, &r)?,
-                    JoinAlgo::SortMerge => crate::sort_ops::merge_join(cx, &l, &r)?,
-                    JoinAlgo::Grace { partitions } => {
-                        // The planner's count came from cardinality
-                        // estimates; re-derive from the actual build side
-                        // and the context's workspace so each partition
-                        // really fits, keeping the planner's count as a
-                        // floor.
-                        let build = if l.len() <= r.len() { &*l } else { &*r };
-                        let derived = crate::partitioned::grace_partitions(
-                            build.len(),
-                            build.row_bytes(),
-                            cx.workspace_bytes(),
-                        )
-                        .max(*partitions);
-                        cx.span_set_partitions(derived);
-                        crate::partitioned::grace_join(cx, &l, &r, derived)?
-                    }
                     JoinAlgo::Parallel { partitions } => crate::partitioned::parallel_join_parts(
                         cx,
                         &l,
@@ -218,7 +201,6 @@ impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
                 let in_rel = self.run(cx, input)?;
                 let out = match algo {
                     AggAlgo::HashAgg => ops::group_by(cx, &in_rel, group_vars)?,
-                    AggAlgo::SortAgg => crate::sort_ops::sort_group_by(cx, &in_rel, group_vars)?,
                     AggAlgo::ParallelAgg { partitions } => {
                         crate::partitioned::parallel_group_by_parts(
                             cx,
@@ -304,9 +286,7 @@ fn span_desc(plan: &PhysicalPlan, threads: usize) -> SpanDesc {
             kind: SpanKind::Join,
             label: format!("ProductJoin ({})", algo.label()),
             partitions: match algo {
-                JoinAlgo::Grace { partitions } | JoinAlgo::Parallel { partitions } => {
-                    Some(*partitions)
-                }
+                JoinAlgo::Parallel { partitions } => Some(*partitions),
                 _ => None,
             },
             workers: matches!(algo, JoinAlgo::Parallel { .. }).then_some(threads),

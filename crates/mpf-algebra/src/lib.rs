@@ -25,9 +25,8 @@
 //! Logical plans ([`Plan`]) are trees of these operators. The [`Executor`]
 //! lowers a logical plan to a [`PhysicalPlan`] (per-operator algorithm
 //! choices) and evaluates the physical plan against a
-//! [`RelationProvider`], reporting [`ExecStats`] — deterministic work
-//! counters (rows and simulated page IO) that the experiment harnesses
-//! use alongside wall-clock time.
+//! [`RelationProvider`], reporting [`ExecStats`] — deterministic row
+//! counters that the experiment harnesses use alongside wall-clock time.
 
 pub mod config;
 mod context;
@@ -42,7 +41,6 @@ mod physical;
 pub mod partitioned;
 mod plan;
 mod provider;
-pub mod sort_ops;
 pub mod sparse;
 mod stats;
 pub mod trace;

@@ -7,15 +7,14 @@
 //!
 //! * **per-operator output rows** — caps any single intermediate,
 //! * **total materialized cells** — caps the sum over all operators of
-//!   `rows × (arity + 1)` (the `+ 1` counts the measure column), the
-//!   closest analogue of "pages written" in the paper's cost model,
+//!   `rows × (arity + 1)` (the `+ 1` counts the measure column),
 //! * **wall-clock deadline** — elapsed time from executor start,
 //! * **cancellation** — a [`CancelToken`] another thread can trip.
 //!
 //! Limits are enforced through an [`ExecBudget`] created once per
 //! execution. Operators receive `Option<&ExecBudget>`; the `None` path
 //! (no limits configured) costs nothing. Deadline and cancellation are
-//! polled every [`TICK_INTERVAL`] rows via [`Ticker`] so tight loops stay
+//! polled every [`TICK_INTERVAL`] rows via [`OpGuard`] so tight loops stay
 //! tight.
 //!
 //! Tripping a budget returns [`AlgebraError::ResourceExhausted`] (or
@@ -110,11 +109,6 @@ pub struct ExecLimits {
     /// available parallelism). A knob, not a budget: it never trips an
     /// error and is ignored by [`ExecLimits::is_unlimited`].
     pub threads: Option<usize>,
-    /// Operator workspace in bytes, used to derive partition counts for
-    /// the partitioned (Grace/parallel) operators. `None` resolves to
-    /// [`DEFAULT_WORKSPACE_BYTES`]. A knob, not a budget (ignored by
-    /// [`ExecLimits::is_unlimited`]).
-    pub workspace_bytes: Option<u64>,
 }
 
 impl ExecLimits {
@@ -155,27 +149,15 @@ impl ExecLimits {
         self
     }
 
-    /// Set the operator workspace used to size partitioned operators.
-    pub fn with_workspace_bytes(mut self, bytes: u64) -> ExecLimits {
-        self.workspace_bytes = Some(bytes.max(1));
-        self
-    }
-
     /// The configured thread count, or the environment default
     /// ([`default_threads`]).
     pub fn effective_threads(&self) -> usize {
         self.threads.map_or_else(default_threads, |t| t.max(1))
     }
 
-    /// The configured workspace, or [`DEFAULT_WORKSPACE_BYTES`].
-    pub fn effective_workspace_bytes(&self) -> u64 {
-        self.workspace_bytes.unwrap_or(DEFAULT_WORKSPACE_BYTES)
-    }
-
     /// True when no limit of any kind is configured — the executor skips
-    /// budget tracking entirely. `threads` and `workspace_bytes` are
-    /// tuning knobs, not budgets, so they do not count: setting only them
-    /// still allocates no budget.
+    /// budget tracking entirely. `threads` is a tuning knob, not a budget,
+    /// so it does not count: setting only it still allocates no budget.
     pub fn is_unlimited(&self) -> bool {
         self.max_output_rows.is_none()
             && self.max_total_cells.is_none()
@@ -183,11 +165,6 @@ impl ExecLimits {
             && self.cancel.is_none()
     }
 }
-
-/// Operator workspace assumed when [`ExecLimits::workspace_bytes`] is
-/// unset: 16 MiB, the same order as the `work_mem` default of the paper's
-/// modified PostgreSQL 8.1.
-pub const DEFAULT_WORKSPACE_BYTES: u64 = 16 << 20;
 
 /// Worker threads used when [`ExecLimits::threads`] is unset: the
 /// `MPF_THREADS` environment variable when it parses as a positive
@@ -278,7 +255,7 @@ impl ExecBudget {
     }
 
     /// Poll the deadline and the cancellation token. Cheap but not free;
-    /// tight loops should go through a [`Ticker`].
+    /// tight loops should go through an [`OpGuard`].
     pub fn checkpoint(&self) -> Result<()> {
         if let Some(token) = &self.limits.cancel {
             if token.is_cancelled() {
@@ -581,15 +558,10 @@ mod tests {
 
     #[test]
     fn parallelism_knobs_are_not_budgets() {
-        let l = ExecLimits::none().with_threads(4).with_workspace_bytes(1 << 20);
+        let l = ExecLimits::none().with_threads(4);
         assert!(l.is_unlimited(), "knobs alone allocate no budget");
         assert_eq!(l.effective_threads(), 4);
-        assert_eq!(l.effective_workspace_bytes(), 1 << 20);
         assert!(ExecLimits::none().effective_threads() >= 1);
-        assert_eq!(
-            ExecLimits::none().effective_workspace_bytes(),
-            DEFAULT_WORKSPACE_BYTES
-        );
     }
 
     #[test]

@@ -11,11 +11,6 @@
 //! Semiring accumulations additionally reject measures that leave the
 //! semiring's carrier (NaN, or an infinity that is not the additive
 //! identity) with [`AlgebraError::NonFiniteMeasure`].
-//!
-//! The [`raw`] submodule keeps the pre-context signatures
-//! (`product_join(sr, &l, &r)`) as thin compatibility wrappers for tests
-//! and oracles *inside this crate*; code in other crates must thread a
-//! context (CI rejects `ops::raw::` calls outside `mpf-algebra`).
 
 use mpf_semiring::SemiringKind;
 use mpf_storage::{FunctionalRelation, Key, Schema, Value, VarId};
@@ -492,95 +487,9 @@ pub fn naive_mpf(
     group_by(cx, &acc, group_vars)
 }
 
-/// Compatibility wrappers with the pre-[`ExecContext`] signatures
-/// (`product_join(sr, &l, &r)`): each constructs a throwaway unlimited
-/// context. Kept for this crate's unit tests and property-test oracles;
-/// calls from other crates are rejected by CI so budget/stat/fault
-/// coverage cannot be bypassed.
-pub mod raw {
-    use super::*;
-
-    /// Uncontexted [`super::product_join`] (unlimited, stats discarded).
-    pub fn product_join(
-        sr: SemiringKind,
-        l: &FunctionalRelation,
-        r: &FunctionalRelation,
-    ) -> Result<FunctionalRelation> {
-        super::product_join(&mut ExecContext::new(sr), l, r)
-    }
-
-    /// Uncontexted [`super::group_by`] (unlimited, stats discarded).
-    pub fn group_by(
-        sr: SemiringKind,
-        input: &FunctionalRelation,
-        group_vars: &[VarId],
-    ) -> Result<FunctionalRelation> {
-        super::group_by(&mut ExecContext::new(sr), input, group_vars)
-    }
-
-    /// Uncontexted [`super::select_eq`] (unlimited, stats discarded).
-    pub fn select_eq(
-        input: &FunctionalRelation,
-        predicates: &[(VarId, Value)],
-    ) -> Result<FunctionalRelation> {
-        super::select_eq(
-            &mut ExecContext::new(SemiringKind::SumProduct),
-            input,
-            predicates,
-        )
-    }
-
-    /// Uncontexted [`super::product_semijoin`] (unlimited, stats discarded).
-    pub fn product_semijoin(
-        sr: SemiringKind,
-        t: &FunctionalRelation,
-        s: &FunctionalRelation,
-    ) -> Result<FunctionalRelation> {
-        super::product_semijoin(&mut ExecContext::new(sr), t, s)
-    }
-
-    /// Uncontexted [`super::update_semijoin`] (unlimited, stats discarded).
-    pub fn update_semijoin(
-        sr: SemiringKind,
-        t: &FunctionalRelation,
-        s: &FunctionalRelation,
-    ) -> Result<FunctionalRelation> {
-        super::update_semijoin(&mut ExecContext::new(sr), t, s)
-    }
-
-    /// Uncontexted [`super::divide_join`] (unlimited, stats discarded).
-    pub fn divide_join(
-        sr: SemiringKind,
-        l: &FunctionalRelation,
-        r: &FunctionalRelation,
-    ) -> Result<FunctionalRelation> {
-        super::divide_join(&mut ExecContext::new(sr), l, r)
-    }
-
-    /// Uncontexted [`super::naive_mpf`] (unlimited, stats discarded).
-    pub fn naive_mpf(
-        sr: SemiringKind,
-        relations: &[&FunctionalRelation],
-        predicates: &[(VarId, Value)],
-        group_vars: &[VarId],
-    ) -> Result<FunctionalRelation> {
-        super::naive_mpf(
-            &mut ExecContext::new(sr),
-            relations,
-            predicates,
-            group_vars,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    // Explicit imports beat the glob, so bare `product_join(sr, ..)` in
-    // the pre-context tests resolves to the compat wrappers.
-    use super::raw::{
-        group_by, naive_mpf, product_join, product_semijoin, select_eq, update_semijoin,
-    };
     use mpf_semiring::approx_eq;
     use mpf_storage::{Catalog, Schema};
 
@@ -618,7 +527,7 @@ mod tests {
     fn product_join_multiplies_measures() {
         let (c, r1, r2) = setup();
         let sr = SemiringKind::SumProduct;
-        let j = product_join(sr, &r1, &r2).unwrap();
+        let j = product_join(&mut ExecContext::new(sr), &r1, &r2).unwrap();
         assert_eq!(j.len(), 8); // 2 matches per b value on each side
         let a = c.var("a").unwrap();
         let b = c.var("b").unwrap();
@@ -639,8 +548,8 @@ mod tests {
     fn product_join_is_commutative() {
         let (_, r1, r2) = setup();
         let sr = SemiringKind::SumProduct;
-        let ab = product_join(sr, &r1, &r2).unwrap();
-        let ba = product_join(sr, &r2, &r1).unwrap();
+        let ab = product_join(&mut ExecContext::new(sr), &r1, &r2).unwrap();
+        let ba = product_join(&mut ExecContext::new(sr), &r2, &r1).unwrap();
         assert!(ab.function_eq(&ba));
     }
 
@@ -661,7 +570,7 @@ mod tests {
             [(vec![0], 5.0), (vec![1], 7.0), (vec![2], 11.0)],
         )
         .unwrap();
-        let j = product_join(SemiringKind::SumProduct, &r1, &r2).unwrap();
+        let j = product_join(&mut ExecContext::new(SemiringKind::SumProduct), &r1, &r2).unwrap();
         assert_eq!(j.len(), 6);
         let total: f64 = j.measures().iter().sum();
         assert!(approx_eq(total, (2.0 + 3.0) * (5.0 + 7.0 + 11.0)));
@@ -671,7 +580,7 @@ mod tests {
     fn group_by_marginalizes() {
         let (c, r1, _) = setup();
         let a = c.var("a").unwrap();
-        let g = group_by(SemiringKind::SumProduct, &r1, &[a]).unwrap();
+        let g = group_by(&mut ExecContext::new(SemiringKind::SumProduct), &r1, &[a]).unwrap();
         assert_eq!(g.len(), 2);
         assert!(approx_eq(g.lookup(&[0]).unwrap(), 3.0));
         assert!(approx_eq(g.lookup(&[1]).unwrap(), 7.0));
@@ -680,18 +589,19 @@ mod tests {
     #[test]
     fn group_by_empty_vars_is_total() {
         let (_, r1, _) = setup();
-        let g = group_by(SemiringKind::SumProduct, &r1, &[]).unwrap();
+        let g = group_by(&mut ExecContext::new(SemiringKind::SumProduct), &r1, &[]).unwrap();
         assert_eq!(g.len(), 1);
         assert!(approx_eq(g.measure(0), 10.0));
-        let gmin = group_by(SemiringKind::MinProduct, &r1, &[]).unwrap();
+        let gmin = group_by(&mut ExecContext::new(SemiringKind::MinProduct), &r1, &[]).unwrap();
         assert!(approx_eq(gmin.measure(0), 1.0));
     }
 
     #[test]
     fn group_by_unknown_var_errors() {
         let (_, r1, _) = setup();
+        let mut cx = ExecContext::new(SemiringKind::SumProduct);
         assert!(matches!(
-            group_by(SemiringKind::SumProduct, &r1, &[VarId(99)]),
+            group_by(&mut cx, &r1, &[VarId(99)]),
             Err(AlgebraError::GroupVarNotInInput(_))
         ));
     }
@@ -700,11 +610,12 @@ mod tests {
     fn select_filters() {
         let (c, r1, _) = setup();
         let a = c.var("a").unwrap();
-        let s = select_eq(&r1, &[(a, 1)]).unwrap();
+        let mut cx = ExecContext::new(SemiringKind::SumProduct);
+        let s = select_eq(&mut cx, &r1, &[(a, 1)]).unwrap();
         assert_eq!(s.len(), 2);
         assert!(s.rows().all(|(row, _)| row[0] == 1));
         assert!(matches!(
-            select_eq(&r1, &[(VarId(99), 0)]),
+            select_eq(&mut cx, &r1, &[(VarId(99), 0)]),
             Err(AlgebraError::SelectVarNotInInput(_))
         ));
     }
@@ -718,12 +629,12 @@ mod tests {
         let a = c.var("a").unwrap();
         let b = c.var("b").unwrap();
 
-        let joined = product_join(sr, &r1, &r2).unwrap();
-        let direct = group_by(sr, &joined, &[a, b]).unwrap();
+        let joined = product_join(&mut ExecContext::new(sr), &r1, &r2).unwrap();
+        let direct = group_by(&mut ExecContext::new(sr), &joined, &[a, b]).unwrap();
 
-        let pushed_inner = group_by(sr, &r2, &[b]).unwrap();
-        let pushed = product_join(sr, &r1, &pushed_inner).unwrap();
-        let pushed = group_by(sr, &pushed, &[a, b]).unwrap();
+        let pushed_inner = group_by(&mut ExecContext::new(sr), &r2, &[b]).unwrap();
+        let pushed = product_join(&mut ExecContext::new(sr), &r1, &pushed_inner).unwrap();
+        let pushed = group_by(&mut ExecContext::new(sr), &pushed, &[a, b]).unwrap();
 
         assert!(direct.function_eq(&pushed));
     }
@@ -732,11 +643,11 @@ mod tests {
     fn product_semijoin_reduces() {
         let (c, r1, r2) = setup();
         let sr = SemiringKind::SumProduct;
-        let red = product_semijoin(sr, &r1, &r2).unwrap();
+        let red = product_semijoin(&mut ExecContext::new(sr), &r1, &r2).unwrap();
         // Var(r1 ⋉* r2) = Var(r1); measure multiplied by r2's b-marginal.
         assert_eq!(red.schema().vars(), r1.schema().vars());
         let b = c.var("b").unwrap();
-        let marg = group_by(sr, &r2, &[b]).unwrap();
+        let marg = group_by(&mut ExecContext::new(sr), &r2, &[b]).unwrap();
         // b=0 marginal is 30, b=1 marginal is 70.
         assert!(approx_eq(marg.lookup(&[0]).unwrap(), 30.0));
         assert!(approx_eq(red.lookup(&[0, 0]).unwrap(), 1.0 * 30.0));
@@ -750,14 +661,14 @@ mod tests {
         // (Definition 5) — the two-table base case of Theorem 6.
         let (c, t, s) = setup();
         let sr = SemiringKind::SumProduct;
-        let s1 = product_semijoin(sr, &s, &t).unwrap(); // forward
-        let t1 = update_semijoin(sr, &t, &s1).unwrap(); // backward
+        let s1 = product_semijoin(&mut ExecContext::new(sr), &s, &t).unwrap(); // forward
+        let t1 = update_semijoin(&mut ExecContext::new(sr), &t, &s1).unwrap(); // backward
 
         let a = c.var("a").unwrap();
         let b = c.var("b").unwrap();
-        let view = product_join(sr, &t, &s).unwrap();
-        let want = group_by(sr, &view, &[a, b]).unwrap();
-        let got = group_by(sr, &t1, &[a, b]).unwrap();
+        let view = product_join(&mut ExecContext::new(sr), &t, &s).unwrap();
+        let want = group_by(&mut ExecContext::new(sr), &view, &[a, b]).unwrap();
+        let got = group_by(&mut ExecContext::new(sr), &t1, &[a, b]).unwrap();
         assert!(want.function_eq(&got));
     }
 
@@ -765,7 +676,7 @@ mod tests {
     fn update_semijoin_requires_division() {
         let (_, r1, r2) = setup();
         assert!(matches!(
-            update_semijoin(SemiringKind::BoolOrAnd, &r1, &r2),
+            update_semijoin(&mut ExecContext::new(SemiringKind::BoolOrAnd), &r1, &r2),
             Err(AlgebraError::NoDivision)
         ));
     }
@@ -775,7 +686,7 @@ mod tests {
         let (c, r1, r2) = setup();
         let sr = SemiringKind::SumProduct;
         let d = c.var("d").unwrap();
-        let got = naive_mpf(sr, &[&r1, &r2], &[], &[d]).unwrap();
+        let got = naive_mpf(&mut ExecContext::new(sr), &[&r1, &r2], &[], &[d]).unwrap();
         // By hand: sum over a,b of r1(a,b)*r2(b,d).
         // d=0: b=0: (1+3)*10=40, b=1: (2+4)*30=180 -> 220.
         // d=1: b=0: (1+3)*20=80, b=1: (2+4)*40=240 -> 320.
@@ -789,7 +700,7 @@ mod tests {
         let sr = SemiringKind::SumProduct;
         let b = c.var("b").unwrap();
         let d = c.var("d").unwrap();
-        let got = naive_mpf(sr, &[&r1, &r2], &[(b, 1)], &[d]).unwrap();
+        let got = naive_mpf(&mut ExecContext::new(sr), &[&r1, &r2], &[(b, 1)], &[d]).unwrap();
         // Only b=1 contributes: d=0 -> (2+4)*30=180; d=1 -> (2+4)*40=240.
         assert!(approx_eq(got.lookup(&[0]).unwrap(), 180.0));
         assert!(approx_eq(got.lookup(&[1]).unwrap(), 240.0));
@@ -800,8 +711,8 @@ mod tests {
         let (c, r1, r2) = setup();
         let sr = SemiringKind::MinProduct;
         let a = c.var("a").unwrap();
-        let j = product_join(sr, &r1, &r2).unwrap();
-        let g = group_by(sr, &j, &[a]).unwrap();
+        let j = product_join(&mut ExecContext::new(sr), &r1, &r2).unwrap();
+        let g = group_by(&mut ExecContext::new(sr), &j, &[a]).unwrap();
         // a=0: min over (b,d) of r1(0,b)*r2(b,d) = min(1*10,1*20,2*30,2*40) = 10.
         assert!(approx_eq(g.lookup(&[0]).unwrap(), 10.0));
         // a=1: min(3*10,3*20,4*30,4*40) = 30.
@@ -812,9 +723,9 @@ mod tests {
     fn context_ops_accumulate_stats() {
         let (c, r1, r2) = setup();
         let mut cx = ExecContext::new(SemiringKind::SumProduct);
-        let j = super::product_join(&mut cx, &r1, &r2).unwrap();
+        let j = product_join(&mut cx, &r1, &r2).unwrap();
         let a = c.var("a").unwrap();
-        super::group_by(&mut cx, &j, &[a]).unwrap();
+        group_by(&mut cx, &j, &[a]).unwrap();
         let stats = cx.stats();
         assert_eq!(stats.joins, 1);
         assert_eq!(stats.group_bys, 1);
@@ -827,7 +738,7 @@ mod tests {
     fn composite_ops_count_their_pieces() {
         let (_, r1, r2) = setup();
         let mut cx = ExecContext::new(SemiringKind::SumProduct);
-        super::update_semijoin(&mut cx, &r1, &r2).unwrap();
+        update_semijoin(&mut cx, &r1, &r2).unwrap();
         // t ⋉ s = t ⨝* (γ_U(s) ⨝÷ γ_U(t)): two group-bys and two joins.
         assert_eq!(cx.stats().group_bys, 2);
         assert_eq!(cx.stats().joins, 2);
@@ -840,7 +751,7 @@ mod tests {
             SemiringKind::SumProduct,
             crate::ExecLimits::none().with_max_output_rows(4),
         );
-        let err = super::product_join(&mut cx, &r1, &r2).unwrap_err();
+        let err = product_join(&mut cx, &r1, &r2).unwrap_err();
         assert!(matches!(
             err,
             AlgebraError::ResourceExhausted {

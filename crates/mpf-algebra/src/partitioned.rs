@@ -1,21 +1,11 @@
-//! Memory-bounded and parallel operator variants.
+//! Partitioned parallel operator variants.
 //!
-//! The paper's setting is explicitly disk-resident: "the functional
-//! relations that define the local distributions are so large that they
-//! are disk-resident" (Section 4). A classic hash join whose build side
-//! exceeds the workspace must spill; the standard answer is the **Grace
-//! hash join** — hash-partition both inputs on the shared variables, then
-//! join partition-wise so each build partition fits. [`grace_join`]
-//! implements it (function-equal to [`crate::ops::product_join`], verified
-//! by property tests), and the physical planner selects it when the build
-//! side exceeds the memory budget.
-//!
-//! The same partitioning makes the operators embarrassingly parallel —
-//! rows with different key hashes never interact — so [`parallel_join`]
-//! and [`parallel_group_by`] run the partitions on a pool of scoped
-//! worker threads (`std::thread::scope`), in the intra-operator
-//! partitioned-parallelism tradition of Volcano's exchange operator and
-//! Gamma. The **partition count is decoupled from the worker count**:
+//! Hash-partitioning both inputs on the shared variables makes the
+//! operators embarrassingly parallel — rows with different key hashes
+//! never interact — so [`parallel_join`] and [`parallel_group_by`] run
+//! the partitions on a pool of scoped worker threads
+//! (`std::thread::scope`), in the intra-operator partitioned-parallelism
+//! tradition of Volcano's exchange operator and Gamma. The **partition count is decoupled from the worker count**:
 //! partitions are sized so each build partition's hash table stays
 //! cache-resident ([`parallel_partitions`]), and each worker consumes a
 //! contiguous chunk of partitions. On a machine with few cores the
@@ -45,7 +35,7 @@ use std::hash::{Hash, Hasher};
 use mpf_semiring::SemiringKind;
 use mpf_storage::{FunctionalRelation, Key, VarId};
 
-use crate::limits::{ExecBudget, OpGuard};
+use crate::limits::ExecBudget;
 use crate::ops;
 use crate::{AlgebraError, ExecContext, Result};
 
@@ -58,17 +48,6 @@ pub const PARTITION_TARGET_BYTES: u64 = 256 * 1024;
 /// Cap on parallel-operator partition counts (empty partitions are cheap
 /// but not free).
 pub const MAX_PARTITIONS: usize = 512;
-
-/// Cap on Grace partition counts derived from the workspace.
-pub const MAX_GRACE_PARTITIONS: usize = 1024;
-
-/// Grace partition count for a build side of `build_rows` rows of
-/// `row_bytes` bytes each, such that each partition fits a workspace of
-/// `workspace_bytes`, clamped to `[2, MAX_GRACE_PARTITIONS]`.
-pub fn grace_partitions(build_rows: usize, row_bytes: u64, workspace_bytes: u64) -> usize {
-    let bytes = build_rows as u64 * row_bytes;
-    (bytes.div_ceil(workspace_bytes.max(1)) as usize).clamp(2, MAX_GRACE_PARTITIONS)
-}
 
 /// Partition count for the parallel operators: enough partitions that
 /// each holds at most [`PARTITION_TARGET_BYTES`] of build rows (cache
@@ -107,65 +86,6 @@ fn partition(
     out
 }
 
-/// Grace (partitioned) hash product join: both inputs are hash-partitioned
-/// on the shared variables and each partition pair is joined independently
-/// with the in-memory hash join.
-///
-/// With `partitions = 1` this degenerates to the plain hash join. A real
-/// system would write partitions to disk between the phases; here the
-/// partitioning pass is executed (costing the same row traffic) and the
-/// page IO shows up in the executor's counters.
-pub fn grace_join(
-    cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-    partitions: usize,
-) -> Result<FunctionalRelation> {
-    cx.fault("grace_join")?;
-    let partitions = partitions.max(1);
-    let shared = l.schema().intersect(r.schema());
-    if shared.is_empty() || partitions == 1 {
-        // Cross products cannot be key-partitioned; fall back.
-        return ops::product_join(cx, l, r);
-    }
-    let out = grace_join_impl(cx.semiring(), l, r, partitions, cx.budget())?;
-    cx.record_join(&[l, r], &out);
-    Ok(out)
-}
-
-fn grace_join_impl(
-    sr: SemiringKind,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-    partitions: usize,
-    budget: Option<&ExecBudget>,
-) -> Result<FunctionalRelation> {
-    let shared = l.schema().intersect(r.schema());
-    let l_pos = l.schema().positions(shared.vars())?;
-    let r_pos = r.schema().positions(shared.vars())?;
-    let l_parts = partition(l, &l_pos, partitions);
-    let r_parts = partition(r, &r_pos, partitions);
-
-    let out_schema = l.schema().union(r.schema());
-    let mut guard = OpGuard::new(budget, out_schema.arity());
-    let mut out = FunctionalRelation::new(
-        format!("({}⋈g{})", l.name(), r.name()),
-        out_schema.clone(),
-    );
-    for (lp, rp) in l_parts.iter().zip(&r_parts) {
-        let joined = ops::product_join_impl(sr, lp, rp, None)?;
-        // Column order of the partition join matches `l ∪ r` because the
-        // partitions preserve the original schemas.
-        debug_assert_eq!(joined.schema(), &out_schema);
-        for (row, m) in joined.rows() {
-            out.push_row_unchecked(row, m);
-            guard.produced()?;
-        }
-    }
-    guard.finish()?;
-    Ok(out)
-}
-
 /// Parallel product join with an automatically derived partition count
 /// ([`parallel_partitions`] of the build side).
 pub fn parallel_join(
@@ -180,7 +100,7 @@ pub fn parallel_join(
     parallel_join_parts(cx, l, r, threads, partitions)
 }
 
-/// Parallel product join: Grace partitioning into `partitions`
+/// Parallel product join: hash partitioning into `partitions`
 /// cache-sized buckets, with `threads` scoped workers each joining a
 /// contiguous chunk of partition pairs. With one partition (or no shared
 /// variables) this falls back to the plain hash join. The worker count
@@ -380,46 +300,6 @@ fn parallel_group_by_impl(
     Ok(out)
 }
 
-/// Compatibility wrappers with uncontexted signatures for this crate's
-/// tests and property-test oracles, mirroring [`crate::ops::raw`]. Calls
-/// from other crates are rejected by CI (the raw-ops boundary lint also
-/// greps for `partitioned::raw::`), so the parallel entry points cannot
-/// be reached without threading an [`ExecContext`].
-pub mod raw {
-    use super::*;
-
-    /// Uncontexted [`super::grace_join`] (unlimited, stats discarded).
-    pub fn grace_join(
-        sr: SemiringKind,
-        l: &FunctionalRelation,
-        r: &FunctionalRelation,
-        partitions: usize,
-    ) -> Result<FunctionalRelation> {
-        super::grace_join(&mut ExecContext::new(sr), l, r, partitions)
-    }
-
-    /// Uncontexted [`super::parallel_join`] (unlimited, stats discarded).
-    pub fn parallel_join(
-        sr: SemiringKind,
-        l: &FunctionalRelation,
-        r: &FunctionalRelation,
-        threads: usize,
-    ) -> Result<FunctionalRelation> {
-        super::parallel_join(&mut ExecContext::new(sr), l, r, threads)
-    }
-
-    /// Uncontexted [`super::parallel_group_by`] (unlimited, stats
-    /// discarded).
-    pub fn parallel_group_by(
-        sr: SemiringKind,
-        input: &FunctionalRelation,
-        group_vars: &[VarId],
-        threads: usize,
-    ) -> Result<FunctionalRelation> {
-        super::parallel_group_by(&mut ExecContext::new(sr), input, group_vars, threads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,45 +326,12 @@ mod tests {
     }
 
     #[test]
-    fn grace_join_matches_hash_join() {
-        let (_, l, r) = fixtures();
-        let sr = SemiringKind::SumProduct;
-        let want = ops::raw::product_join(sr, &l, &r).unwrap();
-        for partitions in [1, 2, 3, 8, 64] {
-            let got = raw::grace_join(sr, &l, &r, partitions).unwrap();
-            assert!(want.function_eq(&got), "{partitions} partitions");
-        }
-    }
-
-    #[test]
-    fn grace_join_cross_product_falls_back() {
-        let mut cat = Catalog::new();
-        let a = cat.add_var("a", 3).unwrap();
-        let d = cat.add_var("d", 3).unwrap();
-        let l = FunctionalRelation::complete(
-            "l",
-            Schema::new(vec![a]).unwrap(),
-            &cat,
-            |row| (row[0] + 1) as f64,
-        );
-        let r = FunctionalRelation::complete(
-            "r",
-            Schema::new(vec![d]).unwrap(),
-            &cat,
-            |row| (row[0] + 2) as f64,
-        );
-        let sr = SemiringKind::SumProduct;
-        let want = ops::raw::product_join(sr, &l, &r).unwrap();
-        assert!(want.function_eq(&raw::grace_join(sr, &l, &r, 4).unwrap()));
-    }
-
-    #[test]
     fn parallel_join_matches_hash_join() {
         let (_, l, r) = fixtures();
         for sr in [SemiringKind::SumProduct, SemiringKind::MinSum] {
-            let want = ops::raw::product_join(sr, &l, &r).unwrap();
+            let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
             for threads in [1, 2, 4] {
-                let got = raw::parallel_join(sr, &l, &r, threads).unwrap();
+                let got = parallel_join(&mut ExecContext::new(sr), &l, &r, threads).unwrap();
                 assert!(want.function_eq(&got), "{threads} threads");
             }
         }
@@ -494,7 +341,7 @@ mod tests {
     fn explicit_partition_counts_match_too() {
         let (_, l, r) = fixtures();
         let sr = SemiringKind::SumProduct;
-        let want = ops::raw::product_join(sr, &l, &r).unwrap();
+        let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
         for (threads, partitions) in [(2, 2), (2, 16), (3, 7), (4, 64), (8, 512)] {
             let got = parallel_join_parts(&mut ExecContext::new(sr), &l, &r, threads, partitions)
                 .unwrap();
@@ -507,14 +354,15 @@ mod tests {
         let (cat, l, _) = fixtures();
         let a = cat.var("a").unwrap();
         for sr in [SemiringKind::SumProduct, SemiringKind::MaxProduct] {
-            let want = ops::raw::group_by(sr, &l, &[a]).unwrap();
+            let want = ops::group_by(&mut ExecContext::new(sr), &l, &[a]).unwrap();
             for threads in [1, 2, 4] {
-                let got = raw::parallel_group_by(sr, &l, &[a], threads).unwrap();
+                let got = parallel_group_by(&mut ExecContext::new(sr), &l, &[a], threads).unwrap();
                 assert!(want.function_eq(&got), "{threads} threads");
             }
         }
         // Scalar group-by goes through the serial path.
-        let total = raw::parallel_group_by(SemiringKind::SumProduct, &l, &[], 4).unwrap();
+        let mut cx = ExecContext::new(SemiringKind::SumProduct);
+        let total = parallel_group_by(&mut cx, &l, &[], 4).unwrap();
         assert_eq!(total.len(), 1);
     }
 
@@ -539,7 +387,7 @@ mod tests {
         let (cat, l, r) = fixtures();
         let a = cat.var("a").unwrap();
         let mut cx = ExecContext::new(SemiringKind::SumProduct);
-        grace_join(&mut cx, &l, &r, 4).unwrap();
+        parallel_join(&mut cx, &l, &r, 4).unwrap();
         parallel_group_by(&mut cx, &l, &[a], 4).unwrap();
         assert_eq!(cx.stats().joins, 1);
         assert_eq!(cx.stats().group_bys, 1);
@@ -547,12 +395,7 @@ mod tests {
 
     #[test]
     fn partition_count_derivations() {
-        // Grace: build bytes over workspace, clamped to at least 2.
-        assert_eq!(grace_partitions(10, 16, 1 << 20), 2);
-        assert_eq!(grace_partitions(1_000_000, 16, 1 << 20), 16);
-        assert_eq!(grace_partitions(usize::MAX / 16, 16, 1), MAX_GRACE_PARTITIONS);
-
-        // Parallel: cache-sized, a multiple of the worker count, capped.
+        // Cache-sized, a multiple of the worker count, capped.
         for threads in [1usize, 2, 3, 4, 8] {
             for rows in [0usize, 100, 10_000, 2_000_000] {
                 let p = parallel_partitions(rows, 16, threads);

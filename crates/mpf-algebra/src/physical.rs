@@ -1,10 +1,10 @@
 //! Physical plans: logical plans annotated with operator algorithms.
 //!
 //! The logical [`Plan`](crate::Plan) fixes *where* joins and group-bys sit;
-//! the physical plan additionally fixes *how* each is executed —
-//! hash-based or sort-based — which is exactly the degree of freedom the
-//! paper points out distinguishes the relational setting from the GDL
-//! setting. [`PhysicalPlan::from_logical`] annotates a logical plan with a
+//! the physical plan additionally fixes *how* each is executed — hash,
+//! parallel partitioned, dense grid or sparse tensor — which is exactly
+//! the degree of freedom the paper points out distinguishes the
+//! relational setting from the GDL setting. [`PhysicalPlan::from_logical`] annotates a logical plan with a
 //! caller-supplied chooser (the optimizer's cost-based
 //! `choose_physical`); [`PhysicalPlan::default_hash`] maps everything to
 //! the hash operators, which is what [`Executor`](crate::Executor) does
@@ -19,15 +19,6 @@ use crate::Plan;
 pub enum JoinAlgo {
     /// Build a hash index on the smaller side, probe with the larger.
     Hash,
-    /// Sort both sides on the shared variables and merge.
-    SortMerge,
-    /// Grace hash join: partition both sides on the shared variables so
-    /// each build partition fits the workspace, then join partition-wise
-    /// (the spill strategy for disk-resident operands).
-    Grace {
-        /// Number of partitions.
-        partitions: usize,
-    },
     /// Parallel partitioned hash join: partition both sides into
     /// cache-sized buckets and join chunks of partition pairs on scoped
     /// worker threads (the worker count is an execution-time knob,
@@ -55,8 +46,6 @@ impl JoinAlgo {
     pub fn label(&self) -> &'static str {
         match self {
             JoinAlgo::Hash => "Hash",
-            JoinAlgo::SortMerge => "SortMerge",
-            JoinAlgo::Grace { .. } => "Grace",
             JoinAlgo::Parallel { .. } => "Parallel",
             JoinAlgo::Dense => "Dense",
             JoinAlgo::SparseTensor => "SparseTensor",
@@ -69,8 +58,6 @@ impl JoinAlgo {
 pub enum AggAlgo {
     /// Hash table keyed by the grouping values.
     HashAgg,
-    /// Sort on the grouping values and fold runs.
-    SortAgg,
     /// Parallel partitioned aggregation: partition on the hash of the
     /// grouping values and aggregate chunks of partitions on scoped
     /// worker threads.
@@ -96,7 +83,6 @@ impl AggAlgo {
     pub fn label(&self) -> &'static str {
         match self {
             AggAlgo::HashAgg => "HashAgg",
-            AggAlgo::SortAgg => "SortAgg",
             AggAlgo::ParallelAgg { .. } => "ParallelAgg",
             AggAlgo::DenseAgg => "DenseAgg",
             AggAlgo::SparseAgg => "SparseAgg",
@@ -241,50 +227,6 @@ impl PhysicalPlan {
                 Plan::join(left.to_logical(), right.to_logical()),
                 group_vars.clone(),
             ),
-        }
-    }
-
-    /// Count operators annotated with sort-based algorithms.
-    pub fn sort_operator_count(&self) -> usize {
-        match self {
-            PhysicalPlan::Scan { .. } => 0,
-            PhysicalPlan::Select { input, .. } => input.sort_operator_count(),
-            PhysicalPlan::Join {
-                left, right, algo, ..
-            } => {
-                (*algo == JoinAlgo::SortMerge) as usize
-                    + left.sort_operator_count()
-                    + right.sort_operator_count()
-            }
-            PhysicalPlan::GroupBy { input, algo, .. } => {
-                (*algo == AggAlgo::SortAgg) as usize + input.sort_operator_count()
-            }
-            PhysicalPlan::JoinAgg { left, right, .. } => {
-                left.sort_operator_count() + right.sort_operator_count()
-            }
-        }
-    }
-
-    /// Count operators that spill (sort-based operators and the Grace
-    /// join; the parallel operators partition in memory, they do not
-    /// spill).
-    pub fn spill_operator_count(&self) -> usize {
-        match self {
-            PhysicalPlan::Scan { .. } => 0,
-            PhysicalPlan::Select { input, .. } => input.spill_operator_count(),
-            PhysicalPlan::Join {
-                left, right, algo, ..
-            } => {
-                matches!(algo, JoinAlgo::SortMerge | JoinAlgo::Grace { .. }) as usize
-                    + left.spill_operator_count()
-                    + right.spill_operator_count()
-            }
-            PhysicalPlan::GroupBy { input, algo, .. } => {
-                (*algo == AggAlgo::SortAgg) as usize + input.spill_operator_count()
-            }
-            PhysicalPlan::JoinAgg { left, right, .. } => {
-                left.spill_operator_count() + right.spill_operator_count()
-            }
         }
     }
 
@@ -538,7 +480,9 @@ mod tests {
     #[test]
     fn default_is_all_hash() {
         let p = PhysicalPlan::default_hash(&logical());
-        assert_eq!(p.sort_operator_count(), 0);
+        assert_eq!(p.parallel_operator_count(), 0);
+        assert_eq!(p.dense_operator_count(), 0);
+        assert_eq!(p.sparse_operator_count(), 0);
         assert_eq!(p.to_logical(), logical());
     }
 
@@ -550,16 +494,16 @@ mod tests {
             &logical(),
             &mut |_, _| {
                 joins += 1;
-                JoinAlgo::SortMerge
+                JoinAlgo::SparseTensor
             },
             &mut |_, _| {
                 aggs += 1;
-                AggAlgo::SortAgg
+                AggAlgo::SparseAgg
             },
         );
         assert_eq!(joins, 1);
         assert_eq!(aggs, 2);
-        assert_eq!(p.sort_operator_count(), 3);
+        assert_eq!(p.sparse_operator_count(), 3);
     }
 
     #[test]
@@ -570,7 +514,6 @@ mod tests {
             &mut |_, _| AggAlgo::ParallelAgg { partitions: 32 },
         );
         assert_eq!(p.parallel_operator_count(), 3);
-        assert_eq!(p.spill_operator_count(), 0, "parallel ops do not spill");
         assert_eq!(p.operator_count(), 3);
         assert_eq!(p.to_logical(), logical());
         let text = p.render(&|v| format!("x{}", v.0));
@@ -586,7 +529,6 @@ mod tests {
             &mut |_, _| AggAlgo::DenseAgg,
         );
         assert_eq!(p.dense_operator_count(), 3);
-        assert_eq!(p.spill_operator_count(), 0, "dense ops do not spill");
         assert_eq!(p.parallel_operator_count(), 0);
         assert_eq!(p.to_logical(), logical());
         let text = p.render(&|v| format!("x{}", v.0));
@@ -605,7 +547,6 @@ mod tests {
         );
         assert_eq!(p.sparse_operator_count(), 3);
         assert_eq!(p.dense_operator_count(), 0);
-        assert_eq!(p.spill_operator_count(), 0, "sparse ops do not spill");
         assert_eq!(p.to_logical(), logical());
         let text = p.render(&|v| format!("x{}", v.0));
         assert!(text.contains("(SparseTensor)"));

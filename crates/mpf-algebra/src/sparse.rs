@@ -259,7 +259,7 @@ pub fn sparse_agg_applies(mode: ReprMode, input: &FunctionalRelation) -> bool {
 }
 
 /// [`ops::product_join`] dispatched three ways through the context's
-/// [`DenseMode`] and [`ReprMode`]: the dense odometer kernel when the
+/// [`DenseMode`](crate::DenseMode) and [`ReprMode`]: the dense odometer kernel when the
 /// inputs are support-exact complete grids, the sparse sorted-merge
 /// kernel in the mid-density band, the hash join otherwise. This is the
 /// entry point for callers outside the planner (the inference layer),
@@ -279,7 +279,7 @@ pub fn join_auto(
 }
 
 /// [`ops::group_by`] dispatched three ways through the context's
-/// [`DenseMode`] and [`ReprMode`].
+/// [`DenseMode`](crate::DenseMode) and [`ReprMode`].
 pub fn agg_auto(
     cx: &mut ExecContext<'_>,
     input: &FunctionalRelation,
@@ -897,7 +897,7 @@ mod tests {
     fn sparse_join_matches_hash_join() {
         let (_, l, r) = fixtures();
         for sr in SemiringKind::ALL {
-            let want = ops::raw::product_join(sr, &l, &r).unwrap();
+            let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
             let mut cx = ExecContext::new(sr);
             let got = join(&mut cx, &l, &r).unwrap();
             assert_eq!(cx.stats().sparse_joins, 1, "{sr:?} took the sparse path");
@@ -912,7 +912,7 @@ mod tests {
         let b = cat.var("b").unwrap();
         for sr in SemiringKind::ALL {
             for gv in [vec![a], vec![b, a], vec![]] {
-                let want = ops::raw::group_by(sr, &l, &gv).unwrap();
+                let want = ops::group_by(&mut ExecContext::new(sr), &l, &gv).unwrap();
                 let mut cx = ExecContext::new(sr);
                 let got = agg(&mut cx, &l, &gv).unwrap();
                 assert_eq!(cx.stats().sparse_group_bys, 1, "{sr:?} {gv:?}");
@@ -939,7 +939,7 @@ mod tests {
         )
         .unwrap();
         let sr = SemiringKind::SumProduct;
-        let want = ops::raw::product_join(sr, &l, &r).unwrap();
+        let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
         let got = join(&mut ExecContext::new(sr), &l, &r).unwrap();
         assert_eq!(got.len(), 4);
         assert!(want.function_eq(&got));
@@ -956,7 +956,7 @@ mod tests {
         let mut other = FunctionalRelation::new("o", schema);
         other.push_row(&[1], 10.0).unwrap();
         let sr = SemiringKind::SumProduct;
-        let want = ops::raw::product_join(sr, &dup, &other).unwrap();
+        let want = ops::product_join(&mut ExecContext::new(sr), &dup, &other).unwrap();
         let mut cx = ExecContext::new(sr);
         let got = join(&mut cx, &dup, &other).unwrap();
         assert_eq!(cx.stats().sparse_joins, 0, "fell back");
@@ -977,7 +977,7 @@ mod tests {
         r.push_row(&[(1 << 13) - 1, (1 << 13) - 1], 3.0).unwrap();
         r.push_row(&[0, 5], 11.0).unwrap();
         let sr = SemiringKind::SumProduct;
-        let want = ops::raw::product_join(sr, &l, &r).unwrap();
+        let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
         let mut cx = ExecContext::new(sr);
         let got = join(&mut cx, &l, &r).unwrap();
         assert_eq!(cx.stats().sparse_joins, 1);
@@ -1000,8 +1000,8 @@ mod tests {
         assert_eq!(cx.stats().sparse_joins, 1);
         assert_eq!(cx.stats().sparse_group_bys, 1);
         let got = materialize(&mut cx, marg).unwrap();
-        let wj = ops::raw::product_join(sr, &l, &r).unwrap();
-        let want = ops::raw::group_by(sr, &wj, &[b, c]).unwrap();
+        let wj = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
+        let want = ops::group_by(&mut ExecContext::new(sr), &wj, &[b, c]).unwrap();
         assert!(want.function_eq(&got));
     }
 

@@ -3,8 +3,7 @@
 /// Wall-clock timings on a laptop are noisy; the experiment harnesses
 /// therefore report both elapsed time and these counters, which are exact
 /// functions of the plan and data. `rows_processed` is the executor
-/// analogue of the paper's operation-count cost metric, and `pages_io` is
-/// the simulated disk traffic of a system whose operands are page-resident.
+/// analogue of the paper's operation-count cost metric.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Rows read from base relations.
@@ -13,8 +12,6 @@ pub struct ExecStats {
     pub rows_processed: u64,
     /// Largest intermediate relation materialized.
     pub max_intermediate_rows: u64,
-    /// Simulated page IO: pages of every operator input and output.
-    pub pages_io: u64,
     /// Number of product-join operators executed.
     pub joins: u64,
     /// Number of group-by operators executed.
@@ -58,7 +55,6 @@ impl ExecStats {
         self.rows_scanned += other.rows_scanned;
         self.rows_processed += other.rows_processed;
         self.max_intermediate_rows = self.max_intermediate_rows.max(other.max_intermediate_rows);
-        self.pages_io += other.pages_io;
         self.joins += other.joins;
         self.group_bys += other.group_bys;
         self.selects += other.selects;
@@ -86,7 +82,6 @@ mod tests {
             rows_scanned: 10,
             rows_processed: 100,
             max_intermediate_rows: 50,
-            pages_io: 5,
             joins: 1,
             group_bys: 1,
             selects: 0,
@@ -106,7 +101,6 @@ mod tests {
             rows_scanned: 1,
             rows_processed: 2,
             max_intermediate_rows: 80,
-            pages_io: 1,
             joins: 0,
             group_bys: 2,
             selects: 1,

@@ -496,17 +496,6 @@ impl TraceCollector {
         self.attach(leaf);
     }
 
-    /// Set the partition count of the innermost open span (the Grace join
-    /// re-derives its count from the actual build side at run time).
-    pub(crate) fn set_partitions(&mut self, partitions: usize) {
-        if !self.enabled() {
-            return;
-        }
-        if let Some(top) = self.stack.last_mut() {
-            top.span.partitions = Some(partitions);
-        }
-    }
-
     /// Tag the active span with the kernel inner-loop mode: the innermost
     /// open span when one exists (interpreter path), else the span most
     /// recently attached at the current level (ad-hoc operator calls,

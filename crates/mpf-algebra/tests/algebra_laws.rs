@@ -2,9 +2,7 @@
 //! that every optimization in the paper relies on, checked on random
 //! functional relations in multiple semirings.
 
-// The laws are about the algebra, not execution state: the uncontexted
-// compat wrappers keep the property bodies free of ExecContext plumbing.
-use mpf_algebra::ops::raw as ops;
+use mpf_algebra::{ops, ExecContext};
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
 use proptest::prelude::*;
@@ -86,8 +84,8 @@ proptest! {
     fn join_commutative(t in triple()) {
         let (_, rels) = build(&t);
         for sr in SEMIRINGS {
-            let ab = ops::product_join(sr, &rels[0], &rels[1]).unwrap();
-            let ba = ops::product_join(sr, &rels[1], &rels[0]).unwrap();
+            let ab = ops::product_join(&mut ExecContext::new(sr), &rels[0], &rels[1]).unwrap();
+            let ba = ops::product_join(&mut ExecContext::new(sr), &rels[1], &rels[0]).unwrap();
             prop_assert!(ab.function_eq(&ba));
         }
     }
@@ -98,15 +96,15 @@ proptest! {
         let (_, rels) = build(&t);
         for sr in SEMIRINGS {
             let left = ops::product_join(
-                sr,
-                &ops::product_join(sr, &rels[0], &rels[1]).unwrap(),
+                &mut ExecContext::new(sr),
+                &ops::product_join(&mut ExecContext::new(sr), &rels[0], &rels[1]).unwrap(),
                 &rels[2],
             )
             .unwrap();
             let right = ops::product_join(
-                sr,
+                &mut ExecContext::new(sr),
                 &rels[0],
-                &ops::product_join(sr, &rels[1], &rels[2]).unwrap(),
+                &ops::product_join(&mut ExecContext::new(sr), &rels[1], &rels[2]).unwrap(),
             )
             .unwrap();
             prop_assert!(left.function_eq(&right));
@@ -119,10 +117,10 @@ proptest! {
     fn closure_under_operators(t in triple()) {
         let (_, rels) = build(&t);
         let sr = SemiringKind::SumProduct;
-        let j = ops::product_join(sr, &rels[0], &rels[1]).unwrap();
+        let j = ops::product_join(&mut ExecContext::new(sr), &rels[0], &rels[1]).unwrap();
         prop_assert!(j.validate_fd().is_ok());
         if let Some(&v) = j.schema().vars().first() {
-            let g = ops::group_by(sr, &j, &[v]).unwrap();
+            let g = ops::group_by(&mut ExecContext::new(sr), &j, &[v]).unwrap();
             prop_assert!(g.validate_fd().is_ok());
         }
     }
@@ -138,7 +136,7 @@ proptest! {
         // keeping the shared variables.
         let shared = a.schema().intersect(b.schema());
         for sr in SEMIRINGS {
-            let joined = ops::product_join(sr, a, b).unwrap();
+            let joined = ops::product_join(&mut ExecContext::new(sr), a, b).unwrap();
             let keep: Vec<VarId> = a
                 .schema()
                 .iter()
@@ -146,11 +144,11 @@ proptest! {
                 .collect::<Schema>()
                 .vars()
                 .to_vec();
-            let direct = ops::group_by(sr, &joined, &keep).unwrap();
+            let direct = ops::group_by(&mut ExecContext::new(sr), &joined, &keep).unwrap();
 
-            let reduced_b = ops::group_by(sr, b, shared.vars()).unwrap();
-            let pushed = ops::product_join(sr, a, &reduced_b).unwrap();
-            let pushed = ops::group_by(sr, &pushed, &keep).unwrap();
+            let reduced_b = ops::group_by(&mut ExecContext::new(sr), b, shared.vars()).unwrap();
+            let pushed = ops::product_join(&mut ExecContext::new(sr), a, &reduced_b).unwrap();
+            let pushed = ops::group_by(&mut ExecContext::new(sr), &pushed, &keep).unwrap();
             prop_assert!(direct.function_eq(&pushed), "{sr:?}");
         }
     }
@@ -162,14 +160,14 @@ proptest! {
         let (_, rels) = build(&t);
         let (a, b) = (&rels[0], &rels[1]);
         let v = a.schema().vars()[0];
-        let sr = SemiringKind::SumProduct;
-        let joined = ops::product_join(sr, a, b).unwrap();
-        let select_after = ops::select_eq(&joined, &[(v, 0)]).unwrap();
-        let select_before =
-            ops::product_join(sr, &ops::select_eq(a, &[(v, 0)]).unwrap(), b).unwrap();
+        let mut cx = ExecContext::new(SemiringKind::SumProduct);
+        let joined = ops::product_join(&mut cx, a, b).unwrap();
+        let select_after = ops::select_eq(&mut cx, &joined, &[(v, 0)]).unwrap();
+        let a_selected = ops::select_eq(&mut cx, a, &[(v, 0)]).unwrap();
+        let select_before = ops::product_join(&mut cx, &a_selected, b).unwrap();
         // If v also occurs in b the pushdown must hit both sides.
         let select_before = if b.schema().contains(v) {
-            ops::select_eq(&select_before, &[(v, 0)]).unwrap()
+            ops::select_eq(&mut cx, &select_before, &[(v, 0)]).unwrap()
         } else {
             select_before
         };
@@ -182,11 +180,12 @@ proptest! {
     fn group_by_cascades(t in triple()) {
         let (_, rels) = build(&t);
         let a = &rels[0];
-        let sr = SemiringKind::SumProduct;
+        let mut cx = ExecContext::new(SemiringKind::SumProduct);
         let vars = a.schema().vars().to_vec();
         let sub: Vec<VarId> = vars.iter().copied().take(1).collect();
-        let two_step = ops::group_by(sr, &ops::group_by(sr, a, &vars).unwrap(), &sub).unwrap();
-        let one_step = ops::group_by(sr, a, &sub).unwrap();
+        let onto_vars = ops::group_by(&mut cx, a, &vars).unwrap();
+        let two_step = ops::group_by(&mut cx, &onto_vars, &sub).unwrap();
+        let one_step = ops::group_by(&mut cx, a, &sub).unwrap();
         prop_assert!(two_step.function_eq(&one_step));
     }
 
@@ -196,7 +195,7 @@ proptest! {
     fn product_semijoin_schema(t in triple()) {
         let (_, rels) = build(&t);
         let sr = SemiringKind::SumProduct;
-        let red = ops::product_semijoin(sr, &rels[0], &rels[1]).unwrap();
+        let red = ops::product_semijoin(&mut ExecContext::new(sr), &rels[0], &rels[1]).unwrap();
         prop_assert_eq!(red.schema().vars(), rels[0].schema().vars());
     }
 }

@@ -9,7 +9,7 @@
 use std::sync::Mutex;
 
 use mpf_algebra::{
-    dense, fault, ops, partitioned, sort_ops, AlgebraError, ExecContext, Executor, PhysicalPlan,
+    dense, fault, ops, partitioned, AggAlgo, AlgebraError, ExecContext, Executor, PhysicalPlan,
     Plan, RelationStore,
 };
 use mpf_semiring::SemiringKind;
@@ -86,18 +86,6 @@ fn each_operator_site_fires_once() {
             Box::new(|| ops::naive_mpf(&mut ExecContext::new(sr), &[&l, &r], &[], &[a])),
         ),
         (
-            "merge_join",
-            Box::new(|| sort_ops::merge_join(&mut ExecContext::new(sr), &l, &r)),
-        ),
-        (
-            "sort_group_by",
-            Box::new(|| sort_ops::sort_group_by(&mut ExecContext::new(sr), &l, &[a])),
-        ),
-        (
-            "grace_join",
-            Box::new(|| partitioned::grace_join(&mut ExecContext::new(sr), &l, &r, 4)),
-        ),
-        (
             "parallel_join",
             Box::new(|| partitioned::parallel_join(&mut ExecContext::new(sr), &l, &r, 2)),
         ),
@@ -140,13 +128,11 @@ fn second_invocation_faults_leave_first_intact() {
     let sr = SemiringKind::SumProduct;
 
     fault::inject("group_by", 2);
-    let first = ops::raw::group_by(sr, &l, &[a]).unwrap();
-    assert_eq!(
-        ops::raw::group_by(sr, &l, &[a]).unwrap_err(),
-        injected("group_by")
-    );
+    let group_by = || ops::group_by(&mut ExecContext::new(sr), &l, &[a]);
+    let first = group_by().unwrap();
+    assert_eq!(group_by().unwrap_err(), injected("group_by"));
     // Disarmed again; results are unaffected by the fault machinery.
-    assert!(first.function_eq(&ops::raw::group_by(sr, &l, &[a]).unwrap()));
+    assert!(first.function_eq(&group_by().unwrap()));
 }
 
 #[test]
@@ -195,17 +181,17 @@ fn context_keeps_stats_accumulated_before_the_fault() {
     fault::clear_all();
 
     // A direct PhysicalPlan round-trip also surfaces the fault.
-    fault::inject_always("sort_group_by");
-    let sorted = PhysicalPlan::GroupBy {
+    fault::inject_always("sparse::agg");
+    let sparse = PhysicalPlan::GroupBy {
         input: Box::new(PhysicalPlan::Scan {
             relation: "l".into(),
         }),
         group_vars: vec![],
-        algo: mpf_algebra::AggAlgo::SortAgg,
+        algo: AggAlgo::SparseAgg,
     };
     assert_eq!(
-        exec.execute_physical(&sorted).unwrap_err(),
-        injected("sort_group_by")
+        exec.execute_physical(&sparse).unwrap_err(),
+        injected("sparse::agg")
     );
     fault::clear_all();
 }

@@ -39,8 +39,8 @@ proptest! {
     /// Random algorithm assignments never change the answer.
     #[test]
     fn physical_matches_logical(
-        join_flags in proptest::collection::vec(any::<bool>(), 8),
-        agg_flags in proptest::collection::vec(any::<bool>(), 8),
+        join_picks in proptest::collection::vec(0usize..4, 8),
+        agg_picks in proptest::collection::vec(0usize..4, 8),
         group_var in 0usize..3,
         filter in proptest::option::of((0usize..2, 0u32..3)),
     ) {
@@ -69,19 +69,21 @@ proptest! {
             &logical,
             &mut |_, _| {
                 ji += 1;
-                if join_flags[ji % join_flags.len()] {
-                    JoinAlgo::Hash
-                } else {
-                    JoinAlgo::SortMerge
-                }
+                [
+                    JoinAlgo::Hash,
+                    JoinAlgo::Parallel { partitions: 4 },
+                    JoinAlgo::Dense,
+                    JoinAlgo::SparseTensor,
+                ][join_picks[ji % join_picks.len()]]
             },
             &mut |_, _| {
                 ai += 1;
-                if agg_flags[ai % agg_flags.len()] {
-                    AggAlgo::HashAgg
-                } else {
-                    AggAlgo::SortAgg
-                }
+                [
+                    AggAlgo::HashAgg,
+                    AggAlgo::ParallelAgg { partitions: 4 },
+                    AggAlgo::DenseAgg,
+                    AggAlgo::SparseAgg,
+                ][agg_picks[ai % agg_picks.len()]]
             },
         );
         let (got, stats) = exec.execute_physical(&physical).unwrap();

@@ -1,19 +1,19 @@
-//! Ablation: hash vs. sort-based physical operators.
+//! Ablation: all-hash vs. cost-based physical operators.
 //!
 //! The paper notes that the relational setting — unlike GDL — offers
 //! multiple algorithms per logical operation, chosen by cost. This harness
 //! takes the nonlinear CS+ plan for Q1 on the supply chain and executes it
-//! with (a) all-hash operators, (b) all-sort operators, and (c) the
-//! cost-based mix chosen by `choose_physical` under several memory budgets.
+//! with (a) the hash operators everywhere and (b) the per-operator choice
+//! of `choose_physical` under its default configuration (dense and sparse
+//! kernels where the operands qualify, parallel operators past the size
+//! threshold when more than one thread is configured).
 //!
 //! Usage: `ablation_operators [--scale <f>]`
 
-use mpf_algebra::{AggAlgo, Executor, JoinAlgo, PhysicalPlan};
+use mpf_algebra::{Executor, PhysicalPlan};
 use mpf_bench::{ms, Args};
 use mpf_datagen::{SupplyChain, SupplyChainConfig};
-use mpf_optimizer::{
-    choose_physical, optimize, Algorithm, CostModel, PhysicalConfig, QuerySpec,
-};
+use mpf_optimizer::{choose_physical, optimize, Algorithm, CostModel, PhysicalConfig, QuerySpec};
 use mpf_semiring::SemiringKind;
 
 fn main() {
@@ -25,36 +25,22 @@ fn main() {
     let exec = Executor::new(&sc.store, SemiringKind::SumProduct);
 
     println!("Operator-algorithm ablation (scale {scale}, Q1 = group by cid)");
-    println!("{:<28} {:>12} {:>14} {:>10}", "variant", "exec ms", "work rows", "sort ops");
+    println!("{:<28} {:>12} {:>14}", "variant", "exec ms", "work rows");
 
     let run = |label: &str, phys: &PhysicalPlan| {
         let t = std::time::Instant::now();
         let (_, stats) = exec.execute_physical(phys).expect("plan executes");
         println!(
-            "{:<28} {:>12} {:>14} {:>10}",
+            "{:<28} {:>12} {:>14}",
             label,
             ms(t.elapsed()),
-            stats.rows_processed,
-            phys.sort_operator_count()
+            stats.rows_processed
         );
     };
 
     run("all hash", &PhysicalPlan::default_hash(&plan));
-    let all_sort = PhysicalPlan::from_logical(
-        &plan,
-        &mut |_, _| JoinAlgo::SortMerge,
-        &mut |_, _| AggAlgo::SortAgg,
+    run(
+        "cost-based (default)",
+        &choose_physical(&ctx, &plan, PhysicalConfig::default()),
     );
-    run("all sort", &all_sort);
-    for budget in [1e2, 1e4, 1e6] {
-        let phys = choose_physical(
-            &ctx,
-            &plan,
-            PhysicalConfig {
-                memory_rows: budget,
-                ..PhysicalConfig::default()
-            },
-        );
-        run(&format!("cost-based (mem {budget:.0e})"), &phys);
-    }
 }

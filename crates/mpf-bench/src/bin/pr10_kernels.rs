@@ -132,7 +132,6 @@ fn main() {
     let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
     let plan = optimize(&ctx, Algorithm::VePlus(Heuristic::Degree)).plan;
     let cfg = PhysicalConfig {
-        memory_rows: 1e9,
         repr_mode: ReprMode::Off,
         dense_mode: DenseMode::Auto,
         ..PhysicalConfig::default()

@@ -290,13 +290,11 @@ fn main() {
     store.insert(r3);
     let ctx = OptContext::new(&vcat, rels, QuerySpec::group_by([a]), CostModel::Io);
     let plan = optimize(&ctx, Algorithm::VePlus(Heuristic::Degree)).plan;
-    // A large memory budget keeps every operator memory-resident, so the
-    // sequential/parallel comparison is hash operators vs. their parallel
-    // partitioned counterparts (not a spill-strategy change). Alternate
-    // representations are pinned off for the same reason: this baseline
-    // times the row-major hash operators, whatever `MPF_REPR` says.
+    // The sequential/parallel comparison is hash operators vs. their
+    // parallel partitioned counterparts, so alternate representations are
+    // pinned off: this baseline times the row-major hash operators,
+    // whatever `MPF_REPR` says.
     let cfg = PhysicalConfig {
-        memory_rows: 1e9,
         repr_mode: mpf_algebra::ReprMode::Off,
         ..PhysicalConfig::default()
     };

@@ -232,12 +232,9 @@ fn main() {
     store.insert(r3);
     let ctx = OptContext::new(&vcat, rels, QuerySpec::group_by([va]), CostModel::Io);
     let plan = optimize(&ctx, Algorithm::VePlus(Heuristic::Degree)).plan;
-    // A large memory budget keeps every operator memory-resident, so the
-    // comparison is hash operators vs. dense kernels, not a spill change.
     // The sparse-tensor band is pinned off: this baseline times hash vs.
     // dense, whatever `MPF_REPR` says (pr7_repr covers the sparse band).
     let cfg = PhysicalConfig {
-        memory_rows: 1e9,
         repr_mode: mpf_algebra::ReprMode::Off,
         ..PhysicalConfig::default()
     };

@@ -1154,8 +1154,8 @@ impl Database {
         out.push_str(&format!("-- workers: {}\n", limits.effective_threads()));
         let st = &answer.stats;
         out.push_str(&format!(
-            "-- rows scanned={}, processed={}, peak intermediate={}, page io={}\n",
-            st.rows_scanned, st.rows_processed, st.max_intermediate_rows, st.pages_io
+            "-- rows scanned={}, processed={}, peak intermediate={}\n",
+            st.rows_scanned, st.rows_processed, st.max_intermediate_rows
         ));
         out.push_str(&format!(
             "-- optimize: {:.1?}, execute: {:.1?}\n",

@@ -146,12 +146,6 @@ impl Scenario {
         &self.evidence
     }
 
-    /// Append an override in place (the deprecated-shim accumulation
-    /// path).
-    pub(crate) fn push_override(&mut self, ov: Override) {
-        self.overrides.push(ov);
-    }
-
     /// Whether this scenario's optimizer input is identical to the
     /// baseline's: measure overrides change neither schema nor
     /// cardinality (the only [`mpf_optimizer::BaseRel`] statistics), and

@@ -291,7 +291,7 @@ impl ViewCache {
 
     /// Record a miss that cost `cost_us` microseconds to answer without
     /// the cache. Returns `true` when the accumulated demand for `key`
-    /// justifies building its tree now (see [`ADMIT_FACTOR`]).
+    /// justifies building its tree now (see `ADMIT_FACTOR`).
     pub fn record_miss(&self, key: &CacheKey, cost_us: f64) -> bool {
         if !self.enabled() {
             return false;

@@ -617,12 +617,17 @@ impl VeCache {
 
         let mut out = self.clone();
         let rewritten = out.change_and_propagate(source, |table| {
-            // The consuming table's rows matching the base row.
-            let matches = |i: &usize| positions.iter().zip(row).all(|(&p, &v)| table.row(*i)[p] == v);
+            // The consuming table's rows matching the base row, scanned
+            // over the packed key column (its arity is at least the base
+            // relation's, which is not zero).
+            let matches = |r: &[Value]| positions.iter().zip(row).all(|(&p, &v)| r[p] == v);
             let hits: Vec<u32> = if ratio == sr.one() {
                 Vec::new()
             } else {
-                (0..table.len()).filter(matches).map(|i| i as u32).collect()
+                (0u32..)
+                    .zip(table.values_col().chunks_exact(table.arity()))
+                    .filter_map(|(i, r)| matches(r).then_some(i))
+                    .collect()
             };
             if !hits.is_empty() {
                 let table = Arc::make_mut(table);

@@ -8,7 +8,7 @@
 //!
 //! Instead of memoizing a single min-cost plan per relation subset, the
 //! program keeps a **Pareto set** keyed by output schema
-//! ([`pareto_insert`]): the grouped and ungrouped variants of a prefix are
+//! (`pareto_insert`): the grouped and ungrouped variants of a prefix are
 //! incomparable physical properties (the cheaper one may be wider), and a
 //! single-plan memo would make the search non-monotone. This subsumes —
 //! and strictly strengthens — the paper's greedy-conservative comparison of

@@ -5,21 +5,23 @@
 //! relational case there are multiple algorithms to implement join
 //! (multiplication) and aggregation (summation), and the choice of
 //! algorithm is based on the cost of accessing disk-resident operands".
-//! This module makes that choice for a finished logical plan:
+//! This module makes that choice for a finished logical plan, per
+//! operator, in a fixed order:
 //!
-//! * a **hash join** needs its build side (the smaller operand) resident
-//!   in the workspace; if the smaller operand exceeds the memory budget, a
-//!   Grace (partitioned) hash join is selected with enough partitions that
-//!   each build partition fits;
-//! * a **hash aggregate** needs one accumulator per distinct group; if the
-//!   estimated group count exceeds the budget, sort aggregation is
-//!   selected;
-//! * when the executor will run with more than one worker thread
-//!   ([`PhysicalConfig::threads`]), memory-resident operators over large
-//!   operands are annotated with the **parallel partitioned** variants
-//!   ([`JoinAlgo::Parallel`], [`AggAlgo::ParallelAgg`]), with the
+//! * the **dense** odometer kernels ([`JoinAlgo::Dense`],
+//!   [`AggAlgo::DenseAgg`]) when every grid is feasible and, under
+//!   [`DenseMode::Auto`], every operand is dense enough;
+//! * else the **sparse-tensor** kernels ([`JoinAlgo::SparseTensor`],
+//!   [`AggAlgo::SparseAgg`]) under the same rule against
+//!   [`PhysicalConfig::sparse_min_density`];
+//! * else, when the executor will run with more than one worker thread
+//!   ([`PhysicalConfig::threads`]) and the build side (joins) or the
+//!   estimated group count (aggregates) reaches
+//!   [`PhysicalConfig::parallel_min_rows`], the **parallel partitioned**
+//!   variants ([`JoinAlgo::Parallel`], [`AggAlgo::ParallelAgg`]), with the
 //!   partition count sized for cache residency by
-//!   [`mpf_algebra::partitioned::parallel_partitions`].
+//!   [`mpf_algebra::partitioned::parallel_partitions`];
+//! * else the **hash** operators ([`JoinAlgo::Hash`], [`AggAlgo::HashAgg`]).
 //!
 //! Operand sizes come from the same catalog-based estimator the join
 //! ordering used ([`estimate::plan_estimate`]).
@@ -37,8 +39,6 @@ fn row_bytes(arity: usize) -> u64 {
 /// Physical selection knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhysicalConfig {
-    /// Rows that fit in the operator workspace (hash-table budget).
-    pub memory_rows: f64,
     /// Worker threads the executor will run with. With one thread the
     /// parallel operators are never selected (they degenerate to the
     /// plain hash operators at run time anyway, but the annotation would
@@ -75,10 +75,7 @@ pub struct PhysicalConfig {
 
 impl Default for PhysicalConfig {
     fn default() -> Self {
-        // Roughly a 16 MB workspace of 16-byte rows — the same order as
-        // PostgreSQL 8.1's default `work_mem`-sized hash operators.
         PhysicalConfig {
-            memory_rows: 1_000_000.0,
             threads: mpf_algebra::limits::default_threads(),
             parallel_min_rows: 32_768.0,
             dense_mode: DenseMode::from_env(),
@@ -248,29 +245,21 @@ pub fn choose_physical(
                 return JoinAlgo::SparseTensor;
             }
             let build = lr.min(rr);
-            if build <= cfg.memory_rows {
-                if cfg.threads > 1 && build >= cfg.parallel_min_rows {
-                    // Memory-resident but large: partition into
-                    // cache-sized buckets and join them on the worker
-                    // pool. Row bytes come from the wider schema so the
-                    // partition count covers the probe side too.
-                    let row_bytes = row_bytes(ls.arity().max(rs.arity()));
-                    JoinAlgo::Parallel {
-                        partitions: partitioned::parallel_partitions(
-                            build as usize,
-                            row_bytes,
-                            cfg.threads,
-                        ),
-                    }
-                } else {
-                    JoinAlgo::Hash
+            if cfg.threads > 1 && build >= cfg.parallel_min_rows {
+                // Large operands: partition into cache-sized buckets and
+                // join them on the worker pool. Row bytes come from the
+                // wider schema so the partition count covers the probe
+                // side too.
+                let row_bytes = row_bytes(ls.arity().max(rs.arity()));
+                JoinAlgo::Parallel {
+                    partitions: partitioned::parallel_partitions(
+                        build as usize,
+                        row_bytes,
+                        cfg.threads,
+                    ),
                 }
             } else {
-                // Grace hash join with enough partitions that each build
-                // partition fits the workspace.
-                JoinAlgo::Grace {
-                    partitions: (build / cfg.memory_rows).ceil().max(2.0) as usize,
-                }
+                JoinAlgo::Hash
             }
         },
         &mut |input, group_vars| {
@@ -283,23 +272,19 @@ pub fn choose_physical(
                 return AggAlgo::SparseAgg;
             }
             let groups = estimate::group_rows(ctx, in_rows, &schema);
-            if groups <= cfg.memory_rows {
-                if cfg.threads > 1 && groups >= cfg.parallel_min_rows {
-                    // Many groups: the accumulator table itself blows the
-                    // cache, so partition on the group hash. Few-group
-                    // aggregation stays cache-resident and gains nothing.
-                    AggAlgo::ParallelAgg {
-                        partitions: partitioned::parallel_partitions(
-                            groups as usize,
-                            row_bytes(schema.arity()),
-                            cfg.threads,
-                        ),
-                    }
-                } else {
-                    AggAlgo::HashAgg
+            if cfg.threads > 1 && groups >= cfg.parallel_min_rows {
+                // Many groups: the accumulator table itself blows the
+                // cache, so partition on the group hash. Few-group
+                // aggregation stays cache-resident and gains nothing.
+                AggAlgo::ParallelAgg {
+                    partitions: partitioned::parallel_partitions(
+                        groups as usize,
+                        row_bytes(schema.arity()),
+                        cfg.threads,
+                    ),
                 }
             } else {
-                AggAlgo::SortAgg
+                AggAlgo::HashAgg
             }
         },
     );
@@ -342,60 +327,42 @@ mod tests {
     }
 
     #[test]
-    fn small_budget_forces_sort_operators() {
+    fn large_operands_lower_to_hash_or_parallel() {
+        // The 5M-row fixture, once as optimized and once unreduced: a
+        // 100k-row build side joining r2 under a {a, b} group-by with 100k
+        // estimated groups. No operand size selects anything but the hash
+        // operators at one thread, or the parallel ones at four.
         let mut cat = Catalog::new();
-        let (rels, a, ..) = ctx_fixture(&mut cat);
+        let (rels, a, b, _) = ctx_fixture(&mut cat);
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
-        let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
-        let big = choose_physical(
-            &ctx,
-            &plan,
-            PhysicalConfig {
-                memory_rows: 1e9,
-                ..PhysicalConfig::default()
-            }
-            .with_threads(1)
+        let optimized = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
+        let unreduced = Plan::group_by(Plan::join(Plan::scan("r1"), Plan::scan("r2")), vec![a, b]);
+        let cfg = PhysicalConfig::default()
             .with_dense(DenseMode::Off)
-            .with_repr(ReprMode::Off),
-        );
-        assert_eq!(big.sort_operator_count(), 0, "everything fits -> all hash");
-        let tiny = choose_physical(
-            &ctx,
-            &plan,
-            PhysicalConfig {
-                memory_rows: 10.0,
-                ..PhysicalConfig::default()
-            }
-            .with_threads(1)
-            .with_dense(DenseMode::Off)
-            .with_repr(ReprMode::Off),
-        );
+            .with_repr(ReprMode::Off);
+        for plan in [&optimized, &unreduced] {
+            let seq = choose_physical(&ctx, plan, cfg.with_threads(1));
+            assert_eq!(
+                seq,
+                PhysicalPlan::default_hash(plan),
+                "one thread -> all hash"
+            );
+        }
+        let par = choose_physical(&ctx, &unreduced, cfg.with_threads(4));
         assert!(
-            tiny.spill_operator_count() > 0,
-            "nothing fits -> spilling operators appear"
+            matches!(
+                &par,
+                PhysicalPlan::GroupBy {
+                    input,
+                    algo: AggAlgo::ParallelAgg { .. },
+                    ..
+                } if matches!(**input, PhysicalPlan::Join { algo: JoinAlgo::Parallel { .. }, .. })
+            ),
+            "four threads -> parallel:\n{}",
+            par.render(&|v| format!("x{}", v.0))
         );
         // Annotations do not change the logical plan.
-        assert_eq!(tiny.to_logical(), plan);
-    }
-
-    #[test]
-    fn default_budget_is_permissive_at_laptop_scale() {
-        let mut cat = Catalog::new();
-        let (rels, a, ..) = ctx_fixture(&mut cat);
-        let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
-        let plan = optimize(&ctx, Algorithm::CsPlusLinear).plan;
-        let phys = choose_physical(
-            &ctx,
-            &plan,
-            PhysicalConfig::default()
-                .with_threads(1)
-                .with_dense(DenseMode::Off)
-                .with_repr(ReprMode::Off),
-        );
-        // r2 (5M rows) exceeds the default budget, but its join partner is
-        // the build side, so hash join still applies everywhere except
-        // operators whose *smaller* operand exceeds the budget.
-        assert!(phys.spill_operator_count() <= plan.join_count() + plan.group_by_count());
+        assert_eq!(par.to_logical(), unreduced);
     }
 
     #[test]
@@ -640,7 +607,6 @@ mod tests {
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
         let cfg = PhysicalConfig {
-            memory_rows: 1e9,
             parallel_min_rows: 1_000.0,
             ..PhysicalConfig::default()
         }

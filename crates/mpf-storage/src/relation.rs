@@ -5,9 +5,6 @@ use mpf_semiring::approx_eq;
 
 use crate::{Catalog, Key, Result, Schema, StorageError, Value, VarId};
 
-/// Assumed page size (bytes) for the simulated-IO cost accounting.
-const PAGE_BYTES: u64 = 8192;
-
 /// The key column of a [`FunctionalRelation`]: either explicit packed
 /// rows, or — for grid-complete relations in odometer order — just the
 /// domain vector, with row `i`'s values *implied* as the odometer
@@ -61,7 +58,7 @@ fn odometer_keys(domains: &[u64], total: usize) -> Vec<Value> {
 /// plus a measure column functionally determined by them.
 ///
 /// Storage is row-major: the key column holds `len() * arity()` packed
-/// `u32`s (explicitly, or implied by an odometer grid — see [`KeyCol`])
+/// `u32`s (explicitly, or implied by an odometer grid — see `KeyCol`)
 /// and `measures` holds one `f64` per row. The FD `A1..Am -> f` is
 /// validated on demand ([`FunctionalRelation::validate_fd`]) rather than
 /// on every insert, so bulk loads stay cheap.
@@ -466,15 +463,9 @@ impl FunctionalRelation {
         (0..self.len()).find_map(|i| (self.row(i) == row).then(|| self.measures[i]))
     }
 
-    /// Bytes per row (values + measure) for the simulated-IO accounting.
+    /// Bytes per row (values + measure), used to size partitions.
     pub fn row_bytes(&self) -> u64 {
         (self.schema.arity() * std::mem::size_of::<Value>() + std::mem::size_of::<f64>()) as u64
-    }
-
-    /// Number of pages this relation would occupy on disk; the unit of the
-    /// IO cost model.
-    pub fn estimated_pages(&self) -> u64 {
-        (self.len() as u64 * self.row_bytes()).div_ceil(PAGE_BYTES).max(1)
     }
 
     /// A canonical copy with rows sorted lexicographically by variable
@@ -689,17 +680,10 @@ mod tests {
     }
 
     #[test]
-    fn pages_estimate() {
+    fn row_bytes_counts_values_and_measure() {
         let (_, a, b, _) = catalog3();
-        let schema = Schema::new(vec![a, b]).unwrap();
-        let mut r = FunctionalRelation::new("r", schema);
-        assert_eq!(r.estimated_pages(), 1);
-        for i in 0..10_000 {
-            r.push_row(&[i % 2, i % 3], 1.0).unwrap();
-        }
-        // 16 bytes/row * 10k rows = 160_000 bytes -> 20 pages.
+        let r = FunctionalRelation::new("r", Schema::new(vec![a, b]).unwrap());
         assert_eq!(r.row_bytes(), 16);
-        assert_eq!(r.estimated_pages(), 20);
     }
 
     #[test]

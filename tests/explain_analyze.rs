@@ -91,7 +91,7 @@ fn supply_chain_explain_analyze_snapshot() {
     let expected = "\
 -- strategy: ve+(degree)
 -- estimated cost: 17016.00
--- rows scanned=4428, processed=12576, peak intermediate=4000, page io=53
+-- rows scanned=4428, processed=12576, peak intermediate=4000
 GroupBy (SparseAgg)  (est rows=20.0, rows=20, cells=40, time=_, repr=sparse)
   ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse, kernel=chunked)
     ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse, kernel=chunked)
@@ -121,7 +121,7 @@ fn bayes_net_explain_analyze_snapshot() {
     let expected = "\
 -- strategy: ve+(degree)
 -- estimated cost: 86.00
--- rows scanned=18, processed=52, peak intermediate=8, page io=15
+-- rows scanned=18, processed=52, peak intermediate=8
 JoinAgg (Fused)  (est rows=2.0, rows=2, cells=4, time=_, repr=rows, fused=true)
   Select  (est rows=4.0, rows=4, cells=16, time=_, repr=rows)
     Scan cpt_wet  (est rows=8.0, rows=8, cells=32, time=_, repr=rows)
@@ -170,7 +170,7 @@ fn dense_triangle_explain_analyze_snapshot() {
     let expected = "\
 -- strategy: ve(degree)
 -- estimated cost: 300.00
--- rows scanned=48, processed=92, peak intermediate=16, page io=11
+-- rows scanned=48, processed=92, peak intermediate=16
 GroupBy (DenseAgg)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked)
   JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked, nest=cell, fused=true)
     Scan r3  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
