@@ -1,12 +1,9 @@
 //! Typed parsing for the engine's environment knobs.
 //!
-//! The execution layer reads five environment variables: `MPF_THREADS`
-//! (worker threads, [`crate::limits::default_threads`]), `MPF_DENSE`
-//! (dense-kernel dispatch, [`crate::DenseMode::from_env`]), `MPF_REPR`
-//! (sparse-tensor dispatch, [`crate::ReprMode::from_env`]), `MPF_KERNEL`
-//! (kernel inner-loop mode, [`crate::KernelMode::from_env`]), and
-//! `MPF_CACHE_BYTES` (the engine view-cache byte budget,
-//! [`cache_bytes_from_env`]). The runtime
+//! The engine reads three environment variables: `MPF_THREADS` (worker
+//! threads, [`crate::limits::default_threads`]), `MPF_DENSE` (dense-kernel
+//! selection, [`crate::DenseMode::from_env`]), and `MPF_CACHE_BYTES` (the
+//! engine view-cache byte budget, [`cache_bytes_from_env`]). The runtime
 //! defaults are deliberately lenient — a malformed value falls back so a
 //! hot query path never errors on configuration — but a *service* should
 //! refuse to start on a knob it cannot honor rather than silently run
@@ -15,10 +12,10 @@
 //! [`validate_env`] is that strict startup check: it parses every knob
 //! and returns a typed [`ConfigError`] naming the variable, the rejected
 //! value, and what would have been accepted. `Database::from_env` and the
-//! `mpf_serve` binary call it before serving anything.
+//! `mpf_serve` binary call it before serving anything. Any other `MPF_*`
+//! variable is ignored, not rejected.
 
-use crate::dense::{DenseMode, KernelMode};
-use crate::sparse::ReprMode;
+use crate::dense::DenseMode;
 
 /// A configuration knob held a value that does not parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,10 +47,6 @@ pub struct EnvKnobs {
     pub threads: Option<usize>,
     /// `MPF_DENSE`, when set and valid.
     pub dense: Option<DenseMode>,
-    /// `MPF_REPR`, when set and valid.
-    pub repr: Option<ReprMode>,
-    /// `MPF_KERNEL`, when set and valid.
-    pub kernel: Option<KernelMode>,
     /// `MPF_CACHE_BYTES`, when set and valid (`0` disables the cache).
     pub cache_bytes: Option<u64>,
 }
@@ -81,34 +74,6 @@ pub fn parse_dense(value: &str) -> Result<DenseMode, ConfigError> {
             var: "MPF_DENSE".into(),
             value: value.into(),
             expected: "one of `off`, `on`, `auto` (or 0/1/false/true)",
-        }),
-    }
-}
-
-/// Parse an `MPF_REPR` value: `off`/`0`/`false`,
-/// `sparse`/`on`/`1`/`true`, or `auto`.
-pub fn parse_repr(value: &str) -> Result<ReprMode, ConfigError> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" => Ok(ReprMode::Off),
-        "sparse" | "on" | "1" | "true" => Ok(ReprMode::Sparse),
-        "auto" => Ok(ReprMode::Auto),
-        _ => Err(ConfigError {
-            var: "MPF_REPR".into(),
-            value: value.into(),
-            expected: "one of `off`, `sparse`, `auto` (or 0/1/false/true)",
-        }),
-    }
-}
-
-/// Parse an `MPF_KERNEL` value: `scalar` or `chunked`.
-pub fn parse_kernel(value: &str) -> Result<KernelMode, ConfigError> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "scalar" => Ok(KernelMode::Scalar),
-        "chunked" => Ok(KernelMode::Chunked),
-        _ => Err(ConfigError {
-            var: "MPF_KERNEL".into(),
-            value: value.into(),
-            expected: "one of `scalar`, `chunked`",
         }),
     }
 }
@@ -163,14 +128,6 @@ pub fn validate_env() -> Result<EnvKnobs, ConfigError> {
         Ok(v) => Some(parse_dense(&v)?),
         Err(_) => None,
     };
-    let repr = match std::env::var("MPF_REPR") {
-        Ok(v) => Some(parse_repr(&v)?),
-        Err(_) => None,
-    };
-    let kernel = match std::env::var("MPF_KERNEL") {
-        Ok(v) => Some(parse_kernel(&v)?),
-        Err(_) => None,
-    };
     let cache_bytes = match std::env::var("MPF_CACHE_BYTES") {
         Ok(v) => Some(parse_cache_bytes(&v)?),
         Err(_) => None,
@@ -178,8 +135,6 @@ pub fn validate_env() -> Result<EnvKnobs, ConfigError> {
     Ok(EnvKnobs {
         threads,
         dense,
-        repr,
-        kernel,
         cache_bytes,
     })
 }
@@ -225,15 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn repr_accepts_documented_spellings() {
-        assert_eq!(parse_repr("off").unwrap(), ReprMode::Off);
-        assert_eq!(parse_repr("0").unwrap(), ReprMode::Off);
-        assert_eq!(parse_repr("sparse").unwrap(), ReprMode::Sparse);
-        assert_eq!(parse_repr("ON").unwrap(), ReprMode::Sparse);
-        assert_eq!(parse_repr(" auto ").unwrap(), ReprMode::Auto);
-    }
-
-    #[test]
     fn cache_bytes_accepts_counts_and_suffixes() {
         assert_eq!(parse_cache_bytes("0").unwrap(), 0);
         assert_eq!(parse_cache_bytes(" 4096 ").unwrap(), 4096);
@@ -252,32 +198,5 @@ mod tests {
         }
         // Overflow after scaling, not just in the digits.
         assert!(parse_cache_bytes("18446744073709551615k").is_err());
-    }
-
-    #[test]
-    fn kernel_accepts_documented_spellings() {
-        assert_eq!(parse_kernel("scalar").unwrap(), KernelMode::Scalar);
-        assert_eq!(parse_kernel(" Chunked ").unwrap(), KernelMode::Chunked);
-        assert_eq!(parse_kernel("SCALAR").unwrap(), KernelMode::Scalar);
-    }
-
-    #[test]
-    fn kernel_rejects_malformed_values() {
-        for bad in ["simd", "1", "", "on", "vector"] {
-            let e = parse_kernel(bad).unwrap_err();
-            assert_eq!(e.var, "MPF_KERNEL");
-            assert_eq!(e.value, bad);
-            assert!(e.to_string().contains("`chunked`"), "{e}");
-        }
-    }
-
-    #[test]
-    fn repr_rejects_malformed_values() {
-        for bad in ["csr", "2", "", "dense"] {
-            let e = parse_repr(bad).unwrap_err();
-            assert_eq!(e.var, "MPF_REPR");
-            assert_eq!(e.value, bad);
-            assert!(e.to_string().contains("`sparse`"), "{e}");
-        }
     }
 }

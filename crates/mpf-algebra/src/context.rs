@@ -80,16 +80,13 @@ pub struct ExecContext<'b> {
     /// every trace hook is a single branch, no allocation).
     trace: TraceCollector,
     /// Whether [`crate::dense`] kernels may be dispatched to
-    /// ([`DenseMode::from_env`] by default; planner configs and tests set
-    /// it explicitly so runs are environment-independent).
+    /// ([`DenseMode::Auto`] unless set; the engine passes its own mode).
     dense: DenseMode,
     /// Whether [`crate::sparse`] tensor kernels may be dispatched to
-    /// ([`ReprMode::from_env`] by default; planner configs and tests set
-    /// it explicitly so runs are environment-independent).
+    /// ([`ReprMode::Auto`] unless set).
     repr: ReprMode,
     /// Which inner-loop flavor the monomorphized kernels run
-    /// ([`KernelMode::from_env`] by default; tests set it explicitly so
-    /// runs are environment-independent).
+    /// ([`KernelMode::Chunked`] unless set).
     kernel: KernelMode,
 }
 
@@ -104,9 +101,9 @@ impl<'b> ExecContext<'b> {
             threads,
             fork_tokens: Arc::new(AtomicIsize::new(threads as isize - 1)),
             trace: TraceCollector::new(TraceLevel::Off),
-            dense: DenseMode::from_env(),
-            repr: ReprMode::from_env(),
-            kernel: KernelMode::from_env(),
+            dense: DenseMode::default(),
+            repr: ReprMode::default(),
+            kernel: KernelMode::default(),
         }
     }
 
@@ -178,8 +175,9 @@ impl<'b> ExecContext<'b> {
         self.dense = mode;
     }
 
-    /// The dense-kernel dispatch mode ([`crate::dense::join_auto`] and
-    /// [`crate::dense::agg_auto`] consult this).
+    /// The dense-kernel dispatch mode ([`crate::sparse::join_auto`],
+    /// [`crate::sparse::agg_auto`] and [`crate::dense::join_agg_auto`]
+    /// consult this).
     pub fn dense_mode(&self) -> DenseMode {
         self.dense
     }

@@ -49,7 +49,7 @@
 //! ([`mpf_semiring::kernel::SemiringOps`], instantiated for all seven
 //! through [`mpf_semiring::for_each_semiring`]), so the inner loops are
 //! straight-line per-semiring code with no dispatch branch per cell. On
-//! top of that, [`KernelMode`] (the `MPF_KERNEL` knob) picks the loop
+//! top of that, [`KernelMode`] (a typed context setting) picks the loop
 //! shape:
 //!
 //! * [`KernelMode::Scalar`] — one cell at a time, budget guard polled
@@ -125,9 +125,9 @@ const TILE: u64 = 64;
 /// short strides stay within a cache line or two per step.
 const TILE_MIN_STRIDE: usize = 64;
 
-/// Whether the dense fast path may be used, resolved per context
-/// (planner configs and tests set it explicitly; [`DenseMode::from_env`]
-/// is the default).
+/// Whether the dense fast path may be used, carried by the planner
+/// config and the execution context (`Database` reads `MPF_DENSE`
+/// through [`DenseMode::from_env`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DenseMode {
     /// Never use the dense kernels.
@@ -159,8 +159,8 @@ impl DenseMode {
 }
 
 /// Which loop shape the dense (and aligned-coordinate sparse) kernels
-/// run, resolved per context (planner configs and tests set it
-/// explicitly; [`KernelMode::from_env`] is the default).
+/// run, carried by the execution context ([`KernelMode::Chunked`]
+/// unless a test or bench sets the scalar reference).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// One cell at a time, budget guard polled per cell — the reference
@@ -174,22 +174,7 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// Resolve from the `MPF_KERNEL` environment variable: `scalar` or
-    /// `chunked`; unset or unrecognized means [`KernelMode::Chunked`].
-    /// (Strict validation — reject rather than default — lives in
-    /// [`crate::config::validate_env`]; operators stay lenient so a
-    /// typo costs the fast shape, never a query.)
-    pub fn from_env() -> KernelMode {
-        match std::env::var("MPF_KERNEL") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "scalar" => KernelMode::Scalar,
-                _ => KernelMode::Chunked,
-            },
-            Err(_) => KernelMode::Chunked,
-        }
-    }
-
-    /// The knob spelling, for trace spans and metrics.
+    /// The mode's name, for trace spans and metrics.
     pub fn name(self) -> &'static str {
         match self {
             KernelMode::Scalar => "scalar",
@@ -302,36 +287,6 @@ pub fn dense_agg_applies(mode: DenseMode, input: &FunctionalRelation) -> bool {
     match mode {
         DenseMode::Off => false,
         DenseMode::On | DenseMode::Auto => agg_support_exact(input),
-    }
-}
-
-/// [`ops::product_join`] dispatched through the context's [`DenseMode`]:
-/// the dense kernel when it applies, else the sparse hash join. This is
-/// the entry point for callers outside the planner (the inference layer),
-/// whose operator calls never pass through `choose_physical`.
-pub fn join_auto(
-    cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-) -> Result<FunctionalRelation> {
-    // [`join`] gates on support-exactness and feasibility itself, so only
-    // the mode is decided here — checking `dense_join_applies` first
-    // would scan both inputs twice.
-    match cx.dense_mode() {
-        DenseMode::Off => ops::product_join(cx, l, r),
-        DenseMode::On | DenseMode::Auto => join(cx, l, r),
-    }
-}
-
-/// [`ops::group_by`] dispatched through the context's [`DenseMode`].
-pub fn agg_auto(
-    cx: &mut ExecContext<'_>,
-    input: &FunctionalRelation,
-    group_vars: &[VarId],
-) -> Result<FunctionalRelation> {
-    match cx.dense_mode() {
-        DenseMode::Off => ops::group_by(cx, input, group_vars),
-        DenseMode::On | DenseMode::Auto => agg(cx, input, group_vars),
     }
 }
 

@@ -1,12 +1,13 @@
-//! Sparse-tensor operators for the mid-density regime.
+//! Sparse-tensor operators: every operand the dense kernels decline.
 //!
-//! Between the row-major hash operators (pay key extraction and probing
-//! per row, win at very low density) and the dense odometer kernels
-//! (touch every grid cell, win only near completeness) sits a wide band —
-//! roughly 1%–50% occupancy — where neither representation is right.
-//! The operators here run on [`SparseFactor`]s: present cells only, as
-//! linearized odometer coordinates sorted ascending with a parallel
-//! columnar measure vector.
+//! The dense odometer kernels touch every grid cell and win only near
+//! completeness; below that, the operators here run on
+//! [`SparseFactor`]s: present cells only, as linearized odometer
+//! coordinates sorted ascending with a parallel columnar measure vector.
+//! Sorting and merging integer coordinates beats the hash operators'
+//! per-row key extraction and probing at every density measured (down
+//! to 0.5 %), so under [`ReprMode::Auto`] the choice is by feasibility
+//! alone: these kernels run whenever they accept the input.
 //!
 //! * [`join`] relinearizes both sides to a `[shared vars, own vars]` axis
 //!   order, so rows joining on the shared variables form contiguous runs
@@ -53,43 +54,18 @@ use crate::limits::{ExecBudget, OpGuard};
 use crate::trace::{OpRepr, SpanKind};
 use crate::{ops, AlgebraError, ExecContext, Result};
 
-/// Minimum estimated input density before [`join_auto`]/[`agg_auto`]
-/// pick the sparse kernels under [`ReprMode::Auto`]; below it the hash
-/// operators' per-present-row costs beat the sort/merge constant factor.
-pub const SPARSE_MIN_DENSITY: f64 = 0.01;
-
-/// Whether the sparse-tensor operators may be dispatched to, resolved
-/// per context (planner configs and tests set it explicitly;
-/// [`ReprMode::from_env`] is the default).
+/// Whether the sparse-tensor operators may be dispatched to, carried by
+/// the planner config and the execution context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReprMode {
-    /// Never use the sparse kernels.
+    /// Never use the sparse kernels: the hash operators' reference path.
     Off,
-    /// Use the sparse kernels whenever the coordinate space is feasible,
-    /// skipping the density heuristic. Infeasible inputs still fall back
-    /// to the hash operators.
-    Sparse,
-    /// Use the sparse kernels when the estimated density clears
-    /// [`SPARSE_MIN_DENSITY`] (and the dense path does not apply) — the
-    /// cost-based default.
+    /// Use the sparse kernels whenever the dense path does not apply and
+    /// they accept the input (coordinate space within
+    /// [`mpf_storage::layout::MAX_SPARSE_COORD_CELLS`], functional
+    /// rows); the hash operators otherwise.
     #[default]
     Auto,
-}
-
-impl ReprMode {
-    /// Resolve from the `MPF_REPR` environment variable: `off`/`0`,
-    /// `sparse`/`on`/`1`, or `auto`; unset or unrecognized means
-    /// [`ReprMode::Auto`].
-    pub fn from_env() -> ReprMode {
-        match std::env::var("MPF_REPR") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "off" | "0" | "false" => ReprMode::Off,
-                "sparse" | "on" | "1" | "true" => ReprMode::Sparse,
-                _ => ReprMode::Auto,
-            },
-            Err(_) => ReprMode::Auto,
-        }
-    }
 }
 
 /// A borrowed operand in either non-dense representation. The kernels
@@ -207,63 +183,13 @@ fn sort_keyed(keys: Vec<u64>, vals: &[f64]) -> Option<(Vec<u64>, Vec<f64>)> {
     Some(pairs.into_iter().unzip())
 }
 
-/// Estimated density of a relation over its inferred grid: present rows
-/// per coordinate-space cell. `None` when the grid overflows even the
-/// wide coordinate bound (then nothing but the hash path applies).
-pub fn relation_density(rel: &FunctionalRelation) -> Option<f64> {
-    match grid_cells_wide(&rel.inferred_domains())? {
-        0 => Some(1.0),
-        total => Some(rel.len() as f64 / total as f64),
-    }
-}
-
-fn side_density(side: &SideRef<'_>) -> Option<f64> {
-    match side {
-        SideRef::Rows(r) => relation_density(r),
-        SideRef::Sparse(s) => Some(s.density()),
-    }
-}
-
-/// Whether the auto dispatcher would take the sparse path for this
-/// operand under `mode`: a sparse factor keeps chaining sparse; a
-/// row-major relation qualifies when its estimated density clears
-/// [`SPARSE_MIN_DENSITY`] (always, under [`ReprMode::Sparse`]).
-fn sparse_eligible(mode: ReprMode, side: &SideRef<'_>) -> bool {
-    match mode {
-        ReprMode::Off => false,
-        ReprMode::Sparse => true,
-        ReprMode::Auto => match side {
-            SideRef::Sparse(_) => true,
-            SideRef::Rows(_) => {
-                side_density(side).is_some_and(|d| d >= SPARSE_MIN_DENSITY)
-            }
-        },
-    }
-}
-
-/// Whether [`join_auto`] would take the sparse path for these inputs
-/// under `mode` (the planner's annotation predicate; the kernel itself
-/// re-checks feasibility at runtime and falls back on failure).
-pub fn sparse_join_applies(
-    mode: ReprMode,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-) -> bool {
-    sparse_eligible(mode, &SideRef::Rows(l)) && sparse_eligible(mode, &SideRef::Rows(r))
-}
-
-/// Whether [`agg_auto`] would take the sparse path for this input under
-/// `mode`.
-pub fn sparse_agg_applies(mode: ReprMode, input: &FunctionalRelation) -> bool {
-    sparse_eligible(mode, &SideRef::Rows(input))
-}
-
 /// [`ops::product_join`] dispatched three ways through the context's
-/// [`DenseMode`](crate::DenseMode) and [`ReprMode`]: the dense odometer kernel when the
-/// inputs are support-exact complete grids, the sparse sorted-merge
-/// kernel in the mid-density band, the hash join otherwise. This is the
-/// entry point for callers outside the planner (the inference layer),
-/// whose operator calls never pass through `choose_physical`.
+/// [`DenseMode`](crate::DenseMode) and [`ReprMode`]: the dense odometer
+/// kernel when the inputs are support-exact complete grids, else the
+/// sparse sorted-merge kernel (which itself falls back to the hash join
+/// on inputs it cannot take). This is the entry point for callers
+/// outside the planner (the inference layer), whose operator calls never
+/// pass through `choose_physical`.
 pub fn join_auto(
     cx: &mut ExecContext<'_>,
     l: &FunctionalRelation,
@@ -272,10 +198,10 @@ pub fn join_auto(
     if dense::dense_join_applies(cx.dense_mode(), l, r) {
         return dense::join(cx, l, r);
     }
-    if sparse_join_applies(cx.repr_mode(), l, r) {
-        return join(cx, l, r);
+    match cx.repr_mode() {
+        ReprMode::Auto => join(cx, l, r),
+        ReprMode::Off => ops::product_join(cx, l, r),
     }
-    ops::product_join(cx, l, r)
 }
 
 /// [`ops::group_by`] dispatched three ways through the context's
@@ -288,10 +214,10 @@ pub fn agg_auto(
     if dense::dense_agg_applies(cx.dense_mode(), input) {
         return dense::agg(cx, input, group_vars);
     }
-    if sparse_agg_applies(cx.repr_mode(), input) {
-        return agg(cx, input, group_vars);
+    match cx.repr_mode() {
+        ReprMode::Auto => agg(cx, input, group_vars),
+        ReprMode::Off => ops::group_by(cx, input, group_vars),
     }
-    ops::group_by(cx, input, group_vars)
 }
 
 /// Sparse product join: relinearize both sides to a shared-prefix axis
@@ -398,20 +324,17 @@ fn side_of(f: &Factor) -> Option<SideRef<'_>> {
 /// materialization); otherwise materializes and dispatches dense/hash.
 pub fn join_factor(cx: &mut ExecContext<'_>, l: &Factor, r: &Factor) -> Result<Factor> {
     cx.fault("sparse::join")?;
-    if let (Some(ls), Some(rs)) = (side_of(l), side_of(r)) {
-        let mode = cx.repr_mode();
-        if sparse_eligible(mode, &ls) && sparse_eligible(mode, &rs) {
-            if let Some(sp) = join_impl(cx, &ls, &rs)? {
-                cx.record_factor_op(
-                    SpanKind::Join,
-                    &[l.len() as u64, r.len() as u64],
-                    sp.len() as u64,
-                    sp.schema().arity(),
-                    OpRepr::Sparse,
-                );
-                cx.note_kernel_op(cx.kernel_mode());
-                return Ok(Factor::Sparse(sp));
-            }
+    if let (Some(ls), Some(rs), ReprMode::Auto) = (side_of(l), side_of(r), cx.repr_mode()) {
+        if let Some(sp) = join_impl(cx, &ls, &rs)? {
+            cx.record_factor_op(
+                SpanKind::Join,
+                &[l.len() as u64, r.len() as u64],
+                sp.len() as u64,
+                sp.schema().arity(),
+                OpRepr::Sparse,
+            );
+            cx.note_kernel_op(cx.kernel_mode());
+            return Ok(Factor::Sparse(sp));
         }
     }
     let lr = as_relation(cx, l)?;
@@ -437,18 +360,16 @@ pub fn agg_factor(
             return Err(AlgebraError::GroupVarNotInInput(v));
         }
     }
-    if let Some(side) = side_of(f) {
-        if sparse_eligible(cx.repr_mode(), &side) {
-            if let Some(sp) = agg_impl(cx, &side, group_vars)? {
-                cx.record_factor_op(
-                    SpanKind::GroupBy,
-                    &[f.len() as u64],
-                    sp.len() as u64,
-                    sp.schema().arity(),
-                    OpRepr::Sparse,
-                );
-                return Ok(Factor::Sparse(sp));
-            }
+    if let (Some(side), ReprMode::Auto) = (side_of(f), cx.repr_mode()) {
+        if let Some(sp) = agg_impl(cx, &side, group_vars)? {
+            cx.record_factor_op(
+                SpanKind::GroupBy,
+                &[f.len() as u64],
+                sp.len() as u64,
+                sp.schema().arity(),
+                OpRepr::Sparse,
+            );
+            return Ok(Factor::Sparse(sp));
         }
     }
     let fr = as_relation(cx, f)?;
@@ -990,7 +911,7 @@ mod tests {
         let b = cat.var("b").unwrap();
         let c = cat.var("c").unwrap();
         let sr = SemiringKind::SumProduct;
-        let mut cx = ExecContext::new(sr).with_repr(ReprMode::Sparse);
+        let mut cx = ExecContext::new(sr).with_repr(ReprMode::Auto);
         let lf = Factor::from(l.clone());
         let rf = Factor::from(r.clone());
         let joined = join_factor(&mut cx, &lf, &rf).unwrap();
@@ -1006,24 +927,23 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_gates_on_density() {
-        let (_, l, r) = fixtures();
-        // ~40% dense fixtures clear the 1% floor.
-        assert!(sparse_join_applies(ReprMode::Auto, &l, &r));
-        assert!(!sparse_join_applies(ReprMode::Off, &l, &r));
-        // One present row in a wide grid is far below the floor: Auto
-        // declines, the forced mode accepts.
+    fn auto_dispatch_takes_sparse_whenever_feasible() {
+        // One present row in a 2^20-cell grid (density ~1e-6): Auto runs
+        // the sparse kernel, Off the hash operator.
         let mut cat = Catalog::new();
         let x = cat.add_var("x", 1 << 10).unwrap();
         let y = cat.add_var("y", 1 << 10).unwrap();
         let mut thin = FunctionalRelation::new("t", Schema::new(vec![x, y]).unwrap());
         thin.push_row(&[1023, 1023], 1.0).unwrap();
-        assert!(!sparse_agg_applies(ReprMode::Auto, &thin));
-        assert!(sparse_agg_applies(ReprMode::Sparse, &thin));
-        let mut cx = ExecContext::new(SemiringKind::SumProduct);
+        let sr = SemiringKind::SumProduct;
+        let mut cx = ExecContext::new(sr);
         let got = agg_auto(&mut cx, &thin, &[x]).unwrap();
-        assert_eq!(cx.stats().sparse_group_bys, 0, "hash path below the floor");
+        assert_eq!(cx.stats().sparse_group_bys, 1, "sparse path at any density");
         assert_eq!(got.len(), 1);
+        let mut off = ExecContext::new(sr).with_repr(ReprMode::Off);
+        let want = agg_auto(&mut off, &thin, &[x]).unwrap();
+        assert_eq!(off.stats().sparse_group_bys, 0, "Off stays on hash");
+        assert!(want.function_eq(&got));
     }
 
     #[test]
@@ -1057,9 +977,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_from_env_defaults_to_auto() {
-        // Parser-only check (no env mutation: tests run in parallel and
-        // the context carries the mode explicitly).
+    fn mode_defaults_to_auto() {
         assert_eq!(ReprMode::default(), ReprMode::Auto);
     }
 }

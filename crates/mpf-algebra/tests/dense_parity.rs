@@ -6,14 +6,12 @@
 //! support-exact every [`DenseMode`] falls back to the sparse operators,
 //! so answers never depend on the mode.
 //!
-//! Modes are pinned on the [`ExecContext`] rather than through `MPF_DENSE`
-//! (tests share a process; the env var is read once per context build),
-//! which is also why CI runs this suite under both `MPF_DENSE=off` and
-//! `MPF_DENSE=auto`: the explicit-mode tests must hold either way.
+//! Modes are pinned on the [`ExecContext`]; a context never reads
+//! `MPF_DENSE`, so the ambient environment cannot reach these tests.
 
 use mpf_algebra::{
-    dense, ops, AggAlgo, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits, Executor,
-    JoinAlgo, PhysicalPlan, Plan, RelationStore, ResourceKind,
+    dense, ops, sparse, AggAlgo, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits,
+    Executor, JoinAlgo, PhysicalPlan, Plan, RelationStore, ResourceKind,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -103,8 +101,8 @@ proptest! {
         }
     }
 
-    /// Whatever the mode, [`dense::join_auto`] / [`dense::agg_auto`]
-    /// answer identically: Off always takes the sparse path, and On/Auto
+    /// Whatever the dense mode, [`sparse::join_auto`] / [`sparse::agg_auto`]
+    /// answer identically: Off never takes the dense kernels, and On/Auto
     /// refuse inputs that are not support-exact, so mode only ever picks
     /// the kernel, never the answer. Holes are punched in r1 (making it
     /// incomplete) to exercise the fallback side.
@@ -128,8 +126,8 @@ proptest! {
             let mut answers: Vec<FunctionalRelation> = Vec::new();
             for mode in [DenseMode::Off, DenseMode::On, DenseMode::Auto] {
                 let mut cx = ExecContext::new(sr).with_dense(mode);
-                let j = dense::join_auto(&mut cx, input, &r2).unwrap();
-                let g = dense::agg_auto(&mut cx, &j, &[b]).unwrap();
+                let j = sparse::join_auto(&mut cx, input, &r2).unwrap();
+                let g = sparse::agg_auto(&mut cx, &j, &[b]).unwrap();
                 if mode == DenseMode::Off {
                     prop_assert_eq!(cx.stats().dense_joins + cx.stats().dense_group_bys, 0);
                 }

@@ -1,4 +1,4 @@
-//! Kernel-mode parity: whatever `MPF_KERNEL` selects — scalar inner
+//! Kernel-mode parity: whatever [`KernelMode`] selects — scalar inner
 //! loops or the 8-wide chunked kernels — answers are the same function,
 //! for every semiring, under every representation mode, at every thread
 //! count; and the fused join→marginalize operator is indistinguishable
@@ -17,9 +17,8 @@
 //!   kernel folds products in exactly the unfused join-then-aggregate
 //!   order, on both the dense grid path and the hash fallback.
 //!
-//! Modes are pinned on the [`ExecContext`] (tests share a process; env
-//! vars are read once per context build); CI additionally runs the whole
-//! suite under `MPF_KERNEL=scalar|chunked` × `MPF_THREADS=1|4`.
+//! Modes are pinned on the [`ExecContext`]; both thread counts run inside
+//! the suite.
 
 use std::collections::BTreeMap;
 
@@ -33,7 +32,7 @@ use proptest::prelude::*;
 
 const THREADS: [usize; 2] = [1, 4];
 const KERNELS: [KernelMode; 2] = [KernelMode::Scalar, KernelMode::Chunked];
-const REPRS: [ReprMode; 2] = [ReprMode::Off, ReprMode::Sparse];
+const REPRS: [ReprMode; 2] = [ReprMode::Off, ReprMode::Auto];
 const DENSES: [DenseMode; 2] = [DenseMode::Off, DenseMode::Auto];
 
 /// Semirings whose additive operation is selective (min/max/or): the
@@ -137,7 +136,7 @@ fn ve_chain(
     (out, *cx.stats())
 }
 
-/// The full matrix: 7 semirings × {off,sparse} × {off,auto} × both
+/// The full matrix: 7 semirings × {off,auto} × {off,auto} × both
 /// kernels × threads {1,4}, at a sparse and a near-complete density.
 /// Scalar and chunked always compute the same function; selective
 /// semirings agree bit-for-bit; *every* cell of the matrix is

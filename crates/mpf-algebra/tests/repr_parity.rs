@@ -1,15 +1,12 @@
-//! Representation parity: whatever `MPF_REPR` / `MPF_DENSE` select —
+//! Representation parity: whatever [`ReprMode`] / [`DenseMode`] select —
 //! row-major hash, CSR sparse tensor, or dense odometer — answers are the
 //! same function, for every semiring, at every density band, at every
-//! thread count. Modes are pinned on the [`ExecContext`] rather than
-//! through the environment (tests share a process; the env vars are read
-//! once per context build), which is also why CI runs this suite under
-//! `MPF_REPR=off|sparse|auto` × `MPF_DENSE=off|auto`: the explicit-mode
-//! tests must hold either way.
+//! thread count. Modes are pinned on the [`ExecContext`].
 //!
 //! The density sweep mirrors the representation lattice the planner works
-//! with: 0.005 (below the sparse auto floor), 0.05 and 0.3 (the sparse
-//! band), 0.9 (dense territory).
+//! with: 0.005 and 0.05 (very sparse), 0.3 (mid-density), 0.9 (dense
+//! territory). `ReprMode::Auto` takes the sparse kernels at all of them
+//! whenever the dense path does not apply.
 
 use mpf_algebra::{
     ops, sparse, AggAlgo, DenseMode, ExecContext, JoinAlgo, PhysicalPlan, Plan, RelationStore,
@@ -21,7 +18,7 @@ use proptest::prelude::*;
 
 const DENSITIES: [f64; 4] = [0.005, 0.05, 0.3, 0.9];
 const THREADS: [usize; 2] = [1, 4];
-const REPRS: [ReprMode; 3] = [ReprMode::Off, ReprMode::Sparse, ReprMode::Auto];
+const REPRS: [ReprMode; 2] = [ReprMode::Off, ReprMode::Auto];
 const DENSES: [DenseMode; 2] = [DenseMode::Off, DenseMode::Auto];
 
 /// Deterministic per-cell inclusion decision (split-mix style hash), so a
@@ -109,8 +106,9 @@ fn ve_chain(
 }
 
 /// The full mode matrix answers identically at every density band, for
-/// every semiring, at every thread count — and the forced-sparse runs
-/// actually take the sparse kernels whenever any work exists.
+/// every semiring, at every thread count — and the `Auto` runs without
+/// dense kernels actually take the sparse kernels whenever any work
+/// exists, at every density.
 #[test]
 fn density_sweep_mode_matrix_parity() {
     for density in DENSITIES {
@@ -134,13 +132,13 @@ fn density_sweep_mode_matrix_parity() {
                                 "off means off: sr {sr:?}"
                             );
                         }
-                        if repr == ReprMode::Sparse
+                        if repr == ReprMode::Auto
                             && dense == DenseMode::Off
                             && rels.iter().all(|r| !r.is_empty())
                         {
                             assert!(
                                 stats.sparse_joins + stats.sparse_group_bys > 0,
-                                "forced sparse ran no sparse kernels: density \
+                                "auto ran no sparse kernels: density \
                                  {density} sr {sr:?} threads {t}"
                             );
                         }

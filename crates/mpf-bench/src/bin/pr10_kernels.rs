@@ -9,7 +9,7 @@
 //!   D²-cell relations into a D³-cell grid and folds it back down, so
 //!   the run is dominated by the grid kernels rather than by row→grid
 //!   conversion. The sequential reference runs the dense plan with the
-//!   *scalar* kernel mode (`MPF_KERNEL=scalar`); the timed runs use the
+//!   *scalar* kernel mode (`KernelMode::Scalar`); the timed runs use the
 //!   chunked kernels at threads {1, 4}. This is the headline number:
 //!   the chunked mode must beat scalar by ≥1.5× on the single-threaded
 //!   run for the PR to hold its acceptance criterion.
@@ -63,8 +63,7 @@ fn time_ms(reps: usize, mut f: impl FnMut() -> FunctionalRelation) -> (f64, Func
     (median(samples), out)
 }
 
-/// Execute a physical plan with the kernel mode pinned on the context
-/// (the bench must not depend on the ambient `MPF_KERNEL`).
+/// Execute a physical plan with the kernel mode pinned on the context.
 fn run_plan(
     store: &RelationStore,
     phys: &PhysicalPlan,

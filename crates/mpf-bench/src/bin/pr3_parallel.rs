@@ -292,8 +292,7 @@ fn main() {
     let plan = optimize(&ctx, Algorithm::VePlus(Heuristic::Degree)).plan;
     // The sequential/parallel comparison is hash operators vs. their
     // parallel partitioned counterparts, so alternate representations are
-    // pinned off: this baseline times the row-major hash operators,
-    // whatever `MPF_REPR` says.
+    // pinned off: this baseline times the row-major hash operators.
     let cfg = PhysicalConfig {
         repr_mode: mpf_algebra::ReprMode::Off,
         ..PhysicalConfig::default()

@@ -232,8 +232,8 @@ fn main() {
     store.insert(r3);
     let ctx = OptContext::new(&vcat, rels, QuerySpec::group_by([va]), CostModel::Io);
     let plan = optimize(&ctx, Algorithm::VePlus(Heuristic::Degree)).plan;
-    // The sparse-tensor band is pinned off: this baseline times hash vs.
-    // dense, whatever `MPF_REPR` says (pr7_repr covers the sparse band).
+    // The sparse-tensor kernels are pinned off: this baseline times hash
+    // vs. dense (pr7_repr covers the sparse kernels).
     let cfg = PhysicalConfig {
         repr_mode: mpf_algebra::ReprMode::Off,
         ..PhysicalConfig::default()
@@ -271,8 +271,8 @@ fn main() {
         feed(&metrics, "ve_plus", Some(t), ms);
         vruns.push(run);
     }
-    // The dense runs above use the chunked kernels (the `MPF_KERNEL`
-    // default since PR 10). Re-run the single-threaded dense plan with
+    // The dense runs above use the chunked kernels (the default
+    // `KernelMode`). Re-run the single-threaded dense plan with
     // the kernels pinned to *scalar* — the inner loops this baseline
     // originally measured — so the artifact records how much of the
     // dense-over-hash win now comes from the chunked mode alone.

@@ -168,13 +168,13 @@ fn main() {
             };
             let (ms, out) = time_ms(reps, || {
                 let mut cx = ExecContext::new(SR)
-                    .with_repr(ReprMode::Sparse)
+                    .with_repr(ReprMode::Auto)
                     .with_dense(DenseMode::Off)
                     .with_threads(t);
                 pipeline(&mut cx)
             });
             let mut cx = ExecContext::new(SR)
-                .with_repr(ReprMode::Sparse)
+                .with_repr(ReprMode::Auto)
                 .with_dense(DenseMode::Off)
                 .with_threads(t);
             pipeline(&mut cx);

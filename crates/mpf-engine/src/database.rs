@@ -159,7 +159,7 @@ pub struct Database {
     /// (`MPF_DENSE` by default).
     dense: DenseMode,
     /// Sparse-tensor selection mode handed to physical planning
-    /// (`MPF_REPR` by default).
+    /// ([`ReprMode::Auto`] by default).
     repr: ReprMode,
     /// Optional metrics sink fed by every [`Database::run`] call.
     metrics: Option<Arc<MetricsRegistry>>,
@@ -211,22 +211,21 @@ impl Database {
             limits: ExecLimits::none(),
             fallback: FallbackPolicy::default(),
             dense: DenseMode::from_env(),
-            repr: ReprMode::from_env(),
+            repr: ReprMode::Auto,
             metrics: None,
             view_cache: (cache_bytes > 0).then(|| Arc::new(ViewCache::new(cache_bytes))),
         }
     }
 
     /// An empty database configured from the environment knobs
-    /// (`MPF_THREADS`, `MPF_DENSE`, `MPF_REPR`, `MPF_KERNEL`,
-    /// `MPF_CACHE_BYTES`) with *strict* parsing: a malformed
+    /// (`MPF_THREADS`, `MPF_DENSE`, `MPF_CACHE_BYTES`) with *strict*
+    /// parsing: a malformed
     /// value is a typed [`EngineError::Config`] instead of the silent
     /// fallback [`Database::new`] applies. Services should start here.
     pub fn from_env() -> Result<Database> {
         let knobs = mpf_algebra::config::validate_env().map_err(EngineError::Config)?;
         let mut db = Database::new();
         db.dense = knobs.dense.unwrap_or_default();
-        db.repr = knobs.repr.unwrap_or_default();
         if let Some(threads) = knobs.threads {
             db.limits = db.limits.clone().with_threads(threads);
         }
@@ -311,8 +310,8 @@ impl Database {
         self.dense
     }
 
-    /// Set the sparse-tensor selection mode for physical planning,
-    /// overriding the `MPF_REPR` environment default.
+    /// Set the sparse-tensor selection mode for physical planning
+    /// ([`ReprMode::Off`] is the hash-only reference).
     pub fn with_repr(mut self, mode: ReprMode) -> Database {
         self.repr = mode;
         self
@@ -1780,7 +1779,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_repr_agrees_and_is_counted() {
+    fn sparse_tensor_auto_agrees_and_is_counted() {
         let reference = tiny_db()
             .with_dense(DenseMode::Off)
             .with_repr(ReprMode::Off)
@@ -1789,13 +1788,13 @@ mod tests {
         let metrics = Arc::new(MetricsRegistry::new());
         let db = tiny_db()
             .with_dense(DenseMode::Off)
-            .with_repr(ReprMode::Sparse)
+            .with_repr(ReprMode::Auto)
             .with_metrics(Arc::clone(&metrics));
         let ans = db.run(Query::on("v").group_by(["c"])).unwrap();
         assert!(reference.relation.function_eq(&ans.relation));
         assert!(
             ans.physical.sparse_operator_count() > 0,
-            "forced repr annotates sparse operators"
+            "auto annotates sparse operators"
         );
         assert!(ans.stats.sparse_joins + ans.stats.sparse_group_bys > 0);
         assert!(metrics.counter("engine.repr.sparse_ops") > 0);
@@ -1831,7 +1830,7 @@ mod tests {
 
     #[test]
     fn explain_analyze_shows_repr() {
-        let db = tiny_db().with_dense(DenseMode::Off).with_repr(ReprMode::Sparse);
+        let db = tiny_db().with_dense(DenseMode::Off).with_repr(ReprMode::Auto);
         let text = db
             .explain_analyze(QueryRequest::on("v").group_by(["c"]).strategy(Strategy::Cs))
             .unwrap();

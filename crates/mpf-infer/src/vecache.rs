@@ -264,9 +264,9 @@ impl VeCache {
                 continue;
             }
             // Join rels(v), smallest first. The chain runs over
-            // representation-polymorphic factors: under a sparse-friendly
-            // `MPF_REPR` the intermediates stay CSR tensors between joins
-            // and only materialize into rows once, for the cached table.
+            // representation-polymorphic factors: under `ReprMode::Auto`
+            // the intermediates stay CSR tensors between joins and only
+            // materialize into rows once, for the cached table.
             let mut group = group;
             group.sort_by_key(|(f, _)| f.len());
             let j = tables.len();

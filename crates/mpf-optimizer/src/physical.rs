@@ -12,10 +12,11 @@
 //!   [`AggAlgo::DenseAgg`]) when every grid is feasible and, under
 //!   [`DenseMode::Auto`], every operand is dense enough;
 //! * else the **sparse-tensor** kernels ([`JoinAlgo::SparseTensor`],
-//!   [`AggAlgo::SparseAgg`]) under the same rule against
-//!   [`PhysicalConfig::sparse_min_density`];
-//! * else, when the executor will run with more than one worker thread
-//!   ([`PhysicalConfig::threads`]) and the build side (joins) or the
+//!   [`AggAlgo::SparseAgg`]) under [`ReprMode::Auto`] whenever every
+//!   coordinate space is feasible, at any density;
+//! * else (coordinate spaces too large for the sparse kernels, or
+//!   [`ReprMode::Off`]), when the executor will run with more than one
+//!   worker thread ([`PhysicalConfig::threads`]) and the build side (joins) or the
 //!   estimated group count (aggregates) reaches
 //!   [`PhysicalConfig::parallel_min_rows`], the **parallel partitioned**
 //!   variants ([`JoinAlgo::Parallel`], [`AggAlgo::ParallelAgg`]), with the
@@ -49,8 +50,8 @@ pub struct PhysicalConfig {
     /// partitioning them only adds a copy.
     pub parallel_min_rows: f64,
     /// Whether to consider the dense odometer kernels ([`JoinAlgo::Dense`],
-    /// [`AggAlgo::DenseAgg`]). Defaults to the `MPF_DENSE` environment
-    /// variable ([`DenseMode::from_env`]).
+    /// [`AggAlgo::DenseAgg`]). The engine passes its own mode (read from
+    /// `MPF_DENSE`); [`DenseMode::Auto`] by default.
     pub dense_mode: DenseMode,
     /// Minimum estimated operand density (rows over the schema's catalog
     /// grid) before [`DenseMode::Auto`] selects a dense operator. Sparse
@@ -58,14 +59,9 @@ pub struct PhysicalConfig {
     /// per-cell cost undercuts hashing.
     pub dense_min_density: f64,
     /// Whether to consider the sparse-tensor kernels
-    /// ([`JoinAlgo::SparseTensor`], [`AggAlgo::SparseAgg`]). Defaults to
-    /// the `MPF_REPR` environment variable ([`ReprMode::from_env`]).
+    /// ([`JoinAlgo::SparseTensor`], [`AggAlgo::SparseAgg`]);
+    /// [`ReprMode::Auto`] by default.
     pub repr_mode: ReprMode,
-    /// Minimum estimated operand density before [`ReprMode::Auto`]
-    /// selects a sparse-tensor operator. Below ~1% the sorted-merge
-    /// kernel's per-side sort does not pay for itself against a hash
-    /// table that stays cache-resident.
-    pub sparse_min_density: f64,
     /// Whether to fuse a dense join feeding a dense marginalization into
     /// a single [`PhysicalPlan::JoinAgg`] operator that contracts
     /// directly into the output grid without materializing the join
@@ -78,10 +74,9 @@ impl Default for PhysicalConfig {
         PhysicalConfig {
             threads: mpf_algebra::limits::default_threads(),
             parallel_min_rows: 32_768.0,
-            dense_mode: DenseMode::from_env(),
+            dense_mode: DenseMode::default(),
             dense_min_density: 0.5,
-            repr_mode: ReprMode::from_env(),
-            sparse_min_density: mpf_algebra::sparse::SPARSE_MIN_DENSITY,
+            repr_mode: ReprMode::default(),
             fuse: true,
         }
     }
@@ -143,38 +138,22 @@ fn dense_applies(
     true
 }
 
-/// Whether a sparse-tensor kernel should be selected for an operator with
-/// the given input estimates. Checked *after* [`dense_applies`]: when a
-/// grid is complete enough for the odometer kernel, dense is strictly
-/// better, so sparse covers the middle band — operands too sparse to grid
-/// densely (or whose grids overflow the dense cell cap entirely) but
-/// populated enough that sorted-merge over linearized coordinates beats
-/// hashing. `Off`: never. `Sparse`: whenever the coordinate spaces are
-/// feasible. `Auto`: additionally every input must clear
-/// [`PhysicalConfig::sparse_min_density`].
+/// Whether a sparse-tensor kernel should be selected for an operator over
+/// the given input and output schemas. Checked *after* [`dense_applies`]:
+/// when a grid is complete enough for the odometer kernel, dense is
+/// strictly better; below that, sorted-merge over linearized coordinates
+/// beats hashing at every density measured (down to 0.5 %, `pr7_repr`),
+/// so the only test is feasibility — every
+/// coordinate space within the sparse cap. `Off`: never.
 fn sparse_applies(
     ctx: &OptContext<'_>,
     cfg: &PhysicalConfig,
-    inputs: &[(&mpf_storage::Schema, f64)],
-    out_schema: &mpf_storage::Schema,
+    schemas: &[&mpf_storage::Schema],
 ) -> bool {
-    if cfg.repr_mode == ReprMode::Off {
-        return false;
-    }
-    if estimate::schema_density_wide(ctx, out_schema, 0.0).is_none() {
-        return false;
-    }
-    for &(schema, rows) in inputs {
-        match estimate::schema_density_wide(ctx, schema, rows) {
-            None => return false,
-            Some(d) => {
-                if cfg.repr_mode == ReprMode::Auto && d < cfg.sparse_min_density {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    cfg.repr_mode == ReprMode::Auto
+        && schemas
+            .iter()
+            .all(|s| estimate::schema_density_wide(ctx, s, 0.0).is_some())
 }
 
 /// Fuse each dense join that feeds a dense marginalization into a single
@@ -241,7 +220,7 @@ pub fn choose_physical(
             if dense_applies(ctx, &cfg, &[(&ls, lr), (&rs, rr)], &ls.union(&rs)) {
                 return JoinAlgo::Dense;
             }
-            if sparse_applies(ctx, &cfg, &[(&ls, lr), (&rs, rr)], &ls.union(&rs)) {
+            if sparse_applies(ctx, &cfg, &[&ls, &rs, &ls.union(&rs)]) {
                 return JoinAlgo::SparseTensor;
             }
             let build = lr.min(rr);
@@ -268,7 +247,7 @@ pub fn choose_physical(
             if dense_applies(ctx, &cfg, &[(&in_schema, in_rows)], &schema) {
                 return AggAlgo::DenseAgg;
             }
-            if sparse_applies(ctx, &cfg, &[(&in_schema, in_rows)], &schema) {
+            if sparse_applies(ctx, &cfg, &[&in_schema, &schema]) {
                 return AggAlgo::SparseAgg;
             }
             let groups = estimate::group_rows(ctx, in_rows, &schema);
@@ -492,10 +471,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_selection_covers_the_middle_density_band() {
+    fn sparse_selection_is_by_feasibility_not_density() {
         // Base densities ~0.19 and an estimated join output density ~0.035:
-        // every operand is too sparse for dense auto (0.5) but dense
-        // enough for sparse auto (0.01).
+        // every operand is too sparse for dense auto (0.5).
         let mut cat = Catalog::new();
         let a = cat.add_var("a", 8).unwrap();
         let b = cat.add_var("b", 8).unwrap();
@@ -525,7 +503,7 @@ mod tests {
         assert_eq!(auto.dense_operator_count(), 0, "dense auto declines at 9%");
         assert_eq!(auto.to_logical(), plan);
 
-        // Density below the 1% floor: auto declines, forced mode selects.
+        // Estimated density 0.5%: auto still selects the sparse kernels.
         let mut cat2 = Catalog::new();
         let a2 = cat2.add_var("a", 100).unwrap();
         let b2 = cat2.add_var("b", 100).unwrap();
@@ -536,12 +514,12 @@ mod tests {
         ];
         let sctx = OptContext::new(&cat2, sparse, QuerySpec::group_by([a2]), CostModel::Io);
         let splan = optimize(&sctx, Algorithm::CsPlusNonlinear).plan;
-        let sauto = choose_physical(&sctx, &splan, cfg.with_repr(ReprMode::Auto));
-        assert_eq!(sauto.sparse_operator_count(), 0, "0.5% operands stay hash");
-        let sforced = choose_physical(&sctx, &splan, cfg.with_repr(ReprMode::Sparse));
-        assert!(
-            sforced.sparse_operator_count() > 0,
-            "forced mode ignores density"
+        let sauto = choose_physical(&sctx, &splan, cfg);
+        assert_eq!(
+            sauto.sparse_operator_count(),
+            splan.join_count() + splan.group_by_count(),
+            "0.5% operands go sparse under the default config:\n{}",
+            sauto.render(&|v| format!("x{}", v.0))
         );
     }
 

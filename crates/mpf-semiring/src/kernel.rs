@@ -27,7 +27,7 @@
 //! chunked fold is therefore a pure function of the run *length* —
 //! never of thread count, partitioning, or chunk scheduling — so a
 //! given query produces bit-identical answers at any `MPF_THREADS`
-//! setting, under either `MPF_KERNEL` value. Across kernel modes
+//! setting, under either kernel mode. Across kernel modes
 //! (`scalar` vs `chunked`) the association order differs, which for the
 //! non-associative floating-point folds (`SumProduct`,
 //! `LogSumProduct`) may change results within rounding; the min/max

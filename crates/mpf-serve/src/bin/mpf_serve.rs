@@ -12,9 +12,9 @@
 //! concurrent TCP connections, one session per connection.
 //!
 //! Startup is strict about configuration: malformed `MPF_THREADS` /
-//! `MPF_DENSE` / `MPF_REPR` / `MPF_KERNEL` values (or malformed flags)
-//! print a typed configuration error and exit with status 2 instead of
-//! silently running with defaults.
+//! `MPF_DENSE` / `MPF_CACHE_BYTES` values (or malformed flags) print a
+//! typed configuration error and exit with status 2 instead of silently
+//! running with defaults. Other `MPF_*` variables are ignored.
 
 use std::io::{stdin, stdout, BufReader};
 use std::net::TcpListener;

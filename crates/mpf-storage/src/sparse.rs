@@ -165,15 +165,6 @@ impl SparseFactor {
         &self.values
     }
 
-    /// Present cells as a fraction of the coordinate space (1.0 for an
-    /// empty grid).
-    pub fn density(&self) -> f64 {
-        match grid_cells_wide(&self.domains) {
-            Some(0) | None => 1.0,
-            Some(total) => self.len() as f64 / total as f64,
-        }
-    }
-
     /// Materialize back into a row-major [`FunctionalRelation`], rows in
     /// ascending coordinate (odometer) order.
     pub fn to_relation(&self) -> FunctionalRelation {
@@ -319,7 +310,6 @@ mod tests {
         let sp = SparseFactor::from_relation(&rel, &[3, 4]).expect("fits");
         assert_eq!(sp.coords(), &[1, 4, 11]);
         assert_eq!(sp.values(), &[2.0, 3.0, 5.0]);
-        assert!((sp.density() - 0.25).abs() < 1e-12);
         let back = sp.into_relation();
         assert!(back.function_eq(&rel));
         assert_eq!(back.row(0), &[0, 1]);
