@@ -525,11 +525,18 @@ impl<'b> ExecContext<'b> {
         self.trace.set_kernel(mode.name());
     }
 
-    /// Tag the active (fused dense) span with the loop nest its kernel
-    /// ran — `nest=row` or `nest=cell`. Same call-order rule as
+    /// Tag the active fused span with the form its kernel ran — dense
+    /// `nest=row` / `nest=cell`, sparse `nest=stream` / `nest=scatter` /
+    /// `nest=staged`. Same call-order rule as
     /// [`ExecContext::note_kernel_op`].
     pub(crate) fn note_fused_nest(&mut self, nest: &'static str) {
         self.trace.set_nest(nest);
+    }
+
+    /// Raise the high-water intermediate size for rows an operator
+    /// materialized internally (a fused operator's staged join).
+    pub(crate) fn note_intermediate(&mut self, rows: u64) {
+        self.stats.max_intermediate_rows = self.stats.max_intermediate_rows.max(rows);
     }
 
     /// [`ExecContext::record_join_ex`]/[`ExecContext::record_group_by_ex`]

@@ -417,10 +417,12 @@ pub fn agg(
 /// — exactly the order the unfused dense join-then-agg pipeline folds
 /// it under the same [`KernelMode`] — so the result is bit-identical to
 /// the unfused dense pipeline, while peak memory drops from the union
-/// grid to the output grid. Falls back to the fused hash operator
-/// ([`ops::join_group_by`], itself row- and bit-identical to hash
-/// join→group-by) when the inputs are not support-exact or the union
-/// grid is infeasible.
+/// grid to the output grid. When the inputs are not support-exact or
+/// the union grid is infeasible, the step still runs fused: the sparse
+/// kernel ([`sparse::join_agg`](crate::sparse::join_agg)) under
+/// [`ReprMode::Auto`](crate::ReprMode), the fused hash operator
+/// ([`ops::join_group_by`], row- and bit-identical to hash
+/// join→group-by) under `Off` or where the sparse kernel declines.
 pub fn join_agg(
     cx: &mut ExecContext<'_>,
     l: &FunctionalRelation,
@@ -434,10 +436,10 @@ pub fn join_agg(
         }
     }
     let (Some(ld), Some(rd)) = (ordered_grid_hint(l), ordered_grid_hint(r)) else {
-        return ops::join_group_by(cx, l, r, group_vars);
+        return crate::sparse::join_agg_fallback(cx, l, r, group_vars);
     };
     if !shared_domains_agree(l, r, &ld, &rd) {
-        return ops::join_group_by(cx, l, r, group_vars);
+        return crate::sparse::join_agg_fallback(cx, l, r, group_vars);
     }
     match join_agg_impl(cx, l, r, group_vars, &ld, &rd)? {
         Some((out, nest)) => {
@@ -447,14 +449,14 @@ pub fn join_agg(
             cx.note_fused_nest(nest);
             Ok(rel)
         }
-        None => ops::join_group_by(cx, l, r, group_vars),
+        None => crate::sparse::join_agg_fallback(cx, l, r, group_vars),
     }
 }
 
 /// [`join_agg`] dispatched through the context's [`DenseMode`]: the
-/// fused dense kernel when it applies, else the fused hash operator.
-/// This is the interpreter's entry point for the planner's `JoinAgg`
-/// nodes.
+/// fused dense kernel when it applies, else its sparse-or-hash fallback.
+/// This is the interpreter's entry point for the planner's dense
+/// `JoinAgg` nodes.
 pub fn join_agg_auto(
     cx: &mut ExecContext<'_>,
     l: &FunctionalRelation,
@@ -462,7 +464,7 @@ pub fn join_agg_auto(
     group_vars: &[VarId],
 ) -> Result<FunctionalRelation> {
     match cx.dense_mode() {
-        DenseMode::Off => ops::join_group_by(cx, l, r, group_vars),
+        DenseMode::Off => crate::sparse::join_agg_fallback(cx, l, r, group_vars),
         DenseMode::On | DenseMode::Auto => join_agg(cx, l, r, group_vars),
     }
 }

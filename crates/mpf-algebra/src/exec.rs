@@ -219,11 +219,17 @@ impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
                 left,
                 right,
                 group_vars,
+                algo,
             } => {
                 let (l, r) = self.run_inputs(cx, left, right)?;
-                Ok(Cow::Owned(crate::dense::join_agg_auto(
-                    cx, &l, &r, group_vars,
-                )?))
+                let out = match algo {
+                    JoinAlgo::Dense => crate::dense::join_agg_auto(cx, &l, &r, group_vars)?,
+                    JoinAlgo::SparseTensor => crate::sparse::join_agg(cx, &l, &r, group_vars)?,
+                    JoinAlgo::Hash | JoinAlgo::Parallel { .. } => {
+                        ops::join_group_by(cx, &l, &r, group_vars)?
+                    }
+                };
+                Ok(Cow::Owned(out))
             }
         }
     }

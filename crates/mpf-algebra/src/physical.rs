@@ -125,10 +125,15 @@ pub enum PhysicalPlan {
     },
     /// Fused join→marginalize: `GroupBy_X(left ⨝* right)` contracted in
     /// one operator, never materializing the join intermediate — the
-    /// canonical VE elimination step. Runs the dense fused kernel when
-    /// both sides densify ([`crate::dense::join_agg_auto`]) and the
-    /// fused hash pipeline otherwise; accounts as one join *plus* one
-    /// group-by so stats reconcile with the unfused plan.
+    /// canonical VE elimination step. `algo` is the fused pair's join
+    /// algorithm and picks where the fallback chain starts: `Dense` runs
+    /// the dense fused kernel when both sides densify
+    /// ([`crate::dense::join_agg_auto`]), `SparseTensor` the sparse one
+    /// ([`crate::sparse::join_agg`]), and either falls through to the
+    /// next (dense → sparse → hash [`crate::ops::join_group_by`]) when
+    /// its kernel declines; the other algorithms run the fused hash
+    /// operator. Accounts as one join *plus* one group-by so stats
+    /// reconcile with the unfused plan.
     JoinAgg {
         /// Left input.
         left: Box<PhysicalPlan>,
@@ -138,6 +143,8 @@ pub enum PhysicalPlan {
         /// the planner to pick this node; any subset of the union schema
         /// is executable).
         group_vars: Vec<VarId>,
+        /// The join algorithm of the fused pair.
+        algo: JoinAlgo,
     },
 }
 
@@ -223,6 +230,7 @@ impl PhysicalPlan {
                 left,
                 right,
                 group_vars,
+                ..
             } => Plan::group_by(
                 Plan::join(left.to_logical(), right.to_logical()),
                 group_vars.clone(),
@@ -267,11 +275,13 @@ impl PhysicalPlan {
             PhysicalPlan::GroupBy { input, algo, .. } => {
                 (*algo == AggAlgo::DenseAgg) as usize + input.dense_operator_count()
             }
-            // The fused node is chosen from a dense join + dense agg
-            // pair and dispatches to the dense fused kernel first, so it
-            // counts as both.
-            PhysicalPlan::JoinAgg { left, right, .. } => {
-                2 + left.dense_operator_count() + right.dense_operator_count()
+            // A fused dense pair still counts as both operators.
+            PhysicalPlan::JoinAgg {
+                left, right, algo, ..
+            } => {
+                2 * (*algo == JoinAlgo::Dense) as usize
+                    + left.dense_operator_count()
+                    + right.dense_operator_count()
             }
         }
     }
@@ -291,8 +301,12 @@ impl PhysicalPlan {
             PhysicalPlan::GroupBy { input, algo, .. } => {
                 (*algo == AggAlgo::SparseAgg) as usize + input.sparse_operator_count()
             }
-            PhysicalPlan::JoinAgg { left, right, .. } => {
-                left.sparse_operator_count() + right.sparse_operator_count()
+            PhysicalPlan::JoinAgg {
+                left, right, algo, ..
+            } => {
+                2 * (*algo == JoinAlgo::SparseTensor) as usize
+                    + left.sparse_operator_count()
+                    + right.sparse_operator_count()
             }
         }
     }
@@ -405,10 +419,12 @@ impl PhysicalPlan {
                 left,
                 right,
                 group_vars,
+                algo,
             } => PhysicalPlan::JoinAgg {
                 left: Box::new(left.extract_shared(touched, assign)),
                 right: Box::new(right.extract_shared(touched, assign)),
                 group_vars: group_vars.clone(),
+                algo: *algo,
             },
         }
     }
@@ -452,9 +468,10 @@ impl PhysicalPlan {
                 left,
                 right,
                 group_vars,
+                algo,
             } => {
                 let vars: Vec<String> = group_vars.iter().map(|&v| var_name(v)).collect();
-                out.push_str(&format!("{indent}JoinAgg [{}] (Fused)\n", vars.join(", ")));
+                out.push_str(&format!("{indent}JoinAgg [{}] (Fused {algo:?})\n", vars.join(", ")));
                 left.render_into(out, depth + 1, var_name);
                 right.render_into(out, depth + 1, var_name);
             }
@@ -553,6 +570,31 @@ mod tests {
         assert!(text.contains("(SparseAgg)"));
         assert_eq!(JoinAlgo::SparseTensor.label(), "SparseTensor");
         assert_eq!(AggAlgo::SparseAgg.label(), "SparseAgg");
+    }
+
+    #[test]
+    fn fused_nodes_count_as_both_operators_of_their_algo() {
+        let fused = |algo| PhysicalPlan::JoinAgg {
+            left: Box::new(PhysicalPlan::Scan { relation: "a".into() }),
+            right: Box::new(PhysicalPlan::Scan { relation: "b".into() }),
+            group_vars: vec![v(0)],
+            algo,
+        };
+        let dense = fused(JoinAlgo::Dense);
+        let sparse = fused(JoinAlgo::SparseTensor);
+        let hash = fused(JoinAlgo::Hash);
+        assert_eq!((dense.dense_operator_count(), dense.sparse_operator_count()), (2, 0));
+        assert_eq!((sparse.dense_operator_count(), sparse.sparse_operator_count()), (0, 2));
+        assert_eq!((hash.dense_operator_count(), hash.sparse_operator_count()), (0, 0));
+        for p in [&dense, &sparse, &hash] {
+            assert_eq!(p.operator_count(), 2);
+            assert_eq!(
+                p.to_logical(),
+                Plan::group_by(Plan::join(Plan::scan("a"), Plan::scan("b")), vec![v(0)])
+            );
+        }
+        let text = sparse.render(&|v| format!("x{}", v.0));
+        assert!(text.contains("JoinAgg [x0] (Fused SparseTensor)"), "{text}");
     }
 
     #[test]

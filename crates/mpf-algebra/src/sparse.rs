@@ -18,8 +18,13 @@
 //! * [`agg`] relinearizes to `[group vars, eliminated vars]` order and
 //!   collapses runs of equal `key / elim_cells` in one pass, folding the
 //!   measure column with the semiring's additive operation.
+//! * [`join_agg`] is the two as one elimination step: it walks
+//!   [`join`]'s merge but folds each pair straight into its group
+//!   (streaming when the group variables can lead the merge order,
+//!   through a direct-address accumulator otherwise), so the join is
+//!   never materialized — bit-identical to [`join`] then [`agg`].
 //!
-//! Both kernels are monomorphized per semiring through
+//! The kernels are monomorphized per semiring through
 //! [`mpf_semiring::for_each_semiring`]: the inner loops see statically
 //! known [`SemiringOps`] rather than a `match` per cell, so the simple
 //! semirings compile to vectorizable straight-line code.
@@ -268,6 +273,67 @@ pub fn agg(
     }
 }
 
+/// Fused sparse join→marginalize: `GroupBy_X(l ⨝* r)` as one
+/// elimination step. Both sides are keyed exactly as [`join`] keys them
+/// and walked by the same run merge, but each join pair folds straight
+/// into its group instead of being emitted:
+///
+/// * **stream** — when the group variables can lead the merge order
+///   (each block `shared`, `l-own`, `r-own` may be permuted, the blocks
+///   may not), the pairs of one group are contiguous and collapse inside
+///   the merge loop in O(output) memory;
+/// * **scatter** — else, when the group grid is small next to the
+///   pre-counted join size (the rule [`agg`] scatters by), every pair
+///   folds into the direct-address accumulator at `ga[i] + gb[j]`;
+/// * **staged** — else the join factor is materialized and marginalized
+///   in sparse form (the unfused pipeline minus its row round trip).
+///
+/// Every form folds each group's terms in ascending merge coordinate.
+/// The eliminated variables keep their relative order in it, so that is
+/// the order the unfused [`join`] → [`agg`] pipeline folds them on both
+/// of its paths: the result is bit-identical to it, row order included.
+/// Only the output is charged to the budget (and accounted as an
+/// intermediate) unless the staged form runs. Falls back to the fused
+/// hash operator ([`ops::join_group_by`]) on inputs [`join`] refuses.
+pub fn join_agg(
+    cx: &mut ExecContext<'_>,
+    l: &FunctionalRelation,
+    r: &FunctionalRelation,
+    group_vars: &[VarId],
+) -> Result<FunctionalRelation> {
+    cx.fault("sparse::join_agg")?;
+    for &v in group_vars {
+        if !l.schema().contains(v) && !r.schema().contains(v) {
+            return Err(AlgebraError::GroupVarNotInInput(v));
+        }
+    }
+    match join_agg_impl(cx, l, r, group_vars)? {
+        Some((sp, form, staged_rows)) => {
+            let rel = from_sparse(cx, sp)?;
+            cx.record_join_agg_ex(&[l, r], &rel, OpRepr::Sparse);
+            cx.note_intermediate(staged_rows);
+            cx.note_fused_nest(form);
+            Ok(rel)
+        }
+        None => ops::join_group_by(cx, l, r, group_vars),
+    }
+}
+
+/// Where the fused operators go when their own kernel declines: the
+/// fused sparse kernel under [`ReprMode::Auto`], the fused hash operator
+/// under [`ReprMode::Off`].
+pub(crate) fn join_agg_fallback(
+    cx: &mut ExecContext<'_>,
+    l: &FunctionalRelation,
+    r: &FunctionalRelation,
+    group_vars: &[VarId],
+) -> Result<FunctionalRelation> {
+    match cx.repr_mode() {
+        ReprMode::Auto => join_agg(cx, l, r, group_vars),
+        ReprMode::Off => ops::join_group_by(cx, l, r, group_vars),
+    }
+}
+
 /// Materialize a factor into a row-major relation, counting the
 /// conversion (a move for [`Factor::Rows`]).
 pub fn materialize(cx: &mut ExecContext<'_>, f: Factor) -> Result<FunctionalRelation> {
@@ -413,58 +479,115 @@ fn keyed_side(
     Ok(sort_keyed(keys, side.measures()))
 }
 
-fn join_impl(
+/// Both join operands keyed for the sorted merge: the merge axis order is
+/// `[shared, l-own, r-own]`, side `a` (left) is keyed on `[shared,
+/// l-own]` and side `b` (right) on `[shared, r-own]`, each sorted
+/// ascending. Rows agreeing on every shared variable form runs of equal
+/// `key / own_cells`, and `a_key * b_own_cells + b_key % b_own_cells` is
+/// the pair's coordinate in the merge grid.
+struct KeyedPair {
+    /// Merge-order variables and their domains (shared variables index
+    /// through the wider of the two sides' inferred domains).
+    vars: Vec<VarId>,
+    doms: Vec<u64>,
+    /// How many leading merge axes are shared / belong to side `a`.
+    n_shared: usize,
+    n_a: usize,
+    a_keys: Vec<u64>,
+    a_vals: Vec<f64>,
+    b_keys: Vec<u64>,
+    b_vals: Vec<f64>,
+    a_own_cells: u64,
+    b_own_cells: u64,
+}
+
+/// One matching pair of shared-prefix runs: rows `a.0..a.1` of the left
+/// keyed column and `b.0..b.1` of the right agree on every shared
+/// variable, so each of their cross pairs is one join row.
+type RunPair = ((usize, usize), (usize, usize));
+
+impl KeyedPair {
+    /// The matching runs, in ascending shared-prefix order — the merge
+    /// both join forms walk.
+    fn runs(&self) -> Vec<RunPair> {
+        let a_shared: Vec<u64> = self.a_keys.iter().map(|&k| k / self.a_own_cells).collect();
+        let b_shared: Vec<u64> = self.b_keys.iter().map(|&k| k / self.b_own_cells).collect();
+        let mut runs = Vec::new();
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a_shared.len() && j < b_shared.len() {
+            let (sa, sb) = (a_shared[i], b_shared[j]);
+            if sa < sb {
+                i += 1;
+            } else if sb < sa {
+                j += 1;
+            } else {
+                let ia = i + a_shared[i..].iter().take_while(|&&s| s == sa).count();
+                let jb = j + b_shared[j..].iter().take_while(|&&s| s == sb).count();
+                runs.push(((i, ia), (j, jb)));
+                (i, j) = (ia, jb);
+            }
+        }
+        runs
+    }
+
+    /// The domains of `group_vars`, in that order.
+    fn group_doms(&self, group_vars: &[VarId]) -> Vec<u64> {
+        group_vars
+            .iter()
+            .map(|v| self.doms[self.vars.iter().position(|w| w == v).expect("group var in join")])
+            .collect()
+    }
+}
+
+/// Key both sides for the sorted merge. With `group_vars` (an
+/// elimination step), the group variables lead each block (`shared`,
+/// `l-own`, `r-own`) in output order while the eliminated ones keep
+/// their schema order; the blocks themselves always stay in that order. `None`
+/// when the coordinate space overflows, a value escapes its domain, or a
+/// side holds duplicate argument tuples.
+fn keyed_pair(
     cx: &mut ExecContext<'_>,
     l: &SideRef<'_>,
     r: &SideRef<'_>,
-) -> Result<Option<SparseFactor>> {
+    group_vars: Option<&[VarId]>,
+) -> Result<Option<KeyedPair>> {
+    let rank = |v: VarId| group_vars.and_then(|gv| gv.iter().position(|&g| g == v));
+    // A stable sort: eliminated variables keep their relative order,
+    // which is what keeps an elimination step's fold order the unfused
+    // pipeline's.
+    let order = |mut vars: Vec<VarId>| {
+        vars.sort_by_key(|&v| rank(v).unwrap_or(usize::MAX));
+        vars
+    };
     let shared_schema = l.schema().intersect(r.schema());
-    let shared: &[VarId] = shared_schema.vars();
-    let l_own = l.schema().difference(shared);
-    let r_own = r.schema().difference(shared);
+    let shared = order(shared_schema.vars().to_vec());
+    let l_own = order(l.schema().difference(&shared).vars().to_vec());
+    let r_own = order(r.schema().difference(&shared).vars().to_vec());
     let (ld, rd) = (l.domains(), r.domains());
     let dom_of = |s: &SideRef<'_>, d: &[u64], v: VarId| -> u64 {
         s.schema().position(v).ok().map_or(0, |p| d[p])
     };
     // A shared variable indexes through the wider of the two sides'
     // domains, so the prefix coordinates agree across sides.
-    let shared_doms: Vec<u64> = shared
+    let doms: Vec<u64> = shared
         .iter()
         .map(|&v| dom_of(l, &ld, v).max(dom_of(r, &rd, v)))
+        .chain(l_own.iter().map(|&v| dom_of(l, &ld, v)))
+        .chain(r_own.iter().map(|&v| dom_of(r, &rd, v)))
         .collect();
-    let l_own_doms: Vec<u64> = l_own.iter().map(|v| dom_of(l, &ld, v)).collect();
-    let r_own_doms: Vec<u64> = r_own.iter().map(|v| dom_of(r, &rd, v)).collect();
-
-    let out_vars: Vec<VarId> = shared
-        .iter()
-        .copied()
-        .chain(l_own.iter())
-        .chain(r_own.iter())
-        .collect();
-    let out_doms: Vec<u64> = shared_doms
-        .iter()
-        .chain(&l_own_doms)
-        .chain(&r_own_doms)
-        .copied()
-        .collect();
-    if grid_cells_wide(&out_doms).is_none() {
+    if grid_cells_wide(&doms).is_none() {
         return Ok(None);
     }
-    let a_own_cells = grid_cells_wide(&l_own_doms).expect("subproduct of feasible grid");
-    let b_own_cells = grid_cells_wide(&r_own_doms).expect("subproduct of feasible grid");
+    let (n_shared, n_a) = (shared.len(), shared.len() + l_own.len());
+    let a_own_cells = grid_cells_wide(&doms[n_shared..n_a]).expect("subproduct of feasible grid");
+    let b_own_cells = grid_cells_wide(&doms[n_a..]).expect("subproduct of feasible grid");
+    let vars: Vec<VarId> = shared.into_iter().chain(l_own).chain(r_own).collect();
 
-    // Axis order per side: shared variables first (in the shared
-    // schema's order on both sides), then the side's own variables.
-    let side_axes = |s: &SideRef<'_>, own: &Schema, own_doms: &[u64]| -> Vec<(usize, u64)> {
-        shared
-            .iter()
-            .zip(&shared_doms)
-            .map(|(&v, &d)| (s.schema().position(v).expect("shared var"), d))
-            .chain(
-                own.iter()
-                    .zip(own_doms)
-                    .map(|(v, &d)| (s.schema().position(v).expect("own var"), d)),
-            )
+    // Axis order per side: the shared block, then the side's own block.
+    let side_axes = |s: &SideRef<'_>, own: std::ops::Range<usize>| -> Vec<(usize, u64)> {
+        (0..n_shared)
+            .chain(own)
+            .map(|k| (s.schema().position(vars[k]).expect("side var"), doms[k]))
             .collect()
     };
     let doms_by_pos = |s: &SideRef<'_>, axes: &[(usize, u64)]| -> Vec<u64> {
@@ -474,38 +597,52 @@ fn join_impl(
         }
         doms
     };
-    let la = side_axes(l, &l_own, &l_own_doms);
+    let la = side_axes(l, n_shared..n_a);
     let Some((a_keys, a_vals)) = keyed_side(cx, l, &la, &doms_by_pos(l, &la))? else {
         return Ok(None);
     };
-    let ra = side_axes(r, &r_own, &r_own_doms);
+    let ra = side_axes(r, n_a..vars.len());
     let Some((b_keys, b_vals)) = keyed_side(cx, r, &ra, &doms_by_pos(r, &ra))? else {
         return Ok(None);
     };
+    Ok(Some(KeyedPair {
+        vars,
+        doms,
+        n_shared,
+        n_a,
+        a_keys,
+        a_vals,
+        b_keys,
+        b_vals,
+        a_own_cells,
+        b_own_cells,
+    }))
+}
 
-    let out_schema = Schema::new(out_vars)?;
-    let sr = cx.semiring();
-    let budget = cx.budget();
-    let arity = out_schema.arity();
-    let mode = cx.kernel_mode();
-    let (coords, values) = for_each_semiring!(
-        sr,
-        join_kernel(
-            &a_keys,
-            &a_vals,
-            &b_keys,
-            &b_vals,
-            a_own_cells,
-            b_own_cells,
-            budget,
-            arity,
-            mode,
-        )
-    )?;
+fn join_impl(
+    cx: &mut ExecContext<'_>,
+    l: &SideRef<'_>,
+    r: &SideRef<'_>,
+) -> Result<Option<SparseFactor>> {
+    let Some(kp) = keyed_pair(cx, l, r, None)? else {
+        return Ok(None);
+    };
     let name = format!("({}⨝*{})", l_name(l), l_name(r));
-    Ok(Some(SparseFactor::from_sorted_parts(
-        name, out_schema, out_doms, coords, values,
-    )))
+    join_keyed(cx, name, kp).map(Some)
+}
+
+/// Run the sorted-merge join kernel over a keyed pair: the join factor
+/// in merge axis order.
+fn join_keyed(cx: &ExecContext<'_>, name: String, kp: KeyedPair) -> Result<SparseFactor> {
+    let out_schema = Schema::new(kp.vars.clone())?;
+    let runs = kp.runs();
+    let (coords, values) = for_each_semiring!(
+        cx.semiring(),
+        join_kernel(&kp, &runs, cx.budget(), out_schema.arity(), cx.kernel_mode())
+    )?;
+    Ok(SparseFactor::from_sorted_parts(
+        name, out_schema, kp.doms, coords, values,
+    ))
 }
 
 fn l_name<'a>(s: &SideRef<'a>) -> &'a str {
@@ -601,6 +738,88 @@ fn agg_impl(
     )))
 }
 
+/// [`join_agg`] body: the marginal, the form that ran (`stream`,
+/// `scatter` or `staged`), and the join rows the staged form
+/// materialized (0 otherwise). `None` where [`join`] would fall back.
+fn join_agg_impl(
+    cx: &mut ExecContext<'_>,
+    l: &FunctionalRelation,
+    r: &FunctionalRelation,
+    group_vars: &[VarId],
+) -> Result<Option<(SparseFactor, &'static str, u64)>> {
+    let Some(kp) = keyed_pair(cx, &SideRef::Rows(l), &SideRef::Rows(r), Some(group_vars))? else {
+        return Ok(None);
+    };
+    let name = format!("γ(({}⨝*{}))", l.name(), r.name());
+    let out_schema = Schema::new(group_vars.to_vec())?;
+    let group_doms = kp.group_doms(group_vars);
+    let group_cells = grid_cells_wide(&group_doms).expect("subproduct of feasible grid");
+    let runs = kp.runs();
+
+    // Each pair's output coordinate splits into a left part (shared and
+    // left-own group axes) and a right part (right-own group axes).
+    let group_strides = mpf_storage::layout::strides_of(&group_doms);
+    let rank = |v: &VarId| group_vars.iter().position(|g| g == v);
+    let axis = |k: usize| (kp.doms[k], rank(&kp.vars[k]).map_or(0, |g| group_strides[g]));
+    let a_axes: Vec<(u64, u64)> = (0..kp.n_a).map(axis).collect();
+    let b_axes: Vec<(u64, u64)> = (0..kp.n_shared)
+        .map(|k| (kp.doms[k], 0))
+        .chain((kp.n_a..kp.vars.len()).map(axis))
+        .collect();
+    let ga = regroup(&kp.a_keys, &a_axes);
+    let gb = regroup(&kp.b_keys, &b_axes);
+
+    let join_len: usize = runs.iter().map(|&((i, ia), (j, jb))| (ia - i) * (jb - j)).sum();
+    let streams = kp.vars[..group_vars.len()].iter().all(|v| group_vars.contains(v));
+    let (sr, budget, arity) = (cx.semiring(), cx.budget(), out_schema.arity());
+    let (form, (coords, values)) = if streams {
+        let (coords, values) =
+            for_each_semiring!(sr, join_agg_stream_kernel(&kp, &runs, &ga, &gb, budget, arity))?;
+        // Ascending already when the output order is the merge order.
+        ("stream", sort_keyed(coords, &values).expect("one run per group"))
+    } else if scatter_agg_applies(group_cells, join_len) {
+        let parts = for_each_semiring!(
+            sr,
+            join_agg_scatter_kernel(&kp, &runs, &ga, &gb, group_cells, budget, arity)
+        )?;
+        ("scatter", parts)
+    } else {
+        let joined = join_keyed(cx, format!("({}⨝*{})", l.name(), r.name()), kp)?;
+        return Ok(agg_impl(cx, &SideRef::Sparse(&joined), group_vars)?
+            .map(|sp| (sp, "staged", joined.len() as u64)));
+    };
+    Ok(Some((
+        SparseFactor::from_sorted_parts(name, out_schema, group_doms, coords, values),
+        form,
+        0,
+    )))
+}
+
+/// Re-linearize keys onto another grid: the digit of each key on axis
+/// `k` (of `axes[k].0` values, last axis fastest) contributes
+/// `digit * axes[k].1`. Axes outside the weighted span cost nothing.
+fn regroup(keys: &[u64], axes: &[(u64, u64)]) -> Vec<u64> {
+    let (Some(lo), Some(hi)) = (
+        axes.iter().position(|a| a.1 != 0),
+        axes.iter().rposition(|a| a.1 != 0),
+    ) else {
+        return vec![0; keys.len()];
+    };
+    let tail: u64 = axes[hi + 1..].iter().map(|a| a.0).product();
+    let span = &axes[lo..=hi];
+    keys.iter()
+        .map(|&key| {
+            let mut rest = key / tail;
+            let mut g = 0;
+            for &(dom, weight) in span.iter().rev() {
+                g += rest % dom * weight;
+                rest /= dom;
+            }
+            g
+        })
+        .collect()
+}
+
 /// Sorted-merge join kernel over permuted key columns. Runs of equal
 /// shared prefix (`key / own_cells`) pair up; each output coordinate is
 /// `a_key * b_own_cells + b_own_index`, ascending by construction.
@@ -611,57 +830,29 @@ fn agg_impl(
 /// the b value column by a scalar, which autovectorizes — charging the
 /// budget once per block via [`OpGuard::produced_many`]. The multiply is
 /// elementwise, so scalar and chunked outputs are bit-identical.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn join_kernel<S: SemiringOps>(
-    a_keys: &[u64],
-    a_vals: &[f64],
-    b_keys: &[u64],
-    b_vals: &[f64],
-    a_own_cells: u64,
-    b_own_cells: u64,
+    kp: &KeyedPair,
+    runs: &[RunPair],
     budget: Option<&ExecBudget>,
     arity: usize,
     mode: KernelMode,
 ) -> Result<(Vec<u64>, Vec<f64>)> {
     let mut guard = OpGuard::new(budget, arity);
-    let mut out_keys: Vec<u64> = Vec::with_capacity(a_keys.len().max(b_keys.len()));
+    let mut out_keys: Vec<u64> = Vec::with_capacity(kp.a_keys.len().max(kp.b_keys.len()));
     let mut out_vals: Vec<f64> = Vec::with_capacity(out_keys.capacity());
-    // Hoist the per-element divisions: the b side's within-run offsets
-    // (the merge then only adds) and both sides' shared prefixes (the
-    // run-detection loops then compare precomputed integers).
-    let b_own: Vec<u64> = b_keys.iter().map(|&k| k % b_own_cells).collect();
-    let a_shared: Vec<u64> = a_keys.iter().map(|&k| k / a_own_cells).collect();
-    let b_shared: Vec<u64> = b_keys.iter().map(|&k| k / b_own_cells).collect();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a_keys.len() && j < b_keys.len() {
-        guard.poll()?;
-        let sa = a_shared[i];
-        let sb = b_shared[j];
-        if sa < sb {
-            i += 1;
-            continue;
-        }
-        if sb < sa {
-            j += 1;
-            continue;
-        }
-        let mut ia = i + 1;
-        while ia < a_keys.len() && a_shared[ia] == sa {
-            ia += 1;
-        }
-        let mut jb = j + 1;
-        while jb < b_keys.len() && b_shared[jb] == sb {
-            jb += 1;
-        }
+    // Hoist the per-element division: the b side's within-run offsets
+    // (the merge then only adds).
+    let b_own: Vec<u64> = kp.b_keys.iter().map(|&k| k % kp.b_own_cells).collect();
+    for &((i, ia), (j, jb)) in runs {
         for ai in i..ia {
-            let base = a_keys[ai] * b_own_cells;
-            let va = a_vals[ai];
+            let base = kp.a_keys[ai] * kp.b_own_cells;
+            let va = kp.a_vals[ai];
             match mode {
                 KernelMode::Scalar => {
-                    for bj in j..jb {
+                    for (&o, &vb) in b_own[j..jb].iter().zip(&kp.b_vals[j..jb]) {
                         guard.poll()?;
-                        out_keys.push(base + b_own[bj]);
-                        out_vals.push(S::mul(va, b_vals[bj]));
+                        out_keys.push(base + o);
+                        out_vals.push(S::mul(va, vb));
                         guard.produced()?;
                     }
                 }
@@ -671,15 +862,13 @@ fn join_kernel<S: SemiringOps>(
                         guard.poll()?;
                         let blk = (jb - t).min(KERNEL_BLOCK);
                         out_keys.extend(b_own[t..t + blk].iter().map(|&o| base + o));
-                        out_vals.extend(b_vals[t..t + blk].iter().map(|&vb| S::mul(va, vb)));
+                        out_vals.extend(kp.b_vals[t..t + blk].iter().map(|&vb| S::mul(va, vb)));
                         guard.produced_many(blk as u64)?;
                         t += blk;
                     }
                 }
             }
         }
-        i = ia;
-        j = jb;
     }
     guard.finish()?;
     Ok((out_keys, out_vals))
@@ -778,6 +967,110 @@ fn agg_scatter_kernel<S: SemiringOps>(
         out_vals.push(v);
         guard.produced()?;
     }
+    guard.finish()?;
+    Ok((touched, out_vals))
+}
+
+/// A fused group's final fold, or its typed failure.
+fn checked_fold<S: SemiringOps>(acc: f64) -> Result<f64> {
+    if S::KIND.is_valid_accumulation(acc) {
+        Ok(acc)
+    } else {
+        Err(AlgebraError::NonFiniteMeasure {
+            op: "sparse::join_agg",
+            value: acc,
+        })
+    }
+}
+
+/// Streaming fused kernel: the group variables lead the merge order, so
+/// one group's pairs are contiguous in the merge; fold them as they come
+/// and emit the group when the next one starts. Coordinates are
+/// `ga[i] + gb[j]` in output order — ascending when that is the merge
+/// order, each group exactly once either way. Polls once per `(a row ×
+/// b run)`, charges once per emitted group.
+fn join_agg_stream_kernel<S: SemiringOps>(
+    kp: &KeyedPair,
+    runs: &[RunPair],
+    ga: &[u64],
+    gb: &[u64],
+    budget: Option<&ExecBudget>,
+    arity: usize,
+) -> Result<(Vec<u64>, Vec<f64>)> {
+    let mut guard = OpGuard::new(budget, arity);
+    let (mut out_keys, mut out_vals) = (Vec::new(), Vec::new());
+    // `u64::MAX` is no group: coordinates stay below 2^62.
+    let (mut cur, mut acc) = (u64::MAX, 0.0);
+    for &((i, ia), (j, jb)) in runs {
+        let (gb_run, vb_run) = (&gb[j..jb], &kp.b_vals[j..jb]);
+        for (&base, &va) in ga[i..ia].iter().zip(&kp.a_vals[i..ia]) {
+            guard.poll_many(vb_run.len() as u64)?;
+            for (&gbj, &vb) in gb_run.iter().zip(vb_run) {
+                let g = base + gbj;
+                let p = S::mul(va, vb);
+                if g == cur {
+                    acc = S::add(acc, p);
+                    continue;
+                }
+                if cur != u64::MAX {
+                    out_keys.push(cur);
+                    out_vals.push(checked_fold::<S>(acc)?);
+                    guard.produced()?;
+                }
+                (cur, acc) = (g, p);
+            }
+        }
+    }
+    if cur != u64::MAX {
+        out_keys.push(cur);
+        out_vals.push(checked_fold::<S>(acc)?);
+        guard.produced()?;
+    }
+    guard.finish()?;
+    Ok((out_keys, out_vals))
+}
+
+/// Scatter fused kernel: every join pair folds into the direct-address
+/// accumulator slot `ga[i] + gb[j]` of the output grid, first-seen
+/// assignment as in [`agg_scatter_kernel`]; touched slots are sorted at
+/// the end. Polls once per `(a row × b run)`, charges each group when it
+/// is first seen.
+fn join_agg_scatter_kernel<S: SemiringOps>(
+    kp: &KeyedPair,
+    runs: &[RunPair],
+    ga: &[u64],
+    gb: &[u64],
+    group_cells: u64,
+    budget: Option<&ExecBudget>,
+    arity: usize,
+) -> Result<(Vec<u64>, Vec<f64>)> {
+    let mut guard = OpGuard::new(budget, arity);
+    let mut acc = vec![0.0f64; group_cells as usize];
+    let mut seen = vec![false; group_cells as usize];
+    let mut touched: Vec<u64> = Vec::new();
+    for &((i, ia), (j, jb)) in runs {
+        let (gb_run, vb_run) = (&gb[j..jb], &kp.b_vals[j..jb]);
+        for (&base, &va) in ga[i..ia].iter().zip(&kp.a_vals[i..ia]) {
+            guard.poll_many(vb_run.len() as u64)?;
+            for (&gbj, &vb) in gb_run.iter().zip(vb_run) {
+                let g = (base + gbj) as usize;
+                let p = S::mul(va, vb);
+                if seen[g] {
+                    acc[g] = S::add(acc[g], p);
+                } else {
+                    seen[g] = true;
+                    acc[g] = p;
+                    touched.push(g as u64);
+                    guard.produced()?;
+                }
+            }
+        }
+    }
+    touched.sort_unstable();
+    let out_vals = touched
+        .iter()
+        .map(|&g| checked_fold::<S>(acc[g as usize]))
+        .collect::<Result<Vec<f64>>>()?;
     guard.finish()?;
     Ok((touched, out_vals))
 }

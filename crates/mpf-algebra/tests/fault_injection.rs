@@ -9,8 +9,8 @@
 use std::sync::Mutex;
 
 use mpf_algebra::{
-    dense, fault, ops, partitioned, AggAlgo, AlgebraError, ExecContext, Executor, PhysicalPlan,
-    Plan, RelationStore,
+    dense, fault, ops, partitioned, sparse, AggAlgo, AlgebraError, ExecContext, Executor,
+    PhysicalPlan, Plan, RelationStore,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema};
@@ -109,6 +109,10 @@ fn each_operator_site_fires_once() {
         (
             "dense::convert",
             Box::new(|| dense::join_agg(&mut ExecContext::new(sr), &l, &r, &[a])),
+        ),
+        (
+            "sparse::join_agg",
+            Box::new(|| sparse::join_agg(&mut ExecContext::new(sr), &l, &r, &[a])),
         ),
     ];
 

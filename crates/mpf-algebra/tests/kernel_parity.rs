@@ -228,6 +228,7 @@ fn fused_plan(gv: &[VarId]) -> PhysicalPlan {
             relation: "r2".into(),
         }),
         group_vars: gv.to_vec(),
+        algo: JoinAlgo::Dense,
     }
 }
 

@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use mpf_algebra::limits::TICK_INTERVAL;
 use mpf_algebra::{
-    dense, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits, Executor, KernelMode,
-    Plan, RelationStore, ResourceKind,
+    dense, sparse, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits, Executor,
+    KernelMode, Plan, RelationStore, ResourceKind,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -212,6 +212,82 @@ fn fused_dense_kernel_rejects_overflow_in_both_nests() {
                 value,
             }) => assert_eq!(value, f64::INFINITY, "{kernel:?}"),
             other => panic!("{kernel:?}: expected NonFiniteMeasure, got {other:?}"),
+        }
+    }
+}
+
+/// The same side-67 contraction through the fused *sparse* kernel, in
+/// the form `group` selects: `[e, x]` leads the merge order (stream),
+/// `[x, y]` does not (scatter). Either way 4 489 output rows of 3 cells
+/// from a 300 763-row join.
+fn fused_sparse_under(
+    group: &str,
+    limits: ExecLimits,
+    measure: f64,
+) -> Result<FunctionalRelation, AlgebraError> {
+    let (l, r, [x, y]) = contraction(measure);
+    let e = l.schema().vars()[1];
+    let gv = if group == "stream" { [e, x] } else { [x, y] };
+    let mut cx = ExecContext::with_limits(SemiringKind::SumProduct, limits).with_threads(1);
+    sparse::join_agg(&mut cx, &l, &r, &gv)
+}
+
+/// Both fused sparse forms poll once per `(a row × b run)` and charge
+/// each output group as it is found, so every limit trips with its typed
+/// error inside the kernel, within a tick plus one row of its cap.
+#[test]
+fn fused_sparse_kernel_trips_every_limit_mid_flight() {
+    let slack = u64::from(TICK_INTERVAL) + 67;
+    for form in ["stream", "scatter"] {
+        match fused_sparse_under(form, ExecLimits::none().with_max_output_rows(2000), 1.0) {
+            Err(AlgebraError::ResourceExhausted {
+                resource: ResourceKind::OutputRows,
+                limit: 2000,
+                observed,
+            }) => assert!(observed <= 2000 + slack, "{form}: stopped late at {observed}"),
+            other => panic!("{form}: expected OutputRows trip, got {other:?}"),
+        }
+        match fused_sparse_under(form, ExecLimits::none().with_max_total_cells(6000), 1.0) {
+            Err(AlgebraError::ResourceExhausted {
+                resource: ResourceKind::TotalCells,
+                limit: 6000,
+                observed,
+            }) => assert!(observed <= 6000 + 3 * slack, "{form}: stopped late at {observed}"),
+            other => panic!("{form}: expected TotalCells trip, got {other:?}"),
+        }
+        let token = CancelToken::new();
+        token.cancel();
+        assert_eq!(
+            fused_sparse_under(form, ExecLimits::none().with_cancel_token(token), 1.0).unwrap_err(),
+            AlgebraError::Cancelled,
+            "{form}"
+        );
+        match fused_sparse_under(form, ExecLimits::none().with_timeout(Duration::ZERO), 1.0) {
+            Err(AlgebraError::ResourceExhausted {
+                resource: ResourceKind::WallClock,
+                ..
+            }) => {}
+            other => panic!("{form}: expected WallClock trip, got {other:?}"),
+        }
+        // Only the output is charged: a 5 000-row cap the 300 763-row
+        // join would trip passes, and generous limits change no bit.
+        let capped = fused_sparse_under(form, ExecLimits::none().with_max_output_rows(5000), 1.5);
+        let want = fused_sparse_under(form, ExecLimits::none(), 1.5).unwrap();
+        assert_eq!(capped.unwrap().measures(), want.measures(), "{form}");
+    }
+}
+
+/// A `SumProduct` contraction that overflows to `+∞` is a typed
+/// `NonFiniteMeasure` from both fused sparse forms.
+#[test]
+fn fused_sparse_kernel_rejects_overflow_in_both_forms() {
+    for form in ["stream", "scatter"] {
+        match fused_sparse_under(form, ExecLimits::none(), 1e200) {
+            Err(AlgebraError::NonFiniteMeasure {
+                op: "sparse::join_agg",
+                value,
+            }) => assert_eq!(value, f64::INFINITY, "{form}"),
+            other => panic!("{form}: expected NonFiniteMeasure, got {other:?}"),
         }
     }
 }

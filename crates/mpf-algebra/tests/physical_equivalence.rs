@@ -43,6 +43,7 @@ proptest! {
         agg_picks in proptest::collection::vec(0usize..4, 8),
         group_var in 0usize..3,
         filter in proptest::option::of((0usize..2, 0u32..3)),
+        fuse_pick in proptest::option::of(0usize..3),
     ) {
         let (_, store, vars) = store();
         let sr = SemiringKind::SumProduct;
@@ -86,6 +87,20 @@ proptest! {
                 ][agg_picks[ai % agg_picks.len()]]
             },
         );
+        // Optionally fuse the root elimination step, starting its
+        // fallback chain at a random algorithm.
+        let physical = match (fuse_pick, physical) {
+            (Some(k), PhysicalPlan::GroupBy { input, group_vars, .. }) => match *input {
+                PhysicalPlan::Join { left, right, .. } => PhysicalPlan::JoinAgg {
+                    left,
+                    right,
+                    group_vars,
+                    algo: [JoinAlgo::Hash, JoinAlgo::Dense, JoinAlgo::SparseTensor][k],
+                },
+                other => unreachable!("root group-by sits on a join: {other:?}"),
+            },
+            (_, physical) => physical,
+        };
         let (got, stats) = exec.execute_physical(&physical).unwrap();
         prop_assert!(want.function_eq(&got));
         prop_assert_eq!(stats.joins, 2);

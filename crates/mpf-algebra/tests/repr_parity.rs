@@ -9,8 +9,8 @@
 //! whenever the dense path does not apply.
 
 use mpf_algebra::{
-    ops, sparse, AggAlgo, DenseMode, ExecContext, JoinAlgo, PhysicalPlan, Plan, RelationStore,
-    ReprMode, Executor,
+    ops, sparse, AggAlgo, DenseMode, ExecContext, ExecStats, JoinAlgo, PhysicalPlan, Plan,
+    RelationStore, ReprMode, Executor, TraceLevel,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -227,6 +227,217 @@ proptest! {
                     "sr {sr:?} repr {repr:?} dense {dense:?} holes {holes:?}"
                 );
             }
+        }
+    }
+}
+
+/// The strict equality the fused sparse step is held to: same schema,
+/// same rows in the same order, same measure bits.
+fn exact(rel: &FunctionalRelation) -> (Vec<VarId>, Vec<(Vec<u32>, u64)>) {
+    (
+        rel.schema().vars().to_vec(),
+        rel.rows().map(|(row, m)| (row.to_vec(), m.to_bits())).collect(),
+    )
+}
+
+/// One fused sparse elimination step, traced: the result, its stats, and
+/// the form the kernel reported (`nest=` on the fused span).
+fn fused_step(
+    sr: SemiringKind,
+    l: &FunctionalRelation,
+    r: &FunctionalRelation,
+    gv: &[VarId],
+) -> (FunctionalRelation, ExecStats, Option<&'static str>) {
+    let mut cx = ExecContext::new(sr).with_trace(TraceLevel::Spans);
+    let out = sparse::join_agg(&mut cx, l, r, gv).unwrap();
+    let stats = *cx.stats();
+    let mut form = None;
+    cx.take_trace().for_each(&mut |span| {
+        if span.fused {
+            form = span.nest;
+        }
+    });
+    (out, stats, form)
+}
+
+/// The unfused sparse pipeline the fused step must reproduce bit for bit.
+fn unfused_step(
+    sr: SemiringKind,
+    l: &FunctionalRelation,
+    r: &FunctionalRelation,
+    gv: &[VarId],
+) -> FunctionalRelation {
+    let mut cx = ExecContext::new(sr);
+    let joined = sparse::join(&mut cx, l, r).unwrap();
+    sparse::agg(&mut cx, &joined, gv).unwrap()
+}
+
+/// Fused ≡ unfused sparse, bitwise and row for row, in all seven
+/// semirings, at three densities, in every form the kernel has: the
+/// streaming collapse (group variables can lead the merge order — shared
+/// only, in an order other than the merge's, reaching into the right
+/// side's own variables, or none at all), the scatter accumulator (a left
+/// own variable, a right-only one, one from each side), and the staged
+/// fallback (a group grid too large to scatter into). Each also equals
+/// the fused hash operator as a function, and accounts as one sparse join
+/// plus one sparse group-by.
+#[test]
+fn fused_sparse_matches_unfused_bitwise_in_every_form() {
+    let mut cat = Catalog::new();
+    let a = cat.add_var("a", 6).unwrap();
+    let b = cat.add_var("b", 6).unwrap();
+    let c = cat.add_var("c", 6).unwrap();
+    let d = cat.add_var("d", 6).unwrap();
+    let (wa, wb, wd) = (
+        cat.add_var("wa", 100).unwrap(),
+        cat.add_var("wb", 4).unwrap(),
+        cat.add_var("wd", 100).unwrap(),
+    );
+    let cases: [(&str, Vec<VarId>); 8] = [
+        ("stream", vec![b]),
+        ("stream", vec![a, b]),
+        ("stream", vec![b, a, c]),
+        ("stream", vec![]),
+        ("scatter", vec![a]),
+        ("scatter", vec![c]),
+        ("scatter", vec![d, a]),
+        ("staged", vec![wa, wd]),
+    ];
+    for density in [0.05, 0.3, 0.9] {
+        for sr in SemiringKind::ALL {
+            for (want_form, gv) in &cases {
+                // A ~10⁴-cell group grid over a join of ~10² rows.
+                let (l, r) = if *want_form == "staged" {
+                    (
+                        sparse_rel("l", vec![wa, wb], &[100, 4], 0.05, 5, sr),
+                        sparse_rel("r", vec![wb, wd], &[4, 100], 0.05, 6, sr),
+                    )
+                } else {
+                    (
+                        sparse_rel("l", vec![a, b], &[6, 6], density, 7, sr),
+                        sparse_rel("r", vec![b, c, d], &[6, 6, 6], density, 8, sr),
+                    )
+                };
+                let ctx = format!("density {density} sr {sr:?} group {gv:?}");
+                let (got, stats, form) = fused_step(sr, &l, &r, gv);
+                assert_eq!(form, Some(*want_form), "{ctx}");
+                assert_eq!(exact(&got), exact(&unfused_step(sr, &l, &r, gv)), "{ctx}");
+                let hash = ops::join_group_by(&mut ExecContext::new(sr), &l, &r, gv).unwrap();
+                assert!(hash.function_eq_in(&got, sr), "{ctx}");
+                assert_eq!(
+                    (stats.fused_join_aggs, stats.sparse_joins, stats.sparse_group_bys),
+                    (1, 1, 1),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+}
+
+/// Degenerate inputs take the same path and give the same rows as the
+/// unfused sparse pipeline: an empty side, sides whose shared values never
+/// meet, and every grouping shape (none, shared-only, right-only).
+#[test]
+fn fused_sparse_degenerate_inputs() {
+    let mut cat = Catalog::new();
+    let a = cat.add_var("a", 4).unwrap();
+    let b = cat.add_var("b", 4).unwrap();
+    let c = cat.add_var("c", 4).unwrap();
+    let rel = |name: &str, vars: Vec<VarId>, rows: &[[u32; 2]]| {
+        FunctionalRelation::from_rows(
+            name,
+            Schema::new(vars).unwrap(),
+            rows.iter().map(|row| (row.to_vec(), 1.5 + row[0] as f64)),
+        )
+        .unwrap()
+    };
+    let l = rel("l", vec![a, b], &[[0, 0], [1, 1], [3, 1]]);
+    let r = rel("r", vec![b, c], &[[0, 2], [1, 0], [1, 3]]);
+    let l_empty = FunctionalRelation::new("e", Schema::new(vec![a, b]).unwrap());
+    let r_empty = FunctionalRelation::new("e", Schema::new(vec![b, c]).unwrap());
+    let r_apart = rel("r", vec![b, c], &[[2, 0], [3, 1]]);
+    for sr in SemiringKind::ALL {
+        for (l, r) in [(&l_empty, &r), (&l, &r_empty), (&l, &r_apart), (&l, &r)] {
+            for gv in [vec![], vec![b], vec![c], vec![a, c]] {
+                let (got, _, _) = fused_step(sr, l, r, &gv);
+                assert_eq!(exact(&got), exact(&unfused_step(sr, l, r, &gv)), "sr {sr:?} {gv:?}");
+                let hash = ops::join_group_by(&mut ExecContext::new(sr), l, r, &gv).unwrap();
+                assert!(hash.function_eq_in(&got, sr), "sr {sr:?} {gv:?}");
+            }
+        }
+    }
+}
+
+/// Inputs the sparse join refuses — a side with a duplicate argument
+/// tuple, a coordinate space of 2⁶² cells or more — run the fused hash
+/// operator instead: same bits as calling it directly, no sparse kernel.
+#[test]
+fn fused_sparse_falls_back_to_hash() {
+    let mut cat = Catalog::new();
+    let x = cat.add_var("x", 4).unwrap();
+    let y = cat.add_var("y", 4).unwrap();
+    let z = cat.add_var("z", 4).unwrap();
+    let mut dup = FunctionalRelation::new("dup", Schema::new(vec![x, y]).unwrap());
+    dup.push_row(&[1, 2], 2.0).unwrap();
+    dup.push_row(&[1, 2], 3.0).unwrap();
+    let mut other = FunctionalRelation::new("o", Schema::new(vec![y, z]).unwrap());
+    other.push_row(&[2, 0], 5.0).unwrap();
+    other.push_row(&[2, 1], 7.0).unwrap();
+    // Three variables of 2³⁰ + 1 values each: a 2⁹⁰-cell coordinate space.
+    let big = 1 << 30;
+    let mut wide_l = FunctionalRelation::new("wl", Schema::new(vec![x, y]).unwrap());
+    wide_l.push_row(&[big, big], 2.0).unwrap();
+    let mut wide_r = FunctionalRelation::new("wr", Schema::new(vec![y, z]).unwrap());
+    wide_r.push_row(&[big, big], 3.0).unwrap();
+    for sr in SemiringKind::ALL {
+        for (l, r) in [(&dup, &other), (&wide_l, &wide_r)] {
+            let (got, stats, _) = fused_step(sr, l, r, &[x]);
+            let want = ops::join_group_by(&mut ExecContext::new(sr), l, r, &[x]).unwrap();
+            assert_eq!(exact(&got), exact(&want), "sr {sr:?} {}", l.name());
+            assert_eq!(stats.sparse_joins + stats.sparse_group_bys, 0, "sr {sr:?}");
+            assert_eq!(stats.fused_join_aggs, 1, "sr {sr:?}");
+        }
+    }
+}
+
+/// A planner-shaped sparse `JoinAgg` node through the interpreter: same
+/// bits as the unfused sparse plan at every thread count, a lower peak,
+/// and counters that reconcile (one join plus one group-by, both sparse).
+/// A dense-annotated node whose inputs are not grids takes the same
+/// sparse kernel; with `ReprMode::Off` it takes the hash one.
+#[test]
+fn sparse_join_agg_plans_match_unfused_plans() {
+    for sr in SemiringKind::ALL {
+        let (rels, [a, ..]) = chain(sr, 0.3);
+        let mut store = RelationStore::new();
+        store.insert(rels[0].clone());
+        store.insert(rels[1].clone());
+        let logical = Plan::group_by(Plan::join(Plan::scan("r1"), Plan::scan("r2")), vec![a]);
+        let unfused = PhysicalPlan::from_logical(
+            &logical,
+            &mut |_, _| JoinAlgo::SparseTensor,
+            &mut |_, _| AggAlgo::SparseAgg,
+        );
+        let fused = |algo| PhysicalPlan::JoinAgg {
+            left: Box::new(PhysicalPlan::Scan { relation: "r1".into() }),
+            right: Box::new(PhysicalPlan::Scan { relation: "r2".into() }),
+            group_vars: vec![a],
+            algo,
+        };
+        for t in THREADS {
+            let exec = Executor::new(&store, sr).with_threads(t);
+            let (want, us) = exec.execute_physical(&unfused).unwrap();
+            for algo in [JoinAlgo::SparseTensor, JoinAlgo::Dense] {
+                let (got, fs) = exec.execute_physical(&fused(algo)).unwrap();
+                assert_eq!(exact(&got), exact(&want), "sr {sr:?} threads {t} {algo:?}");
+                assert_eq!((fs.joins, fs.group_bys), (us.joins, us.group_bys));
+                assert_eq!((fs.sparse_joins, fs.sparse_group_bys, fs.fused_join_aggs), (1, 1, 1));
+                assert!(fs.max_intermediate_rows < us.max_intermediate_rows, "sr {sr:?}");
+            }
+            let mut off = ExecContext::new(sr).with_repr(ReprMode::Off).with_threads(t);
+            let got = exec.execute_physical_in(&mut off, &fused(JoinAlgo::Dense)).unwrap();
+            assert!(want.function_eq_in(&got, sr), "sr {sr:?} threads {t}");
+            assert_eq!(off.stats().sparse_joins, 0, "Off stays on hash");
         }
     }
 }

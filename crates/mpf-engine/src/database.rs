@@ -1849,7 +1849,7 @@ mod tests {
             .describe(Query::on("v").group_by(["c"]).strategy(Strategy::CsPlusLinear))
             .unwrap();
         assert!(
-            text.contains("JoinAgg [c] (Fused)"),
+            text.contains("JoinAgg [c] (Fused Dense)"),
             "fused elimination step renders:\n{text}"
         );
         assert!(text.contains("Scan r1"));

@@ -197,6 +197,7 @@ fn annotate_rec(
             left,
             right,
             group_vars,
+            ..
         } => {
             // Estimated like the unfused pair: join cardinality feeds the
             // group-count model, the intermediate just never materializes.

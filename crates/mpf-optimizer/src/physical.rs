@@ -24,6 +24,10 @@
 //!   [`mpf_algebra::partitioned::parallel_partitions`];
 //! * else the **hash** operators ([`JoinAlgo::Hash`], [`AggAlgo::HashAgg`]).
 //!
+//! With [`PhysicalConfig::fuse`], a dense or sparse join feeding a
+//! marginalization of the same kind then becomes one elimination step
+//! ([`PhysicalPlan::JoinAgg`]).
+//!
 //! Operand sizes come from the same catalog-based estimator the join
 //! ordering used ([`estimate::plan_estimate`]).
 
@@ -62,10 +66,11 @@ pub struct PhysicalConfig {
     /// ([`JoinAlgo::SparseTensor`], [`AggAlgo::SparseAgg`]);
     /// [`ReprMode::Auto`] by default.
     pub repr_mode: ReprMode,
-    /// Whether to fuse a dense join feeding a dense marginalization into
-    /// a single [`PhysicalPlan::JoinAgg`] operator that contracts
-    /// directly into the output grid without materializing the join
-    /// intermediate. On by default; turn off to compare unfused plans.
+    /// Whether to fuse a dense (sparse) join feeding a dense (sparse)
+    /// marginalization into a single [`PhysicalPlan::JoinAgg`] operator
+    /// that folds the join straight into the output without
+    /// materializing the join intermediate. On by default; turn off to
+    /// compare unfused plans.
     pub fuse: bool,
 }
 
@@ -156,42 +161,45 @@ fn sparse_applies(
             .all(|s| estimate::schema_density_wide(ctx, s, 0.0).is_some())
 }
 
-/// Fuse each dense join that feeds a dense marginalization into a single
-/// [`PhysicalPlan::JoinAgg`]: the elimination step then contracts both
-/// inputs straight into the group accumulator grid, skipping the join
-/// intermediate entirely. Only the all-dense pairing is rewritten — that
-/// is where the intermediate is a full grid and skipping it pays; the
-/// hash and sparse pipelines keep their chosen algorithms.
+/// Fuse each dense join that feeds a dense marginalization, and each
+/// sparse join that feeds a sparse one, into a single
+/// [`PhysicalPlan::JoinAgg`] carrying the join's algorithm: the
+/// elimination step then folds every join pair straight into its group
+/// accumulator, skipping the join intermediate entirely. Mixed and hash
+/// pairings keep their chosen algorithms.
 fn fuse_join_agg(plan: PhysicalPlan) -> PhysicalPlan {
     match plan {
         PhysicalPlan::GroupBy {
             input,
             group_vars,
-            algo: AggAlgo::DenseAgg,
-        } => match *input {
-            PhysicalPlan::Join {
-                left,
-                right,
-                algo: JoinAlgo::Dense,
-            } => PhysicalPlan::JoinAgg {
+            algo,
+        } => match (*input, algo) {
+            (
+                PhysicalPlan::Join {
+                    left,
+                    right,
+                    algo: join @ JoinAlgo::Dense,
+                },
+                AggAlgo::DenseAgg,
+            )
+            | (
+                PhysicalPlan::Join {
+                    left,
+                    right,
+                    algo: join @ JoinAlgo::SparseTensor,
+                },
+                AggAlgo::SparseAgg,
+            ) => PhysicalPlan::JoinAgg {
                 left: Box::new(fuse_join_agg(*left)),
                 right: Box::new(fuse_join_agg(*right)),
                 group_vars,
+                algo: join,
             },
-            other => PhysicalPlan::GroupBy {
-                input: Box::new(fuse_join_agg(other)),
+            (input, algo) => PhysicalPlan::GroupBy {
+                input: Box::new(fuse_join_agg(input)),
                 group_vars,
-                algo: AggAlgo::DenseAgg,
+                algo,
             },
-        },
-        PhysicalPlan::GroupBy {
-            input,
-            group_vars,
-            algo,
-        } => PhysicalPlan::GroupBy {
-            input: Box::new(fuse_join_agg(*input)),
-            group_vars,
-            algo,
         },
         PhysicalPlan::Join { left, right, algo } => PhysicalPlan::Join {
             left: Box::new(fuse_join_agg(*left)),
@@ -521,6 +529,56 @@ mod tests {
             "0.5% operands go sparse under the default config:\n{}",
             sauto.render(&|v| format!("x{}", v.0))
         );
+    }
+
+    #[test]
+    fn sparse_join_into_sparse_agg_fuses() {
+        // The mid-density fixture above: every operator goes sparse, and
+        // each sparse join feeding a sparse marginalization becomes one
+        // sparse elimination step.
+        let mut cat = Catalog::new();
+        let a = cat.add_var("a", 8).unwrap();
+        let b = cat.add_var("b", 8).unwrap();
+        let c = cat.add_var("c", 8).unwrap();
+        let mk = |name: &str, schema: Schema| BaseRel {
+            name: name.into(),
+            schema,
+            cardinality: 12,
+            fd_lhs: None,
+        };
+        let rels = vec![
+            mk("r1", Schema::new(vec![a, b]).unwrap()),
+            mk("r2", Schema::new(vec![b, c]).unwrap()),
+        ];
+        let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
+        let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
+        let cfg = PhysicalConfig::default().with_threads(1);
+        fn fused(p: &PhysicalPlan) -> Vec<JoinAlgo> {
+            match p {
+                PhysicalPlan::Scan { .. } => vec![],
+                PhysicalPlan::Select { input, .. } | PhysicalPlan::GroupBy { input, .. } => {
+                    fused(input)
+                }
+                PhysicalPlan::Join { left, right, .. } => [fused(left), fused(right)].concat(),
+                PhysicalPlan::JoinAgg {
+                    left, right, algo, ..
+                } => [vec![*algo], fused(left), fused(right)].concat(),
+            }
+        }
+        let on = choose_physical(&ctx, &plan, cfg);
+        let off = choose_physical(&ctx, &plan, cfg.with_fuse(false));
+        let render = |p: &PhysicalPlan| p.render(&|v| format!("x{}", v.0));
+        assert!(!fused(&on).is_empty(), "sparse pair fuses:\n{}", render(&on));
+        assert!(
+            fused(&on).iter().all(|&a| a == JoinAlgo::SparseTensor),
+            "fused as a sparse step:\n{}",
+            render(&on)
+        );
+        assert!(fused(&off).is_empty(), "with_fuse(false) keeps the pair");
+        assert_eq!(on.to_logical(), plan);
+        assert_eq!(off.to_logical(), plan);
+        assert_eq!(on.sparse_operator_count(), off.sparse_operator_count());
+        assert_eq!(on.dense_operator_count(), 0);
     }
 
     #[test]

@@ -286,13 +286,21 @@ mod tests {
 
     #[test]
     fn inferred_domains_cover_data() {
-        let (_, a, b) = fixture();
+        let (cat, a, b) = fixture();
         let schema = Schema::new(vec![a, b]).unwrap();
         let rel =
             FunctionalRelation::from_rows("r", schema.clone(), [(vec![1, 0], 1.0), (vec![0, 2], 2.0)])
                 .unwrap();
         assert_eq!(rel.inferred_domains(), vec![2, 3]);
+        // A grid answers from its domain vector, as its rows would.
+        let grid = FunctionalRelation::complete("g", schema.clone(), &cat, |_| 1.0);
+        assert_eq!(grid.inferred_domains(), vec![cat.domain_size(a), cat.domain_size(b)]);
+        let rows = FunctionalRelation::from_rows("g", schema.clone(), grid.rows().map(|(r, m)| (r.to_vec(), m)))
+            .unwrap();
+        assert_eq!(rows.inferred_domains(), grid.inferred_domains());
         assert_eq!(FunctionalRelation::new("e", schema).inferred_domains(), vec![0, 0]);
+        let scalar = FunctionalRelation::from_rows("s", Schema::empty(), [(vec![], 2.0)]).unwrap();
+        assert_eq!(scalar.inferred_domains(), Vec::<u64>::new());
     }
 
     #[test]

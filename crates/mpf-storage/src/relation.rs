@@ -418,18 +418,20 @@ impl FunctionalRelation {
     /// over when no catalog is in scope.
     pub fn inferred_domains(&self) -> Vec<u64> {
         let arity = self.schema.arity();
-        let mut max = vec![0u64; arity];
-        if self.is_empty() {
-            return max;
+        if self.is_empty() || arity == 0 {
+            return vec![0; arity];
         }
-        for i in 0..self.len() {
-            for (c, &v) in self.row(i).iter().enumerate() {
-                if (v as u64) >= max[c] {
-                    max[c] = v as u64 + 1;
-                }
+        // A non-empty grid enumerates every value of every axis.
+        if let Some(domains) = self.grid_domains() {
+            return domains.to_vec();
+        }
+        let mut max = vec![0 as Value; arity];
+        for row in self.keys().chunks_exact(arity) {
+            for (m, &v) in max.iter_mut().zip(row) {
+                *m = (*m).max(v);
             }
         }
-        max
+        max.into_iter().map(|m| m as u64 + 1).collect()
     }
 
     /// Convert to a [`crate::DenseFactor`] over the catalog's domain grid,

@@ -90,18 +90,16 @@ fn supply_chain_explain_analyze_snapshot() {
     let expected = "\
 -- strategy: ve+(degree)
 -- estimated cost: 17016.00
--- rows scanned=4428, processed=12576, peak intermediate=4000
-GroupBy (SparseAgg)  (est rows=20.0, rows=20, cells=40, time=_, repr=sparse)
+-- rows scanned=4428, processed=4536, peak intermediate=20
+JoinAgg (Fused)  (est rows=20.0, rows=20, cells=40, time=_, repr=sparse, nest=stream, fused=true)
   ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse, kernel=chunked)
-    ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse, kernel=chunked)
-      JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=rows, fused=true)
-        Scan transporters  (est rows=2.0, rows=2, cells=4, time=_, repr=rows)
-        Scan ctdeals  (est rows=6.0, rows=6, cells=18, time=_, repr=rows)
-      Scan warehouses  (est rows=20.0, rows=20, cells=60, time=_, repr=rows)
-    GroupBy (SparseAgg)  (est rows=20.0, rows=20, cells=40, time=_, repr=sparse)
-      ProductJoin (SparseTensor)  (est rows=4000.0, rows=4000, cells=16000, time=_, repr=sparse, kernel=chunked)
-        Scan contracts  (est rows=400.0, rows=400, cells=1200, time=_, repr=rows)
-        Scan location  (est rows=4000.0, rows=4000, cells=12000, time=_, repr=rows)
+    JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=sparse, nest=scatter, fused=true)
+      Scan transporters  (est rows=2.0, rows=2, cells=4, time=_, repr=rows)
+      Scan ctdeals  (est rows=6.0, rows=6, cells=18, time=_, repr=rows)
+    Scan warehouses  (est rows=20.0, rows=20, cells=60, time=_, repr=rows)
+  JoinAgg (Fused)  (est rows=20.0, rows=20, cells=40, time=_, repr=sparse, nest=scatter, fused=true)
+    Scan contracts  (est rows=400.0, rows=400, cells=1200, time=_, repr=rows)
+    Scan location  (est rows=4000.0, rows=4000, cells=12000, time=_, repr=rows)
 ";
     assert_eq!(normalize(&text), expected, "got:\n{}", normalize(&text));
 }
@@ -121,7 +119,7 @@ fn bayes_net_explain_analyze_snapshot() {
 -- strategy: ve+(degree)
 -- estimated cost: 86.00
 -- rows scanned=18, processed=52, peak intermediate=8
-JoinAgg (Fused)  (est rows=2.0, rows=2, cells=4, time=_, repr=rows, fused=true)
+JoinAgg (Fused)  (est rows=2.0, rows=2, cells=4, time=_, repr=sparse, nest=stream, fused=true)
   Select  (est rows=4.0, rows=4, cells=16, time=_, repr=rows)
     Scan cpt_wet  (est rows=8.0, rows=8, cells=32, time=_, repr=rows)
   ProductJoin (Dense)  (est rows=8.0, rows=8, cells=32, time=_, repr=dense, kernel=chunked)
