@@ -168,7 +168,9 @@ impl ExecLimits {
 
 /// Worker threads used when [`ExecLimits::threads`] is unset: the
 /// `MPF_THREADS` environment variable when it parses as a positive
-/// integer, else the machine's available parallelism.
+/// integer, else the machine's available parallelism. The latter is read
+/// once per process: on Linux it parses cgroup files, tens of
+/// microseconds that every query's physical planning would pay.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("MPF_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -177,7 +179,8 @@ pub fn default_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static MACHINE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// How many rows a tight loop processes between deadline/cancel polls.

@@ -70,7 +70,7 @@ fn main() {
                     Heuristic::Random(0),
                     false,
                 )
-                .cost
+                .est_cost
             })
             .collect();
         rows.push(("VE(hub-first)".into(), costs));

@@ -4,6 +4,7 @@
 //! optimizer-side failures, recording who answered in
 //! [`Answer::served_by`].
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use mpf_algebra::{AlgebraError, CancelToken, ExecLimits, ResourceKind};
@@ -11,6 +12,14 @@ use mpf_datagen::{SupplyChain, SupplyChainConfig};
 use mpf_engine::{Database, EngineError, FallbackPolicy, Query, Strategy};
 use mpf_semiring::Combine;
 use mpf_storage::{FunctionalRelation, Schema};
+
+/// The fault registry is process-global. Under `fault-injection` every test
+/// here holds this lock while it runs queries, so a fault armed by the
+/// tests in `faults` never reaches another test's query.
+fn lock() -> Option<MutexGuard<'static, ()>> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    cfg!(feature = "fault-injection").then(|| LOCK.lock().unwrap_or_else(|e| e.into_inner()))
+}
 
 fn supply_chain_db(scale: f64) -> Database {
     let sc = SupplyChain::generate(SupplyChainConfig::at_scale(scale));
@@ -26,6 +35,7 @@ fn supply_chain_db(scale: f64) -> Database {
 /// materializes the join.
 #[test]
 fn supply_chain_query_with_one_cell_budget_is_rejected() {
+    let _g = lock();
     let db = supply_chain_db(0.01).with_limits(ExecLimits::none().with_max_total_cells(1));
     let err = db.run(Query::on("invest").group_by(["wid"])).unwrap_err();
     match err {
@@ -42,6 +52,7 @@ fn supply_chain_query_with_one_cell_budget_is_rejected() {
 /// no fallback entries.
 #[test]
 fn generous_limits_are_transparent() {
+    let _g = lock();
     let unlimited = supply_chain_db(0.01);
     let limited = supply_chain_db(0.01).with_limits(
         ExecLimits::none()
@@ -60,6 +71,7 @@ fn generous_limits_are_transparent() {
 
 #[test]
 fn cancelled_queries_error_without_fallback() {
+    let _g = lock();
     let token = CancelToken::new();
     token.cancel();
     let db = supply_chain_db(0.01).with_limits(ExecLimits::none().with_cancel_token(token));
@@ -69,6 +81,7 @@ fn cancelled_queries_error_without_fallback() {
 
 #[test]
 fn expired_deadline_errors_without_fallback() {
+    let _g = lock();
     let db = supply_chain_db(0.01).with_limits(ExecLimits::none().with_timeout(Duration::ZERO));
     let err = db.run(Query::on("invest").group_by(["wid"])).unwrap_err();
     assert!(matches!(
@@ -84,6 +97,7 @@ fn expired_deadline_errors_without_fallback() {
 /// chain's terminal naive strategy performs no plan search.
 #[test]
 fn views_beyond_dp_limit_fall_back_to_naive() {
+    let _g = lock();
     let db = Database::new();
     let a = db.add_var("a", 4).unwrap();
     let names: Vec<String> = (0..31).map(|i| format!("r{i}")).collect();
@@ -121,6 +135,7 @@ fn views_beyond_dp_limit_fall_back_to_naive() {
 
 #[test]
 fn empty_views_are_rejected_at_creation() {
+    let _g = lock();
     let db = Database::new();
     assert!(matches!(
         db.create_view("hollow", &[], Combine::Product),
@@ -131,18 +146,10 @@ fn empty_views_are_rejected_at_creation() {
 #[cfg(feature = "fault-injection")]
 mod faults {
     use super::*;
-    use std::sync::Mutex;
 
     use mpf_algebra::fault;
     use mpf_semiring::approx_eq;
     use mpf_storage::Schema;
-
-    /// The fault registry is process-global; serialize the tests that arm it.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     /// r1(a, b) ⋈ r2(b, c) with known answers.
     ///

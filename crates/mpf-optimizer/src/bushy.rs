@@ -9,41 +9,22 @@
 //! enumerates all four (and more) combinations while staying monotone —
 //! see the module docs of [`crate::cs`].
 
-use mpf_storage::Schema;
-
-use crate::cs::best_with_root_group_by;
-use crate::subplan::{pareto_insert, reduced_variant};
-use crate::{OptContext, SubPlan};
+use crate::cs::singletons;
+use crate::memo::{Memo, NodeId};
 
 /// Find the best bushy plan with correctness-condition group-by placement.
-pub fn plan_nonlinear(ctx: &OptContext<'_>) -> SubPlan {
-    let n = ctx.rels.len();
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-    let mut memo: Vec<Vec<SubPlan>> = vec![Vec::new(); 1 << n];
-
-    for j in 0..n {
-        let mask = 1usize << j;
-        let leaf = SubPlan::leaf(ctx, j);
-        let outside: Vec<&Schema> = (0..n)
-            .filter(|&i| i != j)
-            .map(|i| &ctx.rels[i].schema)
-            .collect();
-        if let Some(red) = reduced_variant(ctx, &leaf, outside.iter().copied()) {
-            pareto_insert(&mut memo[mask], red);
-        }
-        pareto_insert(&mut memo[mask], leaf);
-    }
+pub(crate) fn plan_nonlinear(memo: &mut Memo<'_, '_>) -> NodeId {
+    let full: u32 = (1 << memo.ctx.rels.len()) - 1;
+    let mut sets = singletons(memo, true);
+    let mut needed = Vec::new();
 
     for mask in 1..=full {
         if mask.count_ones() < 2 {
             continue;
         }
         let lowbit = mask & mask.wrapping_neg();
-        let outside: Vec<&Schema> = (0..n)
-            .filter(|&i| mask & (1u32 << i) == 0)
-            .map(|i| &ctx.rels[i].schema)
-            .collect();
-        let mut entries: Vec<SubPlan> = Vec::new();
+        memo.needed_outside(mask, &mut needed);
+        let mut entries: Vec<NodeId> = Vec::new();
 
         // Enumerate binary partitions (s1, s2) of `mask`; requiring the
         // lowest set bit in s1 halves the work (join is symmetric and both
@@ -52,41 +33,28 @@ pub fn plan_nonlinear(ctx: &OptContext<'_>) -> SubPlan {
         while s1 != 0 {
             if s1 & lowbit != 0 {
                 let s2 = mask & !s1;
-                for left in &memo[s1 as usize] {
-                    for right in &memo[s2 as usize] {
-                        let cand = SubPlan::join(ctx, left.clone(), right.clone());
-                        if let Some(red) =
-                            reduced_variant(ctx, &cand, outside.iter().copied())
-                        {
-                            pareto_insert(&mut entries, red);
+                for &left in &sets[s1 as usize] {
+                    for &right in &sets[s2 as usize] {
+                        let cand = memo.join(left, right);
+                        if let Some(red) = memo.reduced(cand, &needed) {
+                            memo.pareto_insert(&mut entries, red);
                         }
-                        pareto_insert(&mut entries, cand);
+                        memo.pareto_insert(&mut entries, cand);
                     }
                 }
             }
             s1 = (s1 - 1) & mask;
         }
-        memo[mask as usize] = entries;
+        sets[mask as usize] = entries;
     }
 
-    best_with_root_group_by(ctx, &memo[full as usize])
+    memo.root(&sets[full as usize])
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::cs::plan_linear;
-    use crate::{BaseRel, CostModel, QuerySpec};
-    use mpf_storage::{Catalog, VarId};
-
-    fn mk(name: &str, vars: Vec<VarId>, card: u64) -> BaseRel {
-        BaseRel {
-            name: name.into(),
-            schema: Schema::new(vars).unwrap(),
-            cardinality: card,
-            fd_lhs: None,
-        }
-    }
+    use crate::{optimize, Algorithm, BaseRel, CostModel, OptContext, QuerySpec};
+    use mpf_storage::Catalog;
 
     /// The Section 5.1 scenario: query variable X of small domain appears in
     /// two relations; a nonlinear plan can reduce the second relation to
@@ -99,14 +67,14 @@ mod tests {
         let w = cat.add_var("w", 2000).unwrap();
         // x occurs in s1 (big) and s2 (smaller but >> |dom(x)|).
         let rels = vec![
-            mk("s1", vec![x, u], 200_000),
-            mk("s2", vec![x, w], 50_000),
-            mk("s3", vec![u], 2000),
+            BaseRel::fixture("s1", vec![x, u], 200_000),
+            BaseRel::fixture("s2", vec![x, w], 50_000),
+            BaseRel::fixture("s3", vec![u], 2000),
         ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([x]), CostModel::Io);
-        let linear = plan_linear(&ctx, true);
-        let bushy = plan_nonlinear(&ctx);
-        assert!(bushy.cost <= linear.cost);
+        let linear = optimize(&ctx, Algorithm::CsPlusLinear);
+        let bushy = optimize(&ctx, Algorithm::CsPlusNonlinear);
+        assert!(bushy.est_cost <= linear.est_cost);
         // The bushy plan groups s2 down to |dom(x)| = 10 rows pre-join.
         assert!(bushy.plan.group_by_count() >= 2);
     }
@@ -120,9 +88,9 @@ mod tests {
         let c = cat.add_var("c", 50).unwrap();
         let d = cat.add_var("d", 10).unwrap();
         let rels = vec![
-            mk("r1", vec![a, b], 500),
-            mk("r2", vec![b, c], 2500),
-            mk("r3", vec![c, d], 500),
+            BaseRel::fixture("r1", vec![a, b], 500),
+            BaseRel::fixture("r2", vec![b, c], 2500),
+            BaseRel::fixture("r3", vec![c, d], 500),
         ];
         for qv in [a, b, c, d] {
             let ctx = OptContext::new(
@@ -131,13 +99,13 @@ mod tests {
                 QuerySpec::group_by([qv]),
                 CostModel::Io,
             );
-            let linear = plan_linear(&ctx, true);
-            let bushy = plan_nonlinear(&ctx);
+            let linear = optimize(&ctx, Algorithm::CsPlusLinear);
+            let bushy = optimize(&ctx, Algorithm::CsPlusNonlinear);
             assert!(
-                bushy.cost <= linear.cost + 1e-9,
+                bushy.est_cost <= linear.est_cost + 1e-9,
                 "bushy {} > linear {} for query var {qv}",
-                bushy.cost,
-                linear.cost
+                bushy.est_cost,
+                linear.est_cost
             );
         }
     }
@@ -147,10 +115,13 @@ mod tests {
         let mut cat = Catalog::new();
         let a = cat.add_var("a", 10).unwrap();
         let b = cat.add_var("b", 10).unwrap();
-        let rels = vec![mk("r1", vec![a, b], 100), mk("r2", vec![b], 10)];
+        let rels = vec![
+            BaseRel::fixture("r1", vec![a, b], 100),
+            BaseRel::fixture("r2", vec![b], 10),
+        ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
-        let linear = plan_linear(&ctx, true);
-        let bushy = plan_nonlinear(&ctx);
-        assert!((bushy.cost - linear.cost).abs() < 1e-9);
+        let linear = optimize(&ctx, Algorithm::CsPlusLinear);
+        let bushy = optimize(&ctx, Algorithm::CsPlusNonlinear);
+        assert!((bushy.est_cost - linear.est_cost).abs() < 1e-9);
     }
 }

@@ -119,14 +119,6 @@ impl<'a> OptContext<'a> {
         out
     }
 
-    /// Indices of base relations whose schema contains `v` (the `rels(v, S)`
-    /// of Algorithm 2, over base relations).
-    pub fn rels_with(&self, v: VarId) -> Vec<usize> {
-        (0..self.rels.len())
-            .filter(|&i| self.rels[i].schema.contains(v))
-            .collect()
-    }
-
     /// Predicates of the query applicable to (i.e. mentioning variables of)
     /// a schema.
     pub fn applicable_predicates(&self, schema: &Schema) -> Vec<(VarId, Value)> {
@@ -136,6 +128,19 @@ impl<'a> OptContext<'a> {
             .copied()
             .filter(|&(v, _)| schema.contains(v))
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl BaseRel {
+    /// A relation over `vars` with `cardinality` rows and the maximal FD.
+    pub(crate) fn fixture(name: &str, vars: Vec<VarId>, cardinality: u64) -> Self {
+        BaseRel {
+            name: name.into(),
+            schema: Schema::new(vars).unwrap(),
+            cardinality,
+            fd_lhs: None,
+        }
     }
 }
 
@@ -165,25 +170,18 @@ mod tests {
     }
 
     #[test]
-    fn rels_with_finds_containing_relations() {
+    fn all_vars_lists_each_variable_once() {
         let mut cat = Catalog::new();
         let a = cat.add_var("a", 2).unwrap();
         let b = cat.add_var("b", 2).unwrap();
         let c = cat.add_var("c", 2).unwrap();
-        let mk = |name: &str, vars: Vec<VarId>| BaseRel {
-            name: name.into(),
-            schema: Schema::new(vars).unwrap(),
-            cardinality: 4,
-            fd_lhs: None,
-        };
+        let mk = |name: &str, vars: Vec<VarId>| BaseRel::fixture(name, vars, 4);
         let ctx = OptContext::new(
             &cat,
             [mk("r1", vec![a, b]), mk("r2", vec![b, c]), mk("r3", vec![c])],
             QuerySpec::default(),
             CostModel::Simple,
         );
-        assert_eq!(ctx.rels_with(b), vec![0, 1]);
-        assert_eq!(ctx.rels_with(c), vec![1, 2]);
         assert_eq!(ctx.all_vars(), vec![a, b, c]);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! Instead of memoizing a single min-cost plan per relation subset, the
 //! program keeps a **Pareto set** keyed by output schema
-//! (`pareto_insert`): the grouped and ungrouped variants of a prefix are
+//! (`Memo::pareto_insert`): the grouped and ungrouped variants of a prefix are
 //! incomparable physical properties (the cheaper one may be wider), and a
 //! single-plan memo would make the search non-monotone. This subsumes —
 //! and strictly strengthens — the paper's greedy-conservative comparison of
@@ -16,36 +16,36 @@
 //! plan considered is a left-deep join tree with correctness-condition
 //! group-bys.
 
-use mpf_storage::Schema;
+use crate::memo::{Memo, NodeId};
 
-use crate::subplan::{pareto_insert, reduced_variant};
-use crate::{OptContext, SubPlan};
+/// The dynamic-programming table over relation subsets, seeded with each
+/// singleton's scan (+ pushed selections) and — with `reduce` — its grouped
+/// variant (line 3 of Algorithm 1 with a singleton S_j).
+pub(crate) fn singletons(memo: &mut Memo<'_, '_>, reduce: bool) -> Vec<Vec<NodeId>> {
+    let n = memo.ctx.rels.len();
+    let mut sets = vec![Vec::new(); 1 << n];
+    let mut needed = Vec::new();
+    for leaf in 0..n {
+        let set = &mut sets[1 << leaf];
+        if reduce {
+            memo.needed_outside(1 << leaf, &mut needed);
+            if let Some(red) = memo.reduced(leaf, &needed) {
+                memo.pareto_insert(set, red);
+            }
+        }
+        memo.pareto_insert(set, leaf);
+    }
+    sets
+}
 
 /// Find the best linear plan. With `with_group_by = false` this is the
 /// unmodified CS algorithm as it behaves on MPF queries (join ordering
 /// only, single root group-by — the paper's Figure 3); with `true` it is
 /// CS+ (Figure 4).
-pub fn plan_linear(ctx: &OptContext<'_>, with_group_by: bool) -> SubPlan {
-    let n = ctx.rels.len();
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-    let mut memo: Vec<Vec<SubPlan>> = vec![Vec::new(); 1 << n];
-
-    // Singletons: the scan (+ pushed selections), and — for CS+ — its
-    // grouped variant (line 3 of Algorithm 1 with a singleton S_j).
-    for j in 0..n {
-        let mask = 1usize << j;
-        let leaf = SubPlan::leaf(ctx, j);
-        if with_group_by {
-            let outside: Vec<&Schema> = (0..n)
-                .filter(|&i| i != j)
-                .map(|i| &ctx.rels[i].schema)
-                .collect();
-            if let Some(red) = reduced_variant(ctx, &leaf, outside.iter().copied()) {
-                pareto_insert(&mut memo[mask], red);
-            }
-        }
-        pareto_insert(&mut memo[mask], leaf);
-    }
+pub(crate) fn plan_linear(memo: &mut Memo<'_, '_>, with_group_by: bool) -> NodeId {
+    let full: u32 = (1 << memo.ctx.rels.len()) - 1;
+    let mut sets = singletons(memo, with_group_by);
+    let mut needed = Vec::new();
 
     // Prefix subsets in increasing mask order; extend by one relation. The
     // incoming relation is always the raw leaf (linear plans never group
@@ -54,49 +54,35 @@ pub fn plan_linear(ctx: &OptContext<'_>, with_group_by: bool) -> SubPlan {
         if mask.count_ones() < 2 {
             continue;
         }
-        let outside: Vec<&Schema> = (0..n)
-            .filter(|&i| mask & (1u32 << i) == 0)
-            .map(|i| &ctx.rels[i].schema)
-            .collect();
-        let mut entries: Vec<SubPlan> = Vec::new();
+        memo.needed_outside(mask, &mut needed);
+        let mut entries: Vec<NodeId> = Vec::new();
         let mut bits = mask;
         while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
+            let right = bits.trailing_zeros() as NodeId;
             bits &= bits - 1;
-            let prev_mask = (mask & !(1u32 << j)) as usize;
-            let right = SubPlan::leaf(ctx, j);
-            for left in &memo[prev_mask] {
-                let cand = SubPlan::join(ctx, left.clone(), right.clone());
+            for &left in &sets[(mask & !(1 << right)) as usize] {
+                let cand = memo.join(left, right);
                 if with_group_by {
                     // The grouped variant of the new prefix becomes next
                     // step's `GroupBy(optPlan(S_j))` candidate.
-                    if let Some(red) = reduced_variant(ctx, &cand, outside.iter().copied()) {
-                        pareto_insert(&mut entries, red);
+                    if let Some(red) = memo.reduced(cand, &needed) {
+                        memo.pareto_insert(&mut entries, red);
                     }
                 }
-                pareto_insert(&mut entries, cand);
+                memo.pareto_insert(&mut entries, cand);
             }
         }
-        memo[mask as usize] = entries;
+        sets[mask as usize] = entries;
     }
 
-    best_with_root_group_by(ctx, &memo[full as usize])
-}
-
-/// Apply the root group-by to every Pareto entry of the full set and return
-/// the cheapest complete plan.
-pub(crate) fn best_with_root_group_by(ctx: &OptContext<'_>, entries: &[SubPlan]) -> SubPlan {
-    entries
-        .iter()
-        .map(|e| SubPlan::group(ctx, e.clone(), &ctx.query.group_vars))
-        .min_by(|a, b| a.cost.total_cmp(&b.cost))
-        .expect("full relation set has at least one plan")
+    memo.root(&sets[full as usize])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BaseRel, CostModel, QuerySpec};
+    use crate::estimate::plan_estimate;
+    use crate::{optimize, Algorithm, BaseRel, CostModel, OptContext, QuerySpec};
     use mpf_storage::{Catalog, Schema, VarId};
 
     /// Chain schema r1(a,b) — r2(b,c) — r3(c,d) with a large middle table.
@@ -105,12 +91,7 @@ mod tests {
         let b = cat.add_var("b", 100).unwrap();
         let c = cat.add_var("c", 100).unwrap();
         let d = cat.add_var("d", 10).unwrap();
-        let mk = |name: &str, vars: Vec<VarId>, card: u64| BaseRel {
-            name: name.into(),
-            schema: Schema::new(vars).unwrap(),
-            cardinality: card,
-            fd_lhs: None,
-        };
+        let mk = BaseRel::fixture;
         (
             vec![
                 mk("r1", vec![a, b], 1000),
@@ -129,11 +110,11 @@ mod tests {
         let mut cat = Catalog::new();
         let (rels, a, ..) = chain(&mut cat);
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
-        let p = plan_linear(&ctx, false);
-        assert_eq!(p.plan.group_by_count(), 1);
-        assert_eq!(p.plan.join_count(), 2);
-        assert!(p.plan.is_linear());
-        assert_eq!(p.schema.vars(), &[a]);
+        let p = optimize(&ctx, Algorithm::Cs).plan;
+        assert_eq!(p.group_by_count(), 1);
+        assert_eq!(p.join_count(), 2);
+        assert!(p.is_linear());
+        assert_eq!(plan_estimate(&ctx, &p).0.vars(), &[a]);
     }
 
     #[test]
@@ -141,11 +122,11 @@ mod tests {
         let mut cat = Catalog::new();
         let (rels, a, ..) = chain(&mut cat);
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
-        let cs = plan_linear(&ctx, false);
-        let cs_plus = plan_linear(&ctx, true);
+        let cs = optimize(&ctx, Algorithm::Cs);
+        let cs_plus = optimize(&ctx, Algorithm::CsPlusLinear);
         // The greedy-conservative guarantee: CS+ is never worse than the
         // single-root-group-by plan.
-        assert!(cs_plus.cost <= cs.cost);
+        assert!(cs_plus.est_cost <= cs.est_cost);
         // On this schema pushing a group-by pays off.
         assert!(cs_plus.plan.group_by_count() > 1);
         assert!(cs_plus.plan.is_linear());
@@ -156,8 +137,8 @@ mod tests {
         let mut cat = Catalog::new();
         let (rels, _, b, ..) = chain(&mut cat);
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([b]), CostModel::Io);
-        for with_gb in [false, true] {
-            let p = plan_linear(&ctx, with_gb);
+        for algo in [Algorithm::Cs, Algorithm::CsPlusLinear] {
+            let p = optimize(&ctx, algo);
             let mut names = p.plan.base_relations();
             names.sort_unstable();
             assert_eq!(names, vec!["r1", "r2", "r3"]);
@@ -180,9 +161,9 @@ mod tests {
             QuerySpec::group_by([a]),
             CostModel::Io,
         );
-        let p = plan_linear(&ctx, true);
-        assert_eq!(p.plan.join_count(), 0);
-        assert_eq!(p.schema.vars(), &[a]);
+        let p = optimize(&ctx, Algorithm::CsPlusLinear).plan;
+        assert_eq!(p.join_count(), 0);
+        assert_eq!(plan_estimate(&ctx, &p).0.vars(), &[a]);
     }
 
     #[test]
@@ -192,13 +173,15 @@ mod tests {
         let mut cat = Catalog::new();
         let (rels, a, ..) = chain(&mut cat);
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
-        let leaf = SubPlan::leaf(&ctx, 2);
-        let outside: Vec<&Schema> = vec![&ctx.rels[0].schema, &ctx.rels[1].schema];
-        let red = reduced_variant(&ctx, &leaf, outside.iter().copied()).unwrap();
-        assert!(red.schema.arity() < leaf.schema.arity());
+        let mut memo = Memo::new(&ctx);
+        let leaf = 2;
+        let mut needed = Vec::new();
+        memo.needed_outside(1 << 2, &mut needed);
+        let red = memo.reduced(leaf, &needed).unwrap();
+        assert!(memo.schema(red).len() < memo.schema(leaf).len());
         let mut set = Vec::new();
-        pareto_insert(&mut set, leaf);
-        pareto_insert(&mut set, red);
-        assert_eq!(set.len(), 2, "different schemas are incomparable");
+        memo.pareto_insert(&mut set, leaf);
+        memo.pareto_insert(&mut set, red);
+        assert_eq!(set, vec![leaf, red], "different schemas are incomparable");
     }
 }

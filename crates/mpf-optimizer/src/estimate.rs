@@ -12,7 +12,7 @@
 //! ([`OptContext::effective_domain`]): a variable bound by an equality
 //! predicate contributes 1.
 
-use mpf_storage::Schema;
+use mpf_storage::{Schema, Value, VarId};
 
 use crate::OptContext;
 
@@ -20,13 +20,17 @@ use crate::OptContext;
 /// equality predicates.
 pub fn base_rows(ctx: &OptContext<'_>, rel_idx: usize) -> f64 {
     let rel = &ctx.rels[rel_idx];
-    let mut rows = rel.cardinality as f64;
-    for &(v, _) in &ctx.query.predicates {
-        if rel.schema.contains(v) {
-            let d = ctx.catalog.domain_size(v) as f64;
-            if d > 0.0 {
-                rows /= d;
-            }
+    let preds = ctx.applicable_predicates(&rel.schema);
+    select_rows(ctx, rel.cardinality as f64, &preds)
+}
+
+/// Estimated rows of a selection on `predicates` over `in_rows` rows.
+pub fn select_rows(ctx: &OptContext<'_>, in_rows: f64, predicates: &[(VarId, Value)]) -> f64 {
+    let mut rows = in_rows;
+    for &(v, _) in predicates {
+        let d = ctx.catalog.domain_size(v) as f64;
+        if d > 0.0 {
+            rows /= d;
         }
     }
     rows.max(1.0)
@@ -66,14 +70,8 @@ pub fn plan_estimate(ctx: &OptContext<'_>, plan: &mpf_algebra::Plan) -> (Schema,
             (rel.schema.clone(), rel.cardinality as f64)
         }
         Plan::Select { input, predicates } => {
-            let (schema, mut rows) = plan_estimate(ctx, input);
-            for &(v, _) in predicates {
-                let d = ctx.catalog.domain_size(v) as f64;
-                if d > 0.0 {
-                    rows /= d;
-                }
-            }
-            (schema, rows.max(1.0))
+            let (schema, rows) = plan_estimate(ctx, input);
+            (schema, select_rows(ctx, rows, predicates))
         }
         Plan::Join { left, right } => {
             let (ls, lr) = plan_estimate(ctx, left);
@@ -106,32 +104,6 @@ pub fn schema_density(ctx: &OptContext<'_>, schema: &Schema, rows: f64) -> Optio
         return Some(0.0);
     }
     Some((rows / cells as f64).min(1.0))
-}
-
-/// Estimated density of `rows` rows on the catalog grid of `schema`,
-/// under the *sparse* feasibility cap rather than the dense one: the
-/// sparse-tensor operators never materialize the grid, only linearized
-/// coordinates, so the grid may be as large as
-/// [`mpf_storage::layout::MAX_SPARSE_COORD_CELLS`]. `None` when even the
-/// coordinate space overflows, which callers treat as "never sparse".
-pub fn schema_density_wide(ctx: &OptContext<'_>, schema: &Schema, rows: f64) -> Option<f64> {
-    let domains: Vec<u64> = schema
-        .iter()
-        .map(|v| ctx.catalog.domain_size(v))
-        .collect();
-    let cells = mpf_storage::layout::grid_cells_wide(&domains)?;
-    if cells == 0 {
-        return Some(0.0);
-    }
-    Some((rows / cells as f64).min(1.0))
-}
-
-/// Estimated output density of an arbitrary logical plan
-/// ([`plan_estimate`] rows over the output schema's catalog grid);
-/// `None` when the grid is infeasible for dense execution.
-pub fn plan_density(ctx: &OptContext<'_>, plan: &mpf_algebra::Plan) -> Option<f64> {
-    let (schema, rows) = plan_estimate(ctx, plan);
-    schema_density(ctx, &schema, rows)
 }
 
 /// Annotate an executed-plan trace with per-node estimated output rows.
@@ -168,22 +140,26 @@ fn annotate_rec(
             None => (std::iter::empty().collect(), f64::NAN),
         },
         PP::Select { input, predicates } => {
-            let (schema, mut rows) = input_est(input, span.children.first_mut());
-            for &(v, _) in predicates {
-                let d = ctx.catalog.domain_size(v) as f64;
-                if d > 0.0 {
-                    rows /= d;
-                }
-            }
-            (schema, rows.max(1.0))
+            let (schema, rows) = input_est(input, span.children.first_mut());
+            (schema, select_rows(ctx, rows, predicates))
         }
-        PP::Join { left, right, .. } => {
+        PP::Join { left, right, .. } | PP::JoinAgg { left, right, .. } => {
             let two = span.children.len() == 2;
             let mut it = span.children.iter_mut();
             let (ls, lr) = input_est(left, if two { it.next() } else { None });
             let (rs, rr) = input_est(right, if two { it.next() } else { None });
             let rows = join_rows(ctx, &ls, lr, &rs, rr);
-            (ls.union(&rs), rows)
+            match plan {
+                // A fused step is estimated like the unfused pair: join
+                // cardinality feeds the group-count model, the
+                // intermediate just never materializes.
+                PP::JoinAgg { group_vars, .. } => {
+                    let schema: Schema = group_vars.iter().copied().collect();
+                    let rows = group_rows(ctx, rows, &schema);
+                    (schema, rows)
+                }
+                _ => (ls.union(&rs), rows),
+            }
         }
         PP::GroupBy {
             input, group_vars, ..
@@ -191,23 +167,6 @@ fn annotate_rec(
             let (_, in_rows) = input_est(input, span.children.first_mut());
             let schema: Schema = group_vars.iter().copied().collect();
             let rows = group_rows(ctx, in_rows, &schema);
-            (schema, rows)
-        }
-        PP::JoinAgg {
-            left,
-            right,
-            group_vars,
-            ..
-        } => {
-            // Estimated like the unfused pair: join cardinality feeds the
-            // group-count model, the intermediate just never materializes.
-            let two = span.children.len() == 2;
-            let mut it = span.children.iter_mut();
-            let (ls, lr) = input_est(left, if two { it.next() } else { None });
-            let (rs, rr) = input_est(right, if two { it.next() } else { None });
-            let join = join_rows(ctx, &ls, lr, &rs, rr);
-            let schema: Schema = group_vars.iter().copied().collect();
-            let rows = group_rows(ctx, join, &schema);
             (schema, rows)
         }
     };

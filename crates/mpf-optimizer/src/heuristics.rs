@@ -17,7 +17,7 @@
 
 use mpf_storage::VarId;
 
-use crate::{estimate, OptContext, SubPlan};
+use crate::memo::{Memo, NodeId};
 
 /// An elimination-order heuristic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,84 +61,76 @@ impl Heuristic {
 }
 
 /// The degree score of eliminating `v` given the live factor set: product of
-/// effective domains of the union schema of `rels(v)` minus `v` itself.
+/// effective domains of the union schema of `rels(v)` minus `v` itself. With
+/// `width`, the width score: the same product including `v`.
 ///
 /// `eliminated` lists variables already processed; extended VE *delays*
 /// their group-by, so they may linger in factor schemas — they are excluded
 /// from scores because the next group-by drops them for free.
-pub fn degree_score(
-    ctx: &OptContext<'_>,
-    factors: &[SubPlan],
+pub(crate) fn domain_score(
+    memo: &Memo<'_, '_>,
+    factors: &[NodeId],
     v: VarId,
     eliminated: &[VarId],
+    width: bool,
 ) -> f64 {
-    neighbourhood(factors, v)
-        .into_iter()
-        .filter(|&u| u != v && !eliminated.contains(&u))
-        .map(|u| ctx.effective_domain(u))
-        .product()
-}
-
-/// The width score: product of effective domains of the union schema of
-/// `rels(v)` including `v` (minus already-eliminated stragglers, see
-/// [`degree_score`]).
-pub fn width_score(
-    ctx: &OptContext<'_>,
-    factors: &[SubPlan],
-    v: VarId,
-    eliminated: &[VarId],
-) -> f64 {
-    neighbourhood(factors, v)
-        .into_iter()
-        .filter(|&u| !eliminated.contains(&u))
-        .map(|u| ctx.effective_domain(u))
-        .product()
+    let lv = memo.local(v);
+    let holds_v = |f: NodeId| lv.is_some_and(|l| memo.has(f, l));
+    // The union schema in first-appearance order: each factor containing
+    // v adds the variables no earlier such factor has.
+    let mut product = 1.0;
+    for (i, &f) in factors.iter().enumerate().filter(|&(_, &f)| holds_v(f)) {
+        for &u in memo.schema(f) {
+            let var = memo.var(u);
+            let fresh = !factors[..i].iter().any(|&g| holds_v(g) && memo.has(g, u));
+            if fresh && (width || var != v) && !eliminated.contains(&var) {
+                product *= memo.ctx.effective_domain(var);
+            }
+        }
+    }
+    product
 }
 
 /// The elimination-cost score: estimated cost of joining `rels(v)` in a
 /// fixed smallest-first linear order and grouping `v` away (together with
-/// any already-eliminated stragglers the group-by would drop anyway).
-pub fn elim_cost_score(
-    ctx: &OptContext<'_>,
-    factors: &[SubPlan],
+/// any already-eliminated stragglers the group-by would drop anyway). The
+/// joins are built in `memo` and dropped again.
+pub(crate) fn elim_cost_score(
+    memo: &mut Memo<'_, '_>,
+    factors: &[NodeId],
     v: VarId,
     eliminated: &[VarId],
 ) -> f64 {
-    let mut parts: Vec<&SubPlan> = factors.iter().filter(|f| f.schema.contains(v)).collect();
+    let mut parts: Vec<NodeId> = factors
+        .iter()
+        .copied()
+        .filter(|&f| memo.contains(f, v))
+        .collect();
     if parts.is_empty() {
         return 0.0;
     }
-    parts.sort_by(|a, b| a.rows.total_cmp(&b.rows).then(a.schema.arity().cmp(&b.schema.arity())));
-    let mut schema = parts[0].schema.clone();
-    let mut rows = parts[0].rows;
+    parts.sort_by(|&a, &b| {
+        memo.rows(a)
+            .total_cmp(&memo.rows(b))
+            .then(memo.schema(a).len().cmp(&memo.schema(b).len()))
+    });
+    let model = memo.ctx.cost_model;
+    let mark = memo.mark();
+    let mut acc = parts[0];
     let mut cost = 0.0;
-    for p in &parts[1..] {
-        let out = estimate::join_rows(ctx, &schema, rows, &p.schema, p.rows);
-        cost += ctx.cost_model.join(rows, p.rows, out);
-        schema = schema.union(&p.schema);
-        rows = out;
+    for &p in &parts[1..] {
+        let joined = memo.join(acc, p);
+        cost += model.join(memo.rows(acc), memo.rows(p), memo.rows(joined));
+        acc = joined;
     }
-    let mut dropped: Vec<VarId> = eliminated.to_vec();
-    dropped.push(v);
-    let grouped = schema.difference(&dropped);
-    let out = estimate::group_rows(ctx, rows, &grouped);
-    cost + ctx.cost_model.group_by(rows, out)
-}
-
-/// Union of the schemas of all live factors containing `v` (the variable's
-/// elimination neighbourhood).
-fn neighbourhood(factors: &[SubPlan], v: VarId) -> Vec<VarId> {
-    let mut out = Vec::new();
-    for f in factors {
-        if f.schema.contains(v) {
-            for u in f.schema.iter() {
-                if !out.contains(&u) {
-                    out.push(u);
-                }
-            }
-        }
+    let mut keep = memo.set(acc).to_vec();
+    for l in eliminated.iter().chain([&v]).filter_map(|&u| memo.local(u)) {
+        keep[(l / 64) as usize] &= !(1 << (l % 64));
     }
-    out
+    let grouped = memo.group(acc, &keep);
+    let score = cost + model.group_by(memo.rows(acc), memo.rows(grouped));
+    memo.truncate(mark);
+    score
 }
 
 /// Select the next variable to eliminate from `candidates` under a
@@ -148,48 +140,33 @@ fn neighbourhood(factors: &[SubPlan], v: VarId) -> Vec<VarId> {
 ///
 /// # Panics
 /// Panics if called with [`Heuristic::Random`] or empty `candidates`.
-pub fn select_next(
-    ctx: &OptContext<'_>,
+pub(crate) fn select_next(
+    memo: &mut Memo<'_, '_>,
     heuristic: Heuristic,
-    factors: &[SubPlan],
+    factors: &[NodeId],
     candidates: &[VarId],
     eliminated: &[VarId],
 ) -> VarId {
     assert!(!candidates.is_empty());
-    let scores: Vec<f64> = match heuristic {
-        Heuristic::Degree => candidates
+    let mut each = |h: Heuristic| -> Vec<f64> {
+        candidates
             .iter()
-            .map(|&v| degree_score(ctx, factors, v, eliminated))
-            .collect(),
-        Heuristic::Width => candidates
-            .iter()
-            .map(|&v| width_score(ctx, factors, v, eliminated))
-            .collect(),
-        Heuristic::ElimCost => candidates
-            .iter()
-            .map(|&v| elim_cost_score(ctx, factors, v, eliminated))
-            .collect(),
-        Heuristic::DegreeWidth => normalized_product(
-            &candidates
-                .iter()
-                .map(|&v| degree_score(ctx, factors, v, eliminated))
-                .collect::<Vec<_>>(),
-            &candidates
-                .iter()
-                .map(|&v| width_score(ctx, factors, v, eliminated))
-                .collect::<Vec<_>>(),
-        ),
-        Heuristic::DegreeElimCost => normalized_product(
-            &candidates
-                .iter()
-                .map(|&v| degree_score(ctx, factors, v, eliminated))
-                .collect::<Vec<_>>(),
-            &candidates
-                .iter()
-                .map(|&v| elim_cost_score(ctx, factors, v, eliminated))
-                .collect::<Vec<_>>(),
-        ),
+            .map(|&v| match h {
+                Heuristic::Degree => domain_score(memo, factors, v, eliminated, false),
+                Heuristic::Width => domain_score(memo, factors, v, eliminated, true),
+                _ => elim_cost_score(memo, factors, v, eliminated),
+            })
+            .collect()
+    };
+    let scores = match heuristic {
+        Heuristic::DegreeWidth => {
+            normalized_product(&each(Heuristic::Degree), &each(Heuristic::Width))
+        }
+        Heuristic::DegreeElimCost => {
+            normalized_product(&each(Heuristic::Degree), &each(Heuristic::ElimCost))
+        }
         Heuristic::Random(_) => panic!("random orders are pre-shuffled by the VE driver"),
+        single => each(single),
     };
     let mut best = 0;
     for i in 1..candidates.len() {
@@ -216,17 +193,22 @@ fn normalized_product(a: &[f64], b: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostModel, QuerySpec};
-    use mpf_algebra::Plan;
-    use mpf_storage::{Catalog, Schema};
+    use crate::{BaseRel, CostModel, OptContext, QuerySpec};
+    use mpf_storage::Catalog;
 
-    fn factor(schema: Schema, rows: f64) -> SubPlan {
-        SubPlan {
-            plan: Plan::scan("f"),
-            schema,
-            rows,
-            cost: 0.0,
-        }
+    /// Run `f` over the leaves of a view whose relations are `factors`
+    /// (schema, row count).
+    fn with_factors<R>(
+        cat: &Catalog,
+        factors: &[(Vec<VarId>, u64)],
+        f: impl FnOnce(&mut Memo<'_, '_>, &[NodeId]) -> R,
+    ) -> R {
+        let rels = (factors.iter().enumerate())
+            .map(|(i, (vars, rows))| BaseRel::fixture(&format!("f{i}"), vars.clone(), *rows));
+        let ctx = OptContext::new(cat, rels, QuerySpec::default(), CostModel::Io);
+        let mut memo = Memo::new(&ctx);
+        let leaves: Vec<NodeId> = (0..factors.len()).collect();
+        f(&mut memo, &leaves)
     }
 
     #[test]
@@ -235,17 +217,16 @@ mod tests {
         let a = cat.add_var("a", 10).unwrap();
         let b = cat.add_var("b", 100).unwrap();
         let c = cat.add_var("c", 5).unwrap();
-        let ctx = OptContext::new(&cat, [], QuerySpec::default(), CostModel::Io);
-        let factors = vec![
-            factor(Schema::new(vec![a, b]).unwrap(), 1000.0),
-            factor(Schema::new(vec![b, c]).unwrap(), 500.0),
-        ];
-        // Eliminating b joins both factors: neighbourhood {a, b, c}.
-        assert_eq!(degree_score(&ctx, &factors, b, &[]), 50.0); // 10 * 5
-        assert_eq!(width_score(&ctx, &factors, b, &[]), 5000.0); // 10 * 100 * 5
-        // Eliminating a touches only the first factor.
-        assert_eq!(degree_score(&ctx, &factors, a, &[]), 100.0);
-        assert_eq!(width_score(&ctx, &factors, a, &[]), 1000.0);
+        let factors = [(vec![a, b], 1000), (vec![b, c], 500)];
+        with_factors(&cat, &factors, |memo, fs| {
+            // Eliminating b joins both factors: neighbourhood {a, b, c},
+            // degree 10 * 5, width 10 * 100 * 5.
+            assert_eq!(domain_score(memo, fs, b, &[], false), 50.0);
+            assert_eq!(domain_score(memo, fs, b, &[], true), 5000.0);
+            // Eliminating a touches only the first factor.
+            assert_eq!(domain_score(memo, fs, a, &[], false), 100.0);
+            assert_eq!(domain_score(memo, fs, a, &[], true), 1000.0);
+        });
     }
 
     #[test]
@@ -253,13 +234,14 @@ mod tests {
         let mut cat = Catalog::new();
         let a = cat.add_var("a", 10).unwrap();
         let b = cat.add_var("b", 100).unwrap();
-        let ctx = OptContext::new(&cat, [], QuerySpec::default(), CostModel::Io);
-        let f1 = factor(Schema::new(vec![a, b]).unwrap(), 1000.0);
-        let f2 = factor(Schema::new(vec![b]).unwrap(), 100.0);
-        // join rows = 1000*100/100 = 1000; join cost = 100+1000+1000 = 2100
-        // group to {a}: out=10, cost = 1000+10 = 1010; total 3110.
-        let score = elim_cost_score(&ctx, &[f1, f2], b, &[]);
-        assert!((score - 3110.0).abs() < 1e-9, "got {score}");
+        with_factors(&cat, &[(vec![a, b], 1000), (vec![b], 100)], |memo, fs| {
+            // join rows = 1000*100/100 = 1000; join cost = 100+1000+1000 = 2100
+            // group to {a}: out=10, cost = 1000+10 = 1010; total 3110.
+            let nodes = memo.mark();
+            let score = elim_cost_score(memo, fs, b, &[]);
+            assert!((score - 3110.0).abs() < 1e-9, "got {score}");
+            assert_eq!(memo.mark(), nodes, "scoring leaves no nodes behind");
+        });
     }
 
     #[test]
@@ -269,18 +251,22 @@ mod tests {
         let x1 = cat.add_var("x1", 10).unwrap();
         let x2 = cat.add_var("x2", 10).unwrap();
         let x3 = cat.add_var("x3", 10).unwrap();
-        let ctx = OptContext::new(&cat, [], QuerySpec::default(), CostModel::Io);
         // Star: hub appears everywhere; x2 in two factors, x1/x3 in one.
-        let factors = vec![
-            factor(Schema::new(vec![x1, x2, hub]).unwrap(), 1000.0),
-            factor(Schema::new(vec![x2, x3, hub]).unwrap(), 1000.0),
-        ];
-        // Width of hub = 10^4 (all vars); width of x1 = 10^3.
-        let pick = select_next(&ctx, Heuristic::Width, &factors, &[hub, x1, x2, x3], &[]);
-        assert!(pick == x1 || pick == x3, "width must avoid the hub, got {pick}");
-        // Degree of hub = 10^3 (x1,x2,x3); degree of x1 = 10^2 (x2,hub).
-        let pick = select_next(&ctx, Heuristic::Degree, &factors, &[hub, x1, x2, x3], &[]);
-        assert!(pick == x1 || pick == x3, "degree avoids the hub here, got {pick}");
+        let factors = [(vec![x1, x2, hub], 1000), (vec![x2, x3, hub], 1000)];
+        with_factors(&cat, &factors, |memo, fs| {
+            // Width of hub = 10^4 (all vars); width of x1 = 10^3.
+            let pick = select_next(memo, Heuristic::Width, fs, &[hub, x1, x2, x3], &[]);
+            assert!(
+                pick == x1 || pick == x3,
+                "width must avoid the hub, got {pick}"
+            );
+            // Degree of hub = 10^3 (x1,x2,x3); degree of x1 = 10^2 (x2,hub).
+            let pick = select_next(memo, Heuristic::Degree, fs, &[hub, x1, x2, x3], &[]);
+            assert!(
+                pick == x1 || pick == x3,
+                "degree avoids the hub here, got {pick}"
+            );
+        });
     }
 
     #[test]
@@ -295,9 +281,9 @@ mod tests {
         let mut cat = Catalog::new();
         let a = cat.add_var("a", 10).unwrap();
         let b = cat.add_var("b", 10).unwrap();
-        let ctx = OptContext::new(&cat, [], QuerySpec::default(), CostModel::Io);
-        let factors = vec![factor(Schema::new(vec![a, b]).unwrap(), 100.0)];
-        // Symmetric scores: the smaller VarId wins.
-        assert_eq!(select_next(&ctx, Heuristic::Degree, &factors, &[b, a], &[]), a);
+        with_factors(&cat, &[(vec![a, b], 100)], |memo, fs| {
+            // Symmetric scores: the smaller VarId wins.
+            assert_eq!(select_next(memo, Heuristic::Degree, fs, &[b, a], &[]), a);
+        });
     }
 }

@@ -28,23 +28,22 @@
 //! ([`prop1`]), catalog-based cardinality estimation ([`estimate`]), and two
 //! cost models ([`CostModel`]).
 
-pub mod bushy;
+mod bushy;
 mod context;
 mod cost;
-pub mod cs;
+mod cs;
 pub mod estimate;
 pub mod heuristics;
 pub mod linearity;
+mod memo;
 pub mod physical;
 pub mod prop1;
-mod subplan;
 pub mod ve;
 
 pub use context::{BaseRel, OptContext, QuerySpec};
 pub use cost::CostModel;
 pub use heuristics::Heuristic;
 pub use physical::{choose_physical, PhysicalConfig};
-pub use subplan::SubPlan;
 
 use mpf_algebra::Plan;
 
@@ -108,16 +107,13 @@ pub fn optimize(ctx: &OptContext<'_>, algorithm: Algorithm) -> OptimizedPlan {
         ctx.rels.len() <= MAX_DP_RELATIONS,
         "dynamic programming limit is {MAX_DP_RELATIONS} relations"
     );
-    let sub = match algorithm {
-        Algorithm::Cs => cs::plan_linear(ctx, false),
-        Algorithm::CsPlusLinear => cs::plan_linear(ctx, true),
-        Algorithm::CsPlusNonlinear => bushy::plan_nonlinear(ctx),
-        Algorithm::Ve(h) => ve::plan_ve(ctx, h, false),
-        Algorithm::VePlus(h) => ve::plan_ve(ctx, h, true),
+    let mut memo = memo::Memo::new(ctx);
+    let root = match algorithm {
+        Algorithm::Cs => cs::plan_linear(&mut memo, false),
+        Algorithm::CsPlusLinear => cs::plan_linear(&mut memo, true),
+        Algorithm::CsPlusNonlinear => bushy::plan_nonlinear(&mut memo),
+        Algorithm::Ve(h) => ve::plan_ve(&mut memo, h, false),
+        Algorithm::VePlus(h) => ve::plan_ve(&mut memo, h, true),
     };
-    OptimizedPlan {
-        plan: sub.plan,
-        est_cost: sub.cost,
-        est_rows: sub.rows,
-    }
+    memo.optimized(root)
 }

@@ -32,6 +32,7 @@
 //! ordering used ([`estimate::plan_estimate`]).
 
 use mpf_algebra::{partitioned, AggAlgo, DenseMode, JoinAlgo, PhysicalPlan, Plan, ReprMode};
+use mpf_storage::Schema;
 
 use crate::{estimate, OptContext};
 
@@ -121,8 +122,8 @@ impl PhysicalConfig {
 fn dense_applies(
     ctx: &OptContext<'_>,
     cfg: &PhysicalConfig,
-    inputs: &[(&mpf_storage::Schema, f64)],
-    out_schema: &mpf_storage::Schema,
+    inputs: &[(&Schema, f64)],
+    out_schema: &Schema,
 ) -> bool {
     if cfg.dense_mode == DenseMode::Off {
         return false;
@@ -148,137 +149,149 @@ fn dense_applies(
 /// when a grid is complete enough for the odometer kernel, dense is
 /// strictly better; below that, sorted-merge over linearized coordinates
 /// beats hashing at every density measured (down to 0.5 %, `pr7_repr`),
-/// so the only test is feasibility — every
-/// coordinate space within the sparse cap. `Off`: never.
-fn sparse_applies(
-    ctx: &OptContext<'_>,
-    cfg: &PhysicalConfig,
-    schemas: &[&mpf_storage::Schema],
-) -> bool {
+/// so the only test is feasibility — every coordinate space within
+/// [`mpf_storage::layout::MAX_SPARSE_COORD_CELLS`], over the catalog's real
+/// domains. `Off`: never.
+fn sparse_applies(ctx: &OptContext<'_>, cfg: &PhysicalConfig, schemas: &[&Schema]) -> bool {
     cfg.repr_mode == ReprMode::Auto
-        && schemas
-            .iter()
-            .all(|s| estimate::schema_density_wide(ctx, s, 0.0).is_some())
+        && schemas.iter().all(|s| {
+            let domains: Vec<u64> = s.iter().map(|v| ctx.catalog.domain_size(v)).collect();
+            mpf_storage::layout::grid_cells_wide(&domains).is_some()
+        })
 }
 
-/// Fuse each dense join that feeds a dense marginalization, and each
-/// sparse join that feeds a sparse one, into a single
-/// [`PhysicalPlan::JoinAgg`] carrying the join's algorithm: the
-/// elimination step then folds every join pair straight into its group
-/// accumulator, skipping the join intermediate entirely. Mixed and hash
-/// pairings keep their chosen algorithms.
-fn fuse_join_agg(plan: PhysicalPlan) -> PhysicalPlan {
-    match plan {
-        PhysicalPlan::GroupBy {
-            input,
-            group_vars,
-            algo,
-        } => match (*input, algo) {
-            (
-                PhysicalPlan::Join {
-                    left,
-                    right,
-                    algo: join @ JoinAlgo::Dense,
-                },
-                AggAlgo::DenseAgg,
-            )
-            | (
-                PhysicalPlan::Join {
-                    left,
-                    right,
-                    algo: join @ JoinAlgo::SparseTensor,
-                },
-                AggAlgo::SparseAgg,
-            ) => PhysicalPlan::JoinAgg {
-                left: Box::new(fuse_join_agg(*left)),
-                right: Box::new(fuse_join_agg(*right)),
-                group_vars,
-                algo: join,
-            },
-            (input, algo) => PhysicalPlan::GroupBy {
-                input: Box::new(fuse_join_agg(input)),
-                group_vars,
-                algo,
-            },
-        },
-        PhysicalPlan::Join { left, right, algo } => PhysicalPlan::Join {
-            left: Box::new(fuse_join_agg(*left)),
-            right: Box::new(fuse_join_agg(*right)),
-            algo,
-        },
-        PhysicalPlan::Select { input, predicates } => PhysicalPlan::Select {
-            input: Box::new(fuse_join_agg(*input)),
-            predicates,
-        },
-        leaf @ (PhysicalPlan::Scan { .. } | PhysicalPlan::JoinAgg { .. }) => leaf,
+/// The algorithm for a product join of the given operand estimates.
+fn join_algo(
+    ctx: &OptContext<'_>,
+    cfg: &PhysicalConfig,
+    (ls, lr): (&Schema, f64),
+    (rs, rr): (&Schema, f64),
+    out: &Schema,
+) -> JoinAlgo {
+    if dense_applies(ctx, cfg, &[(ls, lr), (rs, rr)], out) {
+        return JoinAlgo::Dense;
+    }
+    if sparse_applies(ctx, cfg, &[ls, rs, out]) {
+        return JoinAlgo::SparseTensor;
+    }
+    let build = lr.min(rr);
+    if cfg.threads > 1 && build >= cfg.parallel_min_rows {
+        // Large operands: partition into cache-sized buckets and join them
+        // on the worker pool. Row bytes come from the wider schema so the
+        // partition count covers the probe side too.
+        let row_bytes = row_bytes(ls.arity().max(rs.arity()));
+        JoinAlgo::Parallel {
+            partitions: partitioned::parallel_partitions(build as usize, row_bytes, cfg.threads),
+        }
+    } else {
+        JoinAlgo::Hash
+    }
+}
+
+/// The algorithm for a group-by of `(in_schema, in_rows)` onto `out`,
+/// estimated at `groups` rows.
+fn agg_algo(
+    ctx: &OptContext<'_>,
+    cfg: &PhysicalConfig,
+    (in_schema, in_rows): (&Schema, f64),
+    out: &Schema,
+    groups: f64,
+) -> AggAlgo {
+    if dense_applies(ctx, cfg, &[(in_schema, in_rows)], out) {
+        return AggAlgo::DenseAgg;
+    }
+    if sparse_applies(ctx, cfg, &[in_schema, out]) {
+        return AggAlgo::SparseAgg;
+    }
+    if cfg.threads > 1 && groups >= cfg.parallel_min_rows {
+        // Many groups: the accumulator table itself blows the cache, so
+        // partition on the group hash. Few-group aggregation stays
+        // cache-resident and gains nothing.
+        AggAlgo::ParallelAgg {
+            partitions: partitioned::parallel_partitions(
+                groups as usize,
+                row_bytes(out.arity()),
+                cfg.threads,
+            ),
+        }
+    } else {
+        AggAlgo::HashAgg
     }
 }
 
 /// Annotate a logical plan with cost-chosen operator algorithms.
-pub fn choose_physical(
-    ctx: &OptContext<'_>,
-    plan: &Plan,
-    cfg: PhysicalConfig,
-) -> PhysicalPlan {
-    let phys = PhysicalPlan::from_logical(
-        plan,
-        &mut |left, right| {
-            let (ls, lr) = estimate::plan_estimate(ctx, left);
-            let (rs, rr) = estimate::plan_estimate(ctx, right);
-            if dense_applies(ctx, &cfg, &[(&ls, lr), (&rs, rr)], &ls.union(&rs)) {
-                return JoinAlgo::Dense;
-            }
-            if sparse_applies(ctx, &cfg, &[&ls, &rs, &ls.union(&rs)]) {
-                return JoinAlgo::SparseTensor;
-            }
-            let build = lr.min(rr);
-            if cfg.threads > 1 && build >= cfg.parallel_min_rows {
-                // Large operands: partition into cache-sized buckets and
-                // join them on the worker pool. Row bytes come from the
-                // wider schema so the partition count covers the probe
-                // side too.
-                let row_bytes = row_bytes(ls.arity().max(rs.arity()));
-                JoinAlgo::Parallel {
-                    partitions: partitioned::parallel_partitions(
-                        build as usize,
-                        row_bytes,
-                        cfg.threads,
-                    ),
+pub fn choose_physical(ctx: &OptContext<'_>, plan: &Plan, cfg: PhysicalConfig) -> PhysicalPlan {
+    lower(ctx, &cfg, plan).0
+}
+
+/// Choose each operator's algorithm bottom-up, handing every subplan's
+/// estimated schema and rows (those of [`estimate::plan_estimate`]) to its
+/// parent, so each node is estimated once.
+///
+/// With [`PhysicalConfig::fuse`], a dense join feeding a dense
+/// marginalization, or a sparse join feeding a sparse one, becomes a single
+/// [`PhysicalPlan::JoinAgg`] carrying the join's algorithm: the elimination
+/// step then folds every join pair straight into its group accumulator,
+/// skipping the join intermediate entirely. Mixed and hash pairings keep
+/// their chosen algorithms.
+fn lower(ctx: &OptContext<'_>, cfg: &PhysicalConfig, plan: &Plan) -> (PhysicalPlan, Schema, f64) {
+    match plan {
+        Plan::Scan { relation } => {
+            let (schema, rows) = estimate::plan_estimate(ctx, plan);
+            let scan = PhysicalPlan::Scan {
+                relation: relation.clone(),
+            };
+            (scan, schema, rows)
+        }
+        Plan::Select { input, predicates } => {
+            let (input, schema, rows) = lower(ctx, cfg, input);
+            let select = PhysicalPlan::Select {
+                input: Box::new(input),
+                predicates: predicates.clone(),
+            };
+            (select, schema, estimate::select_rows(ctx, rows, predicates))
+        }
+        Plan::Join { left, right } => {
+            let (left, ls, lr) = lower(ctx, cfg, left);
+            let (right, rs, rr) = lower(ctx, cfg, right);
+            let schema = ls.union(&rs);
+            let join = PhysicalPlan::Join {
+                left: Box::new(left),
+                right: Box::new(right),
+                algo: join_algo(ctx, cfg, (&ls, lr), (&rs, rr), &schema),
+            };
+            (join, schema, estimate::join_rows(ctx, &ls, lr, &rs, rr))
+        }
+        Plan::GroupBy { input, group_vars } => {
+            let (input, in_schema, in_rows) = lower(ctx, cfg, input);
+            let schema: Schema = group_vars.iter().copied().collect();
+            let rows = estimate::group_rows(ctx, in_rows, &schema);
+            let agg = agg_algo(ctx, cfg, (&in_schema, in_rows), &schema, rows);
+            let group_vars = group_vars.clone();
+            let group = match input {
+                PhysicalPlan::Join { left, right, algo }
+                    if cfg.fuse
+                        && matches!(
+                            (algo, agg),
+                            (JoinAlgo::Dense, AggAlgo::DenseAgg)
+                                | (JoinAlgo::SparseTensor, AggAlgo::SparseAgg)
+                        ) =>
+                {
+                    PhysicalPlan::JoinAgg {
+                        left,
+                        right,
+                        group_vars,
+                        algo,
+                    }
                 }
-            } else {
-                JoinAlgo::Hash
-            }
-        },
-        &mut |input, group_vars| {
-            let (in_schema, in_rows) = estimate::plan_estimate(ctx, input);
-            let schema: mpf_storage::Schema = group_vars.iter().copied().collect();
-            if dense_applies(ctx, &cfg, &[(&in_schema, in_rows)], &schema) {
-                return AggAlgo::DenseAgg;
-            }
-            if sparse_applies(ctx, &cfg, &[&in_schema, &schema]) {
-                return AggAlgo::SparseAgg;
-            }
-            let groups = estimate::group_rows(ctx, in_rows, &schema);
-            if cfg.threads > 1 && groups >= cfg.parallel_min_rows {
-                // Many groups: the accumulator table itself blows the
-                // cache, so partition on the group hash. Few-group
-                // aggregation stays cache-resident and gains nothing.
-                AggAlgo::ParallelAgg {
-                    partitions: partitioned::parallel_partitions(
-                        groups as usize,
-                        row_bytes(schema.arity()),
-                        cfg.threads,
-                    ),
-                }
-            } else {
-                AggAlgo::HashAgg
-            }
-        },
-    );
-    if cfg.fuse {
-        fuse_join_agg(phys)
-    } else {
-        phys
+                input => PhysicalPlan::GroupBy {
+                    input: Box::new(input),
+                    group_vars,
+                    algo: agg,
+                },
+            };
+            (group, schema, rows)
+        }
     }
 }
 
@@ -359,15 +372,9 @@ mod tests {
         let a = cat.add_var("a", 8).unwrap();
         let b = cat.add_var("b", 8).unwrap();
         let c = cat.add_var("c", 8).unwrap();
-        let mk = |name: &str, schema: Schema, card: u64| BaseRel {
-            name: name.into(),
-            schema,
-            cardinality: card,
-            fd_lhs: None,
-        };
         let rels = vec![
-            mk("r1", Schema::new(vec![a, b]).unwrap(), 64),
-            mk("r2", Schema::new(vec![b, c]).unwrap(), 64),
+            BaseRel::fixture("r1", vec![a, b], 64),
+            BaseRel::fixture("r2", vec![b, c], 64),
         ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
@@ -385,8 +392,8 @@ mod tests {
 
         // Sparse data (density 1/16): auto declines, forced mode selects.
         let sparse = vec![
-            mk("r1", Schema::new(vec![a, b]).unwrap(), 4),
-            mk("r2", Schema::new(vec![b, c]).unwrap(), 4),
+            BaseRel::fixture("r1", vec![a, b], 4),
+            BaseRel::fixture("r2", vec![b, c], 4),
         ];
         let sctx = OptContext::new(&cat, sparse, QuerySpec::group_by([a]), CostModel::Io);
         let splan = optimize(&sctx, Algorithm::CsPlusNonlinear).plan;
@@ -405,15 +412,9 @@ mod tests {
         let a = cat.add_var("a", 8).unwrap();
         let b = cat.add_var("b", 8).unwrap();
         let c = cat.add_var("c", 8).unwrap();
-        let mk = |name: &str, schema: Schema, card: u64| BaseRel {
-            name: name.into(),
-            schema,
-            cardinality: card,
-            fd_lhs: None,
-        };
         let rels = vec![
-            mk("r1", Schema::new(vec![a, b]).unwrap(), 64),
-            mk("r2", Schema::new(vec![b, c]).unwrap(), 64),
+            BaseRel::fixture("r1", vec![a, b], 64),
+            BaseRel::fixture("r2", vec![b, c], 64),
         ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
@@ -486,15 +487,9 @@ mod tests {
         let a = cat.add_var("a", 8).unwrap();
         let b = cat.add_var("b", 8).unwrap();
         let c = cat.add_var("c", 8).unwrap();
-        let mk = |name: &str, schema: Schema, card: u64| BaseRel {
-            name: name.into(),
-            schema,
-            cardinality: card,
-            fd_lhs: None,
-        };
         let rels = vec![
-            mk("r1", Schema::new(vec![a, b]).unwrap(), 12),
-            mk("r2", Schema::new(vec![b, c]).unwrap(), 12),
+            BaseRel::fixture("r1", vec![a, b], 12),
+            BaseRel::fixture("r2", vec![b, c], 12),
         ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
@@ -517,8 +512,8 @@ mod tests {
         let b2 = cat2.add_var("b", 100).unwrap();
         let c2 = cat2.add_var("c", 100).unwrap();
         let sparse = vec![
-            mk("r1", Schema::new(vec![a2, b2]).unwrap(), 50),
-            mk("r2", Schema::new(vec![b2, c2]).unwrap(), 50),
+            BaseRel::fixture("r1", vec![a2, b2], 50),
+            BaseRel::fixture("r2", vec![b2, c2], 50),
         ];
         let sctx = OptContext::new(&cat2, sparse, QuerySpec::group_by([a2]), CostModel::Io);
         let splan = optimize(&sctx, Algorithm::CsPlusNonlinear).plan;
@@ -540,15 +535,9 @@ mod tests {
         let a = cat.add_var("a", 8).unwrap();
         let b = cat.add_var("b", 8).unwrap();
         let c = cat.add_var("c", 8).unwrap();
-        let mk = |name: &str, schema: Schema| BaseRel {
-            name: name.into(),
-            schema,
-            cardinality: 12,
-            fd_lhs: None,
-        };
         let rels = vec![
-            mk("r1", Schema::new(vec![a, b]).unwrap()),
-            mk("r2", Schema::new(vec![b, c]).unwrap()),
+            BaseRel::fixture("r1", vec![a, b], 12),
+            BaseRel::fixture("r2", vec![b, c], 12),
         ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;

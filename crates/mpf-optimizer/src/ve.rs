@@ -10,16 +10,17 @@
 //! VE+ additionally skips variables that Proposition 1 proves removable by
 //! projection.
 
-use mpf_storage::{Schema, VarId};
+use mpf_storage::VarId;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::subplan::best_join_of_four;
-use crate::{heuristics, prop1, Heuristic, OptContext, SubPlan};
+use crate::memo::{Memo, NodeId};
+use crate::{heuristics, prop1, Heuristic, OptContext, OptimizedPlan};
 
 /// Run Variable Elimination under a heuristic order. `extended = true`
 /// selects the VE+ space extension.
-pub fn plan_ve(ctx: &OptContext<'_>, heuristic: Heuristic, extended: bool) -> SubPlan {
+pub(crate) fn plan_ve(memo: &mut Memo<'_, '_>, heuristic: Heuristic, extended: bool) -> NodeId {
+    let ctx = memo.ctx;
     let mut to_eliminate: Vec<VarId> = ctx
         .all_vars()
         .into_iter()
@@ -35,7 +36,7 @@ pub fn plan_ve(ctx: &OptContext<'_>, heuristic: Heuristic, extended: bool) -> Su
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         to_eliminate.shuffle(&mut rng);
     }
-    plan_ve_ordered(ctx, &to_eliminate, heuristic, extended)
+    ve_ordered(memo, &to_eliminate, heuristic, extended)
 }
 
 /// Run Variable Elimination with a fixed elimination order (used for the
@@ -54,149 +55,109 @@ pub fn plan_ve_ordered(
     order: &[VarId],
     heuristic: Heuristic,
     extended: bool,
-) -> SubPlan {
-    let (plan, realized) = run_ve(ctx, order, heuristic, extended);
+) -> OptimizedPlan {
+    let mut memo = Memo::new(ctx);
+    let root = ve_ordered(&mut memo, order, heuristic, extended);
+    memo.optimized(root)
+}
+
+/// Variable Elimination over `order`: the body of [`plan_ve_ordered`].
+fn ve_ordered(
+    memo: &mut Memo<'_, '_>,
+    order: &[VarId],
+    heuristic: Heuristic,
+    extended: bool,
+) -> NodeId {
+    let mut factors: Vec<NodeId> = (0..memo.ctx.rels.len()).collect();
+    let mut remaining: Vec<VarId> = order.to_vec();
+    let mut eliminated: Vec<VarId> = Vec::new();
+    let mut group: Vec<NodeId> = Vec::new();
+
+    while !remaining.is_empty() {
+        let v = match heuristic {
+            Heuristic::Random(_) => remaining[0],
+            _ => heuristics::select_next(memo, heuristic, &factors, &remaining, &eliminated),
+        };
+        remaining.retain(|&u| u != v);
+        eliminated.push(v);
+
+        // rels(v, S): live factors whose schema contains v; the rest stay.
+        group.clear();
+        factors.retain(|&f| {
+            let member = memo.contains(f, v);
+            if member {
+                group.push(f);
+            }
+            !member
+        });
+        if group.is_empty() {
+            // v already disappeared via an earlier group-by.
+            continue;
+        }
+        // Join rels(v); plain VE then groups v away (line 6 of Algorithm
+        // 2), VE+ delays the elimination (Section 5.4, change 2).
+        let mut p = join_smallest_first(memo, &mut group, &factors, extended);
+        if !extended {
+            let mut keep = memo.set(p).to_vec();
+            let l = memo.local(v).expect("v occurs in its factors");
+            keep[(l / 64) as usize] &= !(1 << (l % 64));
+            p = memo.group(p, &keep);
+        }
+        factors.push(p);
+    }
+
+    // Join whatever factors remain (all contain only query variables in
+    // plain VE) and apply the root group-by on the query variables.
+    let rest = join_smallest_first(memo, &mut factors, &[], extended);
+    let plan = memo.root(&[rest]);
     if !extended {
         return plan;
     }
     // Theorem 3: the plain plan for the realized order is in the extended
     // space; keep whichever the cost model prefers.
-    let (plain, _) = run_ve(ctx, &realized, Heuristic::Random(0), false);
-    if plain.cost < plan.cost {
+    let plain = ve_ordered(memo, &eliminated, Heuristic::Random(0), false);
+    if memo.cost(plain) < memo.cost(plan) {
         plain
     } else {
         plan
     }
 }
 
-/// The VE driver; returns the plan and the realized elimination order.
-fn run_ve(
-    ctx: &OptContext<'_>,
-    order: &[VarId],
-    heuristic: Heuristic,
+/// Join `factors` in a fixed smallest-first linear order, per the paper's
+/// VE implementation (`joinplan` on a small relation set). In extended
+/// mode each step is the cheapest of the four group-by placements, each
+/// side keeping what `others`, the factors still to join and the opposite
+/// side need.
+fn join_smallest_first(
+    memo: &mut Memo<'_, '_>,
+    factors: &mut [NodeId],
+    others: &[NodeId],
     extended: bool,
-) -> (SubPlan, Vec<VarId>) {
-    let mut factors: Vec<SubPlan> = (0..ctx.rels.len()).map(|i| SubPlan::leaf(ctx, i)).collect();
-    let mut remaining: Vec<VarId> = order.to_vec();
-    let mut eliminated: Vec<VarId> = Vec::new();
-
-    while !remaining.is_empty() {
-        let v = match heuristic {
-            Heuristic::Random(_) => remaining[0],
-            _ => heuristics::select_next(ctx, heuristic, &factors, &remaining, &eliminated),
+) -> NodeId {
+    factors.sort_by(|&a, &b| memo.rows(a).total_cmp(&memo.rows(b)));
+    let (mut needed_l, mut needed_r) = (Vec::new(), Vec::new());
+    let mut acc = factors[0];
+    let pending = &factors[1..];
+    for (i, &next) in pending.iter().enumerate() {
+        acc = if extended {
+            // The accumulated side's outside includes `next` itself.
+            memo.needed(others.iter().chain(&pending[i..]).copied(), &mut needed_l);
+            let right_outside = others.iter().chain(&pending[i + 1..]).copied().chain([acc]);
+            memo.needed(right_outside, &mut needed_r);
+            memo.best_join_of_four(acc, next, &needed_l, &needed_r)
+        } else {
+            memo.join(acc, next)
         };
-        remaining.retain(|&u| u != v);
-        eliminated.push(v);
-
-        // rels(v, S): live factors whose schema contains v.
-        let mut group: Vec<SubPlan> = Vec::new();
-        let mut rest: Vec<SubPlan> = Vec::new();
-        for f in factors.drain(..) {
-            if f.schema.contains(v) {
-                group.push(f);
-            } else {
-                rest.push(f);
-            }
-        }
-        if group.is_empty() {
-            // v already disappeared via an earlier group-by.
-            factors = rest;
-            continue;
-        }
-        let p = eliminate(ctx, group, v, &rest, extended);
-        rest.push(p);
-        factors = rest;
     }
-
-    (finalize(ctx, factors, extended), eliminated)
-}
-
-/// Join the factors of `rels(v)` and (for plain VE) group `v` away.
-fn eliminate(
-    ctx: &OptContext<'_>,
-    mut group: Vec<SubPlan>,
-    v: VarId,
-    others: &[SubPlan],
-    extended: bool,
-) -> SubPlan {
-    // Fixed smallest-first linear order inside the elimination join, per the
-    // paper's VE implementation (`joinplan` on a small relation set).
-    group.sort_by(|a, b| a.rows.total_cmp(&b.rows));
-    let mut iter = group.into_iter();
-    let mut acc = iter.next().expect("rels(v) nonempty");
-    let pending: Vec<SubPlan> = iter.collect();
-
-    for (i, next) in pending.iter().enumerate() {
-        if extended {
-            // Outside view for the accumulated side: every other live factor
-            // plus the not-yet-joined members of rels(v).
-            let mut outside_left: Vec<&Schema> =
-                others.iter().map(|f| &f.schema).collect();
-            for later in &pending[i..] {
-                outside_left.push(&later.schema);
-            }
-            // Outside view for the incoming factor: others, the remaining
-            // pending factors, and the accumulated side.
-            let mut outside_right: Vec<&Schema> =
-                others.iter().map(|f| &f.schema).collect();
-            for (j, later) in pending.iter().enumerate() {
-                if j > i {
-                    outside_right.push(&later.schema);
-                }
-            }
-            outside_right.push(&acc.schema);
-            acc = best_join_of_four(ctx, &acc, next, &outside_left, &outside_right);
-        } else {
-            acc = SubPlan::join(ctx, acc, next.clone());
-        }
-    }
-
-    if extended {
-        // Delayed elimination: no forced group-by (Section 5.4, change 2).
-        acc
-    } else {
-        // Line 6 of Algorithm 2: group onto everything but v.
-        let keep: Vec<VarId> = acc.schema.iter().filter(|&u| u != v).collect();
-        SubPlan::group(ctx, acc, &keep)
-    }
-}
-
-/// Join whatever factors remain (all contain only query variables in plain
-/// VE) and apply the root group-by on the query variables.
-fn finalize(ctx: &OptContext<'_>, mut factors: Vec<SubPlan>, extended: bool) -> SubPlan {
-    factors.sort_by(|a, b| a.rows.total_cmp(&b.rows));
-    let mut iter = factors.into_iter();
-    let mut acc = iter.next().expect("at least one factor");
-    let pending: Vec<SubPlan> = iter.collect();
-    for (i, next) in pending.iter().enumerate() {
-        if extended {
-            let outside_left: Vec<&Schema> =
-                pending[i..].iter().map(|f| &f.schema).collect();
-            let mut outside_right: Vec<&Schema> =
-                pending[i + 1..].iter().map(|f| &f.schema).collect();
-            outside_right.push(&acc.schema);
-            acc = best_join_of_four(ctx, &acc, next, &outside_left, &outside_right);
-        } else {
-            acc = SubPlan::join(ctx, acc, next.clone());
-        }
-    }
-    SubPlan::group(ctx, acc, &ctx.query.group_vars)
+    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BaseRel, CostModel, QuerySpec};
+    use crate::estimate::plan_estimate;
+    use crate::{optimize, Algorithm, BaseRel, CostModel, QuerySpec};
     use mpf_storage::Catalog;
-
-    fn mk(name: &str, vars: Vec<VarId>, card: u64) -> BaseRel {
-        BaseRel {
-            name: name.into(),
-            schema: Schema::new(vars).unwrap(),
-            cardinality: card,
-            fd_lhs: None,
-        }
-    }
 
     fn chain_ctx(cat: &mut Catalog) -> (Vec<BaseRel>, Vec<VarId>) {
         let a = cat.add_var("a", 10).unwrap();
@@ -205,9 +166,9 @@ mod tests {
         let d = cat.add_var("d", 10).unwrap();
         (
             vec![
-                mk("r1", vec![a, b], 500),
-                mk("r2", vec![b, c], 2500),
-                mk("r3", vec![c, d], 500),
+                BaseRel::fixture("r1", vec![a, b], 500),
+                BaseRel::fixture("r2", vec![b, c], 2500),
+                BaseRel::fixture("r3", vec![c, d], 500),
             ],
             vec![a, b, c, d],
         )
@@ -223,10 +184,10 @@ mod tests {
             QuerySpec::group_by([vars[0]]),
             CostModel::Io,
         );
-        let p = plan_ve(&ctx, Heuristic::Degree, false);
+        let p = optimize(&ctx, Algorithm::Ve(Heuristic::Degree));
         // Three eliminations (b, c, d) plus the root group-by.
         assert_eq!(p.plan.group_by_count(), 4);
-        assert_eq!(p.schema.vars(), &[vars[0]]);
+        assert_eq!(plan_estimate(&ctx, &p.plan).0.vars(), &[vars[0]]);
         let mut scans = p.plan.base_relations();
         scans.sort_unstable();
         assert_eq!(scans, vec!["r1", "r2", "r3"]);
@@ -251,10 +212,10 @@ mod tests {
             let ve = plan_ve_ordered(&ctx, &order, Heuristic::Random(0), false);
             let vep = plan_ve_ordered(&ctx, &order, Heuristic::Random(0), true);
             assert!(
-                vep.cost <= ve.cost + 1e-9,
+                vep.est_cost <= ve.est_cost + 1e-9,
                 "VE+ cost {} > VE cost {} for order {order:?}",
-                vep.cost,
-                ve.cost
+                vep.est_cost,
+                ve.est_cost
             );
         }
     }
@@ -269,10 +230,10 @@ mod tests {
             QuerySpec::group_by([vars[0]]),
             CostModel::Io,
         );
-        let p1 = plan_ve(&ctx, Heuristic::Random(42), false);
-        let p2 = plan_ve(&ctx, Heuristic::Random(42), false);
+        let p1 = optimize(&ctx, Algorithm::Ve(Heuristic::Random(42)));
+        let p2 = optimize(&ctx, Algorithm::Ve(Heuristic::Random(42)));
         assert_eq!(p1.plan, p2.plan);
-        assert_eq!(p1.cost, p2.cost);
+        assert_eq!(p1.est_cost, p2.est_cost);
     }
 
     #[test]
@@ -287,8 +248,8 @@ mod tests {
             QuerySpec::group_by([vars[0]]).filter(vars[3], 3),
             CostModel::Io,
         );
-        let p = plan_ve(&ctx, Heuristic::Degree, false);
-        assert_eq!(p.schema.vars(), &[vars[0]]);
+        let p = optimize(&ctx, Algorithm::Ve(Heuristic::Degree));
+        assert_eq!(plan_estimate(&ctx, &p.plan).0.vars(), &[vars[0]]);
         let rendered = p.plan.render(&|v| format!("{v}"));
         assert!(rendered.contains("Select"));
     }
@@ -301,11 +262,14 @@ mod tests {
         let b = cat.add_var("b", 4).unwrap();
         let ctx = OptContext::new(
             &cat,
-            [mk("r1", vec![a], 4), mk("r2", vec![a, b], 16)],
+            [
+                BaseRel::fixture("r1", vec![a], 4),
+                BaseRel::fixture("r2", vec![a, b], 16),
+            ],
             QuerySpec::group_by([a, b]),
             CostModel::Io,
         );
-        let p = plan_ve(&ctx, Heuristic::Degree, false);
+        let p = optimize(&ctx, Algorithm::Ve(Heuristic::Degree));
         assert_eq!(p.plan.group_by_count(), 1);
         assert_eq!(p.plan.join_count(), 1);
     }

@@ -125,10 +125,10 @@ proptest! {
         let ve = plan_ve_ordered(&ctx, &order, Heuristic::Random(0), false);
         let vep = plan_ve_ordered(&ctx, &order, Heuristic::Random(0), true);
         prop_assert!(
-            vep.cost <= ve.cost + 1e-6,
+            vep.est_cost <= ve.est_cost + 1e-6,
             "VE+ {} > VE {} (order {:?})",
-            vep.cost,
-            ve.cost,
+            vep.est_cost,
+            ve.est_cost,
             order
         );
     }
