@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpf_semiring::SemiringKind;
-use mpf_storage::FunctionalRelation;
+use mpf_storage::{FunctionalRelation, KeyedSource};
 
 use crate::dense::{DenseMode, KernelMode};
 use crate::limits::{ExecBudget, ExecLimits, OpGuard};
@@ -523,6 +523,33 @@ impl<'b> ExecContext<'b> {
             KernelMode::Chunked => self.stats.kernel_chunked_ops += 1,
         }
         self.trace.set_kernel(mode.name());
+    }
+
+    /// Count where a row-major sparse operand's keyed order came from.
+    pub(crate) fn note_keyed(&mut self, source: KeyedSource) {
+        match source {
+            KeyedSource::Memo => self.stats.keyed_memo_hits += 1,
+            KeyedSource::Built => self.stats.keyed_memo_builds += 1,
+            KeyedSource::Fresh => {}
+        }
+    }
+
+    /// The keyed-memo counters now, for [`ExecContext::tag_keyed_since`].
+    pub(crate) fn keyed_mark(&self) -> (u64, u64) {
+        (self.stats.keyed_memo_hits, self.stats.keyed_memo_builds)
+    }
+
+    /// Tag the active span `keyed=built` when the operator filled a
+    /// relation's memo since `mark`, `keyed=memo` when memos served all
+    /// its memo lookups, and not at all when it made none. Same call-order
+    /// rule as [`ExecContext::note_kernel_op`].
+    pub(crate) fn tag_keyed_since(&mut self, mark: (u64, u64)) {
+        let (hits, builds) = self.keyed_mark();
+        if builds > mark.1 {
+            self.trace.set_keyed("built");
+        } else if hits > mark.0 {
+            self.trace.set_keyed("memo");
+        }
     }
 
     /// Tag the active fused span with the form its kernel ran — dense

@@ -16,6 +16,11 @@ pub trait RelationProvider {
 /// or mutated since. [`RelationStore::relation_mut`] is the copy-on-write
 /// entry point: it clones the one relation it is asked for, and only when
 /// another store still shares it.
+///
+/// Every relation inserted here carries a keyed-order memo
+/// ([`FunctionalRelation::enable_keyed_memo`]): stored relations are
+/// re-read by every query, so the sparse kernels key them once. The
+/// memo survives both kinds of sharing above.
 #[derive(Debug, Clone, Default)]
 pub struct RelationStore {
     relations: HashMap<String, Arc<FunctionalRelation>>,
@@ -28,7 +33,8 @@ impl RelationStore {
     }
 
     /// Insert (or replace) a relation under its own name.
-    pub fn insert(&mut self, rel: FunctionalRelation) {
+    pub fn insert(&mut self, mut rel: FunctionalRelation) {
+        rel.enable_keyed_memo();
         self.relations.insert(rel.name().to_string(), Arc::new(rel));
     }
 

@@ -48,11 +48,12 @@
 //! [`crate::ExecStats::sparse_converts`].
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use mpf_semiring::{for_each_semiring, kernel::SemiringOps};
-use mpf_storage::layout::grid_cells_wide;
+use mpf_storage::layout::{grid_cells_wide, permute_row, permuted_multipliers};
 use mpf_storage::sparse::{Factor, SparseFactor};
-use mpf_storage::{FunctionalRelation, Schema, Value, VarId};
+use mpf_storage::{FunctionalRelation, KeyedOrder, Schema, Value, VarId};
 
 use crate::dense::{self, KernelMode, KERNEL_BLOCK};
 use crate::limits::{ExecBudget, OpGuard};
@@ -140,54 +141,6 @@ impl<'a> SideRef<'a> {
     }
 }
 
-/// Linearize one row under permuted-axis multipliers; `None` when a
-/// value escapes its (possibly widened) domain.
-#[inline]
-fn permute_row(row: &[Value], mult: &[u64], doms_by_pos: &[u64]) -> Option<u64> {
-    let mut key = 0u64;
-    for (p, &v) in row.iter().enumerate() {
-        if (v as u64) >= doms_by_pos[p] {
-            return None;
-        }
-        key += v as u64 * mult[p];
-    }
-    Some(key)
-}
-
-/// Per-position multipliers realizing a permuted axis order: `axes` is
-/// `(position in the side schema, domain)` in the *target* axis order;
-/// the returned vector maps each schema position to its stride in the
-/// permuted grid.
-fn permuted_multipliers(arity: usize, axes: &[(usize, u64)]) -> Vec<u64> {
-    let doms: Vec<u64> = axes.iter().map(|a| a.1).collect();
-    let strides = mpf_storage::layout::strides_of(&doms);
-    let mut mult = vec![0u64; arity];
-    for (k, &(p, _)) in axes.iter().enumerate() {
-        mult[p] = strides[k];
-    }
-    mult
-}
-
-/// Sort a keyed measure column by key (skipping the sort when the keys
-/// are already ascending — every sparse-kernel output whose axis order
-/// survives the permutation, and every odometer-ordered relation).
-/// Returns `None` on duplicate keys: the side holds two rows with the
-/// same argument tuple, so the data is not functional and the hash
-/// operators define the semantics.
-fn sort_keyed(keys: Vec<u64>, vals: &[f64]) -> Option<(Vec<u64>, Vec<f64>)> {
-    if keys.windows(2).all(|w| w[0] < w[1]) {
-        return Some((keys, vals.to_vec()));
-    }
-    // Sort (key, measure) pairs directly rather than through an index
-    // permutation: one cache-friendly pass instead of two gathers.
-    let mut pairs: Vec<(u64, f64)> = keys.into_iter().zip(vals.iter().copied()).collect();
-    pairs.sort_unstable_by_key(|p| p.0);
-    if pairs.windows(2).any(|w| w[0].0 >= w[1].0) {
-        return None;
-    }
-    Some(pairs.into_iter().unzip())
-}
-
 /// [`ops::product_join`] dispatched three ways through the context's
 /// [`DenseMode`](crate::DenseMode) and [`ReprMode`]: the dense odometer
 /// kernel when the inputs are support-exact complete grids, else the
@@ -238,11 +191,13 @@ pub fn join(
     r: &FunctionalRelation,
 ) -> Result<FunctionalRelation> {
     cx.fault("sparse::join")?;
+    let mark = cx.keyed_mark();
     match join_impl(cx, &SideRef::Rows(l), &SideRef::Rows(r))? {
         Some(sp) => {
             let rel = from_sparse(cx, sp)?;
             cx.record_join_ex(&[l, r], &rel, OpRepr::Sparse);
             cx.note_kernel_op(cx.kernel_mode());
+            cx.tag_keyed_since(mark);
             Ok(rel)
         }
         None => ops::product_join(cx, l, r),
@@ -263,10 +218,12 @@ pub fn agg(
             return Err(AlgebraError::GroupVarNotInInput(v));
         }
     }
+    let mark = cx.keyed_mark();
     match agg_impl(cx, &SideRef::Rows(input), group_vars)? {
         Some(sp) => {
             let rel = from_sparse(cx, sp)?;
             cx.record_group_by_ex(&[input], &rel, OpRepr::Sparse);
+            cx.tag_keyed_since(mark);
             Ok(rel)
         }
         None => ops::group_by(cx, input, group_vars),
@@ -307,12 +264,14 @@ pub fn join_agg(
             return Err(AlgebraError::GroupVarNotInInput(v));
         }
     }
+    let mark = cx.keyed_mark();
     match join_agg_impl(cx, l, r, group_vars)? {
         Some((sp, form, staged_rows)) => {
             let rel = from_sparse(cx, sp)?;
             cx.record_join_agg_ex(&[l, r], &rel, OpRepr::Sparse);
             cx.note_intermediate(staged_rows);
             cx.note_fused_nest(form);
+            cx.tag_keyed_since(mark);
             Ok(rel)
         }
         None => ops::join_group_by(cx, l, r, group_vars),
@@ -391,6 +350,7 @@ fn side_of(f: &Factor) -> Option<SideRef<'_>> {
 pub fn join_factor(cx: &mut ExecContext<'_>, l: &Factor, r: &Factor) -> Result<Factor> {
     cx.fault("sparse::join")?;
     if let (Some(ls), Some(rs), ReprMode::Auto) = (side_of(l), side_of(r), cx.repr_mode()) {
+        let mark = cx.keyed_mark();
         if let Some(sp) = join_impl(cx, &ls, &rs)? {
             cx.record_factor_op(
                 SpanKind::Join,
@@ -400,6 +360,7 @@ pub fn join_factor(cx: &mut ExecContext<'_>, l: &Factor, r: &Factor) -> Result<F
                 OpRepr::Sparse,
             );
             cx.note_kernel_op(cx.kernel_mode());
+            cx.tag_keyed_since(mark);
             return Ok(Factor::Sparse(sp));
         }
     }
@@ -427,6 +388,7 @@ pub fn agg_factor(
         }
     }
     if let (Some(side), ReprMode::Auto) = (side_of(f), cx.repr_mode()) {
+        let mark = cx.keyed_mark();
         if let Some(sp) = agg_impl(cx, &side, group_vars)? {
             cx.record_factor_op(
                 SpanKind::GroupBy,
@@ -435,6 +397,7 @@ pub fn agg_factor(
                 sp.schema().arity(),
                 OpRepr::Sparse,
             );
+            cx.tag_keyed_since(mark);
             return Ok(Factor::Sparse(sp));
         }
     }
@@ -456,27 +419,59 @@ fn from_sparse(cx: &mut ExecContext<'_>, sp: SparseFactor) -> Result<FunctionalR
     Ok(sp.into_relation())
 }
 
-/// Build one side's sorted `(key, value)` columns for a `[shared, own]`
-/// permuted axis order; counts a conversion when the side was row-major.
-/// `None` on out-of-domain values or duplicate argument tuples.
-#[allow(clippy::type_complexity)]
-fn keyed_side(
+/// One operand keyed for a kernel: its sorted keys under the requested
+/// axis order and its measures in that order (borrowed when the rows
+/// already ascend).
+struct KeyedSide<'a> {
+    order: Arc<KeyedOrder>,
+    vals: Cow<'a, [f64]>,
+}
+
+impl KeyedSide<'_> {
+    fn keys(&self) -> &[u64] {
+        self.order.keys()
+    }
+}
+
+/// Key one side over `axes` (`(schema position, domain)`, slowest
+/// first); counts a conversion when the side was row-major. A relation
+/// answers through [`FunctionalRelation::keyed_order`], so a stored one
+/// is linearized and sorted once, not per query. `None` on out-of-domain
+/// values or duplicate argument tuples.
+fn keyed_side<'a>(
     cx: &mut ExecContext<'_>,
-    side: &SideRef<'_>,
+    side: &SideRef<'a>,
     axes: &[(usize, u64)],
-    doms_by_pos: &[u64],
-) -> Result<Option<(Vec<u64>, Vec<f64>)>> {
+) -> Result<Option<KeyedSide<'a>>> {
     cx.fault("sparse::convert")?;
     cx.checkpoint()?;
-    let arity = side.schema().arity();
-    let mult = permuted_multipliers(arity, axes);
-    let Some(keys) = side.permuted_keys(&mult, doms_by_pos) else {
-        return Ok(None);
+    let order = match side {
+        SideRef::Rows(rel) => {
+            cx.note_sparse_convert();
+            let Some((order, source)) = rel.keyed_order(axes) else {
+                return Ok(None);
+            };
+            cx.note_keyed(source);
+            order
+        }
+        SideRef::Sparse(_) => {
+            let arity = side.schema().arity();
+            let mut doms_by_pos = vec![0u64; arity];
+            for &(p, d) in axes {
+                doms_by_pos[p] = d;
+            }
+            let mult = permuted_multipliers(arity, axes);
+            match side
+                .permuted_keys(&mult, &doms_by_pos)
+                .and_then(KeyedOrder::from_keys)
+            {
+                Some(order) => Arc::new(order),
+                None => return Ok(None),
+            }
+        }
     };
-    if matches!(side, SideRef::Rows(_)) {
-        cx.note_sparse_convert();
-    }
-    Ok(sort_keyed(keys, side.measures()))
+    let vals = order.gather(side.measures());
+    Ok(Some(KeyedSide { order, vals }))
 }
 
 /// Both join operands keyed for the sorted merge: the merge axis order is
@@ -485,7 +480,7 @@ fn keyed_side(
 /// ascending. Rows agreeing on every shared variable form runs of equal
 /// `key / own_cells`, and `a_key * b_own_cells + b_key % b_own_cells` is
 /// the pair's coordinate in the merge grid.
-struct KeyedPair {
+struct KeyedPair<'a> {
     /// Merge-order variables and their domains (shared variables index
     /// through the wider of the two sides' inferred domains).
     vars: Vec<VarId>,
@@ -493,10 +488,8 @@ struct KeyedPair {
     /// How many leading merge axes are shared / belong to side `a`.
     n_shared: usize,
     n_a: usize,
-    a_keys: Vec<u64>,
-    a_vals: Vec<f64>,
-    b_keys: Vec<u64>,
-    b_vals: Vec<f64>,
+    a: KeyedSide<'a>,
+    b: KeyedSide<'a>,
     a_own_cells: u64,
     b_own_cells: u64,
 }
@@ -506,23 +499,28 @@ struct KeyedPair {
 /// variable, so each of their cross pairs is one join row.
 type RunPair = ((usize, usize), (usize, usize));
 
-impl KeyedPair {
+impl KeyedPair<'_> {
     /// The matching runs, in ascending shared-prefix order — the merge
-    /// both join forms walk.
+    /// both join forms walk. A key's shared prefix `s` is `key /
+    /// own_cells`, so its run ends at the first key `>= (s + 1) *
+    /// own_cells`: one division per step of the merge, none per row.
     fn runs(&self) -> Vec<RunPair> {
-        let a_shared: Vec<u64> = self.a_keys.iter().map(|&k| k / self.a_own_cells).collect();
-        let b_shared: Vec<u64> = self.b_keys.iter().map(|&k| k / self.b_own_cells).collect();
+        let (a, b) = (self.a.keys(), self.b.keys());
+        let (ca, cb) = (self.a_own_cells, self.b_own_cells);
+        // The first index at or after `i` whose key reaches `bound`.
+        let skip = |keys: &[u64], i: usize, bound: u64| {
+            i + keys[i..].iter().take_while(|&&k| k < bound).count()
+        };
         let mut runs = Vec::new();
         let (mut i, mut j) = (0usize, 0usize);
-        while i < a_shared.len() && j < b_shared.len() {
-            let (sa, sb) = (a_shared[i], b_shared[j]);
+        while i < a.len() && j < b.len() {
+            let (sa, sb) = (a[i] / ca, b[j] / cb);
             if sa < sb {
-                i += 1;
+                i = skip(a, i, sb * ca);
             } else if sb < sa {
-                j += 1;
+                j = skip(b, j, sa * cb);
             } else {
-                let ia = i + a_shared[i..].iter().take_while(|&&s| s == sa).count();
-                let jb = j + b_shared[j..].iter().take_while(|&&s| s == sb).count();
+                let (ia, jb) = (skip(a, i, (sa + 1) * ca), skip(b, j, (sb + 1) * cb));
                 runs.push(((i, ia), (j, jb)));
                 (i, j) = (ia, jb);
             }
@@ -545,12 +543,12 @@ impl KeyedPair {
 /// their schema order; the blocks themselves always stay in that order. `None`
 /// when the coordinate space overflows, a value escapes its domain, or a
 /// side holds duplicate argument tuples.
-fn keyed_pair(
+fn keyed_pair<'a>(
     cx: &mut ExecContext<'_>,
-    l: &SideRef<'_>,
-    r: &SideRef<'_>,
+    l: &SideRef<'a>,
+    r: &SideRef<'a>,
     group_vars: Option<&[VarId]>,
-) -> Result<Option<KeyedPair>> {
+) -> Result<Option<KeyedPair<'a>>> {
     let rank = |v: VarId| group_vars.and_then(|gv| gv.iter().position(|&g| g == v));
     // A stable sort: eliminated variables keep their relative order,
     // which is what keeps an elimination step's fold order the unfused
@@ -590,19 +588,10 @@ fn keyed_pair(
             .map(|k| (s.schema().position(vars[k]).expect("side var"), doms[k]))
             .collect()
     };
-    let doms_by_pos = |s: &SideRef<'_>, axes: &[(usize, u64)]| -> Vec<u64> {
-        let mut doms = vec![0u64; s.schema().arity()];
-        for &(p, d) in axes {
-            doms[p] = d;
-        }
-        doms
-    };
-    let la = side_axes(l, n_shared..n_a);
-    let Some((a_keys, a_vals)) = keyed_side(cx, l, &la, &doms_by_pos(l, &la))? else {
+    let Some(a) = keyed_side(cx, l, &side_axes(l, n_shared..n_a))? else {
         return Ok(None);
     };
-    let ra = side_axes(r, n_a..vars.len());
-    let Some((b_keys, b_vals)) = keyed_side(cx, r, &ra, &doms_by_pos(r, &ra))? else {
+    let Some(b) = keyed_side(cx, r, &side_axes(r, n_a..vars.len()))? else {
         return Ok(None);
     };
     Ok(Some(KeyedPair {
@@ -610,10 +599,8 @@ fn keyed_pair(
         doms,
         n_shared,
         n_a,
-        a_keys,
-        a_vals,
-        b_keys,
-        b_vals,
+        a,
+        b,
         a_own_cells,
         b_own_cells,
     }))
@@ -633,7 +620,7 @@ fn join_impl(
 
 /// Run the sorted-merge join kernel over a keyed pair: the join factor
 /// in merge axis order.
-fn join_keyed(cx: &ExecContext<'_>, name: String, kp: KeyedPair) -> Result<SparseFactor> {
+fn join_keyed(cx: &ExecContext<'_>, name: String, kp: KeyedPair<'_>) -> Result<SparseFactor> {
     let out_schema = Schema::new(kp.vars.clone())?;
     let runs = kp.runs();
     let (coords, values) = for_each_semiring!(
@@ -687,13 +674,6 @@ fn agg_impl(
         .map(|(&p, &d)| (p, d))
         .chain(elim.iter().copied())
         .collect();
-    let doms_by_pos = {
-        let mut d = vec![0u64; schema.arity()];
-        for &(p, dom) in &axes {
-            d[p] = dom;
-        }
-        d
-    };
     let out_schema = Schema::new(group_vars.to_vec())?;
     let sr = cx.semiring();
     let name = format!("γ({})", l_name(input));
@@ -709,7 +689,7 @@ fn agg_impl(
         cx.checkpoint()?;
         let gaxes: Vec<(usize, u64)> = gpos.iter().zip(&group_doms).map(|(&p, &d)| (p, d)).collect();
         let gmult = permuted_multipliers(schema.arity(), &gaxes);
-        let Some(gkeys) = input.permuted_keys(&gmult, &doms_by_pos) else {
+        let Some(gkeys) = input.permuted_keys(&gmult, &doms) else {
             return Ok(None);
         };
         if matches!(input, SideRef::Rows(_)) {
@@ -726,13 +706,13 @@ fn agg_impl(
         )));
     }
 
-    let Some((keys, vals)) = keyed_side(cx, input, &axes, &doms_by_pos)? else {
+    let Some(side) = keyed_side(cx, input, &axes)? else {
         return Ok(None);
     };
     let budget = cx.budget();
     let arity = out_schema.arity();
     let (coords, values) =
-        for_each_semiring!(sr, agg_kernel(&keys, &vals, elim_cells, budget, arity))?;
+        for_each_semiring!(sr, agg_kernel(side.keys(), &side.vals, elim_cells, budget, arity))?;
     Ok(Some(SparseFactor::from_sorted_parts(
         name, out_schema, group_doms, coords, values,
     )))
@@ -766,8 +746,8 @@ fn join_agg_impl(
         .map(|k| (kp.doms[k], 0))
         .chain((kp.n_a..kp.vars.len()).map(axis))
         .collect();
-    let ga = regroup(&kp.a_keys, &a_axes);
-    let gb = regroup(&kp.b_keys, &b_axes);
+    let ga = regroup(kp.a.keys(), &a_axes);
+    let gb = regroup(kp.b.keys(), &b_axes);
 
     let join_len: usize = runs.iter().map(|&((i, ia), (j, jb))| (ia - i) * (jb - j)).sum();
     let streams = kp.vars[..group_vars.len()].iter().all(|v| group_vars.contains(v));
@@ -776,7 +756,9 @@ fn join_agg_impl(
         let (coords, values) =
             for_each_semiring!(sr, join_agg_stream_kernel(&kp, &runs, &ga, &gb, budget, arity))?;
         // Ascending already when the output order is the merge order.
-        ("stream", sort_keyed(coords, &values).expect("one run per group"))
+        let order = KeyedOrder::from_keys(coords).expect("one run per group");
+        let values = order.gather(&values).into_owned();
+        ("stream", (order.into_keys(), values))
     } else if scatter_agg_applies(group_cells, join_len) {
         let parts = for_each_semiring!(
             sr,
@@ -831,25 +813,25 @@ fn regroup(keys: &[u64], axes: &[(u64, u64)]) -> Vec<u64> {
 /// budget once per block via [`OpGuard::produced_many`]. The multiply is
 /// elementwise, so scalar and chunked outputs are bit-identical.
 fn join_kernel<S: SemiringOps>(
-    kp: &KeyedPair,
+    kp: &KeyedPair<'_>,
     runs: &[RunPair],
     budget: Option<&ExecBudget>,
     arity: usize,
     mode: KernelMode,
 ) -> Result<(Vec<u64>, Vec<f64>)> {
     let mut guard = OpGuard::new(budget, arity);
-    let mut out_keys: Vec<u64> = Vec::with_capacity(kp.a_keys.len().max(kp.b_keys.len()));
+    let (a_keys, b_keys) = (kp.a.keys(), kp.b.keys());
+    let mut out_keys: Vec<u64> = Vec::with_capacity(a_keys.len().max(b_keys.len()));
     let mut out_vals: Vec<f64> = Vec::with_capacity(out_keys.capacity());
     // Hoist the per-element division: the b side's within-run offsets
     // (the merge then only adds).
-    let b_own: Vec<u64> = kp.b_keys.iter().map(|&k| k % kp.b_own_cells).collect();
+    let b_own: Vec<u64> = b_keys.iter().map(|&k| k % kp.b_own_cells).collect();
     for &((i, ia), (j, jb)) in runs {
-        for ai in i..ia {
-            let base = kp.a_keys[ai] * kp.b_own_cells;
-            let va = kp.a_vals[ai];
+        for (&ak, &va) in a_keys[i..ia].iter().zip(&kp.a.vals[i..ia]) {
+            let base = ak * kp.b_own_cells;
             match mode {
                 KernelMode::Scalar => {
-                    for (&o, &vb) in b_own[j..jb].iter().zip(&kp.b_vals[j..jb]) {
+                    for (&o, &vb) in b_own[j..jb].iter().zip(&kp.b.vals[j..jb]) {
                         guard.poll()?;
                         out_keys.push(base + o);
                         out_vals.push(S::mul(va, vb));
@@ -862,7 +844,7 @@ fn join_kernel<S: SemiringOps>(
                         guard.poll()?;
                         let blk = (jb - t).min(KERNEL_BLOCK);
                         out_keys.extend(b_own[t..t + blk].iter().map(|&o| base + o));
-                        out_vals.extend(kp.b_vals[t..t + blk].iter().map(|&vb| S::mul(va, vb)));
+                        out_vals.extend(kp.b.vals[t..t + blk].iter().map(|&vb| S::mul(va, vb)));
                         guard.produced_many(blk as u64)?;
                         t += blk;
                     }
@@ -990,7 +972,7 @@ fn checked_fold<S: SemiringOps>(acc: f64) -> Result<f64> {
 /// order, each group exactly once either way. Polls once per `(a row ×
 /// b run)`, charges once per emitted group.
 fn join_agg_stream_kernel<S: SemiringOps>(
-    kp: &KeyedPair,
+    kp: &KeyedPair<'_>,
     runs: &[RunPair],
     ga: &[u64],
     gb: &[u64],
@@ -1002,8 +984,8 @@ fn join_agg_stream_kernel<S: SemiringOps>(
     // `u64::MAX` is no group: coordinates stay below 2^62.
     let (mut cur, mut acc) = (u64::MAX, 0.0);
     for &((i, ia), (j, jb)) in runs {
-        let (gb_run, vb_run) = (&gb[j..jb], &kp.b_vals[j..jb]);
-        for (&base, &va) in ga[i..ia].iter().zip(&kp.a_vals[i..ia]) {
+        let (gb_run, vb_run) = (&gb[j..jb], &kp.b.vals[j..jb]);
+        for (&base, &va) in ga[i..ia].iter().zip(&kp.a.vals[i..ia]) {
             guard.poll_many(vb_run.len() as u64)?;
             for (&gbj, &vb) in gb_run.iter().zip(vb_run) {
                 let g = base + gbj;
@@ -1036,7 +1018,7 @@ fn join_agg_stream_kernel<S: SemiringOps>(
 /// the end. Polls once per `(a row × b run)`, charges each group when it
 /// is first seen.
 fn join_agg_scatter_kernel<S: SemiringOps>(
-    kp: &KeyedPair,
+    kp: &KeyedPair<'_>,
     runs: &[RunPair],
     ga: &[u64],
     gb: &[u64],
@@ -1049,8 +1031,8 @@ fn join_agg_scatter_kernel<S: SemiringOps>(
     let mut seen = vec![false; group_cells as usize];
     let mut touched: Vec<u64> = Vec::new();
     for &((i, ia), (j, jb)) in runs {
-        let (gb_run, vb_run) = (&gb[j..jb], &kp.b_vals[j..jb]);
-        for (&base, &va) in ga[i..ia].iter().zip(&kp.a_vals[i..ia]) {
+        let (gb_run, vb_run) = (&gb[j..jb], &kp.b.vals[j..jb]);
+        for (&base, &va) in ga[i..ia].iter().zip(&kp.a.vals[i..ia]) {
             guard.poll_many(vb_run.len() as u64)?;
             for (&gbj, &vb) in gb_run.iter().zip(vb_run) {
                 let g = (base + gbj) as usize;

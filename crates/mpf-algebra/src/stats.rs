@@ -47,6 +47,12 @@ pub struct ExecStats {
     pub kernel_chunked_ops: u64,
     /// Kernel dispatches that ran the scalar reference inner loops.
     pub kernel_scalar_ops: u64,
+    /// Sparse operands keyed from a stored relation's memoized order
+    /// (no linearization, no sort).
+    pub keyed_memo_hits: u64,
+    /// Sparse operands whose keyed order was built and memoized on a
+    /// stored relation (its first use in that axis order).
+    pub keyed_memo_builds: u64,
 }
 
 impl ExecStats {
@@ -69,6 +75,8 @@ impl ExecStats {
         self.fused_join_aggs += other.fused_join_aggs;
         self.kernel_chunked_ops += other.kernel_chunked_ops;
         self.kernel_scalar_ops += other.kernel_scalar_ops;
+        self.keyed_memo_hits += other.keyed_memo_hits;
+        self.keyed_memo_builds += other.keyed_memo_builds;
     }
 }
 
@@ -96,6 +104,8 @@ mod tests {
             fused_join_aggs: 1,
             kernel_chunked_ops: 3,
             kernel_scalar_ops: 0,
+            keyed_memo_hits: 5,
+            keyed_memo_builds: 1,
         };
         let b = ExecStats {
             rows_scanned: 1,
@@ -115,6 +125,8 @@ mod tests {
             fused_join_aggs: 2,
             kernel_chunked_ops: 1,
             kernel_scalar_ops: 2,
+            keyed_memo_hits: 2,
+            keyed_memo_builds: 3,
         };
         a.merge(&b);
         assert_eq!(a.rows_scanned, 11);
@@ -134,5 +146,7 @@ mod tests {
         assert_eq!(a.fused_join_aggs, 3);
         assert_eq!(a.kernel_chunked_ops, 4);
         assert_eq!(a.kernel_scalar_ops, 2);
+        assert_eq!(a.keyed_memo_hits, 7);
+        assert_eq!(a.keyed_memo_builds, 4);
     }
 }

@@ -173,6 +173,10 @@ pub struct TraceSpan {
     /// innermost loop along an output axis) or `"cell"` (one serial fold
     /// per output cell); `None` for every other operator.
     pub nest: Option<&'static str>,
+    /// Where a sparse operator's stored-relation operands were keyed
+    /// from: `"memo"` (every memo lookup hit) or `"built"` (it filled a
+    /// memo); `None` when no operand had a memo to consult.
+    pub keyed: Option<&'static str>,
     /// True when the span is a fused join→marginalize contraction (one
     /// operator accounting as a join *and* a group-by).
     pub fused: bool,
@@ -200,6 +204,7 @@ impl TraceSpan {
             repr: desc.repr,
             kernel: None,
             nest: None,
+            keyed: None,
             fused: false,
             est_rows: None,
             fault: None,
@@ -255,6 +260,9 @@ impl TraceSpan {
             if let Some(n) = self.nest {
                 out.push_str(&format!(", nest={n}"));
             }
+            if let Some(k) = self.keyed {
+                out.push_str(&format!(", keyed={k}"));
+            }
             if self.fused {
                 out.push_str(", fused=true");
             }
@@ -293,6 +301,9 @@ impl TraceSpan {
         }
         if let Some(n) = self.nest {
             out.push_str(&format!(",\"nest\":\"{n}\""));
+        }
+        if let Some(k) = self.keyed {
+            out.push_str(&format!(",\"keyed\":\"{k}\""));
         }
         if self.fused {
             out.push_str(",\"fused\":true");
@@ -511,6 +522,14 @@ impl TraceCollector {
     pub(crate) fn set_nest(&mut self, nest: &'static str) {
         if let Some(span) = self.active_span() {
             span.nest = Some(nest);
+        }
+    }
+
+    /// Tag the active span with where its operands were keyed from (same
+    /// targeting rule as [`TraceCollector::set_kernel`]).
+    pub(crate) fn set_keyed(&mut self, keyed: &'static str) {
+        if let Some(span) = self.active_span() {
+            span.keyed = Some(keyed);
         }
     }
 

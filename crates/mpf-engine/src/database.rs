@@ -641,6 +641,8 @@ impl Database {
                     m.add("engine.kernel.chunked_ops", a.stats.kernel_chunked_ops);
                     m.add("engine.kernel.scalar_ops", a.stats.kernel_scalar_ops);
                     m.add("engine.kernel.fused_join_aggs", a.stats.fused_join_aggs);
+                    m.add("engine.repr.keyed_memo_hits", a.stats.keyed_memo_hits);
+                    m.add("engine.repr.keyed_memo_builds", a.stats.keyed_memo_builds);
                     m.observe("engine.optimize_us", a.optimize_time);
                     m.observe("engine.execute_us", a.execute_time);
                 }

@@ -308,10 +308,18 @@ impl ViewCache {
     }
 
     /// Offer a freshly built (or derived) tree for admission. The entry
-    /// is discarded — and `false` returned — when it alone exceeds the
-    /// byte budget, or when making room would evict resident entries of
-    /// higher cost/byte utility than the candidate's. On admission the
-    /// key's recorded demand transfers to the entry's cost.
+    /// is discarded — and `false` returned — when its key is already
+    /// resident, when it alone exceeds the byte budget, or when making
+    /// room would evict resident entries of higher cost/byte utility than
+    /// the candidate's. On admission the key's recorded demand transfers
+    /// to the entry's cost.
+    ///
+    /// A resident key wins because it is what a reader that missed while
+    /// a writer was still patching races against: the patched tree
+    /// answers for the same version, and it keeps the separator row
+    /// groups its earlier patches built. Replacing it with the fresh build
+    /// would make the next update rebuild them, widening the window in
+    /// which readers miss and rebuild again.
     pub fn admit(&self, key: CacheKey, base: Vec<String>, tree: Arc<VeCache>) -> bool {
         if !self.enabled() {
             return false;
@@ -323,6 +331,10 @@ impl ViewCache {
             .remove(&key)
             .map(|d| d.cost_us)
             .unwrap_or(0.0);
+        if inner.entries.contains_key(&key) {
+            self.counters.build_discarded.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
         inner.clock += 1;
         let candidate = Entry {
             tree,
@@ -337,9 +349,7 @@ impl ViewCache {
             self.counters.build_discarded.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        if let Some(old) = inner.entries.insert(key, candidate) {
-            inner.bytes -= old.bytes; // a concurrent build of the same key lost the race
-        }
+        inner.entries.insert(key, candidate);
         inner.bytes += bytes;
         self.counters.admits.fetch_add(1, Ordering::Relaxed);
         true

@@ -220,6 +220,35 @@ fn measure_updates_patch_resident_trees_instead_of_evicting() {
     assert_eq!(warm.snapshot().version(), before);
 }
 
+/// A reader that missed while a writer was patching builds the same
+/// version's tree again and offers it for admission. The patched tree
+/// (which keeps the row groups its patch built) stays resident and the
+/// fresh build is discarded, so the next update patches without
+/// rebuilding them.
+#[test]
+fn a_racing_build_does_not_replace_a_patched_tree() {
+    let warm = build_db(16 << 20);
+    let q = Query::on("v").group_by(["a"]);
+    for _ in 0..3 {
+        warm.run(&q).unwrap();
+    }
+    warm.update_measure("r1", &[0, 0], 0.5).unwrap();
+    let vc = warm.view_cache().unwrap();
+    let key = mpf_engine::CacheKey {
+        version: warm.snapshot().version(),
+        view: "v".into(),
+        semiring: mpf_semiring::SemiringKind::SumProduct,
+        evidence: Vec::new(),
+    };
+    let patched = vc.lookup(&key).expect("patched tree resident");
+    let (admits, discarded) = (vc.counter("admits"), vc.counter("build_discarded"));
+    let racing = std::sync::Arc::new((*patched).clone());
+    assert!(!vc.admit(key.clone(), vec!["r1".into(), "r2".into()], racing));
+    assert!(std::sync::Arc::ptr_eq(&vc.lookup(&key).unwrap(), &patched));
+    assert_eq!(vc.counter("admits"), admits);
+    assert_eq!(vc.counter("build_discarded"), discarded + 1);
+}
+
 /// Warm `v`'s base tree and the tree conditioned on `b = 1`, and return
 /// the conditioned tree's cache key at the current snapshot version.
 fn warm_with_conditioned_tree(db: &Database) -> mpf_engine::CacheKey {

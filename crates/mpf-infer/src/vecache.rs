@@ -286,8 +286,11 @@ impl VeCache {
                 }
             }
             let joined = mpf_algebra::sparse::materialize(cx, joined)?;
-            // Cache the pre-GroupBy table.
-            tables.push(Arc::new(joined.clone().with_name(format!("t{j}"))));
+            // Cache the pre-GroupBy table (a lone base relation's clone
+            // leaves the base's keyed-order memo behind).
+            tables.push(Arc::new(
+                joined.clone().with_name(format!("t{j}")).without_keyed_memo(),
+            ));
             // Eliminate v.
             let keep: Vec<VarId> = joined.schema().iter().filter(|&u| u != v).collect();
             let p = mpf_algebra::sparse::agg_auto(cx, &joined, &keep)?;
@@ -916,6 +919,35 @@ mod tests {
         let cache = VeCache::build_in(&mut ExecContext::new(SemiringKind::SumProduct), &refs, None).unwrap();
         assert!(satisfies_invariant(SemiringKind::SumProduct, &refs, cache.tables()).unwrap());
         assert!(cache.verify_tree_rip());
+    }
+
+    /// A table that is a lone base relation's clone does not carry the
+    /// base's keyed-order memo: its bytes are those of a memo-less build
+    /// and stay put when the base's memo grows afterwards.
+    #[test]
+    fn cached_tables_leave_the_keyed_memo_behind() {
+        let mut cat = Catalog::new();
+        // `transporters(tid)` alone: its one table is the base's clone,
+        // and no backward-pass semijoin replaces it.
+        let base = supply_chain(&mut cat).pop().unwrap();
+        let plain = FunctionalRelation::from_rows(
+            base.name(),
+            base.schema().clone(),
+            base.rows().map(|(row, m)| (row.to_vec(), m)),
+        )
+        .unwrap();
+        let mut stored = plain.clone();
+        stored.enable_keyed_memo();
+        let build = |rel: &FunctionalRelation| {
+            VeCache::build_in(&mut ExecContext::new(SemiringKind::SumProduct), &[rel], None).unwrap()
+        };
+        let (cache, want) = (build(&stored), build(&plain));
+        assert_eq!(cache.tables().len(), 1);
+        let bytes = cache.heap_bytes();
+        assert_eq!(bytes, want.heap_bytes());
+        let dom = stored.inferred_domains()[0];
+        stored.keyed_order(&[(0, dom)]).unwrap();
+        assert_eq!(cache.heap_bytes(), bytes);
     }
 
     #[test]

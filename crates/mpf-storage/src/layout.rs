@@ -76,6 +76,35 @@ pub fn linearize(row: &[Value], strides: &[u64]) -> u64 {
         .sum::<u64>()
 }
 
+/// Per-position multipliers realizing a permuted axis order: `axes` is
+/// `(position in the schema, domain)` in the *target* axis order
+/// (slowest first); the result maps each schema position to its stride
+/// in the permuted grid (0 for a position `axes` leaves out). Callers
+/// check the grid against [`grid_cells_wide`] first.
+pub fn permuted_multipliers(arity: usize, axes: &[(usize, u64)]) -> Vec<u64> {
+    let doms: Vec<u64> = axes.iter().map(|a| a.1).collect();
+    let strides = strides_of(&doms);
+    let mut mult = vec![0u64; arity];
+    for (k, &(p, _)) in axes.iter().enumerate() {
+        mult[p] = strides[k];
+    }
+    mult
+}
+
+/// Linearize one row under [`permuted_multipliers`]; `None` when a value
+/// reaches its domain in `doms_by_pos` (one per schema position).
+#[inline]
+pub fn permute_row(row: &[Value], mult: &[u64], doms_by_pos: &[u64]) -> Option<u64> {
+    let mut key = 0u64;
+    for (p, &v) in row.iter().enumerate() {
+        if (v as u64) >= doms_by_pos[p] {
+            return None;
+        }
+        key += v as u64 * mult[p];
+    }
+    Some(key)
+}
+
 /// Decompose a grid cell index into the variable values of its row,
 /// written into `row` (schema order).
 #[inline]

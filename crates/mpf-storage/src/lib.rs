@@ -20,6 +20,7 @@ pub mod csv_io;
 pub mod dense;
 mod error;
 mod key;
+pub mod keyed;
 pub mod layout;
 mod relation;
 mod schema;
@@ -30,6 +31,7 @@ pub use catalog::{Catalog, Dictionary, VarId, VarInfo};
 pub use dense::DenseFactor;
 pub use error::StorageError;
 pub use key::Key;
+pub use keyed::{KeyedOrder, KeyedSource};
 pub use relation::FunctionalRelation;
 pub use schema::Schema;
 pub use sparse::{Factor, SparseFactor};

@@ -1,9 +1,10 @@
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use mpf_semiring::approx_eq;
 
-use crate::{Catalog, Key, Result, Schema, StorageError, Value, VarId};
+use crate::keyed::{KeyedMemo, KeyedOrder, KeyedSource};
+use crate::{layout, Catalog, Key, Result, Schema, StorageError, Value, VarId};
 
 /// The key column of a [`FunctionalRelation`]: either explicit packed
 /// rows, or — for grid-complete relations in odometer order — just the
@@ -62,12 +63,18 @@ fn odometer_keys(domains: &[u64], total: usize) -> Vec<Value> {
 /// and `measures` holds one `f64` per row. The FD `A1..Am -> f` is
 /// validated on demand ([`FunctionalRelation::validate_fd`]) rather than
 /// on every insert, so bulk loads stay cheap.
+///
+/// A stored relation also carries a memo of facts derived from its key
+/// column alone — inferred domains and sorted keyed orders
+/// ([`FunctionalRelation::keyed_order`]). Clones share it; a key
+/// mutation drops it; measure updates leave it valid.
 #[derive(Debug, Clone)]
 pub struct FunctionalRelation {
     name: String,
     schema: Schema,
     keys: KeyCol,
     measures: Vec<f64>,
+    memo: Option<Arc<KeyedMemo>>,
 }
 
 impl PartialEq for FunctionalRelation {
@@ -105,6 +112,7 @@ impl FunctionalRelation {
             schema,
             keys: KeyCol::Rows(Vec::new()),
             measures: Vec::new(),
+            memo: None,
         }
     }
 
@@ -170,6 +178,7 @@ impl FunctionalRelation {
             schema,
             keys: KeyCol::Rows(values),
             measures,
+            memo: None,
         }
     }
 
@@ -195,6 +204,7 @@ impl FunctionalRelation {
                 cache: OnceLock::new(),
             },
             measures,
+            memo: None,
         }
     }
 
@@ -223,8 +233,15 @@ impl FunctionalRelation {
 
     /// The key column as an owned, mutable vector, demoting a grid to
     /// explicit rows first (mutation invalidates the odometer
-    /// certificate).
+    /// certificate) and dropping whatever the memo derived from the old
+    /// keys.
     fn keys_mut(&mut self) -> &mut Vec<Value> {
+        if let Some(memo) = &mut self.memo {
+            match Arc::get_mut(memo) {
+                Some(own) => *own = KeyedMemo::default(),
+                None => *memo = Arc::default(),
+            }
+        }
         if let KeyCol::Grid { domains, cache } = &mut self.keys {
             let v = match cache.take() {
                 Some(v) => v,
@@ -310,6 +327,7 @@ impl FunctionalRelation {
             + self.schema.heap_bytes()
             + key_bytes
             + self.measures.capacity() * std::mem::size_of::<f64>()
+            + self.memo.as_ref().map_or(0, |m| m.heap_bytes())
     }
 
     /// Whether the relation has no rows.
@@ -425,13 +443,86 @@ impl FunctionalRelation {
         if let Some(domains) = self.grid_domains() {
             return domains.to_vec();
         }
+        if let Some(domains) = self.memo.as_ref().and_then(|m| m.domains()) {
+            return domains;
+        }
         let mut max = vec![0 as Value; arity];
         for row in self.keys().chunks_exact(arity) {
             for (m, &v) in max.iter_mut().zip(row) {
                 *m = (*m).max(v);
             }
         }
-        max.into_iter().map(|m| m as u64 + 1).collect()
+        let domains: Vec<u64> = max.into_iter().map(|m| m as u64 + 1).collect();
+        if let Some(memo) = &self.memo {
+            memo.set_domains(&domains);
+        }
+        domains
+    }
+
+    /// Give the relation a memo for [`FunctionalRelation::inferred_domains`]
+    /// and [`FunctionalRelation::keyed_order`] (a no-op when it has one).
+    /// Meant for stored base relations, which every query re-reads
+    /// unchanged; derived relations are read once and stay without one.
+    pub fn enable_keyed_memo(&mut self) {
+        self.memo.get_or_insert_with(Arc::default);
+    }
+
+    /// The relation without its memo, for a copy that takes a derived
+    /// role (a cached table): clones share the memo, and a derived copy
+    /// must neither pin it nor have its byte count move when the stored
+    /// relation's memo grows.
+    pub fn without_keyed_memo(mut self) -> Self {
+        self.memo = None;
+        self
+    }
+
+    /// The rows linearized over `axes` — `(schema position, domain)` per
+    /// axis, slowest first, one per column — and sorted ascending. `None`
+    /// when a value falls outside its axis domain, the grid exceeds
+    /// [`layout::MAX_SPARSE_COORD_CELLS`], or two rows share a key (the
+    /// rows are not functional).
+    ///
+    /// A grid keyed in its own odometer order is `0..len` and is produced
+    /// without materializing its key column. Otherwise, when the relation
+    /// has a memo and every axis domain is the column's own inferred
+    /// domain, the order is built once and shared from then on; any other
+    /// request builds a fresh order.
+    pub fn keyed_order(&self, axes: &[(usize, u64)]) -> Option<(Arc<KeyedOrder>, KeyedSource)> {
+        debug_assert_eq!(axes.len(), self.arity());
+        layout::grid_cells_wide(&axes.iter().map(|a| a.1).collect::<Vec<u64>>())?;
+        if let Some(grid) = self.grid_domains() {
+            if axes.iter().enumerate().all(|(k, &(p, d))| p == k && d == grid[k]) {
+                return Some((Arc::new(KeyedOrder::identity(self.len())), KeyedSource::Fresh));
+            }
+        }
+        let memo = self.memo.as_ref().filter(|_| {
+            let own = self.inferred_domains();
+            axes.iter().all(|&(p, d)| own[p] == d)
+        });
+        let Some(memo) = memo else {
+            return Some((Arc::new(self.build_keyed_order(axes)?), KeyedSource::Fresh));
+        };
+        let positions: Vec<usize> = axes.iter().map(|a| a.0).collect();
+        if let Some(order) = memo.order(&positions) {
+            return Some((order, KeyedSource::Memo));
+        }
+        let order = self.build_keyed_order(axes)?;
+        Some((memo.insert(&positions, order), KeyedSource::Built))
+    }
+
+    /// [`FunctionalRelation::keyed_order`]'s build: one linearization pass
+    /// over the key column, then the sort.
+    fn build_keyed_order(&self, axes: &[(usize, u64)]) -> Option<KeyedOrder> {
+        let (arity, vals) = (self.arity(), self.keys());
+        let mut doms_by_pos = vec![0u64; arity];
+        for &(p, d) in axes {
+            doms_by_pos[p] = d;
+        }
+        let mult = layout::permuted_multipliers(arity, axes);
+        let keys = (0..self.len())
+            .map(|i| layout::permute_row(&vals[i * arity..(i + 1) * arity], &mult, &doms_by_pos))
+            .collect::<Option<Vec<u64>>>()?;
+        KeyedOrder::from_keys(keys)
     }
 
     /// Convert to a [`crate::DenseFactor`] over the catalog's domain grid,
@@ -764,5 +855,30 @@ mod tests {
             r.heap_bytes()
                 > r.len() * (2 * std::mem::size_of::<Value>() + std::mem::size_of::<f64>())
         );
+
+        // A stored relation's memo is charged too: its domain vector, its
+        // order slots at capacity, and each order's keys, permutation and
+        // axis list.
+        let mut r = FunctionalRelation::new("stored", r.schema().clone());
+        for i in (0..600).rev() {
+            r.push_row(&[i / 3, i % 3], 1.0).unwrap();
+        }
+        let unmemoized = r.heap_bytes();
+        r.enable_keyed_memo();
+        assert_eq!(r.heap_bytes(), unmemoized, "an empty memo holds nothing");
+        let doms = r.inferred_domains();
+        let (by_ab, _) = r.keyed_order(&[(0, doms[0]), (1, doms[1])]).unwrap();
+        let (by_ba, _) = r.keyed_order(&[(1, doms[1]), (0, doms[0])]).unwrap();
+        let memo = r.memo.as_ref().unwrap();
+        let slot = std::mem::size_of::<(Box<[usize]>, Arc<KeyedOrder>)>();
+        let order = |o: &KeyedOrder| {
+            2 * std::mem::size_of::<usize>() + std::mem::size_of::<KeyedOrder>() + o.heap_bytes()
+        };
+        let memo_bytes = 2 * std::mem::size_of::<u64>()
+            + memo.orders_capacity() * slot
+            + order(&by_ab)
+            + order(&by_ba);
+        assert_eq!(r.heap_bytes(), unmemoized + memo_bytes);
+        assert!(by_ba.heap_bytes() >= r.len() * (8 + 4), "keys and permutation");
     }
 }

@@ -92,12 +92,12 @@ fn supply_chain_explain_analyze_snapshot() {
 -- estimated cost: 17016.00
 -- rows scanned=4428, processed=4536, peak intermediate=20
 JoinAgg (Fused)  (est rows=20.0, rows=20, cells=40, time=_, repr=sparse, nest=stream, fused=true)
-  ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse, kernel=chunked)
-    JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=sparse, nest=scatter, fused=true)
+  ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse, kernel=chunked, keyed=built)
+    JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=sparse, nest=scatter, keyed=built, fused=true)
       Scan transporters  (est rows=2.0, rows=2, cells=4, time=_, repr=rows)
       Scan ctdeals  (est rows=6.0, rows=6, cells=18, time=_, repr=rows)
     Scan warehouses  (est rows=20.0, rows=20, cells=60, time=_, repr=rows)
-  JoinAgg (Fused)  (est rows=20.0, rows=20, cells=40, time=_, repr=sparse, nest=scatter, fused=true)
+  JoinAgg (Fused)  (est rows=20.0, rows=20, cells=40, time=_, repr=sparse, nest=scatter, keyed=built, fused=true)
     Scan contracts  (est rows=400.0, rows=400, cells=1200, time=_, repr=rows)
     Scan location  (est rows=4000.0, rows=4000, cells=12000, time=_, repr=rows)
 ";
