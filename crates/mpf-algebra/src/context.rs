@@ -5,7 +5,7 @@
 //! the optional [`ExecBudget`] (row/cell caps, deadline, cancellation),
 //! the mutable [`ExecStats`] work counters, and the fault-injection hooks
 //! ([`crate::fault`]). Every operator in [`crate::ops`],
-//! [`crate::partitioned`], [`crate::dense`] and [`crate::sparse`] takes
+//! [`crate::dense`] and [`crate::sparse`] takes
 //! `&mut ExecContext` as its first argument, so budgets, stats, and
 //! failpoints apply uniformly whether an operator is reached through the
 //! [`Executor`](crate::Executor), the inference layer (Belief

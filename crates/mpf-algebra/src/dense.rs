@@ -1149,8 +1149,8 @@ fn join_impl(
                 })
                 .collect()
         });
-        // Chunk order: deterministic error precedence, like the
-        // partitioned operators merge in partition order.
+        // Inspect results in chunk order, not completion order, so error
+        // precedence is deterministic.
         for r in results {
             r?;
         }

@@ -4,7 +4,7 @@ use mpf_semiring::SemiringKind;
 use mpf_storage::FunctionalRelation;
 
 use crate::limits::{ExecBudget, ExecLimits};
-use crate::trace::{OpRepr, SpanDesc, SpanKind};
+use crate::trace::{SpanDesc, SpanKind};
 use crate::{
     ops, AggAlgo, AlgebraError, ExecContext, ExecStats, JoinAlgo, PhysicalPlan, Plan,
     RelationProvider, Result,
@@ -35,11 +35,11 @@ use crate::{
 /// With more than one worker thread ([`ExecLimits::threads`] /
 /// [`Executor::with_threads`]) the interpreter evaluates independent join
 /// subtrees concurrently on scoped workers (bounded by a shared token
-/// pool) and runs the planner's parallel operator annotations
-/// ([`JoinAlgo::Parallel`], [`AggAlgo::ParallelAgg`]) partitioned across
-/// the workers. Worker contexts charge the same budget and the stats
-/// merge deterministically, so answers, counters, and typed errors are
-/// identical at any thread count.
+/// pool), and the dense kernels split their output rows across the
+/// workers. The thread count never changes the plan: the same physical
+/// operators run at every count. Worker contexts charge the same budget
+/// and the stats merge deterministically, so answers, counters, and typed
+/// errors are identical at any thread count.
 #[derive(Debug)]
 pub struct Executor<'a, P: RelationProvider> {
     provider: &'a P,
@@ -158,8 +158,7 @@ impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
         cx: &mut ExecContext<'_>,
         plan: &PhysicalPlan,
     ) -> Result<Cow<'a, FunctionalRelation>> {
-        let threads = cx.threads();
-        cx.span_open(|| span_desc(plan, threads));
+        cx.span_open(|| span_desc(plan));
         let result = self.run_node(cx, plan);
         cx.span_close(|| result.as_ref().err().map(|e| e.to_string()));
         result
@@ -181,13 +180,6 @@ impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
                 let (l, r) = self.run_inputs(cx, left, right)?;
                 let out = match algo {
                     JoinAlgo::Hash => ops::product_join(cx, &l, &r)?,
-                    JoinAlgo::Parallel { partitions } => crate::partitioned::parallel_join_parts(
-                        cx,
-                        &l,
-                        &r,
-                        cx.threads(),
-                        *partitions,
-                    )?,
                     JoinAlgo::Dense => crate::dense::join(cx, &l, &r)?,
                     JoinAlgo::SparseTensor => crate::sparse::join(cx, &l, &r)?,
                 };
@@ -201,15 +193,6 @@ impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
                 let in_rel = self.run(cx, input)?;
                 let out = match algo {
                     AggAlgo::HashAgg => ops::group_by(cx, &in_rel, group_vars)?,
-                    AggAlgo::ParallelAgg { partitions } => {
-                        crate::partitioned::parallel_group_by_parts(
-                            cx,
-                            &in_rel,
-                            group_vars,
-                            cx.threads(),
-                            *partitions,
-                        )?
-                    }
                     AggAlgo::DenseAgg => crate::dense::agg(cx, &in_rel, group_vars)?,
                     AggAlgo::SparseAgg => crate::sparse::agg(cx, &in_rel, group_vars)?,
                 };
@@ -225,9 +208,7 @@ impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
                 let out = match algo {
                     JoinAlgo::Dense => crate::dense::join_agg_auto(cx, &l, &r, group_vars)?,
                     JoinAlgo::SparseTensor => crate::sparse::join_agg(cx, &l, &r, group_vars)?,
-                    JoinAlgo::Hash | JoinAlgo::Parallel { .. } => {
-                        ops::join_group_by(cx, &l, &r, group_vars)?
-                    }
+                    JoinAlgo::Hash => ops::join_group_by(cx, &l, &r, group_vars)?,
                 };
                 Ok(Cow::Owned(out))
             }
@@ -280,38 +261,24 @@ impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
     }
 }
 
-/// Describe a plan node for its trace span: kind, display label, and the
-/// planner's partition/worker annotations. Only called with tracing on.
-fn span_desc(plan: &PhysicalPlan, threads: usize) -> SpanDesc {
+/// Describe a plan node for its trace span: kind and display label. Only
+/// called with tracing on.
+fn span_desc(plan: &PhysicalPlan) -> SpanDesc {
     match plan {
         PhysicalPlan::Scan { relation } => {
             SpanDesc::op(SpanKind::Scan, format!("Scan {relation}"))
         }
         PhysicalPlan::Select { .. } => SpanDesc::op(SpanKind::Select, "Select"),
-        PhysicalPlan::Join { algo, .. } => SpanDesc {
-            kind: SpanKind::Join,
-            label: format!("ProductJoin ({})", algo.label()),
-            partitions: match algo {
-                JoinAlgo::Parallel { partitions } => Some(*partitions),
-                _ => None,
-            },
-            workers: matches!(algo, JoinAlgo::Parallel { .. }).then_some(threads),
-            // Left `Rows` even for the dense/sparse annotations: the
-            // operator may fall back at runtime, and record-time merging
-            // overwrites the representation only when a kernel actually
-            // ran.
-            repr: OpRepr::Rows,
-        },
-        PhysicalPlan::GroupBy { algo, .. } => SpanDesc {
-            kind: SpanKind::GroupBy,
-            label: format!("GroupBy ({})", algo.label()),
-            partitions: match algo {
-                AggAlgo::ParallelAgg { partitions } => Some(*partitions),
-                _ => None,
-            },
-            workers: matches!(algo, AggAlgo::ParallelAgg { .. }).then_some(threads),
-            repr: OpRepr::Rows,
-        },
+        // `SpanDesc::op` leaves the span `Rows` even for the dense/sparse
+        // annotations: the operator may fall back at runtime, and
+        // record-time merging overwrites the representation only when a
+        // kernel actually ran.
+        PhysicalPlan::Join { algo, .. } => {
+            SpanDesc::op(SpanKind::Join, format!("ProductJoin ({})", algo.label()))
+        }
+        PhysicalPlan::GroupBy { algo, .. } => {
+            SpanDesc::op(SpanKind::GroupBy, format!("GroupBy ({})", algo.label()))
+        }
         // The fused contraction accounts through `record_join_agg_ex`,
         // which records under the GroupBy kind (the node's output is the
         // marginal) and tags the span `fused=true` at run time.

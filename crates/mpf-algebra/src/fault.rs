@@ -15,7 +15,7 @@
 //! must serialize themselves (the suites use a shared mutex). Every
 //! operator entry point and the engine's optimizer call are instrumented;
 //! site names are the function names (`"product_join"`, `"group_by"`,
-//! `"parallel_join"`, `"dense::join_agg"`, `"sparse::agg"`,
+//! `"join_group_by"`, `"dense::join_agg"`, `"sparse::agg"`,
 //! `"sparse::join_agg"`, ...), plus
 //! `"optimize::<label>"` per strategy in the engine.
 

@@ -38,7 +38,6 @@ pub mod limits;
 pub mod metrics;
 pub mod ops;
 mod physical;
-pub mod partitioned;
 mod plan;
 mod provider;
 pub mod sparse;

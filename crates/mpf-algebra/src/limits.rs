@@ -103,10 +103,10 @@ pub struct ExecLimits {
     pub timeout: Option<Duration>,
     /// External cancellation handle.
     pub cancel: Option<CancelToken>,
-    /// Worker threads for the parallel operators and for concurrent
-    /// subplan scheduling. `None` resolves through [`default_threads`]
-    /// (the `MPF_THREADS` environment variable, else the machine's
-    /// available parallelism). A knob, not a budget: it never trips an
+    /// Worker threads for concurrent subplan scheduling and the dense
+    /// kernels' row-range workers. `None` resolves through
+    /// [`default_threads`] (the `MPF_THREADS` environment variable, else
+    /// the machine's available parallelism). A knob, not a budget: it never trips an
     /// error and is ignored by [`ExecLimits::is_unlimited`].
     pub threads: Option<usize>,
 }
@@ -170,7 +170,7 @@ impl ExecLimits {
 /// `MPF_THREADS` environment variable when it parses as a positive
 /// integer, else the machine's available parallelism. The latter is read
 /// once per process: on Linux it parses cgroup files, tens of
-/// microseconds that every query's physical planning would pay.
+/// microseconds that every executor and context construction would pay.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("MPF_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -186,8 +186,9 @@ pub fn default_threads() -> usize {
 /// How many rows a tight loop processes between deadline/cancel polls.
 pub const TICK_INTERVAL: u32 = 1024;
 
-/// Runtime budget tracker for one execution. Counters are atomic so the
-/// partitioned parallel operators can charge from worker threads.
+/// Runtime budget tracker for one execution. Counters are atomic so
+/// forked subplan workers and dense row-range workers can charge one
+/// budget from their own threads.
 #[derive(Debug)]
 pub struct ExecBudget {
     limits: ExecLimits,
@@ -231,7 +232,7 @@ impl ExecBudget {
     }
 
     /// Add `cells` to the global materialized-cell counter and check the
-    /// cap. Atomic, so parallel operators may charge concurrently.
+    /// cap. Atomic, so worker threads may charge concurrently.
     pub fn charge_cells(&self, cells: u64) -> Result<()> {
         let total = self
             .total_cells

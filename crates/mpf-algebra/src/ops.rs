@@ -39,9 +39,7 @@ pub fn product_join(
 }
 
 /// [`product_join`] body: budget-guarded, no fault site or accounting.
-/// Shared with the partitioned variants, whose worker threads cannot
-/// borrow the context.
-pub(crate) fn product_join_impl(
+fn product_join_impl(
     sr: SemiringKind,
     l: &FunctionalRelation,
     r: &FunctionalRelation,
@@ -122,7 +120,7 @@ pub fn group_by(
 }
 
 /// [`group_by`] body: budget-guarded, no fault site or accounting.
-pub(crate) fn group_by_impl(
+fn group_by_impl(
     sr: SemiringKind,
     input: &FunctionalRelation,
     group_vars: &[VarId],

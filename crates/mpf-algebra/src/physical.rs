@@ -2,7 +2,7 @@
 //!
 //! The logical [`Plan`](crate::Plan) fixes *where* joins and group-bys sit;
 //! the physical plan additionally fixes *how* each is executed — hash,
-//! parallel partitioned, dense grid or sparse tensor — which is exactly
+//! dense grid or sparse tensor — which is exactly
 //! the degree of freedom the paper points out distinguishes the
 //! relational setting from the GDL setting. [`PhysicalPlan::from_logical`] annotates a logical plan with a
 //! caller-supplied chooser (the optimizer's cost-based
@@ -19,15 +19,6 @@ use crate::Plan;
 pub enum JoinAlgo {
     /// Build a hash index on the smaller side, probe with the larger.
     Hash,
-    /// Parallel partitioned hash join: partition both sides into
-    /// cache-sized buckets and join chunks of partition pairs on scoped
-    /// worker threads (the worker count is an execution-time knob,
-    /// [`crate::ExecLimits::threads`]).
-    Parallel {
-        /// Number of partitions (decoupled from the worker count; sized
-        /// for cache residency by the planner).
-        partitions: usize,
-    },
     /// Dense odometer-indexed join: both operands are densified onto
     /// their inferred domain grids and the product is a stride-aligned
     /// broadcast multiply ([`crate::dense::join`]). Falls back to the
@@ -42,11 +33,10 @@ pub enum JoinAlgo {
 }
 
 impl JoinAlgo {
-    /// Short display name (no partition parameter).
+    /// Short display name.
     pub fn label(&self) -> &'static str {
         match self {
             JoinAlgo::Hash => "Hash",
-            JoinAlgo::Parallel { .. } => "Parallel",
             JoinAlgo::Dense => "Dense",
             JoinAlgo::SparseTensor => "SparseTensor",
         }
@@ -58,13 +48,6 @@ impl JoinAlgo {
 pub enum AggAlgo {
     /// Hash table keyed by the grouping values.
     HashAgg,
-    /// Parallel partitioned aggregation: partition on the hash of the
-    /// grouping values and aggregate chunks of partitions on scoped
-    /// worker threads.
-    ParallelAgg {
-        /// Number of partitions (decoupled from the worker count).
-        partitions: usize,
-    },
     /// Dense odometer-indexed marginalization: the input is densified and
     /// each output cell folds its eliminated-variable subgrid in a fixed
     /// index order ([`crate::dense::agg`]). Falls back to the hash
@@ -79,11 +62,10 @@ pub enum AggAlgo {
 }
 
 impl AggAlgo {
-    /// Short display name (no partition parameter).
+    /// Short display name.
     pub fn label(&self) -> &'static str {
         match self {
             AggAlgo::HashAgg => "HashAgg",
-            AggAlgo::ParallelAgg { .. } => "ParallelAgg",
             AggAlgo::DenseAgg => "DenseAgg",
             AggAlgo::SparseAgg => "SparseAgg",
         }
@@ -131,7 +113,7 @@ pub enum PhysicalPlan {
     /// ([`crate::dense::join_agg_auto`]), `SparseTensor` the sparse one
     /// ([`crate::sparse::join_agg`]), and either falls through to the
     /// next (dense → sparse → hash [`crate::ops::join_group_by`]) when
-    /// its kernel declines; the other algorithms run the fused hash
+    /// its kernel declines; `Hash` runs the fused hash
     /// operator. Accounts as one join *plus* one group-by so stats
     /// reconcile with the unfused plan.
     JoinAgg {
@@ -235,28 +217,6 @@ impl PhysicalPlan {
                 Plan::join(left.to_logical(), right.to_logical()),
                 group_vars.clone(),
             ),
-        }
-    }
-
-    /// Count operators annotated with parallel algorithms.
-    pub fn parallel_operator_count(&self) -> usize {
-        match self {
-            PhysicalPlan::Scan { .. } => 0,
-            PhysicalPlan::Select { input, .. } => input.parallel_operator_count(),
-            PhysicalPlan::Join {
-                left, right, algo, ..
-            } => {
-                matches!(algo, JoinAlgo::Parallel { .. }) as usize
-                    + left.parallel_operator_count()
-                    + right.parallel_operator_count()
-            }
-            PhysicalPlan::GroupBy { input, algo, .. } => {
-                matches!(algo, AggAlgo::ParallelAgg { .. }) as usize
-                    + input.parallel_operator_count()
-            }
-            PhysicalPlan::JoinAgg { left, right, .. } => {
-                left.parallel_operator_count() + right.parallel_operator_count()
-            }
         }
     }
 
@@ -497,7 +457,6 @@ mod tests {
     #[test]
     fn default_is_all_hash() {
         let p = PhysicalPlan::default_hash(&logical());
-        assert_eq!(p.parallel_operator_count(), 0);
         assert_eq!(p.dense_operator_count(), 0);
         assert_eq!(p.sparse_operator_count(), 0);
         assert_eq!(p.to_logical(), logical());
@@ -524,21 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_annotations_are_counted_and_rendered() {
-        let p = PhysicalPlan::from_logical(
-            &logical(),
-            &mut |_, _| JoinAlgo::Parallel { partitions: 64 },
-            &mut |_, _| AggAlgo::ParallelAgg { partitions: 32 },
-        );
-        assert_eq!(p.parallel_operator_count(), 3);
-        assert_eq!(p.operator_count(), 3);
-        assert_eq!(p.to_logical(), logical());
-        let text = p.render(&|v| format!("x{}", v.0));
-        assert!(text.contains("Parallel"));
-        assert!(text.contains("ParallelAgg"));
-    }
-
-    #[test]
     fn dense_annotations_are_counted_and_rendered() {
         let p = PhysicalPlan::from_logical(
             &logical(),
@@ -546,7 +490,7 @@ mod tests {
             &mut |_, _| AggAlgo::DenseAgg,
         );
         assert_eq!(p.dense_operator_count(), 3);
-        assert_eq!(p.parallel_operator_count(), 0);
+        assert_eq!(p.sparse_operator_count(), 0);
         assert_eq!(p.to_logical(), logical());
         let text = p.render(&|v| format!("x{}", v.0));
         assert!(text.contains("(Dense)"));

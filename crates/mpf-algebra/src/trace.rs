@@ -2,14 +2,14 @@
 //!
 //! When an [`ExecContext`](crate::ExecContext) runs with
 //! [`TraceLevel::Spans`], every physical operator records a [`TraceSpan`]
-//! — operator kind, input/output rows, cells charged, wall time, and (for
-//! the partitioned operators) partition and worker counts — into a
-//! per-query [`TraceTree`] mirroring the executed plan. The engine
-//! surfaces the tree on `Answer::trace` and pretty-prints it next to the
-//! optimizer's cardinality estimates (`Database::explain_analyze`), which
-//! is what makes cost-model drift visible operator-by-operator: the
-//! paper's CS/CS+/VE/VE+ strategies differ exactly in the per-operator
-//! join/group-by sizes induced by the elimination order.
+//! — operator kind, input/output rows, cells charged, wall time and the
+//! representation it ran on — into a per-query [`TraceTree`] mirroring
+//! the executed plan. The engine surfaces the tree on `Answer::trace` and
+//! pretty-prints it next to the optimizer's cardinality estimates
+//! (`Database::explain_analyze`), which is what makes cost-model drift
+//! visible operator-by-operator: the paper's CS/CS+/VE/VE+ strategies
+//! differ exactly in the per-operator join/group-by sizes induced by the
+//! elimination order.
 //!
 //! Tracing is structured as a span *stack* owned by the context:
 //!
@@ -104,12 +104,8 @@ impl OpRepr {
 pub struct SpanDesc {
     /// Operator kind.
     pub kind: SpanKind,
-    /// Display label (e.g. `Scan r1`, `ProductJoin (Parallel)`).
+    /// Display label (e.g. `Scan r1`, `ProductJoin (Hash)`).
     pub label: String,
-    /// Partition count, for partitioned operators.
-    pub partitions: Option<usize>,
-    /// Worker-thread count, for parallel operators.
-    pub workers: Option<usize>,
     /// Pre-marks the span's representation. Normally left [`OpRepr::Rows`]
     /// — execution sets the annotation on the span when a sparse or dense
     /// kernel actually records into it, so traces distinguish
@@ -123,19 +119,15 @@ impl SpanDesc {
         SpanDesc {
             kind: SpanKind::Phase,
             label: label.into(),
-            partitions: None,
-            workers: None,
             repr: OpRepr::Rows,
         }
     }
 
-    /// An operator span with no partition/worker annotations.
+    /// An operator span, pre-marked [`OpRepr::Rows`].
     pub fn op(kind: SpanKind, label: impl Into<String>) -> SpanDesc {
         SpanDesc {
             kind,
             label: label.into(),
-            partitions: None,
-            workers: None,
             repr: OpRepr::Rows,
         }
     }
@@ -159,10 +151,6 @@ pub struct TraceSpan {
     /// `EXPLAIN ANALYZE` actual time. Zero for leaf spans attached by
     /// operator accounting outside an explicitly opened span.
     pub elapsed: Duration,
-    /// Partition count, for partitioned operators.
-    pub partitions: Option<usize>,
-    /// Worker-thread count, for parallel operators.
-    pub workers: Option<usize>,
     /// The storage representation the operator ran on.
     pub repr: OpRepr,
     /// The kernel inner-loop mode (`"scalar"`/`"chunked"`) a
@@ -199,8 +187,6 @@ impl TraceSpan {
             rows_out: 0,
             cells: 0,
             elapsed: Duration::ZERO,
-            partitions: desc.partitions,
-            workers: desc.workers,
             repr: desc.repr,
             kernel: None,
             nest: None,
@@ -247,12 +233,6 @@ impl TraceSpan {
                 "rows={}, cells={}, time={:.1?}",
                 self.rows_out, self.cells, self.elapsed
             ));
-            if let Some(p) = self.partitions {
-                out.push_str(&format!(", partitions={p}"));
-            }
-            if let Some(w) = self.workers {
-                out.push_str(&format!(", workers={w}"));
-            }
             out.push_str(&format!(", repr={}", self.repr.name()));
             if let Some(k) = self.kernel {
                 out.push_str(&format!(", kernel={k}"));
@@ -287,12 +267,6 @@ impl TraceSpan {
             self.cells,
             self.elapsed.as_micros()
         ));
-        if let Some(p) = self.partitions {
-            out.push_str(&format!(",\"partitions\":{p}"));
-        }
-        if let Some(w) = self.workers {
-            out.push_str(&format!(",\"workers\":{w}"));
-        }
         if self.kind != SpanKind::Phase {
             out.push_str(&format!(",\"repr\":\"{}\"", self.repr.name()));
         }
@@ -670,22 +644,16 @@ mod tests {
         let mut c = TraceCollector::new(TraceLevel::Spans);
         c.open(|| SpanDesc {
             kind: SpanKind::Join,
-            label: "ProductJoin (Parallel)".into(),
-            partitions: Some(4),
-            workers: Some(2),
+            label: "ProductJoin (SparseTensor)".into(),
             repr: OpRepr::Dense,
         });
         c.record_op(SpanKind::Join, 8, 3, 9, OpRepr::Sparse);
         c.close(|| None);
         let t = c.take();
         let json = t.to_json();
-        assert!(json.contains("\"partitions\":4"));
-        assert!(json.contains("\"workers\":2"));
         assert!(json.contains("\"rows_out\":3"));
         assert!(json.contains("\"repr\":\"sparse\""));
         let text = t.render();
-        assert!(text.contains("partitions=4"));
-        assert!(text.contains("workers=2"));
         assert!(text.contains("repr=sparse"));
         assert!(json_string("a\"b\\c\n").contains("\\\""));
     }

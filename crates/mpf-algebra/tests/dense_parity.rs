@@ -9,6 +9,8 @@
 //! Modes are pinned on the [`ExecContext`]; a context never reads
 //! `MPF_DENSE`, so the ambient environment cannot reach these tests.
 
+use std::sync::{Mutex, MutexGuard};
+
 use mpf_algebra::{
     dense, ops, sparse, AggAlgo, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits,
     Executor, JoinAlgo, PhysicalPlan, Plan, RelationStore, ResourceKind,
@@ -18,6 +20,14 @@ use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
 use proptest::prelude::*;
 
 const THREADS: [usize; 2] = [1, 4];
+
+/// The fault registry is process-global. Under `fault-injection` every test
+/// here holds this lock while it runs, so a fault armed by the tests in
+/// `faults` never fires inside another test's operators.
+fn lock() -> Option<MutexGuard<'static, ()>> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    cfg!(feature = "fault-injection").then(|| LOCK.lock().unwrap_or_else(|e| e.into_inner()))
+}
 
 /// Exact equality up to row/column order — no float tolerance.
 fn bit_identical(a: &FunctionalRelation, b: &FunctionalRelation) -> bool {
@@ -72,6 +82,7 @@ proptest! {
         m2 in proptest::collection::vec(0u8..10, 9),
         group_var in 0usize..3,
     ) {
+        let _g = lock();
         for sr in SemiringKind::ALL {
             let (r1, r2, vars) = rels(sr, &m1, &m2);
             let gv = [vars[group_var]];
@@ -113,6 +124,7 @@ proptest! {
         hole_picks in proptest::collection::vec(0usize..9, 0..4),
         sr_idx in 0usize..7,
     ) {
+        let _g = lock();
         let holes: std::collections::BTreeSet<usize> = hole_picks.into_iter().collect();
         let sr = SemiringKind::ALL[sr_idx];
         let (r1, r2, [_, b, _]) = rels(sr, &m1, &m2);
@@ -167,6 +179,7 @@ fn big_fixture() -> (FunctionalRelation, FunctionalRelation, [VarId; 5]) {
 /// whose additions are float-order-sensitive.
 #[test]
 fn parallel_dense_kernels_match_sequential_bits() {
+    let _g = lock();
     let (r1, r2, [_, b, _, d, _]) = big_fixture();
     for sr in [SemiringKind::SumProduct, SemiringKind::LogSumProduct] {
         let mut seq = ExecContext::new(sr).with_threads(1);
@@ -192,6 +205,7 @@ fn parallel_dense_kernels_match_sequential_bits() {
 /// all-hash plan, at every thread count.
 #[test]
 fn dense_plans_match_hash_plans_through_the_interpreter() {
+    let _g = lock();
     let sr = SemiringKind::SumProduct;
     let (r1, r2, [_, b, _]) = rels(sr, &[3u8; 9], &[5u8; 9]);
     let mut store = RelationStore::new();
@@ -225,6 +239,7 @@ fn dense_plans_match_hash_plans_through_the_interpreter() {
 /// path, where workers charge the shared budget live.
 #[test]
 fn budget_trips_are_identical_across_paths() {
+    let _g = lock();
     let sr = SemiringKind::SumProduct;
     let (r1, r2, _) = rels(sr, &[1u8; 9], &[1u8; 9]);
     let limits = ExecLimits::none().with_max_output_rows(10);
@@ -259,6 +274,7 @@ fn budget_trips_are_identical_across_paths() {
 /// error at every thread count, like the sparse operators.
 #[test]
 fn cancellation_stops_dense_kernels() {
+    let _g = lock();
     let sr = SemiringKind::SumProduct;
     let (r1, r2, [_, b, _]) = rels(sr, &[1u8; 9], &[1u8; 9]);
     for t in THREADS {
@@ -284,14 +300,10 @@ fn cancellation_stops_dense_kernels() {
 mod faults {
     use super::*;
     use mpf_algebra::fault;
-    use std::sync::Mutex;
-
-    /// The fault registry is process-global; serialize arming tests.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn dense_sites_fire_once_and_disarm() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = lock();
         fault::clear_all();
         let sr = SemiringKind::SumProduct;
         let (r1, r2, [_, b, _]) = rels(sr, &[1u8; 9], &[2u8; 9]);

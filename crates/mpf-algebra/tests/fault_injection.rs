@@ -9,8 +9,8 @@
 use std::sync::Mutex;
 
 use mpf_algebra::{
-    dense, fault, ops, partitioned, sparse, AggAlgo, AlgebraError, ExecContext, Executor,
-    PhysicalPlan, Plan, RelationStore,
+    dense, fault, ops, sparse, AggAlgo, AlgebraError, ExecContext, Executor, PhysicalPlan, Plan,
+    RelationStore,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema};
@@ -84,14 +84,6 @@ fn each_operator_site_fires_once() {
         (
             "naive_mpf",
             Box::new(|| ops::naive_mpf(&mut ExecContext::new(sr), &[&l, &r], &[], &[a])),
-        ),
-        (
-            "parallel_join",
-            Box::new(|| partitioned::parallel_join(&mut ExecContext::new(sr), &l, &r, 2)),
-        ),
-        (
-            "parallel_group_by",
-            Box::new(|| partitioned::parallel_group_by(&mut ExecContext::new(sr), &l, &[a], 2)),
         ),
         (
             "dense::join",

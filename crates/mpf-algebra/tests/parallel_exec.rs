@@ -1,17 +1,18 @@
 //! Property tests for the parallel execution layer: at every thread
-//! count, the parallel operators and the concurrent subplan scheduler
-//! compute *bit-identical* results to the sequential pipeline — same
-//! support, same measures, same stats counters — and trip the same typed
-//! errors when a budget is exceeded or the query is cancelled.
+//! count, the concurrent subplan scheduler computes *bit-identical*
+//! results to the sequential pipeline — same support, same measures, same
+//! stats counters — and trips the same typed errors when a budget is
+//! exceeded or the query is cancelled.
 //!
-//! The determinism argument being checked: a join output measure is one
-//! multiplication computed in exactly one partition, and all rows of a
-//! group hash to one partition where they fold in input order, so no
-//! float operation is ever reassociated by parallelism.
+//! The determinism argument being checked: a forked worker runs the same
+//! operators over the same inputs as the sequential interpreter would, so
+//! no float operation is ever reassociated by parallelism; the parent
+//! absorbs the worker's stats in plan order, and all of them merge
+//! commutatively.
 
 use mpf_algebra::{
-    ops, partitioned, AggAlgo, AlgebraError, CancelToken, ExecContext, ExecLimits, Executor,
-    JoinAlgo, PhysicalPlan, Plan, RelationStore, ResourceKind,
+    AlgebraError, CancelToken, ExecLimits, Executor, PhysicalPlan, Plan, RelationStore,
+    ResourceKind,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -66,51 +67,12 @@ fn rels(sr: SemiringKind, m1: &[u8], m2: &[u8]) -> (FunctionalRelation, Function
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel join and group-by are bit-identical to the sequential
-    /// operators for every semiring at every thread count, including
-    /// partition counts that exceed the row count.
+    /// A plan whose two join inputs each contain an operator, so the
+    /// interpreter forks the right one onto a worker whenever threads
+    /// allow, is *bit-identical across thread counts* with the same stats
+    /// counters, for every semiring.
     #[test]
-    fn parallel_operators_match_sequential(
-        m1 in proptest::collection::vec(0u8..10, 9),
-        m2 in proptest::collection::vec(0u8..10, 9),
-        partitions in 2usize..16,
-    ) {
-        for sr in SEMIRINGS {
-            let (r1, r2, [_, b, _]) = rels(sr, &m1, &m2);
-            let want_join = ops::product_join(&mut ExecContext::new(sr), &r1, &r2).unwrap();
-            for t in THREADS {
-                let mut cx = ExecContext::new(sr);
-                let got_join =
-                    partitioned::parallel_join_parts(&mut cx, &r1, &r2, t, partitions).unwrap();
-                prop_assert!(
-                    bit_identical(&got_join, &want_join),
-                    "join diverged: sr {sr:?} threads {t} partitions {partitions}"
-                );
-                // Feed the aggregation the *same* input rows in the same
-                // order, so "bit-identical" checks the operator itself
-                // rather than fold orders inherited from upstream.
-                let want_agg =
-                    ops::group_by(&mut ExecContext::new(sr), &got_join, &[b]).unwrap();
-                let got_agg = partitioned::parallel_group_by_parts(
-                    &mut cx, &got_join, &[b], t, partitions,
-                )
-                .unwrap();
-                prop_assert!(
-                    bit_identical(&got_agg, &want_agg),
-                    "group-by diverged: sr {sr:?} threads {t} partitions {partitions}"
-                );
-            }
-        }
-    }
-
-    /// Full physical plans annotated with the parallel operators — run
-    /// through the interpreter, which also forks independent subtrees —
-    /// are *bit-identical across thread counts* (the worker count never
-    /// changes a fold order, only the partition count shapes the data
-    /// flow) and function-equal to the all-hash sequential execution,
-    /// with the same stats counters.
-    #[test]
-    fn parallel_plans_match_hash_plans(
+    fn forked_plans_match_sequential(
         m1 in proptest::collection::vec(0u8..10, 9),
         m2 in proptest::collection::vec(0u8..10, 9),
         sr_idx in 0usize..7,
@@ -121,79 +83,65 @@ proptest! {
         let mut store = RelationStore::new();
         store.insert(r1);
         store.insert(r2);
-        // Both join inputs contain an operator, so the subplan scheduler
-        // forks when threads allow.
-        let logical = Plan::group_by(
+        let plan = PhysicalPlan::default_hash(&Plan::group_by(
             Plan::join(
                 Plan::group_by(Plan::scan("r1"), vec![vars[0], vars[1]]),
                 Plan::group_by(Plan::scan("r2"), vec![vars[1], vars[2]]),
             ),
             vec![vars[group_var]],
-        );
+        ));
         let sequential = Executor::new(&store, sr).with_threads(1);
-        let (want, want_stats) = sequential
-            .execute_physical(&PhysicalPlan::default_hash(&logical))
-            .unwrap();
-        let parallel_plan = PhysicalPlan::from_logical(
-            &logical,
-            &mut |_, _| JoinAlgo::Parallel { partitions: 8 },
-            &mut |_, _| AggAlgo::ParallelAgg { partitions: 8 },
-        );
-        let mut single_worker: Option<FunctionalRelation> = None;
+        let (want, want_stats) = sequential.execute_physical(&plan).unwrap();
         for t in THREADS {
             let exec = Executor::new(&store, sr).with_threads(t);
-            let (got, stats) = exec.execute_physical(&parallel_plan).unwrap();
-            prop_assert!(got.function_eq_in(&want, sr), "sr {sr:?} threads {t}");
-            match &single_worker {
-                None => single_worker = Some(got),
-                Some(base) => prop_assert!(
-                    bit_identical(&got, base),
-                    "thread count changed bits: sr {sr:?} threads {t}"
-                ),
-            }
-            prop_assert_eq!(stats.joins, want_stats.joins);
-            prop_assert_eq!(stats.group_bys, want_stats.group_bys);
-            prop_assert_eq!(stats.rows_scanned, want_stats.rows_scanned);
+            let (got, stats) = exec.execute_physical(&plan).unwrap();
+            prop_assert!(
+                bit_identical(&got, &want),
+                "thread count changed bits: sr {sr:?} threads {t}"
+            );
+            prop_assert_eq!(stats, want_stats.clone());
         }
     }
 }
 
-/// The plan used by the budget-parity tests: 27-row join, then a
-/// marginalization.
 fn capped_exec(store: &RelationStore, limits: ExecLimits, threads: usize) -> Executor<'_, RelationStore> {
     Executor::with_limits(store, SemiringKind::SumProduct, limits).with_threads(threads)
 }
 
-fn parity_fixture() -> (RelationStore, Plan, PhysicalPlan) {
-    let (r1, r2, [_, b, _]) = rels(SemiringKind::SumProduct, &[1u8; 9], &[1u8; 9]);
+/// The plan used by the budget-parity tests. Both join inputs contain an
+/// operator, so above one thread the right input runs on a forked worker:
+/// `GroupBy_b(GroupBy_ab(r1) ⨝* GroupBy_abc(r2 ⨝* r1))`. The worker
+/// produces the plan's only 27-row intermediate, so it is the worker
+/// that charges the shared budget past its caps.
+fn parity_fixture() -> (RelationStore, PhysicalPlan) {
+    let (r1, r2, [a, b, c]) = rels(SemiringKind::SumProduct, &[1u8; 9], &[1u8; 9]);
     let mut store = RelationStore::new();
     store.insert(r1);
     store.insert(r2);
-    let logical = Plan::group_by(Plan::join(Plan::scan("r1"), Plan::scan("r2")), vec![b]);
-    let parallel = PhysicalPlan::from_logical(
-        &logical,
-        &mut |_, _| JoinAlgo::Parallel { partitions: 8 },
-        &mut |_, _| AggAlgo::ParallelAgg { partitions: 8 },
+    let logical = Plan::group_by(
+        Plan::join(
+            Plan::group_by(Plan::scan("r1"), vec![a, b]),
+            Plan::group_by(
+                Plan::join(Plan::scan("r2"), Plan::scan("r1")),
+                vec![a, b, c],
+            ),
+        ),
+        vec![b],
     );
-    (store, logical, parallel)
+    (store, PhysicalPlan::default_hash(&logical))
 }
 
 /// A worker tripping the shared row cap surfaces the same typed error the
 /// sequential pipeline reports, at every thread count.
 #[test]
 fn row_cap_parity_under_parallelism() {
-    let (store, logical, parallel) = parity_fixture();
+    let (store, plan) = parity_fixture();
+    // Every operator but the worker's 27-row join stays within 10 rows.
     let limits = ExecLimits::none().with_max_output_rows(10);
-    let Err(AlgebraError::ResourceExhausted { resource: want, limit: 10, .. }) =
-        capped_exec(&store, limits.clone(), 1).execute(&logical)
-    else {
-        panic!("sequential run must trip the row cap");
-    };
-    assert_eq!(want, ResourceKind::OutputRows);
     for t in THREADS {
-        match capped_exec(&store, limits.clone(), t).execute_physical(&parallel) {
+        match capped_exec(&store, limits.clone(), t).execute_physical(&plan) {
             Err(AlgebraError::ResourceExhausted { resource, limit: 10, .. }) => {
-                assert_eq!(resource, want, "threads {t}");
+                assert_eq!(resource, ResourceKind::OutputRows, "threads {t}");
             }
             other => panic!("threads {t}: expected OutputRows trip, got {other:?}"),
         }
@@ -203,38 +151,31 @@ fn row_cap_parity_under_parallelism() {
 /// Same for the shared total-cells budget, which workers charge live.
 #[test]
 fn cell_cap_parity_under_parallelism() {
-    let (store, logical, parallel) = parity_fixture();
-    let limits = ExecLimits::none().with_max_total_cells(20);
-    let Err(AlgebraError::ResourceExhausted { resource: want, .. }) =
-        capped_exec(&store, limits.clone(), 1).execute(&logical)
-    else {
-        panic!("sequential run must trip the cell cap");
-    };
-    assert_eq!(want, ResourceKind::TotalCells);
+    let (store, plan) = parity_fixture();
+    // The scans (27 cells each; r1 is charged once) and the left
+    // group-by (27) fit in 150 cells; the worker's join (27 rows × 4
+    // cells) pushes the total past it.
+    let limits = ExecLimits::none().with_max_total_cells(150);
     for t in THREADS {
-        match capped_exec(&store, limits.clone(), t).execute_physical(&parallel) {
-            Err(AlgebraError::ResourceExhausted { resource, .. }) => {
-                assert_eq!(resource, want, "threads {t}");
+        match capped_exec(&store, limits.clone(), t).execute_physical(&plan) {
+            Err(AlgebraError::ResourceExhausted { resource, limit: 150, .. }) => {
+                assert_eq!(resource, ResourceKind::TotalCells, "threads {t}");
             }
             other => panic!("threads {t}: expected TotalCells trip, got {other:?}"),
         }
     }
 }
 
-/// A cancelled token stops the parallel operators (workers poll it at
-/// partition checkpoints) with the typed `Cancelled` error.
+/// A cancelled token stops the forked worker and the inline side (both
+/// poll it at operator checkpoints) with the typed `Cancelled` error.
 #[test]
 fn cancellation_stops_parallel_execution() {
-    let (store, _, parallel) = parity_fixture();
+    let (store, plan) = parity_fixture();
     for t in THREADS {
         let token = CancelToken::new();
         token.cancel();
-        let exec = capped_exec(
-            &store,
-            ExecLimits::none().with_cancel_token(token),
-            t,
-        );
-        match exec.execute_physical(&parallel) {
+        let exec = capped_exec(&store, ExecLimits::none().with_cancel_token(token), t);
+        match exec.execute_physical(&plan) {
             Err(AlgebraError::Cancelled) => {}
             other => panic!("threads {t}: expected Cancelled, got {other:?}"),
         }

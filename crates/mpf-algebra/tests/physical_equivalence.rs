@@ -39,8 +39,8 @@ proptest! {
     /// Random algorithm assignments never change the answer.
     #[test]
     fn physical_matches_logical(
-        join_picks in proptest::collection::vec(0usize..4, 8),
-        agg_picks in proptest::collection::vec(0usize..4, 8),
+        join_picks in proptest::collection::vec(0usize..3, 8),
+        agg_picks in proptest::collection::vec(0usize..3, 8),
         group_var in 0usize..3,
         filter in proptest::option::of((0usize..2, 0u32..3)),
         fuse_pick in proptest::option::of(0usize..3),
@@ -70,21 +70,13 @@ proptest! {
             &logical,
             &mut |_, _| {
                 ji += 1;
-                [
-                    JoinAlgo::Hash,
-                    JoinAlgo::Parallel { partitions: 4 },
-                    JoinAlgo::Dense,
-                    JoinAlgo::SparseTensor,
-                ][join_picks[ji % join_picks.len()]]
+                [JoinAlgo::Hash, JoinAlgo::Dense, JoinAlgo::SparseTensor]
+                    [join_picks[ji % join_picks.len()]]
             },
             &mut |_, _| {
                 ai += 1;
-                [
-                    AggAlgo::HashAgg,
-                    AggAlgo::ParallelAgg { partitions: 4 },
-                    AggAlgo::DenseAgg,
-                    AggAlgo::SparseAgg,
-                ][agg_picks[ai % agg_picks.len()]]
+                [AggAlgo::HashAgg, AggAlgo::DenseAgg, AggAlgo::SparseAgg]
+                    [agg_picks[ai % agg_picks.len()]]
             },
         );
         // Optionally fuse the root elimination step, starting its

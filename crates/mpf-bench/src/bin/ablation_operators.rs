@@ -5,8 +5,7 @@
 //! takes the nonlinear CS+ plan for Q1 on the supply chain and executes it
 //! with (a) the hash operators everywhere and (b) the per-operator choice
 //! of `choose_physical` under its default configuration (dense and sparse
-//! kernels where the operands qualify, parallel operators past the size
-//! threshold when more than one thread is configured).
+//! kernels where the operands qualify, hash operators elsewhere).
 //!
 //! Usage: `ablation_operators [--scale <f>]`
 

@@ -136,21 +136,21 @@ fn main() {
         ..PhysicalConfig::default()
     };
     // Fusion off here: this section isolates the kernel inner-loop mode.
-    let unfused_for = |t: usize| choose_physical(&ctx, &plan, cfg.with_threads(t).with_fuse(false));
+    let unfused_phys = choose_physical(&ctx, &plan, cfg.with_fuse(false));
 
     let mut sections = Vec::new();
 
     // -- kernel_ve_plus ---------------------------------------------------
-    let seq_phys = unfused_for(1);
     let (scalar_ms, scalar_out) =
-        time_ms(reps, || run_plan(&store, &seq_phys, 1, KernelMode::Scalar).0);
+        time_ms(reps, || run_plan(&store, &unfused_phys, 1, KernelMode::Scalar).0);
     eprintln!("kernel_ve_plus: scalar {scalar_ms:.1} ms, {} rows", scalar_out.len());
     feed(&metrics, "kernel_ve_plus", "scalar.t1", scalar_ms);
     let mut runs = Vec::new();
     for &t in &THREAD_COUNTS {
-        let phys = unfused_for(t);
-        let (ms, out) = time_ms(reps, || run_plan(&store, &phys, t, KernelMode::Chunked).0);
-        let (_, stats) = run_plan(&store, &phys, t, KernelMode::Chunked);
+        let (ms, out) = time_ms(reps, || {
+            run_plan(&store, &unfused_phys, t, KernelMode::Chunked).0
+        });
+        let (_, stats) = run_plan(&store, &unfused_phys, t, KernelMode::Chunked);
         let speedup = scalar_ms / ms;
         let eq = out.function_eq(&scalar_out);
         eprintln!(
@@ -175,18 +175,20 @@ fn main() {
     // marginalization contracts straight into the output accumulator.
     // Reference is the unfused chunked single-thread run.
     let (unfused_ms, unfused_out) =
-        time_ms(reps, || run_plan(&store, &seq_phys, 1, KernelMode::Chunked).0);
-    let (_, unfused_stats) = run_plan(&store, &seq_phys, 1, KernelMode::Chunked);
+        time_ms(reps, || run_plan(&store, &unfused_phys, 1, KernelMode::Chunked).0);
+    let (_, unfused_stats) = run_plan(&store, &unfused_phys, 1, KernelMode::Chunked);
     let unfused_peak = unfused_stats.max_intermediate_rows;
     eprintln!(
         "fused_join_agg: unfused {unfused_ms:.1} ms, peak {unfused_peak} rows"
     );
     feed(&metrics, "fused_join_agg", "unfused.t1", unfused_ms);
+    let fused_phys = choose_physical(&ctx, &plan, cfg.with_fuse(true));
     let mut fruns = Vec::new();
     for &t in &THREAD_COUNTS {
-        let phys = choose_physical(&ctx, &plan, cfg.with_threads(t).with_fuse(true));
-        let (ms, out) = time_ms(reps, || run_plan(&store, &phys, t, KernelMode::Chunked).0);
-        let (_, stats) = run_plan(&store, &phys, t, KernelMode::Chunked);
+        let (ms, out) = time_ms(reps, || {
+            run_plan(&store, &fused_phys, t, KernelMode::Chunked).0
+        });
+        let (_, stats) = run_plan(&store, &fused_phys, t, KernelMode::Chunked);
         let speedup = unfused_ms / ms;
         let eq = out.function_eq(&unfused_out);
         let peak_ok = stats.fused_join_aggs == 0 || stats.max_intermediate_rows < unfused_peak;

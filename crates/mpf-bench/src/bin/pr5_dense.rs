@@ -238,10 +238,8 @@ fn main() {
         repr_mode: mpf_algebra::ReprMode::Off,
         ..PhysicalConfig::default()
     };
-    let phys_for = |t: usize, mode: DenseMode| {
-        choose_physical(&ctx, &plan, cfg.with_threads(t).with_dense(mode))
-    };
-    let seq_phys = phys_for(1, DenseMode::Off);
+    let seq_phys = choose_physical(&ctx, &plan, cfg.with_dense(DenseMode::Off));
+    let dense_phys = choose_physical(&ctx, &plan, cfg.with_dense(DenseMode::Auto));
     let (vseq_ms, vseq_out) = time_ms(reps, || {
         let exec = Executor::new(&store, SR).with_threads(1);
         let (rel, _) = exec.execute_physical(&seq_phys).expect("plan executes");
@@ -251,15 +249,14 @@ fn main() {
     feed(&metrics, "ve_plus", None, vseq_ms);
     let mut vruns = Vec::new();
     for &t in &THREAD_COUNTS {
-        let phys = phys_for(t, DenseMode::Auto);
         let (ms, out) = time_ms(reps, || {
             let exec = Executor::new(&store, SR).with_threads(t);
-            let (rel, _) = exec.execute_physical(&phys).expect("plan executes");
+            let (rel, _) = exec.execute_physical(&dense_phys).expect("plan executes");
             rel
         });
         let run = Run {
             threads: t,
-            dense_ops: phys.dense_operator_count() as u64,
+            dense_ops: dense_phys.dense_operator_count() as u64,
             ms,
             speedup: vseq_ms / ms,
             eq: out.function_eq(&vseq_out),
@@ -276,7 +273,6 @@ fn main() {
     // the kernels pinned to *scalar* — the inner loops this baseline
     // originally measured — so the artifact records how much of the
     // dense-over-hash win now comes from the chunked mode alone.
-    let dense_phys = phys_for(1, DenseMode::Auto);
     let (kscalar_ms, kscalar_out) = time_ms(reps, || {
         let exec = Executor::new(&store, SR).with_threads(1);
         let mut cx = ExecContext::new(SR)

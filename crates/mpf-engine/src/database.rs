@@ -990,7 +990,6 @@ impl Database {
             ctx,
             &plan,
             PhysicalConfig::default()
-                .with_threads(limits.effective_threads())
                 .with_dense(self.dense)
                 .with_repr(self.repr),
         );
@@ -1067,7 +1066,6 @@ impl Database {
             }
             _ => &req.query,
         };
-        let limits = req.limits.as_ref().unwrap_or(&self.limits);
         let snap = self.snapshot();
         let view = snap
             .view_of(&q.view)
@@ -1093,7 +1091,6 @@ impl Database {
             &ctx,
             &plan,
             PhysicalConfig::default()
-                .with_threads(limits.effective_threads())
                 .with_dense(self.dense)
                 .with_repr(self.repr),
         );
@@ -1121,7 +1118,7 @@ impl Database {
 
     /// Execute a request with span tracing forced on and render the
     /// executed plan with per-operator actuals (rows, cells, wall time,
-    /// partition/worker counts) next to the optimizer's estimated rows —
+    /// representation) next to the optimizer's estimated rows —
     /// the paper's strategies differ exactly in these per-operator sizes,
     /// so this is where cost-model drift becomes visible.
     pub fn explain_analyze<'a>(&self, req: impl Into<QueryRequest<'a>>) -> Result<String> {

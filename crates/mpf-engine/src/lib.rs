@@ -31,7 +31,7 @@
 //! * [`parser`] — a lexer + recursive-descent parser for the SQL extension,
 //!   so the paper's example statements run verbatim;
 //! * observability: [`Answer::trace`] carries a per-operator span tree
-//!   (row counts, cells, wall time, partition/worker fan-out),
+//!   (row counts, cells, wall time, representation),
 //!   [`Database::explain_analyze`] renders it next to the optimizer's
 //!   estimates, and [`Database::with_metrics`] feeds a process-wide
 //!   [`MetricsRegistry`] (counters + latency histograms, JSON export);

@@ -44,8 +44,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mpf_algebra::{ExecContext, ExecLimits, ExecStats, Executor, Overlay, PhysicalPlan, Plan,
-    RelationProvider};
+use mpf_algebra::{ExecContext, ExecStats, Executor, Overlay, PhysicalPlan, Plan, RelationProvider};
 use mpf_optimizer::{choose_physical, PhysicalConfig};
 use mpf_semiring::{resolve_semiring, SemiringKind};
 use mpf_storage::{FunctionalRelation, Value};
@@ -470,8 +469,8 @@ impl Database {
     /// untouched by any scenario's overrides are computed once and
     /// shared, measure-only scenarios share one plan per strategy, and
     /// scenarios fan out across the worker threads the effective
-    /// [`ExecLimits::threads`] allows — all under one shared execution
-    /// budget (a batch that trips a budget mid-way fails where the
+    /// [`mpf_algebra::ExecLimits::threads`] allows — all under one shared
+    /// execution budget (a batch that trips a budget mid-way fails where the
     /// equivalent sequential loop might squeak through; budgets bound
     /// *total* work either way).
     ///
@@ -530,7 +529,7 @@ impl Database {
             })?;
         let limits = req.limits.clone().unwrap_or_else(|| self.limits().clone());
         // One root context: forks share its budget, scan ledger, and
-        // worker-token pool, so intra-scenario parallel operators and the
+        // worker-token pool, so intra-scenario subplan workers and the
         // cross-scenario fan-out draw from the same allowance.
         let root = ExecContext::with_limits(sr, limits.clone())
             .with_dense(self.dense())
@@ -546,8 +545,7 @@ impl Database {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let worker_cx = root.fork();
-                let (slots, next, snap, limits, memo, plans) =
-                    (&slots, &next, &snap, &limits, &memo, &plans);
+                let (slots, next, snap, memo, plans) = (&slots, &next, &snap, &memo, &plans);
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
@@ -559,7 +557,6 @@ impl Database {
                         &scenarios[i],
                         view,
                         sr,
-                        limits,
                         &worker_cx,
                         memo,
                         plans,
@@ -606,7 +603,6 @@ impl Database {
         sc: &Scenario,
         view: &MpfView,
         sr: SemiringKind,
-        limits: &ExecLimits,
         worker_cx: &ExecContext<'_>,
         memo: &TrunkMemo,
         plans: &PlanCache,
@@ -644,8 +640,8 @@ impl Database {
         let last = attempts.len() - 1;
         for (i, &strategy) in attempts.iter().enumerate() {
             match self.scenario_attempt(
-                &q, sc, snap, &overlay, &ctx, sr, strategy, limits, &mut total, worker_cx, memo,
-                plans, &touched,
+                &q, sc, snap, &overlay, &ctx, sr, strategy, &mut total, worker_cx, memo, plans,
+                &touched,
             ) {
                 Ok(mut answer) => {
                     answer.served_by = strategy;
@@ -672,7 +668,6 @@ impl Database {
         ctx: &mpf_optimizer::OptContext<'_>,
         sr: SemiringKind,
         strategy: Strategy,
-        limits: &ExecLimits,
         total: &mut ExecStats,
         worker_cx: &ExecContext<'_>,
         memo: &TrunkMemo,
@@ -689,7 +684,6 @@ impl Database {
                     ctx,
                     &plan,
                     PhysicalConfig::default()
-                        .with_threads(limits.effective_threads())
                         .with_dense(self.dense())
                         .with_repr(self.repr()),
                 );

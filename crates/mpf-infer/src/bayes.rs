@@ -237,8 +237,8 @@ impl BayesNet {
         let exec = Executor::new(&store, sr);
         // Cost-based physical selection (instead of the executor's default
         // hash lowering) so elimination steps over dense CPT grids run the
-        // fused join→marginalize kernel and the sparse/parallel operators
-        // apply where their estimates say they pay off.
+        // fused join→marginalize kernel and the sparse operators apply
+        // where their estimates say they pay off.
         let physical = choose_physical(&ctx, &plan.plan, PhysicalConfig::default());
         let rel = exec.execute_physical_in(&mut cx, &physical)?;
         Ok((rel, cx.take_stats()))

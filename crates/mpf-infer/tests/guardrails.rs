@@ -5,11 +5,21 @@
 //!
 //! Fault arms additionally need `--features fault-injection`.
 
+use std::sync::{Mutex, MutexGuard};
+
 use mpf_algebra::{AlgebraError, ExecContext, ExecLimits, ResourceKind};
 use mpf_infer::{bp, BayesNet, InferError, JunctionTree, VeCache};
 use mpf_optimizer::{Algorithm, Heuristic};
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
+
+/// The fault registry is process-global. Under `fault-injection` every test
+/// here holds this lock while it runs, so a fault armed by the tests in
+/// `faults` never fires inside another test's operators.
+fn lock() -> Option<MutexGuard<'static, ()>> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    cfg!(feature = "fault-injection").then(|| LOCK.lock().unwrap_or_else(|e| e.into_inner()))
+}
 
 /// r0(x0, x1), r1(x1, x2), ... — an acyclic chain of complete relations.
 fn chain(cat: &mut Catalog, n: usize, dom: u64) -> Vec<FunctionalRelation> {
@@ -67,6 +77,7 @@ fn tiny_cells(sr: SemiringKind) -> ExecContext<'static> {
 
 #[test]
 fn vecache_build_respects_cell_budget() {
+    let _g = lock();
     let mut cat = Catalog::new();
     let rels = chain(&mut cat, 4, 3);
     let refs: Vec<&FunctionalRelation> = rels.iter().collect();
@@ -88,6 +99,7 @@ fn vecache_build_respects_cell_budget() {
 
 #[test]
 fn bp_calibration_respects_cell_budget() {
+    let _g = lock();
     let mut cat = Catalog::new();
     let rels = chain(&mut cat, 4, 3);
     let refs: Vec<&FunctionalRelation> = rels.iter().collect();
@@ -109,6 +121,7 @@ fn bp_calibration_respects_cell_budget() {
 
 #[test]
 fn junction_population_respects_cell_budget() {
+    let _g = lock();
     let mut cat = Catalog::new();
     let rels = cyclic_family(&mut cat);
     let schemas: Vec<Schema> = rels.iter().map(|r| r.schema().clone()).collect();
@@ -129,6 +142,7 @@ fn junction_population_respects_cell_budget() {
 
 #[test]
 fn bayes_marginal_respects_cell_budget() {
+    let _g = lock();
     let bn = BayesNet::sprinkler();
     let wet = bn.catalog().var("wet").unwrap();
     let algo = Algorithm::Ve(Heuristic::Degree);
@@ -148,16 +162,8 @@ fn bayes_marginal_respects_cell_budget() {
 #[cfg(feature = "fault-injection")]
 mod faults {
     use super::*;
-    use std::sync::Mutex;
 
     use mpf_algebra::fault;
-
-    /// The fault registry is process-global; serialize the tests that arm it.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     fn injected(err: InferError) -> bool {
         matches!(err, InferError::Algebra(AlgebraError::FaultInjected(_)))

@@ -15,14 +15,11 @@
 //!   [`AggAlgo::SparseAgg`]) under [`ReprMode::Auto`] whenever every
 //!   coordinate space is feasible, at any density;
 //! * else (coordinate spaces too large for the sparse kernels, or
-//!   [`ReprMode::Off`]), when the executor will run with more than one
-//!   worker thread ([`PhysicalConfig::threads`]) and the build side (joins) or the
-//!   estimated group count (aggregates) reaches
-//!   [`PhysicalConfig::parallel_min_rows`], the **parallel partitioned**
-//!   variants ([`JoinAlgo::Parallel`], [`AggAlgo::ParallelAgg`]), with the
-//!   partition count sized for cache residency by
-//!   [`mpf_algebra::partitioned::parallel_partitions`];
-//! * else the **hash** operators ([`JoinAlgo::Hash`], [`AggAlgo::HashAgg`]).
+//!   [`ReprMode::Off`]) the **hash** operators ([`JoinAlgo::Hash`],
+//!   [`AggAlgo::HashAgg`]).
+//!
+//! The choice never depends on the executor's thread count: the same plan
+//! runs at every [`mpf_algebra::ExecLimits::threads`].
 //!
 //! With [`PhysicalConfig::fuse`], a dense or sparse join feeding a
 //! marginalization of the same kind then becomes one elimination step
@@ -31,29 +28,14 @@
 //! Operand sizes come from the same catalog-based estimator the join
 //! ordering used ([`estimate::plan_estimate`]).
 
-use mpf_algebra::{partitioned, AggAlgo, DenseMode, JoinAlgo, PhysicalPlan, Plan, ReprMode};
+use mpf_algebra::{AggAlgo, DenseMode, JoinAlgo, PhysicalPlan, Plan, ReprMode};
 use mpf_storage::Schema;
 
 use crate::{estimate, OptContext};
 
-/// Estimated bytes per row for an operand of the given arity (mirrors
-/// `FunctionalRelation::row_bytes`: 4-byte values plus an 8-byte measure).
-fn row_bytes(arity: usize) -> u64 {
-    arity as u64 * 4 + 8
-}
-
 /// Physical selection knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhysicalConfig {
-    /// Worker threads the executor will run with. With one thread the
-    /// parallel operators are never selected (they degenerate to the
-    /// plain hash operators at run time anyway, but the annotation would
-    /// be noise in rendered plans).
-    pub threads: usize,
-    /// Minimum estimated build/group rows before a parallel operator is
-    /// worth its partitioning pass. Small operands fit in cache whole;
-    /// partitioning them only adds a copy.
-    pub parallel_min_rows: f64,
     /// Whether to consider the dense odometer kernels ([`JoinAlgo::Dense`],
     /// [`AggAlgo::DenseAgg`]). The engine passes its own mode (read from
     /// `MPF_DENSE`); [`DenseMode::Auto`] by default.
@@ -78,8 +60,6 @@ pub struct PhysicalConfig {
 impl Default for PhysicalConfig {
     fn default() -> Self {
         PhysicalConfig {
-            threads: mpf_algebra::limits::default_threads(),
-            parallel_min_rows: 32_768.0,
             dense_mode: DenseMode::default(),
             dense_min_density: 0.5,
             repr_mode: ReprMode::default(),
@@ -89,12 +69,6 @@ impl Default for PhysicalConfig {
 }
 
 impl PhysicalConfig {
-    /// Set the worker-thread count the plan will execute with.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Set the dense-kernel selection mode (builder style).
     pub fn with_dense(mut self, mode: DenseMode) -> Self {
         self.dense_mode = mode;
@@ -174,28 +148,15 @@ fn join_algo(
     if sparse_applies(ctx, cfg, &[ls, rs, out]) {
         return JoinAlgo::SparseTensor;
     }
-    let build = lr.min(rr);
-    if cfg.threads > 1 && build >= cfg.parallel_min_rows {
-        // Large operands: partition into cache-sized buckets and join them
-        // on the worker pool. Row bytes come from the wider schema so the
-        // partition count covers the probe side too.
-        let row_bytes = row_bytes(ls.arity().max(rs.arity()));
-        JoinAlgo::Parallel {
-            partitions: partitioned::parallel_partitions(build as usize, row_bytes, cfg.threads),
-        }
-    } else {
-        JoinAlgo::Hash
-    }
+    JoinAlgo::Hash
 }
 
-/// The algorithm for a group-by of `(in_schema, in_rows)` onto `out`,
-/// estimated at `groups` rows.
+/// The algorithm for a group-by of `(in_schema, in_rows)` onto `out`.
 fn agg_algo(
     ctx: &OptContext<'_>,
     cfg: &PhysicalConfig,
     (in_schema, in_rows): (&Schema, f64),
     out: &Schema,
-    groups: f64,
 ) -> AggAlgo {
     if dense_applies(ctx, cfg, &[(in_schema, in_rows)], out) {
         return AggAlgo::DenseAgg;
@@ -203,20 +164,7 @@ fn agg_algo(
     if sparse_applies(ctx, cfg, &[in_schema, out]) {
         return AggAlgo::SparseAgg;
     }
-    if cfg.threads > 1 && groups >= cfg.parallel_min_rows {
-        // Many groups: the accumulator table itself blows the cache, so
-        // partition on the group hash. Few-group aggregation stays
-        // cache-resident and gains nothing.
-        AggAlgo::ParallelAgg {
-            partitions: partitioned::parallel_partitions(
-                groups as usize,
-                row_bytes(out.arity()),
-                cfg.threads,
-            ),
-        }
-    } else {
-        AggAlgo::HashAgg
-    }
+    AggAlgo::HashAgg
 }
 
 /// Annotate a logical plan with cost-chosen operator algorithms.
@@ -266,7 +214,7 @@ fn lower(ctx: &OptContext<'_>, cfg: &PhysicalConfig, plan: &Plan) -> (PhysicalPl
             let (input, in_schema, in_rows) = lower(ctx, cfg, input);
             let schema: Schema = group_vars.iter().copied().collect();
             let rows = estimate::group_rows(ctx, in_rows, &schema);
-            let agg = agg_algo(ctx, cfg, (&in_schema, in_rows), &schema, rows);
+            let agg = agg_algo(ctx, cfg, (&in_schema, in_rows), &schema);
             let group_vars = group_vars.clone();
             let group = match input {
                 PhysicalPlan::Join { left, right, algo }
@@ -327,11 +275,11 @@ mod tests {
     }
 
     #[test]
-    fn large_operands_lower_to_hash_or_parallel() {
+    fn large_operands_off_the_kernels_lower_to_hash() {
         // The 5M-row fixture, once as optimized and once unreduced: a
         // 100k-row build side joining r2 under a {a, b} group-by with 100k
-        // estimated groups. No operand size selects anything but the hash
-        // operators at one thread, or the parallel ones at four.
+        // estimated groups. With the dense and sparse kernels off, no
+        // operand size selects anything but the hash operators.
         let mut cat = Catalog::new();
         let (rels, a, b, _) = ctx_fixture(&mut cat);
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
@@ -341,28 +289,8 @@ mod tests {
             .with_dense(DenseMode::Off)
             .with_repr(ReprMode::Off);
         for plan in [&optimized, &unreduced] {
-            let seq = choose_physical(&ctx, plan, cfg.with_threads(1));
-            assert_eq!(
-                seq,
-                PhysicalPlan::default_hash(plan),
-                "one thread -> all hash"
-            );
+            assert_eq!(choose_physical(&ctx, plan, cfg), PhysicalPlan::default_hash(plan));
         }
-        let par = choose_physical(&ctx, &unreduced, cfg.with_threads(4));
-        assert!(
-            matches!(
-                &par,
-                PhysicalPlan::GroupBy {
-                    input,
-                    algo: AggAlgo::ParallelAgg { .. },
-                    ..
-                } if matches!(**input, PhysicalPlan::Join { algo: JoinAlgo::Parallel { .. }, .. })
-            ),
-            "four threads -> parallel:\n{}",
-            par.render(&|v| format!("x{}", v.0))
-        );
-        // Annotations do not change the logical plan.
-        assert_eq!(par.to_logical(), unreduced);
     }
 
     #[test]
@@ -378,7 +306,7 @@ mod tests {
         ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
-        let cfg = PhysicalConfig::default().with_threads(1).with_repr(ReprMode::Off);
+        let cfg = PhysicalConfig::default().with_repr(ReprMode::Off);
         let off = choose_physical(&ctx, &plan, cfg.with_dense(DenseMode::Off));
         assert_eq!(off.dense_operator_count(), 0);
         let auto = choose_physical(&ctx, &plan, cfg.with_dense(DenseMode::Auto));
@@ -419,7 +347,6 @@ mod tests {
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
         let cfg = PhysicalConfig::default()
-            .with_threads(1)
             .with_dense(DenseMode::Auto)
             .with_repr(ReprMode::Off);
         let fused = choose_physical(&ctx, &plan, cfg);
@@ -472,7 +399,6 @@ mod tests {
             &ctx,
             &plan,
             PhysicalConfig::default()
-                .with_threads(1)
                 .with_dense(DenseMode::On)
                 .with_repr(ReprMode::Off),
         );
@@ -493,7 +419,7 @@ mod tests {
         ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
-        let cfg = PhysicalConfig::default().with_threads(1);
+        let cfg = PhysicalConfig::default();
         let off = choose_physical(&ctx, &plan, cfg.with_repr(ReprMode::Off));
         assert_eq!(off.sparse_operator_count(), 0);
         let auto = choose_physical(&ctx, &plan, cfg.with_repr(ReprMode::Auto));
@@ -541,7 +467,7 @@ mod tests {
         ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
-        let cfg = PhysicalConfig::default().with_threads(1);
+        let cfg = PhysicalConfig::default();
         fn fused(p: &PhysicalPlan) -> Vec<JoinAlgo> {
             match p {
                 PhysicalPlan::Scan { .. } => vec![],
@@ -587,7 +513,6 @@ mod tests {
             &ctx,
             &plan,
             PhysicalConfig::default()
-                .with_threads(1)
                 .with_dense(DenseMode::Auto)
                 .with_repr(ReprMode::Auto),
         );
@@ -613,7 +538,6 @@ mod tests {
             &ctx,
             &plan,
             PhysicalConfig::default()
-                .with_threads(1)
                 .with_dense(DenseMode::On)
                 .with_repr(ReprMode::Auto),
         );
@@ -623,53 +547,5 @@ mod tests {
             "coordinates stay feasible:\n{}",
             phys.render(&|v| format!("x{}", v.0))
         );
-    }
-
-    #[test]
-    fn parallel_operators_require_threads_and_scale() {
-        let mut cat = Catalog::new();
-        let (rels, a, ..) = ctx_fixture(&mut cat);
-        let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
-        let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
-        let cfg = PhysicalConfig {
-            parallel_min_rows: 1_000.0,
-            ..PhysicalConfig::default()
-        }
-        .with_dense(DenseMode::Off)
-        .with_repr(ReprMode::Off);
-        let seq = choose_physical(&ctx, &plan, cfg.with_threads(1));
-        assert_eq!(seq.parallel_operator_count(), 0, "one thread -> no parallel ops");
-        let par = choose_physical(&ctx, &plan, cfg.with_threads(4));
-        assert!(
-            par.parallel_operator_count() > 0,
-            "large memory-resident operands go parallel:\n{}",
-            par.render(&|v| format!("x{}", v.0))
-        );
-        // Partition counts are worker-aligned and bounded.
-        fn check(p: &PhysicalPlan) {
-            match p {
-                PhysicalPlan::Scan { .. } => {}
-                PhysicalPlan::Select { input, .. } => check(input),
-                PhysicalPlan::Join { left, right, algo } => {
-                    if let JoinAlgo::Parallel { partitions } = algo {
-                        assert!(*partitions >= 4 && *partitions % 4 == 0);
-                    }
-                    check(left);
-                    check(right);
-                }
-                PhysicalPlan::GroupBy { input, algo, .. } => {
-                    if let AggAlgo::ParallelAgg { partitions } = algo {
-                        assert!(*partitions >= 4 && *partitions % 4 == 0);
-                    }
-                    check(input);
-                }
-                PhysicalPlan::JoinAgg { left, right, .. } => {
-                    check(left);
-                    check(right);
-                }
-            }
-        }
-        check(&par);
-        assert_eq!(par.to_logical(), plan);
     }
 }

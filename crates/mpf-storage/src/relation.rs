@@ -273,10 +273,10 @@ impl FunctionalRelation {
 
     /// Append a row without the arity check.
     ///
-    /// The partitioning fast paths use this when rows are copied from a
-    /// relation that already has the destination schema, so re-validating
-    /// every row through [`FunctionalRelation::push_row`] is pure
-    /// overhead. The caller guarantees `row.len() == arity()`; this is
+    /// For copying rows out of a relation that already has the
+    /// destination schema (the VE-cache's incremental rescaling), where
+    /// re-validating every row through [`FunctionalRelation::push_row`] is
+    /// pure overhead. The caller guarantees `row.len() == arity()`; this is
     /// asserted in debug builds only.
     #[inline]
     pub fn push_row_unchecked(&mut self, row: &[Value], measure: f64) {
@@ -556,11 +556,6 @@ impl FunctionalRelation {
         (0..self.len()).find_map(|i| (self.row(i) == row).then(|| self.measures[i]))
     }
 
-    /// Bytes per row (values + measure), used to size partitions.
-    pub fn row_bytes(&self) -> u64 {
-        (self.schema.arity() * std::mem::size_of::<Value>() + std::mem::size_of::<f64>()) as u64
-    }
-
     /// A canonical copy with rows sorted lexicographically by variable
     /// values. Two functional relations over the same schema are equal as
     /// functions iff their canonicalized row/measure sequences match.
@@ -770,13 +765,6 @@ mod tests {
         let idx = r.build_index(&[0]);
         assert_eq!(idx[&Key::P1(0)], vec![0, 1]);
         assert_eq!(idx[&Key::P1(1)], vec![2]);
-    }
-
-    #[test]
-    fn row_bytes_counts_values_and_measure() {
-        let (_, a, b, _) = catalog3();
-        let r = FunctionalRelation::new("r", Schema::new(vec![a, b]).unwrap());
-        assert_eq!(r.row_bytes(), 16);
     }
 
     #[test]
