@@ -193,8 +193,9 @@ impl<'b> ExecContext<'b> {
         self.repr = mode;
     }
 
-    /// The sparse-tensor dispatch mode ([`crate::sparse::join_auto`] and
-    /// [`crate::sparse::agg_auto`] consult this).
+    /// The sparse-tensor dispatch mode ([`crate::sparse::join_auto`],
+    /// [`crate::sparse::agg_auto`] and the fused dense operator's fallback
+    /// consult this; planned operators carry their algorithm instead).
     pub fn repr_mode(&self) -> ReprMode {
         self.repr
     }
@@ -509,7 +510,8 @@ impl<'b> ExecContext<'b> {
         self.stats.dense_converts += 1;
     }
 
-    /// Count one sparse↔rows boundary conversion.
+    /// Count one row-major operand keyed into coordinates by a sparse
+    /// kernel (a coordinate-form operand needs no conversion).
     pub(crate) fn note_sparse_convert(&mut self) {
         self.stats.sparse_converts += 1;
     }
@@ -564,45 +566,6 @@ impl<'b> ExecContext<'b> {
     /// materialized internally (a fused operator's staged join).
     pub(crate) fn note_intermediate(&mut self, rows: u64) {
         self.stats.max_intermediate_rows = self.stats.max_intermediate_rows.max(rows);
-    }
-
-    /// [`ExecContext::record_join_ex`]/[`ExecContext::record_group_by_ex`]
-    /// from cardinalities alone, for the factor-carrying operators whose
-    /// operands are never row-materialized.
-    pub(crate) fn record_factor_op(
-        &mut self,
-        kind: SpanKind,
-        rows_in: &[u64],
-        rows_out: u64,
-        arity: usize,
-        repr: OpRepr,
-    ) {
-        let total_in: u64 = rows_in.iter().sum();
-        self.stats.rows_processed += total_in + rows_out;
-        self.stats.max_intermediate_rows = self.stats.max_intermediate_rows.max(rows_out);
-        match kind {
-            SpanKind::Join => {
-                self.stats.joins += 1;
-                match repr {
-                    OpRepr::Rows => {}
-                    OpRepr::Sparse => self.stats.sparse_joins += 1,
-                    OpRepr::Dense => self.stats.dense_joins += 1,
-                }
-            }
-            SpanKind::GroupBy => {
-                self.stats.group_bys += 1;
-                match repr {
-                    OpRepr::Rows => {}
-                    OpRepr::Sparse => self.stats.sparse_group_bys += 1,
-                    OpRepr::Dense => self.stats.dense_group_bys += 1,
-                }
-            }
-            _ => {}
-        }
-        if self.trace.enabled() {
-            let cells = rows_out * (arity as u64 + 1);
-            self.trace.record_op(kind, total_in, rows_out, cells, repr);
-        }
     }
 
     /// Feed one operator's cardinalities to the span collector: fills the

@@ -95,6 +95,7 @@
 use mpf_semiring::kernel::{fold_run, reduce_lanes, SemiringOps, LANES};
 use mpf_semiring::for_each_semiring;
 use mpf_storage::dense::{grid_cells, is_odometer_ordered, strides_of};
+use mpf_storage::layout::delinearize;
 use mpf_storage::{DenseFactor, FunctionalRelation, Schema, VarId};
 
 use crate::limits::{ExecBudget, OpGuard};
@@ -206,7 +207,16 @@ fn ordered_grid_hint(rel: &FunctionalRelation) -> Option<Vec<u64>> {
         let domains = g.to_vec();
         return (grid_cells(&domains) == Some(rel.len() as u64)).then_some(domains);
     }
-    let last = rel.row(rel.len() - 1);
+    // A coordinate-form relation decodes its last coordinate rather than
+    // materializing every row to read one.
+    let last = match rel.coords() {
+        Some((doms, coords)) => {
+            let mut row = vec![0; doms.len()];
+            delinearize(coords[coords.len() - 1], &strides_of(doms), &mut row);
+            row
+        }
+        None => rel.row(rel.len() - 1).to_vec(),
+    };
     let domains: Vec<u64> = last.iter().map(|&v| v as u64 + 1).collect();
     (grid_cells(&domains) == Some(rel.len() as u64)).then_some(domains)
 }

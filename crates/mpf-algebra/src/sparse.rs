@@ -1,13 +1,13 @@
 //! Sparse-tensor operators: every operand the dense kernels decline.
 //!
 //! The dense odometer kernels touch every grid cell and win only near
-//! completeness; below that, the operators here run on
-//! [`SparseFactor`]s: present cells only, as linearized odometer
-//! coordinates sorted ascending with a parallel columnar measure vector.
-//! Sorting and merging integer coordinates beats the hash operators'
-//! per-row key extraction and probing at every density measured (down
-//! to 0.5 %), so under [`ReprMode::Auto`] the choice is by feasibility
-//! alone: these kernels run whenever they accept the input.
+//! completeness; below that, the operators here key each operand as
+//! linearized odometer coordinates sorted ascending, with its measures
+//! gathered into that order: present cells only, no per-row key
+//! extraction, no hash probes. Sorting and merging integer coordinates
+//! beats the hash operators at every density measured (down to 0.5 %),
+//! so under [`ReprMode::Auto`] the choice is by feasibility alone: these
+//! kernels run whenever they accept the input.
 //!
 //! * [`join`] relinearizes both sides to a `[shared vars, own vars]` axis
 //!   order, so rows joining on the shared variables form contiguous runs
@@ -23,6 +23,16 @@
 //!   (streaming when the group variables can lead the merge order,
 //!   through a direct-address accumulator otherwise), so the join is
 //!   never materialized — bit-identical to [`join`] then [`agg`].
+//!
+//! Every kernel emits its output in coordinate form
+//! ([`FunctionalRelation::from_coords`], O(1)): ascending coordinates in
+//! the output schema's own order. The next sparse kernel keys those
+//! coordinates directly — no sort when it asks for that order, one
+//! re-permutation otherwise — and packed rows materialize lazily, only
+//! for a consumer that reads rows (a hash operator, answer encoding),
+//! outside the operator that produced them. Keying a row-major operand
+//! counts one conversion in [`crate::ExecStats::sparse_converts`]; a
+//! coordinate-form operand counts none.
 //!
 //! The kernels are monomorphized per semiring through
 //! [`mpf_semiring::for_each_semiring`]: the inner loops see statically
@@ -40,24 +50,17 @@
 //! marginalization collapses exactly the present coordinates, so the
 //! output *rows* equal the hash operators' at any density (modulo row
 //! and column order, which [`FunctionalRelation::function_eq`] ignores).
-//!
-//! The [`Factor`]-carrying entry points ([`join_factor`],
-//! [`agg_factor`], [`materialize`]) let the inference layer chain
-//! operators in sparse representation without materializing rows between
-//! steps; conversions poll cancellation/deadline and count in
-//! [`crate::ExecStats::sparse_converts`].
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
 use mpf_semiring::{for_each_semiring, kernel::SemiringOps};
-use mpf_storage::layout::{grid_cells_wide, permute_row, permuted_multipliers};
-use mpf_storage::sparse::{Factor, SparseFactor};
-use mpf_storage::{FunctionalRelation, KeyedOrder, Schema, Value, VarId};
+use mpf_storage::layout::grid_cells_wide;
+use mpf_storage::{FunctionalRelation, KeyedOrder, Schema, VarId};
 
 use crate::dense::{self, KernelMode, KERNEL_BLOCK};
 use crate::limits::{ExecBudget, OpGuard};
-use crate::trace::{OpRepr, SpanKind};
+use crate::trace::OpRepr;
 use crate::{ops, AlgebraError, ExecContext, Result};
 
 /// Whether the sparse-tensor operators may be dispatched to, carried by
@@ -72,73 +75,6 @@ pub enum ReprMode {
     /// rows); the hash operators otherwise.
     #[default]
     Auto,
-}
-
-/// A borrowed operand in either non-dense representation. The kernels
-/// only need schema, cardinality, per-variable domains, and a way to
-/// emit `(permuted key, measure)` columns — both forms provide them
-/// without materializing the other.
-enum SideRef<'a> {
-    Rows(&'a FunctionalRelation),
-    Sparse(&'a SparseFactor),
-}
-
-impl<'a> SideRef<'a> {
-    fn schema(&self) -> &Schema {
-        match self {
-            SideRef::Rows(r) => r.schema(),
-            SideRef::Sparse(s) => s.schema(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            SideRef::Rows(r) => r.len(),
-            SideRef::Sparse(s) => s.len(),
-        }
-    }
-
-    /// Per-variable domain sizes in schema order: stored for a sparse
-    /// factor, inferred (per-column max + 1) for a relation.
-    fn domains(&self) -> Vec<u64> {
-        match self {
-            SideRef::Rows(r) => r.inferred_domains(),
-            SideRef::Sparse(s) => s.domains().to_vec(),
-        }
-    }
-
-    /// Linearize every row under a permuted axis order given by
-    /// per-position multipliers, validating values against
-    /// `doms_by_pos`. Returns keys (unsorted) parallel to the side's
-    /// measure column, or `None` when a value falls outside its domain.
-    fn permuted_keys(&self, mult: &[u64], doms_by_pos: &[u64]) -> Option<Vec<u64>> {
-        let arity = self.schema().arity();
-        let mut keys = Vec::with_capacity(self.len());
-        let mut row_buf = vec![0 as Value; arity];
-        match self {
-            SideRef::Rows(rel) => {
-                let vals = rel.values_col();
-                for i in 0..rel.len() {
-                    let row = &vals[i * arity..(i + 1) * arity];
-                    keys.push(permute_row(row, mult, doms_by_pos)?);
-                }
-            }
-            SideRef::Sparse(sp) => {
-                for &coord in sp.coords() {
-                    mpf_storage::layout::delinearize(coord, sp.strides(), &mut row_buf);
-                    keys.push(permute_row(&row_buf, mult, doms_by_pos)?);
-                }
-            }
-        }
-        Some(keys)
-    }
-
-    fn measures(&self) -> &'a [f64] {
-        match self {
-            SideRef::Rows(r) => r.measures(),
-            SideRef::Sparse(s) => s.values(),
-        }
-    }
 }
 
 /// [`ops::product_join`] dispatched three ways through the context's
@@ -192,9 +128,8 @@ pub fn join(
 ) -> Result<FunctionalRelation> {
     cx.fault("sparse::join")?;
     let mark = cx.keyed_mark();
-    match join_impl(cx, &SideRef::Rows(l), &SideRef::Rows(r))? {
-        Some(sp) => {
-            let rel = from_sparse(cx, sp)?;
+    match join_impl(cx, l, r)? {
+        Some(rel) => {
             cx.record_join_ex(&[l, r], &rel, OpRepr::Sparse);
             cx.note_kernel_op(cx.kernel_mode());
             cx.tag_keyed_since(mark);
@@ -219,9 +154,8 @@ pub fn agg(
         }
     }
     let mark = cx.keyed_mark();
-    match agg_impl(cx, &SideRef::Rows(input), group_vars)? {
-        Some(sp) => {
-            let rel = from_sparse(cx, sp)?;
+    match agg_impl(cx, input, group_vars)? {
+        Some(rel) => {
             cx.record_group_by_ex(&[input], &rel, OpRepr::Sparse);
             cx.tag_keyed_since(mark);
             Ok(rel)
@@ -242,8 +176,8 @@ pub fn agg(
 /// * **scatter** — else, when the group grid is small next to the
 ///   pre-counted join size (the rule [`agg`] scatters by), every pair
 ///   folds into the direct-address accumulator at `ga[i] + gb[j]`;
-/// * **staged** — else the join factor is materialized and marginalized
-///   in sparse form (the unfused pipeline minus its row round trip).
+/// * **staged** — else the join runs in full and is marginalized in
+///   coordinate form (the unfused pipeline).
 ///
 /// Every form folds each group's terms in ascending merge coordinate.
 /// The eliminated variables keep their relative order in it, so that is
@@ -266,8 +200,7 @@ pub fn join_agg(
     }
     let mark = cx.keyed_mark();
     match join_agg_impl(cx, l, r, group_vars)? {
-        Some((sp, form, staged_rows)) => {
-            let rel = from_sparse(cx, sp)?;
+        Some((rel, form, staged_rows)) => {
             cx.record_join_agg_ex(&[l, r], &rel, OpRepr::Sparse);
             cx.note_intermediate(staged_rows);
             cx.note_fused_nest(form);
@@ -293,132 +226,6 @@ pub(crate) fn join_agg_fallback(
     }
 }
 
-/// Materialize a factor into a row-major relation, counting the
-/// conversion (a move for [`Factor::Rows`]).
-pub fn materialize(cx: &mut ExecContext<'_>, f: Factor) -> Result<FunctionalRelation> {
-    match f {
-        Factor::Rows(r) => Ok(r),
-        Factor::Sparse(s) => {
-            cx.fault("sparse::convert")?;
-            cx.checkpoint()?;
-            cx.note_sparse_convert();
-            Ok(s.into_relation())
-        }
-        Factor::Dense(d) => {
-            cx.fault("dense::convert")?;
-            cx.checkpoint()?;
-            cx.note_dense_convert();
-            Ok(d.into_relation())
-        }
-    }
-}
-
-/// Borrow a factor as a row-major relation, converting (and counting)
-/// when it is not already one.
-fn as_relation<'a>(
-    cx: &mut ExecContext<'_>,
-    f: &'a Factor,
-) -> Result<Cow<'a, FunctionalRelation>> {
-    match f {
-        Factor::Rows(r) => Ok(Cow::Borrowed(r)),
-        Factor::Sparse(s) => {
-            cx.fault("sparse::convert")?;
-            cx.checkpoint()?;
-            cx.note_sparse_convert();
-            Ok(Cow::Owned(s.to_relation()))
-        }
-        Factor::Dense(d) => {
-            cx.fault("dense::convert")?;
-            cx.checkpoint()?;
-            cx.note_dense_convert();
-            Ok(Cow::Owned(d.to_relation()))
-        }
-    }
-}
-
-fn side_of(f: &Factor) -> Option<SideRef<'_>> {
-    match f {
-        Factor::Rows(r) => Some(SideRef::Rows(r)),
-        Factor::Sparse(s) => Some(SideRef::Sparse(s)),
-        Factor::Dense(_) => None,
-    }
-}
-
-/// Product join over factors, staying in sparse representation when
-/// both sides qualify (so inference chains pay no per-step
-/// materialization); otherwise materializes and dispatches dense/hash.
-pub fn join_factor(cx: &mut ExecContext<'_>, l: &Factor, r: &Factor) -> Result<Factor> {
-    cx.fault("sparse::join")?;
-    if let (Some(ls), Some(rs), ReprMode::Auto) = (side_of(l), side_of(r), cx.repr_mode()) {
-        let mark = cx.keyed_mark();
-        if let Some(sp) = join_impl(cx, &ls, &rs)? {
-            cx.record_factor_op(
-                SpanKind::Join,
-                &[l.len() as u64, r.len() as u64],
-                sp.len() as u64,
-                sp.schema().arity(),
-                OpRepr::Sparse,
-            );
-            cx.note_kernel_op(cx.kernel_mode());
-            cx.tag_keyed_since(mark);
-            return Ok(Factor::Sparse(sp));
-        }
-    }
-    let lr = as_relation(cx, l)?;
-    let rr = as_relation(cx, r)?;
-    let rel = if dense::dense_join_applies(cx.dense_mode(), &lr, &rr) {
-        dense::join(cx, &lr, &rr)?
-    } else {
-        ops::product_join(cx, &lr, &rr)?
-    };
-    Ok(Factor::Rows(rel))
-}
-
-/// Marginalization over a factor, staying in sparse representation when
-/// the input qualifies.
-pub fn agg_factor(
-    cx: &mut ExecContext<'_>,
-    f: &Factor,
-    group_vars: &[VarId],
-) -> Result<Factor> {
-    cx.fault("sparse::agg")?;
-    for &v in group_vars {
-        if !f.schema().contains(v) {
-            return Err(AlgebraError::GroupVarNotInInput(v));
-        }
-    }
-    if let (Some(side), ReprMode::Auto) = (side_of(f), cx.repr_mode()) {
-        let mark = cx.keyed_mark();
-        if let Some(sp) = agg_impl(cx, &side, group_vars)? {
-            cx.record_factor_op(
-                SpanKind::GroupBy,
-                &[f.len() as u64],
-                sp.len() as u64,
-                sp.schema().arity(),
-                OpRepr::Sparse,
-            );
-            cx.tag_keyed_since(mark);
-            return Ok(Factor::Sparse(sp));
-        }
-    }
-    let fr = as_relation(cx, f)?;
-    let rel = if dense::dense_agg_applies(cx.dense_mode(), &fr) {
-        dense::agg(cx, &fr, group_vars)?
-    } else {
-        ops::group_by(cx, &fr, group_vars)?
-    };
-    Ok(Factor::Rows(rel))
-}
-
-/// Materialize a sparse kernel output back into rows (ascending
-/// coordinate order), counting the conversion.
-fn from_sparse(cx: &mut ExecContext<'_>, sp: SparseFactor) -> Result<FunctionalRelation> {
-    cx.fault("sparse::convert")?;
-    cx.checkpoint()?;
-    cx.note_sparse_convert();
-    Ok(sp.into_relation())
-}
-
 /// One operand keyed for a kernel: its sorted keys under the requested
 /// axis order and its measures in that order (borrowed when the rows
 /// already ascend).
@@ -434,43 +241,26 @@ impl KeyedSide<'_> {
 }
 
 /// Key one side over `axes` (`(schema position, domain)`, slowest
-/// first); counts a conversion when the side was row-major. A relation
-/// answers through [`FunctionalRelation::keyed_order`], so a stored one
-/// is linearized and sorted once, not per query. `None` on out-of-domain
+/// first) through [`FunctionalRelation::keyed_order`]: a stored relation
+/// is linearized and sorted once, not per query, and a coordinate-form
+/// one keyed in its own order is its coordinates. Counts a conversion
+/// when the side is not in coordinate form. `None` on out-of-domain
 /// values or duplicate argument tuples.
 fn keyed_side<'a>(
     cx: &mut ExecContext<'_>,
-    side: &SideRef<'a>,
+    rel: &'a FunctionalRelation,
     axes: &[(usize, u64)],
 ) -> Result<Option<KeyedSide<'a>>> {
     cx.fault("sparse::convert")?;
     cx.checkpoint()?;
-    let order = match side {
-        SideRef::Rows(rel) => {
-            cx.note_sparse_convert();
-            let Some((order, source)) = rel.keyed_order(axes) else {
-                return Ok(None);
-            };
-            cx.note_keyed(source);
-            order
-        }
-        SideRef::Sparse(_) => {
-            let arity = side.schema().arity();
-            let mut doms_by_pos = vec![0u64; arity];
-            for &(p, d) in axes {
-                doms_by_pos[p] = d;
-            }
-            let mult = permuted_multipliers(arity, axes);
-            match side
-                .permuted_keys(&mult, &doms_by_pos)
-                .and_then(KeyedOrder::from_keys)
-            {
-                Some(order) => Arc::new(order),
-                None => return Ok(None),
-            }
-        }
+    if rel.coords().is_none() {
+        cx.note_sparse_convert();
+    }
+    let Some((order, source)) = rel.keyed_order(axes) else {
+        return Ok(None);
     };
-    let vals = order.gather(side.measures());
+    cx.note_keyed(source);
+    let vals = order.gather(rel.measures());
     Ok(Some(KeyedSide { order, vals }))
 }
 
@@ -545,8 +335,8 @@ impl KeyedPair<'_> {
 /// side holds duplicate argument tuples.
 fn keyed_pair<'a>(
     cx: &mut ExecContext<'_>,
-    l: &SideRef<'a>,
-    r: &SideRef<'a>,
+    l: &'a FunctionalRelation,
+    r: &'a FunctionalRelation,
     group_vars: Option<&[VarId]>,
 ) -> Result<Option<KeyedPair<'a>>> {
     let rank = |v: VarId| group_vars.and_then(|gv| gv.iter().position(|&g| g == v));
@@ -561,8 +351,8 @@ fn keyed_pair<'a>(
     let shared = order(shared_schema.vars().to_vec());
     let l_own = order(l.schema().difference(&shared).vars().to_vec());
     let r_own = order(r.schema().difference(&shared).vars().to_vec());
-    let (ld, rd) = (l.domains(), r.domains());
-    let dom_of = |s: &SideRef<'_>, d: &[u64], v: VarId| -> u64 {
+    let (ld, rd) = (l.inferred_domains(), r.inferred_domains());
+    let dom_of = |s: &FunctionalRelation, d: &[u64], v: VarId| -> u64 {
         s.schema().position(v).ok().map_or(0, |p| d[p])
     };
     // A shared variable indexes through the wider of the two sides'
@@ -582,7 +372,7 @@ fn keyed_pair<'a>(
     let vars: Vec<VarId> = shared.into_iter().chain(l_own).chain(r_own).collect();
 
     // Axis order per side: the shared block, then the side's own block.
-    let side_axes = |s: &SideRef<'_>, own: std::ops::Range<usize>| -> Vec<(usize, u64)> {
+    let side_axes = |s: &FunctionalRelation, own: std::ops::Range<usize>| -> Vec<(usize, u64)> {
         (0..n_shared)
             .chain(own)
             .map(|k| (s.schema().position(vars[k]).expect("side var"), doms[k]))
@@ -608,43 +398,40 @@ fn keyed_pair<'a>(
 
 fn join_impl(
     cx: &mut ExecContext<'_>,
-    l: &SideRef<'_>,
-    r: &SideRef<'_>,
-) -> Result<Option<SparseFactor>> {
+    l: &FunctionalRelation,
+    r: &FunctionalRelation,
+) -> Result<Option<FunctionalRelation>> {
     let Some(kp) = keyed_pair(cx, l, r, None)? else {
         return Ok(None);
     };
-    let name = format!("({}⨝*{})", l_name(l), l_name(r));
+    let name = format!("({}⨝*{})", l.name(), r.name());
     join_keyed(cx, name, kp).map(Some)
 }
 
-/// Run the sorted-merge join kernel over a keyed pair: the join factor
-/// in merge axis order.
-fn join_keyed(cx: &ExecContext<'_>, name: String, kp: KeyedPair<'_>) -> Result<SparseFactor> {
+/// Run the sorted-merge join kernel over a keyed pair: the join in merge
+/// axis order, in coordinate form.
+fn join_keyed(
+    cx: &ExecContext<'_>,
+    name: String,
+    kp: KeyedPair<'_>,
+) -> Result<FunctionalRelation> {
     let out_schema = Schema::new(kp.vars.clone())?;
     let runs = kp.runs();
     let (coords, values) = for_each_semiring!(
         cx.semiring(),
         join_kernel(&kp, &runs, cx.budget(), out_schema.arity(), cx.kernel_mode())
     )?;
-    Ok(SparseFactor::from_sorted_parts(
+    Ok(FunctionalRelation::from_coords(
         name, out_schema, kp.doms, coords, values,
     ))
 }
 
-fn l_name<'a>(s: &SideRef<'a>) -> &'a str {
-    match s {
-        SideRef::Rows(r) => r.name(),
-        SideRef::Sparse(sp) => sp.name(),
-    }
-}
-
 fn agg_impl(
     cx: &mut ExecContext<'_>,
-    input: &SideRef<'_>,
+    input: &FunctionalRelation,
     group_vars: &[VarId],
-) -> Result<Option<SparseFactor>> {
-    let doms = input.domains();
+) -> Result<Option<FunctionalRelation>> {
+    let doms = input.inferred_domains();
     let schema = input.schema();
     let gpos: Vec<usize> = group_vars
         .iter()
@@ -676,7 +463,7 @@ fn agg_impl(
         .collect();
     let out_schema = Schema::new(group_vars.to_vec())?;
     let sr = cx.semiring();
-    let name = format!("γ({})", l_name(input));
+    let name = format!("γ({})", input.name());
 
     // Scatter fast path: when the group grid is small enough for a direct
     // accumulator array, fold each input cell straight into its group
@@ -688,11 +475,10 @@ fn agg_impl(
         cx.fault("sparse::convert")?;
         cx.checkpoint()?;
         let gaxes: Vec<(usize, u64)> = gpos.iter().zip(&group_doms).map(|(&p, &d)| (p, d)).collect();
-        let gmult = permuted_multipliers(schema.arity(), &gaxes);
-        let Some(gkeys) = input.permuted_keys(&gmult, &doms) else {
+        let Some(gkeys) = input.linearized_keys(&gaxes) else {
             return Ok(None);
         };
-        if matches!(input, SideRef::Rows(_)) {
+        if input.coords().is_none() {
             cx.note_sparse_convert();
         }
         let budget = cx.budget();
@@ -701,7 +487,7 @@ fn agg_impl(
             sr,
             agg_scatter_kernel(&gkeys, input.measures(), group_cells, budget, arity)
         )?;
-        return Ok(Some(SparseFactor::from_sorted_parts(
+        return Ok(Some(FunctionalRelation::from_coords(
             name, out_schema, group_doms, coords, values,
         )));
     }
@@ -713,7 +499,7 @@ fn agg_impl(
     let arity = out_schema.arity();
     let (coords, values) =
         for_each_semiring!(sr, agg_kernel(side.keys(), &side.vals, elim_cells, budget, arity))?;
-    Ok(Some(SparseFactor::from_sorted_parts(
+    Ok(Some(FunctionalRelation::from_coords(
         name, out_schema, group_doms, coords, values,
     )))
 }
@@ -726,8 +512,8 @@ fn join_agg_impl(
     l: &FunctionalRelation,
     r: &FunctionalRelation,
     group_vars: &[VarId],
-) -> Result<Option<(SparseFactor, &'static str, u64)>> {
-    let Some(kp) = keyed_pair(cx, &SideRef::Rows(l), &SideRef::Rows(r), Some(group_vars))? else {
+) -> Result<Option<(FunctionalRelation, &'static str, u64)>> {
+    let Some(kp) = keyed_pair(cx, l, r, Some(group_vars))? else {
         return Ok(None);
     };
     let name = format!("γ(({}⨝*{}))", l.name(), r.name());
@@ -767,11 +553,11 @@ fn join_agg_impl(
         ("scatter", parts)
     } else {
         let joined = join_keyed(cx, format!("({}⨝*{})", l.name(), r.name()), kp)?;
-        return Ok(agg_impl(cx, &SideRef::Sparse(&joined), group_vars)?
-            .map(|sp| (sp, "staged", joined.len() as u64)));
+        return Ok(agg_impl(cx, &joined, group_vars)?
+            .map(|rel| (rel, "staged", joined.len() as u64)));
     };
     Ok(Some((
-        SparseFactor::from_sorted_parts(name, out_schema, group_doms, coords, values),
+        FunctionalRelation::from_coords(name, out_schema, group_doms, coords, values),
         form,
         0,
     )))
@@ -1181,24 +967,26 @@ mod tests {
     }
 
     #[test]
-    fn factor_chain_stays_sparse() {
+    fn relation_chain_stays_in_coordinate_form() {
         let (cat, l, r) = fixtures();
         let b = cat.var("b").unwrap();
         let c = cat.var("c").unwrap();
         let sr = SemiringKind::SumProduct;
         let mut cx = ExecContext::new(sr).with_repr(ReprMode::Auto);
-        let lf = Factor::from(l.clone());
-        let rf = Factor::from(r.clone());
-        let joined = join_factor(&mut cx, &lf, &rf).unwrap();
-        assert_eq!(joined.repr_name(), "sparse");
-        let marg = agg_factor(&mut cx, &joined, &[b, c]).unwrap();
-        assert_eq!(marg.repr_name(), "sparse");
+        let joined = join(&mut cx, &l, &r).unwrap();
+        assert!(joined.coords().is_some(), "the join emits coordinates");
+        let marg = agg(&mut cx, &joined, &[b, c]).unwrap();
+        assert!(marg.coords().is_some(), "so does the marginalization");
         assert_eq!(cx.stats().sparse_joins, 1);
         assert_eq!(cx.stats().sparse_group_bys, 1);
-        let got = materialize(&mut cx, marg).unwrap();
+        assert_eq!(
+            cx.stats().sparse_converts,
+            2,
+            "only the two row-major inputs convert"
+        );
         let wj = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
         let want = ops::group_by(&mut ExecContext::new(sr), &wj, &[b, c]).unwrap();
-        assert!(want.function_eq(&got));
+        assert!(want.function_eq(&marg));
     }
 
     #[test]

@@ -88,8 +88,8 @@ pub enum OpRepr {
 }
 
 impl OpRepr {
-    /// Stable lower-case name (`rows`/`sparse`/`dense`), matching
-    /// `Factor::repr_name` in the storage layer.
+    /// Stable lower-case name (`rows`/`sparse`/`dense`), the span's
+    /// `repr=` tag in text and JSON.
     pub fn name(self) -> &'static str {
         match self {
             OpRepr::Rows => "rows",

@@ -106,6 +106,15 @@ fn each_operator_site_fires_once() {
             "sparse::join_agg",
             Box::new(|| sparse::join_agg(&mut ExecContext::new(sr), &l, &r, &[a])),
         ),
+        (
+            "sparse::join",
+            Box::new(|| sparse::join(&mut ExecContext::new(sr), &l, &r)),
+        ),
+        // Keying a row-major operand, ahead of the sorted merge.
+        (
+            "sparse::convert",
+            Box::new(|| sparse::join(&mut ExecContext::new(sr), &l, &r)),
+        ),
     ];
 
     for (site, call) in &calls {

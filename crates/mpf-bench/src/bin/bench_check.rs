@@ -8,7 +8,8 @@
 //! per-row cost is not scale-invariant (hash tables spill, caches
 //! saturate), so cross-scale comparisons are reported as warnings only
 //! and never fail the build. `function_eq_sparse: false` (a dense run
-//! diverging from the sparse operators), `function_eq_cache: false` (a
+//! in `pr5_dense`, or a sparse-kernel run in `pr7_repr`, diverging from
+//! the row-major hash reference), `function_eq_cache: false` (a
 //! cache-served run diverging from a cold recompute),
 //! `function_eq_scenarios: false` (a scenario batch diverging from a
 //! sequential loop of single-scenario runs), `function_eq_scalar: false`

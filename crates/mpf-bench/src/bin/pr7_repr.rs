@@ -1,4 +1,5 @@
-//! Benchmark baseline for the representation-polymorphic factor stack.
+//! Benchmark baseline for the sparse-tensor kernels against the hash
+//! operators.
 //!
 //! Sweeps the density bands the planner's representation lattice divides
 //! the workload space into and, at each band, runs the same
@@ -7,10 +8,11 @@
 //! * **hash** — the row-major reference ([`mpf_algebra::ops::product_join`]
 //!   followed by [`mpf_algebra::ops::group_by`]), single-threaded; its
 //!   time is the section's `sequential_ms` regression reference;
-//! * **sparse** — the CSR sparse-tensor pipeline carried end to end as a
-//!   [`mpf_storage::Factor`]: `sparse::join_factor` sorted-merges the two
-//!   coordinate lists, `sparse::agg_factor` collapses coordinates for the
-//!   marginalization, and the intermediate never materializes to rows.
+//! * **sparse** — [`mpf_algebra::sparse::join`] sorted-merges the two
+//!   inputs' coordinate lists and [`mpf_algebra::sparse::agg`] collapses
+//!   coordinates for the marginalization. The intermediate stays a
+//!   coordinate-form relation and never materializes rows; neither does
+//!   the timed output (the equality check reads its rows afterwards).
 //!
 //! Every sparse run is checked `function_eq` against the hash result and
 //! reported as `function_eq_sparse` (a `false` anywhere fails
@@ -28,7 +30,7 @@ use std::time::{Duration, Instant};
 use mpf_algebra::{ops, sparse, DenseMode, ExecContext, MetricsRegistry, ReprMode};
 use mpf_bench::Args;
 use mpf_semiring::SemiringKind;
-use mpf_storage::{Catalog, Factor, FunctionalRelation, Schema, VarId};
+use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 const SR: SemiringKind = SemiringKind::SumProduct;
@@ -155,16 +157,13 @@ fn main() {
             Duration::from_secs_f64(seq_ms / 1e3),
         );
 
-        // Sparse pipeline: the intermediate stays a CSR tensor between the
-        // join and the marginalization; rows materialize once at the end.
-        let lf = Factor::from(l.clone());
-        let rf = Factor::from(r.clone());
+        // Sparse pipeline: the intermediate stays in coordinate form
+        // between the join and the marginalization.
         let mut runs = Vec::new();
         for &t in &THREAD_COUNTS {
             let pipeline = |cx: &mut ExecContext<'_>| {
-                let j = sparse::join_factor(cx, &lf, &rf).expect("join fits");
-                let g = sparse::agg_factor(cx, &j, &[a]).expect("agg fits");
-                sparse::materialize(cx, g).expect("materialize")
+                let j = sparse::join(cx, &l, &r).expect("join fits");
+                sparse::agg(cx, &j, &[a]).expect("agg fits")
             };
             let (ms, out) = time_ms(reps, || {
                 let mut cx = ExecContext::new(SR)

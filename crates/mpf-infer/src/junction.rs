@@ -370,7 +370,9 @@ impl JunctionTree {
             }
             None => identity_relation(sr, &clique_vars, catalog),
         };
-        Ok(rel.with_name(format!("clique{c}")))
+        // Explicit rows: BP reads clique tables through the row-hash
+        // semijoins.
+        Ok(rel.without_coords().with_name(format!("clique{c}")))
     }
 }
 

@@ -37,7 +37,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
-use mpf_algebra::{fault, ExecContext};
+use mpf_algebra::{fault, sparse, ExecContext, ReprMode};
 use mpf_semiring::SemiringKind;
 use mpf_storage::{FunctionalRelation, Key, Value, VarId};
 
@@ -263,20 +263,24 @@ impl VeCache {
             if group.is_empty() {
                 continue;
             }
-            // Join rels(v), smallest first. The chain runs over
-            // representation-polymorphic factors: under `ReprMode::Auto`
-            // the intermediates stay CSR tensors between joins and only
-            // materialize into rows once, for the cached table.
+            // Join rels(v), smallest first. Under `ReprMode::Auto` every
+            // join tries the sparse kernel first (not `join_auto`, whose
+            // dense-first order would change the tables' column layout and
+            // the elimination's fold order), so the intermediates stay in
+            // coordinate form between joins and expand into rows once, for
+            // the cached table; under `Off` the dense kernel or the hash
+            // join runs.
             let mut group = group;
             group.sort_by_key(|(f, _)| f.len());
             let j = tables.len();
             let mut iter = group.into_iter();
-            let (first, first_origin) = iter.next().expect("nonempty");
-            let mut joined = mpf_storage::Factor::from(first);
+            let (mut joined, first_origin) = iter.next().expect("nonempty");
             let mut origins = vec![first_origin];
             for (f, origin) in iter {
-                joined =
-                    mpf_algebra::sparse::join_factor(cx, &joined, &mpf_storage::Factor::from(f))?;
+                joined = match cx.repr_mode() {
+                    ReprMode::Auto => sparse::join(cx, &joined, &f)?,
+                    ReprMode::Off => sparse::join_auto(cx, &joined, &f)?,
+                };
                 origins.push(origin);
             }
             for origin in origins {
@@ -285,15 +289,16 @@ impl VeCache {
                     Origin::Base(b) => base_consumer[b] = Some(j),
                 }
             }
-            let joined = mpf_algebra::sparse::materialize(cx, joined)?;
-            // Cache the pre-GroupBy table (a lone base relation's clone
-            // leaves the base's keyed-order memo behind).
+            // Cache the pre-GroupBy table as explicit rows, the form the
+            // backward pass and the semijoins read (a lone base relation's
+            // clone leaves the base's keyed-order memo behind).
+            let joined = joined.without_coords();
             tables.push(Arc::new(
                 joined.clone().with_name(format!("t{j}")).without_keyed_memo(),
             ));
             // Eliminate v.
             let keep: Vec<VarId> = joined.schema().iter().filter(|&u| u != v).collect();
-            let p = mpf_algebra::sparse::agg_auto(cx, &joined, &keep)?;
+            let p = sparse::agg_auto(cx, &joined, &keep)?;
             if p.schema().is_empty() {
                 // Component fully eliminated; remember its total.
                 let total = if p.is_empty() { sr.zero() } else { p.measure(0) };
@@ -507,7 +512,7 @@ impl VeCache {
         vars: &[VarId],
     ) -> Result<FunctionalRelation> {
         let idx = self.best_table_for(vars)?;
-        Ok(mpf_algebra::sparse::agg_auto(cx, &self.tables[idx], vars)?)
+        Ok(sparse::agg_auto(cx, &self.tables[idx], vars)?)
     }
 
     fn best_table_for(&self, vars: &[VarId]) -> Result<usize> {

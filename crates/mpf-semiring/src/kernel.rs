@@ -10,9 +10,9 @@
 //! [`SemiringOps`] (associated-const identities, inlined static ops) and
 //! the [`for_each_semiring`](crate::for_each_semiring) macro that
 //! monomorphizes a generic kernel for all seven and selects the
-//! instantiation from a runtime [`crate::SemiringKind`]. Both the CSR
-//! sparse-tensor kernels (`mpf_algebra::sparse`) and the dense grid
-//! kernels (`mpf_algebra::dense`) are instantiated through this module,
+//! instantiation from a runtime [`crate::SemiringKind`]. Both the
+//! sorted-coordinate sparse kernels (`mpf_algebra::sparse`) and the dense
+//! grid kernels (`mpf_algebra::dense`) are instantiated through this module,
 //! so every columnar inner loop in the engine compiles to straight-line
 //! per-semiring code. The definitions here are *the same expressions*
 //! as the dynamic [`crate::SemiringKind::add`]/

@@ -44,12 +44,11 @@ impl KeyedOrder {
         })
     }
 
-    /// The identity order `0..len` (a grid in its own odometer order).
-    pub(crate) fn identity(len: usize) -> KeyedOrder {
-        KeyedOrder {
-            keys: (0..len as u64).collect(),
-            perm: None,
-        }
+    /// Keys already strictly ascending (a grid or coordinate column in its
+    /// own order); asserted in debug builds only.
+    pub(crate) fn ascending(keys: Vec<u64>) -> KeyedOrder {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        KeyedOrder { keys, perm: None }
     }
 
     /// The sorted keys.
@@ -94,7 +93,8 @@ pub enum KeyedSource {
     /// Built and stored in the relation's memo.
     Built,
     /// Built for this call only: the relation has no memo, the requested
-    /// domains are not its own, or the keys are a grid's implicit `0..len`.
+    /// domains are not its own, or the keys are a grid's implicit `0..len`
+    /// or a coordinate column's own coordinates.
     Fresh,
 }
 
@@ -201,8 +201,8 @@ mod tests {
     #[test]
     fn racing_inserts_keep_the_first_order() {
         let memo = KeyedMemo::default();
-        let first = memo.insert(&[1, 0], KeyedOrder::identity(3));
-        let second = memo.insert(&[1, 0], KeyedOrder::identity(3));
+        let first = memo.insert(&[1, 0], KeyedOrder::ascending(vec![0, 1, 2]));
+        let second = memo.insert(&[1, 0], KeyedOrder::ascending(vec![0, 1, 2]));
         assert!(Arc::ptr_eq(&first, &second));
         assert!(memo.order(&[0, 1]).is_none());
         assert!(Arc::ptr_eq(&memo.order(&[1, 0]).unwrap(), &first));

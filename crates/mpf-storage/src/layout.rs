@@ -1,16 +1,15 @@
-//! Shared odometer/stride/linearization math for grid-shaped factors.
+//! Shared odometer/stride/linearization math for grid-shaped key columns.
 //!
-//! Every factor representation that indexes a domain grid — the dense
-//! row-major array ([`crate::DenseFactor`]), the CSR-like sparse tensor
-//! ([`crate::SparseFactor`]), and the dense kernels in the algebra layer
-//! — needs the same primitives: row-major strides for a domain vector,
-//! grid-size computation with overflow guards, linearization of a
-//! variable-value row into a cell index (and back), and the
-//! odometer-order check that proves a relation's measure column *is* a
-//! grid's value array. They used to be duplicated between
-//! `mpf-storage/src/dense.rs` and `mpf-algebra/src/dense.rs`; this
-//! module is the single home, re-exported from [`crate::dense`] for
-//! compatibility.
+//! Every representation that indexes a domain grid — the dense row-major
+//! array ([`crate::DenseFactor`]), a relation's grid and coordinate key
+//! columns ([`FunctionalRelation::from_coords`]), and the dense and sparse
+//! kernels in the algebra layer — needs the same primitives: row-major
+//! strides for a domain vector, grid-size computation with overflow
+//! guards, linearization of a variable-value row into a cell index (and
+//! back, also under a permuted axis order), and the odometer-order check
+//! that proves a relation's measure column *is* a grid's value array.
+//! This module is their single home, re-exported from [`crate::dense`]
+//! for compatibility.
 
 use crate::{FunctionalRelation, Value};
 
@@ -19,11 +18,11 @@ use crate::{FunctionalRelation, Value};
 /// cost a refused fast path but never an absurd allocation.
 pub const MAX_DENSE_CELLS: u64 = 1 << 24;
 
-/// Cap on *coordinate-space* cells for the sparse tensor (2^62). Sparse
-/// factors never allocate per cell — only per present row — so the cap
-/// exists solely to keep linearized `u64` coordinates from overflowing
-/// in intermediate products (an output coordinate is `a * bc + b` with
-/// both factors below the cap).
+/// Cap on *coordinate-space* cells for the sparse kernels (2^62). A
+/// coordinate key column never allocates per cell — only per present
+/// row — so the cap exists solely to keep linearized `u64` coordinates
+/// from overflowing in intermediate products (an output coordinate is
+/// `a * bc + b` with both factors below the cap).
 pub const MAX_SPARSE_COORD_CELLS: u64 = 1 << 62;
 
 /// Row-major strides for a domain vector: `strides[i]` is the product of
@@ -50,7 +49,7 @@ pub fn grid_cells(domains: &[u64]) -> Option<u64> {
 }
 
 /// The coordinate-space size for a domain vector under the much wider
-/// sparse cap ([`MAX_SPARSE_COORD_CELLS`]): sparse tensors only store
+/// sparse cap ([`MAX_SPARSE_COORD_CELLS`]): coordinate columns only store
 /// present cells, so the grid itself is never allocated and only
 /// coordinate overflow matters.
 pub fn grid_cells_wide(domains: &[u64]) -> Option<u64> {
@@ -141,6 +140,17 @@ pub fn is_odometer_ordered(rel: &FunctionalRelation, domains: &[u64]) -> bool {
     // materialization.
     if let Some(g) = rel.grid_domains() {
         return g == domains;
+    }
+    // Ascending coordinates are distinct rows in lexicographic order: as
+    // many as the grid has cells, all inside it, are its odometer
+    // sequence. Checked on the decoded coordinates, without materializing
+    // rows.
+    if rel.coords().is_some() {
+        return rel
+            .inferred_domains()
+            .iter()
+            .zip(domains)
+            .all(|(m, d)| m <= d);
     }
     let vals = rel.values_col();
     let dlast = domains[arity - 1];

@@ -24,7 +24,6 @@ pub mod keyed;
 pub mod layout;
 mod relation;
 mod schema;
-pub mod sparse;
 mod stats;
 
 pub use catalog::{Catalog, Dictionary, VarId, VarInfo};
@@ -34,7 +33,6 @@ pub use key::Key;
 pub use keyed::{KeyedOrder, KeyedSource};
 pub use relation::FunctionalRelation;
 pub use schema::Schema;
-pub use sparse::{Factor, SparseFactor};
 pub use stats::{density_of, RelationStats};
 
 /// A value of a discrete variable domain, represented as an index

@@ -6,25 +6,54 @@ use mpf_semiring::approx_eq;
 use crate::keyed::{KeyedMemo, KeyedOrder, KeyedSource};
 use crate::{layout, Catalog, Key, Result, Schema, StorageError, Value, VarId};
 
-/// The key column of a [`FunctionalRelation`]: either explicit packed
-/// rows, or — for grid-complete relations in odometer order — just the
-/// domain vector, with row `i`'s values *implied* as the odometer
-/// decomposition of `i`. The grid form is what
-/// [`FunctionalRelation::complete`] and `DenseFactor::into_relation`
-/// produce; it certifies odometer order in O(1) (so dense kernels skip
-/// the verification scan entirely) and defers materializing the packed
-/// keys until a row consumer actually asks, which on a dense→dense
-/// pipeline is never.
+/// The key column of a [`FunctionalRelation`]: explicit packed rows, or
+/// one of two lazily materialized forms whose rows are *implied* —
+///
+/// * `Grid`: a grid-complete relation in odometer order keeps only its
+///   domain vector, row `i` being the odometer decomposition of `i`.
+///   [`FunctionalRelation::complete`] and `DenseFactor::into_relation`
+///   build it; it certifies odometer order in O(1), so dense kernels skip
+///   the verification scan.
+/// * `Coords`: any functional relation as strictly ascending coordinates
+///   linearized over `domains` in the schema's own odometer order (so the
+///   rows ascend lexicographically). Every sparse kernel emits it; the
+///   next sparse kernel keys it without reading a row.
+///
+/// Either form materializes packed keys into `cache` only when a row
+/// consumer asks, and demotes to `Rows` on mutation.
 #[derive(Debug, Clone)]
 enum KeyCol {
     /// Explicit row-major packed keys (`len() * arity()` values).
     Rows(Vec<Value>),
-    /// Implicit odometer sequence over `domains`; `cache` holds the
-    /// packed materialization once some consumer needs real key slices.
+    /// Implicit odometer sequence over `domains`.
     Grid {
         domains: Vec<u64>,
         cache: OnceLock<Vec<Value>>,
     },
+    /// One linearized coordinate per row over `domains`, ascending.
+    Coords {
+        domains: Vec<u64>,
+        coords: Vec<u64>,
+        cache: OnceLock<Vec<Value>>,
+    },
+}
+
+impl KeyCol {
+    /// The packed keys of an implicit column by value (its cache when a
+    /// consumer already filled it); `None` for explicit rows.
+    fn take_rows(&mut self, len: usize) -> Option<Vec<Value>> {
+        match self {
+            KeyCol::Rows(_) => None,
+            KeyCol::Grid { domains, cache } => {
+                Some(cache.take().unwrap_or_else(|| odometer_keys(domains, len)))
+            }
+            KeyCol::Coords {
+                domains,
+                coords,
+                cache,
+            } => Some(cache.take().unwrap_or_else(|| coord_keys(domains, coords))),
+        }
+    }
 }
 
 /// Materialize the odometer key sequence of a grid: runs of the last
@@ -55,14 +84,27 @@ fn odometer_keys(domains: &[u64], total: usize) -> Vec<Value> {
     values
 }
 
+/// Materialize the rows of ascending coordinates over `domains`.
+fn coord_keys(domains: &[u64], coords: &[u64]) -> Vec<Value> {
+    let arity = domains.len();
+    let strides = layout::strides_of(domains);
+    let mut values = vec![0 as Value; coords.len() * arity];
+    for (i, &c) in coords.iter().enumerate() {
+        layout::delinearize(c, &strides, &mut values[i * arity..(i + 1) * arity]);
+    }
+    values
+}
+
 /// A functional relation (Definition 1): rows of discrete variable values
 /// plus a measure column functionally determined by them.
 ///
 /// Storage is row-major: the key column holds `len() * arity()` packed
-/// `u32`s (explicitly, or implied by an odometer grid — see `KeyCol`)
-/// and `measures` holds one `f64` per row. The FD `A1..Am -> f` is
-/// validated on demand ([`FunctionalRelation::validate_fd`]) rather than
-/// on every insert, so bulk loads stay cheap.
+/// `u32`s — explicitly, or implied by an odometer grid or by ascending
+/// linearized coordinates and materialized on first row access (see
+/// `KeyCol`) — and `measures` holds one `f64` per row. The FD
+/// `A1..Am -> f` is validated on demand
+/// ([`FunctionalRelation::validate_fd`]) rather than on every insert, so
+/// bulk loads stay cheap.
 ///
 /// A stored relation also carries a memo of facts derived from its key
 /// column alone — inferred domains and sorted keyed orders
@@ -165,7 +207,8 @@ impl FunctionalRelation {
     }
 
     /// Assemble a relation from pre-built packed columns (crate-internal:
-    /// the dense⇄sparse converters fill `values`/`measures` directly).
+    /// [`FunctionalRelation::canonicalized`] fills `values`/`measures`
+    /// directly).
     pub(crate) fn from_parts(
         name: impl Into<String>,
         schema: Schema,
@@ -208,33 +251,92 @@ impl FunctionalRelation {
         }
     }
 
-    /// For a grid-complete relation in odometer order, the domain vector
-    /// its rows enumerate — the O(1) certificate the dense kernels use to
-    /// skip the odometer-order verification scan. `None` for explicit-row
-    /// relations (which may still *be* odometer-ordered; callers fall
-    /// back to the scanning check).
-    pub fn grid_domains(&self) -> Option<&[u64]> {
-        match &self.keys {
-            KeyCol::Rows(_) => None,
-            KeyCol::Grid { domains, .. } => Some(domains),
+    /// Assemble a relation in coordinate form, in O(1): one linearized
+    /// coordinate per row over `domains` (schema order, last variable
+    /// fastest), strictly ascending, with the measures parallel to them.
+    /// This is what the sparse kernels emit — the next sparse kernel keys
+    /// the coordinates directly, and packed rows materialize only when a
+    /// row consumer asks. Sortedness, uniqueness and the coordinate range
+    /// are asserted in debug builds only.
+    pub fn from_coords(
+        name: impl Into<String>,
+        schema: Schema,
+        domains: Vec<u64>,
+        coords: Vec<u64>,
+        measures: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(domains.len(), schema.arity());
+        debug_assert_eq!(coords.len(), measures.len());
+        debug_assert!(coords.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(coords
+            .last()
+            .is_none_or(|&c| layout::grid_cells_wide(&domains).is_some_and(|n| c < n)));
+        Self {
+            name: name.into(),
+            schema,
+            keys: KeyCol::Coords {
+                domains,
+                coords,
+                cache: OnceLock::new(),
+            },
+            measures,
+            memo: None,
         }
     }
 
-    /// The packed key column, materializing a grid's odometer sequence on
-    /// first access.
+    /// For a grid-complete relation in odometer order, the domain vector
+    /// its rows enumerate — the O(1) certificate the dense kernels use to
+    /// skip the odometer-order verification scan. `None` for explicit-row
+    /// and coordinate relations (which may still *be* odometer-ordered;
+    /// callers fall back to the checking path).
+    pub fn grid_domains(&self) -> Option<&[u64]> {
+        match &self.keys {
+            KeyCol::Grid { domains, .. } => Some(domains),
+            _ => None,
+        }
+    }
+
+    /// For a relation in coordinate form ([`FunctionalRelation::from_coords`]),
+    /// its domain vector and its ascending coordinates; `None` for any
+    /// other key column.
+    pub fn coords(&self) -> Option<(&[u64], &[u64])> {
+        match &self.keys {
+            KeyCol::Coords {
+                domains, coords, ..
+            } => Some((domains, coords)),
+            _ => None,
+        }
+    }
+
+    /// The packed key column, materializing an implicit one on first
+    /// access. Inlined so per-row callers in other crates ([`Self::row`])
+    /// pay one branch for explicit rows, not a call.
+    #[inline]
     fn keys(&self) -> &[Value] {
+        match &self.keys {
+            KeyCol::Rows(v) => v,
+            _ => self.implicit_keys(),
+        }
+    }
+
+    /// [`FunctionalRelation::keys`] for a grid or coordinate column.
+    fn implicit_keys(&self) -> &[Value] {
         match &self.keys {
             KeyCol::Rows(v) => v,
             KeyCol::Grid { domains, cache } => {
                 cache.get_or_init(|| odometer_keys(domains, self.measures.len()))
             }
+            KeyCol::Coords {
+                domains,
+                coords,
+                cache,
+            } => cache.get_or_init(|| coord_keys(domains, coords)),
         }
     }
 
-    /// The key column as an owned, mutable vector, demoting a grid to
-    /// explicit rows first (mutation invalidates the odometer
-    /// certificate) and dropping whatever the memo derived from the old
-    /// keys.
+    /// The key column as an owned, mutable vector, demoting an implicit
+    /// column to explicit rows first (mutation invalidates its order) and
+    /// dropping whatever the memo derived from the old keys.
     fn keys_mut(&mut self) -> &mut Vec<Value> {
         if let Some(memo) = &mut self.memo {
             match Arc::get_mut(memo) {
@@ -242,17 +344,30 @@ impl FunctionalRelation {
                 None => *memo = Arc::default(),
             }
         }
-        if let KeyCol::Grid { domains, cache } = &mut self.keys {
-            let v = match cache.take() {
-                Some(v) => v,
-                None => odometer_keys(domains, self.measures.len()),
-            };
+        if let Some(v) = self.keys.take_rows(self.measures.len()) {
             self.keys = KeyCol::Rows(v);
         }
         match &mut self.keys {
             KeyCol::Rows(v) => v,
-            KeyCol::Grid { .. } => unreachable!("demoted above"),
+            _ => unreachable!("demoted above"),
         }
+    }
+
+    /// Call `f` on every row in order, stopping at the first `false`; a
+    /// coordinate key column is decoded row by row rather than
+    /// materialized.
+    fn each_row(&self, mut f: impl FnMut(&[Value]) -> bool) -> bool {
+        let arity = self.arity();
+        if let Some((domains, coords)) = self.coords() {
+            let strides = layout::strides_of(domains);
+            let mut row = vec![0 as Value; arity];
+            return coords.iter().all(|&c| {
+                layout::delinearize(c, &strides, &mut row);
+                f(&row)
+            });
+        }
+        let vals = self.keys();
+        (0..self.len()).all(|i| f(&vals[i * arity..(i + 1) * arity]))
     }
 
     /// Append a row.
@@ -313,15 +428,18 @@ impl FunctionalRelation {
     /// capacity). Used by residency accounting (the engine's view
     /// cache) but meaningful for any memory budgeting.
     pub fn heap_bytes(&self) -> usize {
-        // A grid key column is charged as if materialized: its cache may
-        // fill at any time after a consumer asks for packed keys, and
+        // An implicit key column is charged as if materialized: its cache
+        // may fill at any time after a consumer asks for packed keys, and
         // residency accounting must not go stale when it does.
+        let rows_bytes = self.measures.len() * self.schema.arity() * std::mem::size_of::<Value>();
         let key_bytes = match &self.keys {
             KeyCol::Rows(v) => v.capacity() * std::mem::size_of::<Value>(),
             KeyCol::Grid { domains, .. } => {
-                domains.capacity() * std::mem::size_of::<u64>()
-                    + self.measures.len() * self.schema.arity() * std::mem::size_of::<Value>()
+                domains.capacity() * std::mem::size_of::<u64>() + rows_bytes
             }
+            KeyCol::Coords {
+                domains, coords, ..
+            } => (domains.capacity() + coords.capacity()) * std::mem::size_of::<u64>() + rows_bytes,
         };
         self.name.capacity()
             + self.schema.heap_bytes()
@@ -360,10 +478,11 @@ impl FunctionalRelation {
 
     /// The flat value storage (row-major, `len() * arity()` packed
     /// values) as one zero-copy slice — for kernels and conversions that
-    /// scan all rows without per-row slice bookkeeping. On a grid key
-    /// column this materializes the odometer sequence (once, cached);
+    /// scan all rows without per-row slice bookkeeping. On a grid or
+    /// coordinate key column this materializes the rows (once, cached);
     /// consumers that only need to *prove* odometer order should check
-    /// [`FunctionalRelation::grid_domains`] first.
+    /// [`FunctionalRelation::grid_domains`] first, and sparse consumers
+    /// read [`FunctionalRelation::linearized_keys`].
     pub fn values_col(&self) -> &[Value] {
         self.keys()
     }
@@ -447,11 +566,12 @@ impl FunctionalRelation {
             return domains;
         }
         let mut max = vec![0 as Value; arity];
-        for row in self.keys().chunks_exact(arity) {
+        self.each_row(|row| {
             for (m, &v) in max.iter_mut().zip(row) {
                 *m = (*m).max(v);
             }
-        }
+            true
+        });
         let domains: Vec<u64> = max.into_iter().map(|m| m as u64 + 1).collect();
         if let Some(memo) = &self.memo {
             memo.set_domains(&domains);
@@ -465,6 +585,21 @@ impl FunctionalRelation {
     /// unchanged; derived relations are read once and stay without one.
     pub fn enable_keyed_memo(&mut self) {
         self.memo.get_or_insert_with(Arc::default);
+    }
+
+    /// The relation with a coordinate key column expanded into explicit
+    /// rows (any other key column is kept), for a copy that outlives the
+    /// query and is read row by row — a cached table — so it does not hold
+    /// both forms once its rows are read.
+    pub fn without_coords(mut self) -> Self {
+        if matches!(self.keys, KeyCol::Coords { .. }) {
+            let rows = self
+                .keys
+                .take_rows(self.measures.len())
+                .expect("implicit keys");
+            self.keys = KeyCol::Rows(rows);
+        }
+        self
     }
 
     /// The relation without its memo, for a copy that takes a derived
@@ -482,18 +617,31 @@ impl FunctionalRelation {
     /// [`layout::MAX_SPARSE_COORD_CELLS`], or two rows share a key (the
     /// rows are not functional).
     ///
-    /// A grid keyed in its own odometer order is `0..len` and is produced
-    /// without materializing its key column. Otherwise, when the relation
-    /// has a memo and every axis domain is the column's own inferred
-    /// domain, the order is built once and shared from then on; any other
-    /// request builds a fresh order.
+    /// A grid keyed in its own odometer order is `0..len`, and a
+    /// coordinate column keyed in its own order is its coordinates; both
+    /// are produced without a sort and without materializing rows.
+    /// Otherwise, when the relation has a memo and every axis domain is
+    /// the column's own inferred domain, the order is built once and
+    /// shared from then on; any other request builds a fresh order.
     pub fn keyed_order(&self, axes: &[(usize, u64)]) -> Option<(Arc<KeyedOrder>, KeyedSource)> {
         debug_assert_eq!(axes.len(), self.arity());
         layout::grid_cells_wide(&axes.iter().map(|a| a.1).collect::<Vec<u64>>())?;
-        if let Some(grid) = self.grid_domains() {
-            if axes.iter().enumerate().all(|(k, &(p, d))| p == k && d == grid[k]) {
-                return Some((Arc::new(KeyedOrder::identity(self.len())), KeyedSource::Fresh));
+        let own_order = |doms: &[u64]| {
+            axes.iter()
+                .enumerate()
+                .all(|(k, &(p, d))| p == k && d == doms[k])
+        };
+        let ascending = match &self.keys {
+            KeyCol::Grid { domains, .. } if own_order(domains) => {
+                Some((0..self.len() as u64).collect())
             }
+            KeyCol::Coords {
+                domains, coords, ..
+            } if own_order(domains) => Some(coords.clone()),
+            _ => None,
+        };
+        if let Some(keys) = ascending {
+            return Some((Arc::new(KeyedOrder::ascending(keys)), KeyedSource::Fresh));
         }
         let memo = self.memo.as_ref().filter(|_| {
             let own = self.inferred_domains();
@@ -513,16 +661,30 @@ impl FunctionalRelation {
     /// [`FunctionalRelation::keyed_order`]'s build: one linearization pass
     /// over the key column, then the sort.
     fn build_keyed_order(&self, axes: &[(usize, u64)]) -> Option<KeyedOrder> {
-        let (arity, vals) = (self.arity(), self.keys());
-        let mut doms_by_pos = vec![0u64; arity];
+        KeyedOrder::from_keys(self.linearized_keys(axes)?)
+    }
+
+    /// Every row linearized over `axes` — `(schema position, domain)` per
+    /// axis, slowest first — in row order, unsorted. Positions `axes`
+    /// leaves out contribute nothing and are not range-checked. `None`
+    /// when a value reaches its axis domain. A coordinate key column is
+    /// decoded row by row, never materialized.
+    pub fn linearized_keys(&self, axes: &[(usize, u64)]) -> Option<Vec<u64>> {
+        let arity = self.arity();
+        let mut doms_by_pos = vec![u64::MAX; arity];
         for &(p, d) in axes {
             doms_by_pos[p] = d;
         }
         let mult = layout::permuted_multipliers(arity, axes);
-        let keys = (0..self.len())
-            .map(|i| layout::permute_row(&vals[i * arity..(i + 1) * arity], &mult, &doms_by_pos))
-            .collect::<Option<Vec<u64>>>()?;
-        KeyedOrder::from_keys(keys)
+        let mut keys = Vec::with_capacity(self.len());
+        self.each_row(|row| match layout::permute_row(row, &mult, &doms_by_pos) {
+            Some(k) => {
+                keys.push(k);
+                true
+            }
+            None => false,
+        })
+        .then_some(keys)
     }
 
     /// Convert to a [`crate::DenseFactor`] over the catalog's domain grid,
@@ -560,8 +722,9 @@ impl FunctionalRelation {
     /// values. Two functional relations over the same schema are equal as
     /// functions iff their canonicalized row/measure sequences match.
     pub fn canonicalized(&self) -> Self {
-        // A grid's odometer sequence is already lexicographically sorted.
-        if self.grid_domains().is_some() {
+        // A grid's odometer sequence and ascending coordinates are already
+        // lexicographically sorted.
+        if !matches!(self.keys, KeyCol::Rows(_)) {
             return self.clone();
         }
         let mut order: Vec<usize> = (0..self.len()).collect();
@@ -816,6 +979,209 @@ mod tests {
         assert_eq!(r.measure(6), 99.0);
     }
 
+    /// Four rows over `[a, b, d]` as coordinates on the grid `[3, 5, 2]`,
+    /// wider than the data's own `[2, 4, 2]`, and the same rows pushed.
+    fn coords_fixture() -> (FunctionalRelation, FunctionalRelation) {
+        let (_, a, b, d) = catalog3();
+        let schema = Schema::new(vec![a, b, d]).unwrap();
+        let rows = [
+            (vec![0, 1, 1], 1.5),
+            (vec![0, 3, 0], 2.5),
+            (vec![1, 0, 1], 3.5),
+            (vec![1, 2, 0], 4.5),
+        ];
+        let coords = FunctionalRelation::from_coords(
+            "c",
+            schema.clone(),
+            vec![3, 5, 2],
+            vec![3, 6, 11, 14],
+            rows.iter().map(|r| r.1).collect(),
+        );
+        let explicit = FunctionalRelation::from_rows("c", schema, rows).unwrap();
+        (coords, explicit)
+    }
+
+    fn rows_materialized(r: &FunctionalRelation) -> bool {
+        match &r.keys {
+            KeyCol::Coords { cache, .. } => cache.get().is_some(),
+            _ => true,
+        }
+    }
+
+    #[test]
+    fn coords_rows_are_the_delinearized_rows() {
+        let (c, explicit) = coords_fixture();
+        assert_eq!(
+            c.coords(),
+            Some((&[3u64, 5, 2][..], &[3u64, 6, 11, 14][..]))
+        );
+        assert!(c.grid_domains().is_none());
+        assert_eq!(c.len(), 4);
+        assert!(!rows_materialized(&c), "O(1) wrap");
+        assert_eq!(c.row(2), &[1, 0, 1]);
+        assert_eq!(c, explicit);
+        assert!(rows_materialized(&c), "rows fill the cache on first access");
+        assert_eq!(c.coords().unwrap().1, &[3, 6, 11, 14], "coordinates stay");
+    }
+
+    #[test]
+    fn coords_infer_domains_without_materializing() {
+        let (c, explicit) = coords_fixture();
+        assert_eq!(c.inferred_domains(), vec![2, 4, 2]);
+        assert_eq!(c.inferred_domains(), explicit.inferred_domains());
+        assert!(!rows_materialized(&c));
+        let empty =
+            FunctionalRelation::from_coords("e", c.schema().clone(), vec![3, 5, 2], vec![], vec![]);
+        assert_eq!(empty.inferred_domains(), vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn coords_key_like_their_materialized_rows() {
+        let (c, explicit) = coords_fixture();
+        let mut memoized = c.clone();
+        memoized.enable_keyed_memo();
+        let axes_sets: [&[(usize, u64)]; 4] = [
+            &[(0, 2), (1, 4), (2, 2)], // own order, inferred domains
+            &[(0, 3), (1, 5), (2, 2)], // own order, own domains: the coordinates
+            &[(2, 2), (0, 2), (1, 4)], // permuted
+            &[(1, 5), (2, 3), (0, 4)], // permuted, wider domains
+        ];
+        for axes in axes_sets {
+            let want = explicit.keyed_order(axes).unwrap().0;
+            for rel in [&c, &memoized] {
+                let (got, _) = rel.keyed_order(axes).unwrap();
+                assert_eq!(
+                    (got.keys(), got.perm()),
+                    (want.keys(), want.perm()),
+                    "{axes:?}"
+                );
+            }
+            assert_eq!(
+                c.linearized_keys(axes),
+                explicit.linearized_keys(axes),
+                "{axes:?}"
+            );
+        }
+        // Own order over own domains is the coordinate column itself.
+        let (own, source) = c.keyed_order(&[(0, 3), (1, 5), (2, 2)]).unwrap();
+        assert_eq!(
+            (own.keys(), own.perm(), source),
+            (&[3u64, 6, 11, 14][..], None, KeyedSource::Fresh)
+        );
+        // The loop memoized the orders over the inferred domains only.
+        assert_eq!(
+            memoized.keyed_order(&[(2, 2), (0, 2), (1, 4)]).unwrap().1,
+            KeyedSource::Memo
+        );
+        assert_eq!(
+            memoized.keyed_order(&[(1, 5), (2, 3), (0, 4)]).unwrap().1,
+            KeyedSource::Fresh
+        );
+        // A partial axis list leaves the other positions out, unchecked.
+        assert_eq!(c.linearized_keys(&[(1, 4)]), Some(vec![1, 3, 0, 2]));
+        assert_eq!(
+            c.linearized_keys(&[(1, 3)]),
+            None,
+            "b = 3 is outside a 3-value axis"
+        );
+        assert!(!rows_materialized(&c) && !rows_materialized(&memoized));
+    }
+
+    #[test]
+    fn pushing_a_row_demotes_coords_and_drops_the_memo() {
+        let (mut c, _) = coords_fixture();
+        c.enable_keyed_memo();
+        let axes = [(2, 2), (0, 2), (1, 4)];
+        c.keyed_order(&axes).unwrap();
+        assert_eq!(c.keyed_order(&axes).unwrap().1, KeyedSource::Memo);
+        c.push_row(&[0, 0, 0], 9.0).unwrap();
+        assert!(c.coords().is_none());
+        assert!(matches!(c.keys, KeyCol::Rows(_)));
+        assert_eq!(
+            (c.len(), c.row(0), c.row(4)),
+            (5, &[0, 1, 1][..], &[0, 0, 0][..])
+        );
+        assert_eq!(
+            c.keyed_order(&axes).unwrap().1,
+            KeyedSource::Built,
+            "memo emptied"
+        );
+    }
+
+    #[test]
+    fn coords_charge_their_rows_before_and_after_the_cache_fills() {
+        let (c, _) = coords_fixture();
+        let before = c.heap_bytes();
+        let _ = c.values_col();
+        assert!(rows_materialized(&c));
+        assert_eq!(c.heap_bytes(), before);
+        // Dropping the coordinates for explicit rows keeps the rows only.
+        let rows = c.clone().without_coords();
+        assert!(rows.coords().is_none() && matches!(rows.keys, KeyCol::Rows(_)));
+        assert_eq!(rows, c);
+        assert_eq!(
+            before - rows.heap_bytes(),
+            (3 + 4) * std::mem::size_of::<u64>()
+        );
+    }
+
+    #[test]
+    fn canonicalizing_coords_is_the_identity() {
+        let (c, explicit) = coords_fixture();
+        let canon = c.canonicalized();
+        assert_eq!(canon.coords(), c.coords());
+        assert_eq!(canon, explicit.canonicalized());
+    }
+
+    #[test]
+    fn wide_grids_key_beyond_the_dense_cap() {
+        // A 2^13 × 2^13 grid is beyond MAX_DENSE_CELLS but trivially keyed.
+        let mut cat = Catalog::new();
+        let x = cat.add_var("x", 1 << 13).unwrap();
+        let y = cat.add_var("y", 1 << 13).unwrap();
+        let schema = Schema::new(vec![x, y]).unwrap();
+        let mut rel = FunctionalRelation::new("w", schema.clone());
+        rel.push_row(&[(1 << 13) - 1, (1 << 13) - 1], 7.0).unwrap();
+        let axes = [(0, 1 << 13), (1, 1 << 13)];
+        let (order, _) = rel.keyed_order(&axes).expect("wide grid keys");
+        assert_eq!(order.keys(), &[(1u64 << 26) - 1]);
+        let back = FunctionalRelation::from_coords(
+            "w",
+            schema,
+            vec![1 << 13, 1 << 13],
+            order.keys().to_vec(),
+            vec![7.0],
+        );
+        assert_eq!(back, rel);
+    }
+
+    #[test]
+    fn keyed_order_sorts_and_refuses_bad_rows() {
+        let (_, a, b, _) = catalog3();
+        let schema = Schema::new(vec![a, b]).unwrap();
+        let unsorted = FunctionalRelation::from_rows(
+            "r",
+            schema.clone(),
+            [(vec![2, 3], 5.0), (vec![0, 1], 2.0), (vec![1, 0], 3.0)],
+        )
+        .unwrap();
+        let (order, _) = unsorted.keyed_order(&[(0, 3), (1, 4)]).unwrap();
+        assert_eq!(
+            (order.keys(), order.perm()),
+            (&[1u64, 4, 11][..], Some(&[1u32, 2, 0][..]))
+        );
+        assert_eq!(&*order.gather(unsorted.measures()), &[2.0, 3.0, 5.0]);
+        // A value outside its axis domain.
+        let mut out = FunctionalRelation::new("o", schema.clone());
+        out.push_row(&[0, 9], 1.0).unwrap();
+        assert!(out.keyed_order(&[(0, 3), (1, 4)]).is_none());
+        // A duplicate argument tuple: not functional.
+        let mut dup = FunctionalRelation::new("d", schema);
+        dup.push_row(&[1, 1], 1.0).unwrap();
+        dup.push_row(&[1, 1], 2.0).unwrap();
+        assert!(dup.keyed_order(&[(0, 3), (1, 4)]).is_none());
+    }
+
     #[test]
     fn heap_bytes_is_capacity_accurate() {
         let (_, a, b, _) = catalog3();
@@ -824,7 +1190,7 @@ mod tests {
         let expect = |r: &FunctionalRelation| {
             let key_bytes = match &r.keys {
                 KeyCol::Rows(v) => v.capacity() * std::mem::size_of::<Value>(),
-                KeyCol::Grid { .. } => unreachable!("push-built relation"),
+                _ => unreachable!("push-built relation"),
             };
             r.name.capacity()
                 + r.schema().heap_bytes()
@@ -867,6 +1233,27 @@ mod tests {
             + order(&by_ab)
             + order(&by_ba);
         assert_eq!(r.heap_bytes(), unmemoized + memo_bytes);
-        assert!(by_ba.heap_bytes() >= r.len() * (8 + 4), "keys and permutation");
+        assert!(
+            by_ba.heap_bytes() >= r.len() * (8 + 4),
+            "keys and permutation"
+        );
+
+        // A coordinate column is charged at capacity too, plus its rows as
+        // if materialized.
+        let mut coords = Vec::with_capacity(1024);
+        coords.extend([1u64, 4, 11]);
+        let c = FunctionalRelation::from_coords(
+            "c",
+            r.schema().clone(),
+            vec![3, 4],
+            coords,
+            vec![1.0; 3],
+        );
+        let expect = c.name.capacity()
+            + c.schema().heap_bytes()
+            + (2 + 1024) * std::mem::size_of::<u64>()
+            + 3 * 2 * std::mem::size_of::<Value>()
+            + c.measures.capacity() * std::mem::size_of::<f64>();
+        assert_eq!(c.heap_bytes(), expect);
     }
 }
