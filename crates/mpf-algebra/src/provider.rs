@@ -20,7 +20,9 @@ pub trait RelationProvider {
 /// Every relation inserted here carries a keyed-order memo
 /// ([`FunctionalRelation::enable_keyed_memo`]): stored relations are
 /// re-read by every query, so the sparse kernels key them once. The
-/// memo survives both kinds of sharing above.
+/// memo survives both kinds of sharing above. Insertion also trims the
+/// relation's slack capacity ([`FunctionalRelation::shrink_to_fit`]):
+/// a stored relation is read far more often than it grows.
 #[derive(Debug, Clone, Default)]
 pub struct RelationStore {
     relations: HashMap<String, Arc<FunctionalRelation>>,
@@ -34,6 +36,7 @@ impl RelationStore {
 
     /// Insert (or replace) a relation under its own name.
     pub fn insert(&mut self, mut rel: FunctionalRelation) {
+        rel.shrink_to_fit();
         rel.enable_keyed_memo();
         self.relations.insert(rel.name().to_string(), Arc::new(rel));
     }
@@ -147,5 +150,27 @@ impl FromIterator<FunctionalRelation> for RelationStore {
             store.insert(rel);
         }
         store
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpf_storage::{Catalog, Schema};
+
+    #[test]
+    fn insert_trims_slack_capacity() {
+        let mut cat = Catalog::new();
+        let x = cat.add_var("x", 7).unwrap();
+        let mut grown = FunctionalRelation::new("g", Schema::new(vec![x]).unwrap());
+        for i in 0..5 {
+            grown.push_row(&[i], 1.0).unwrap();
+        }
+        let mut tight = grown.clone();
+        tight.shrink_to_fit();
+        assert!(grown.heap_bytes() > tight.heap_bytes(), "push-grown slack");
+        let mut store = RelationStore::new();
+        store.insert(grown);
+        assert_eq!(store.shared("g").unwrap().heap_bytes(), tight.heap_bytes());
     }
 }

@@ -11,18 +11,23 @@
 //!
 //! * [`join`] relinearizes both sides to a `[shared vars, own vars]` axis
 //!   order, so rows joining on the shared variables form contiguous runs
-//!   of equal coordinate *prefix* (`key / own_cells`); a two-pointer
-//!   sorted merge pairs the runs and emits each output coordinate as
-//!   `a_key * b_own_cells + b_own_index` — ascending by construction, so
-//!   the output needs no sort. No hash table, no per-row key allocation.
+//!   of equal coordinate *prefix*; a merge of the two sides' run lists
+//!   pairs the runs and emits each output coordinate as `a_key *
+//!   b_own_cells + b_own_index` — ascending by construction, so the
+//!   output needs no sort. No hash table, no per-row key allocation.
 //! * [`agg`] relinearizes to `[group vars, eliminated vars]` order and
-//!   collapses runs of equal `key / elim_cells` in one pass, folding the
-//!   measure column with the semiring's additive operation.
+//!   folds each run of equal group prefix in one pass with the semiring's
+//!   additive operation.
 //! * [`join_agg`] is the two as one elimination step: it walks
 //!   [`join`]'s merge but folds each pair straight into its group
 //!   (streaming when the group variables can lead the merge order,
 //!   through a direct-address accumulator otherwise), so the join is
 //!   never materialized — bit-identical to [`join`] then [`agg`].
+//!
+//! The runs and digits every kernel reads are the trie levels of the
+//! operand's [`KeyedOrder`] ([`KeyedOrder::runs`], [`KeyedOrder::digits`]):
+//! built once per stored relation and axis order and memoized with it,
+//! per query only for derived operands, and never by a division per key.
 //!
 //! Every kernel emits its output in coordinate form
 //! ([`FunctionalRelation::from_coords`], O(1)): ascending coordinates in
@@ -56,7 +61,7 @@ use std::sync::Arc;
 
 use mpf_semiring::{for_each_semiring, kernel::SemiringOps};
 use mpf_storage::layout::grid_cells_wide;
-use mpf_storage::{FunctionalRelation, KeyedOrder, Schema, VarId};
+use mpf_storage::{FunctionalRelation, KeyedOrder, KeyedSource, Runs, Schema, VarId};
 
 use crate::dense::{self, KernelMode, KERNEL_BLOCK};
 use crate::limits::{ExecBudget, OpGuard};
@@ -227,29 +232,41 @@ pub(crate) fn join_agg_fallback(
 }
 
 /// One operand keyed for a kernel: its sorted keys under the requested
-/// axis order and its measures in that order (borrowed when the rows
-/// already ascend).
+/// axis order, its measures in that order (borrowed when the rows
+/// already ascend), the prefix length whose runs the kernel walks, and —
+/// for an elimination step — each key's part of its output coordinate.
 struct KeyedSide<'a> {
     order: Arc<KeyedOrder>,
     vals: Cow<'a, [f64]>,
+    prefix: usize,
+    group: Vec<u64>,
 }
 
 impl KeyedSide<'_> {
     fn keys(&self) -> &[u64] {
         self.order.keys()
     }
+
+    fn runs(&self) -> &Runs {
+        self.order.runs(self.prefix)
+    }
 }
 
 /// Key one side over `axes` (`(schema position, domain)`, slowest
-/// first) through [`FunctionalRelation::keyed_order`]: a stored relation
-/// is linearized and sorted once, not per query, and a coordinate-form
-/// one keyed in its own order is its coordinates. Counts a conversion
-/// when the side is not in coordinate form. `None` on out-of-domain
-/// values or duplicate argument tuples.
+/// first) through [`FunctionalRelation::keyed_order`] and read the trie
+/// levels its kernel needs: the runs of the first `prefix` axes and, with
+/// `weights` (`(axis, weight)`), each key's `Σ digit·weight` over those
+/// axes ([`KeyedOrder::weighted_digits`]). A stored relation is linearized, sorted and split into levels
+/// once, not per query, and a coordinate-form one keyed in its own order
+/// is its coordinates. Counts a conversion when the side is not in
+/// coordinate form. `None` on out-of-domain values or duplicate argument
+/// tuples.
 fn keyed_side<'a>(
     cx: &mut ExecContext<'_>,
     rel: &'a FunctionalRelation,
     axes: &[(usize, u64)],
+    prefix: usize,
+    weights: Option<&[(usize, u64)]>,
 ) -> Result<Option<KeyedSide<'a>>> {
     cx.fault("sparse::convert")?;
     cx.checkpoint()?;
@@ -260,79 +277,100 @@ fn keyed_side<'a>(
         return Ok(None);
     };
     cx.note_keyed(source);
+    // The levels build here, under the fault site and the checkpoint
+    // above, so a faulted or cancelled step memoizes none of them.
+    order.runs(prefix);
+    // A memoized order keeps its digit columns for later queries; a fresh
+    // one is dropped after this step, so its digits are never stored.
+    let keep = source != KeyedSource::Fresh;
+    let group = weights.map_or_else(Vec::new, |w| order.weighted_digits(w, keep));
     let vals = order.gather(rel.measures());
-    Ok(Some(KeyedSide { order, vals }))
+    Ok(Some(KeyedSide {
+        order,
+        vals,
+        prefix,
+        group,
+    }))
 }
 
 /// Both join operands keyed for the sorted merge: the merge axis order is
 /// `[shared, l-own, r-own]`, side `a` (left) is keyed on `[shared,
 /// l-own]` and side `b` (right) on `[shared, r-own]`, each sorted
-/// ascending. Rows agreeing on every shared variable form runs of equal
-/// `key / own_cells`, and `a_key * b_own_cells + b_key % b_own_cells` is
-/// the pair's coordinate in the merge grid.
+/// ascending. Rows agreeing on every shared variable form the runs of
+/// each side's shared-prefix level, and `a_key * b_own_cells + b_key -
+/// prefix * b_own_cells` is the pair's coordinate in the merge grid.
 struct KeyedPair<'a> {
     /// Merge-order variables and their domains (shared variables index
     /// through the wider of the two sides' inferred domains).
     vars: Vec<VarId>,
     doms: Vec<u64>,
-    /// How many leading merge axes are shared / belong to side `a`.
-    n_shared: usize,
-    n_a: usize,
     a: KeyedSide<'a>,
     b: KeyedSide<'a>,
-    a_own_cells: u64,
     b_own_cells: u64,
 }
 
 /// One matching pair of shared-prefix runs: rows `a.0..a.1` of the left
 /// keyed column and `b.0..b.1` of the right agree on every shared
-/// variable, so each of their cross pairs is one join row.
-type RunPair = ((usize, usize), (usize, usize));
+/// variable, whose values linearize to `prefix`, so each of their cross
+/// pairs is one join row.
+#[derive(Debug, Clone, Copy)]
+struct RunPair {
+    a: (usize, usize),
+    b: (usize, usize),
+    prefix: u64,
+}
+
+impl RunPair {
+    /// The join rows the pair stands for.
+    fn pairs(&self) -> usize {
+        (self.a.1 - self.a.0) * (self.b.1 - self.b.0)
+    }
+}
 
 impl KeyedPair<'_> {
     /// The matching runs, in ascending shared-prefix order — the merge
-    /// both join forms walk. A key's shared prefix `s` is `key /
-    /// own_cells`, so its run ends at the first key `>= (s + 1) *
-    /// own_cells`: one division per step of the merge, none per row.
+    /// both join forms walk: a merge of the two sides' run lists by
+    /// prefix, no key read.
     fn runs(&self) -> Vec<RunPair> {
-        let (a, b) = (self.a.keys(), self.b.keys());
-        let (ca, cb) = (self.a_own_cells, self.b_own_cells);
-        // The first index at or after `i` whose key reaches `bound`.
-        let skip = |keys: &[u64], i: usize, bound: u64| {
-            i + keys[i..].iter().take_while(|&&k| k < bound).count()
-        };
-        let mut runs = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            let (sa, sb) = (a[i] / ca, b[j] / cb);
-            if sa < sb {
-                i = skip(a, i, sb * ca);
-            } else if sb < sa {
-                j = skip(b, j, sa * cb);
-            } else {
-                let (ia, jb) = (skip(a, i, (sa + 1) * ca), skip(b, j, (sb + 1) * cb));
-                runs.push(((i, ia), (j, jb)));
-                (i, j) = (ia, jb);
+        let (ra, rb) = (self.a.runs(), self.b.runs());
+        let (pa, pb) = (ra.prefixes(), rb.prefixes());
+        let mut runs = Vec::with_capacity(pa.len().min(pb.len()));
+        let (mut x, mut y) = (0usize, 0usize);
+        while x < pa.len() && y < pb.len() {
+            match pa[x].cmp(&pb[y]) {
+                std::cmp::Ordering::Less => x += 1,
+                std::cmp::Ordering::Greater => y += 1,
+                std::cmp::Ordering::Equal => {
+                    runs.push(RunPair {
+                        a: ra.range(x),
+                        b: rb.range(y),
+                        prefix: pa[x],
+                    });
+                    (x, y) = (x + 1, y + 1);
+                }
             }
         }
         runs
     }
+}
 
-    /// The domains of `group_vars`, in that order.
-    fn group_doms(&self, group_vars: &[VarId]) -> Vec<u64> {
-        group_vars
-            .iter()
-            .map(|v| self.doms[self.vars.iter().position(|w| w == v).expect("group var in join")])
-            .collect()
-    }
+/// The domains of `group_vars` among the merge-order `vars`, in
+/// `group_vars` order.
+fn group_doms(vars: &[VarId], doms: &[u64], group_vars: &[VarId]) -> Vec<u64> {
+    group_vars
+        .iter()
+        .map(|v| doms[vars.iter().position(|w| w == v).expect("group var in join")])
+        .collect()
 }
 
 /// Key both sides for the sorted merge. With `group_vars` (an
 /// elimination step), the group variables lead each block (`shared`,
 /// `l-own`, `r-own`) in output order while the eliminated ones keep
-/// their schema order; the blocks themselves always stay in that order. `None`
-/// when the coordinate space overflows, a value escapes its domain, or a
-/// side holds duplicate argument tuples.
+/// their schema order; the blocks themselves always stay in that order,
+/// and each side also gets its keys' parts of the output coordinate —
+/// the shared and left-own group axes on the left, the right-own ones on
+/// the right. `None` when the coordinate space overflows, a value escapes
+/// its domain, or a side holds duplicate argument tuples.
 fn keyed_pair<'a>(
     cx: &mut ExecContext<'_>,
     l: &'a FunctionalRelation,
@@ -367,7 +405,6 @@ fn keyed_pair<'a>(
         return Ok(None);
     }
     let (n_shared, n_a) = (shared.len(), shared.len() + l_own.len());
-    let a_own_cells = grid_cells_wide(&doms[n_shared..n_a]).expect("subproduct of feasible grid");
     let b_own_cells = grid_cells_wide(&doms[n_a..]).expect("subproduct of feasible grid");
     let vars: Vec<VarId> = shared.into_iter().chain(l_own).chain(r_own).collect();
 
@@ -378,20 +415,35 @@ fn keyed_pair<'a>(
             .map(|k| (s.schema().position(vars[k]).expect("side var"), doms[k]))
             .collect()
     };
-    let Some(a) = keyed_side(cx, l, &side_axes(l, n_shared..n_a))? else {
+    // The output-coordinate weight of each group axis a side carries, by
+    // the axis's place in that side's order.
+    let strides = group_vars.map(|gv| mpf_storage::layout::strides_of(&group_doms(&vars, &doms, gv)));
+    let weights = |span: std::ops::Range<usize>, first_axis: usize| {
+        strides.as_ref().map(|strides| {
+            span.clone()
+                .filter_map(|k| rank(vars[k]).map(|g| (first_axis + k - span.start, strides[g])))
+                .collect::<Vec<(usize, u64)>>()
+        })
+    };
+    let (wa, wb) = (weights(0..n_a, 0), weights(n_a..vars.len(), n_shared));
+    let Some(a) = keyed_side(cx, l, &side_axes(l, n_shared..n_a), n_shared, wa.as_deref())? else {
         return Ok(None);
     };
-    let Some(b) = keyed_side(cx, r, &side_axes(r, n_a..vars.len()))? else {
+    let Some(b) = keyed_side(
+        cx,
+        r,
+        &side_axes(r, n_a..vars.len()),
+        n_shared,
+        wb.as_deref(),
+    )?
+    else {
         return Ok(None);
     };
     Ok(Some(KeyedPair {
         vars,
         doms,
-        n_shared,
-        n_a,
         a,
         b,
-        a_own_cells,
         b_own_cells,
     }))
 }
@@ -452,8 +504,6 @@ fn agg_impl(
     if grid_cells_wide(&all_doms).is_none() {
         return Ok(None);
     }
-    let elim_doms: Vec<u64> = elim.iter().map(|e| e.1).collect();
-    let elim_cells = grid_cells_wide(&elim_doms).expect("subproduct of feasible grid");
 
     let axes: Vec<(usize, u64)> = gpos
         .iter()
@@ -492,13 +542,13 @@ fn agg_impl(
         )));
     }
 
-    let Some(side) = keyed_side(cx, input, &axes)? else {
+    let Some(side) = keyed_side(cx, input, &axes, gpos.len(), None)? else {
         return Ok(None);
     };
     let budget = cx.budget();
     let arity = out_schema.arity();
     let (coords, values) =
-        for_each_semiring!(sr, agg_kernel(side.keys(), &side.vals, elim_cells, budget, arity))?;
+        for_each_semiring!(sr, agg_kernel(side.runs(), &side.vals, budget, arity))?;
     Ok(Some(FunctionalRelation::from_coords(
         name, out_schema, group_doms, coords, values,
     )))
@@ -518,37 +568,24 @@ fn join_agg_impl(
     };
     let name = format!("γ(({}⨝*{}))", l.name(), r.name());
     let out_schema = Schema::new(group_vars.to_vec())?;
-    let group_doms = kp.group_doms(group_vars);
+    let group_doms = group_doms(&kp.vars, &kp.doms, group_vars);
     let group_cells = grid_cells_wide(&group_doms).expect("subproduct of feasible grid");
     let runs = kp.runs();
 
-    // Each pair's output coordinate splits into a left part (shared and
-    // left-own group axes) and a right part (right-own group axes).
-    let group_strides = mpf_storage::layout::strides_of(&group_doms);
-    let rank = |v: &VarId| group_vars.iter().position(|g| g == v);
-    let axis = |k: usize| (kp.doms[k], rank(&kp.vars[k]).map_or(0, |g| group_strides[g]));
-    let a_axes: Vec<(u64, u64)> = (0..kp.n_a).map(axis).collect();
-    let b_axes: Vec<(u64, u64)> = (0..kp.n_shared)
-        .map(|k| (kp.doms[k], 0))
-        .chain((kp.n_a..kp.vars.len()).map(axis))
-        .collect();
-    let ga = regroup(kp.a.keys(), &a_axes);
-    let gb = regroup(kp.b.keys(), &b_axes);
-
-    let join_len: usize = runs.iter().map(|&((i, ia), (j, jb))| (ia - i) * (jb - j)).sum();
+    let join_len: usize = runs.iter().map(RunPair::pairs).sum();
     let streams = kp.vars[..group_vars.len()].iter().all(|v| group_vars.contains(v));
     let (sr, budget, arity) = (cx.semiring(), cx.budget(), out_schema.arity());
     let (form, (coords, values)) = if streams {
         let (coords, values) =
-            for_each_semiring!(sr, join_agg_stream_kernel(&kp, &runs, &ga, &gb, budget, arity))?;
+            for_each_semiring!(sr, join_agg_stream_kernel(&kp, &runs, budget, arity))?;
         // Ascending already when the output order is the merge order.
-        let order = KeyedOrder::from_keys(coords).expect("one run per group");
+        let order = KeyedOrder::from_keys(coords, &group_doms).expect("one run per group");
         let values = order.gather(&values).into_owned();
         ("stream", (order.into_keys(), values))
     } else if scatter_agg_applies(group_cells, join_len) {
         let parts = for_each_semiring!(
             sr,
-            join_agg_scatter_kernel(&kp, &runs, &ga, &gb, group_cells, budget, arity)
+            join_agg_scatter_kernel(&kp, &runs, group_cells, budget, arity)
         )?;
         ("scatter", parts)
     } else {
@@ -563,34 +600,10 @@ fn join_agg_impl(
     )))
 }
 
-/// Re-linearize keys onto another grid: the digit of each key on axis
-/// `k` (of `axes[k].0` values, last axis fastest) contributes
-/// `digit * axes[k].1`. Axes outside the weighted span cost nothing.
-fn regroup(keys: &[u64], axes: &[(u64, u64)]) -> Vec<u64> {
-    let (Some(lo), Some(hi)) = (
-        axes.iter().position(|a| a.1 != 0),
-        axes.iter().rposition(|a| a.1 != 0),
-    ) else {
-        return vec![0; keys.len()];
-    };
-    let tail: u64 = axes[hi + 1..].iter().map(|a| a.0).product();
-    let span = &axes[lo..=hi];
-    keys.iter()
-        .map(|&key| {
-            let mut rest = key / tail;
-            let mut g = 0;
-            for &(dom, weight) in span.iter().rev() {
-                g += rest % dom * weight;
-                rest /= dom;
-            }
-            g
-        })
-        .collect()
-}
-
 /// Sorted-merge join kernel over permuted key columns. Runs of equal
-/// shared prefix (`key / own_cells`) pair up; each output coordinate is
-/// `a_key * b_own_cells + b_own_index`, ascending by construction.
+/// shared prefix pair up; each output coordinate is `a_key *
+/// b_own_cells + b_own`, with `b_own = b_key - prefix * b_own_cells` read
+/// off the run's prefix — ascending by construction, no division.
 /// Monomorphized per semiring so the inner multiply is a static op.
 ///
 /// [`KernelMode::Chunked`] emits each `(a row × b run)` value column in
@@ -606,20 +619,20 @@ fn join_kernel<S: SemiringOps>(
     mode: KernelMode,
 ) -> Result<(Vec<u64>, Vec<f64>)> {
     let mut guard = OpGuard::new(budget, arity);
-    let (a_keys, b_keys) = (kp.a.keys(), kp.b.keys());
+    let (a_keys, b_keys, cb) = (kp.a.keys(), kp.b.keys(), kp.b_own_cells);
     let mut out_keys: Vec<u64> = Vec::with_capacity(a_keys.len().max(b_keys.len()));
     let mut out_vals: Vec<f64> = Vec::with_capacity(out_keys.capacity());
-    // Hoist the per-element division: the b side's within-run offsets
-    // (the merge then only adds).
-    let b_own: Vec<u64> = b_keys.iter().map(|&k| k % kp.b_own_cells).collect();
-    for &((i, ia), (j, jb)) in runs {
+    for rp in runs {
+        let ((i, ia), (j, jb)) = (rp.a, rp.b);
+        // `a_key >= prefix`, so the shifted base never underflows.
+        let shift = rp.prefix * cb;
         for (&ak, &va) in a_keys[i..ia].iter().zip(&kp.a.vals[i..ia]) {
-            let base = ak * kp.b_own_cells;
+            let base = ak * cb - shift;
             match mode {
                 KernelMode::Scalar => {
-                    for (&o, &vb) in b_own[j..jb].iter().zip(&kp.b.vals[j..jb]) {
+                    for (&bk, &vb) in b_keys[j..jb].iter().zip(&kp.b.vals[j..jb]) {
                         guard.poll()?;
-                        out_keys.push(base + o);
+                        out_keys.push(base + bk);
                         out_vals.push(S::mul(va, vb));
                         guard.produced()?;
                     }
@@ -629,7 +642,7 @@ fn join_kernel<S: SemiringOps>(
                     while t < jb {
                         guard.poll()?;
                         let blk = (jb - t).min(KERNEL_BLOCK);
-                        out_keys.extend(b_own[t..t + blk].iter().map(|&o| base + o));
+                        out_keys.extend(b_keys[t..t + blk].iter().map(|&bk| base + bk));
                         out_vals.extend(kp.b.vals[t..t + blk].iter().map(|&vb| S::mul(va, vb)));
                         guard.produced_many(blk as u64)?;
                         t += blk;
@@ -642,44 +655,36 @@ fn join_kernel<S: SemiringOps>(
     Ok((out_keys, out_vals))
 }
 
-/// Coordinate-collapse marginalization kernel: one pass over the sorted
-/// permuted keys, folding each run of equal group prefix
-/// (`key / elim_cells`) with the static additive op. The accumulator is
-/// validated once per output cell, like the dense kernel (an invalid
+/// Coordinate-collapse marginalization kernel: one pass over the runs of
+/// the keys' group prefix, folding each run's measures with the static
+/// additive op; the run's prefix is its group coordinate. The accumulator
+/// is validated once per output cell, like the dense kernel (an invalid
 /// intermediate can only end in an invalid final value).
 fn agg_kernel<S: SemiringOps>(
-    keys: &[u64],
+    runs: &Runs,
     vals: &[f64],
-    elim_cells: u64,
     budget: Option<&ExecBudget>,
     arity: usize,
 ) -> Result<(Vec<u64>, Vec<f64>)> {
     let mut guard = OpGuard::new(budget, arity);
-    let mut out_keys: Vec<u64> = Vec::new();
-    let mut out_vals: Vec<f64> = Vec::new();
-    let mut i = 0usize;
-    while i < keys.len() {
+    let mut out_vals: Vec<f64> = Vec::with_capacity(runs.len());
+    for r in 0..runs.len() {
         guard.poll()?;
-        let g = keys[i] / elim_cells;
-        let mut acc = vals[i];
-        let mut j = i + 1;
-        while j < keys.len() && keys[j] / elim_cells == g {
-            acc = S::add(acc, vals[j]);
-            j += 1;
-        }
+        let (i, j) = runs.range(r);
+        let acc = vals[i + 1..j]
+            .iter()
+            .fold(vals[i], |acc, &v| S::add(acc, v));
         if !S::KIND.is_valid_accumulation(acc) {
             return Err(AlgebraError::NonFiniteMeasure {
                 op: "sparse::agg",
                 value: acc,
             });
         }
-        out_keys.push(g);
         out_vals.push(acc);
         guard.produced()?;
-        i = j;
     }
     guard.finish()?;
-    Ok((out_keys, out_vals))
+    Ok((runs.prefixes().to_vec(), out_vals))
 }
 
 /// Accumulator-array cap for the scatter marginalization: past this the
@@ -755,24 +760,24 @@ fn checked_fold<S: SemiringOps>(acc: f64) -> Result<f64> {
 /// one group's pairs are contiguous in the merge; fold them as they come
 /// and emit the group when the next one starts. Coordinates are
 /// `ga[i] + gb[j]` in output order — ascending when that is the merge
-/// order, each group exactly once either way. Polls once per `(a row ×
-/// b run)`, charges once per emitted group.
+/// order, each group exactly once either way. Polls once per run pair,
+/// charges once per emitted group.
 fn join_agg_stream_kernel<S: SemiringOps>(
     kp: &KeyedPair<'_>,
     runs: &[RunPair],
-    ga: &[u64],
-    gb: &[u64],
     budget: Option<&ExecBudget>,
     arity: usize,
 ) -> Result<(Vec<u64>, Vec<f64>)> {
     let mut guard = OpGuard::new(budget, arity);
+    let (ga, gb) = (&kp.a.group[..], &kp.b.group[..]);
     let (mut out_keys, mut out_vals) = (Vec::new(), Vec::new());
     // `u64::MAX` is no group: coordinates stay below 2^62.
     let (mut cur, mut acc) = (u64::MAX, 0.0);
-    for &((i, ia), (j, jb)) in runs {
+    for rp in runs {
+        guard.poll_many(rp.pairs() as u64)?;
+        let ((i, ia), (j, jb)) = (rp.a, rp.b);
         let (gb_run, vb_run) = (&gb[j..jb], &kp.b.vals[j..jb]);
         for (&base, &va) in ga[i..ia].iter().zip(&kp.a.vals[i..ia]) {
-            guard.poll_many(vb_run.len() as u64)?;
             for (&gbj, &vb) in gb_run.iter().zip(vb_run) {
                 let g = base + gbj;
                 let p = S::mul(va, vb);
@@ -800,41 +805,39 @@ fn join_agg_stream_kernel<S: SemiringOps>(
 
 /// Scatter fused kernel: every join pair folds into the direct-address
 /// accumulator slot `ga[i] + gb[j]` of the output grid, first-seen
-/// assignment as in [`agg_scatter_kernel`]; touched slots are sorted at
-/// the end. Polls once per `(a row × b run)`, charges each group when it
-/// is first seen.
+/// assignment as in [`agg_scatter_kernel`] but as a select rather than a
+/// branch. The touched slots are read off `seen` in ascending order (no
+/// sort) and charged then, in the same count order as a charge at first
+/// touch. Polls once per run pair.
 fn join_agg_scatter_kernel<S: SemiringOps>(
     kp: &KeyedPair<'_>,
     runs: &[RunPair],
-    ga: &[u64],
-    gb: &[u64],
     group_cells: u64,
     budget: Option<&ExecBudget>,
     arity: usize,
 ) -> Result<(Vec<u64>, Vec<f64>)> {
     let mut guard = OpGuard::new(budget, arity);
+    let (ga, gb) = (&kp.a.group[..], &kp.b.group[..]);
     let mut acc = vec![0.0f64; group_cells as usize];
     let mut seen = vec![false; group_cells as usize];
-    let mut touched: Vec<u64> = Vec::new();
-    for &((i, ia), (j, jb)) in runs {
+    for rp in runs {
+        guard.poll_many(rp.pairs() as u64)?;
+        let ((i, ia), (j, jb)) = (rp.a, rp.b);
         let (gb_run, vb_run) = (&gb[j..jb], &kp.b.vals[j..jb]);
         for (&base, &va) in ga[i..ia].iter().zip(&kp.a.vals[i..ia]) {
-            guard.poll_many(vb_run.len() as u64)?;
             for (&gbj, &vb) in gb_run.iter().zip(vb_run) {
                 let g = (base + gbj) as usize;
                 let p = S::mul(va, vb);
-                if seen[g] {
-                    acc[g] = S::add(acc[g], p);
-                } else {
-                    seen[g] = true;
-                    acc[g] = p;
-                    touched.push(g as u64);
-                    guard.produced()?;
-                }
+                acc[g] = if seen[g] { S::add(acc[g], p) } else { p };
+                seen[g] = true;
             }
         }
     }
-    touched.sort_unstable();
+    let mut touched = Vec::new();
+    for (g, _) in seen.iter().enumerate().filter(|s| *s.1) {
+        touched.push(g as u64);
+        guard.produced()?;
+    }
     let out_vals = touched
         .iter()
         .map(|&g| checked_fold::<S>(acc[g as usize]))

@@ -9,8 +9,8 @@
 use std::sync::Mutex;
 
 use mpf_algebra::{
-    dense, fault, ops, sparse, AggAlgo, AlgebraError, ExecContext, Executor, PhysicalPlan, Plan,
-    RelationStore,
+    dense, fault, ops, sparse, AggAlgo, AlgebraError, CancelToken, ExecContext, ExecLimits,
+    Executor, PhysicalPlan, Plan, RelationStore,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema};
@@ -198,5 +198,75 @@ fn context_keeps_stats_accumulated_before_the_fault() {
         exec.execute_physical(&sparse).unwrap_err(),
         injected("sparse::agg")
     );
+    fault::clear_all();
+}
+
+/// Keying a stored relation — its sorted order and the trie levels the
+/// kernel reads — happens under the `sparse::convert` site and its
+/// deadline poll. A build that faults or is cancelled memoizes nothing:
+/// the stored relation's bytes stay put and the next clean step builds
+/// the order itself. A side keyed before the fault keeps its order.
+#[test]
+fn faulted_or_cancelled_keying_memoizes_nothing() {
+    let _g = lock();
+    fault::clear_all();
+    let mut cat = Catalog::new();
+    let a = cat.add_var("a", 5).unwrap();
+    let b = cat.add_var("b", 5).unwrap();
+    let c = cat.add_var("c", 5).unwrap();
+    // Rows in descending order, so keying sorts and builds real levels.
+    let partial = |name: &str, vars, salt: u32| {
+        let rows = (0..25u32).rev().filter(move |i| !(i + salt).is_multiple_of(3));
+        FunctionalRelation::from_rows(
+            name,
+            Schema::new(vars).unwrap(),
+            rows.map(|i| (vec![i / 5, i % 5], 1.0 + f64::from(i))),
+        )
+        .unwrap()
+    };
+    let mut store = RelationStore::new();
+    store.insert(partial("l", vec![a, b], 1));
+    store.insert(partial("r", vec![b, c], 2));
+    let (l, r) = (store.shared("l").unwrap(), store.shared("r").unwrap());
+    // The step memoizes inferred domains before keying; take them first
+    // so that only an order or a level could move the bytes.
+    let _ = (l.inferred_domains(), r.inferred_domains());
+    let bytes = || (l.heap_bytes(), r.heap_bytes());
+    let before = bytes();
+    let sr = SemiringKind::SumProduct;
+    let step = |cx: &mut ExecContext<'_>| sparse::join_agg(cx, l, r, &[a, c]);
+    let memo = |cx: &ExecContext<'_>| (cx.stats().keyed_memo_hits, cx.stats().keyed_memo_builds);
+
+    fault::inject("sparse::convert", 1);
+    assert_eq!(
+        step(&mut ExecContext::new(sr)).unwrap_err(),
+        injected("sparse::convert")
+    );
+    assert_eq!(bytes(), before, "faulted first side");
+
+    let token = CancelToken::new();
+    token.cancel();
+    let mut cancelled = ExecContext::with_limits(sr, ExecLimits::none().with_cancel_token(token));
+    assert_eq!(step(&mut cancelled).unwrap_err(), AlgebraError::Cancelled);
+    assert_eq!(bytes(), before, "cancelled before either side");
+
+    // Fault the right side's keying: the left one finished and stays.
+    fault::inject("sparse::convert", 2);
+    assert_eq!(
+        step(&mut ExecContext::new(sr)).unwrap_err(),
+        injected("sparse::convert")
+    );
+    assert!(bytes().0 > before.0, "the left order is memoized");
+    assert_eq!(
+        bytes().1,
+        before.1,
+        "the faulted right side memoized nothing"
+    );
+
+    let mut cx = ExecContext::new(sr);
+    let got = step(&mut cx).unwrap();
+    assert_eq!(memo(&cx), (1, 1));
+    let want = ops::join_group_by(&mut ExecContext::new(sr), l, r, &[a, c]).unwrap();
+    assert!(want.function_eq(&got));
     fault::clear_all();
 }

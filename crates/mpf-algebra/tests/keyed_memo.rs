@@ -365,3 +365,158 @@ fn grid_keys_in_schema_order_stay_implicit() {
         assert_eq!(memo_counts(&stats), expected);
     }
 }
+
+/// The same relation in coordinate form: its rows linearized over its
+/// inferred domains, ascending — what a sparse kernel emits.
+fn coords_of(r: &FunctionalRelation) -> FunctionalRelation {
+    let doms = r.inferred_domains();
+    let axes: Vec<(usize, u64)> = doms.iter().copied().enumerate().collect();
+    let (order, _) = r.keyed_order(&axes).unwrap();
+    let measures = order.gather(r.measures()).into_owned();
+    FunctionalRelation::from_coords(
+        r.name(),
+        r.schema().clone(),
+        doms,
+        order.keys().to_vec(),
+        measures,
+    )
+}
+
+/// A complete relation in grid form with semiring-safe measures.
+fn grid(name: &str, vars: Vec<VarId>, cat: &Catalog, sr: SemiringKind) -> FunctionalRelation {
+    FunctionalRelation::complete(name, Schema::new(vars).unwrap(), cat, |row| {
+        let c = row.iter().fold(0u64, |acc, &v| acc * 7 + u64::from(v));
+        if sr == SemiringKind::BoolOrAnd {
+            (c % 2) as f64
+        } else {
+            (c % 5 + 1) as f64 / 2.0
+        }
+    })
+}
+
+/// One elimination step three ways — on the operands as given (no memo),
+/// then twice through a store holding them (first use, then a memo hit
+/// where the store memoizes) — in the form `form`. All three agree bit
+/// for bit, row order included, and equal the fused hash operator as
+/// functions.
+fn three_ways(
+    sr: SemiringKind,
+    l: &FunctionalRelation,
+    r: &FunctionalRelation,
+    gv: &[VarId],
+    form: &str,
+    ctx: &str,
+) {
+    let (cold, _, cold_form, _) = step(sr, l, r, gv);
+    assert_eq!(cold_form, Some(form), "{ctx}");
+    let mut store = RelationStore::new();
+    store.insert(l.clone().without_keyed_memo().with_name("l"));
+    store.insert(r.clone().without_keyed_memo().with_name("r"));
+    for pass in ["first use", "memo hit"] {
+        let (got, _, got_form, _) = step_in(sr, &store, gv);
+        assert_eq!(got_form, Some(form), "{ctx} {pass}");
+        assert_eq!(exact(&got), exact(&cold), "{ctx} {pass}");
+    }
+    let want = ops::join_group_by(&mut ExecContext::new(sr), l, r, gv).unwrap();
+    assert!(want.function_eq_in(&cold, sr), "{ctx}");
+}
+
+/// The inputs a trie level has to get right at its edges — an empty side
+/// (an evidence filter that kept nothing: zero inferred domains), axes of
+/// one value, runs of one row on both sides, a shared domain widened by
+/// the other side (keyed fresh every time), and grid and coordinate
+/// sides keyed in their own and in a permuted order — in all seven
+/// semirings and every fused form each reaches.
+#[test]
+fn trie_levels_hold_at_the_edges() {
+    let mut cat = Catalog::new();
+    let a = cat.add_var("a", 6).unwrap();
+    let b = cat.add_var("b", 6).unwrap();
+    let c = cat.add_var("c", 6).unwrap();
+    let (u, v) = (cat.add_var("u", 1).unwrap(), cat.add_var("v", 1).unwrap());
+    let (wa, wb, wd) = (
+        cat.add_var("wa", 100).unwrap(),
+        cat.add_var("wb", 4).unwrap(),
+        cat.add_var("wd", 100).unwrap(),
+    );
+    for sr in SemiringKind::ALL {
+        let l = rel("l", vec![a, b], &[6, 6], 0.5, 21, sr);
+        let r = rel("r", vec![b, c], &[6, 6], 0.5, 22, sr);
+        let nothing = ops::select_eq(&mut ExecContext::new(sr), &l, &[(a, 6)]).unwrap();
+        assert!(nothing.is_empty() && nothing.inferred_domains() == [0, 0]);
+        let nothing = nothing.with_name("l");
+        let nothing_r = ops::select_eq(&mut ExecContext::new(sr), &r, &[(c, 6)])
+            .unwrap()
+            .with_name("r");
+        // One value on `u` and `v`: every level over them is one run.
+        let lu = rel("l", vec![u, a, b], &[1, 6, 6], 0.5, 23, sr);
+        let rv = rel("r", vec![b, v], &[6, 1], 0.9, 24, sr);
+        // `b` is a permutation of `a` on the left and of `c` on the right:
+        // every shared-prefix run is one row.
+        let perm = |name: &str, vars: Vec<VarId>, k: u32, salt: u32| {
+            let rows = (0..6u32).map(|i| {
+                let m = if sr == SemiringKind::BoolOrAnd {
+                    f64::from((i + salt) % 2)
+                } else {
+                    f64::from(i + salt) / 2.0
+                };
+                let row = if k == 0 {
+                    vec![i, (i * 5 + salt) % 6]
+                } else {
+                    vec![(i * 5 + salt) % 6, i]
+                };
+                (row, m)
+            });
+            FunctionalRelation::from_rows(name, Schema::new(vars).unwrap(), rows).unwrap()
+        };
+        let (l1, r1) = (perm("l", vec![a, b], 0, 1), perm("r", vec![b, c], 1, 2));
+        // `b` reaches 5 on the right but only 2 on the left.
+        let narrow = rel("l", vec![a, b], &[6, 3], 0.7, 25, sr);
+        let g_ab = grid("l", vec![a, b], &cat, sr);
+        let r_ac = rel("r", vec![a, c], &[6, 6], 0.5, 26, sr);
+        let g_wide = grid("l", vec![wa, wb], &cat, sr);
+        let r_wide = rel("r", vec![wb, wd], &[4, 100], 0.02, 27, sr);
+        let (cl, cr, cr_ac) = (coords_of(&l), coords_of(&r), coords_of(&r_ac));
+        let c_wide = coords_of(&rel("l", vec![wa, wb], &[100, 4], 0.5, 28, sr));
+
+        let cases: Vec<(
+            &str,
+            &FunctionalRelation,
+            &FunctionalRelation,
+            Vec<VarId>,
+            &str,
+        )> = vec![
+            ("empty left", &nothing, &r, vec![b], "stream"),
+            ("empty left", &nothing, &r, vec![c], "scatter"),
+            ("empty right", &l, &nothing_r, vec![a], "scatter"),
+            ("empty right", &l, &nothing_r, vec![b], "stream"),
+            ("one-value axes", &lu, &rv, vec![u], "scatter"),
+            ("one-value axes", &lu, &rv, vec![v, a], "scatter"),
+            ("one-value axes", &lu, &rv, vec![u, b], "stream"),
+            ("runs of one", &l1, &r1, vec![b], "stream"),
+            ("runs of one", &l1, &r1, vec![c, a], "scatter"),
+            ("runs of one", &l1, &r1, vec![], "stream"),
+            ("widened shared domain", &narrow, &r, vec![c], "scatter"),
+            ("widened shared domain", &narrow, &r, vec![b, a], "stream"),
+            ("grid, permuted", &g_ab, &r, vec![a], "scatter"),
+            ("grid, permuted", &g_ab, &r, vec![b, a], "stream"),
+            ("grid, own order", &g_ab, &r_ac, vec![b], "scatter"),
+            ("grid, own order", &g_ab, &r_ac, vec![a, c, b], "stream"),
+            ("grid, staged", &g_wide, &r_wide, vec![wa, wd], "staged"),
+            ("coords, permuted", &cl, &cr, vec![a], "scatter"),
+            ("coords, own order", &cr, &cl, vec![b], "stream"),
+            ("coords, own order", &cl, &cr_ac, vec![c, b], "scatter"),
+            ("coords, staged", &c_wide, &r_wide, vec![wa, wd], "staged"),
+        ];
+        for (name, l, r, gv, form) in &cases {
+            three_ways(
+                sr,
+                l,
+                r,
+                gv,
+                form,
+                &format!("{name}: sr {sr:?} group {gv:?}"),
+            );
+        }
+    }
+}

@@ -30,7 +30,7 @@ pub use catalog::{Catalog, Dictionary, VarId, VarInfo};
 pub use dense::DenseFactor;
 pub use error::StorageError;
 pub use key::Key;
-pub use keyed::{KeyedOrder, KeyedSource};
+pub use keyed::{KeyedOrder, KeyedSource, Runs};
 pub use relation::FunctionalRelation;
 pub use schema::Schema;
 pub use stats::{density_of, RelationStats};

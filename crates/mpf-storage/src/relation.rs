@@ -587,6 +587,24 @@ impl FunctionalRelation {
         self.memo.get_or_insert_with(Arc::default);
     }
 
+    /// Release the slack capacity of the key and measure columns (a
+    /// relation grown row by row holds up to twice its rows), for a
+    /// relation about to be stored and read unchanged.
+    pub fn shrink_to_fit(&mut self) {
+        self.name.shrink_to_fit();
+        match &mut self.keys {
+            KeyCol::Rows(v) => v.shrink_to_fit(),
+            KeyCol::Grid { domains, .. } => domains.shrink_to_fit(),
+            KeyCol::Coords {
+                domains, coords, ..
+            } => {
+                domains.shrink_to_fit();
+                coords.shrink_to_fit();
+            }
+        }
+        self.measures.shrink_to_fit();
+    }
+
     /// The relation with a coordinate key column expanded into explicit
     /// rows (any other key column is kept), for a copy that outlives the
     /// query and is read row by row — a cached table — so it does not hold
@@ -612,24 +630,30 @@ impl FunctionalRelation {
     }
 
     /// The rows linearized over `axes` — `(schema position, domain)` per
-    /// axis, slowest first, one per column — and sorted ascending. `None`
+    /// axis, slowest first, one per column — and sorted ascending, with
+    /// the order's trie levels ([`KeyedOrder::runs`],
+    /// [`KeyedOrder::digits`]) built on first read. `None`
     /// when a value falls outside its axis domain, the grid exceeds
-    /// [`layout::MAX_SPARSE_COORD_CELLS`], or two rows share a key (the
-    /// rows are not functional).
+    /// [`layout::MAX_SPARSE_COORD_CELLS`], two rows share a key (the
+    /// rows are not functional), or there are more than `u32::MAX` rows.
     ///
     /// A grid keyed in its own odometer order is `0..len`, and a
     /// coordinate column keyed in its own order is its coordinates; both
     /// are produced without a sort and without materializing rows.
     /// Otherwise, when the relation has a memo and every axis domain is
     /// the column's own inferred domain, the order is built once and
-    /// shared from then on; any other request builds a fresh order.
+    /// shared from then on — levels included; any other request builds a
+    /// fresh order.
     pub fn keyed_order(&self, axes: &[(usize, u64)]) -> Option<(Arc<KeyedOrder>, KeyedSource)> {
         debug_assert_eq!(axes.len(), self.arity());
-        layout::grid_cells_wide(&axes.iter().map(|a| a.1).collect::<Vec<u64>>())?;
-        let own_order = |doms: &[u64]| {
+        let doms: Vec<u64> = axes.iter().map(|a| a.1).collect();
+        layout::grid_cells_wide(&doms)?;
+        // An order indexes its rows and runs with `u32`.
+        u32::try_from(self.len()).ok()?;
+        let own_order = |own: &[u64]| {
             axes.iter()
                 .enumerate()
-                .all(|(k, &(p, d))| p == k && d == doms[k])
+                .all(|(k, &(p, d))| p == k && d == own[k])
         };
         let ascending = match &self.keys {
             KeyCol::Grid { domains, .. } if own_order(domains) => {
@@ -641,27 +665,22 @@ impl FunctionalRelation {
             _ => None,
         };
         if let Some(keys) = ascending {
-            return Some((Arc::new(KeyedOrder::ascending(keys)), KeyedSource::Fresh));
+            let order = KeyedOrder::ascending(keys, &doms);
+            return Some((Arc::new(order), KeyedSource::Fresh));
         }
         let memo = self.memo.as_ref().filter(|_| {
             let own = self.inferred_domains();
             axes.iter().all(|&(p, d)| own[p] == d)
         });
+        let build = || KeyedOrder::from_keys(self.linearized_keys(axes)?, &doms);
         let Some(memo) = memo else {
-            return Some((Arc::new(self.build_keyed_order(axes)?), KeyedSource::Fresh));
+            return Some((Arc::new(build()?), KeyedSource::Fresh));
         };
         let positions: Vec<usize> = axes.iter().map(|a| a.0).collect();
         if let Some(order) = memo.order(&positions) {
             return Some((order, KeyedSource::Memo));
         }
-        let order = self.build_keyed_order(axes)?;
-        Some((memo.insert(&positions, order), KeyedSource::Built))
-    }
-
-    /// [`FunctionalRelation::keyed_order`]'s build: one linearization pass
-    /// over the key column, then the sort.
-    fn build_keyed_order(&self, axes: &[(usize, u64)]) -> Option<KeyedOrder> {
-        KeyedOrder::from_keys(self.linearized_keys(axes)?)
+        Some((memo.insert(&positions, build()?), KeyedSource::Built))
     }
 
     /// Every row linearized over `axes` — `(schema position, domain)` per
@@ -1183,6 +1202,26 @@ mod tests {
     }
 
     #[test]
+    fn shrink_to_fit_drops_only_slack() {
+        let (_, a, b, _) = catalog3();
+        let mut r = FunctionalRelation::new("grown", Schema::new(vec![a, b]).unwrap());
+        for i in 0..1000 {
+            r.push_row(&[i % 2, i % 3], f64::from(i)).unwrap();
+        }
+        let before = r.clone();
+        assert!(r.measures.capacity() > r.len());
+        r.shrink_to_fit();
+        assert_eq!(r.measures.capacity(), r.len());
+        assert_eq!(
+            r.heap_bytes(),
+            r.name.capacity()
+                + r.schema().heap_bytes()
+                + r.len() * (2 * std::mem::size_of::<Value>() + std::mem::size_of::<f64>())
+        );
+        assert_eq!(r, before);
+    }
+
+    #[test]
     fn heap_bytes_is_capacity_accurate() {
         let (_, a, b, _) = catalog3();
         let schema = Schema::new(vec![a, b]).unwrap();
@@ -1236,6 +1275,19 @@ mod tests {
         assert!(
             by_ba.heap_bytes() >= r.len() * (8 + 4),
             "keys and permutation"
+        );
+        // Trie levels read through a memoized order are charged to the
+        // relation from then on, at capacity: one digit per key, and a
+        // prefix and a start per run plus the closing start (levels are
+        // built without slack).
+        let runs = by_ba.runs(1);
+        assert_eq!(runs.len(), doms[1] as usize, "one run per `b` value");
+        let run_bytes = runs.len() * (8 + 4) + 4;
+        assert_eq!(by_ab.digits(1).len(), r.len());
+        let digit_bytes = r.len() * 4;
+        assert_eq!(
+            r.heap_bytes(),
+            unmemoized + memo_bytes + run_bytes + digit_bytes
         );
 
         // A coordinate column is charged at capacity too, plus its rows as
