@@ -555,11 +555,18 @@ impl<'b> ExecContext<'b> {
     }
 
     /// Tag the active fused span with the form its kernel ran — dense
-    /// `nest=row` / `nest=cell`, sparse `nest=stream` / `nest=scatter` /
+    /// `nest=tile` / `nest=cell`, sparse `nest=stream` / `nest=scatter` /
     /// `nest=staged`. Same call-order rule as
     /// [`ExecContext::note_kernel_op`].
     pub(crate) fn note_fused_nest(&mut self, nest: &'static str) {
         self.trace.set_nest(nest);
+    }
+
+    /// Tag the active fused dense span with the instruction-set tier its
+    /// kernel ran (`simd=base|avx2|avx512`). Same call-order rule as
+    /// [`ExecContext::note_kernel_op`].
+    pub(crate) fn note_simd(&mut self, tier: mpf_semiring::kernel::SimdTier) {
+        self.trace.set_simd(tier.name());
     }
 
     /// Raise the high-water intermediate size for rows an operator

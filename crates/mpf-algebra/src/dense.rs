@@ -22,8 +22,7 @@
 //!   materializes identity rows the sparse operators never emit — so the
 //!   public operators only run the kernels when the inputs are
 //!   support-exact ([`join_support_exact`] / [`agg_support_exact`]) and
-//!   the outputs are row-identical to the sparse path, falling back to
-//!   the hash operators otherwise.
+//!   the outputs are row-identical to the sparse path.
 //!
 //! Operators have no catalog, so grids come from
 //! [`FunctionalRelation::inferred_domains`] (a pure function of the input
@@ -34,9 +33,11 @@
 //! nothing (the dense factor replaces the sparse operand) but poll
 //! cancellation and the deadline. When a grid is infeasible (beyond
 //! [`mpf_storage::dense::MAX_DENSE_CELLS`], or the rows do not embed in
-//! it), or the inputs are not support-exact, the public operators fall
-//! back to the sparse hash implementations, so a planner mis-estimate
-//! costs the fast path, never an error.
+//! it), or the inputs are not support-exact, the operators fall back, so
+//! a planner mis-estimate costs the fast path, never an error: [`join`]
+//! and [`agg`] to the hash operators, the fused [`join_agg`] to the
+//! sparse elimination step first ([`crate::sparse::join_agg`]) and to the
+//! fused hash operator where that declines.
 //!
 //! Parallelism splits the *output index range* into contiguous chunks
 //! (not hash partitions): workers write disjoint slices of the output
@@ -82,17 +83,32 @@
 //!
 //! The chunked kernel picks its loop nest from the operand strides
 //! (`join_agg_impl`): when some group axis is unit-stride in one operand
-//! and unit-stride or broadcast in the other, the innermost loop runs
-//! along that axis over a contiguous accumulator row, with the eliminated
-//! axes outside it (`join_agg_rows` — the axpy form of the contraction:
-//! every load streams, no loop-carried dependence); otherwise both
-//! operands are contiguous along an eliminated axis and each cell folds
-//! its own run (`join_agg_cells`, also the scalar reference). The nest
-//! changes the order cells are *visited*, never the order one cell's
-//! products are folded, so it cannot move a bit; spans report it as
-//! `nest=row|cell`.
+//! and unit-stride or broadcast in the other, it runs register tiles
+//! (`join_agg_tiles`, `nest=tile`): `MR` cells along a second group axis
+//! on which that row operand is broadcast × `NR` cells along the row
+//! axis, the accumulators held in registers across the whole eliminated
+//! odometer, so each load of the row operand feeds `MR` output rows
+//! (GEMM's micro-kernel; `MR = 1` when no second axis qualifies).
+//! Otherwise both operands are contiguous along an eliminated axis and
+//! each cell folds its own run (`join_agg_cells`, `nest=cell`, also the
+//! scalar reference). The nest changes which cells are computed
+//! together, never the order one cell's products are folded, so it
+//! cannot move a bit.
+//!
+//! The tile nest is compiled once per [`SimdTier`] (baseline, AVX2,
+//! AVX-512F) from one source, with a tile shape per tier, and runs on the
+//! widest tier the CPU supports ([`SimdTier::detect`]) once the step's
+//! join grid clears `SIMD_MIN_WORK`; smaller steps stay on the baseline.
+//! Each semiring operation is the same IEEE operation in every tier, so
+//! the tier cannot move a bit either (checked by the tier-parity unit
+//! test in release builds). Spans report the tier as
+//! `simd=base|avx2|avx512` next to the nest.
 
-use mpf_semiring::kernel::{fold_run, reduce_lanes, SemiringOps, LANES};
+use std::marker::PhantomData;
+
+use mpf_semiring::kernel::{
+    fold_run, reduce_lanes, SemiringOps, SimdTier, Tier, TierKernel, LANES,
+};
 use mpf_semiring::for_each_semiring;
 use mpf_storage::dense::{grid_cells, is_odometer_ordered, strides_of};
 use mpf_storage::layout::delinearize;
@@ -145,17 +161,15 @@ pub enum DenseMode {
 }
 
 impl DenseMode {
-    /// Resolve from the `MPF_DENSE` environment variable: `off`/`0`,
-    /// `on`/`1`, or `auto`; unset or unrecognized means [`DenseMode::Auto`].
+    /// Resolve from the `MPF_DENSE` environment variable through
+    /// [`crate::config::parse_dense`]; unset or malformed means
+    /// [`DenseMode::Auto`] (the lenient runtime default — services wanting
+    /// strictness go through [`crate::config::validate_env`]).
     pub fn from_env() -> DenseMode {
-        match std::env::var("MPF_DENSE") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "off" | "0" | "false" => DenseMode::Off,
-                "on" | "1" | "true" => DenseMode::On,
-                _ => DenseMode::Auto,
-            },
-            Err(_) => DenseMode::Auto,
-        }
+        std::env::var("MPF_DENSE")
+            .ok()
+            .and_then(|v| crate::config::parse_dense(&v).ok())
+            .unwrap_or(DenseMode::Auto)
     }
 }
 
@@ -452,11 +466,12 @@ pub fn join_agg(
         return crate::sparse::join_agg_fallback(cx, l, r, group_vars);
     }
     match join_agg_impl(cx, l, r, group_vars, &ld, &rd)? {
-        Some((out, nest)) => {
+        Some((out, nest, tier)) => {
             let rel = from_dense(cx, out)?;
             cx.record_join_agg_ex(&[l, r], &rel, crate::trace::OpRepr::Dense);
             cx.note_kernel_op(cx.kernel_mode());
             cx.note_fused_nest(nest);
+            cx.note_simd(tier);
             Ok(rel)
         }
         None => crate::sparse::join_agg_fallback(cx, l, r, group_vars),
@@ -495,7 +510,7 @@ fn join_agg_impl(
     group_vars: &[VarId],
     ld: &[u64],
     rd: &[u64],
-) -> Result<Option<(DenseFactor, &'static str)>> {
+) -> Result<Option<(DenseFactor, &'static str, SimdTier)>> {
     // The join grid is only ever *indexed*, never allocated: the kernel
     // needs the two operands and the output grid, so a join grid beyond
     // `MAX_DENSE_CELLS` is no reason to refuse.
@@ -568,26 +583,35 @@ fn join_agg_impl(
     } else {
         1
     };
-    // Nest selection: the chunked kernel runs row-major along the last
-    // group axis that is unit-stride in one operand and unit-stride or
-    // broadcast in the other (so the innermost loop streams and
-    // vectorizes, with the eliminated axes outside it). Without such an
-    // axis both operands are contiguous along an eliminated axis and the
-    // cell-major lane fold already vectorizes; the scalar mode keeps the
-    // cell-major nest as the reference shape. Either nest folds each
-    // cell's products in the same order, so the choice never moves a bit.
+    // Nest selection: the chunked kernel runs register tiles along the
+    // last group axis that is unit-stride in one operand and unit-stride
+    // or broadcast in the other (so each tile row streams and vectorizes,
+    // with the eliminated axes outside it). Without such an axis both
+    // operands are contiguous along an eliminated axis and the cell-major
+    // lane fold already vectorizes; the scalar mode keeps the cell-major
+    // nest as the reference shape. Either nest folds each cell's products
+    // in the same order, so the choice never moves a bit.
     let row_axis = match mode {
         KernelMode::Scalar => None,
         KernelMode::Chunked => gdims
             .iter()
             .rposition(|d| d.dom > 1 && matches!((d.sa, d.sb), (1, 0) | (0, 1) | (1, 1))),
     };
+    let tiles = row_axis.map(|row| TileAxes::choose(&gdims, row));
+    // Small steps stay on the baseline tier, so a workload of small
+    // dense steps never faults in the wide tiers' code (DESIGN §16).
+    let tier = match tiles {
+        Some(_) if join_cells_total >= SIMD_MIN_WORK => SimdTier::detect(),
+        _ => SimdTier::Base,
+    };
     let (av, bv) = (a.values, b.values);
     let (gdims, edims, out_strides) = (&gdims, &edims, &out_strides);
-    let kernel = move |start: usize, slice: &mut [f64]| match row_axis {
-        Some(row) => for_each_semiring!(sr, join_agg_rows(
-            av, bv, gdims, out_strides, edims, row, start, slice, budget, arity, lane_ok,
-        )),
+    let kernel = move |start: usize, slice: &mut [f64]| match tiles {
+        Some(axes) => {
+            let job =
+                TileJob { av, bv, gdims, out_strides, edims, axes, budget, arity, lane: lane_ok };
+            for_each_semiring!(sr, join_agg_tiles(tier, &job, start, slice))
+        }
         None => for_each_semiring!(sr, join_agg_cells(
             av, bv, gdims, out_strides, edims, start, slice, budget, arity, mode, lane_ok,
         )),
@@ -626,143 +650,244 @@ fn join_agg_impl(
             b.checkpoint()?;
         }
     }
-    Ok(Some((out, if row_axis.is_some() { "row" } else { "cell" })))
+    let nest = if tiles.is_some() { "tile" } else { "cell" };
+    Ok(Some((out, nest, tier)))
 }
 
-/// Cells per accumulator row of the row-major fused nest: the scratch is
-/// `LANES + 1` such rows on the kernel's stack (18 KB — L1-resident), so
-/// a wider output row is contracted one block at a time.
+/// Join grids (cells of the fused step's iteration space) below which
+/// the tiled nest stays on [`SimdTier::Base`]. Without the gate,
+/// `cold_adhoc`'s small dense steps ran AVX-512 code at the
+/// same latency and 3 % more peak RSS.
+const SIMD_MIN_WORK: u64 = 1 << 15;
+
+/// Output cells per budget charge along the tile nest's row axis: a strip
+/// of tiles is charged once it is stored, so a budget trip stops the
+/// kernel within one strip of its cap.
 const ROW_BLOCK: usize = 256;
 
-/// Row-major fused contraction kernel over the output box `[start,
-/// start + out.len())` (whole axis-0 slabs, like every chunk the parallel
-/// split hands out): the outer-product / axpy form of [`join_agg_cells`].
-/// Group axis `row` is unit-stride in one operand and unit-stride or
-/// broadcast in the other, so each block of at most [`ROW_BLOCK`] output
-/// cells along it is accumulated as one contiguous row while the
-/// eliminated axes advance *outside* that loop — every load streams and
-/// the loop carries no dependence, where the cell-major nest walks an
-/// eliminated stride per cell through one serial accumulator. Each
-/// cell's fold is exactly the cell-major one: first product, then
-/// `S::add` in eliminated-odometer order, or — `lane` — per eliminated
-/// run the [`LANES`]-way fold of [`fold_products`] ([`reduce_lanes`]
-/// tree, scalar tail), runs combined in order. The finished row is
-/// validated cell by cell and stored with the output layout's stride
-/// along `row`; the guard polls and charges once per row block.
-#[allow(clippy::too_many_arguments)]
-fn join_agg_rows<S: SemiringOps>(
-    av: &[f64],
-    bv: &[f64],
-    gdims: &[FusedDim],
-    out_strides: &[u64],
-    edims: &[FusedDim],
+/// The two group axes a register tile spans: `row`, unit-stride in one
+/// operand and unit-stride or broadcast in the other (the `NR` cells of a
+/// tile row), and optionally `m`, on which the row operand `P` is
+/// broadcast (the `MR` tile rows share each load of `P`). `P` is `b` when
+/// `swap` (products are then `mul(a, b)` all the same); the other operand
+/// `Q` is read per tile row, as a scalar when `q_row` is false.
+#[derive(Clone, Copy)]
+struct TileAxes {
     row: usize,
-    start: usize,
-    out: &mut [f64],
-    budget: Option<&ExecBudget>,
+    m: Option<usize>,
+    swap: bool,
+    q_row: bool,
+}
+
+impl TileAxes {
+    fn choose(gdims: &[FusedDim], row: usize) -> TileAxes {
+        let (sa, sb) = (gdims[row].sa, gdims[row].sb);
+        // `P` is the operand contiguous along `row`; when both are, `a`.
+        let swap = sa != 1;
+        let p_stride = |d: &FusedDim| if swap { d.sb } else { d.sa };
+        let m = gdims
+            .iter()
+            .enumerate()
+            .rposition(|(j, d)| j != row && d.dom > 1 && p_stride(d) == 0);
+        TileAxes { row, m, swap, q_row: sa == 1 && sb == 1 }
+    }
+}
+
+/// Everything the tile nest reads besides its output slice.
+struct TileJob<'a> {
+    av: &'a [f64],
+    bv: &'a [f64],
+    gdims: &'a [FusedDim],
+    out_strides: &'a [u64],
+    edims: &'a [FusedDim],
+    axes: TileAxes,
+    budget: Option<&'a ExecBudget>,
     arity: usize,
     lane: bool,
+}
+
+/// Register-tiled fused contraction over the output box `[start, start +
+/// out.len())` (whole axis-0 slabs, like every chunk the parallel split
+/// hands out), compiled for `tier` (see [`SimdTier::run`]). Each tile is
+/// `MR` cells along the [`TileAxes`] `m` axis × `NR` cells along its row
+/// axis, and its accumulators stay in registers across the whole
+/// eliminated odometer, so each load of the row operand feeds `MR` output
+/// rows (GEMM's micro-kernel, over any semiring). `MR` and `NR` are per
+/// tier (`tile_nest` call sites below); leftover row cells run as
+/// one-register-wide `MR × NT` tiles ([`strip_tiles`]) and leftover `m`
+/// rows as `1 × NR` tiles.
+///
+/// Each cell's fold is exactly the cell-major one ([`join_agg_cells`]):
+/// the first product, then `S::add` in eliminated-odometer order, or —
+/// `lane` — per eliminated run the [`LANES`]-way fold of
+/// [`fold_products`] ([`reduce_lanes`] tree, scalar tail), runs combined
+/// in order. The tile shape and the tier change which cells share
+/// registers, never an operation or its order, so every tier computes the
+/// same bits. The guard polls once per tile; a finished tile is
+/// validated cell by cell; a strip of tiles (`MR` rows × at most
+/// [`ROW_BLOCK`] cells) is charged once it is stored.
+fn join_agg_tiles<S: SemiringOps>(
+    tier: SimdTier,
+    job: &TileJob<'_>,
+    start: usize,
+    out: &mut [f64],
 ) -> Result<()> {
+    tier.run(Tiles::<S> { job, start, out, semiring: PhantomData })
+}
+
+struct Tiles<'a, 'b, S> {
+    job: &'a TileJob<'b>,
+    start: usize,
+    out: &'a mut [f64],
+    semiring: PhantomData<S>,
+}
+
+impl<S: SemiringOps> TierKernel for Tiles<'_, '_, S> {
+    type Output = Result<()>;
+
+    #[inline(always)]
+    fn run<T: Tier>(self) -> Result<()> {
+        let Tiles { job, start, out, .. } = self;
+        // (MR, NR) per tier: as many accumulator registers as leave room
+        // for the row loads and the broadcasts — 8 of 16 XMM, 8 of 16 YMM
+        // and 16 of 32 ZMM (DESIGN §16 has the measured shapes) — and NT,
+        // one vector register, for the row remainders.
+        match T::TIER {
+            SimdTier::Base => tile_nest::<S, 4, 4, 2>(job, start, out),
+            SimdTier::Avx2 => tile_nest::<S, 4, 8, 4>(job, start, out),
+            SimdTier::Avx512 => tile_nest::<S, 4, 32, 8>(job, start, out),
+        }
+    }
+}
+
+/// [`join_agg_tiles`] for one tile shape: picks the operand pattern.
+#[inline(always)]
+fn tile_nest<S: SemiringOps, const MR: usize, const NR: usize, const NT: usize>(
+    job: &TileJob<'_>,
+    start: usize,
+    out: &mut [f64],
+) -> Result<()> {
+    // The lane fold keeps `LANES` partial tiles per tile, so its tiles
+    // are one row deep.
+    match (job.lane, job.axes.q_row, job.axes.swap) {
+        (false, false, false) => strips::<S, 0, false, MR, NR, NT, false>(job, start, out),
+        (false, false, true) => strips::<S, 0, true, MR, NR, NT, false>(job, start, out),
+        (false, true, _) => strips::<S, 1, false, MR, NR, NT, false>(job, start, out),
+        (true, false, false) => strips::<S, 0, false, 1, NR, NT, true>(job, start, out),
+        (true, false, true) => strips::<S, 0, true, 1, NR, NT, true>(job, start, out),
+        (true, true, _) => strips::<S, 1, false, 1, NR, NT, true>(job, start, out),
+    }
+}
+
+/// An eliminated axis in `P`/`Q` terms: domain and stride in each.
+#[derive(Clone, Copy)]
+struct ElimDim {
+    dom: u64,
+    sp: usize,
+    sq: usize,
+}
+
+/// What every tile of one kernel call reads: the operands as `P` and
+/// `Q`, `Q`'s stride along the tile's `m` rows, and the eliminated
+/// odometer in `P`/`Q` terms — the outer axes (`runs`, in join-schema
+/// order) and the innermost one (`last`), whose run each cell folds
+/// contiguously.
+#[derive(Clone, Copy)]
+struct TileSrc<'a> {
+    pv: &'a [f64],
+    qv: &'a [f64],
+    sqm: usize,
+    runs: &'a [ElimDim],
+    eruns: u64,
+    last: ElimDim,
+}
+
+/// The tile nest for one operand pattern and fold: `QJ` is `Q`'s stride
+/// along the row (0 or 1), `SWAP` whether `P` is `b`, `LANE` whether
+/// cells lane-fold.
+#[inline(always)]
+fn strips<
+    S: SemiringOps,
+    const QJ: usize,
+    const SWAP: bool,
+    const MR: usize,
+    const NR: usize,
+    const NT: usize,
+    const LANE: bool,
+>(
+    job: &TileJob<'_>,
+    start: usize,
+    out: &mut [f64],
+) -> Result<()> {
+    let TileJob { av, bv, gdims, out_strides, edims, axes, budget, arity, .. } = *job;
+    let (pv, qv) = if SWAP { (bv, av) } else { (av, bv) };
+    let pq = |d: &FusedDim| if SWAP { (d.sb, d.sa) } else { (d.sa, d.sb) };
     let mut guard = OpGuard::new(budget, arity);
     let k = gdims.len();
     let stride0 = out_strides[0] as usize;
     let (lo0, hi0) = (start / stride0, (start + out.len()) / stride0);
     let bounds = |j: usize| if j == 0 { (lo0, hi0) } else { (0, gdims[j].dom as usize) };
+    let row = axes.row;
     let (rlo, rhi) = bounds(row);
-    let (sar, sbr, sor) = (gdims[row].sa, gdims[row].sb, out_strides[row] as usize);
-    let (runs, inner) = edims.split_at(edims.len().saturating_sub(1));
-    let (delast, sal, sbl) = inner.first().map_or((1, 0, 0), |d| (d.dom as usize, d.sa, d.sb));
-    let eruns: u64 = runs.iter().map(|d| d.dom).product();
-    let row_work = eruns.saturating_mul(delast as u64);
+    let ((spr, sqr), sor) = (pq(&gdims[row]), out_strides[row] as usize);
+    let (mlo, mhi) = axes.m.map_or((0, 1), bounds);
+    let ((_, sqm), som) = axes.m.map_or(((0, 0), 0), |m| (pq(&gdims[m]), out_strides[m] as usize));
+    debug_assert_eq!((spr, sqr), (1, QJ));
+    let elim_dims: Vec<ElimDim> = edims
+        .iter()
+        .map(|d| {
+            let (sp, sq) = pq(d);
+            ElimDim { dom: d.dom, sp, sq }
+        })
+        .collect();
+    let (runs, last) = match elim_dims.split_last() {
+        Some((&last, runs)) => (runs, last),
+        None => (&[][..], ElimDim { dom: 1, sp: 0, sq: 0 }),
+    };
+    let src = TileSrc { pv, qv, sqm, runs, eruns: runs.iter().map(|d| d.dom).product(), last };
     let mut ecoords = vec![0u64; runs.len()];
-    let mut scratch = [[0.0f64; ROW_BLOCK]; LANES + 1];
-    let (lanes, rest) = scratch.split_at_mut(LANES);
-    let acc_row = &mut rest[0];
     // The other group axes run as an outer odometer, in output order.
     let mut coords: Vec<usize> = (0..k).map(|j| bounds(j).0).collect();
     loop {
-        let (mut abase, mut bbase, mut obase) = (0usize, 0usize, 0usize);
-        for j in (0..k).filter(|&j| j != row) {
-            abase += coords[j] * gdims[j].sa;
-            bbase += coords[j] * gdims[j].sb;
+        let (mut pbase, mut qbase, mut obase) = (0usize, 0usize, 0usize);
+        for j in (0..k).filter(|&j| j != row && Some(j) != axes.m) {
+            let (sp, sq) = pq(&gdims[j]);
+            pbase += coords[j] * sp;
+            qbase += coords[j] * sq;
             obase += coords[j] * out_strides[j] as usize;
         }
-        let mut x0 = rlo;
-        while x0 < rhi {
-            let n = (rhi - x0).min(ROW_BLOCK);
-            guard.poll_many(row_work.saturating_mul(n as u64))?;
-            let acc = &mut acc_row[..n];
-            let (mut ea, mut eb) = (abase + x0 * sar, bbase + x0 * sbr);
-            for run in 0..eruns {
-                if run > 0 {
-                    for j in (0..runs.len()).rev() {
-                        ecoords[j] += 1;
-                        ea += runs[j].sa;
-                        eb += runs[j].sb;
-                        if ecoords[j] < runs[j].dom {
-                            break;
-                        }
-                        ecoords[j] = 0;
-                        ea -= runs[j].sa * runs[j].dom as usize;
-                        eb -= runs[j].sb * runs[j].dom as usize;
-                    }
-                }
-                // Fold the products at step `t` of this run into a row.
-                let add = |t: usize, into: &mut [f64]| {
-                    add_products::<S>(av, ea + t * sal, sar, bv, eb + t * sbl, sbr, into)
+        let mut i0 = mlo;
+        while i0 < mhi {
+            let mr = (mhi - i0).min(MR);
+            let mut x0 = rlo;
+            while x0 < rhi {
+                let n = (rhi - x0).min(ROW_BLOCK);
+                let strip = Strip {
+                    p: pbase + x0,
+                    q: qbase + i0 * sqm + x0 * QJ,
+                    o: obase + i0 * som + x0 * sor - start,
+                    som,
+                    sor,
                 };
-                if lane {
-                    for l in lanes.iter_mut() {
-                        l[..n].fill(S::ZERO);
-                    }
-                    let mut t = 0usize;
-                    while t + LANES <= delast {
-                        for (q, l) in lanes.iter_mut().enumerate() {
-                            add(t + q, &mut l[..n]);
-                        }
-                        t += LANES;
-                    }
-                    // `lanes` is indexed by lane, then by cell: no iterator form.
-                    #[allow(clippy::needless_range_loop)]
-                    for x in 0..n {
-                        lanes[0][x] = reduce_lanes::<S>(std::array::from_fn(|q| lanes[q][x]));
-                    }
-                    while t < delast {
-                        add(t, &mut lanes[0][..n]);
-                        t += 1;
-                    }
-                    if run == 0 {
-                        acc.copy_from_slice(&lanes[0][..n]);
-                    } else {
-                        for (slot, &v) in acc.iter_mut().zip(&lanes[0][..n]) {
-                            *slot = S::add(*slot, v);
-                        }
-                    }
+                if mr == MR {
+                    strip_tiles::<S, QJ, SWAP, MR, NR, NT, LANE>(
+                        &src, &mut ecoords, strip, n, &mut guard, out,
+                    )?;
                 } else {
-                    if run == 0 {
-                        write_products::<S>(av, ea, sar, bv, eb, sbr, acc);
-                    }
-                    for t in usize::from(run == 0)..delast {
-                        add(t, acc);
+                    for i in 0..mr {
+                        let strip = Strip { q: strip.q + i * sqm, o: strip.o + i * som, ..strip };
+                        strip_tiles::<S, QJ, SWAP, 1, NR, NT, LANE>(
+                            &src, &mut ecoords, strip, n, &mut guard, out,
+                        )?;
                     }
                 }
+                guard.produced_many((mr * n) as u64)?;
+                x0 += n;
             }
-            ecoords.fill(0);
-            let obase = obase + x0 * sor - start;
-            for (t, &v) in acc.iter().enumerate() {
-                if !S::KIND.is_valid_accumulation(v) {
-                    return Err(AlgebraError::NonFiniteMeasure {
-                        op: "dense::join_agg",
-                        value: v,
-                    });
-                }
-                out[obase + t * sor] = v;
-            }
-            guard.produced_many(n as u64)?;
-            x0 += n;
+            i0 += mr;
         }
         let mut done = true;
-        for j in (0..k).rev().filter(|&j| j != row) {
+        for j in (0..k).rev().filter(|&j| j != row && Some(j) != axes.m) {
             coords[j] += 1;
             if coords[j] < bounds(j).1 {
                 done = false;
@@ -775,6 +900,219 @@ fn join_agg_rows<S: SemiringOps>(
         }
     }
     guard.finish()
+}
+
+/// Where one strip of tiles starts: `P`, `Q` and output offsets of its
+/// first cell, and the output strides along the tile's `m` rows and row
+/// cells (`P` steps by 1 along the row, `Q` by `QJ`).
+#[derive(Clone, Copy)]
+struct Strip {
+    p: usize,
+    q: usize,
+    o: usize,
+    som: usize,
+    sor: usize,
+}
+
+/// One strip of `R`-row tiles across `n` row cells: `R × NR` tiles, then
+/// `R × NT` tiles over the remainder — the last one shifted back to end
+/// at `n` when it would overrun, recomputing (bit for bit) cells already
+/// stored — and `R × 1` tiles only when the whole strip is narrower than
+/// `NT`.
+#[inline(always)]
+fn strip_tiles<
+    S: SemiringOps,
+    const QJ: usize,
+    const SWAP: bool,
+    const R: usize,
+    const NR: usize,
+    const NT: usize,
+    const LANE: bool,
+>(
+    src: &TileSrc<'_>,
+    ecoords: &mut [u64],
+    strip: Strip,
+    n: usize,
+    guard: &mut OpGuard<'_>,
+    out: &mut [f64],
+) -> Result<()> {
+    let work = src.eruns.saturating_mul(src.last.dom);
+    let mut x = 0;
+    while x + NR <= n {
+        guard.poll_many(work.saturating_mul((R * NR) as u64))?;
+        let acc = tile::<S, QJ, SWAP, R, NR, LANE>(src, ecoords, strip.p + x, strip.q + x * QJ);
+        store_tile::<S, R, NR>(&acc, out, strip.o + x * strip.sor, strip.som, strip.sor)?;
+        x += NR;
+    }
+    while x < n {
+        if n >= NT {
+            let x0 = x.min(n - NT);
+            guard.poll_many(work.saturating_mul((R * NT) as u64))?;
+            let (p, q) = (strip.p + x0, strip.q + x0 * QJ);
+            let acc = tile::<S, QJ, SWAP, R, NT, LANE>(src, ecoords, p, q);
+            store_tile::<S, R, NT>(&acc, out, strip.o + x0 * strip.sor, strip.som, strip.sor)?;
+            x = x0 + NT;
+        } else {
+            guard.poll_many(work.saturating_mul(R as u64))?;
+            let acc = tile::<S, QJ, SWAP, R, 1, LANE>(src, ecoords, strip.p + x, strip.q + x * QJ);
+            store_tile::<S, R, 1>(&acc, out, strip.o + x * strip.sor, strip.som, strip.sor)?;
+            x += 1;
+        }
+    }
+    Ok(())
+}
+
+/// Validate a finished tile cell by cell and store it.
+#[inline(always)]
+fn store_tile<S: SemiringOps, const R: usize, const C: usize>(
+    acc: &[[f64; C]; R],
+    out: &mut [f64],
+    o: usize,
+    som: usize,
+    sor: usize,
+) -> Result<()> {
+    for (i, cells) in acc.iter().enumerate() {
+        for (j, &v) in cells.iter().enumerate() {
+            if !S::KIND.is_valid_accumulation(v) {
+                return Err(AlgebraError::NonFiniteMeasure { op: "dense::join_agg", value: v });
+            }
+            out[o + i * som + j * sor] = v;
+        }
+    }
+    Ok(())
+}
+
+/// One `R × C` register tile: the fold of every cell over the whole
+/// eliminated odometer, `P`/`Q` offsets `p`/`q` at its first cell.
+#[inline(always)]
+fn tile<
+    S: SemiringOps,
+    const QJ: usize,
+    const SWAP: bool,
+    const R: usize,
+    const C: usize,
+    const LANE: bool,
+>(
+    src: &TileSrc<'_>,
+    ecoords: &mut [u64],
+    p: usize,
+    q: usize,
+) -> [[f64; C]; R] {
+    let TileSrc { pv, qv, sqm, runs, eruns, last } = *src;
+    let ElimDim { dom: delast, sp: spl, sq: sql } = last;
+    let delast = delast as usize;
+    let mut acc = [[S::ZERO; C]; R];
+    let (mut pr, mut qr) = (p, q);
+    ecoords.fill(0);
+    for run in 0..eruns {
+        if run > 0 {
+            for (j, d) in runs.iter().enumerate().rev() {
+                ecoords[j] += 1;
+                pr += d.sp;
+                qr += d.sq;
+                if ecoords[j] < d.dom {
+                    break;
+                }
+                ecoords[j] = 0;
+                pr -= d.sp * d.dom as usize;
+                qr -= d.sq * d.dom as usize;
+            }
+        }
+        // Each tile row's `Q` operand and the run's `P` rows, sliced once
+        // per run so a step checks one index per row.
+        let qs: [&[f64]; R] = std::array::from_fn(|i| &qv[qr + i * sqm..]);
+        let ps = &pv[pr..];
+        if LANE {
+            let full = delast - delast % LANES;
+            let mut lanes = [[[S::ZERO; C]; R]; LANES];
+            for (l, lane_acc) in lanes.iter_mut().enumerate() {
+                let mut t = l;
+                while t < full {
+                    tile_step::<S, QJ, SWAP, R, C, false>(lane_acc, ps, t * spl, &qs, t * sql);
+                    t += LANES;
+                }
+            }
+            let mut v = [[S::ZERO; C]; R];
+            for i in 0..R {
+                for j in 0..C {
+                    v[i][j] = reduce_lanes::<S>(std::array::from_fn(|l| lanes[l][i][j]));
+                }
+            }
+            for t in full..delast {
+                tile_step::<S, QJ, SWAP, R, C, false>(&mut v, ps, t * spl, &qs, t * sql);
+            }
+            if run == 0 {
+                acc = v;
+            } else {
+                for (arow, vrow) in acc.iter_mut().zip(&v) {
+                    for (slot, &x) in arow.iter_mut().zip(vrow) {
+                        *slot = S::add(*slot, x);
+                    }
+                }
+            }
+        } else {
+            let mut t = 0;
+            if run == 0 {
+                tile_step::<S, QJ, SWAP, R, C, true>(&mut acc, ps, 0, &qs, 0);
+                t = 1;
+            }
+            while t < delast {
+                tile_step::<S, QJ, SWAP, R, C, false>(&mut acc, ps, t * spl, &qs, t * sql);
+                t += 1;
+            }
+        }
+    }
+    acc
+}
+
+/// One eliminated point of a tile: `mul` the `P` row at `ps[p..]`
+/// (shared by every tile row) with each tile row's `Q` operand at
+/// `qs[i][q..]` (a row when `QJ = 1`, a broadcast scalar when 0), then
+/// store (`FIRST`) or `S::add` into the accumulators. `mul` keeps its
+/// `(a, b)` order. The rows are unrolled with constant indices so the
+/// accumulators can live in registers across the caller's eliminated
+/// loop.
+#[inline(always)]
+fn tile_step<
+    S: SemiringOps,
+    const QJ: usize,
+    const SWAP: bool,
+    const R: usize,
+    const C: usize,
+    const FIRST: bool,
+>(
+    acc: &mut [[f64; C]; R],
+    ps: &[f64],
+    p: usize,
+    qs: &[&[f64]; R],
+    q: usize,
+) {
+    let prow: &[f64; C] = ps[p..p + C].try_into().expect("tile row in bounds");
+    macro_rules! rows {
+        ($($i:literal)*) => {$(
+            if $i < R {
+                tile_row::<S, QJ, SWAP, C, FIRST>(&mut acc[$i], prow, qs[$i], q);
+            }
+        )*};
+    }
+    rows!(0 1 2 3);
+    debug_assert!(R <= 4, "tile_step unrolls at most 4 rows");
+}
+
+/// One tile row of [`tile_step`]: the row's `Q` operand is `qs[q]`.
+#[inline(always)]
+fn tile_row<S: SemiringOps, const QJ: usize, const SWAP: bool, const C: usize, const FIRST: bool>(
+    arow: &mut [f64; C],
+    prow: &[f64; C],
+    qs: &[f64],
+    q: usize,
+) {
+    let (y, qrow): (f64, &[f64]) = if QJ == 1 { (0.0, &qs[q..q + C]) } else { (qs[q], &[]) };
+    for j in 0..C {
+        let (x, y) = (prow[j], if QJ == 1 { qrow[j] } else { y });
+        let v = if SWAP { S::mul(y, x) } else { S::mul(x, y) };
+        arow[j] = if FIRST { v } else { S::add(arow[j], v) };
+    }
 }
 
 /// Fused contraction kernel over one contiguous output-cell range: the
@@ -909,51 +1247,11 @@ struct JoinDim {
     sb: usize,
 }
 
-/// Visit the elementwise products of one contiguous output run,
+/// Write one contiguous output run of elementwise products (the join),
 /// specialized per input-stride pattern so the common broadcast shapes
 /// ((1,1), (1,0), (0,1)) compile to vector loops. Every branch computes
 /// the same values for the same cells — the specialization is for the
 /// compiler, not the semantics.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn for_products<S: SemiringOps>(
-    av: &[f64],
-    ai: usize,
-    sal: usize,
-    bv: &[f64],
-    bi: usize,
-    sbl: usize,
-    out: &mut [f64],
-    put: impl Fn(&mut f64, f64),
-) {
-    match (sal, sbl) {
-        (1, 1) => {
-            let (xs, ys) = (&av[ai..ai + out.len()], &bv[bi..bi + out.len()]);
-            for (t, slot) in out.iter_mut().enumerate() {
-                put(slot, S::mul(xs[t], ys[t]));
-            }
-        }
-        (1, 0) => {
-            let (xs, y) = (&av[ai..ai + out.len()], bv[bi]);
-            for (t, slot) in out.iter_mut().enumerate() {
-                put(slot, S::mul(xs[t], y));
-            }
-        }
-        (0, 1) => {
-            let (x, ys) = (av[ai], &bv[bi..bi + out.len()]);
-            for (t, slot) in out.iter_mut().enumerate() {
-                put(slot, S::mul(x, ys[t]));
-            }
-        }
-        _ => {
-            for (t, slot) in out.iter_mut().enumerate() {
-                put(slot, S::mul(av[ai + t * sal], bv[bi + t * sbl]));
-            }
-        }
-    }
-}
-
-/// Write one contiguous output run of elementwise products (the join).
 #[inline(always)]
 fn write_products<S: SemiringOps>(
     av: &[f64],
@@ -964,22 +1262,31 @@ fn write_products<S: SemiringOps>(
     sbl: usize,
     out: &mut [f64],
 ) {
-    for_products::<S>(av, ai, sal, bv, bi, sbl, out, |slot, v| *slot = v);
-}
-
-/// `S::add` one run of elementwise products into a contiguous
-/// accumulator row — the axpy step of [`join_agg_rows`].
-#[inline(always)]
-fn add_products<S: SemiringOps>(
-    av: &[f64],
-    ai: usize,
-    sal: usize,
-    bv: &[f64],
-    bi: usize,
-    sbl: usize,
-    acc: &mut [f64],
-) {
-    for_products::<S>(av, ai, sal, bv, bi, sbl, acc, |slot, v| *slot = S::add(*slot, v));
+    match (sal, sbl) {
+        (1, 1) => {
+            let (xs, ys) = (&av[ai..ai + out.len()], &bv[bi..bi + out.len()]);
+            for (t, slot) in out.iter_mut().enumerate() {
+                *slot = S::mul(xs[t], ys[t]);
+            }
+        }
+        (1, 0) => {
+            let (xs, y) = (&av[ai..ai + out.len()], bv[bi]);
+            for (t, slot) in out.iter_mut().enumerate() {
+                *slot = S::mul(xs[t], y);
+            }
+        }
+        (0, 1) => {
+            let (x, ys) = (av[ai], &bv[bi..bi + out.len()]);
+            for (t, slot) in out.iter_mut().enumerate() {
+                *slot = S::mul(x, ys[t]);
+            }
+        }
+        _ => {
+            for (t, slot) in out.iter_mut().enumerate() {
+                *slot = S::mul(av[ai + t * sal], bv[bi + t * sbl]);
+            }
+        }
+    }
 }
 
 /// Chunked fold of `add(mul(a, b))` over one eliminated run of length
@@ -2062,9 +2369,9 @@ mod tests {
         }
     }
 
-    /// Run the row-major kernel on the `contraction(d)` shape under
-    /// `limits`, over a NaN-filled output: the error it stops with and
-    /// how many cells it had stored by then.
+    /// Run the tiled kernel on the `contraction(d)` shape under `limits`,
+    /// over a NaN-filled output: the error it stops with and how many
+    /// cells it had stored by then.
     fn row_kernel_under(d: usize, limits: crate::ExecLimits) -> (AlgebraError, usize) {
         let (_, l, r) = contraction(d as u64);
         let gdims = [
@@ -2074,9 +2381,22 @@ mod tests {
         let edims = [FusedDim { dom: d as u64, sa: 1, sb: d }];
         let budget = ExecBudget::new(limits);
         let mut out = vec![f64::NAN; d * d];
-        let err = join_agg_rows::<mpf_semiring::kernel::SumProduct>(
-            l.measures(), r.measures(), &gdims, &[d as u64, 1], &edims, 1, 0, &mut out,
-            Some(&budget), 2, false,
+        let job = TileJob {
+            av: l.measures(),
+            bv: r.measures(),
+            gdims: &gdims,
+            out_strides: &[d as u64, 1],
+            edims: &edims,
+            axes: TileAxes::choose(&gdims, 1),
+            budget: Some(&budget),
+            arity: 2,
+            lane: false,
+        };
+        let err = join_agg_tiles::<mpf_semiring::kernel::SumProduct>(
+            SimdTier::detect(),
+            &job,
+            0,
+            &mut out,
         )
         .unwrap_err();
         (err, out.iter().filter(|v| !v.is_nan()).count())
@@ -2138,6 +2458,178 @@ mod tests {
             other => panic!("expected TotalCells trip, got {other:?}"),
         }
         assert!(stored < D * D && stored % D == 0, "stopped on a row boundary: {stored}");
+    }
+
+    /// Fused dims for a contraction over axes with domains `doms`: `a`
+    /// stored over `a_axes`, `b` over `b_axes` (row-major), walked along
+    /// `axes` (group axes in output order, or eliminated ones in join
+    /// order).
+    fn dims_of(doms: &[u64], a_axes: &[usize], b_axes: &[usize], axes: &[usize]) -> Vec<FusedDim> {
+        let stride = |side: &[usize], v: usize| {
+            let strides = strides_of(&side.iter().map(|&u| doms[u]).collect::<Vec<_>>());
+            side.iter().position(|&u| u == v).map_or(0, |p| strides[p] as usize)
+        };
+        axes.iter()
+            .map(|&v| FusedDim { dom: doms[v], sa: stride(a_axes, v), sb: stride(b_axes, v) })
+            .collect()
+    }
+
+    /// Measures from a palette of edge values for `sr`: signed zeros
+    /// (ties under min/max), the additive identity where it is infinite,
+    /// subnormals and ordinary values, picked by a hash of the index.
+    fn edge_values(sr: SemiringKind, n: usize, salt: u64) -> Vec<f64> {
+        let palette: &[f64] = match sr {
+            SemiringKind::SumProduct => &[0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 1.5, -0.75],
+            SemiringKind::MinSum => &[f64::INFINITY, 0.0, -0.0, 5e-324, 1.0, 2.5, -3.0],
+            SemiringKind::MaxSum => &[f64::NEG_INFINITY, 0.0, -0.0, 5e-324, 1.0, -2.0],
+            SemiringKind::MinProduct => &[f64::INFINITY, 0.0, -0.0, 5e-324, 0.5, 2.0],
+            SemiringKind::MaxProduct => &[0.0, -0.0, 5e-324, 1e-310, 0.5, 2.0],
+            SemiringKind::BoolOrAnd => &[0.0, -0.0, 1.0],
+            SemiringKind::LogSumProduct => &[f64::NEG_INFINITY, 0.0, -0.0, 5e-324, -1.5, 2.0],
+        };
+        (0..n as u64)
+            .map(|i| {
+                let h = (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+                palette[(h % palette.len() as u64) as usize]
+            })
+            .collect()
+    }
+
+    /// Run the tile nest for `job` on `tier`, the output split into
+    /// `chunks` axis-0 boxes the way the worker pool splits it: the
+    /// output bits, or the error.
+    fn tiles_on<S: SemiringOps>(
+        tier: SimdTier,
+        job: &TileJob<'_>,
+        total: usize,
+        chunks: usize,
+    ) -> Result<Vec<u64>> {
+        let (dom0, stride0) = (job.gdims[0].dom as usize, job.out_strides[0] as usize);
+        let chunk = dom0.div_ceil(chunks).max(1) * stride0;
+        let mut out = vec![f64::NAN; total];
+        for (i, slice) in out.chunks_mut(chunk).enumerate() {
+            join_agg_tiles::<S>(tier, job, i * chunk, slice)?;
+        }
+        Ok(out.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// One layout under every tier the host supports, bit for bit against
+    /// the base tier in one box and against the cell-major nest.
+    #[allow(clippy::too_many_arguments)]
+    fn check_tiers<S: SemiringOps>(
+        doms: &[u64],
+        a_axes: &[usize],
+        b_axes: &[usize],
+        group: &[usize],
+        elim: &[usize],
+        lane: bool,
+        av: &[f64],
+        bv: &[f64],
+    ) -> Result<Vec<u64>> {
+        let gdims = dims_of(doms, a_axes, b_axes, group);
+        let edims = dims_of(doms, a_axes, b_axes, elim);
+        let out_doms: Vec<u64> = group.iter().map(|&v| doms[v]).collect();
+        let out_strides = strides_of(&out_doms);
+        let total = out_doms.iter().product::<u64>() as usize;
+        let row = gdims
+            .iter()
+            .rposition(|d| matches!((d.sa, d.sb), (1, 0) | (0, 1) | (1, 1)))
+            .expect("a row axis");
+        let job = TileJob {
+            av,
+            bv,
+            gdims: &gdims,
+            out_strides: &out_strides,
+            edims: &edims,
+            axes: TileAxes::choose(&gdims, row),
+            budget: None,
+            arity: group.len(),
+            lane,
+        };
+        let want = tiles_on::<S>(SimdTier::Base, &job, total, 1);
+        let mut cells = vec![f64::NAN; total];
+        let by_cell = join_agg_cells::<S>(
+            av, bv, &gdims, &out_strides, &edims, 0, &mut cells, None, group.len(),
+            KernelMode::Chunked, lane,
+        )
+        .map(|()| cells.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        let what = format!("{:?} doms {doms:?} a {a_axes:?} b {b_axes:?} lane {lane}", S::KIND);
+        assert_eq!(want, by_cell, "tile nest vs cell nest: {what}");
+        for tier in SimdTier::ALL.into_iter().filter(|t| t.is_supported()) {
+            for chunks in [1, 3] {
+                let got = tiles_on::<S>(tier, &job, total, chunks);
+                assert_eq!(got, want, "{tier:?} in {chunks} boxes: {what}");
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn every_tier_matches_the_base_tier_bit_for_bit() {
+        fn check<S: SemiringOps>() {
+            // Vector code only exists in optimized builds; unoptimized
+            // runs keep the sides whose remainders they can afford.
+            let sides: &[u64] = if cfg!(debug_assertions) {
+                &[1, 3, 4, 5, 31, 32, 33]
+            } else {
+                &[1, 3, 4, 5, 31, 32, 33, 67, 256]
+            };
+            for &d in sides {
+                // Axes: 0 = x, 1 = y (group), 2 = e, 3 = f (eliminated).
+                let doms = [d, d, 11, 3];
+                let vals = |axes: &[usize], salt| {
+                    edge_values(S::KIND, axes.iter().map(|&v| doms[v] as usize).product(), salt)
+                };
+                let layouts: [(&[usize], &[usize], &[usize]); 4] = [
+                    // (0,1): the row operand `b` is broadcast along x.
+                    (&[0, 2], &[2, 1], &[2]),
+                    // (1,0): the row operand `a` is broadcast along y.
+                    (&[2, 0], &[1, 2], &[2]),
+                    // Two eliminated axes, f outermost in join order.
+                    (&[0, 3, 2], &[3, 2, 1], &[3, 2]),
+                    // Row axis x unit-stride in both operands.
+                    (&[2, 0], &[1, 0], &[2]),
+                ];
+                for (a_axes, b_axes, elim) in layouts {
+                    let (av, bv) = (vals(a_axes, 6), vals(b_axes, 7));
+                    for lane in [false, true] {
+                        for group in [[0, 1], [1, 0]] {
+                            check_tiers::<S>(&doms, a_axes, b_axes, &group, elim, lane, &av, &bv)
+                                .unwrap_or_else(|e| panic!("{:?} d {d}: {e:?}", S::KIND));
+                        }
+                    }
+                }
+            }
+        }
+        for sr in SemiringKind::ALL {
+            for_each_semiring!(sr, check());
+        }
+    }
+
+    #[test]
+    fn every_tier_rejects_the_same_overflowing_cell() {
+        fn check<S: SemiringOps>(d: u64) -> AlgebraError {
+            let doms = [d, d, 11, 1];
+            let mut av = vec![1.0; (d * 11) as usize];
+            let mut bv = vec![1.0; (11 * d) as usize];
+            // a[x = d-1, e = 4] · b[e = 4, y = d/2] overflows one cell only.
+            av[((d - 1) * 11 + 4) as usize] = 1e300;
+            bv[(4 * d + d / 2) as usize] = 1e300;
+            let err = check_tiers::<S>(&doms, &[0, 2], &[2, 1], &[0, 1], &[2], false, &av, &bv)
+                .unwrap_err();
+            assert!(matches!(err, AlgebraError::NonFiniteMeasure { .. }), "{err:?}");
+            err
+        }
+        for d in [5u64, 33, 67] {
+            assert_eq!(
+                check::<mpf_semiring::kernel::SumProduct>(d),
+                AlgebraError::NonFiniteMeasure { op: "dense::join_agg", value: f64::INFINITY }
+            );
+            assert_eq!(
+                check::<mpf_semiring::kernel::MaxProduct>(d),
+                AlgebraError::NonFiniteMeasure { op: "dense::join_agg", value: f64::INFINITY }
+            );
+        }
     }
 
     #[test]

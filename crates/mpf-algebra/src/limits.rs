@@ -343,10 +343,10 @@ impl<'a> OpGuard<'a> {
 
     /// Count `units` of scanned work at once — the row-granular
     /// equivalent of `units` calls to [`OpGuard::poll`], used by the
-    /// row-major fused dense kernel, whose unit of progress is one output
-    /// row of `cells × eliminated` multiply-adds: a row worth at least
+    /// tiled fused dense kernel, whose unit of progress is one register
+    /// tile of `cells × eliminated` multiply-adds: a tile worth at least
     /// [`TICK_INTERVAL`] units polls the deadline and the cancellation
-    /// token itself, cheaper rows share a poll.
+    /// token itself, cheaper tiles share a poll.
     #[inline]
     pub fn poll_many(&mut self, units: u64) -> Result<()> {
         if let Some(budget) = self.budget {

@@ -157,10 +157,16 @@ pub struct TraceSpan {
     /// monomorphized kernel ran with; `None` for operators that never
     /// touched a monomorphized kernel (hash path, scans, phases).
     pub kernel: Option<&'static str>,
-    /// The loop nest a fused dense contraction ran: `"row"` (row-major,
-    /// innermost loop along an output axis) or `"cell"` (one serial fold
-    /// per output cell); `None` for every other operator.
+    /// The loop nest a fused contraction ran: dense `"tile"` (register
+    /// tiles along output axes) or `"cell"` (one serial fold per output
+    /// cell), sparse `"stream"`, `"scatter"` or `"staged"`; `None` for
+    /// every other operator.
     pub nest: Option<&'static str>,
+    /// The instruction-set tier a fused dense contraction's kernel was
+    /// compiled for (`"base"`, `"avx2"`, `"avx512"`; see
+    /// [`mpf_semiring::kernel::SimdTier`]); `None` for every other
+    /// operator.
+    pub simd: Option<&'static str>,
     /// Where a sparse operator's stored-relation operands were keyed
     /// from: `"memo"` (every memo lookup hit) or `"built"` (it filled a
     /// memo); `None` when no operand had a memo to consult.
@@ -190,6 +196,7 @@ impl TraceSpan {
             repr: desc.repr,
             kernel: None,
             nest: None,
+            simd: None,
             keyed: None,
             fused: false,
             est_rows: None,
@@ -240,6 +247,9 @@ impl TraceSpan {
             if let Some(n) = self.nest {
                 out.push_str(&format!(", nest={n}"));
             }
+            if let Some(t) = self.simd {
+                out.push_str(&format!(", simd={t}"));
+            }
             if let Some(k) = self.keyed {
                 out.push_str(&format!(", keyed={k}"));
             }
@@ -275,6 +285,9 @@ impl TraceSpan {
         }
         if let Some(n) = self.nest {
             out.push_str(&format!(",\"nest\":\"{n}\""));
+        }
+        if let Some(t) = self.simd {
+            out.push_str(&format!(",\"simd\":\"{t}\""));
         }
         if let Some(k) = self.keyed {
             out.push_str(&format!(",\"keyed\":\"{k}\""));
@@ -496,6 +509,14 @@ impl TraceCollector {
     pub(crate) fn set_nest(&mut self, nest: &'static str) {
         if let Some(span) = self.active_span() {
             span.nest = Some(nest);
+        }
+    }
+
+    /// Tag the active span with the instruction-set tier its kernel ran
+    /// (same targeting rule as [`TraceCollector::set_kernel`]).
+    pub(crate) fn set_simd(&mut self, simd: &'static str) {
+        if let Some(span) = self.active_span() {
+            span.simd = Some(simd);
         }
     }
 

@@ -26,6 +26,7 @@ use mpf_algebra::{
     dense, sparse, AggAlgo, DenseMode, ExecContext, Executor, JoinAlgo, KernelMode, PhysicalPlan,
     Plan, RelationStore, ReprMode, SpanKind, TraceLevel,
 };
+use mpf_semiring::kernel::SimdTier;
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
 use proptest::prelude::*;
@@ -458,8 +459,10 @@ fn check_contraction(
 /// The stride-layout matrix: operand layouts `L[x,e]`/`L[e,x]` ×
 /// `R[e,y]`/`R[y,e]` × output order `[x,y]`/`[y,x]`, at sides covering
 /// the degenerate row (1), sub-lane (7), exact-lane (8), lane-plus-tail
-/// (9) and multi-block, parallel (67: the join grid clears
-/// `PARALLEL_MIN_CELLS`) cases. The join grid's innermost axis is always
+/// (9), one short of, exactly and one past a 32-cell tile row (31, 32,
+/// 33: the widest tier's tile remainders, on the tier the host runs
+/// past `SIMD_MIN_WORK`) and multi-block, parallel (67: the join grid
+/// clears `PARALLEL_MIN_CELLS`) cases. The join grid's innermost axis is always
 /// a group axis here, so the fold is sequential in both modes and every
 /// cell of the matrix is bit-identical to everything else. Two of the
 /// layouts are the D³ steps the benchmark spine issues on `tri`:
@@ -467,14 +470,15 @@ fn check_contraction(
 /// `L[x,e] R[e,y] → [x,y]` (`g=[(D,D,0),(D,0,1)] e=[(D,1,D)]`).
 #[test]
 fn stride_layout_matrix_parity() {
-    for d in [1u64, 7, 8, 9, 67] {
+    for d in [1u64, 7, 8, 9, 31, 32, 33, 67] {
         for l_vars in [[0, 1], [1, 0]] {
             for r_vars in [[1, 2], [2, 1]] {
-                // Row-major needs a group axis that is some operand's
+                // The tile nest needs a group axis that is some operand's
                 // unit-stride axis (and more than one cell long);
                 // `L[x,e] R[y,e]` has both operands contiguous along `e`
                 // instead and keeps the cell-major nest.
-                let nest = if d > 1 && (l_vars[1] == 0 || r_vars[1] == 2) { "row" } else { "cell" };
+                let tiled = d > 1 && (l_vars[1] == 0 || r_vars[1] == 2);
+                let nest = if tiled { "tile" } else { "cell" };
                 for group in [[0, 2], [2, 0]] {
                     check_contraction([d; 3], l_vars, r_vars, &group, false, nest);
                 }
@@ -485,7 +489,7 @@ fn stride_layout_matrix_parity() {
 
 /// Layouts whose join grid ends in an eliminated axis (`lane_ok`): the
 /// chunked fold is the `LANES`-way tree per eliminated run, which the
-/// row-major nest must reproduce with whole accumulator rows — over one
+/// tile nest must reproduce with whole accumulator tiles — over one
 /// eliminated axis and over two (runs combined in order), with the row
 /// axis unit-stride in one operand or in both — and which the
 /// cell-major nest keeps where no group axis qualifies. Uneven sides so
@@ -494,55 +498,66 @@ fn stride_layout_matrix_parity() {
 fn lane_fold_layouts_parity() {
     for doms in [[5u64, 9, 19], [11, 3, 8], [37, 29, 41]] {
         // L[e,x] R[e,y] → [x]: row axis x broadcast in R; e and y eliminated.
-        check_contraction(doms, [1, 0], [1, 2], &[0], true, "row");
+        check_contraction(doms, [1, 0], [1, 2], &[0], true, "tile");
         // L[e,x] R[y,e] → [x]: the same with R transposed.
-        check_contraction(doms, [1, 0], [2, 1], &[0], true, "row");
+        check_contraction(doms, [1, 0], [2, 1], &[0], true, "tile");
         // L[e,x] R[e,y] → [x,e] / [e,x]: one eliminated run per cell.
-        check_contraction(doms, [1, 0], [1, 2], &[0, 1], true, "row");
-        check_contraction(doms, [1, 0], [1, 2], &[1, 0], true, "row");
+        check_contraction(doms, [1, 0], [1, 2], &[0, 1], true, "tile");
+        check_contraction(doms, [1, 0], [1, 2], &[1, 0], true, "tile");
         // L[x,e] R[e,y] → [x]: no group axis is unit-stride — cell-major.
         check_contraction(doms, [0, 1], [1, 2], &[0], true, "cell");
     }
     // L[e,x] R[y,x] → [x]: the row axis is unit-stride in both operands.
-    check_contraction([23, 6, 10], [1, 0], [2, 0], &[0], true, "row");
+    check_contraction([23, 6, 10], [1, 0], [2, 0], &[0], true, "tile");
 }
 
-/// Output rows longer than one accumulator block (256 cells), with the
+/// Output rows longer than one charged strip (256 cells), with the
 /// row axis as the output's *outer* axis so the parallel split cuts the
 /// row itself into per-worker boxes: sequential and lane folds.
 #[test]
 fn blocked_and_boxed_rows_parity() {
     // L[e,x] R[y,e] → [x,y]: x (600 cells, 3 blocks) is axis 0.
-    check_contraction([600, 8, 9], [1, 0], [2, 1], &[0, 2], false, "row");
+    check_contraction([600, 8, 9], [1, 0], [2, 1], &[0, 2], false, "tile");
     // L[e,x] R[e,y] → [x]: the same row under the lane fold.
-    check_contraction([600, 3, 19], [1, 0], [1, 2], &[0], true, "row");
+    check_contraction([600, 3, 19], [1, 0], [1, 2], &[0], true, "tile");
     // L[x,e] R[e,y] → [x,y]: y (300 cells, 2 blocks) is the inner axis.
-    check_contraction([12, 10, 300], [0, 1], [1, 2], &[0, 2], false, "row");
+    check_contraction([12, 10, 300], [0, 1], [1, 2], &[0, 2], false, "tile");
 }
 
-/// Both D³ shapes the spine issues take the row-major nest under the
-/// default kernel for every semiring, and the choice is visible from
-/// outside: the fused span renders `nest=row` next to `kernel=` and
-/// `fused=true` (and `nest=cell` under the scalar reference).
+/// Both D³ shapes the spine issues take the tile nest under the default
+/// kernel for every semiring, on the widest tier the host supports once
+/// the step clears `SIMD_MIN_WORK` (on the base tier below it), and the
+/// choice is visible from outside: the fused span renders `nest=tile,
+/// simd=…` next to `kernel=` and `fused=true` (and `nest=cell,
+/// simd=base` under the scalar reference).
 #[test]
-fn spine_shapes_take_the_row_nest_in_every_semiring() {
-    let mut cat = Catalog::new();
-    let x = cat.add_var("x", 16).unwrap();
-    let e = cat.add_var("e", 16).unwrap();
-    let y = cat.add_var("y", 16).unwrap();
-    for sr in SemiringKind::ALL {
-        for (l_vars, r_vars) in [([e, x], [y, e]), ([x, e], [e, y])] {
-            let l = gen_rel("l", l_vars.to_vec(), &[16, 16], 1.0, 8, sr);
-            let r = gen_rel("r", r_vars.to_vec(), &[16, 16], 1.0, 9, sr);
-            for (kernel, nest) in [(KernelMode::Chunked, "row"), (KernelMode::Scalar, "cell")] {
-                let mut cx = ExecContext::new(sr)
-                    .with_dense(DenseMode::On)
-                    .with_kernel(kernel)
-                    .with_trace(TraceLevel::Spans);
-                dense::join_agg(&mut cx, &l, &r, &[x, y]).unwrap();
-                let rendered = cx.take_trace().render();
-                let tags = format!("repr=dense, kernel={}, nest={nest}, fused=true", kernel.name());
-                assert!(rendered.contains(&tags), "sr {sr:?}: want `{tags}` in:\n{rendered}");
+fn spine_shapes_take_the_tile_nest_in_every_semiring() {
+    for (d, widest) in [(16u64, SimdTier::Base), (40, SimdTier::detect())] {
+        let mut cat = Catalog::new();
+        let x = cat.add_var("x", d).unwrap();
+        let e = cat.add_var("e", d).unwrap();
+        let y = cat.add_var("y", d).unwrap();
+        for sr in SemiringKind::ALL {
+            for (l_vars, r_vars) in [([e, x], [y, e]), ([x, e], [e, y])] {
+                let l = gen_rel("l", l_vars.to_vec(), &[d, d], 1.0, 8, sr);
+                let r = gen_rel("r", r_vars.to_vec(), &[d, d], 1.0, 9, sr);
+                for (kernel, nest, tier) in [
+                    (KernelMode::Chunked, "tile", widest),
+                    (KernelMode::Scalar, "cell", SimdTier::Base),
+                ] {
+                    let mut cx = ExecContext::new(sr)
+                        .with_dense(DenseMode::On)
+                        .with_kernel(kernel)
+                        .with_trace(TraceLevel::Spans);
+                    dense::join_agg(&mut cx, &l, &r, &[x, y]).unwrap();
+                    let rendered = cx.take_trace().render();
+                    let tags = format!(
+                        "repr=dense, kernel={}, nest={nest}, simd={}, fused=true",
+                        kernel.name(),
+                        tier.name()
+                    );
+                    assert!(rendered.contains(&tags), "sr {sr:?}: want `{tags}` in:\n{rendered}");
+                }
             }
         }
     }

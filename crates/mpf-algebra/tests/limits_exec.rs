@@ -148,12 +148,13 @@ fn fused_under(
     dense::join_agg(&mut cx, &l, &r, &gv)
 }
 
-/// The fused dense kernel charges and polls once per output row in its
-/// row-major nest (chunked) and once per cell in the cell-major one
-/// (scalar); either way every limit trips with its typed error *inside*
-/// the kernel — the observed count shows it stopped at the first
-/// settlement past the cap (at most a tick plus one output row later),
-/// not after materializing all 4 489 rows.
+/// The fused dense kernel polls once per register tile and charges once
+/// per stored strip of tiles in its tile nest (chunked), and polls and
+/// charges once per cell in the cell-major one (scalar); either way every
+/// limit trips with its typed error *inside* the kernel — the observed
+/// count shows it stopped at the first settlement past the cap (at most
+/// a tick plus one output row later), not after materializing all 4 489
+/// rows.
 #[test]
 fn fused_dense_kernel_trips_every_limit_mid_flight() {
     let slack = u64::from(TICK_INTERVAL) + 67;

@@ -34,13 +34,28 @@
 //! family (`MinSum`, `MaxSum`, `MinProduct`, `MaxProduct`,
 //! `BoolOrAnd`) is insensitive to association, so scalar and chunked
 //! kernels agree exactly there.
+//!
+//! # SIMD tiers
+//!
+//! The build targets the baseline instruction set. A kernel that pays for
+//! wider registers implements [`TierKernel`] and runs through
+//! [`SimdTier::run`], which calls a copy of its body compiled for the
+//! widest tier the CPU supports (AVX-512F, then AVX2, then the baseline;
+//! detected once, x86-64 only). Paired with [`for_each_semiring`](crate::for_each_semiring),
+//! one source is instantiated per (semiring, tier). Tiers change
+//! instruction selection, never the arithmetic, so they produce the same
+//! bits.
 
 use crate::{logsumexp, SemiringKind};
 
 /// Lane width of the chunked kernels: contiguous runs fold through this
 /// many independent `f64` accumulators so the additive operation
-/// autovectorizes. 8 × f64 = one AVX-512 register, two AVX2 registers,
-/// four NEON registers — a shape every current target handles well.
+/// autovectorizes. 8 × f64 is four SSE2/NEON registers, two AVX2
+/// registers or one AVX-512 register. The default build targets the
+/// baseline instruction set (SSE2 on x86-64), so the plain kernels never
+/// use 512-bit or even 256-bit registers; only kernel bodies run through
+/// a [`SimdTier`] wrapper do, and the lane shape — hence every bit of the
+/// result — is the same in every tier.
 pub const LANES: usize = 8;
 
 /// Combine [`LANES`] partial accumulators with a fixed pairwise
@@ -237,6 +252,138 @@ impl SemiringOps for LogSumProduct {
     }
 }
 
+/// The instruction-set tier a [`TierKernel`] body is compiled for. The
+/// build targets the baseline instruction set, so the wider tiers are
+/// reached only through [`SimdTier::run`]'s `#[target_feature]` wrappers,
+/// chosen once per process from what the CPU reports
+/// ([`SimdTier::detect`]): `avx512f`, then `avx2`, then the baseline.
+/// Off x86-64 only [`SimdTier::Base`] is ever supported.
+///
+/// A tier changes instruction selection, never arithmetic: each
+/// semiring operation is one IEEE operation (or the same libm call) in
+/// every tier, `mul` and `add` are never fused into an FMA (Rust does
+/// not contract floating-point expressions), and a kernel body's fold
+/// order is its own. A body therefore computes the same bits in every
+/// tier; `mpf_algebra::dense`'s tier-parity test checks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum SimdTier {
+    /// The build target's baseline (SSE2 on x86-64).
+    Base,
+    /// x86-64 AVX2: sixteen 256-bit registers.
+    Avx2,
+    /// x86-64 AVX-512F: thirty-two 512-bit registers.
+    Avx512,
+}
+
+impl SimdTier {
+    /// Every tier, narrowest first.
+    pub const ALL: [SimdTier; 3] = [SimdTier::Base, SimdTier::Avx2, SimdTier::Avx512];
+
+    /// The tier's name, for trace spans (`simd=base|avx2|avx512`).
+    pub fn name(self) -> &'static str {
+        match self {
+            SimdTier::Base => "base",
+            SimdTier::Avx2 => "avx2",
+            SimdTier::Avx512 => "avx512",
+        }
+    }
+
+    /// Whether this CPU can run the tier's instructions.
+    pub fn is_supported(self) -> bool {
+        match self {
+            SimdTier::Base => true,
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            SimdTier::Avx2 | SimdTier::Avx512 => false,
+        }
+    }
+
+    /// The widest tier this CPU supports, detected on first call.
+    pub fn detect() -> SimdTier {
+        static TIER: std::sync::OnceLock<SimdTier> = std::sync::OnceLock::new();
+        *TIER.get_or_init(|| {
+            SimdTier::ALL.into_iter().rev().find(|t| t.is_supported()).unwrap_or(SimdTier::Base)
+        })
+    }
+
+    /// Run `kernel`'s body compiled for this tier, or for the baseline
+    /// when the CPU does not support it.
+    pub fn run<K: TierKernel>(self, kernel: K) -> K::Output {
+        match self {
+            // SAFETY: `run_avx512` only enables `avx512f`, and
+            // `is_supported` has just confirmed it through
+            // `is_x86_feature_detected!("avx512f")`.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512 if self.is_supported() => unsafe { run_avx512(kernel) },
+            // SAFETY: `run_avx2` only enables `avx2`, and `is_supported`
+            // has just confirmed it through `is_x86_feature_detected!("avx2")`.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 if self.is_supported() => unsafe { run_avx2(kernel) },
+            _ => kernel.run::<Base>(),
+        }
+    }
+}
+
+/// A kernel body compiled once per [`SimdTier`] from one source. The
+/// implementation of [`TierKernel::run`] must be `#[inline(always)]`: it
+/// is then compiled *inside* each tier's `#[target_feature]` wrapper
+/// instead of being called from it, so its loops are vectorized for that
+/// tier. Pair it with [`for_each_semiring`](crate::for_each_semiring) —
+/// a kernel type generic over [`SemiringOps`] — to instantiate a body per
+/// (semiring, tier).
+pub trait TierKernel {
+    /// What the body returns.
+    type Output;
+    /// The body, for tier `T` (`T::TIER` is a constant the body may
+    /// branch on, e.g. to pick a register-tile shape).
+    fn run<T: Tier>(self) -> Self::Output;
+}
+
+/// Type-level [`SimdTier`], the parameter of [`TierKernel::run`].
+pub trait Tier {
+    /// The tier this type stands for.
+    const TIER: SimdTier;
+}
+
+/// [`SimdTier::Base`] as a type.
+#[derive(Debug, Clone, Copy)]
+pub struct Base;
+
+impl Tier for Base {
+    const TIER: SimdTier = SimdTier::Base;
+}
+
+/// [`SimdTier::Avx2`] as a type.
+#[derive(Debug, Clone, Copy)]
+pub struct Avx2;
+
+impl Tier for Avx2 {
+    const TIER: SimdTier = SimdTier::Avx2;
+}
+
+/// [`SimdTier::Avx512`] as a type.
+#[derive(Debug, Clone, Copy)]
+pub struct Avx512;
+
+impl Tier for Avx512 {
+    const TIER: SimdTier = SimdTier::Avx512;
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<K: TierKernel>(kernel: K) -> K::Output {
+    kernel.run::<Avx2>()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512<K: TierKernel>(kernel: K) -> K::Output {
+    kernel.run::<Avx512>()
+}
+
 /// Monomorphize a generic kernel over every semiring and call the
 /// instantiation matching a runtime [`crate::SemiringKind`]:
 ///
@@ -376,6 +523,33 @@ mod tests {
         for sr in SemiringKind::ALL {
             for_each_semiring!(sr, check_fold());
         }
+    }
+
+    #[test]
+    fn tiers_are_detected_once_and_run_their_own_body() {
+        struct Which;
+        impl TierKernel for Which {
+            type Output = SimdTier;
+            #[inline(always)]
+            fn run<T: Tier>(self) -> SimdTier {
+                T::TIER
+            }
+        }
+        let widest = SimdTier::detect();
+        assert!(widest.is_supported());
+        assert_eq!(SimdTier::detect(), widest, "detection is cached");
+        assert!(SimdTier::Base.is_supported());
+        for tier in SimdTier::ALL {
+            // A supported tier runs its own instantiation; an unsupported
+            // one degrades to the baseline instead of faulting.
+            let want = if tier.is_supported() { tier } else { SimdTier::Base };
+            assert_eq!(tier.run(Which), want, "{tier:?}");
+            assert!(tier <= widest || !tier.is_supported(), "{tier:?} above {widest:?}");
+        }
+        if cfg!(not(target_arch = "x86_64")) {
+            assert_eq!(widest, SimdTier::Base);
+        }
+        assert_eq!(SimdTier::ALL.map(SimdTier::name), ["base", "avx2", "avx512"]);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use mpf::engine::{
 };
 use mpf::infer::BayesNet;
 use mpf::optimizer::Heuristic;
+use mpf::semiring::kernel::SimdTier;
 use mpf::semiring::Combine;
 use mpf::storage::{FunctionalRelation, Schema};
 use proptest::prelude::*;
@@ -132,12 +133,12 @@ JoinAgg (Fused)  (est rows=2.0, rows=2, cells=4, time=_, repr=sparse, nest=strea
 }
 
 /// The benchmark spine's dense triangle `tri = r1(a,b)·r2(b,c)·r3(c,a)`
-/// over complete relations, at side 4.
-fn triangle_db() -> Database {
+/// over complete relations, at side `d`.
+fn triangle_db(d: u64) -> Database {
     let db = Database::new()
         .with_dense(DenseMode::Auto)
         .with_repr(ReprMode::Auto);
-    let [a, b, c] = ["a", "b", "c"].map(|v| db.add_var(v, 4).unwrap());
+    let [a, b, c] = ["a", "b", "c"].map(|v| db.add_var(v, d).unwrap());
     let catalog = db.snapshot().catalog().clone();
     for (name, vars) in [("r1", [a, b]), ("r2", [b, c]), ("r3", [c, a])] {
         let schema = Schema::new(vars.to_vec()).unwrap();
@@ -152,11 +153,13 @@ fn triangle_db() -> Database {
 }
 
 /// A fused elimination step that runs on the dense kernels reports the
-/// loop nest it took (`nest=row`: innermost loop along an output axis)
-/// next to the kernel mode — the D³ step of every `tri` marginal.
+/// loop nest it took (`nest=tile`: register tiles along output axes) and
+/// the instruction-set tier it ran on next to the kernel mode — the D³
+/// step of every `tri` marginal. Steps this small stay on the base tier
+/// on every host.
 #[test]
 fn dense_triangle_explain_analyze_snapshot() {
-    let db = triangle_db();
+    let db = triangle_db(4);
     let text = db
         .explain_analyze(
             Query::on("tri")
@@ -169,13 +172,38 @@ fn dense_triangle_explain_analyze_snapshot() {
 -- estimated cost: 300.00
 -- rows scanned=48, processed=92, peak intermediate=16
 GroupBy (DenseAgg)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked)
-  JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked, nest=cell, fused=true)
+  JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked, nest=cell, simd=base, fused=true)
     Scan r3  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
-    JoinAgg (Fused)  (est rows=16.0, rows=16, cells=48, time=_, repr=dense, kernel=chunked, nest=row, fused=true)
+    JoinAgg (Fused)  (est rows=16.0, rows=16, cells=48, time=_, repr=dense, kernel=chunked, nest=tile, simd=base, fused=true)
       Scan r1  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
       Scan r2  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
 ";
     assert_eq!(normalize(&text), expected, "got:\n{}", normalize(&text));
+}
+
+/// At side 64 the D³ step clears the tile nest's work gate and runs on
+/// the widest tier the host supports; explain-analyze names it.
+#[test]
+fn dense_triangle_explain_analyze_names_the_host_tier() {
+    let db = triangle_db(64);
+    let text = db
+        .explain_analyze(
+            Query::on("tri")
+                .group_by(["a"])
+                .strategy(Strategy::Ve(Heuristic::Degree)),
+        )
+        .unwrap();
+    let tier = SimdTier::detect().name();
+    let d3 = format!(
+        "JoinAgg (Fused)  (est rows=4096.0, rows=4096, cells=12288, time=_, repr=dense, \
+         kernel=chunked, nest=tile, simd={tier}, fused=true)"
+    );
+    let text = normalize(&text);
+    assert!(text.contains(&d3), "want `{d3}` in:\n{text}");
+    assert!(
+        text.contains("nest=cell, simd=base, fused=true"),
+        "the D² step keeps the cell nest:\n{text}"
+    );
 }
 
 /// Every traced operator feeds the same accounting as `ExecStats`, so the
