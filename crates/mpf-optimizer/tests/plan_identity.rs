@@ -12,12 +12,18 @@
 //!   experiment, queried on every chain variable.
 //!
 //! Each golden line holds the case, `est_cost.to_bits()`,
-//! `est_rows.to_bits()` and an FNV-1a digest of the rendered plan. Any
-//! difference fails the test, which prints the current line (with the
-//! rendered plan) of every case that changed, in golden format.
+//! `est_rows.to_bits()` and an FNV-1a digest of the rendered plan. After
+//! them, one line per `invest` case holds the digest of the physical plan
+//! [`choose_physical`] lowers it to under the default
+//! [`PhysicalConfig`] — the operator algorithms the ad-hoc workload
+//! executes. Any difference fails the test, which prints the current line
+//! (with the rendered plan) of every case that changed, in golden format.
 
 use mpf_datagen::{SupplyChain, SupplyChainConfig, SyntheticKind, SyntheticView};
-use mpf_optimizer::{optimize, Algorithm, CostModel, Heuristic, OptContext, QuerySpec};
+use mpf_optimizer::{
+    choose_physical, optimize, Algorithm, CostModel, Heuristic, OptContext, PhysicalConfig,
+    QuerySpec,
+};
 use mpf_storage::Catalog;
 
 const GOLDEN: &str = include_str!("plan_identity.golden");
@@ -66,11 +72,40 @@ fn record<'c>(
     }
 }
 
-fn invest_cases(out: &mut Vec<(String, String)>) {
-    let sc = SupplyChain::generate(SupplyChainConfig {
+/// The physical-plan line of every (cost model, algorithm) for `label`.
+fn record_physical<'c>(
+    out: &mut Vec<(String, String)>,
+    label: &str,
+    catalog: &Catalog,
+    ctx_for: &dyn Fn(CostModel) -> OptContext<'c>,
+) {
+    for model in [CostModel::Simple, CostModel::Io] {
+        let ctx = ctx_for(model);
+        for algo in ALGORITHMS {
+            let plan = optimize(&ctx, algo).plan;
+            let physical = choose_physical(&ctx, &plan, PhysicalConfig::default());
+            let rendered = physical.render(&|v| catalog.name(v).to_string());
+            let line = format!(
+                "{label} | {model:?} | {} | physical={:016x}",
+                algo.label(),
+                fnv1a(rendered.as_bytes()),
+            );
+            out.push((line, rendered));
+        }
+    }
+}
+
+/// The supply chain the `invest` cases query (scale 0.05, seed 1).
+fn supply_chain() -> SupplyChain {
+    SupplyChain::generate(SupplyChainConfig {
         seed: 1,
         ..SupplyChainConfig::at_scale(0.05)
-    });
+    })
+}
+
+/// The `invest` group-by and evidence shapes: (group vars, evidence vars),
+/// every evidence variable bound to 1.
+fn invest_specs() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
     let mut specs: Vec<(Vec<&str>, Vec<&str>)> = Vec::new();
     for v in ["pid", "sid", "wid", "cid", "tid"] {
         specs.push((vec![v], vec![]));
@@ -98,7 +133,12 @@ fn invest_cases(out: &mut Vec<(String, String)>) {
     ] {
         specs.push((vec![g], vec![e1, e2]));
     }
-    for (group, evidence) in specs {
+    specs
+}
+
+fn invest_cases(out: &mut Vec<(String, String)>, physical: bool) {
+    let sc = supply_chain();
+    for (group, evidence) in invest_specs() {
         let query = evidence.iter().fold(
             QuerySpec::group_by(group.iter().map(|v| sc.var(v))),
             |q, e| q.filter(sc.var(e), 1),
@@ -108,9 +148,12 @@ fn invest_cases(out: &mut Vec<(String, String)>) {
             group.join(","),
             evidence.join(",")
         );
-        record(out, &label, &sc.catalog, &|model| {
-            sc.ctx(query.clone(), model)
-        });
+        let ctx_for = |model| sc.ctx(query.clone(), model);
+        if physical {
+            record_physical(out, &label, &sc.catalog, &ctx_for);
+        } else {
+            record(out, &label, &sc.catalog, &ctx_for);
+        }
     }
 }
 
@@ -129,8 +172,9 @@ fn fig10_cases(out: &mut Vec<(String, String)>) {
 #[test]
 fn every_strategy_picks_the_recorded_plan() {
     let mut actual = Vec::new();
-    invest_cases(&mut actual);
+    invest_cases(&mut actual, false);
     fig10_cases(&mut actual);
+    invest_cases(&mut actual, true);
 
     let golden: Vec<&str> = GOLDEN.lines().collect();
     assert_eq!(
