@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpf_semiring::SemiringKind;
-use mpf_storage::{FunctionalRelation, KeyedSource};
+use mpf_storage::{FunctionalRelation, KeyedSource, VarId};
 
 use crate::dense::{DenseMode, KernelMode};
 use crate::limits::{ExecBudget, ExecLimits, OpGuard};
@@ -492,15 +492,24 @@ impl<'b> ExecContext<'b> {
         self.trace.set_fused(true);
     }
 
-    /// Account a selection operator.
-    pub(crate) fn record_select(
+    /// Account a selection operator that ran on `repr`: the row filter
+    /// (`Rows`) or a grid's pinned slice (`Dense`).
+    pub(crate) fn record_select_ex(
         &mut self,
         inputs: &[&FunctionalRelation],
         output: &FunctionalRelation,
+        repr: OpRepr,
     ) {
         self.account(inputs, output);
         self.stats.selects += 1;
-        self.trace_op(SpanKind::Select, inputs, output, OpRepr::Rows);
+        self.trace_op(SpanKind::Select, inputs, output, repr);
+    }
+
+    /// Tag the active span with the variables a pinned slice fixed
+    /// (`pinned=b`). Same call-order rule as
+    /// [`ExecContext::note_kernel_op`].
+    pub(crate) fn note_pinned(&mut self, vars: Vec<VarId>) {
+        self.trace.set_pinned(vars);
     }
 
     /// Count one dense↔rows boundary conversion. Conversions charge no

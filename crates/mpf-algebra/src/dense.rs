@@ -112,7 +112,7 @@ use mpf_semiring::kernel::{
 use mpf_semiring::for_each_semiring;
 use mpf_storage::dense::{grid_cells, is_odometer_ordered, strides_of};
 use mpf_storage::layout::delinearize;
-use mpf_storage::{DenseFactor, FunctionalRelation, Schema, VarId};
+use mpf_storage::{DenseFactor, FunctionalRelation, Schema, Value, VarId};
 
 use crate::limits::{ExecBudget, OpGuard};
 use crate::{ops, AlgebraError, ExecContext, Result};
@@ -210,14 +210,21 @@ impl KernelMode {
 /// therefore skips the dense path by design — proving completeness
 /// without the order would cost the full O(rows × arity) scan this hint
 /// exists to avoid.
+///
+/// A pinned slice ([`FunctionalRelation::pinned_slice`]) hints its own
+/// grid, whose pinned axes are one cell wide: a one-cell axis adds
+/// nothing to any odometer, so the kernels run over it unchanged, and
+/// [`shared_domains_agree`] and the output carry its origin
+/// ([`origin_at`]).
 fn ordered_grid_hint(rel: &FunctionalRelation) -> Option<Vec<u64>> {
     if rel.is_empty() {
         return None;
     }
     // Grid-certified relations (every dense-kernel product, everything
-    // `complete` builds) carry their domain vector outright — and reading
-    // the last row below would force them to materialize packed keys.
-    if let Some(g) = rel.grid_domains() {
+    // `complete` builds, every pinned slice) carry their domain vector
+    // outright — and reading the last row below would force them to
+    // materialize packed keys.
+    if let Some((g, _)) = rel.grid() {
         let domains = g.to_vec();
         return (grid_cells(&domains) == Some(rel.len() as u64)).then_some(domains);
     }
@@ -237,16 +244,49 @@ fn ordered_grid_hint(rel: &FunctionalRelation) -> Option<Vec<u64>> {
 
 /// Whether the sides' grids agree on every shared variable (given their
 /// domain vectors) — the remaining condition for a support-exact join.
+/// A shared axis pinned on both sides must be pinned to the same value.
 fn shared_domains_agree(
     l: &FunctionalRelation,
     r: &FunctionalRelation,
     ld: &[u64],
     rd: &[u64],
 ) -> bool {
-    l.schema()
+    l.schema().iter().enumerate().all(|(p, v)| {
+        r.schema().position(v).map_or(true, |q| {
+            ld[p] == rd[q] && origin_at(l, p) == origin_at(r, q)
+        })
+    })
+}
+
+/// The first value of `rel`'s axis at schema position `p`: the pinned
+/// value on a pinned slice's one-cell axis, 0 on every other axis.
+fn origin_at(rel: &FunctionalRelation, p: usize) -> Value {
+    rel.grid().map_or(0, |(_, origins)| origins[p])
+}
+
+/// A kernel's output grid back as a relation (see [`from_dense`]), each
+/// axis starting at the origin its variable has in `inputs` — a group
+/// axis pinned in an operand keeps its pinned value. Operands agree on
+/// the origins of shared variables ([`shared_domains_agree`]).
+fn kernel_output(
+    cx: &mut ExecContext<'_>,
+    df: DenseFactor,
+    inputs: &[&FunctionalRelation],
+) -> Result<FunctionalRelation> {
+    let origins = df
+        .schema()
         .iter()
-        .enumerate()
-        .all(|(p, v)| r.schema().position(v).map_or(true, |q| ld[p] == rd[q]))
+        .map(|v| {
+            inputs
+                .iter()
+                .find_map(|r| r.schema().position(v).ok().map(|p| origin_at(r, p)))
+                .unwrap_or(0)
+        })
+        .collect();
+    cx.fault("dense::convert")?;
+    cx.checkpoint()?;
+    cx.note_dense_convert();
+    Ok(df.into_relation_at(origins))
 }
 
 /// Whether `rel` is complete over its inferred grid: exactly one row per
@@ -338,10 +378,7 @@ pub fn to_dense(
 /// cell, odometer order — the same row order
 /// [`FunctionalRelation::complete`] produces).
 pub fn from_dense(cx: &mut ExecContext<'_>, df: DenseFactor) -> Result<FunctionalRelation> {
-    cx.fault("dense::convert")?;
-    cx.checkpoint()?;
-    cx.note_dense_convert();
-    Ok(df.into_relation())
+    kernel_output(cx, df, &[])
 }
 
 /// A zero-copy dense operand: an odometer-ordered relation's measure
@@ -356,10 +393,12 @@ struct DenseInput<'a> {
 /// Borrow `rel` as a dense factor over `domains` without copying: one
 /// verifying scan ([`is_odometer_ordered`]) proves the measure column is
 /// the grid's value array (and, with it, completeness, uniqueness, and
-/// bounds — the support-exactness precondition). Counts as a dense
-/// conversion in the context stats: it is one, just O(1) in space.
-/// `None` when the rows are not the grid's odometer sequence; the caller
-/// then falls back to the sparse operator.
+/// bounds — the support-exactness precondition). A grid key column,
+/// a pinned slice's included, proves it in O(arity); the slice's origins
+/// are matched by [`shared_domains_agree`] and carried to the output by
+/// [`kernel_output`]. Counts as a dense conversion in the context stats:
+/// it is one, just O(1) in space. `None` when the rows are not the grid's
+/// odometer sequence; the caller then falls back to the sparse operator.
 fn dense_input<'a>(
     cx: &mut ExecContext<'_>,
     rel: &'a FunctionalRelation,
@@ -367,7 +406,11 @@ fn dense_input<'a>(
 ) -> Result<Option<DenseInput<'a>>> {
     cx.fault("dense::convert")?;
     cx.checkpoint()?;
-    if !is_odometer_ordered(rel, domains) {
+    let ordered = match rel.grid() {
+        Some((g, _)) => g == domains && grid_cells(domains).is_some(),
+        None => is_odometer_ordered(rel, domains),
+    };
+    if !ordered {
         return Ok(None);
     }
     cx.note_dense_convert();
@@ -396,7 +439,7 @@ pub fn join(
     }
     match join_impl(cx, l, r, &ld, &rd)? {
         Some(out) => {
-            let rel = from_dense(cx, out)?;
+            let rel = kernel_output(cx, out, &[l, r])?;
             cx.record_join_ex(&[l, r], &rel, crate::trace::OpRepr::Dense);
             cx.note_kernel_op(cx.kernel_mode());
             Ok(rel)
@@ -425,7 +468,7 @@ pub fn agg(
     };
     match agg_impl(cx, input, group_vars, &domains)? {
         Some(out) => {
-            let rel = from_dense(cx, out)?;
+            let rel = kernel_output(cx, out, &[input])?;
             cx.record_group_by_ex(&[input], &rel, crate::trace::OpRepr::Dense);
             cx.note_kernel_op(cx.kernel_mode());
             Ok(rel)
@@ -467,7 +510,7 @@ pub fn join_agg(
     }
     match join_agg_impl(cx, l, r, group_vars, &ld, &rd)? {
         Some((out, nest, tier)) => {
-            let rel = from_dense(cx, out)?;
+            let rel = kernel_output(cx, out, &[l, r])?;
             cx.record_join_agg_ex(&[l, r], &rel, crate::trace::OpRepr::Dense);
             cx.note_kernel_op(cx.kernel_mode());
             cx.note_fused_nest(nest);

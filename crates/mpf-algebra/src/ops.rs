@@ -290,25 +290,47 @@ fn join_group_by_impl(
 /// Selection on conjunctive variable-equality predicates
 /// (`where Y = c and ...`), the restriction used by the paper's
 /// restricted-answer and constrained-domain query forms.
+///
+/// On a grid relation the selection is an index, not a scan: the output
+/// is the pinned slice ([`FunctionalRelation::pinned_slice`]), built in
+/// O(output) and still a grid, so the dense kernels take it as it is.
+/// It has the row filter's rows and measures, in the same order, and
+/// records as a dense operator tagged with the pinned variables. Any
+/// other key column is filtered row by row.
 pub fn select_eq(
     cx: &mut ExecContext<'_>,
     input: &FunctionalRelation,
     predicates: &[(VarId, Value)],
 ) -> Result<FunctionalRelation> {
     cx.fault("select_eq")?;
-    let out = select_eq_impl(input, predicates, cx.budget())?;
-    cx.record_select(&[input], &out);
+    let positions = select_positions(input, predicates)?;
+    let name = format!("σ({})", input.name());
+    if let Some(out) = input.pinned_slice(name.clone(), &positions) {
+        let mut guard = OpGuard::new(cx.budget(), input.schema().arity());
+        guard.produced_many(out.len() as u64)?;
+        guard.finish()?;
+        let mut pinned: Vec<VarId> = Vec::new();
+        for &(v, _) in predicates {
+            if !pinned.contains(&v) {
+                pinned.push(v);
+            }
+        }
+        cx.record_select_ex(&[input], &out, crate::trace::OpRepr::Dense);
+        cx.note_pinned(pinned);
+        return Ok(out);
+    }
+    let out = select_eq_impl(input, name, &positions, cx.budget())?;
+    cx.record_select_ex(&[input], &out, crate::trace::OpRepr::Rows);
     Ok(out)
 }
 
-/// [`select_eq`] body: budget-guarded, no fault site or accounting.
-pub(crate) fn select_eq_impl(
+/// The schema position of each predicate's variable, paired with its
+/// constant.
+fn select_positions(
     input: &FunctionalRelation,
     predicates: &[(VarId, Value)],
-    budget: Option<&ExecBudget>,
-) -> Result<FunctionalRelation> {
-    let mut guard = OpGuard::new(budget, input.schema().arity());
-    let positions: Vec<(usize, Value)> = predicates
+) -> Result<Vec<(usize, Value)>> {
+    predicates
         .iter()
         .map(|&(v, c)| {
             input
@@ -317,11 +339,19 @@ pub(crate) fn select_eq_impl(
                 .map(|p| (p, c))
                 .map_err(|_| AlgebraError::SelectVarNotInInput(v))
         })
-        .collect::<Result<_>>()?;
-    let mut out = FunctionalRelation::new(
-        format!("σ({})", input.name()),
-        input.schema().clone(),
-    );
+        .collect()
+}
+
+/// [`select_eq`]'s row filter: budget-guarded, no fault site or
+/// accounting.
+fn select_eq_impl(
+    input: &FunctionalRelation,
+    name: String,
+    positions: &[(usize, Value)],
+    budget: Option<&ExecBudget>,
+) -> Result<FunctionalRelation> {
+    let mut guard = OpGuard::new(budget, input.schema().arity());
+    let mut out = FunctionalRelation::new(name, input.schema().clone());
     for (row, m) in input.rows() {
         guard.poll()?;
         if positions.iter().all(|&(p, c)| row[p] == c) {

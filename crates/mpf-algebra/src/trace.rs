@@ -16,7 +16,7 @@
 //! * the interpreter opens a span per plan node before evaluating it and
 //!   closes it afterwards (inclusive wall time, PostgreSQL
 //!   `EXPLAIN ANALYZE` convention); the operator's own
-//!   `record_join`/`record_group_by`/`record_select`/`record_scan`
+//!   `record_join`/`record_group_by`/`record_select_ex`/`record_scan`
 //!   accounting call fills the open span's row counts;
 //! * inference entry points (`VeCache::build_in`,
 //!   `JunctionTree::populate_in`, `bp::calibrate_in`) open a *phase* span;
@@ -32,6 +32,8 @@
 //! the level — no allocation, no clock reads.
 
 use std::time::{Duration, Instant};
+
+use mpf_storage::VarId;
 
 /// How much execution tracing a context records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -171,6 +173,9 @@ pub struct TraceSpan {
     /// from: `"memo"` (every memo lookup hit) or `"built"` (it filled a
     /// memo); `None` when no operand had a memo to consult.
     pub keyed: Option<&'static str>,
+    /// The variables a selection pinned when it ran as a grid's pinned
+    /// slice (`repr=dense`); empty for every other operator.
+    pub pinned: Vec<VarId>,
     /// True when the span is a fused join→marginalize contraction (one
     /// operator accounting as a join *and* a group-by).
     pub fused: bool,
@@ -198,6 +203,7 @@ impl TraceSpan {
             nest: None,
             simd: None,
             keyed: None,
+            pinned: Vec::new(),
             fused: false,
             est_rows: None,
             fault: None,
@@ -226,7 +232,7 @@ impl TraceSpan {
         }
     }
 
-    fn render_into(&self, out: &mut String, depth: usize) {
+    fn render_into(&self, out: &mut String, depth: usize, var_name: &dyn Fn(VarId) -> String) {
         let indent = "  ".repeat(depth);
         out.push_str(&format!("{indent}{}", self.label));
         if self.kind == SpanKind::Phase {
@@ -253,6 +259,10 @@ impl TraceSpan {
             if let Some(k) = self.keyed {
                 out.push_str(&format!(", keyed={k}"));
             }
+            if !self.pinned.is_empty() {
+                let names: Vec<String> = self.pinned.iter().map(|&v| var_name(v)).collect();
+                out.push_str(&format!(", pinned={}", names.join(",")));
+            }
             if self.fused {
                 out.push_str(", fused=true");
             }
@@ -263,7 +273,7 @@ impl TraceSpan {
         }
         out.push('\n');
         for c in &self.children {
-            c.render_into(out, depth + 1);
+            c.render_into(out, depth + 1, var_name);
         }
     }
 
@@ -291,6 +301,10 @@ impl TraceSpan {
         }
         if let Some(k) = self.keyed {
             out.push_str(&format!(",\"keyed\":\"{k}\""));
+        }
+        if !self.pinned.is_empty() {
+            let ids: Vec<String> = self.pinned.iter().map(|v| v.0.to_string()).collect();
+            out.push_str(&format!(",\"pinned\":[{}]", ids.join(",")));
         }
         if self.fused {
             out.push_str(",\"fused\":true");
@@ -366,11 +380,18 @@ impl TraceTree {
         }
     }
 
-    /// Render as an indented tree with per-span actuals.
+    /// Render as an indented tree with per-span actuals, naming pinned
+    /// variables by id (`pinned=v1`); see [`TraceTree::render_with`].
     pub fn render(&self) -> String {
+        self.render_with(&|v| v.to_string())
+    }
+
+    /// [`TraceTree::render`] with pinned variables named by `var_name`
+    /// (the engine passes the catalog's names: `pinned=b`).
+    pub fn render_with(&self, var_name: &dyn Fn(VarId) -> String) -> String {
         let mut out = String::new();
         for r in &self.roots {
-            r.render_into(&mut out, 0);
+            r.render_into(&mut out, 0, var_name);
         }
         out
     }
@@ -525,6 +546,14 @@ impl TraceCollector {
     pub(crate) fn set_keyed(&mut self, keyed: &'static str) {
         if let Some(span) = self.active_span() {
             span.keyed = Some(keyed);
+        }
+    }
+
+    /// Tag the active span with the variables a pinned slice fixed (same
+    /// targeting rule as [`TraceCollector::set_kernel`]).
+    pub(crate) fn set_pinned(&mut self, vars: Vec<VarId>) {
+        if let Some(span) = self.active_span() {
+            span.pinned = vars;
         }
     }
 

@@ -41,18 +41,21 @@ fn main() {
                 schema: Schema::new(vec![x, u]).unwrap(),
                 cardinality: 200_000,
                 fd_lhs: None,
+                grid: false,
             },
             BaseRel {
                 name: "s2".into(),
                 schema: Schema::new(vec![x, w]).unwrap(),
                 cardinality: 50_000,
                 fd_lhs: None,
+                grid: false,
             },
             BaseRel {
                 name: "s3".into(),
                 schema: Schema::new(vec![u]).unwrap(),
                 cardinality: 2000,
                 fd_lhs: None,
+                grid: false,
             },
         ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([x]), CostModel::Io);

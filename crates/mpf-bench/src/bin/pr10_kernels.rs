@@ -122,6 +122,7 @@ fn main() {
         schema: rel.schema().clone(),
         cardinality: rel.len() as u64,
         fd_lhs: None,
+        grid: false,
     };
     let rels = vec![base(&r1), base(&r2), base(&r3)];
     let mut store = RelationStore::new();

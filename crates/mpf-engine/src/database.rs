@@ -1160,7 +1160,10 @@ impl Database {
             answer.optimize_time, answer.execute_time
         ));
         match &answer.trace {
-            Some(tree) if !tree.is_empty() => out.push_str(&tree.render()),
+            Some(tree) if !tree.is_empty() => {
+                let snap = self.snapshot();
+                out.push_str(&tree.render_with(&|v| snap.catalog.name(v).to_string()));
+            }
             _ => {
                 // Nothing traced (shouldn't happen with Spans forced on);
                 // fall back to the physical plan without actuals.

@@ -18,6 +18,11 @@ pub struct BaseRel {
     pub cardinality: u64,
     /// Optional declared FD left-hand side (`X_i` in Proposition 1).
     pub fd_lhs: Option<Vec<VarId>>,
+    /// Whether the stored key column is a grid (complete, in odometer
+    /// order), on which an equality selection is a pinned slice that the
+    /// dense kernels take as it is; physical lowering pins the selected
+    /// variables only then.
+    pub grid: bool,
 }
 
 impl BaseRel {
@@ -28,6 +33,7 @@ impl BaseRel {
             schema: rel.schema().clone(),
             cardinality: rel.len() as u64,
             fd_lhs: None,
+            grid: rel.grid().is_some(),
         }
     }
 }
@@ -140,6 +146,7 @@ impl BaseRel {
             schema: Schema::new(vars).unwrap(),
             cardinality,
             fd_lhs: None,
+            grid: false,
         }
     }
 }
@@ -160,6 +167,7 @@ mod tests {
                 schema: Schema::new(vec![a, b]).unwrap(),
                 cardinality: 500,
                 fd_lhs: None,
+                grid: false,
             }],
             QuerySpec::group_by([b]).filter(a, 3),
             CostModel::Simple,

@@ -157,6 +157,7 @@ mod tests {
                 schema: Schema::new(vec![a, b]).unwrap(),
                 cardinality: 16,
                 fd_lhs: None,
+                grid: false,
             }],
             QuerySpec::group_by([a]),
             CostModel::Io,

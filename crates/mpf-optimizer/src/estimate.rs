@@ -24,13 +24,22 @@ pub fn base_rows(ctx: &OptContext<'_>, rel_idx: usize) -> f64 {
     select_rows(ctx, rel.cardinality as f64, &preds)
 }
 
-/// Estimated rows of a selection on `predicates` over `in_rows` rows.
+/// Estimated rows of a selection on `predicates` over `in_rows` rows:
+/// each variable keeps `1/|dom(v)|` of the rows once, however often the
+/// conjunction repeats it, and two different constants on one variable
+/// select nothing.
 pub fn select_rows(ctx: &OptContext<'_>, in_rows: f64, predicates: &[(VarId, Value)]) -> f64 {
     let mut rows = in_rows;
-    for &(v, _) in predicates {
-        let d = ctx.catalog.domain_size(v) as f64;
-        if d > 0.0 {
-            rows /= d;
+    for (i, &(v, c)) in predicates.iter().enumerate() {
+        match predicates[..i].iter().find(|p| p.0 == v) {
+            Some(&(_, first)) if first != c => return 0.0,
+            Some(_) => {}
+            None => {
+                let d = ctx.catalog.domain_size(v) as f64;
+                if d > 0.0 {
+                    rows /= d;
+                }
+            }
         }
     }
     rows.max(1.0)
@@ -88,16 +97,30 @@ pub fn plan_estimate(ctx: &OptContext<'_>, plan: &mpf_algebra::Plan) -> (Schema,
     }
 }
 
-/// Estimated density of `rows` rows on the catalog grid of `schema`:
-/// `rows / ∏ |dom(v)|`, capped at 1. Grid sizes use the catalog's *real*
-/// domains, not the effective ones — the dense kernels grid over the
-/// data's actual value range regardless of query predicates. `None` when
-/// the grid exceeds [`mpf_storage::dense::MAX_DENSE_CELLS`], which
-/// callers treat as "never dense".
-pub fn schema_density(ctx: &OptContext<'_>, schema: &Schema, rows: f64) -> Option<f64> {
+/// Estimated density of `rows` rows on the grid of `schema`:
+/// `rows / ∏ |dom(v)|`, capped at 1. A variable in `pinned` — fixed by a
+/// selection below the operand, whose slice of a grid is one cell wide
+/// on that axis — counts 1; every other variable counts its catalog's
+/// *real* domain, not the effective one, because the dense kernels grid
+/// an unselected operand over the data's actual value range whatever
+/// the query's predicates bind elsewhere. `None` when the grid exceeds
+/// [`mpf_storage::dense::MAX_DENSE_CELLS`], which callers treat as
+/// "never dense".
+pub fn schema_density(
+    ctx: &OptContext<'_>,
+    schema: &Schema,
+    pinned: &[VarId],
+    rows: f64,
+) -> Option<f64> {
     let domains: Vec<u64> = schema
         .iter()
-        .map(|v| ctx.catalog.domain_size(v))
+        .map(|v| {
+            if pinned.contains(&v) {
+                1
+            } else {
+                ctx.catalog.domain_size(v)
+            }
+        })
         .collect();
     let cells = mpf_storage::dense::grid_cells(&domains)?;
     if cells == 0 {
@@ -191,12 +214,14 @@ mod tests {
             schema: Schema::new(vec![a, b]).unwrap(),
             cardinality: 1000,
             fd_lhs: None,
+            grid: false,
         };
         let r2 = BaseRel {
             name: "r2".into(),
             schema: Schema::new(vec![b, c]).unwrap(),
             cardinality: 500,
             fd_lhs: None,
+            grid: false,
         };
         let ctx = OptContext::new(
             &cat,
@@ -226,6 +251,7 @@ mod tests {
             schema: Schema::new(vec![a, b]).unwrap(),
             cardinality: 1000,
             fd_lhs: None,
+            grid: false,
         };
         let ctx = OptContext::new(
             &cat,
@@ -239,6 +265,35 @@ mod tests {
         let j = join_rows(&ctx, &r1.schema, 10.0, &r1.schema, 10.0);
         // Shared vars a (10) and b (bound, 1): 10*10/10 = 10.
         assert_eq!(j, 10.0);
+    }
+
+    #[test]
+    fn repeated_predicates_count_each_variable_once() {
+        let mut cat = Catalog::new();
+        let a = cat.add_var("a", 256).unwrap();
+        let b = cat.add_var("b", 256).unwrap();
+        let ctx = OptContext::new(&cat, [], QuerySpec::default(), CostModel::Io);
+        let rows = 65_536.0;
+        assert_eq!(select_rows(&ctx, rows, &[(b, 1)]), 256.0);
+        // `b = 1 and b = 1` is `b = 1`.
+        assert_eq!(select_rows(&ctx, rows, &[(b, 1), (b, 1)]), 256.0);
+        assert_eq!(select_rows(&ctx, rows, &[(b, 1), (a, 3), (b, 1)]), 1.0);
+        // `b = 1 and b = 2` selects nothing.
+        assert_eq!(select_rows(&ctx, rows, &[(b, 1), (b, 2)]), 0.0);
+        assert_eq!(select_rows(&ctx, rows, &[(b, 1), (a, 3), (b, 2)]), 0.0);
+    }
+
+    #[test]
+    fn pinned_variables_count_one_cell_in_density() {
+        let mut cat = Catalog::new();
+        let a = cat.add_var("a", 256).unwrap();
+        let b = cat.add_var("b", 256).unwrap();
+        let ctx = OptContext::new(&cat, [], QuerySpec::default(), CostModel::Io);
+        let ab = Schema::new(vec![a, b]).unwrap();
+        // The 256-row slice of a complete 256×256 grid at `b = c`: sparse
+        // on the full grid, complete on the slice's.
+        assert_eq!(schema_density(&ctx, &ab, &[], 256.0), Some(1.0 / 256.0));
+        assert_eq!(schema_density(&ctx, &ab, &[b], 256.0), Some(1.0));
     }
 
     #[test]

@@ -78,18 +78,21 @@ mod tests {
                 schema: Schema::new(vec![wid, cid]).unwrap(),
                 cardinality: 5000,
                 fd_lhs: None,
+                grid: false,
             },
             BaseRel {
                 name: "ctdeals".into(),
                 schema: Schema::new(vec![cid, tid]).unwrap(),
                 cardinality: 500_000,
                 fd_lhs: None,
+                grid: false,
             },
             BaseRel {
                 name: "transporters".into(),
                 schema: Schema::new(vec![tid]).unwrap(),
                 cardinality: 500,
                 fd_lhs: None,
+                grid: false,
             },
         ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::default(), CostModel::Simple);
@@ -120,6 +123,7 @@ mod tests {
                 schema: Schema::new(vec![a]).unwrap(),
                 cardinality: 10,
                 fd_lhs: None,
+                grid: false,
             }],
             QuerySpec::default(),
             CostModel::Simple,

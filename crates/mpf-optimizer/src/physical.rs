@@ -27,9 +27,17 @@
 //!
 //! Operand sizes come from the same catalog-based estimator the join
 //! ordering used ([`estimate::plan_estimate`]).
+//!
+//! A variable a selection fixes (`σ_{b=c}`) over an operand estimated
+//! complete is *pinned* above it: on a complete grid the selection is a
+//! slice whose `b` axis is one cell wide, so dense eligibility grids it
+//! with domain 1, and a complete operand's slice stays complete —
+//! `rows/|b|` over `grid/|b|`. Over any other operand the selection is a
+//! row filter, whose output the dense kernels grid over the real domain
+//! of `b`, so it pins nothing and is judged as before.
 
 use mpf_algebra::{AggAlgo, DenseMode, JoinAlgo, PhysicalPlan, Plan, ReprMode};
-use mpf_storage::Schema;
+use mpf_storage::{Schema, VarId};
 
 use crate::{estimate, OptContext};
 
@@ -88,25 +96,59 @@ impl PhysicalConfig {
     }
 }
 
+/// A lowered subplan's estimated output: its schema and rows, whether it
+/// is a grid (a grid base relation, a slice of a grid, or a dense
+/// operator's output), and the variables a selection pinned to one cell
+/// of that grid.
+struct Estimate {
+    schema: Schema,
+    rows: f64,
+    grid: bool,
+    pinned: Vec<VarId>,
+}
+
+impl Estimate {
+    /// The estimate of an operator's output, which is a grid — keeping
+    /// its pinned axes — only when the operator runs dense.
+    fn ran(mut self, dense: bool) -> Estimate {
+        self.grid = dense;
+        if !dense {
+            self.pinned.clear();
+        }
+        self
+    }
+}
+
 /// Whether the dense kernel should be selected for an operator whose
-/// inputs have the given (schema, rows) estimates and whose output schema
-/// grid must be materialized. `Off`: never. `On`: whenever every grid is
-/// feasible. `Auto`: additionally every input must clear the density
-/// threshold — near-complete operands are where the odometer kernel wins.
+/// inputs have the given estimates and whose output grid (`out`'s
+/// schema, its pinned variables one cell wide) must be materialized.
+/// `Off`: never.
+/// `On`: whenever every grid is feasible. `Auto`: additionally every
+/// input must clear the density threshold — near-complete operands are
+/// where the odometer kernel wins. A variable pinned in one input but
+/// not in another that has it never goes dense: the grids disagree on
+/// its axis.
 fn dense_applies(
     ctx: &OptContext<'_>,
     cfg: &PhysicalConfig,
-    inputs: &[(&Schema, f64)],
-    out_schema: &Schema,
+    inputs: &[&Estimate],
+    out: &Estimate,
 ) -> bool {
     if cfg.dense_mode == DenseMode::Off {
         return false;
     }
-    if estimate::schema_density(ctx, out_schema, 0.0).is_none() {
+    if estimate::schema_density(ctx, &out.schema, &out.pinned, 0.0).is_none() {
         return false;
     }
-    for &(schema, rows) in inputs {
-        match estimate::schema_density(ctx, schema, rows) {
+    let pinned_unevenly = |v: &VarId| {
+        let mut sides = inputs.iter().filter(|e| e.schema.contains(*v));
+        sides.clone().any(|e| e.pinned.contains(v)) && !sides.all(|e| e.pinned.contains(v))
+    };
+    if out.pinned.iter().any(pinned_unevenly) {
+        return false;
+    }
+    for input in inputs {
+        match estimate::schema_density(ctx, &input.schema, &input.pinned, input.rows) {
             None => return false,
             Some(d) => {
                 if cfg.dense_mode == DenseMode::Auto && d < cfg.dense_min_density {
@@ -134,34 +176,34 @@ fn sparse_applies(ctx: &OptContext<'_>, cfg: &PhysicalConfig, schemas: &[&Schema
         })
 }
 
-/// The algorithm for a product join of the given operand estimates.
+/// The algorithm for a product join of the given operands into `out`.
 fn join_algo(
     ctx: &OptContext<'_>,
     cfg: &PhysicalConfig,
-    (ls, lr): (&Schema, f64),
-    (rs, rr): (&Schema, f64),
-    out: &Schema,
+    l: &Estimate,
+    r: &Estimate,
+    out: &Estimate,
 ) -> JoinAlgo {
-    if dense_applies(ctx, cfg, &[(ls, lr), (rs, rr)], out) {
+    if dense_applies(ctx, cfg, &[l, r], out) {
         return JoinAlgo::Dense;
     }
-    if sparse_applies(ctx, cfg, &[ls, rs, out]) {
+    if sparse_applies(ctx, cfg, &[&l.schema, &r.schema, &out.schema]) {
         return JoinAlgo::SparseTensor;
     }
     JoinAlgo::Hash
 }
 
-/// The algorithm for a group-by of `(in_schema, in_rows)` onto `out`.
+/// The algorithm for a group-by of `input` onto `out`.
 fn agg_algo(
     ctx: &OptContext<'_>,
     cfg: &PhysicalConfig,
-    (in_schema, in_rows): (&Schema, f64),
-    out: &Schema,
+    input: &Estimate,
+    out: &Estimate,
 ) -> AggAlgo {
-    if dense_applies(ctx, cfg, &[(in_schema, in_rows)], out) {
+    if dense_applies(ctx, cfg, &[input], out) {
         return AggAlgo::DenseAgg;
     }
-    if sparse_applies(ctx, cfg, &[in_schema, out]) {
+    if sparse_applies(ctx, cfg, &[&input.schema, &out.schema]) {
         return AggAlgo::SparseAgg;
     }
     AggAlgo::HashAgg
@@ -173,8 +215,8 @@ pub fn choose_physical(ctx: &OptContext<'_>, plan: &Plan, cfg: PhysicalConfig) -
 }
 
 /// Choose each operator's algorithm bottom-up, handing every subplan's
-/// estimated schema and rows (those of [`estimate::plan_estimate`]) to its
-/// parent, so each node is estimated once.
+/// estimated schema and rows (those of [`estimate::plan_estimate`]) and
+/// its pinned variables to its parent, so each node is estimated once.
 ///
 /// With [`PhysicalConfig::fuse`], a dense join feeding a dense
 /// marginalization, or a sparse join feeding a sparse one, becomes a single
@@ -182,39 +224,70 @@ pub fn choose_physical(ctx: &OptContext<'_>, plan: &Plan, cfg: PhysicalConfig) -
 /// step then folds every join pair straight into its group accumulator,
 /// skipping the join intermediate entirely. Mixed and hash pairings keep
 /// their chosen algorithms.
-fn lower(ctx: &OptContext<'_>, cfg: &PhysicalConfig, plan: &Plan) -> (PhysicalPlan, Schema, f64) {
+fn lower(ctx: &OptContext<'_>, cfg: &PhysicalConfig, plan: &Plan) -> (PhysicalPlan, Estimate) {
     match plan {
         Plan::Scan { relation } => {
             let (schema, rows) = estimate::plan_estimate(ctx, plan);
+            let grid = ctx.rels.iter().any(|r| &r.name == relation && r.grid);
             let scan = PhysicalPlan::Scan {
                 relation: relation.clone(),
             };
-            (scan, schema, rows)
+            let est = Estimate {
+                schema,
+                rows,
+                grid,
+                pinned: Vec::new(),
+            };
+            (scan, est)
         }
         Plan::Select { input, predicates } => {
-            let (input, schema, rows) = lower(ctx, cfg, input);
+            let (input, mut est) = lower(ctx, cfg, input);
+            est.rows = estimate::select_rows(ctx, est.rows, predicates);
+            for &(v, _) in predicates.iter().filter(|_| est.grid) {
+                if !est.pinned.contains(&v) {
+                    est.pinned.push(v);
+                }
+            }
             let select = PhysicalPlan::Select {
                 input: Box::new(input),
                 predicates: predicates.clone(),
             };
-            (select, schema, estimate::select_rows(ctx, rows, predicates))
+            (select, est)
         }
         Plan::Join { left, right } => {
-            let (left, ls, lr) = lower(ctx, cfg, left);
-            let (right, rs, rr) = lower(ctx, cfg, right);
-            let schema = ls.union(&rs);
+            let (left, l) = lower(ctx, cfg, left);
+            let (right, r) = lower(ctx, cfg, right);
+            let mut pinned = l.pinned.clone();
+            pinned.extend(r.pinned.iter().filter(|v| !l.pinned.contains(v)));
+            let est = Estimate {
+                schema: l.schema.union(&r.schema),
+                rows: estimate::join_rows(ctx, &l.schema, l.rows, &r.schema, r.rows),
+                grid: true,
+                pinned,
+            };
+            let algo = join_algo(ctx, cfg, &l, &r, &est);
             let join = PhysicalPlan::Join {
                 left: Box::new(left),
                 right: Box::new(right),
-                algo: join_algo(ctx, cfg, (&ls, lr), (&rs, rr), &schema),
+                algo,
             };
-            (join, schema, estimate::join_rows(ctx, &ls, lr, &rs, rr))
+            (join, est.ran(algo == JoinAlgo::Dense))
         }
         Plan::GroupBy { input, group_vars } => {
-            let (input, in_schema, in_rows) = lower(ctx, cfg, input);
+            let (input, in_est) = lower(ctx, cfg, input);
             let schema: Schema = group_vars.iter().copied().collect();
-            let rows = estimate::group_rows(ctx, in_rows, &schema);
-            let agg = agg_algo(ctx, cfg, (&in_schema, in_rows), &schema);
+            let est = Estimate {
+                rows: estimate::group_rows(ctx, in_est.rows, &schema),
+                grid: true,
+                pinned: in_est
+                    .pinned
+                    .iter()
+                    .copied()
+                    .filter(|v| schema.contains(*v))
+                    .collect(),
+                schema,
+            };
+            let agg = agg_algo(ctx, cfg, &in_est, &est);
             let group_vars = group_vars.clone();
             let group = match input {
                 PhysicalPlan::Join { left, right, algo }
@@ -238,7 +311,7 @@ fn lower(ctx: &OptContext<'_>, cfg: &PhysicalConfig, plan: &Plan) -> (PhysicalPl
                     algo: agg,
                 },
             };
-            (group, schema, rows)
+            (group, est.ran(agg == AggAlgo::DenseAgg))
         }
     }
 }
@@ -260,12 +333,14 @@ mod tests {
                     schema: Schema::new(vec![a, b]).unwrap(),
                     cardinality: 100_000,
                     fd_lhs: None,
+                    grid: false,
                 },
                 BaseRel {
                     name: "r2".into(),
                     schema: Schema::new(vec![b, c]).unwrap(),
                     cardinality: 5_000_000,
                     fd_lhs: None,
+                    grid: false,
                 },
             ],
             a,
@@ -382,6 +457,64 @@ mod tests {
     }
 
     #[test]
+    fn evidence_on_grids_stays_dense() {
+        // The triangle `r1(a,b)·r2(b,c)·r3(c,a)` over complete 64×64
+        // relations with `b = 3`: on grids the selections are slices, one
+        // cell wide on `b`, and every step of every plan stays dense; on
+        // explicit rows they are row filters and the plans are as if
+        // nothing were pinned.
+        let mut cat = Catalog::new();
+        let [a, b, c] = ["a", "b", "c"].map(|v| cat.add_var(v, 64).unwrap());
+        let rels = |grid: bool| {
+            [("r1", [a, b]), ("r2", [b, c]), ("r3", [c, a])].map(|(name, vars)| BaseRel {
+                grid,
+                ..BaseRel::fixture(name, vars.to_vec(), 64 * 64)
+            })
+        };
+        let query = QuerySpec::group_by([a]).filter(b, 3);
+        let cfg = PhysicalConfig::default();
+        for algo in [
+            Algorithm::CsPlusNonlinear,
+            Algorithm::Ve(crate::Heuristic::Degree),
+        ] {
+            let grids = OptContext::new(&cat, rels(true), query.clone(), CostModel::Io);
+            let plan = optimize(&grids, algo).plan;
+            let phys = choose_physical(&grids, &plan, cfg);
+            let render = phys.render(&|v| format!("x{}", v.0));
+            assert_eq!(
+                phys.dense_operator_count(),
+                plan.join_count() + plan.group_by_count(),
+                "{render}"
+            );
+            let rows = OptContext::new(&cat, rels(false), query.clone(), CostModel::Io);
+            let phys = choose_physical(&rows, &plan, cfg);
+            let render = phys.render(&|v| format!("x{}", v.0));
+            assert!(!dense_over_select(&phys), "{render}");
+        }
+    }
+
+    /// Whether a dense join or elimination step reads a selection.
+    fn dense_over_select(p: &PhysicalPlan) -> bool {
+        let select = |p: &PhysicalPlan| matches!(p, PhysicalPlan::Select { .. });
+        match p {
+            PhysicalPlan::Scan { .. } => false,
+            PhysicalPlan::Select { input, .. } | PhysicalPlan::GroupBy { input, .. } => {
+                dense_over_select(input)
+            }
+            PhysicalPlan::Join {
+                left, right, algo, ..
+            }
+            | PhysicalPlan::JoinAgg {
+                left, right, algo, ..
+            } => {
+                (*algo == JoinAlgo::Dense && (select(left) || select(right)))
+                    || dense_over_select(left)
+                    || dense_over_select(right)
+            }
+        }
+    }
+
+    #[test]
     fn infeasible_grids_are_never_dense() {
         // Domains whose cross product exceeds MAX_DENSE_CELLS.
         let mut cat = Catalog::new();
@@ -392,6 +525,7 @@ mod tests {
             schema: Schema::new(vec![a, b]).unwrap(),
             cardinality: 1 << 26,
             fd_lhs: None,
+            grid: false,
         }];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
@@ -506,6 +640,7 @@ mod tests {
             schema: Schema::new(vec![a, b]).unwrap(),
             cardinality: 64,
             fd_lhs: None,
+            grid: false,
         }];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
@@ -531,6 +666,7 @@ mod tests {
             schema: Schema::new(vec![a, b]).unwrap(),
             cardinality: 1 << 22,
             fd_lhs: None,
+            grid: false,
         }];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;

@@ -82,12 +82,14 @@ mod tests {
             schema: Schema::new(vec![a, b]).unwrap(),
             cardinality: 16,
             fd_lhs: Some(vec![a]), // a -> f, b is a dependent attribute
+            grid: false,
         };
         let r2 = BaseRel {
             name: "r2".into(),
             schema: Schema::new(vec![a, c]).unwrap(),
             cardinality: 16,
             fd_lhs: None,
+            grid: false,
         };
         let ctx = OptContext::new(
             &cat,
@@ -104,6 +106,7 @@ mod tests {
             schema: Schema::new(vec![a, b, c]).unwrap(),
             cardinality: 64,
             fd_lhs: None,
+            grid: false,
         };
         let ctx2 = OptContext::new(&cat, [r1, r2b], QuerySpec::default(), CostModel::Io);
         assert!(removable_vars(&ctx2).is_empty());

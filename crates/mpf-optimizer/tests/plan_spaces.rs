@@ -65,6 +65,7 @@ fn build<'a>(c: &Ctx, cat: &'a mut Catalog) -> Option<OptContext<'a>> {
             schema: Schema::new(ids).ok()?,
             cardinality: card,
             fd_lhs: None,
+            grid: false,
         });
     }
     // Query variable must appear somewhere.

@@ -213,6 +213,14 @@ impl DenseFactor {
     pub fn into_relation(self) -> FunctionalRelation {
         FunctionalRelation::from_grid(self.name, self.schema, self.domains, self.values)
     }
+
+    /// [`DenseFactor::into_relation`] with axis `k` of the grid standing
+    /// for the values `origins[k]..origins[k] + domains[k]` — the output
+    /// of a kernel over pinned slices, whose one-cell axes keep their
+    /// pinned value.
+    pub fn into_relation_at(self, origins: Vec<Value>) -> FunctionalRelation {
+        FunctionalRelation::from_grid_at(self.name, self.schema, self.domains, origins, self.values)
+    }
 }
 
 #[cfg(test)]

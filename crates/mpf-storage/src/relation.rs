@@ -10,10 +10,13 @@ use crate::{layout, Catalog, Key, Result, Schema, StorageError, Value, VarId};
 /// one of two lazily materialized forms whose rows are *implied* —
 ///
 /// * `Grid`: a grid-complete relation in odometer order keeps only its
-///   domain vector, row `i` being the odometer decomposition of `i`.
+///   domain vector and per-axis origins, row `i` being the odometer
+///   decomposition of `i` plus the origins.
 ///   [`FunctionalRelation::complete`] and `DenseFactor::into_relation`
-///   build it; it certifies odometer order in O(1), so dense kernels skip
-///   the verification scan.
+///   build it with zero origins; it certifies odometer order in O(1), so
+///   dense kernels skip the verification scan. A pinned slice
+///   ([`FunctionalRelation::pinned_slice`]) is a grid whose pinned axes
+///   are one cell wide with the pinned value as origin.
 /// * `Coords`: any functional relation as strictly ascending coordinates
 ///   linearized over `domains` in the schema's own odometer order (so the
 ///   rows ascend lexicographically). Every sparse kernel emits it; the
@@ -25,9 +28,11 @@ use crate::{layout, Catalog, Key, Result, Schema, StorageError, Value, VarId};
 enum KeyCol {
     /// Explicit row-major packed keys (`len() * arity()` values).
     Rows(Vec<Value>),
-    /// Implicit odometer sequence over `domains`.
+    /// Implicit odometer sequence over `domains`, shifted by `origins`
+    /// (one per axis).
     Grid {
         domains: Vec<u64>,
+        origins: Vec<Value>,
         cache: OnceLock<Vec<Value>>,
     },
     /// One linearized coordinate per row over `domains`, ascending.
@@ -44,9 +49,15 @@ impl KeyCol {
     fn take_rows(&mut self, len: usize) -> Option<Vec<Value>> {
         match self {
             KeyCol::Rows(_) => None,
-            KeyCol::Grid { domains, cache } => {
-                Some(cache.take().unwrap_or_else(|| odometer_keys(domains, len)))
-            }
+            KeyCol::Grid {
+                domains,
+                origins,
+                cache,
+            } => Some(
+                cache
+                    .take()
+                    .unwrap_or_else(|| odometer_keys(domains, origins, len)),
+            ),
             KeyCol::Coords {
                 domains,
                 coords,
@@ -56,32 +67,48 @@ impl KeyCol {
     }
 }
 
-/// Materialize the odometer key sequence of a grid: runs of the last
-/// (fastest) column under a prefix that advances once per run, so the
-/// hot per-row loop never branches.
-fn odometer_keys(domains: &[u64], total: usize) -> Vec<Value> {
+/// Materialize the odometer key sequence of a grid whose axes start at
+/// `origins`: runs of the last (fastest) column under a prefix that
+/// advances once per run, so the hot per-row loop never branches.
+fn odometer_keys(domains: &[u64], origins: &[Value], total: usize) -> Vec<Value> {
     let arity = domains.len();
     let mut values = vec![0 as Value; total * arity];
     if arity > 0 && total > 0 {
         let dlast = domains[arity - 1];
-        let mut prefix = vec![0 as Value; arity - 1];
+        let olast = origins[arity - 1];
+        let mut prefix = origins[..arity - 1].to_vec();
         let mut w = 0usize;
         for _ in 0..total as u64 / dlast {
             for j in 0..dlast {
                 values[w..w + arity - 1].copy_from_slice(&prefix);
-                values[w + arity - 1] = j as Value;
+                values[w + arity - 1] = olast + j as Value;
                 w += arity;
             }
             for c in (0..arity - 1).rev() {
                 prefix[c] += 1;
-                if (prefix[c] as u64) < domains[c] {
+                if ((prefix[c] - origins[c]) as u64) < domains[c] {
                     break;
                 }
-                prefix[c] = 0;
+                prefix[c] = origins[c];
             }
         }
     }
     values
+}
+
+/// Append the cells of `src` at `base` plus every odometer combination of
+/// `axes` — `(domain, stride)` per axis, slowest first — in odometer
+/// order; a trailing unit-stride axis is copied as one run.
+fn gather(src: &[f64], base: usize, axes: &[(usize, usize)], out: &mut Vec<f64>) {
+    match axes {
+        [] => out.push(src[base]),
+        [(d, 1)] => out.extend_from_slice(&src[base..base + d]),
+        [(d, s), rest @ ..] => {
+            for i in 0..*d {
+                gather(src, base + i * s, rest, out);
+            }
+        }
+    }
 }
 
 /// Materialize the rows of ascending coordinates over `domains`.
@@ -128,10 +155,10 @@ impl PartialEq for FunctionalRelation {
     /// tolerance here is the same one [`FunctionalRelation::function_eq`]
     /// already applies.
     fn eq(&self, other: &Self) -> bool {
-        // Two grid key columns with equal domains imply identical row
-        // sequences without materializing either side.
-        let keys_eq = match (&self.keys, &other.keys) {
-            (KeyCol::Grid { domains: a, .. }, KeyCol::Grid { domains: b, .. }) => a == b,
+        // Two grid key columns with equal domains and origins imply
+        // identical row sequences without materializing either side.
+        let keys_eq = match (self.grid(), other.grid()) {
+            (Some(a), Some(b)) => a == b,
             _ => self.values_col() == other.values_col(),
         };
         self.name == other.name
@@ -237,13 +264,29 @@ impl FunctionalRelation {
         domains: Vec<u64>,
         measures: Vec<f64>,
     ) -> Self {
+        let origins = vec![0; domains.len()];
+        Self::from_grid_at(name, schema, domains, origins, measures)
+    }
+
+    /// [`FunctionalRelation::from_grid`] with axis `k` starting at
+    /// `origins[k]` rather than 0: row `i` is the odometer decomposition
+    /// of `i` over `domains`, plus `origins`.
+    pub(crate) fn from_grid_at(
+        name: impl Into<String>,
+        schema: Schema,
+        domains: Vec<u64>,
+        origins: Vec<Value>,
+        measures: Vec<f64>,
+    ) -> Self {
         debug_assert_eq!(domains.len(), schema.arity());
+        debug_assert_eq!(origins.len(), schema.arity());
         debug_assert_eq!(domains.iter().product::<u64>(), measures.len() as u64);
         Self {
             name: name.into(),
             schema,
             keys: KeyCol::Grid {
                 domains,
+                origins,
                 cache: OnceLock::new(),
             },
             measures,
@@ -288,12 +331,75 @@ impl FunctionalRelation {
     /// its rows enumerate — the O(1) certificate the dense kernels use to
     /// skip the odometer-order verification scan. `None` for explicit-row
     /// and coordinate relations (which may still *be* odometer-ordered;
-    /// callers fall back to the checking path).
+    /// callers fall back to the checking path), and for a grid with an
+    /// axis that does not start at 0 (see [`FunctionalRelation::grid`]).
     pub fn grid_domains(&self) -> Option<&[u64]> {
+        self.grid()
+            .filter(|(_, origins)| origins.iter().all(|&o| o == 0))
+            .map(|(domains, _)| domains)
+    }
+
+    /// For a grid key column, its domain vector and per-axis origins: the
+    /// rows are the odometer sequence of the domains, each shifted by the
+    /// origins. A pinned slice ([`FunctionalRelation::pinned_slice`]) has
+    /// a one-cell axis whose origin is the pinned value. `None` for
+    /// explicit-row and coordinate relations.
+    pub fn grid(&self) -> Option<(&[u64], &[Value])> {
         match &self.keys {
-            KeyCol::Grid { domains, .. } => Some(domains),
+            KeyCol::Grid {
+                domains, origins, ..
+            } => Some((domains, origins)),
             _ => None,
         }
+    }
+
+    /// The rows of a grid relation whose value at schema position `p`
+    /// equals `c` for every `(p, c)` in `pins` (the selection
+    /// `σ_{v=c ∧ …}`), as a pinned slice in O(output): each pinned axis
+    /// becomes one cell wide with `c` as its origin, and only the slice's
+    /// own measures are gathered, in the grid's row order. A constant
+    /// outside its axis, or two different constants on one axis, give an
+    /// empty relation. `None` when the key column is not a grid; the
+    /// caller then filters rows.
+    pub fn pinned_slice(&self, name: impl Into<String>, pins: &[(usize, Value)]) -> Option<Self> {
+        let (domains, origins) = self.grid()?;
+        let mut pinned: Vec<Option<Value>> = vec![None; domains.len()];
+        for &(p, c) in pins {
+            let in_axis = c >= origins[p] && u64::from(c - origins[p]) < domains[p];
+            if !in_axis || pinned[p].is_some_and(|q| q != c) {
+                return Some(Self::new(name, self.schema.clone()));
+            }
+            pinned[p] = Some(c);
+        }
+        let strides = layout::strides_of(domains);
+        let mut base = 0usize;
+        let mut free: Vec<(usize, usize)> = Vec::new();
+        for (p, pin) in pinned.iter().enumerate() {
+            match pin {
+                Some(c) => base += (c - origins[p]) as usize * strides[p] as usize,
+                None => free.push((domains[p] as usize, strides[p] as usize)),
+            }
+        }
+        let total = free.iter().map(|&(d, _)| d).product();
+        let mut measures = Vec::with_capacity(total);
+        gather(&self.measures, base, &free, &mut measures);
+        let slice_domains = pinned
+            .iter()
+            .zip(domains)
+            .map(|(pin, &d)| if pin.is_some() { 1 } else { d })
+            .collect();
+        let slice_origins = pinned
+            .iter()
+            .zip(origins)
+            .map(|(pin, &o)| pin.unwrap_or(o))
+            .collect();
+        Some(Self::from_grid_at(
+            name,
+            self.schema.clone(),
+            slice_domains,
+            slice_origins,
+            measures,
+        ))
     }
 
     /// For a relation in coordinate form ([`FunctionalRelation::from_coords`]),
@@ -323,9 +429,11 @@ impl FunctionalRelation {
     fn implicit_keys(&self) -> &[Value] {
         match &self.keys {
             KeyCol::Rows(v) => v,
-            KeyCol::Grid { domains, cache } => {
-                cache.get_or_init(|| odometer_keys(domains, self.measures.len()))
-            }
+            KeyCol::Grid {
+                domains,
+                origins,
+                cache,
+            } => cache.get_or_init(|| odometer_keys(domains, origins, self.measures.len())),
             KeyCol::Coords {
                 domains,
                 coords,
@@ -434,8 +542,12 @@ impl FunctionalRelation {
         let rows_bytes = self.measures.len() * self.schema.arity() * std::mem::size_of::<Value>();
         let key_bytes = match &self.keys {
             KeyCol::Rows(v) => v.capacity() * std::mem::size_of::<Value>(),
-            KeyCol::Grid { domains, .. } => {
-                domains.capacity() * std::mem::size_of::<u64>() + rows_bytes
+            KeyCol::Grid {
+                domains, origins, ..
+            } => {
+                domains.capacity() * std::mem::size_of::<u64>()
+                    + origins.capacity() * std::mem::size_of::<Value>()
+                    + rows_bytes
             }
             KeyCol::Coords {
                 domains, coords, ..
@@ -558,9 +670,14 @@ impl FunctionalRelation {
         if self.is_empty() || arity == 0 {
             return vec![0; arity];
         }
-        // A non-empty grid enumerates every value of every axis.
-        if let Some(domains) = self.grid_domains() {
-            return domains.to_vec();
+        // A non-empty grid enumerates every value of every axis, from
+        // its origin on.
+        if let Some((domains, origins)) = self.grid() {
+            return domains
+                .iter()
+                .zip(origins)
+                .map(|(&d, &o)| d + u64::from(o))
+                .collect();
         }
         if let Some(domains) = self.memo.as_ref().and_then(|m| m.domains()) {
             return domains;
@@ -594,7 +711,12 @@ impl FunctionalRelation {
         self.name.shrink_to_fit();
         match &mut self.keys {
             KeyCol::Rows(v) => v.shrink_to_fit(),
-            KeyCol::Grid { domains, .. } => domains.shrink_to_fit(),
+            KeyCol::Grid {
+                domains, origins, ..
+            } => {
+                domains.shrink_to_fit();
+                origins.shrink_to_fit();
+            }
             KeyCol::Coords {
                 domains, coords, ..
             } => {
@@ -656,7 +778,7 @@ impl FunctionalRelation {
                 .all(|(k, &(p, d))| p == k && d == own[k])
         };
         let ascending = match &self.keys {
-            KeyCol::Grid { domains, .. } if own_order(domains) => {
+            KeyCol::Grid { .. } if self.grid_domains().is_some_and(own_order) => {
                 Some((0..self.len() as u64).collect())
             }
             KeyCol::Coords {
@@ -979,6 +1101,64 @@ mod tests {
         // Canonicalization is the identity on a grid (odometer order is
         // lexicographic order).
         assert_eq!(r.canonicalized(), r);
+    }
+
+    /// The rows of `r` with `row[p] == c` for every pin, pushed.
+    fn filtered(r: &FunctionalRelation, pins: &[(usize, Value)]) -> FunctionalRelation {
+        let rows = r
+            .rows()
+            .filter(|(row, _)| pins.iter().all(|&(p, c)| row[p] == c))
+            .map(|(row, m)| (row.to_vec(), m));
+        FunctionalRelation::from_rows("s", r.schema().clone(), rows).unwrap()
+    }
+
+    #[test]
+    fn pinned_slices_are_the_filtered_rows_as_a_grid() {
+        let (c, a, b, d) = catalog3();
+        let schema = Schema::new(vec![a, b, d]).unwrap();
+        let r = FunctionalRelation::complete("r", schema, &c, |row| {
+            (row[0] * 100 + row[1] * 10 + row[2]) as f64
+        });
+        for pins in [
+            vec![(1, 2)],
+            vec![(0, 1)],
+            vec![(2, 0)],
+            vec![(0, 1), (2, 1)],
+            vec![(1, 1), (1, 1)],
+            vec![(0, 1), (1, 0), (2, 1)],
+        ] {
+            let slice = r.pinned_slice("s", &pins).expect("grid");
+            let want = filtered(&r, &pins);
+            assert_eq!(slice, want, "pins {pins:?}");
+            let bits = |x: &FunctionalRelation| -> Vec<u64> {
+                x.measures().iter().map(|m| m.to_bits()).collect()
+            };
+            assert_eq!(bits(&slice), bits(&want));
+            let (domains, origins) = slice.grid().expect("a slice is a grid");
+            for &(p, v) in &pins {
+                assert_eq!((domains[p], origins[p]), (1, v));
+            }
+            // The inferred domains reach past the origin; only an all-zero
+            // origin keeps the plain-grid certificate.
+            assert_eq!(slice.inferred_domains(), want.inferred_domains());
+            assert_eq!(
+                slice.grid_domains().is_some(),
+                pins.iter().all(|&(_, v)| v == 0)
+            );
+            // A slice of a slice pins further, still a grid.
+            let again = slice.pinned_slice("s", &[(0, 1)]).expect("grid");
+            let mut more = pins.clone();
+            more.push((0, 1));
+            assert_eq!(again, filtered(&r, &more));
+        }
+        // Out-of-range and contradictory constants select nothing.
+        for pins in [vec![(1, 3)], vec![(1, 300)], vec![(1, 1), (1, 2)]] {
+            let slice = r.pinned_slice("s", &pins).expect("grid");
+            assert!(slice.is_empty(), "pins {pins:?}");
+            assert_eq!(slice.schema(), r.schema());
+        }
+        // Only a grid key column slices.
+        assert!(filtered(&r, &[]).pinned_slice("s", &[(0, 1)]).is_none());
     }
 
     #[test]

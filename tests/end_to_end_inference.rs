@@ -2,10 +2,11 @@
 //! workload optimization (Section 6) against brute-force oracles.
 
 use mpf::algebra::{ops, ExecContext};
+use mpf::engine::{Database, DenseMode, ReprMode, SqlOutcome};
 use mpf::infer::{acyclic, bp, triangulate, BayesNet, JunctionTree, VariableGraph, VeCache};
 use mpf::optimizer::{Algorithm, Heuristic};
-use mpf::semiring::{approx_eq, SemiringKind};
-use mpf::storage::FunctionalRelation;
+use mpf::semiring::{approx_eq, Combine, SemiringKind};
+use mpf::storage::{FunctionalRelation, Schema};
 
 /// Posterior via optimized MPF query == posterior via enumeration, across
 /// random networks, targets, and algorithms.
@@ -220,4 +221,119 @@ fn max_product_inference() {
     let cache = VeCache::build_in(&mut ExecContext::new(sr), &cpts, None).unwrap();
     let got = cache.answer(rain).unwrap();
     assert!(want.function_eq(&got));
+}
+
+/// The evidence triangle `tri = r1(a,b)·r2(b,c)·r3(c,a)` at side `d`:
+/// the three relations as complete grids, and the same rows pushed one by
+/// one (explicit rows, on which a selection is a row filter).
+fn triangle(d: u64) -> (Database, [FunctionalRelation; 3], [FunctionalRelation; 3]) {
+    let db = Database::new();
+    let [a, b, c] = ["a", "b", "c"].map(|v| db.add_var(v, d).unwrap());
+    let catalog = db.snapshot().catalog().clone();
+    let grids = [("r1", [a, b]), ("r2", [b, c]), ("r3", [c, a])].map(|(name, vars)| {
+        let schema = Schema::new(vars.to_vec()).unwrap();
+        FunctionalRelation::complete(name, schema, &catalog, |row| {
+            0.5 + ((row[0] * 7 + row[1] * 3) % 11) as f64 / 8.0
+        })
+    });
+    let rows = grids.clone().map(|g| {
+        let pushed = g.rows().map(|(row, m)| (row.to_vec(), m));
+        FunctionalRelation::from_rows(g.name(), g.schema().clone(), pushed).unwrap()
+    });
+    (db, grids, rows)
+}
+
+/// A database holding `rels` under the `tri` view.
+fn tri_db(
+    db: &Database,
+    rels: &[FunctionalRelation; 3],
+    dense: DenseMode,
+    repr: ReprMode,
+) -> Database {
+    let out = Database::from_parts(db.snapshot().catalog().clone(), Default::default())
+        .with_dense(dense)
+        .with_repr(repr);
+    for r in rels {
+        out.insert_relation(r.clone()).unwrap();
+    }
+    out.create_view("tri", &["r1", "r2", "r3"], Combine::Product)
+        .unwrap();
+    out
+}
+
+fn answer(db: &Database, sql: &str) -> FunctionalRelation {
+    match db.run_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}")) {
+        SqlOutcome::Answer(ans) => ans.relation,
+        other => panic!("{sql}: not an answer: {other:?}"),
+    }
+}
+
+/// Degenerate evidence on complete grids — constants outside the domain,
+/// repeated and contradictory predicates on one variable, every axis
+/// pinned, pinned group variables — answers exactly what the row filter
+/// and `naive_mpf` over explicit rows answer, under every dense and
+/// sparse mode, with no panic.
+#[test]
+fn degenerate_evidence_on_grids_matches_the_row_filter() {
+    let d = 9;
+    let (db, grids, rows) = triangle(d);
+    let catalog = db.snapshot().catalog().clone();
+    let var = |n: &str| catalog.var(n).unwrap();
+    let on_grids = [
+        tri_db(&db, &grids, DenseMode::Auto, ReprMode::Auto),
+        tri_db(&db, &grids, DenseMode::On, ReprMode::Auto),
+        tri_db(&db, &grids, DenseMode::Off, ReprMode::Auto),
+        tri_db(&db, &grids, DenseMode::Auto, ReprMode::Off),
+    ];
+    let on_rows = tri_db(&db, &rows, DenseMode::Auto, ReprMode::Auto);
+    // (select list, evidence, group variables)
+    type Case<'a> = (&'a str, &'a [(&'a str, u32)], &'a [&'a str]);
+    let cases: [Case; 11] = [
+        ("a", &[("b", 8)], &["a"]),
+        ("a", &[("b", 9)], &["a"]),
+        ("a", &[("b", 300)], &["a"]),
+        ("a", &[("b", 1), ("b", 1)], &["a"]),
+        ("a", &[("b", 1), ("b", 2)], &["a"]),
+        ("a", &[("a", 3), ("b", 4), ("c", 5)], &["a"]),
+        ("b, c", &[("a", 3), ("b", 4), ("c", 5)], &["b", "c"]),
+        ("b", &[("b", 3)], &["b"]),
+        ("a, b", &[("b", 3)], &["a", "b"]),
+        ("a, b", &[("b", 3), ("a", 0)], &["a", "b"]),
+        ("c, a", &[("b", 3), ("a", 7), ("b", 3)], &["c", "a"]),
+    ];
+    for (agg, sr) in [
+        ("sum", SemiringKind::SumProduct),
+        ("max", SemiringKind::MaxProduct),
+    ] {
+        for (select, evidence, group) in cases {
+            let cond: Vec<String> = evidence.iter().map(|(v, c)| format!("{v} = {c}")).collect();
+            let sql = format!(
+                "select {select}, {agg}(f) from tri where {} group by {select}",
+                cond.join(" and ")
+            );
+            let preds: Vec<_> = evidence.iter().map(|&(v, c)| (var(v), c)).collect();
+            let group: Vec<_> = group.iter().map(|&v| var(v)).collect();
+            let refs: Vec<&FunctionalRelation> = rows.iter().collect();
+            let naive = ops::naive_mpf(&mut ExecContext::new(sr), &refs, &preds, &group).unwrap();
+            let filtered = answer(&on_rows, &sql);
+            assert!(filtered.function_eq(&naive), "{sql}: row filter vs naive");
+            for db in &on_grids {
+                let got = answer(db, &sql);
+                assert!(got.function_eq(&naive), "{sql}: {got:?}\nwant {naive:?}");
+            }
+            let out_of_domain = evidence.iter().any(|&(_, c)| u64::from(c) >= d);
+            let contradictory = evidence
+                .iter()
+                .any(|&(v, c)| evidence.iter().any(|&(w, e)| v == w && c != e));
+            assert_eq!(naive.is_empty(), out_of_domain || contradictory, "{sql}");
+            // A pinned group variable keeps its pinned value.
+            for &g in &group {
+                if let Some(&(_, c)) = preds.iter().find(|p| p.0 == g) {
+                    let got = answer(&on_grids[0], &sql);
+                    let i = got.schema().position(g).unwrap();
+                    assert!(got.rows().all(|(row, _)| row[i] == c), "{sql}");
+                }
+            }
+        }
+    }
 }

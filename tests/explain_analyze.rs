@@ -3,6 +3,7 @@
 //! the worker count vary run to run and with `MPF_THREADS` — so the same
 //! golden text must hold at `MPF_THREADS=1` and `MPF_THREADS=4`.
 
+use mpf::algebra::OpRepr;
 use mpf::datagen::{SupplyChain, SupplyChainConfig};
 use mpf::engine::{
     Database, DenseMode, Query, QueryRequest, ReprMode, SpanKind, Strategy, TraceLevel,
@@ -120,8 +121,8 @@ fn bayes_net_explain_analyze_snapshot() {
 -- strategy: ve+(degree)
 -- estimated cost: 86.00
 -- rows scanned=18, processed=52, peak intermediate=8
-JoinAgg (Fused)  (est rows=2.0, rows=2, cells=4, time=_, repr=sparse, nest=stream, fused=true)
-  Select  (est rows=4.0, rows=4, cells=16, time=_, repr=rows)
+JoinAgg (Fused)  (est rows=2.0, rows=2, cells=4, time=_, repr=dense, kernel=chunked, nest=tile, simd=base, fused=true)
+  Select  (est rows=4.0, rows=4, cells=16, time=_, repr=dense, pinned=wet)
     Scan cpt_wet  (est rows=8.0, rows=8, cells=32, time=_, repr=rows)
   ProductJoin (Dense)  (est rows=8.0, rows=8, cells=32, time=_, repr=dense, kernel=chunked)
     ProductJoin (Dense)  (est rows=4.0, rows=4, cells=12, time=_, repr=dense, kernel=chunked)
@@ -179,6 +180,49 @@ GroupBy (DenseAgg)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=c
       Scan r2  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
 ";
     assert_eq!(normalize(&text), expected, "got:\n{}", normalize(&text));
+}
+
+/// Evidence on a complete grid is a pinned slice: the selection runs as
+/// a dense operator tagged with the variable it pinned, and both
+/// elimination steps that read a slice stay on the dense kernels.
+#[test]
+fn dense_triangle_evidence_explain_analyze_snapshot() {
+    let db = triangle_db(4);
+    let q = Query::on("tri")
+        .group_by(["a"])
+        .filter("b", 2)
+        .strategy(Strategy::Ve(Heuristic::Degree));
+    let text = db.explain_analyze(q.clone()).unwrap();
+    let expected = "\
+-- strategy: ve(degree)
+-- estimated cost: 172.00
+-- rows scanned=48, processed=84, peak intermediate=4
+GroupBy (DenseAgg)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked)
+  JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked, nest=tile, simd=base, fused=true)
+    Select  (est rows=4.0, rows=4, cells=12, time=_, repr=dense, pinned=b)
+      Scan r1  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
+    JoinAgg (Fused)  (est rows=4.0, rows=4, cells=12, time=_, repr=dense, kernel=chunked, nest=tile, simd=base, fused=true)
+      Select  (est rows=4.0, rows=4, cells=12, time=_, repr=dense, pinned=b)
+        Scan r2  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
+      Scan r3  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
+";
+    assert_eq!(normalize(&text), expected, "got:\n{}", normalize(&text));
+
+    // `Answer::trace` carries the same tags, the pinned variable by id.
+    let b = db.snapshot().catalog().var("b").unwrap();
+    let ans = db
+        .run(QueryRequest::from(&q).trace(TraceLevel::Spans))
+        .unwrap();
+    let mut selects = 0;
+    ans.trace.as_ref().unwrap().for_each(&mut |s| {
+        if s.kind == SpanKind::Select {
+            selects += 1;
+            assert_eq!((s.repr, s.pinned.as_slice()), (OpRepr::Dense, &[b][..]));
+        } else if s.kind != SpanKind::Scan {
+            assert_eq!(s.repr, OpRepr::Dense, "{}", s.label);
+        }
+    });
+    assert_eq!(selects, 2);
 }
 
 /// At side 64 the D³ step clears the tile nest's work gate and runs on
