@@ -1,85 +1,88 @@
-//! Dense odometer-indexed kernels for complete (or near-complete) factors.
+//! The dense elimination step: odometer-indexed kernels for complete (or
+//! pinned-slice) factors.
 //!
 //! The paper's inference workloads run over *complete* relations — one row
 //! per point of the schema's domain cross product — where the hash
 //! operators pay key extraction and probing for structure the row order
-//! already encodes. The kernels here drop the keys entirely:
+//! already encodes. The kernel here drops the keys entirely. It is one
+//! step, the paper's GroupBy∘ProductJoin (VE's elimination step, FAQ's
+//! InsideOut): each output cell folds the products of its eliminated
+//! subgrid straight from the operands' value arrays, and the operator
+//! entry points are that step and its two degenerate forms:
 //!
-//! * [`join`] computes the product join as a stride-aligned broadcast
-//!   multiply — each output grid index decomposes into the two input
-//!   offsets through precomputed strides, advanced incrementally by an
-//!   odometer (no division, no hashing, no key allocation per cell);
-//! * [`agg`] computes marginalization output-major: each output cell
-//!   folds its eliminated-variable subgrid in fixed odometer order, so
-//!   the result is bit-identical at any thread count *by construction*
-//!   (the same cell always folds the same values in the same order);
-//! * [`to_dense`] / [`from_dense`] are the boundary conversions. Absent
-//!   cells take the semiring's additive identity, which is what a missing
-//!   row denotes under MPF semantics
-//!   ([`SemiringKind::mul`](mpf_semiring::SemiringKind::mul) annihilates
-//!   on the identity), so densification preserves the *function* at any
-//!   density. It does not preserve the *support* — a zero-filled grid
-//!   materializes identity rows the sparse operators never emit — so the
-//!   public operators only run the kernels when the inputs are
-//!   support-exact ([`join_support_exact`] / [`agg_support_exact`]) and
-//!   the outputs are row-identical to the sparse path.
+//! * [`join_agg`] — two operands, the group variables kept and every
+//!   other variable eliminated;
+//! * [`join`] — two operands and nothing eliminated: every variable of
+//!   `l ∪ r` is a group variable, so each cell is one product `l ⊗ r`,
+//!   stored as it is (no join validates a product; the marginalization
+//!   above it does);
+//! * [`agg`] — one operand: the "product" of a cell is the operand's
+//!   value itself, never multiplied by a unit (`x ⊗ 1` would turn `−0.0`
+//!   into `+0.0` where `⊗` is `+`, and canonicalize a Boolean `−0.0`).
+//!
+//! Absent cells would take the semiring's additive identity, which is
+//! what a missing row denotes under MPF semantics, so a grid preserves
+//! the *function* at any density. It does not preserve the *support* — a
+//! zero-filled grid materializes identity rows the sparse operators never
+//! emit — so the kernel only runs on support-exact inputs
+//! ([`join_support_exact`] / [`agg_support_exact`]): every operand is the
+//! odometer sequence of its grid, borrowed in place, and the outputs are
+//! row-identical to the sparse path.
 //!
 //! Operators have no catalog, so grids come from
 //! [`FunctionalRelation::inferred_domains`] (a pure function of the input
 //! data — deterministic across threads); for a variable shared by both
-//! join sides the larger inferred domain wins. Every kernel charges the
+//! join sides the larger inferred domain wins. The kernel charges the
 //! [`crate::ExecBudget`] one `produced` per output cell — identical to
-//! the sparse operators on complete inputs — and the conversions charge
-//! nothing (the dense factor replaces the sparse operand) but poll
-//! cancellation and the deadline. When a grid is infeasible (beyond
-//! [`mpf_storage::dense::MAX_DENSE_CELLS`], or the rows do not embed in
+//! the sparse operators on complete inputs — and borrowing an operand
+//! charges nothing but polls cancellation and the deadline. When a grid
+//! is infeasible (an operand or the output beyond
+//! [`mpf_storage::layout::MAX_DENSE_CELLS`], or rows that do not embed in
 //! it), or the inputs are not support-exact, the operators fall back, so
 //! a planner mis-estimate costs the fast path, never an error: [`join`]
-//! and [`agg`] to the hash operators, the fused [`join_agg`] to the
-//! sparse elimination step first ([`crate::sparse::join_agg`]) and to the
-//! fused hash operator where that declines.
+//! and [`agg`] to the hash operators, [`join_agg`] to the sparse
+//! elimination step first ([`crate::sparse::join_agg`]) and to the fused
+//! hash operator where that declines.
 //!
-//! Parallelism splits the *output index range* into contiguous chunks
-//! (not hash partitions): workers write disjoint slices of the output
-//! array and errors surface in chunk order, so answers, budget trips, and
-//! error precedence match the sequential kernel exactly.
+//! Parallelism splits the output along its first axis into contiguous
+//! boxes (not hash partitions): workers write disjoint slices of the
+//! output array and errors surface in box order, so answers, budget
+//! trips, and error precedence match the sequential kernel exactly.
 //!
-//! # Kernel modes
+//! # Kernel modes and the fold
 //!
-//! Every kernel here is generic over a statically-known semiring
+//! The kernel is generic over a statically-known semiring
 //! ([`mpf_semiring::kernel::SemiringOps`], instantiated for all seven
 //! through [`mpf_semiring::for_each_semiring`]), so the inner loops are
 //! straight-line per-semiring code with no dispatch branch per cell. On
 //! top of that, [`KernelMode`] (a typed context setting) picks the loop
 //! shape:
 //!
-//! * [`KernelMode::Scalar`] — one cell at a time, budget guard polled
-//!   per cell: the reference shape.
-//! * [`KernelMode::Chunked`] (default) — contiguous runs processed in
-//!   blocks: elementwise loops (join) write whole runs with one budget
-//!   charge per `KERNEL_BLOCK` cells, and marginalization folds
-//!   contiguous runs through [`mpf_semiring::kernel::LANES`]-wide
-//!   accumulators with the fixed reduction tree of
-//!   [`mpf_semiring::kernel::reduce_lanes`]. The chunked fold shape is a
-//!   pure function of the run length — never of thread count or chunk
+//! * [`KernelMode::Scalar`] — the cell-major nest, one cell at a time,
+//!   budget guard polled per cell: the reference shape. Each cell folds
+//!   its first product, then `⊕` in eliminated-odometer order — the
+//!   order the sparse operators fold a complete relation's rows.
+//! * [`KernelMode::Chunked`] (default) — where the step's innermost
+//!   eliminated run is contiguous (the join grid's innermost axis is
+//!   eliminated; for one operand, its unit-stride axis is), each run
+//!   folds through [`mpf_semiring::kernel::LANES`]-wide accumulators with
+//!   the fixed reduction tree of [`mpf_semiring::kernel::reduce_lanes`],
+//!   runs combined in order; otherwise the fold is the scalar one. The
+//!   shape is a pure function of the layout — never of thread count or
 //!   scheduling — so chunked results are bit-identical at any
-//!   `MPF_THREADS`. Across *modes*, join cells are identical bit for
-//!   bit (elementwise either way); marginalization agrees exactly for
-//!   the association-insensitive min/max-family semirings and within
-//!   floating-point tolerance for `SumProduct`/`LogSumProduct`.
+//!   `MPF_THREADS`, and bit-identical to scalar for the min/max-family
+//!   semirings and for every step without a lane fold (a join's cells,
+//!   for one).
 //!
-//! # Fused join→marginalize
+//! A two-operand step never materializes the join: the union grid is
+//! only indexed, never allocated, so it may exceed
+//! [`mpf_storage::layout::MAX_DENSE_CELLS`]; the operands and the output
+//! may not. [`join_agg`] is therefore bit-identical to [`join`] then
+//! [`agg`] under the same mode (their cells fold the same products in
+//! the same order), while peak memory drops from the union grid to the
+//! output grid.
 //!
-//! [`join_agg`] contracts a product join directly into the
-//! marginalization's output grid — the canonical VE elimination step —
-//! without materializing the intermediate join factor: each output cell
-//! folds `mul(a, b)` over its eliminated subgrid in the exact order the
-//! unfused join-then-agg pipeline would, so the fused result is
-//! bit-identical to the unfused dense pipeline under the same kernel
-//! mode, while peak memory drops from the union grid to the output
-//! grid. The union grid is only indexed, never allocated, so it may
-//! exceed [`mpf_storage::dense::MAX_DENSE_CELLS`]; the operands and the
-//! output may not.
+//! # Nests and SIMD tiers
 //!
 //! The chunked kernel picks its loop nest from the operand strides
 //! (`join_agg_impl`): when some group axis is unit-stride in one operand
@@ -88,12 +91,14 @@
 //! on which that row operand is broadcast × `NR` cells along the row
 //! axis, the accumulators held in registers across the whole eliminated
 //! odometer, so each load of the row operand feeds `MR` output rows
-//! (GEMM's micro-kernel; `MR = 1` when no second axis qualifies).
-//! Otherwise both operands are contiguous along an eliminated axis and
-//! each cell folds its own run (`join_agg_cells`, `nest=cell`, also the
-//! scalar reference). The nest changes which cells are computed
-//! together, never the order one cell's products are folded, so it
-//! cannot move a bit.
+//! (GEMM's micro-kernel; `MR = 1` when no second axis qualifies, and for
+//! one operand). Otherwise both operands are contiguous along an
+//! eliminated axis and each cell folds its own run (`join_agg_cells`,
+//! `nest=cell`, also the scalar reference). The nest changes which cells
+//! are computed together, never the order one cell's products are
+//! folded, so it cannot move a bit. Both nests take the operand count as
+//! a constant, so a two-operand step compiles exactly as it would
+//! without the one-operand form.
 //!
 //! The tile nest is compiled once per [`SimdTier`] (baseline, AVX2,
 //! AVX-512F) from one source, with a tile shape per tier, and runs on the
@@ -101,46 +106,23 @@
 //! join grid clears `SIMD_MIN_WORK`; smaller steps stay on the baseline.
 //! Each semiring operation is the same IEEE operation in every tier, so
 //! the tier cannot move a bit either (checked by the tier-parity unit
-//! test in release builds). Spans report the tier as
-//! `simd=base|avx2|avx512` next to the nest.
+//! test in release builds). Fused spans report the tier as
+//! `simd=base|avx2|avx512` next to the nest; the spans of the degenerate
+//! [`join`] and [`agg`] carry neither.
 
 use std::marker::PhantomData;
 
-use mpf_semiring::kernel::{
-    fold_run, reduce_lanes, SemiringOps, SimdTier, Tier, TierKernel, LANES,
-};
+use mpf_semiring::kernel::{reduce_lanes, SemiringOps, SimdTier, Tier, TierKernel, LANES};
 use mpf_semiring::for_each_semiring;
-use mpf_storage::dense::{grid_cells, is_odometer_ordered, strides_of};
-use mpf_storage::layout::delinearize;
-use mpf_storage::{DenseFactor, FunctionalRelation, Schema, Value, VarId};
+use mpf_storage::layout::{delinearize, grid_cells, is_odometer_ordered, strides_of};
+use mpf_storage::{FunctionalRelation, Schema, Value, VarId};
 
 use crate::limits::{ExecBudget, OpGuard};
 use crate::{ops, AlgebraError, ExecContext, Result};
 
-/// Minimum output cells before the dense kernels fan out to worker
+/// Minimum join-grid cells before the dense kernel fans out to worker
 /// threads; below this the spawn cost dominates.
 pub const PARALLEL_MIN_CELLS: usize = 1 << 15;
-
-/// Cells per budget charge in the chunked elementwise kernels: large
-/// enough that guard traffic vanishes from the profile, small enough
-/// that a budget trip still stops an exploding operator within a few
-/// thousand cells of its cap (the scalar kernels trip within
-/// [`crate::limits::TICK_INTERVAL`]).
-pub(crate) const KERNEL_BLOCK: usize = 4096;
-
-/// Inputs at least this large switch to the cache-blocked kernel
-/// variants when their axis order conflicts with the output's (the
-/// implicit-transpose case); below it everything fits in cache anyway.
-const TILE_MIN_CELLS: usize = 1 << 16;
-
-/// Tile edge for the blocked join kernel: 64 f64 cells is one 512-byte
-/// run, so a 64×64 tile touches 64 such runs of each array — they all
-/// stay resident across the tile and every cache line is used 64 times.
-const TILE: u64 = 64;
-
-/// Minimum stride along the output's inner axis before blocking pays;
-/// short strides stay within a cache line or two per step.
-const TILE_MIN_STRIDE: usize = 64;
 
 /// Whether the dense fast path may be used, carried by the planner
 /// config and the execution context (`Database` reads `MPF_DENSE`
@@ -203,10 +185,10 @@ impl KernelMode {
 /// [`FunctionalRelation::complete`] builds — the *last* row is the grid's
 /// maximum point, so `last row + 1` is the domain vector, and the row
 /// count must equal the grid size. The hint is plausible, not proven:
-/// [`DenseFactor::from_relation`]'s verifying fast path confirms it
-/// during densification, and any mismatch (shuffled rows, duplicates, a
-/// value beyond the hint) fails the conversion, falling back to the
-/// sparse operators. A complete relation in non-odometer row order
+/// [`dense_input`]'s verifying scan confirms it when the kernel borrows
+/// the operand, and any mismatch (shuffled rows, duplicates, a value
+/// beyond the hint) refuses the borrow, falling back to the sparse
+/// operators. A complete relation in non-odometer row order
 /// therefore skips the dense path by design — proving completeness
 /// without the order would cost the full O(rows × arity) scan this hint
 /// exists to avoid.
@@ -264,17 +246,18 @@ fn origin_at(rel: &FunctionalRelation, p: usize) -> Value {
     rel.grid().map_or(0, |(_, origins)| origins[p])
 }
 
-/// A kernel's output grid back as a relation (see [`from_dense`]), each
-/// axis starting at the origin its variable has in `inputs` — a group
-/// axis pinned in an operand keeps its pinned value. Operands agree on
-/// the origins of shared variables ([`shared_domains_agree`]).
+/// A step's output grid as a relation named `name`, each axis starting
+/// at the origin its variable has in `inputs` — a group axis pinned in
+/// an operand keeps its pinned value. Operands agree on the origins of
+/// shared variables ([`shared_domains_agree`]).
 fn kernel_output(
     cx: &mut ExecContext<'_>,
-    df: DenseFactor,
+    name: String,
+    out: StepOut,
     inputs: &[&FunctionalRelation],
 ) -> Result<FunctionalRelation> {
-    let origins = df
-        .schema()
+    let origins = out
+        .schema
         .iter()
         .map(|v| {
             inputs
@@ -286,16 +269,7 @@ fn kernel_output(
     cx.fault("dense::convert")?;
     cx.checkpoint()?;
     cx.note_dense_convert();
-    Ok(df.into_relation_at(origins))
-}
-
-/// Whether `rel` is complete over its inferred grid: exactly one row per
-/// point of the cross product of its per-column value ranges. A complete
-/// relation densifies with zero fill cells, so the dense kernels touch
-/// only real data. (A full-scan property check; the operators themselves
-/// gate on the O(1) odometer hint instead.)
-pub fn is_complete_on_inferred(rel: &FunctionalRelation) -> bool {
-    grid_cells(&rel.inferred_domains()) == Some(rel.len() as u64)
+    Ok(FunctionalRelation::from_grid_at(name, out.schema, out.domains, origins, out.values))
 }
 
 /// Whether the dense join is *support-exact* for these inputs: both sides
@@ -354,33 +328,6 @@ pub fn dense_agg_applies(mode: DenseMode, input: &FunctionalRelation) -> bool {
     }
 }
 
-/// Densify `rel` onto `domains`, filling absent cells with the semiring's
-/// additive identity. Charges no budget cells (the factor replaces the
-/// sparse operand rather than augmenting it) but polls cancellation and
-/// the deadline; `None` when the grid is infeasible or the rows do not
-/// embed in it.
-pub fn to_dense(
-    cx: &mut ExecContext<'_>,
-    rel: &FunctionalRelation,
-    domains: &[u64],
-) -> Result<Option<DenseFactor>> {
-    cx.fault("dense::convert")?;
-    cx.checkpoint()?;
-    let fill = cx.semiring().zero();
-    let df = DenseFactor::from_relation(rel, domains, fill);
-    if df.is_some() {
-        cx.note_dense_convert();
-    }
-    Ok(df)
-}
-
-/// Materialize a dense factor back into a sparse relation (every grid
-/// cell, odometer order — the same row order
-/// [`FunctionalRelation::complete`] produces).
-pub fn from_dense(cx: &mut ExecContext<'_>, df: DenseFactor) -> Result<FunctionalRelation> {
-    kernel_output(cx, df, &[])
-}
-
 /// A zero-copy dense operand: an odometer-ordered relation's measure
 /// column read in place as its grid's value array. On large factors the
 /// conversion *copy* costs as much as the kernel itself, so the kernels
@@ -420,11 +367,12 @@ fn dense_input<'a>(
     }))
 }
 
-/// Dense product join: densify both inputs onto the union grid and
-/// broadcast-multiply along precomputed strides. Row-identical to
-/// [`ops::product_join`] (verified by `tests/dense_parity.rs`); falls
-/// back to it when the inputs are not support-exact or the union grid is
-/// infeasible.
+/// Dense product join: the elimination step with nothing eliminated,
+/// grouping on every variable of `l ∪ r`, so each output cell is the one
+/// product `l ⊗ r` of its two operand cells, stored unchecked like every
+/// join's products. Row-identical to [`ops::product_join`] (verified by
+/// `tests/dense_parity.rs`); falls back to it when the inputs are not
+/// support-exact or the union grid is infeasible.
 pub fn join(
     cx: &mut ExecContext<'_>,
     l: &FunctionalRelation,
@@ -437,9 +385,16 @@ pub fn join(
     if !shared_domains_agree(l, r, &ld, &rd) {
         return ops::product_join(cx, l, r);
     }
-    match join_impl(cx, l, r, &ld, &rd)? {
+    // The output *is* the union grid here, so it must fit the dense cap
+    // before any operand is borrowed.
+    let schema = l.schema().union(r.schema());
+    if grid_cells(&union_domains(l, r, &schema, &ld, &rd)).is_none() {
+        return ops::product_join(cx, l, r);
+    }
+    let group: Vec<VarId> = schema.iter().collect();
+    match join_agg_impl(cx, (l, &ld), Some((r, &rd)), &group, None)? {
         Some(out) => {
-            let rel = kernel_output(cx, out, &[l, r])?;
+            let rel = kernel_output(cx, format!("({}⨝*{})", l.name(), r.name()), out, &[l, r])?;
             cx.record_join_ex(&[l, r], &rel, crate::trace::OpRepr::Dense);
             cx.note_kernel_op(cx.kernel_mode());
             Ok(rel)
@@ -448,10 +403,10 @@ pub fn join(
     }
 }
 
-/// Dense marginalization: each output cell folds its eliminated-variable
-/// subgrid in fixed odometer order. Row-identical to [`ops::group_by`];
-/// falls back to it when the input is not support-exact or its grid is
-/// infeasible.
+/// Dense marginalization: the elimination step over one operand, each
+/// output cell folding its eliminated-variable subgrid of `input`'s
+/// values in fixed odometer order. Row-identical to [`ops::group_by`];
+/// falls back to it when the input is not support-exact.
 pub fn agg(
     cx: &mut ExecContext<'_>,
     input: &FunctionalRelation,
@@ -466,9 +421,9 @@ pub fn agg(
     let Some(domains) = ordered_grid_hint(input) else {
         return ops::group_by(cx, input, group_vars);
     };
-    match agg_impl(cx, input, group_vars, &domains)? {
+    match join_agg_impl(cx, (input, &domains), None, group_vars, Some("dense::agg"))? {
         Some(out) => {
-            let rel = kernel_output(cx, out, &[input])?;
+            let rel = kernel_output(cx, format!("γ({})", input.name()), out, &[input])?;
             cx.record_group_by_ex(&[input], &rel, crate::trace::OpRepr::Dense);
             cx.note_kernel_op(cx.kernel_mode());
             Ok(rel)
@@ -481,12 +436,12 @@ pub fn agg(
 /// `r` directly into the marginal's output grid, never materializing
 /// the intermediate join factor. Each output cell folds
 /// `mul(a, b)` over its eliminated subgrid in join-grid odometer order
-/// — exactly the order the unfused dense join-then-agg pipeline folds
-/// it under the same [`KernelMode`] — so the result is bit-identical to
-/// the unfused dense pipeline, while peak memory drops from the union
-/// grid to the output grid. When the inputs are not support-exact or
-/// the union grid is infeasible, the step still runs fused: the sparse
-/// kernel ([`sparse::join_agg`](crate::sparse::join_agg)) under
+/// — exactly the order [`join`] then [`agg`] fold it under the same
+/// [`KernelMode`] — so the result is bit-identical to that pair, while
+/// peak memory drops from the union grid to the output grid. When the
+/// inputs are not support-exact or a grid is infeasible, the step still
+/// runs fused: the sparse kernel
+/// ([`sparse::join_agg`](crate::sparse::join_agg)) under
 /// [`ReprMode::Auto`](crate::ReprMode), the fused hash operator
 /// ([`ops::join_group_by`], row- and bit-identical to hash
 /// join→group-by) under `Off` or where the sparse kernel declines.
@@ -508,9 +463,10 @@ pub fn join_agg(
     if !shared_domains_agree(l, r, &ld, &rd) {
         return crate::sparse::join_agg_fallback(cx, l, r, group_vars);
     }
-    match join_agg_impl(cx, l, r, group_vars, &ld, &rd)? {
-        Some((out, nest, tier)) => {
-            let rel = kernel_output(cx, out, &[l, r])?;
+    match join_agg_impl(cx, (l, &ld), Some((r, &rd)), group_vars, Some("dense::join_agg"))? {
+        Some(out) => {
+            let (nest, tier) = (out.nest, out.tier);
+            let rel = kernel_output(cx, format!("γ({}⨝*{})", l.name(), r.name()), out, &[l, r])?;
             cx.record_join_agg_ex(&[l, r], &rel, crate::trace::OpRepr::Dense);
             cx.note_kernel_op(cx.kernel_mode());
             cx.note_fused_nest(nest);
@@ -537,28 +493,49 @@ pub fn join_agg_auto(
     }
 }
 
-/// Per-variable odometer step for the fused kernel: the variable's
-/// domain (in the join grid) and its stride in each input (0 when the
-/// input lacks it — the broadcast, exactly as in [`JoinDim`]).
+/// Per-variable odometer step: the variable's domain (in the join grid)
+/// and its stride in each operand (0 when the operand lacks it — the
+/// broadcast; always 0 in the missing `b` of a one-operand step).
 struct FusedDim {
     dom: u64,
     sa: usize,
     sb: usize,
 }
 
+/// An elimination step's output grid, before it becomes a relation
+/// ([`kernel_output`]), and the nest and tier that computed it.
+struct StepOut {
+    schema: Schema,
+    domains: Vec<u64>,
+    values: Vec<f64>,
+    nest: &'static str,
+    tier: SimdTier,
+}
+
+/// The elimination step `γ_group_vars(a ⨝ b)` over borrowed operand
+/// grids — `a` is `(relation, its grid)`, and `b` is `None` for a
+/// one-operand step, whose products are `a`'s values. `check` names the
+/// operator a non-finite cell is reported against, or is `None` to
+/// store the cells unchecked (a join's products). `None` when an
+/// operand does not borrow as a grid or the output grid is infeasible.
 fn join_agg_impl(
     cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
+    (l, ld): (&FunctionalRelation, &[u64]),
+    r: Option<(&FunctionalRelation, &[u64])>,
     group_vars: &[VarId],
-    ld: &[u64],
-    rd: &[u64],
-) -> Result<Option<(DenseFactor, &'static str, SimdTier)>> {
+    check: Option<&'static str>,
+) -> Result<Option<StepOut>> {
     // The join grid is only ever *indexed*, never allocated: the kernel
-    // needs the two operands and the output grid, so a join grid beyond
+    // needs the operands and the output grid, so a join grid beyond
     // `MAX_DENSE_CELLS` is no reason to refuse.
-    let join_schema = l.schema().union(r.schema());
-    let join_domains = union_domains(l, r, &join_schema, ld, rd);
+    let (join_schema, join_domains) = match r {
+        Some((r, rd)) => {
+            let schema = l.schema().union(r.schema());
+            let domains = union_domains(l, r, &schema, ld, rd);
+            (schema, domains)
+        }
+        None => (l.schema().clone(), ld.to_vec()),
+    };
     let join_cells_total = join_domains.iter().fold(1u64, |n, &d| n.saturating_mul(d));
     let side_domains = |s: &Schema| -> Vec<u64> {
         s.iter()
@@ -568,8 +545,12 @@ fn join_agg_impl(
     let Some(a) = dense_input(cx, l, &side_domains(l.schema()))? else {
         return Ok(None);
     };
-    let Some(b) = dense_input(cx, r, &side_domains(r.schema()))? else {
-        return Ok(None);
+    let b = match r {
+        Some((r, _)) => match dense_input(cx, r, &side_domains(r.schema()))? {
+            Some(b) => Some((r.schema(), b)),
+            None => return Ok(None),
+        },
+        None => None,
     };
 
     let out_schema = Schema::new(group_vars.to_vec())?;
@@ -577,50 +558,47 @@ fn join_agg_impl(
         .iter()
         .map(|&v| join_domains[join_schema.position(v).expect("validated")])
         .collect();
-    let name = format!("γ({}⨝*{})", l.name(), r.name());
-    let Some(mut out) = DenseFactor::filled(name, out_schema.clone(), out_domains, 0.0) else {
+    let Some(total) = grid_cells(&out_domains).map(|n| n as usize) else {
         return Ok(None);
     };
+    let mut values = vec![0.0; total];
+    let out_strides = strides_of(&out_domains);
     let stride_in = |v: VarId, s: &Schema, strides: &[u64]| -> usize {
         s.position(v).ok().map_or(0, |p| strides[p] as usize)
+    };
+    let dim = |v: VarId, dom: u64| FusedDim {
+        dom,
+        sa: stride_in(v, l.schema(), &a.strides),
+        sb: b.as_ref().map_or(0, |(s, b)| stride_in(v, s, &b.strides)),
     };
     // Group axes in output-schema order; eliminated axes in join-schema
     // order — the intermediate factor's fold order, which keeps the
     // fused result bit-identical to the unfused dense pipeline.
-    let gdims: Vec<FusedDim> = group_vars
-        .iter()
-        .enumerate()
-        .map(|(j, &v)| FusedDim {
-            dom: out.domains()[j],
-            sa: stride_in(v, l.schema(), &a.strides),
-            sb: stride_in(v, r.schema(), &b.strides),
-        })
-        .collect();
+    let gdims: Vec<FusedDim> =
+        group_vars.iter().zip(&out_domains).map(|(&v, &dom)| dim(v, dom)).collect();
     let edims: Vec<FusedDim> = join_schema
         .iter()
-        .enumerate()
-        .filter(|(_, v)| !group_vars.contains(v))
-        .map(|(p, v)| FusedDim {
-            dom: join_domains[p],
-            sa: stride_in(v, l.schema(), &a.strides),
-            sb: stride_in(v, r.schema(), &b.strides),
-        })
+        .zip(&join_domains)
+        .filter(|(v, _)| !group_vars.contains(v))
+        .map(|(v, &dom)| dim(v, dom))
         .collect();
-    let out_strides = out.strides().to_vec();
 
     let sr = cx.semiring();
     let mode = cx.kernel_mode();
     let arity = out_schema.arity();
     let threads = cx.threads();
     let budget = cx.budget();
-    let total = out.len();
-    // The lane-fold gate must mirror the unfused agg's (`selast == 1` on
-    // the intermediate grid): the innermost eliminated run is contiguous
-    // there exactly when the join grid's innermost axis is eliminated.
-    let lane_ok = join_schema
-        .iter()
-        .last()
-        .is_some_and(|v| !group_vars.contains(&v));
+    // The lane fold needs a contiguous innermost eliminated run. In a
+    // two-operand step that is the join grid's innermost axis being
+    // eliminated — the gate of the unfused marginalization over the
+    // materialized join. One operand *is* that materialized grid, so
+    // its gate reads the operand's own strides (a trailing one-cell
+    // group axis leaves the run contiguous).
+    let lane = mode == KernelMode::Chunked
+        && match r {
+            Some(_) => join_schema.iter().last().is_some_and(|v| !group_vars.contains(&v)),
+            None => edims.last().is_some_and(|d| d.sa == 1),
+        };
     let workers = if join_cells_total >= PARALLEL_MIN_CELLS as u64 && total > 1 {
         threads.max(1)
     } else {
@@ -633,12 +611,14 @@ fn join_agg_impl(
     // operands are contiguous along an eliminated axis and the cell-major
     // lane fold already vectorizes; the scalar mode keeps the cell-major
     // nest as the reference shape. Either nest folds each cell's products
-    // in the same order, so the choice never moves a bit.
+    // in the same order, so the choice never moves a bit. A one-operand
+    // lane fold stays cell-major too: with a unit-stride group axis it
+    // only arises over one-cell eliminated axes, not worth a tile pattern.
     let row_axis = match mode {
-        KernelMode::Scalar => None,
-        KernelMode::Chunked => gdims
+        KernelMode::Chunked if !(lane && r.is_none()) => gdims
             .iter()
             .rposition(|d| d.dom > 1 && matches!((d.sa, d.sb), (1, 0) | (0, 1) | (1, 1))),
+        _ => None,
     };
     let tiles = row_axis.map(|row| TileAxes::choose(&gdims, row));
     // Small steps stay on the baseline tier, so a workload of small
@@ -647,31 +627,34 @@ fn join_agg_impl(
         Some(_) if join_cells_total >= SIMD_MIN_WORK => SimdTier::detect(),
         _ => SimdTier::Base,
     };
-    let (av, bv) = (a.values, b.values);
-    let (gdims, edims, out_strides) = (&gdims, &edims, &out_strides);
+    let job = StepJob {
+        av: a.values,
+        bv: b.as_ref().map(|(_, b)| b.values),
+        gdims: &gdims,
+        out_strides: &out_strides,
+        edims: &edims,
+        budget,
+        arity,
+        lane,
+        check,
+    };
+    let job = &job;
     let kernel = move |start: usize, slice: &mut [f64]| match tiles {
-        Some(axes) => {
-            let job =
-                TileJob { av, bv, gdims, out_strides, edims, axes, budget, arity, lane: lane_ok };
-            for_each_semiring!(sr, join_agg_tiles(tier, &job, start, slice))
-        }
-        None => for_each_semiring!(sr, join_agg_cells(
-            av, bv, gdims, out_strides, edims, start, slice, budget, arity, mode, lane_ok,
-        )),
+        Some(axes) => for_each_semiring!(sr, join_agg_tiles(tier, job, axes, start, slice)),
+        None => for_each_semiring!(sr, join_agg_cells(job, start, slice)),
     };
     if workers <= 1 {
-        kernel(0, out.values_mut())?;
+        kernel(0, &mut values)?;
     } else {
-        // Chunk along output axis 0, as the unfused kernels do: each
-        // worker owns a contiguous output slice and every cell's fold
-        // runs entirely in one worker, so results are thread-invariant.
+        // Chunk along output axis 0: each worker owns a contiguous output
+        // slice and every cell's fold runs entirely in one worker, so
+        // results are thread-invariant.
         let stride0 = out_strides[0] as usize;
         let workers = workers.min(gdims[0].dom as usize).max(1);
         let chunk_rows = gdims[0].dom.div_ceil(workers as u64);
         let chunk = chunk_rows as usize * stride0;
         let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = out
-                .values_mut()
+            let handles: Vec<_> = values
                 .chunks_mut(chunk)
                 .enumerate()
                 .map(|(i, slice)| scope.spawn(move || kernel(i * chunk, slice)))
@@ -694,7 +677,7 @@ fn join_agg_impl(
         }
     }
     let nest = if tiles.is_some() { "tile" } else { "cell" };
-    Ok(Some((out, nest, tier)))
+    Ok(Some(StepOut { schema: out_schema, domains: out_domains, values, nest, tier }))
 }
 
 /// Join grids (cells of the fused step's iteration space) below which
@@ -713,7 +696,8 @@ const ROW_BLOCK: usize = 256;
 /// tile row), and optionally `m`, on which the row operand `P` is
 /// broadcast (the `MR` tile rows share each load of `P`). `P` is `b` when
 /// `swap` (products are then `mul(a, b)` all the same); the other operand
-/// `Q` is read per tile row, as a scalar when `q_row` is false.
+/// `Q` is read per tile row, as a scalar when `q_row` is false. A
+/// one-operand step has `P = a`, no `Q` and no `m` axis.
 #[derive(Clone, Copy)]
 struct TileAxes {
     row: usize,
@@ -736,20 +720,36 @@ impl TileAxes {
     }
 }
 
-/// Everything the tile nest reads besides its output slice.
-struct TileJob<'a> {
+/// Everything either nest reads besides its output slice: the operands'
+/// value arrays (`bv` is `None` in a one-operand step), the group and
+/// eliminated axes, whether cells lane-fold, and the operator a
+/// non-finite cell is reported against (`None`: stored unchecked).
+struct StepJob<'a> {
     av: &'a [f64],
-    bv: &'a [f64],
+    bv: Option<&'a [f64]>,
     gdims: &'a [FusedDim],
     out_strides: &'a [u64],
     edims: &'a [FusedDim],
-    axes: TileAxes,
     budget: Option<&'a ExecBudget>,
     arity: usize,
     lane: bool,
+    check: Option<&'static str>,
 }
 
-/// Register-tiled fused contraction over the output box `[start, start +
+/// Store one finished cell, validating it first unless the step stores
+/// its products unchecked.
+#[inline(always)]
+fn store<S: SemiringOps>(check: Option<&'static str>, slot: &mut f64, v: f64) -> Result<()> {
+    if let Some(op) = check {
+        if !S::KIND.is_valid_accumulation(v) {
+            return Err(AlgebraError::NonFiniteMeasure { op, value: v });
+        }
+    }
+    *slot = v;
+    Ok(())
+}
+
+/// Register-tiled contraction over the output box `[start, start +
 /// out.len())` (whole axis-0 slabs, like every chunk the parallel split
 /// hands out), compiled for `tier` (see [`SimdTier::run`]). Each tile is
 /// `MR` cells along the [`TileAxes`] `m` axis × `NR` cells along its row
@@ -767,19 +767,22 @@ struct TileJob<'a> {
 /// in order. The tile shape and the tier change which cells share
 /// registers, never an operation or its order, so every tier computes the
 /// same bits. The guard polls once per tile; a finished tile is
-/// validated cell by cell; a strip of tiles (`MR` rows × at most
-/// [`ROW_BLOCK`] cells) is charged once it is stored.
+/// validated cell by cell (unless the step stores unchecked); a strip of
+/// tiles (`MR` rows × at most [`ROW_BLOCK`] cells) is charged once it is
+/// stored.
 fn join_agg_tiles<S: SemiringOps>(
     tier: SimdTier,
-    job: &TileJob<'_>,
+    job: &StepJob<'_>,
+    axes: TileAxes,
     start: usize,
     out: &mut [f64],
 ) -> Result<()> {
-    tier.run(Tiles::<S> { job, start, out, semiring: PhantomData })
+    tier.run(Tiles::<S> { job, axes, start, out, semiring: PhantomData })
 }
 
 struct Tiles<'a, 'b, S> {
-    job: &'a TileJob<'b>,
+    job: &'a StepJob<'b>,
+    axes: TileAxes,
     start: usize,
     out: &'a mut [f64],
     semiring: PhantomData<S>,
@@ -790,15 +793,15 @@ impl<S: SemiringOps> TierKernel for Tiles<'_, '_, S> {
 
     #[inline(always)]
     fn run<T: Tier>(self) -> Result<()> {
-        let Tiles { job, start, out, .. } = self;
+        let Tiles { job, axes, start, out, .. } = self;
         // (MR, NR) per tier: as many accumulator registers as leave room
         // for the row loads and the broadcasts — 8 of 16 XMM, 8 of 16 YMM
         // and 16 of 32 ZMM (DESIGN §16 has the measured shapes) — and NT,
         // one vector register, for the row remainders.
         match T::TIER {
-            SimdTier::Base => tile_nest::<S, 4, 4, 2>(job, start, out),
-            SimdTier::Avx2 => tile_nest::<S, 4, 8, 4>(job, start, out),
-            SimdTier::Avx512 => tile_nest::<S, 4, 32, 8>(job, start, out),
+            SimdTier::Base => tile_nest::<S, 4, 4, 2>(job, axes, start, out),
+            SimdTier::Avx2 => tile_nest::<S, 4, 8, 4>(job, axes, start, out),
+            SimdTier::Avx512 => tile_nest::<S, 4, 32, 8>(job, axes, start, out),
         }
     }
 }
@@ -806,19 +809,23 @@ impl<S: SemiringOps> TierKernel for Tiles<'_, '_, S> {
 /// [`join_agg_tiles`] for one tile shape: picks the operand pattern.
 #[inline(always)]
 fn tile_nest<S: SemiringOps, const MR: usize, const NR: usize, const NT: usize>(
-    job: &TileJob<'_>,
+    job: &StepJob<'_>,
+    axes: TileAxes,
     start: usize,
     out: &mut [f64],
 ) -> Result<()> {
     // The lane fold keeps `LANES` partial tiles per tile, so its tiles
-    // are one row deep.
-    match (job.lane, job.axes.q_row, job.axes.swap) {
-        (false, false, false) => strips::<S, 0, false, MR, NR, NT, false>(job, start, out),
-        (false, false, true) => strips::<S, 0, true, MR, NR, NT, false>(job, start, out),
-        (false, true, _) => strips::<S, 1, false, MR, NR, NT, false>(job, start, out),
-        (true, false, false) => strips::<S, 0, false, 1, NR, NT, true>(job, start, out),
-        (true, false, true) => strips::<S, 0, true, 1, NR, NT, true>(job, start, out),
-        (true, true, _) => strips::<S, 1, false, 1, NR, NT, true>(job, start, out),
+    // are one row deep, as are a one-operand step's (it has no `m` axis,
+    // and never a lane fold here).
+    debug_assert!(job.bv.is_some() || !job.lane, "one-operand lane folds are cell-major");
+    match (job.bv.is_some(), job.lane, axes.q_row, axes.swap) {
+        (true, false, false, false) => strips::<S, 0, false, MR, NR, NT, false, false>(job, axes, start, out),
+        (true, false, false, true) => strips::<S, 0, true, MR, NR, NT, false, false>(job, axes, start, out),
+        (true, false, true, _) => strips::<S, 1, false, MR, NR, NT, false, false>(job, axes, start, out),
+        (true, true, false, false) => strips::<S, 0, false, 1, NR, NT, true, false>(job, axes, start, out),
+        (true, true, false, true) => strips::<S, 0, true, 1, NR, NT, true, false>(job, axes, start, out),
+        (true, true, true, _) => strips::<S, 1, false, 1, NR, NT, true, false>(job, axes, start, out),
+        (false, ..) => strips::<S, 0, false, 1, NR, NT, false, true>(job, axes, start, out),
     }
 }
 
@@ -831,10 +838,10 @@ struct ElimDim {
 }
 
 /// What every tile of one kernel call reads: the operands as `P` and
-/// `Q`, `Q`'s stride along the tile's `m` rows, and the eliminated
-/// odometer in `P`/`Q` terms — the outer axes (`runs`, in join-schema
-/// order) and the innermost one (`last`), whose run each cell folds
-/// contiguously.
+/// `Q` (empty in a one-operand step), `Q`'s stride along the tile's `m`
+/// rows, and the eliminated odometer in `P`/`Q` terms — the outer axes
+/// (`runs`, in join-schema order) and the innermost one (`last`), whose
+/// run each cell folds contiguously.
 #[derive(Clone, Copy)]
 struct TileSrc<'a> {
     pv: &'a [f64],
@@ -847,8 +854,10 @@ struct TileSrc<'a> {
 
 /// The tile nest for one operand pattern and fold: `QJ` is `Q`'s stride
 /// along the row (0 or 1), `SWAP` whether `P` is `b`, `LANE` whether
-/// cells lane-fold.
+/// cells lane-fold, `ONE` whether the step has one operand (its product
+/// is `P`'s value; `Q` is never read).
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn strips<
     S: SemiringOps,
     const QJ: usize,
@@ -857,12 +866,15 @@ fn strips<
     const NR: usize,
     const NT: usize,
     const LANE: bool,
+    const ONE: bool,
 >(
-    job: &TileJob<'_>,
+    job: &StepJob<'_>,
+    axes: TileAxes,
     start: usize,
     out: &mut [f64],
 ) -> Result<()> {
-    let TileJob { av, bv, gdims, out_strides, edims, axes, budget, arity, .. } = *job;
+    let StepJob { av, bv, gdims, out_strides, edims, budget, arity, check, .. } = *job;
+    let bv = bv.unwrap_or_default();
     let (pv, qv) = if SWAP { (bv, av) } else { (av, bv) };
     let pq = |d: &FusedDim| if SWAP { (d.sb, d.sa) } else { (d.sa, d.sb) };
     let mut guard = OpGuard::new(budget, arity);
@@ -913,14 +925,14 @@ fn strips<
                     sor,
                 };
                 if mr == MR {
-                    strip_tiles::<S, QJ, SWAP, MR, NR, NT, LANE>(
-                        &src, &mut ecoords, strip, n, &mut guard, out,
+                    strip_tiles::<S, QJ, SWAP, MR, NR, NT, LANE, ONE>(
+                        &src, &mut ecoords, strip, n, &mut guard, check, out,
                     )?;
                 } else {
                     for i in 0..mr {
                         let strip = Strip { q: strip.q + i * sqm, o: strip.o + i * som, ..strip };
-                        strip_tiles::<S, QJ, SWAP, 1, NR, NT, LANE>(
-                            &src, &mut ecoords, strip, n, &mut guard, out,
+                        strip_tiles::<S, QJ, SWAP, 1, NR, NT, LANE, ONE>(
+                            &src, &mut ecoords, strip, n, &mut guard, check, out,
                         )?;
                     }
                 }
@@ -963,6 +975,7 @@ struct Strip {
 /// stored — and `R × 1` tiles only when the whole strip is narrower than
 /// `NT`.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn strip_tiles<
     S: SemiringOps,
     const QJ: usize,
@@ -971,20 +984,23 @@ fn strip_tiles<
     const NR: usize,
     const NT: usize,
     const LANE: bool,
+    const ONE: bool,
 >(
     src: &TileSrc<'_>,
     ecoords: &mut [u64],
     strip: Strip,
     n: usize,
     guard: &mut OpGuard<'_>,
+    check: Option<&'static str>,
     out: &mut [f64],
 ) -> Result<()> {
     let work = src.eruns.saturating_mul(src.last.dom);
     let mut x = 0;
     while x + NR <= n {
         guard.poll_many(work.saturating_mul((R * NR) as u64))?;
-        let acc = tile::<S, QJ, SWAP, R, NR, LANE>(src, ecoords, strip.p + x, strip.q + x * QJ);
-        store_tile::<S, R, NR>(&acc, out, strip.o + x * strip.sor, strip.som, strip.sor)?;
+        let acc =
+            tile::<S, QJ, SWAP, R, NR, LANE, ONE>(src, ecoords, strip.p + x, strip.q + x * QJ);
+        store_tile::<S, R, NR>(&acc, check, out, strip.o + x * strip.sor, strip.som, strip.sor)?;
         x += NR;
     }
     while x < n {
@@ -992,23 +1008,25 @@ fn strip_tiles<
             let x0 = x.min(n - NT);
             guard.poll_many(work.saturating_mul((R * NT) as u64))?;
             let (p, q) = (strip.p + x0, strip.q + x0 * QJ);
-            let acc = tile::<S, QJ, SWAP, R, NT, LANE>(src, ecoords, p, q);
-            store_tile::<S, R, NT>(&acc, out, strip.o + x0 * strip.sor, strip.som, strip.sor)?;
+            let acc = tile::<S, QJ, SWAP, R, NT, LANE, ONE>(src, ecoords, p, q);
+            store_tile::<S, R, NT>(&acc, check, out, strip.o + x0 * strip.sor, strip.som, strip.sor)?;
             x = x0 + NT;
         } else {
             guard.poll_many(work.saturating_mul(R as u64))?;
-            let acc = tile::<S, QJ, SWAP, R, 1, LANE>(src, ecoords, strip.p + x, strip.q + x * QJ);
-            store_tile::<S, R, 1>(&acc, out, strip.o + x * strip.sor, strip.som, strip.sor)?;
+            let (p, q) = (strip.p + x, strip.q + x * QJ);
+            let acc = tile::<S, QJ, SWAP, R, 1, LANE, ONE>(src, ecoords, p, q);
+            store_tile::<S, R, 1>(&acc, check, out, strip.o + x * strip.sor, strip.som, strip.sor)?;
             x += 1;
         }
     }
     Ok(())
 }
 
-/// Validate a finished tile cell by cell and store it.
+/// Store a finished tile cell by cell ([`store`]).
 #[inline(always)]
 fn store_tile<S: SemiringOps, const R: usize, const C: usize>(
     acc: &[[f64; C]; R],
+    check: Option<&'static str>,
     out: &mut [f64],
     o: usize,
     som: usize,
@@ -1016,10 +1034,7 @@ fn store_tile<S: SemiringOps, const R: usize, const C: usize>(
 ) -> Result<()> {
     for (i, cells) in acc.iter().enumerate() {
         for (j, &v) in cells.iter().enumerate() {
-            if !S::KIND.is_valid_accumulation(v) {
-                return Err(AlgebraError::NonFiniteMeasure { op: "dense::join_agg", value: v });
-            }
-            out[o + i * som + j * sor] = v;
+            store::<S>(check, &mut out[o + i * som + j * sor], v)?;
         }
     }
     Ok(())
@@ -1035,6 +1050,7 @@ fn tile<
     const R: usize,
     const C: usize,
     const LANE: bool,
+    const ONE: bool,
 >(
     src: &TileSrc<'_>,
     ecoords: &mut [u64],
@@ -1063,7 +1079,8 @@ fn tile<
         }
         // Each tile row's `Q` operand and the run's `P` rows, sliced once
         // per run so a step checks one index per row.
-        let qs: [&[f64]; R] = std::array::from_fn(|i| &qv[qr + i * sqm..]);
+        let qs: [&[f64]; R] =
+            std::array::from_fn(|i| if ONE { &[][..] } else { &qv[qr + i * sqm..] });
         let ps = &pv[pr..];
         if LANE {
             let full = delast - delast % LANES;
@@ -1071,7 +1088,7 @@ fn tile<
             for (l, lane_acc) in lanes.iter_mut().enumerate() {
                 let mut t = l;
                 while t < full {
-                    tile_step::<S, QJ, SWAP, R, C, false>(lane_acc, ps, t * spl, &qs, t * sql);
+                    tile_step::<S, QJ, SWAP, R, C, false, ONE>(lane_acc, ps, t * spl, &qs, t * sql);
                     t += LANES;
                 }
             }
@@ -1082,7 +1099,7 @@ fn tile<
                 }
             }
             for t in full..delast {
-                tile_step::<S, QJ, SWAP, R, C, false>(&mut v, ps, t * spl, &qs, t * sql);
+                tile_step::<S, QJ, SWAP, R, C, false, ONE>(&mut v, ps, t * spl, &qs, t * sql);
             }
             if run == 0 {
                 acc = v;
@@ -1096,11 +1113,11 @@ fn tile<
         } else {
             let mut t = 0;
             if run == 0 {
-                tile_step::<S, QJ, SWAP, R, C, true>(&mut acc, ps, 0, &qs, 0);
+                tile_step::<S, QJ, SWAP, R, C, true, ONE>(&mut acc, ps, 0, &qs, 0);
                 t = 1;
             }
             while t < delast {
-                tile_step::<S, QJ, SWAP, R, C, false>(&mut acc, ps, t * spl, &qs, t * sql);
+                tile_step::<S, QJ, SWAP, R, C, false, ONE>(&mut acc, ps, t * spl, &qs, t * sql);
                 t += 1;
             }
         }
@@ -1110,11 +1127,11 @@ fn tile<
 
 /// One eliminated point of a tile: `mul` the `P` row at `ps[p..]`
 /// (shared by every tile row) with each tile row's `Q` operand at
-/// `qs[i][q..]` (a row when `QJ = 1`, a broadcast scalar when 0), then
-/// store (`FIRST`) or `S::add` into the accumulators. `mul` keeps its
-/// `(a, b)` order. The rows are unrolled with constant indices so the
-/// accumulators can live in registers across the caller's eliminated
-/// loop.
+/// `qs[i][q..]` (a row when `QJ = 1`, a broadcast scalar when 0) — or,
+/// `ONE`, take the `P` row as it is — then store (`FIRST`) or `S::add`
+/// into the accumulators. `mul` keeps its `(a, b)` order. The rows are
+/// unrolled with constant indices so the accumulators can live in
+/// registers across the caller's eliminated loop.
 #[inline(always)]
 fn tile_step<
     S: SemiringOps,
@@ -1123,6 +1140,7 @@ fn tile_step<
     const R: usize,
     const C: usize,
     const FIRST: bool,
+    const ONE: bool,
 >(
     acc: &mut [[f64; C]; R],
     ps: &[f64],
@@ -1134,7 +1152,7 @@ fn tile_step<
     macro_rules! rows {
         ($($i:literal)*) => {$(
             if $i < R {
-                tile_row::<S, QJ, SWAP, C, FIRST>(&mut acc[$i], prow, qs[$i], q);
+                tile_row::<S, QJ, SWAP, C, FIRST, ONE>(&mut acc[$i], prow, qs[$i], q);
             }
         )*};
     }
@@ -1144,41 +1162,61 @@ fn tile_step<
 
 /// One tile row of [`tile_step`]: the row's `Q` operand is `qs[q]`.
 #[inline(always)]
-fn tile_row<S: SemiringOps, const QJ: usize, const SWAP: bool, const C: usize, const FIRST: bool>(
+fn tile_row<
+    S: SemiringOps,
+    const QJ: usize,
+    const SWAP: bool,
+    const C: usize,
+    const FIRST: bool,
+    const ONE: bool,
+>(
     arow: &mut [f64; C],
     prow: &[f64; C],
     qs: &[f64],
     q: usize,
 ) {
-    let (y, qrow): (f64, &[f64]) = if QJ == 1 { (0.0, &qs[q..q + C]) } else { (qs[q], &[]) };
+    let (y, qrow): (f64, &[f64]) = if ONE {
+        (0.0, &[])
+    } else if QJ == 1 {
+        (0.0, &qs[q..q + C])
+    } else {
+        (qs[q], &[])
+    };
     for j in 0..C {
-        let (x, y) = (prow[j], if QJ == 1 { qrow[j] } else { y });
-        let v = if SWAP { S::mul(y, x) } else { S::mul(x, y) };
+        let x = prow[j];
+        let v = if ONE {
+            x
+        } else {
+            let y = if QJ == 1 { qrow[j] } else { y };
+            if SWAP { S::mul(y, x) } else { S::mul(x, y) }
+        };
         arow[j] = if FIRST { v } else { S::add(arow[j], v) };
     }
 }
 
-/// Fused contraction kernel over one contiguous output-cell range: the
-/// [`agg_cells`] fold with the intermediate's value computed on the fly
-/// as `mul(a, b)` through two strided odometers. `lane_ok` marks the
-/// layouts whose unfused counterpart would lane-fold (contiguous
-/// innermost eliminated runs); [`fold_products`] then reproduces
-/// [`fold_run`]'s exact shape over the same value sequence, keeping
-/// fused and unfused results bit-identical in both kernel modes.
-#[allow(clippy::too_many_arguments)]
-fn join_agg_cells<S: SemiringOps>(
-    av: &[f64],
-    bv: &[f64],
-    gdims: &[FusedDim],
-    out_strides: &[u64],
-    edims: &[FusedDim],
+/// Cell-major contraction over one contiguous output-cell range: each
+/// cell folds its eliminated subgrid's products (`mul(a, b)`, or `a`'s
+/// value in a one-operand step) through strided odometers, first product
+/// then `S::add` in eliminated-odometer order — or, `job.lane`, each
+/// contiguous innermost run through [`fold_products`]' lane shape, runs
+/// combined in order.
+fn join_agg_cells<S: SemiringOps>(job: &StepJob<'_>, start: usize, out: &mut [f64]) -> Result<()> {
+    match job.bv {
+        Some(_) => cells::<S, false>(job, start, out),
+        None => cells::<S, true>(job, start, out),
+    }
+}
+
+/// [`join_agg_cells`] for one operand count (`ONE`: `b` is absent).
+#[inline(always)]
+fn cells<S: SemiringOps, const ONE: bool>(
+    job: &StepJob<'_>,
     start: usize,
     out: &mut [f64],
-    budget: Option<&ExecBudget>,
-    arity: usize,
-    mode: KernelMode,
-    lane_ok: bool,
 ) -> Result<()> {
+    let StepJob { av, bv, gdims, out_strides, edims, budget, arity, lane, check } = *job;
+    let bv = bv.unwrap_or_default();
+    let product = |i: usize, j: usize| if ONE { av[i] } else { S::mul(av[i], bv[j]) };
     let mut guard = OpGuard::new(budget, arity);
     let k = gdims.len();
     let mut coords = vec![0u64; k];
@@ -1200,15 +1238,14 @@ fn join_agg_cells<S: SemiringOps>(
     };
     let eruns = ecells.checked_div(delast).unwrap_or(0);
     let mut ecoords = vec![0u64; ek.saturating_sub(1)];
-    let lane = mode == KernelMode::Chunked && lane_ok && ek > 0;
     for slot in out.iter_mut() {
         guard.poll()?;
         let mut acc = if lane {
-            fold_products::<S>(av, abase, sal, bv, bbase, sbl, delast as usize)
+            fold_products::<S, ONE>(av, abase, sal, bv, bbase, sbl, delast as usize)
         } else {
-            let mut acc = S::mul(av[abase], bv[bbase]);
+            let mut acc = product(abase, bbase);
             for j in 1..delast as usize {
-                acc = S::add(acc, S::mul(av[abase + j * sal], bv[bbase + j * sbl]));
+                acc = S::add(acc, product(abase + j * sal, bbase + j * sbl));
             }
             acc
         };
@@ -1227,23 +1264,17 @@ fn join_agg_cells<S: SemiringOps>(
             }
             let (ra, rb) = (abase + ea, bbase + eb);
             if lane {
-                acc = S::add(acc, fold_products::<S>(av, ra, sal, bv, rb, sbl, delast as usize));
+                acc = S::add(acc, fold_products::<S, ONE>(av, ra, sal, bv, rb, sbl, delast as usize));
             } else {
                 for j in 0..delast as usize {
-                    acc = S::add(acc, S::mul(av[ra + j * sal], bv[rb + j * sbl]));
+                    acc = S::add(acc, product(ra + j * sal, rb + j * sbl));
                 }
             }
         }
         for e in ecoords.iter_mut() {
             *e = 0;
         }
-        if !S::KIND.is_valid_accumulation(acc) {
-            return Err(AlgebraError::NonFiniteMeasure {
-                op: "dense::join_agg",
-                value: acc,
-            });
-        }
-        *slot = acc;
+        store::<S>(check, slot, acc)?;
         guard.produced()?;
         for j in (0..k).rev() {
             coords[j] += 1;
@@ -1281,65 +1312,15 @@ fn union_domains(
         .collect()
 }
 
-/// Per-output-variable odometer step for the join kernel: the variable's
-/// domain and its stride in each input (0 when the input lacks it, so the
-/// input offset simply never moves along that axis — the broadcast).
-struct JoinDim {
-    dom: u64,
-    sa: usize,
-    sb: usize,
-}
-
-/// Write one contiguous output run of elementwise products (the join),
-/// specialized per input-stride pattern so the common broadcast shapes
-/// ((1,1), (1,0), (0,1)) compile to vector loops. Every branch computes
-/// the same values for the same cells — the specialization is for the
-/// compiler, not the semantics.
+/// Chunked fold of `add(mul(a, b))` (`ONE`: of `a`'s values) over one
+/// eliminated run of length `n`: [`LANES`] independent accumulators
+/// seeded with the additive identity, combined by the fixed
+/// [`reduce_lanes`] tree, remainder folded last — the shape of
+/// [`mpf_semiring::kernel::fold_run`] over the materialized products, so
+/// a two-operand step folds the same bits as the one-operand step over
+/// its materialized join. The shape depends only on `n`.
 #[inline(always)]
-fn write_products<S: SemiringOps>(
-    av: &[f64],
-    ai: usize,
-    sal: usize,
-    bv: &[f64],
-    bi: usize,
-    sbl: usize,
-    out: &mut [f64],
-) {
-    match (sal, sbl) {
-        (1, 1) => {
-            let (xs, ys) = (&av[ai..ai + out.len()], &bv[bi..bi + out.len()]);
-            for (t, slot) in out.iter_mut().enumerate() {
-                *slot = S::mul(xs[t], ys[t]);
-            }
-        }
-        (1, 0) => {
-            let (xs, y) = (&av[ai..ai + out.len()], bv[bi]);
-            for (t, slot) in out.iter_mut().enumerate() {
-                *slot = S::mul(xs[t], y);
-            }
-        }
-        (0, 1) => {
-            let (x, ys) = (av[ai], &bv[bi..bi + out.len()]);
-            for (t, slot) in out.iter_mut().enumerate() {
-                *slot = S::mul(x, ys[t]);
-            }
-        }
-        _ => {
-            for (t, slot) in out.iter_mut().enumerate() {
-                *slot = S::mul(av[ai + t * sal], bv[bi + t * sbl]);
-            }
-        }
-    }
-}
-
-/// Chunked fold of `add(mul(a, b))` over one eliminated run of length
-/// `n`: [`LANES`] independent accumulators seeded with the additive
-/// identity, combined by the fixed [`reduce_lanes`] tree, remainder
-/// folded last — the same shape (and therefore the same bits) as
-/// [`fold_run`] over the materialized products, which is what the
-/// unfused chunked pipeline computes. The shape depends only on `n`.
-#[inline(always)]
-fn fold_products<S: SemiringOps>(
+fn fold_products<S: SemiringOps, const ONE: bool>(
     av: &[f64],
     ai: usize,
     sal: usize,
@@ -1365,6 +1346,15 @@ fn fold_products<S: SemiringOps>(
         }
         acc
     }
+    if ONE {
+        return match sal {
+            1 => {
+                let xs = &av[ai..ai + n];
+                go::<S>(n, |t| xs[t])
+            }
+            _ => go::<S>(n, |t| av[ai + t * sal]),
+        };
+    }
     match (sal, sbl) {
         (1, 1) => {
             let (xs, ys) = (&av[ai..ai + n], &bv[bi..bi + n]);
@@ -1380,747 +1370,6 @@ fn fold_products<S: SemiringOps>(
         }
         _ => go::<S>(n, |t| S::mul(av[ai + t * sal], bv[bi + t * sbl])),
     }
-}
-
-fn join_impl(
-    cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-    ld: &[u64],
-    rd: &[u64],
-) -> Result<Option<DenseFactor>> {
-    let out_schema = l.schema().union(r.schema());
-    let out_domains = union_domains(l, r, &out_schema, ld, rd);
-    if grid_cells(&out_domains).is_none() {
-        return Ok(None);
-    }
-    // Each side densifies onto the union grid's domains restricted to its
-    // own schema, so shared variables index consistently on both sides.
-    let side_domains = |s: &Schema| -> Vec<u64> {
-        s.iter()
-            .map(|v| out_domains[out_schema.position(v).expect("var in union")])
-            .collect()
-    };
-    let Some(a) = dense_input(cx, l, &side_domains(l.schema()))? else {
-        return Ok(None);
-    };
-    let Some(b) = dense_input(cx, r, &side_domains(r.schema()))? else {
-        return Ok(None);
-    };
-
-    let name = format!("({}⨝*{})", l.name(), r.name());
-    let Some(mut out) = DenseFactor::filled(name, out_schema.clone(), out_domains, 0.0) else {
-        return Ok(None);
-    };
-    let dims: Vec<JoinDim> = out_schema
-        .iter()
-        .enumerate()
-        .map(|(j, v)| JoinDim {
-            dom: out.domains()[j],
-            sa: l.schema().position(v).ok().map_or(0, |p| a.strides[p] as usize),
-            sb: r.schema().position(v).ok().map_or(0, |p| b.strides[p] as usize),
-        })
-        .collect();
-    let out_strides = out.strides().to_vec();
-
-    let sr = cx.semiring();
-    let mode = cx.kernel_mode();
-    let arity = out_schema.arity();
-    let threads = cx.threads();
-    let budget = cx.budget();
-    let total = out.len();
-    let tiled = tile_axes(&dims, a.values.len(), b.values.len());
-    let workers = if total >= PARALLEL_MIN_CELLS { threads.max(1) } else { 1 };
-    if workers <= 1 {
-        match tiled {
-            Some((x, y)) => for_each_semiring!(sr, join_cells_tiled(
-                a.values, b.values, &dims, &out_strides, x, y,
-                0, dims[0].dom, out.values_mut(), budget, arity, mode,
-            ))?,
-            None => for_each_semiring!(sr, join_cells(
-                a.values, b.values, &dims, &out_strides, 0,
-                out.values_mut(), budget, arity, mode,
-            ))?,
-        }
-    } else if let Some((x, y)) = tiled {
-        // Blocked kernel: chunk along the output's first axis, so each
-        // worker's box is still one contiguous output slice.
-        let stride0 = out_strides[0] as usize;
-        let workers = workers.min(dims[0].dom as usize).max(1);
-        let chunk_rows = dims[0].dom.div_ceil(workers as u64);
-        let chunk = chunk_rows as usize * stride0;
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = out
-                .values_mut()
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, slice)| {
-                    let (dims, out_strides) = (&dims, &out_strides);
-                    let (av, bv) = (a.values, b.values);
-                    let lo0 = i as u64 * chunk_rows;
-                    let hi0 = (lo0 + chunk_rows).min(dims[0].dom);
-                    scope.spawn(move || {
-                        for_each_semiring!(sr, join_cells_tiled(
-                            av, bv, dims, out_strides, x, y, lo0, hi0, slice, budget, arity,
-                            mode,
-                        ))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(AlgebraError::Internal("dense join worker panicked".into()))
-                    })
-                })
-                .collect()
-        });
-        for r in results {
-            r?;
-        }
-        if let Some(b) = budget {
-            b.check_rows(total as u64)?;
-            b.checkpoint()?;
-        }
-    } else {
-        let chunk = total.div_ceil(workers);
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = out
-                .values_mut()
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, slice)| {
-                    let (dims, out_strides) = (&dims, &out_strides);
-                    let (av, bv) = (a.values, b.values);
-                    scope.spawn(move || {
-                        for_each_semiring!(sr, join_cells(
-                            av, bv, dims, out_strides, i * chunk, slice, budget, arity, mode,
-                        ))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(AlgebraError::Internal("dense join worker panicked".into()))
-                    })
-                })
-                .collect()
-        });
-        // Inspect results in chunk order, not completion order, so error
-        // precedence is deterministic.
-        for r in results {
-            r?;
-        }
-        if let Some(b) = budget {
-            b.check_rows(total as u64)?;
-            b.checkpoint()?;
-        }
-    }
-    Ok(Some(out))
-}
-
-/// Detect the implicit-transpose case: a large input whose own innermost
-/// axis (`y`, input stride 1) differs from the output's innermost axis
-/// (`x`), with a long input stride along `x`. The flat odometer kernel
-/// would then take that stride once per cell — with power-of-two grids a
-/// cache-set-aliasing, TLB-thrashing worst case — so [`join_cells_tiled`]
-/// iterates `x`×`y` tiles instead. `None` means flat iteration is already
-/// cache-friendly.
-fn tile_axes(dims: &[JoinDim], a_len: usize, b_len: usize) -> Option<(usize, usize)> {
-    let k = dims.len();
-    if k < 2 {
-        return None;
-    }
-    let x = k - 1;
-    let conflicted = |len: usize, stride_at_x: usize, inner: Option<usize>| -> Option<usize> {
-        let y = inner?;
-        (len >= TILE_MIN_CELLS && y != x && stride_at_x >= TILE_MIN_STRIDE).then_some(y)
-    };
-    let ya = conflicted(a_len, dims[x].sa, (0..k).find(|&j| dims[j].sa == 1));
-    let yb = conflicted(b_len, dims[x].sb, (0..k).find(|&j| dims[j].sb == 1));
-    match (ya, yb) {
-        (Some(y), None) => Some((x, y)),
-        (None, Some(y)) => Some((x, y)),
-        // Both sides conflict: block for the larger one.
-        (Some(y1), Some(y2)) => Some((x, if a_len >= b_len { y1 } else { y2 })),
-        (None, None) => None,
-    }
-}
-
-/// Cache-blocked join kernel over the box where output axis 0 ranges in
-/// `[lo0, hi0)` (the worker's contiguous output slice). Axes `x` and `y`
-/// are iterated in [`TILE`]×[`TILE`] tiles; the remaining axes run as an
-/// outer odometer. Every cell computes the same value as the flat kernel
-/// — only the visit order changes, which the budget (a count) and the
-/// output (one write per cell) cannot observe. Chunked mode writes each
-/// tile row as one run ([`write_products`]) with a single budget charge;
-/// the cell values are identical either way.
-#[allow(clippy::too_many_arguments)]
-fn join_cells_tiled<S: SemiringOps>(
-    av: &[f64],
-    bv: &[f64],
-    dims: &[JoinDim],
-    out_strides: &[u64],
-    x: usize,
-    y: usize,
-    lo0: u64,
-    hi0: u64,
-    out: &mut [f64],
-    budget: Option<&ExecBudget>,
-    arity: usize,
-    mode: KernelMode,
-) -> Result<()> {
-    let mut guard = OpGuard::new(budget, arity);
-    let k = dims.len();
-    let box_base = lo0 as usize * out_strides[0] as usize;
-    let macro_axes: Vec<usize> = (0..k).filter(|&j| j != x && j != y).collect();
-    let mut mcoords: Vec<u64> = macro_axes
-        .iter()
-        .map(|&j| if j == 0 { lo0 } else { 0 })
-        .collect();
-    let (ylo, yhi) = if y == 0 { (lo0, hi0) } else { (0, dims[y].dom) };
-    let (xlo, xhi) = if x == 0 { (lo0, hi0) } else { (0, dims[x].dom) };
-    let (sax, sbx, sox) = (dims[x].sa, dims[x].sb, out_strides[x] as usize);
-    let (say, sby, soy) = (dims[y].sa, dims[y].sb, out_strides[y] as usize);
-    loop {
-        let mut ma = 0usize;
-        let mut mb = 0usize;
-        let mut mo = 0usize;
-        for (i, &j) in macro_axes.iter().enumerate() {
-            ma += mcoords[i] as usize * dims[j].sa;
-            mb += mcoords[i] as usize * dims[j].sb;
-            mo += mcoords[i] as usize * out_strides[j] as usize;
-        }
-        let mut y0 = ylo;
-        while y0 < yhi {
-            let yend = (y0 + TILE).min(yhi);
-            let mut x0 = xlo;
-            while x0 < xhi {
-                let xend = (x0 + TILE).min(xhi);
-                for yl in y0..yend {
-                    let ra = ma + yl as usize * say + x0 as usize * sax;
-                    let rb = mb + yl as usize * sby + x0 as usize * sbx;
-                    let ro = mo + yl as usize * soy + x0 as usize * sox - box_base;
-                    let n = (xend - x0) as usize;
-                    match mode {
-                        KernelMode::Scalar => {
-                            for xi in 0..n {
-                                guard.poll()?;
-                                out[ro + xi * sox] = S::mul(av[ra + xi * sax], bv[rb + xi * sbx]);
-                                guard.produced()?;
-                            }
-                        }
-                        KernelMode::Chunked => {
-                            guard.poll()?;
-                            if sox == 1 {
-                                write_products::<S>(av, ra, sax, bv, rb, sbx, &mut out[ro..ro + n]);
-                            } else {
-                                for xi in 0..n {
-                                    out[ro + xi * sox] =
-                                        S::mul(av[ra + xi * sax], bv[rb + xi * sbx]);
-                                }
-                            }
-                            guard.produced_many(n as u64)?;
-                        }
-                    }
-                }
-                x0 = xend;
-            }
-            y0 = yend;
-        }
-        // Advance the macro odometer (axis 0 wraps at the box bound).
-        let mut done = true;
-        for i in (0..macro_axes.len()).rev() {
-            let j = macro_axes[i];
-            let (lo, hi) = if j == 0 { (lo0, hi0) } else { (0, dims[j].dom) };
-            mcoords[i] += 1;
-            if mcoords[i] < hi {
-                done = false;
-                break;
-            }
-            mcoords[i] = lo;
-        }
-        if done {
-            break;
-        }
-    }
-    guard.finish()?;
-    Ok(())
-}
-
-/// Join kernel over one contiguous output-cell range: an incremental
-/// odometer advances both input offsets per cell (no division in the
-/// loop); `start` seeds the coordinates for chunked parallel runs.
-/// Chunked mode writes each innermost run in [`KERNEL_BLOCK`]-cell
-/// blocks through [`write_products`]; the cell values are identical to
-/// the scalar shape (the join is elementwise — there is nothing to
-/// reassociate).
-#[allow(clippy::too_many_arguments)]
-fn join_cells<S: SemiringOps>(
-    av: &[f64],
-    bv: &[f64],
-    dims: &[JoinDim],
-    out_strides: &[u64],
-    start: usize,
-    out: &mut [f64],
-    budget: Option<&ExecBudget>,
-    arity: usize,
-    mode: KernelMode,
-) -> Result<()> {
-    let mut guard = OpGuard::new(budget, arity);
-    let k = dims.len();
-    let mut coords = vec![0u64; k];
-    let (mut ai, mut bi) = (0usize, 0usize);
-    let mut rem = start as u64;
-    for j in 0..k {
-        let c = rem / out_strides[j];
-        rem %= out_strides[j];
-        coords[j] = c;
-        ai += c as usize * dims[j].sa;
-        bi += c as usize * dims[j].sb;
-    }
-    if k == 0 {
-        for slot in out.iter_mut() {
-            guard.poll()?;
-            *slot = S::mul(av[0], bv[0]);
-            guard.produced()?;
-        }
-        guard.finish()?;
-        return Ok(());
-    }
-    // The innermost axis is hoisted into a tight run (a chunk may start
-    // mid-run); the odometer only advances on run boundaries.
-    let (dlast, sal, sbl) = (dims[k - 1].dom, dims[k - 1].sa, dims[k - 1].sb);
-    let mut idx = 0usize;
-    while idx < out.len() {
-        let run = ((dlast - coords[k - 1]) as usize).min(out.len() - idx);
-        match mode {
-            KernelMode::Scalar => {
-                for slot in &mut out[idx..idx + run] {
-                    guard.poll()?;
-                    *slot = S::mul(av[ai], bv[bi]);
-                    guard.produced()?;
-                    ai += sal;
-                    bi += sbl;
-                }
-            }
-            KernelMode::Chunked => {
-                let mut done = 0usize;
-                while done < run {
-                    let n = (run - done).min(KERNEL_BLOCK);
-                    guard.poll()?;
-                    write_products::<S>(av, ai, sal, bv, bi, sbl, &mut out[idx + done..idx + done + n]);
-                    ai += sal * n;
-                    bi += sbl * n;
-                    guard.produced_many(n as u64)?;
-                    done += n;
-                }
-            }
-        }
-        idx += run;
-        coords[k - 1] += run as u64;
-        if coords[k - 1] == dlast {
-            coords[k - 1] = 0;
-            ai -= sal * dlast as usize;
-            bi -= sbl * dlast as usize;
-            for j in (0..k - 1).rev() {
-                coords[j] += 1;
-                ai += dims[j].sa;
-                bi += dims[j].sb;
-                if coords[j] < dims[j].dom {
-                    break;
-                }
-                coords[j] = 0;
-                ai -= dims[j].sa * dims[j].dom as usize;
-                bi -= dims[j].sb * dims[j].dom as usize;
-            }
-        }
-    }
-    guard.finish()?;
-    Ok(())
-}
-
-fn agg_impl(
-    cx: &mut ExecContext<'_>,
-    input: &FunctionalRelation,
-    group_vars: &[VarId],
-    in_domains: &[u64],
-) -> Result<Option<DenseFactor>> {
-    if grid_cells(in_domains).is_none() {
-        return Ok(None);
-    }
-    let Some(a) = dense_input(cx, input, in_domains)? else {
-        return Ok(None);
-    };
-    let out_schema = Schema::new(group_vars.to_vec())?;
-    let out_domains: Vec<u64> = group_vars
-        .iter()
-        .map(|&v| in_domains[input.schema().position(v).expect("validated")])
-        .collect();
-    let name = format!("γ({})", input.name());
-    let Some(mut out) = DenseFactor::filled(name, out_schema.clone(), out_domains, 0.0) else {
-        return Ok(None);
-    };
-    // Output axes: domain + input stride per group variable (output
-    // schema order). Eliminated axes: domain + input stride for every
-    // input variable not grouped on, in input schema order — the fixed
-    // fold order that makes the result thread-count-invariant.
-    let gdims: Vec<(u64, usize)> = group_vars
-        .iter()
-        .enumerate()
-        .map(|(j, &v)| {
-            let p = input.schema().position(v).expect("validated");
-            (out.domains()[j], a.strides[p] as usize)
-        })
-        .collect();
-    let edims: Vec<(u64, usize)> = input
-        .schema()
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| !group_vars.contains(v))
-        .map(|(p, _)| (in_domains[p], a.strides[p] as usize))
-        .collect();
-    let out_strides = out.strides().to_vec();
-
-    let sr = cx.semiring();
-    let mode = cx.kernel_mode();
-    let arity = out_schema.arity();
-    let threads = cx.threads();
-    let budget = cx.budget();
-    let total = out.len();
-    let in_cells = a.values.len();
-    // When the input's stride-1 axis is a *group* axis, the per-cell fold
-    // would take the eliminated axes' long strides once per input cell;
-    // accumulate input-major instead (identical add order per output
-    // cell, sequential access on both arrays).
-    let input_major = in_cells >= TILE_MIN_CELLS
-        && input
-            .schema()
-            .iter()
-            .last()
-            .is_some_and(|v| group_vars.contains(&v));
-    let workers = if in_cells >= PARALLEL_MIN_CELLS && total > 1 { threads.max(1) } else { 1 };
-    if workers <= 1 {
-        if input_major {
-            for_each_semiring!(sr, agg_cells_input_major(
-                a.values, &gdims, &edims, 0, gdims[0].0, out.values_mut(), budget, arity, mode,
-            ))?;
-        } else {
-            for_each_semiring!(sr, agg_cells(
-                a.values, &gdims, &out_strides, &edims, 0, out.values_mut(), budget, arity, mode,
-            ))?;
-        }
-    } else if input_major {
-        // Chunk along output axis 0: each worker accumulates its own
-        // contiguous output box from the disjoint input columns that map
-        // to it.
-        let stride0 = out_strides[0] as usize;
-        let workers = workers.min(gdims[0].0 as usize).max(1);
-        let chunk_rows = gdims[0].0.div_ceil(workers as u64);
-        let chunk = chunk_rows as usize * stride0;
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = out
-                .values_mut()
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, slice)| {
-                    let (gdims, edims) = (&gdims, &edims);
-                    let av = a.values;
-                    let lo0 = i as u64 * chunk_rows;
-                    let hi0 = (lo0 + chunk_rows).min(gdims[0].0);
-                    scope.spawn(move || {
-                        for_each_semiring!(sr, agg_cells_input_major(
-                            av, gdims, edims, lo0, hi0, slice, budget, arity, mode,
-                        ))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(AlgebraError::Internal("dense agg worker panicked".into()))
-                    })
-                })
-                .collect()
-        });
-        for r in results {
-            r?;
-        }
-        if let Some(b) = budget {
-            b.check_rows(total as u64)?;
-            b.checkpoint()?;
-        }
-    } else {
-        let chunk = total.div_ceil(workers);
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = out
-                .values_mut()
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, slice)| {
-                    let (gdims, edims, out_strides) = (&gdims, &edims, &out_strides);
-                    let av = a.values;
-                    scope.spawn(move || {
-                        for_each_semiring!(sr, agg_cells(
-                            av, gdims, out_strides, edims, i * chunk, slice, budget, arity, mode,
-                        ))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(AlgebraError::Internal("dense agg worker panicked".into()))
-                    })
-                })
-                .collect()
-        });
-        for r in results {
-            r?;
-        }
-        if let Some(b) = budget {
-            b.check_rows(total as u64)?;
-            b.checkpoint()?;
-        }
-    }
-    Ok(Some(out))
-}
-
-/// Input-major aggregation kernel over the box where output axis 0
-/// ranges in `[lo0, hi0)`: one pass over the group grid per eliminated
-/// combination, in ascending eliminated-odometer order. Every output
-/// cell therefore receives exactly the values the per-cell fold of
-/// [`agg_cells`]'s scalar shape would give it, in the same order —
-/// bit-identical in *both* kernel modes (the passes are elementwise, so
-/// chunking changes the loop structure, never the per-cell add order) —
-/// but both arrays are walked along the input's short strides.
-/// Validation and budget charges happen once per output cell at the
-/// end, like the per-cell kernel's.
-#[allow(clippy::too_many_arguments)]
-fn agg_cells_input_major<S: SemiringOps>(
-    av: &[f64],
-    gdims: &[(u64, usize)],
-    edims: &[(u64, usize)],
-    lo0: u64,
-    hi0: u64,
-    out: &mut [f64],
-    budget: Option<&ExecBudget>,
-    arity: usize,
-    mode: KernelMode,
-) -> Result<()> {
-    let mut guard = OpGuard::new(budget, arity);
-    let k = gdims.len();
-    let ecells: u64 = edims.iter().map(|d| d.0).product();
-    let mut ecoords = vec![0u64; edims.len()];
-    let mut eoff = 0usize;
-    let mut gcoords: Vec<u64> = (0..k).map(|j| if j == 0 { lo0 } else { 0 }).collect();
-    let mut goff = lo0 as usize * gdims[0].1;
-    let (lo_last, hi_last) = if k == 1 { (lo0, hi0) } else { (0, gdims[k - 1].0) };
-    let glast = gdims[k - 1].1;
-    for pass in 0..ecells {
-        if pass > 0 {
-            for j in (0..edims.len()).rev() {
-                ecoords[j] += 1;
-                eoff += edims[j].1;
-                if ecoords[j] < edims[j].0 {
-                    break;
-                }
-                ecoords[j] = 0;
-                eoff -= edims[j].1 * edims[j].0 as usize;
-            }
-        }
-        // The group odometer walks the box in output order (so `out` is
-        // written sequentially) and wraps back to the box origin.
-        match mode {
-            KernelMode::Scalar => {
-                for slot in out.iter_mut() {
-                    guard.poll()?;
-                    let v = av[eoff + goff];
-                    *slot = if pass == 0 { v } else { S::add(*slot, v) };
-                    for j in (0..k).rev() {
-                        gcoords[j] += 1;
-                        goff += gdims[j].1;
-                        let (lo, hi) = if j == 0 { (lo0, hi0) } else { (0, gdims[j].0) };
-                        if gcoords[j] < hi {
-                            break;
-                        }
-                        gcoords[j] = lo;
-                        goff -= gdims[j].1 * (hi - lo) as usize;
-                    }
-                }
-            }
-            KernelMode::Chunked => {
-                // Runs along the innermost group axis: contiguous in the
-                // output, stride `glast` in the input (1 in the motivating
-                // grouped-on-stride-1-axis case, where both sides
-                // vectorize).
-                let mut s = 0usize;
-                while s < out.len() {
-                    let run = ((hi_last - gcoords[k - 1]) as usize).min(out.len() - s);
-                    guard.poll()?;
-                    let src = eoff + goff;
-                    let dst = &mut out[s..s + run];
-                    if glast == 1 {
-                        let xs = &av[src..src + run];
-                        if pass == 0 {
-                            dst.copy_from_slice(xs);
-                        } else {
-                            for (t, slot) in dst.iter_mut().enumerate() {
-                                *slot = S::add(*slot, xs[t]);
-                            }
-                        }
-                    } else if pass == 0 {
-                        for (t, slot) in dst.iter_mut().enumerate() {
-                            *slot = av[src + t * glast];
-                        }
-                    } else {
-                        for (t, slot) in dst.iter_mut().enumerate() {
-                            *slot = S::add(*slot, av[src + t * glast]);
-                        }
-                    }
-                    s += run;
-                    gcoords[k - 1] += run as u64;
-                    goff += glast * run;
-                    if gcoords[k - 1] == hi_last {
-                        gcoords[k - 1] = lo_last;
-                        goff -= glast * (hi_last - lo_last) as usize;
-                        for j in (0..k - 1).rev() {
-                            gcoords[j] += 1;
-                            goff += gdims[j].1;
-                            let (lo, hi) = if j == 0 { (lo0, hi0) } else { (0, gdims[j].0) };
-                            if gcoords[j] < hi {
-                                break;
-                            }
-                            gcoords[j] = lo;
-                            goff -= gdims[j].1 * (hi - lo) as usize;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for slot in out.iter() {
-        if !S::KIND.is_valid_accumulation(*slot) {
-            return Err(AlgebraError::NonFiniteMeasure {
-                op: "dense::agg",
-                value: *slot,
-            });
-        }
-        guard.produced()?;
-    }
-    guard.finish()?;
-    Ok(())
-}
-
-/// Aggregation kernel over one contiguous output-cell range. Each cell
-/// folds its eliminated subgrid in input-schema odometer order — in
-/// scalar mode, the same left-to-right order the rows of that group
-/// appear in a complete relation, so the fold matches the sparse
-/// operator's accumulation order exactly. Chunked mode folds each
-/// contiguous innermost run (eliminated stride 1) through [`fold_run`]'s
-/// lane accumulators instead — a different association whose shape is a
-/// pure function of the run length, so results stay bit-identical at any
-/// thread count (and exactly equal to scalar for the min/max-family
-/// semirings). The accumulator is validated once per cell: an invalid
-/// intermediate (overflow to ∞, or ∞ − ∞ = NaN) can only end in an
-/// invalid final value in these semirings, so the per-cell check catches
-/// everything the sparse per-accumulation check does.
-#[allow(clippy::too_many_arguments)]
-fn agg_cells<S: SemiringOps>(
-    av: &[f64],
-    gdims: &[(u64, usize)],
-    out_strides: &[u64],
-    edims: &[(u64, usize)],
-    start: usize,
-    out: &mut [f64],
-    budget: Option<&ExecBudget>,
-    arity: usize,
-    mode: KernelMode,
-) -> Result<()> {
-    let mut guard = OpGuard::new(budget, arity);
-    let k = gdims.len();
-    let mut coords = vec![0u64; k];
-    let mut base = 0usize;
-    let mut rem = start as u64;
-    for j in 0..k {
-        let c = rem / out_strides[j];
-        rem %= out_strides[j];
-        coords[j] = c;
-        base += c as usize * gdims[j].1;
-    }
-    let ecells: u64 = edims.iter().map(|d| d.0).product();
-    // The innermost eliminated axis folds as a tight run; the outer
-    // eliminated odometer advances once per run. Same accumulation
-    // sequence as a flat per-cell odometer, just without its bookkeeping.
-    let ek = edims.len();
-    let (delast, selast) = if ek == 0 { (1u64, 0usize) } else { edims[ek - 1] };
-    let eruns = ecells.checked_div(delast).unwrap_or(0);
-    let mut ecoords = vec![0u64; ek.saturating_sub(1)];
-    // Lane-fold only contiguous runs: strided gathers defeat the point,
-    // and matching the unfused/fused shapes requires the gate to be a
-    // property of the data layout, not the run values.
-    let lane = mode == KernelMode::Chunked && selast == 1;
-    for slot in out.iter_mut() {
-        guard.poll()?;
-        // Seed with the first value (the sparse operator pushes a group's
-        // first row unaggregated), then fold the rest in odometer order.
-        let mut acc = if lane {
-            fold_run::<S>(&av[base..base + delast as usize])
-        } else {
-            let mut acc = av[base];
-            for j in 1..delast as usize {
-                acc = S::add(acc, av[base + j * selast]);
-            }
-            acc
-        };
-        let mut ebase = 0usize;
-        for _ in 1..eruns {
-            for j in (0..ek - 1).rev() {
-                ecoords[j] += 1;
-                ebase += edims[j].1;
-                if ecoords[j] < edims[j].0 {
-                    break;
-                }
-                ecoords[j] = 0;
-                ebase -= edims[j].1 * edims[j].0 as usize;
-            }
-            let rbase = base + ebase;
-            if lane {
-                acc = S::add(acc, fold_run::<S>(&av[rbase..rbase + delast as usize]));
-            } else {
-                for j in 0..delast as usize {
-                    acc = S::add(acc, av[rbase + j * selast]);
-                }
-            }
-        }
-        for e in ecoords.iter_mut() {
-            *e = 0;
-        }
-        if !S::KIND.is_valid_accumulation(acc) {
-            return Err(AlgebraError::NonFiniteMeasure {
-                op: "dense::agg",
-                value: acc,
-            });
-        }
-        *slot = acc;
-        guard.produced()?;
-        for j in (0..k).rev() {
-            coords[j] += 1;
-            base += gdims[j].1;
-            if coords[j] < gdims[j].0 {
-                break;
-            }
-            coords[j] = 0;
-            base -= gdims[j].1 * gdims[j].0 as usize;
-        }
-    }
-    guard.finish()?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2187,11 +1436,11 @@ mod tests {
     }
 
     #[test]
-    fn tiled_join_matches_hash_join() {
-        // The (c, b) output is ~69k cells (≥ TILE_MIN_CELLS) while `r`
-        // is stored (b, c) — the implicit-transpose case the blocked
-        // kernel exists for — and neither domain is a multiple of TILE,
-        // so edge tiles clip on both axes.
+    fn transposed_join_matches_hash_join() {
+        // The (c, b) output is ~69k cells (past PARALLEL_MIN_CELLS) while
+        // `r` is stored (b, c): the step's row axis `c` is unit-stride in
+        // both operands but strided in the output, and neither domain is
+        // a multiple of any tile width, so remainder tiles clip.
         let mut cat = Catalog::new();
         let b = cat.add_var("b", 230).unwrap();
         let c = cat.add_var("c", 300).unwrap();
@@ -2207,14 +1456,14 @@ mod tests {
         let got1 = join(&mut ExecContext::new(sr).with_threads(1), &l, &r).unwrap();
         let got4 = join(&mut ExecContext::new(sr).with_threads(4), &l, &r).unwrap();
         assert!(want.function_eq(&got1));
-        assert_eq!(got1, got4, "blocked kernel is chunk-invariant");
+        assert_eq!(got1, got4, "the step is chunk-invariant");
     }
 
     #[test]
-    fn input_major_agg_matches_hash_group_by() {
-        // Grouping on the input's stride-1 axis at ≥ TILE_MIN_CELLS
-        // engages the input-major accumulation variant; the sparse
-        // operator folds each group's rows in the same (first-axis
+    fn agg_on_the_unit_stride_axis_matches_hash_group_by() {
+        // Grouping on the input's stride-1 axis puts the one-operand step
+        // on the tile nest, the eliminated axis outside each tile row; the
+        // hash operator folds each group's rows in the same (first-axis
         // ascending) order, so results match bit for bit.
         let mut cat = Catalog::new();
         let e = cat.add_var("e", 260).unwrap();
@@ -2227,8 +1476,11 @@ mod tests {
         let want = ops::group_by(&mut ExecContext::new(sr), &input, &[g]).unwrap();
         let got1 = agg(&mut ExecContext::new(sr).with_threads(1), &input, &[g]).unwrap();
         let got4 = agg(&mut ExecContext::new(sr).with_threads(4), &input, &[g]).unwrap();
-        assert!(want.function_eq(&got1));
-        assert_eq!(got1, got4, "input-major kernel is chunk-invariant");
+        let bits = |rel: &FunctionalRelation| -> Vec<(Vec<Value>, u64)> {
+            rel.canonicalized().rows().map(|(row, m)| (row.to_vec(), m.to_bits())).collect()
+        };
+        assert_eq!(bits(&want), bits(&got1));
+        assert_eq!(got1, got4, "the step is chunk-invariant");
     }
 
     #[test]
@@ -2248,36 +1500,48 @@ mod tests {
             [(vec![0, 1], 5.0), (vec![2, 2], 7.0), (vec![1, 0], 11.0)],
         )
         .unwrap();
+        // Every row of a 3 × 3 grid, ending on its last point so the grid
+        // hint accepts it, but out of odometer order: the step itself
+        // refuses to borrow it.
+        let shuffled = FunctionalRelation::from_rows(
+            "s",
+            Schema::new(vec![a, b]).unwrap(),
+            [4u32, 0, 7, 2, 5, 1, 6, 3, 8].map(|i| (vec![i / 3, i % 3], 1.0 + i as f64)),
+        )
+        .unwrap();
+        let complete = FunctionalRelation::complete("c", Schema::new(vec![a]).unwrap(), &cat, |row| {
+            2.0 + row[0] as f64
+        });
         for sr in SemiringKind::ALL {
-            let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
-            // An incomplete input never borrows as a dense operand — the
-            // kernel itself refuses (its support would differ from the
-            // hash join's) and reports infeasibility to the caller...
-            let kernel = join_impl(
-                &mut ExecContext::new(sr),
-                &l,
-                &r,
-                &l.inferred_domains(),
-                &r.inferred_domains(),
-            )
-            .unwrap();
-            assert!(kernel.is_none(), "{sr:?} kernel refuses incomplete input");
-            // ...so the public operator takes the hash path instead.
+            // An incomplete input never borrows as a dense operand — its
+            // support would differ from the hash join's — so the public
+            // operators take the hash path, whether the O(1) hint or the
+            // step's own order check refuses it.
             assert!(!join_support_exact(&l, &r));
-            let mut cx = ExecContext::new(sr);
-            let got = join(&mut cx, &l, &r).unwrap();
-            assert_eq!(cx.stats().dense_joins, 0, "{sr:?} fell back");
-            assert!(want.function_eq(&got), "{sr:?} row-identical");
-            let wg = ops::group_by(&mut ExecContext::new(sr), &want, &[b]).unwrap();
+            for (l, r) in [(&l, &r), (&complete, &shuffled)] {
+                let want = ops::product_join(&mut ExecContext::new(sr), l, r).unwrap();
+                let mut cx = ExecContext::new(sr);
+                let got = join(&mut cx, l, r).unwrap();
+                assert_eq!(cx.stats().dense_joins, 0, "{sr:?} fell back");
+                assert!(want.function_eq(&got), "{sr:?} row-identical");
+                let wg = ops::group_by(&mut ExecContext::new(sr), &want, &[b]).unwrap();
+                let mut gx = ExecContext::new(sr);
+                let gg = agg(&mut gx, &got, &[b]).unwrap();
+                assert_eq!(gx.stats().dense_group_bys, 0, "{sr:?} agg fell back");
+                assert!(wg.function_eq(&gg), "{sr:?} agg");
+            }
             let mut gx = ExecContext::new(sr);
-            let gg = agg(&mut gx, &got, &[b]).unwrap();
-            assert_eq!(gx.stats().dense_group_bys, 0, "{sr:?} agg fell back");
+            let gg = agg(&mut gx, &shuffled, &[b]).unwrap();
+            assert_eq!(gx.stats().dense_group_bys, 0, "{sr:?} agg refused the shuffled grid");
+            let wg = ops::group_by(&mut ExecContext::new(sr), &shuffled, &[b]).unwrap();
             assert!(wg.function_eq(&gg), "{sr:?} agg");
         }
     }
 
     #[test]
     fn auto_dispatch_gates_on_completeness() {
+        let is_complete_on_inferred =
+            |rel: &FunctionalRelation| grid_cells(&rel.inferred_domains()) == Some(rel.len() as u64);
         let (_, l, r) = fixtures();
         assert!(is_complete_on_inferred(&l));
         assert!(dense_join_applies(DenseMode::Auto, &l, &r));
@@ -2320,15 +1584,31 @@ mod tests {
         r.push_row(&[(1 << 13) - 1], 3.0).unwrap();
         let sr = SemiringKind::SumProduct;
         assert!(!dense_join_applies(DenseMode::On, &l, &r));
-        // The internal kernel itself refuses the grid (support-exactness
-        // aside): 2^13 × 2^13 cells exceeds MAX_DENSE_CELLS.
-        let (ld, rd) = (l.inferred_domains(), r.inferred_domains());
-        assert!(join_impl(&mut ExecContext::new(sr), &l, &r, &ld, &rd).unwrap().is_none());
         let mut cx = ExecContext::new(sr);
         let out = join(&mut cx, &l, &r).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(cx.stats().joins, 1);
         assert_eq!(cx.stats().dense_joins, 0, "fell back to the hash join");
+        // Complete sides pass every support check, but the step itself
+        // refuses their union grid (2^13 × 2^13 cells exceeds
+        // MAX_DENSE_CELLS) before borrowing either operand: no conversion
+        // is counted, and the hash join that runs instead trips the
+        // budget capping its 2^26 rows.
+        let l = FunctionalRelation::complete("l", Schema::new(vec![x]).unwrap(), &cat, |_| 2.0);
+        let r = FunctionalRelation::complete("r", Schema::new(vec![y]).unwrap(), &cat, |_| 3.0);
+        assert!(join_support_exact(&l, &r));
+        assert!(!dense_join_applies(DenseMode::On, &l, &r));
+        let limits = crate::ExecLimits::none().with_max_output_rows(10);
+        let mut cx = ExecContext::with_limits(sr, limits);
+        let err = join(&mut cx, &l, &r).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AlgebraError::ResourceExhausted { resource: crate::ResourceKind::OutputRows, .. }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(cx.stats().dense_converts, 0, "no operand was borrowed");
     }
 
     #[test]
@@ -2424,20 +1704,21 @@ mod tests {
         let edims = [FusedDim { dom: d as u64, sa: 1, sb: d }];
         let budget = ExecBudget::new(limits);
         let mut out = vec![f64::NAN; d * d];
-        let job = TileJob {
+        let job = StepJob {
             av: l.measures(),
-            bv: r.measures(),
+            bv: Some(r.measures()),
             gdims: &gdims,
             out_strides: &[d as u64, 1],
             edims: &edims,
-            axes: TileAxes::choose(&gdims, 1),
             budget: Some(&budget),
             arity: 2,
             lane: false,
+            check: Some("dense::join_agg"),
         };
         let err = join_agg_tiles::<mpf_semiring::kernel::SumProduct>(
             SimdTier::detect(),
             &job,
+            TileAxes::choose(&gdims, 1),
             0,
             &mut out,
         )
@@ -2503,10 +1784,10 @@ mod tests {
         assert!(stored < D * D && stored % D == 0, "stopped on a row boundary: {stored}");
     }
 
-    /// Fused dims for a contraction over axes with domains `doms`: `a`
-    /// stored over `a_axes`, `b` over `b_axes` (row-major), walked along
-    /// `axes` (group axes in output order, or eliminated ones in join
-    /// order).
+    /// Fused dims for a step over axes with domains `doms`: `a` stored
+    /// over `a_axes`, `b` over `b_axes` (row-major; empty for a
+    /// one-operand step), walked along `axes` (group axes in output
+    /// order, or eliminated ones in join order).
     fn dims_of(doms: &[u64], a_axes: &[usize], b_axes: &[usize], axes: &[usize]) -> Vec<FusedDim> {
         let stride = |side: &[usize], v: usize| {
             let strides = strides_of(&side.iter().map(|&u| doms[u]).collect::<Vec<_>>());
@@ -2543,7 +1824,8 @@ mod tests {
     /// output bits, or the error.
     fn tiles_on<S: SemiringOps>(
         tier: SimdTier,
-        job: &TileJob<'_>,
+        job: &StepJob<'_>,
+        axes: TileAxes,
         total: usize,
         chunks: usize,
     ) -> Result<Vec<u64>> {
@@ -2551,26 +1833,35 @@ mod tests {
         let chunk = dom0.div_ceil(chunks).max(1) * stride0;
         let mut out = vec![f64::NAN; total];
         for (i, slice) in out.chunks_mut(chunk).enumerate() {
-            join_agg_tiles::<S>(tier, job, i * chunk, slice)?;
+            join_agg_tiles::<S>(tier, job, axes, i * chunk, slice)?;
         }
         Ok(out.iter().map(|v| v.to_bits()).collect())
     }
 
+    /// An elimination step for the tier checks, over the axes of `doms`:
+    /// `a`'s axes, `b`'s (`None` for a one-operand step), and the
+    /// eliminated axes in join order (empty for a join).
+    struct Layout<'a> {
+        a: &'a [usize],
+        b: Option<&'a [usize]>,
+        elim: &'a [usize],
+    }
+
     /// One layout under every tier the host supports, bit for bit against
-    /// the base tier in one box and against the cell-major nest.
-    #[allow(clippy::too_many_arguments)]
+    /// the base tier in one box and against the cell-major nest. Checked
+    /// like the operator it stands for: a two-operand step that
+    /// eliminates nothing (a join) stores its products unchecked.
     fn check_tiers<S: SemiringOps>(
         doms: &[u64],
-        a_axes: &[usize],
-        b_axes: &[usize],
+        layout: &Layout<'_>,
         group: &[usize],
-        elim: &[usize],
         lane: bool,
         av: &[f64],
-        bv: &[f64],
+        bv: Option<&[f64]>,
     ) -> Result<Vec<u64>> {
-        let gdims = dims_of(doms, a_axes, b_axes, group);
-        let edims = dims_of(doms, a_axes, b_axes, elim);
+        let b_axes = layout.b.unwrap_or_default();
+        let gdims = dims_of(doms, layout.a, b_axes, group);
+        let edims = dims_of(doms, layout.a, b_axes, layout.elim);
         let out_doms: Vec<u64> = group.iter().map(|&v| doms[v]).collect();
         let out_strides = strides_of(&out_doms);
         let total = out_doms.iter().product::<u64>() as usize;
@@ -2578,29 +1869,38 @@ mod tests {
             .iter()
             .rposition(|d| matches!((d.sa, d.sb), (1, 0) | (0, 1) | (1, 1)))
             .expect("a row axis");
-        let job = TileJob {
+        let check = match (layout.b, layout.elim) {
+            (None, _) => Some("dense::agg"),
+            (Some(_), []) => None,
+            (Some(_), _) => Some("dense::join_agg"),
+        };
+        let job = StepJob {
             av,
             bv,
             gdims: &gdims,
             out_strides: &out_strides,
             edims: &edims,
-            axes: TileAxes::choose(&gdims, row),
             budget: None,
             arity: group.len(),
             lane,
+            check,
         };
-        let want = tiles_on::<S>(SimdTier::Base, &job, total, 1);
+        let axes = TileAxes::choose(&gdims, row);
+        let want = tiles_on::<S>(SimdTier::Base, &job, axes, total, 1);
         let mut cells = vec![f64::NAN; total];
-        let by_cell = join_agg_cells::<S>(
-            av, bv, &gdims, &out_strides, &edims, 0, &mut cells, None, group.len(),
-            KernelMode::Chunked, lane,
-        )
-        .map(|()| cells.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-        let what = format!("{:?} doms {doms:?} a {a_axes:?} b {b_axes:?} lane {lane}", S::KIND);
+        let by_cell = join_agg_cells::<S>(&job, 0, &mut cells)
+            .map(|()| cells.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        let what = format!(
+            "{:?} doms {doms:?} a {:?} b {:?} elim {:?} group {group:?} lane {lane}",
+            S::KIND,
+            layout.a,
+            layout.b,
+            layout.elim
+        );
         assert_eq!(want, by_cell, "tile nest vs cell nest: {what}");
         for tier in SimdTier::ALL.into_iter().filter(|t| t.is_supported()) {
             for chunks in [1, 3] {
-                let got = tiles_on::<S>(tier, &job, total, chunks);
+                let got = tiles_on::<S>(tier, &job, axes, total, chunks);
                 assert_eq!(got, want, "{tier:?} in {chunks} boxes: {what}");
             }
         }
@@ -2623,21 +1923,38 @@ mod tests {
                 let vals = |axes: &[usize], salt| {
                     edge_values(S::KIND, axes.iter().map(|&v| doms[v] as usize).product(), salt)
                 };
-                let layouts: [(&[usize], &[usize], &[usize]); 4] = [
+                let two = |a, b, elim| Layout { a, b: Some(b), elim };
+                let one = |a, elim| Layout { a, b: None, elim };
+                let layouts = [
                     // (0,1): the row operand `b` is broadcast along x.
-                    (&[0, 2], &[2, 1], &[2]),
+                    two(&[0, 2], &[2, 1], &[2]),
                     // (1,0): the row operand `a` is broadcast along y.
-                    (&[2, 0], &[1, 2], &[2]),
+                    two(&[2, 0], &[1, 2], &[2]),
                     // Two eliminated axes, f outermost in join order.
-                    (&[0, 3, 2], &[3, 2, 1], &[3, 2]),
+                    two(&[0, 3, 2], &[3, 2, 1], &[3, 2]),
                     // Row axis x unit-stride in both operands.
-                    (&[2, 0], &[1, 0], &[2]),
+                    two(&[2, 0], &[1, 0], &[2]),
+                    // Joins, nothing eliminated: an outer product (the
+                    // row operand broadcast along the other axis), and a
+                    // row axis unit-stride in both operands.
+                    two(&[0], &[1], &[]),
+                    two(&[0, 1], &[1], &[]),
+                    // One operand: eliminated axes outside its unit-stride
+                    // group axis (one, two, or one between group axes),
+                    // and nothing eliminated (a copy, or a transpose).
+                    one(&[2, 0, 1], &[2]),
+                    one(&[3, 0, 2, 1], &[3, 2]),
+                    one(&[1, 2, 0], &[2]),
+                    one(&[0, 1], &[]),
                 ];
-                for (a_axes, b_axes, elim) in layouts {
-                    let (av, bv) = (vals(a_axes, 6), vals(b_axes, 7));
-                    for lane in [false, true] {
+                for layout in &layouts {
+                    let av = vals(layout.a, 6);
+                    let bv = layout.b.map(|b| vals(b, 7));
+                    // A one-operand lane fold never takes the tile nest.
+                    let lanes: &[bool] = if layout.b.is_some() { &[false, true] } else { &[false] };
+                    for &lane in lanes {
                         for group in [[0, 1], [1, 0]] {
-                            check_tiers::<S>(&doms, a_axes, b_axes, &group, elim, lane, &av, &bv)
+                            check_tiers::<S>(&doms, layout, &group, lane, &av, bv.as_deref())
                                 .unwrap_or_else(|e| panic!("{:?} d {d}: {e:?}", S::KIND));
                         }
                     }
@@ -2658,8 +1975,9 @@ mod tests {
             // a[x = d-1, e = 4] · b[e = 4, y = d/2] overflows one cell only.
             av[((d - 1) * 11 + 4) as usize] = 1e300;
             bv[(4 * d + d / 2) as usize] = 1e300;
-            let err = check_tiers::<S>(&doms, &[0, 2], &[2, 1], &[0, 1], &[2], false, &av, &bv)
-                .unwrap_err();
+            let layout = Layout { a: &[0, 2], b: Some(&[2, 1]), elim: &[2] };
+            let err =
+                check_tiers::<S>(&doms, &layout, &[0, 1], false, &av, Some(&bv)).unwrap_err();
             assert!(matches!(err, AlgebraError::NonFiniteMeasure { .. }), "{err:?}");
             err
         }
@@ -2672,6 +1990,41 @@ mod tests {
                 check::<mpf_semiring::kernel::MaxProduct>(d),
                 AlgebraError::NonFiniteMeasure { op: "dense::join_agg", value: f64::INFINITY }
             );
+        }
+    }
+
+    #[test]
+    fn every_tier_stores_an_overflowing_join_product() {
+        // A join eliminates nothing and stores its products as they are:
+        // the one overflowing cell is +∞ on every tier, the rest 1e150².
+        for d in [5u64, 33, 67] {
+            let doms = [d, d];
+            let (av, bv) = (vec![1e150; d as usize], vec![1e150; d as usize]);
+            let mut big = av.clone();
+            big[(d / 2) as usize] = 1e300;
+            let layout = Layout { a: &[0], b: Some(&[1]), elim: &[] };
+            let got = check_tiers::<mpf_semiring::kernel::SumProduct>(
+                &doms,
+                &layout,
+                &[0, 1],
+                false,
+                &big,
+                Some(&bv),
+            )
+            .expect("a join stores its products unchecked");
+            let infs = got.iter().filter(|&&b| f64::from_bits(b) == f64::INFINITY).count();
+            assert_eq!(infs, d as usize, "one row of +∞ products at d {d}");
+            assert!(check_tiers::<mpf_semiring::kernel::SumProduct>(
+                &doms,
+                &layout,
+                &[0, 1],
+                false,
+                &av,
+                Some(&bv),
+            )
+            .unwrap()
+            .iter()
+            .all(|&b| b == (1e150f64 * 1e150).to_bits()));
         }
     }
 

@@ -19,10 +19,11 @@ use crate::Plan;
 pub enum JoinAlgo {
     /// Build a hash index on the smaller side, probe with the larger.
     Hash,
-    /// Dense odometer-indexed join: both operands are densified onto
-    /// their inferred domain grids and the product is a stride-aligned
-    /// broadcast multiply ([`crate::dense::join`]). Falls back to the
-    /// hash join at runtime if the output grid turns out infeasible.
+    /// Dense odometer-indexed join: both operands are read in place as
+    /// their inferred domain grids and the dense elimination step runs
+    /// with nothing eliminated, one stride-aligned product per output
+    /// cell ([`crate::dense::join`]). Falls back to the hash join at
+    /// runtime if the output grid turns out infeasible.
     Dense,
     /// Sparse-tensor join: both operands become sorted coordinate
     /// tensors and merge on shared-variable coordinate prefixes
@@ -48,10 +49,11 @@ impl JoinAlgo {
 pub enum AggAlgo {
     /// Hash table keyed by the grouping values.
     HashAgg,
-    /// Dense odometer-indexed marginalization: the input is densified and
-    /// each output cell folds its eliminated-variable subgrid in a fixed
-    /// index order ([`crate::dense::agg`]). Falls back to the hash
-    /// aggregate at runtime if the grid turns out infeasible.
+    /// Dense odometer-indexed marginalization: the dense elimination step
+    /// over one operand, read in place as its grid, each output cell
+    /// folding its eliminated-variable subgrid in a fixed index order
+    /// ([`crate::dense::agg`]). Falls back to the hash aggregate at
+    /// runtime if the grid turns out infeasible.
     DenseAgg,
     /// Sparse-tensor marginalization: the input becomes a sorted
     /// coordinate tensor in `[group, eliminated]` axis order and runs of

@@ -63,10 +63,17 @@ use mpf_semiring::{for_each_semiring, kernel::SemiringOps};
 use mpf_storage::layout::grid_cells_wide;
 use mpf_storage::{FunctionalRelation, KeyedOrder, KeyedSource, Runs, Schema, VarId};
 
-use crate::dense::{self, KernelMode, KERNEL_BLOCK};
+use crate::dense::{self, KernelMode};
 use crate::limits::{ExecBudget, OpGuard};
 use crate::trace::OpRepr;
 use crate::{ops, AlgebraError, ExecContext, Result};
+
+/// Cells per budget charge in the chunked value multiply: large enough
+/// that guard traffic vanishes from the profile, small enough that a
+/// budget trip still stops an exploding operator within a few thousand
+/// cells of its cap (the scalar kernels trip within
+/// [`crate::limits::TICK_INTERVAL`]).
+const KERNEL_BLOCK: usize = 4096;
 
 /// Whether the sparse-tensor operators may be dispatched to, carried by
 /// the planner config and the execution context.

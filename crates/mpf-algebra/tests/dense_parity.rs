@@ -47,12 +47,18 @@ fn rels(
     let a = cat.add_var("a", 3).unwrap();
     let b = cat.add_var("b", 3).unwrap();
     let c = cat.add_var("c", 3).unwrap();
-    // BoolOrAnd measures must stay in {0, 1}.
+    // BoolOrAnd measures must stay in {0, 1}. A zero measure is `−0.0`,
+    // so a kernel that canonicalizes signed zeros shows in the bits.
     let conv = |m: u8| {
-        if sr == SemiringKind::BoolOrAnd {
+        let v = if sr == SemiringKind::BoolOrAnd {
             (m % 2) as f64
         } else {
             m as f64
+        };
+        if v == 0.0 {
+            -0.0
+        } else {
+            v
         }
     };
     let r1 = FunctionalRelation::from_rows(
@@ -200,6 +206,46 @@ fn parallel_dense_kernels_match_sequential_bits() {
     }
 }
 
+/// A join stores its products unchecked in every form, so two `1e200`
+/// grids join to `+∞` rows alike in the dense, sparse and hash forms; the
+/// marginalization above each one rejects the `+∞` sums with a typed
+/// `NonFiniteMeasure`.
+#[test]
+fn overflowing_products_are_joined_then_rejected_by_the_group_by() {
+    let _g = lock();
+    let sr = SemiringKind::SumProduct;
+    let (r1, r2, [a, _, _]) = rels(sr, &[1u8; 9], &[1u8; 9]);
+    let big = |r: &FunctionalRelation| {
+        let rows = r.rows().map(|(row, _)| (row.to_vec(), 1e200));
+        FunctionalRelation::from_rows(r.name(), r.schema().clone(), rows).unwrap()
+    };
+    let (r1, r2) = (big(&r1), big(&r2));
+    let infinite = |j: &FunctionalRelation| j.len() == 27 && j.measures().iter().all(|&m| m == f64::INFINITY);
+
+    let mut dx = ExecContext::new(sr);
+    let dj = dense::join(&mut dx, &r1, &r2).unwrap();
+    assert_eq!(dx.stats().dense_joins, 1, "the dense join ran");
+    assert!(infinite(&dj), "dense join: {dj:?}");
+    let mut sx = ExecContext::new(sr).with_dense(DenseMode::Off);
+    let sj = sparse::join(&mut sx, &r1, &r2).unwrap();
+    assert_eq!(sx.stats().sparse_joins, 1, "the sparse join ran");
+    assert!(infinite(&sj), "sparse join: {sj:?}");
+    let mut hx = ExecContext::new(sr);
+    let hj = ops::product_join(&mut hx, &r1, &r2).unwrap();
+    assert!(infinite(&hj), "hash join: {hj:?}");
+    assert!(dj.function_eq(&sj) && dj.function_eq(&hj), "same rows in every form");
+
+    let rejected = |r: Result<FunctionalRelation, AlgebraError>, op: &str| match r {
+        Err(AlgebraError::NonFiniteMeasure { op: got, value }) => {
+            assert_eq!((got, value), (op, f64::INFINITY));
+        }
+        other => panic!("{op}: expected NonFiniteMeasure, got {other:?}"),
+    };
+    rejected(dense::agg(&mut dx, &dj, &[a]), "dense::agg");
+    rejected(sparse::agg(&mut sx, &sj, &[a]), "sparse::agg");
+    rejected(ops::group_by(&mut hx, &hj, &[a]), "group_by");
+}
+
 /// Physical plans annotated `Dense`/`DenseAgg` by the planner execute
 /// through the interpreter to the same answer and accounting as the
 /// all-hash plan, at every thread count.
@@ -322,9 +368,9 @@ mod faults {
         );
         assert!(dense::agg(&mut ExecContext::new(sr), &r1, &[b]).is_ok());
 
-        // The conversion site fires from inside the join (first to_dense)
-        // and leaves the context's stats coherent: no dense join was
-        // recorded for the failed attempt.
+        // The conversion site fires from inside the join (the first
+        // operand it borrows) and leaves the context's stats coherent: no
+        // dense join was recorded for the failed attempt.
         fault::inject("dense::convert", 1);
         let mut cx = ExecContext::new(sr);
         assert_eq!(

@@ -794,6 +794,93 @@ fn spine_shapes_take_the_tile_nest_in_every_semiring() {
     }
 }
 
+/// Measures from a palette of edge values for `sr`, picked by a hash of
+/// the cell: signed zeros (`−0.0` wherever the carrier has it, so a
+/// product taken against a unit shows in the bits), the additive
+/// identity where it is infinite, subnormals and ordinary values.
+fn edge_grid(name: &str, vars: &[VarId], cat: &Catalog, salt: u64, sr: SemiringKind) -> FunctionalRelation {
+    let palette: &[f64] = match sr {
+        SemiringKind::SumProduct => &[0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 1.5, -0.75],
+        SemiringKind::MinSum => &[f64::INFINITY, 0.0, -0.0, 5e-324, 1.0, 2.5, -3.0],
+        SemiringKind::MaxSum => &[f64::NEG_INFINITY, 0.0, -0.0, 5e-324, 1.0, -2.0],
+        SemiringKind::MinProduct => &[f64::INFINITY, 0.0, -0.0, 5e-324, 0.5, 2.0],
+        SemiringKind::MaxProduct => &[0.0, -0.0, 5e-324, 1e-310, 0.5, 2.0],
+        SemiringKind::BoolOrAnd => &[0.0, -0.0, 1.0],
+        SemiringKind::LogSumProduct => &[f64::NEG_INFINITY, 0.0, -0.0, 5e-324, -1.5, 2.0],
+    };
+    let schema = Schema::new(vars.to_vec()).unwrap();
+    FunctionalRelation::complete(name, schema, cat, |row| {
+        let cell = row.iter().fold(salt, |h, &x| h.wrapping_mul(1_000_003).wrapping_add(u64::from(x)));
+        let h = cell.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+        palette[(h % palette.len() as u64) as usize]
+    })
+}
+
+/// The degenerate elimination steps keep every bit: over edge-value
+/// grids with `−0.0` in every palette, for all seven semirings and sides
+/// 1, 3, 7 and 33 (which crosses the worker and SIMD thresholds),
+///
+/// * scalar [`dense::join`] (nothing eliminated) equals
+///   [`ops::product_join`] and scalar [`dense::agg`] (one operand)
+///   equals [`ops::group_by`], row for row and bit for bit — a step that
+///   multiplied the lone operand by a unit, or canonicalized a signed
+///   zero, fails here;
+/// * chunked joins equal the scalar ones (a join has no fold to
+///   reassociate), and chunked runs are bit-identical at threads 1 and 4.
+///
+/// Join shapes cover a chain, a transposed operand, a full transpose
+/// `(p,q) ⨝ (q,p)`, an outer product and a broadcast; aggregations group
+/// on each axis, on two in either order, on none, and on all of them
+/// (nothing eliminated, in order or transposed).
+#[test]
+fn degenerate_steps_keep_every_bit() {
+    for d in [1u64, 3, 7, 33] {
+        let mut cat = Catalog::new();
+        let [x, e, y] = ["x", "e", "y"].map(|v| cat.add_var(v, d).unwrap());
+        for sr in SemiringKind::ALL {
+            let run = |kernel: KernelMode, threads: usize| {
+                ExecContext::new(sr).with_dense(DenseMode::On).with_kernel(kernel).with_threads(threads)
+            };
+            let joins: [(&[VarId], &[VarId]); 5] = [
+                (&[x, e], &[e, y]),
+                (&[x, e], &[y, e]),
+                (&[x, e], &[e, x]),
+                (&[x], &[y]),
+                (&[x, y], &[y]),
+            ];
+            for (lv, rv) in joins {
+                let (l, r) = (edge_grid("l", lv, &cat, 3, sr), edge_grid("r", rv, &cat, 4, sr));
+                let what = format!("d {d} sr {sr:?} join {lv:?} ⨝ {rv:?}");
+                let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
+                let mut per_run = Vec::new();
+                for (kernel, t) in [(KernelMode::Scalar, 1), (KernelMode::Chunked, 1), (KernelMode::Chunked, 4)] {
+                    let mut cx = run(kernel, t);
+                    let got = dense::join(&mut cx, &l, &r).unwrap();
+                    assert_eq!(cx.stats().dense_joins, 1, "ran dense: {what}");
+                    per_run.push(row_bits(&got));
+                    assert_eq!(bits(&got), bits(&want), "vs product_join: {what} {kernel:?} threads {t}");
+                }
+                assert!(per_run.windows(2).all(|w| w[0] == w[1]), "runs differ: {what}");
+            }
+            let input = edge_grid("t", &[x, e, y], &cat, 5, sr);
+            let groups: [&[VarId]; 8] = [&[x], &[e], &[y], &[x, y], &[y, x], &[], &[x, e, y], &[y, e, x]];
+            for group in groups {
+                let what = format!("d {d} sr {sr:?} group {group:?}");
+                let mut cx = run(KernelMode::Scalar, 1);
+                let got = dense::agg(&mut cx, &input, group).unwrap();
+                assert_eq!(cx.stats().dense_group_bys, 1, "ran dense: {what}");
+                let want = ops::group_by(&mut ExecContext::new(sr), &input, group).unwrap();
+                assert_eq!(bits(&got), bits(&want), "vs group_by: {what}");
+                let chunked: Vec<_> = THREADS
+                    .iter()
+                    .map(|&t| row_bits(&dense::agg(&mut run(KernelMode::Chunked, t), &input, group).unwrap()))
+                    .collect();
+                assert_eq!(chunked[0], chunked[1], "thread count changed bits: {what}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -104,7 +104,7 @@ pub fn plan_estimate(ctx: &OptContext<'_>, plan: &mpf_algebra::Plan) -> (Schema,
 /// *real* domain, not the effective one, because the dense kernels grid
 /// an unselected operand over the data's actual value range whatever
 /// the query's predicates bind elsewhere. `None` when the grid exceeds
-/// [`mpf_storage::dense::MAX_DENSE_CELLS`], which callers treat as
+/// [`mpf_storage::layout::MAX_DENSE_CELLS`], which callers treat as
 /// "never dense".
 pub fn schema_density(
     ctx: &OptContext<'_>,
@@ -122,7 +122,7 @@ pub fn schema_density(
             }
         })
         .collect();
-    let cells = mpf_storage::dense::grid_cells(&domains)?;
+    let cells = mpf_storage::layout::grid_cells(&domains)?;
     if cells == 0 {
         return Some(0.0);
     }

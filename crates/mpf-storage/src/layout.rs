@@ -1,21 +1,21 @@
 //! Shared odometer/stride/linearization math for grid-shaped key columns.
 //!
-//! Every representation that indexes a domain grid — the dense row-major
-//! array ([`crate::DenseFactor`]), a relation's grid and coordinate key
-//! columns ([`FunctionalRelation::from_coords`]), and the dense and sparse
-//! kernels in the algebra layer — needs the same primitives: row-major
+//! Every representation that indexes a domain grid — a relation's grid
+//! and coordinate key columns ([`FunctionalRelation::from_grid_at`],
+//! [`FunctionalRelation::from_coords`]) and the dense and sparse kernels
+//! in the algebra layer — needs the same primitives: row-major
 //! strides for a domain vector, grid-size computation with overflow
 //! guards, linearization of a variable-value row into a cell index (and
 //! back, also under a permuted axis order), and the odometer-order check
 //! that proves a relation's measure column *is* a grid's value array.
-//! This module is their single home, re-exported from [`crate::dense`]
-//! for compatibility.
+//! This module is their single home.
 
 use crate::{FunctionalRelation, Value};
 
 /// Hard cap on dense-grid cells (2^24 = 16M cells ≈ 128 MiB of `f64`).
-/// Conversions refuse grids beyond this, so a mis-estimated density can
-/// cost a refused fast path but never an absurd allocation.
+/// The dense kernels refuse operand and output grids beyond this, so a
+/// mis-estimated density can cost a refused fast path but never an
+/// absurd allocation.
 pub const MAX_DENSE_CELLS: u64 = 1 << 24;
 
 /// Cap on *coordinate-space* cells for the sparse kernels (2^62). A
@@ -117,8 +117,8 @@ pub fn delinearize(idx: u64, strides: &[u64], row: &mut [Value]) {
 }
 
 /// Whether `rel`'s rows are exactly the odometer sequence of the grid
-/// `domains` — the row order [`FunctionalRelation::complete`] and
-/// [`crate::DenseFactor::into_relation`] emit. A `true` result proves
+/// `domains` — the row order [`FunctionalRelation::complete`] and the
+/// dense kernels emit. A `true` result proves
 /// the relation is complete on the grid (right row count, every point
 /// once, nothing out of bounds), so its measure column *is* the grid's
 /// dense value array and kernels may read it in place with no

@@ -17,7 +17,6 @@
 
 mod catalog;
 pub mod csv_io;
-pub mod dense;
 mod error;
 mod key;
 pub mod keyed;
@@ -27,7 +26,6 @@ mod schema;
 mod stats;
 
 pub use catalog::{Catalog, Dictionary, VarId, VarInfo};
-pub use dense::DenseFactor;
 pub use error::StorageError;
 pub use key::Key;
 pub use keyed::{KeyedOrder, KeyedSource, Runs};

@@ -12,7 +12,7 @@ use crate::{layout, Catalog, Key, Result, Schema, StorageError, Value, VarId};
 /// * `Grid`: a grid-complete relation in odometer order keeps only its
 ///   domain vector and per-axis origins, row `i` being the odometer
 ///   decomposition of `i` plus the origins.
-///   [`FunctionalRelation::complete`] and `DenseFactor::into_relation`
+///   [`FunctionalRelation::complete`] and the dense kernels' outputs
 ///   build it with zero origins; it certifies odometer order in O(1), so
 ///   dense kernels skip the verification scan. A pinned slice
 ///   ([`FunctionalRelation::pinned_slice`]) is a grid whose pinned axes
@@ -254,10 +254,9 @@ impl FunctionalRelation {
 
     /// Assemble a grid-complete relation in odometer order from its
     /// domain vector and cell measures alone (crate-internal: what
-    /// [`FunctionalRelation::complete`] and `DenseFactor::into_relation`
-    /// build). The packed keys stay implicit — O(1) here — and the grid
-    /// form doubles as a proof of odometer order, so densification never
-    /// re-verifies it.
+    /// [`FunctionalRelation::complete`] builds). The packed keys stay
+    /// implicit — O(1) here — and the grid form doubles as a proof of
+    /// odometer order, so a dense kernel never re-verifies it.
     pub(crate) fn from_grid(
         name: impl Into<String>,
         schema: Schema,
@@ -268,10 +267,14 @@ impl FunctionalRelation {
         Self::from_grid_at(name, schema, domains, origins, measures)
     }
 
-    /// [`FunctionalRelation::from_grid`] with axis `k` starting at
-    /// `origins[k]` rather than 0: row `i` is the odometer decomposition
-    /// of `i` over `domains`, plus `origins`.
-    pub(crate) fn from_grid_at(
+    /// Assemble a grid relation in O(1) from its domain vector, per-axis
+    /// origins and cell measures: row `i` is the odometer decomposition
+    /// of `i` over `domains` (schema order, last variable fastest), plus
+    /// `origins`. This is what the dense kernels emit — their output
+    /// array moves in as the measure column, and the next dense kernel
+    /// reads it in place. One cell per grid point (`measures.len()` is
+    /// the product of `domains`) is asserted in debug builds only.
+    pub fn from_grid_at(
         name: impl Into<String>,
         schema: Schema,
         domains: Vec<u64>,
@@ -828,18 +831,6 @@ impl FunctionalRelation {
         .then_some(keys)
     }
 
-    /// Convert to a [`crate::DenseFactor`] over the catalog's domain grid,
-    /// with absent rows taking the measure `fill` (the caller passes the
-    /// semiring's additive identity: under MPF semantics a missing row *is*
-    /// the additive zero). Returns `None` when the grid does not fit
-    /// ([`crate::dense::MAX_DENSE_CELLS`]), a value falls outside its
-    /// catalog domain, or a duplicate argument tuple makes the relation
-    /// non-functional.
-    pub fn try_to_dense(&self, catalog: &Catalog, fill: f64) -> Option<crate::DenseFactor> {
-        let domains: Vec<u64> = self.schema.iter().map(|v| catalog.domain_size(v)).collect();
-        crate::DenseFactor::from_relation(self, &domains, fill)
-    }
-
     /// Build a hash index from key columns to row indices. `positions` are
     /// column positions (see [`Schema::positions`]).
     pub fn build_index(&self, positions: &[usize]) -> HashMap<Key, Vec<u32>> {
@@ -984,6 +975,27 @@ mod tests {
         let b = c.add_var("b", 3).unwrap();
         let d = c.add_var("d", 2).unwrap();
         (c, a, b, d)
+    }
+
+    #[test]
+    fn inferred_domains_cover_data() {
+        let mut cat = Catalog::new();
+        let a = cat.add_var("a", 2).unwrap();
+        let b = cat.add_var("b", 3).unwrap();
+        let schema = Schema::new(vec![a, b]).unwrap();
+        let rel =
+            FunctionalRelation::from_rows("r", schema.clone(), [(vec![1, 0], 1.0), (vec![0, 2], 2.0)])
+                .unwrap();
+        assert_eq!(rel.inferred_domains(), vec![2, 3]);
+        // A grid answers from its domain vector, as its rows would.
+        let grid = FunctionalRelation::complete("g", schema.clone(), &cat, |_| 1.0);
+        assert_eq!(grid.inferred_domains(), vec![cat.domain_size(a), cat.domain_size(b)]);
+        let rows = FunctionalRelation::from_rows("g", schema.clone(), grid.rows().map(|(r, m)| (r.to_vec(), m)))
+            .unwrap();
+        assert_eq!(rows.inferred_domains(), grid.inferred_domains());
+        assert_eq!(FunctionalRelation::new("e", schema).inferred_domains(), vec![0, 0]);
+        let scalar = FunctionalRelation::from_rows("s", Schema::empty(), [(vec![], 2.0)]).unwrap();
+        assert_eq!(scalar.inferred_domains(), Vec::<u64>::new());
     }
 
     #[test]
