@@ -175,9 +175,8 @@ impl<'b> ExecContext<'b> {
         self.dense = mode;
     }
 
-    /// The dense-kernel dispatch mode ([`crate::sparse::join_auto`],
-    /// [`crate::sparse::agg_auto`] and [`crate::dense::join_agg_auto`]
-    /// consult this).
+    /// The dense-kernel dispatch mode ([`crate::ops::step`] skips the
+    /// dense kernel under [`DenseMode::Off`]).
     pub fn dense_mode(&self) -> DenseMode {
         self.dense
     }
@@ -193,9 +192,8 @@ impl<'b> ExecContext<'b> {
         self.repr = mode;
     }
 
-    /// The sparse-tensor dispatch mode ([`crate::sparse::join_auto`],
-    /// [`crate::sparse::agg_auto`] and the fused dense operator's fallback
-    /// consult this; planned operators carry their algorithm instead).
+    /// The sparse-tensor dispatch mode ([`crate::ops::step`] skips the
+    /// sparse kernel under [`ReprMode::Off`]).
     pub fn repr_mode(&self) -> ReprMode {
         self.repr
     }

@@ -7,26 +7,30 @@
 //! already encodes. The kernel here drops the keys entirely. It is one
 //! step, the paper's GroupBy∘ProductJoin (VE's elimination step, FAQ's
 //! InsideOut): each output cell folds the products of its eliminated
-//! subgrid straight from the operands' value arrays, and the operator
-//! entry points are that step and its two degenerate forms:
+//! subgrid straight from the operands' value arrays. It is the first link
+//! of [`crate::ops::step`]'s fallback chain, and covers the step and its
+//! two degenerate forms:
 //!
-//! * [`join_agg`] — two operands, the group variables kept and every
-//!   other variable eliminated;
-//! * [`join`] — two operands and nothing eliminated: every variable of
-//!   `l ∪ r` is a group variable, so each cell is one product `l ⊗ r`,
-//!   stored as it is (no join validates a product; the marginalization
-//!   above it does);
-//! * [`agg`] — one operand: the "product" of a cell is the operand's
-//!   value itself, never multiplied by a unit (`x ⊗ 1` would turn `−0.0`
-//!   into `+0.0` where `⊗` is `+`, and canonicalize a Boolean `−0.0`).
+//! * two operands, the group variables kept and every other variable
+//!   eliminated (the fused join→marginalize);
+//! * two operands and nothing eliminated (the product join): every
+//!   variable of `l ∪ r` is a group variable, so each cell is one product
+//!   `l ⊗ r`, stored as it is (no join validates a product; the
+//!   marginalization above it does);
+//! * one operand (the marginalization): the "product" of a cell is the
+//!   operand's value itself, never multiplied by a unit (`x ⊗ 1` would
+//!   turn `−0.0` into `+0.0` where `⊗` is `+`, and canonicalize a Boolean
+//!   `−0.0`).
 //!
 //! Absent cells would take the semiring's additive identity, which is
 //! what a missing row denotes under MPF semantics, so a grid preserves
 //! the *function* at any density. It does not preserve the *support* — a
 //! zero-filled grid materializes identity rows the sparse operators never
 //! emit — so the kernel only runs on support-exact inputs
-//! ([`join_support_exact`] / [`agg_support_exact`]): every operand is the
-//! odometer sequence of its grid, borrowed in place, and the outputs are
+//! ([`join_support_exact`]; one operand only needs to be a non-empty grid,
+//! since a zero-ary marginal of an empty input is empty on the sparse
+//! path, not a single identity cell): every operand is the odometer
+//! sequence of its grid, borrowed in place, and the outputs are
 //! row-identical to the sparse path.
 //!
 //! Operators have no catalog, so grids come from
@@ -38,11 +42,9 @@
 //! charges nothing but polls cancellation and the deadline. When a grid
 //! is infeasible (an operand or the output beyond
 //! [`mpf_storage::layout::MAX_DENSE_CELLS`], or rows that do not embed in
-//! it), or the inputs are not support-exact, the operators fall back, so
-//! a planner mis-estimate costs the fast path, never an error: [`join`]
-//! and [`agg`] to the hash operators, [`join_agg`] to the sparse
-//! elimination step first ([`crate::sparse::join_agg`]) and to the fused
-//! hash operator where that declines.
+//! it), or the inputs are not support-exact, the step declines and
+//! [`crate::ops::step`] runs the sparse kernel, then the hash operators,
+//! so a planner mis-estimate costs the fast path, never an error.
 //!
 //! Parallelism splits the output along its first axis into contiguous
 //! boxes (not hash partitions): workers write disjoint slices of the
@@ -77,10 +79,10 @@
 //! A two-operand step never materializes the join: the union grid is
 //! only indexed, never allocated, so it may exceed
 //! [`mpf_storage::layout::MAX_DENSE_CELLS`]; the operands and the output
-//! may not. [`join_agg`] is therefore bit-identical to [`join`] then
-//! [`agg`] under the same mode (their cells fold the same products in
-//! the same order), while peak memory drops from the union grid to the
-//! output grid.
+//! may not. The full step is therefore bit-identical to the product
+//! join then the marginalization under the same mode (their cells fold
+//! the same products in the same order), while peak memory drops from
+//! the union grid to the output grid.
 //!
 //! # Nests and SIMD tiers
 //!
@@ -108,7 +110,7 @@
 //! the tier cannot move a bit either (checked by the tier-parity unit
 //! test in release builds). Fused spans report the tier as
 //! `simd=base|avx2|avx512` next to the nest; the spans of the degenerate
-//! [`join`] and [`agg`] carry neither.
+//! forms carry neither.
 
 use std::marker::PhantomData;
 
@@ -118,7 +120,8 @@ use mpf_storage::layout::{delinearize, grid_cells, is_odometer_ordered, strides_
 use mpf_storage::{FunctionalRelation, Schema, Value, VarId};
 
 use crate::limits::{ExecBudget, OpGuard};
-use crate::{ops, AlgebraError, ExecContext, Result};
+use crate::trace::OpRepr;
+use crate::{AlgebraError, ExecContext, Result};
 
 /// Minimum join-grid cells before the dense kernel fans out to worker
 /// threads; below this the spawn cost dominates.
@@ -278,53 +281,14 @@ fn kernel_output(
 /// variable. Under these conditions the sparse join's output support is
 /// exactly the union grid, so the dense kernel produces a
 /// [`FunctionalRelation::function_eq`]-identical result (same rows, not
-/// just the same function modulo explicit identity rows). [`join`]
+/// just the same function modulo explicit identity rows). The dense step
 /// enforces this at runtime — the O(1) hint here, the row order during
-/// densification — falling back to the hash join otherwise, so a planner
-/// mis-estimate costs the fast path, never correctness.
+/// densification — declining otherwise, so a planner mis-estimate costs
+/// the fast path, never correctness.
 pub fn join_support_exact(l: &FunctionalRelation, r: &FunctionalRelation) -> bool {
     match (ordered_grid_hint(l), ordered_grid_hint(r)) {
         (Some(ld), Some(rd)) => shared_domains_agree(l, r, &ld, &rd),
         _ => false,
-    }
-}
-
-/// Whether the dense marginalization is *support-exact* for this input:
-/// in dense-kernel form (so every output group grid point has input rows,
-/// matching the sparse operator's group set) and non-empty (a zero-ary
-/// marginal of an empty input is empty on the sparse path, not a single
-/// identity cell).
-pub fn agg_support_exact(input: &FunctionalRelation) -> bool {
-    ordered_grid_hint(input).is_some()
-}
-
-/// Whether [`join`] would take the dense path for these inputs under
-/// `mode`. `On` and `Auto` agree at runtime — support-exactness is a hard
-/// precondition of the kernels — and differ only in how eagerly the
-/// *planner* annotates operators from its estimates.
-pub fn dense_join_applies(
-    mode: DenseMode,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-) -> bool {
-    if mode == DenseMode::Off {
-        return false;
-    }
-    let (Some(ld), Some(rd)) = (ordered_grid_hint(l), ordered_grid_hint(r)) else {
-        return false;
-    };
-    if !shared_domains_agree(l, r, &ld, &rd) {
-        return false;
-    }
-    let out_schema = l.schema().union(r.schema());
-    grid_cells(&union_domains(l, r, &out_schema, &ld, &rd)).is_some()
-}
-
-/// Whether [`agg`] would take the dense path for this input under `mode`.
-pub fn dense_agg_applies(mode: DenseMode, input: &FunctionalRelation) -> bool {
-    match mode {
-        DenseMode::Off => false,
-        DenseMode::On | DenseMode::Auto => agg_support_exact(input),
     }
 }
 
@@ -367,130 +331,73 @@ fn dense_input<'a>(
     }))
 }
 
-/// Dense product join: the elimination step with nothing eliminated,
-/// grouping on every variable of `l ∪ r`, so each output cell is the one
-/// product `l ⊗ r` of its two operand cells, stored unchecked like every
-/// join's products. Row-identical to [`ops::product_join`] (verified by
-/// `tests/dense_parity.rs`); falls back to it when the inputs are not
-/// support-exact or the union grid is infeasible.
-pub fn join(
+/// The dense elimination step over one or two operands, run by
+/// [`crate::ops::step`]: each output cell folds the products of its
+/// eliminated subgrid in fixed odometer order (see the module docs for its two
+/// degenerate forms). Probes the fault site of its shape —
+/// `dense::join`, `dense::agg` or `dense::join_agg` — first; `None` when
+/// the operands are not support-exact grids, a grid is infeasible, or
+/// (for the product join, whose output *is* the union grid) the union
+/// grid exceeds the dense cap, which is checked before any operand is
+/// borrowed. Group variables are validated by the caller.
+pub(crate) fn step(
     cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-) -> Result<FunctionalRelation> {
-    cx.fault("dense::join")?;
-    let (Some(ld), Some(rd)) = (ordered_grid_hint(l), ordered_grid_hint(r)) else {
-        return ops::product_join(cx, l, r);
+    inputs: &[&FunctionalRelation],
+    group_vars: Option<&[VarId]>,
+) -> Result<Option<FunctionalRelation>> {
+    let site = match (inputs, group_vars) {
+        ([_, _], None) => "dense::join",
+        ([_], _) => "dense::agg",
+        _ => "dense::join_agg",
     };
-    if !shared_domains_agree(l, r, &ld, &rd) {
-        return ops::product_join(cx, l, r);
-    }
-    // The output *is* the union grid here, so it must fit the dense cap
-    // before any operand is borrowed.
-    let schema = l.schema().union(r.schema());
-    if grid_cells(&union_domains(l, r, &schema, &ld, &rd)).is_none() {
-        return ops::product_join(cx, l, r);
-    }
-    let group: Vec<VarId> = schema.iter().collect();
-    match join_agg_impl(cx, (l, &ld), Some((r, &rd)), &group, None)? {
-        Some(out) => {
-            let rel = kernel_output(cx, format!("({}⨝*{})", l.name(), r.name()), out, &[l, r])?;
-            cx.record_join_ex(&[l, r], &rel, crate::trace::OpRepr::Dense);
-            cx.note_kernel_op(cx.kernel_mode());
-            Ok(rel)
-        }
-        None => ops::product_join(cx, l, r),
-    }
-}
-
-/// Dense marginalization: the elimination step over one operand, each
-/// output cell folding its eliminated-variable subgrid of `input`'s
-/// values in fixed odometer order. Row-identical to [`ops::group_by`];
-/// falls back to it when the input is not support-exact.
-pub fn agg(
-    cx: &mut ExecContext<'_>,
-    input: &FunctionalRelation,
-    group_vars: &[VarId],
-) -> Result<FunctionalRelation> {
-    cx.fault("dense::agg")?;
-    for &v in group_vars {
-        if !input.schema().contains(v) {
-            return Err(AlgebraError::GroupVarNotInInput(v));
-        }
-    }
-    let Some(domains) = ordered_grid_hint(input) else {
-        return ops::group_by(cx, input, group_vars);
+    cx.fault(site)?;
+    let Some(hints) = inputs.iter().map(|r| ordered_grid_hint(r)).collect::<Option<Vec<_>>>() else {
+        return Ok(None);
     };
-    match join_agg_impl(cx, (input, &domains), None, group_vars, Some("dense::agg"))? {
-        Some(out) => {
-            let rel = kernel_output(cx, format!("γ({})", input.name()), out, &[input])?;
-            cx.record_group_by_ex(&[input], &rel, crate::trace::OpRepr::Dense);
-            cx.note_kernel_op(cx.kernel_mode());
-            Ok(rel)
-        }
-        None => ops::group_by(cx, input, group_vars),
-    }
-}
-
-/// Fused dense join→marginalize: contract the product join of `l` and
-/// `r` directly into the marginal's output grid, never materializing
-/// the intermediate join factor. Each output cell folds
-/// `mul(a, b)` over its eliminated subgrid in join-grid odometer order
-/// — exactly the order [`join`] then [`agg`] fold it under the same
-/// [`KernelMode`] — so the result is bit-identical to that pair, while
-/// peak memory drops from the union grid to the output grid. When the
-/// inputs are not support-exact or a grid is infeasible, the step still
-/// runs fused: the sparse kernel
-/// ([`sparse::join_agg`](crate::sparse::join_agg)) under
-/// [`ReprMode::Auto`](crate::ReprMode), the fused hash operator
-/// ([`ops::join_group_by`], row- and bit-identical to hash
-/// join→group-by) under `Off` or where the sparse kernel declines.
-pub fn join_agg(
-    cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-    group_vars: &[VarId],
-) -> Result<FunctionalRelation> {
-    cx.fault("dense::join_agg")?;
-    for &v in group_vars {
-        if !l.schema().contains(v) && !r.schema().contains(v) {
-            return Err(AlgebraError::GroupVarNotInInput(v));
-        }
-    }
-    let (Some(ld), Some(rd)) = (ordered_grid_hint(l), ordered_grid_hint(r)) else {
-        return crate::sparse::join_agg_fallback(cx, l, r, group_vars);
+    let r = match inputs {
+        [l, r] if !shared_domains_agree(l, r, &hints[0], &hints[1]) => return Ok(None),
+        [_, r] => Some((*r, hints[1].as_slice())),
+        _ => None,
     };
-    if !shared_domains_agree(l, r, &ld, &rd) {
-        return crate::sparse::join_agg_fallback(cx, l, r, group_vars);
-    }
-    match join_agg_impl(cx, (l, &ld), Some((r, &rd)), group_vars, Some("dense::join_agg"))? {
-        Some(out) => {
-            let (nest, tier) = (out.nest, out.tier);
-            let rel = kernel_output(cx, format!("γ({}⨝*{})", l.name(), r.name()), out, &[l, r])?;
-            cx.record_join_agg_ex(&[l, r], &rel, crate::trace::OpRepr::Dense);
-            cx.note_kernel_op(cx.kernel_mode());
-            cx.note_fused_nest(nest);
-            cx.note_simd(tier);
-            Ok(rel)
+    let l = inputs[0];
+    let all: Vec<VarId>;
+    let group = match (group_vars, r) {
+        (Some(g), _) => g,
+        (None, Some((r, rd))) => {
+            let schema = l.schema().union(r.schema());
+            if grid_cells(&union_domains(l, r, &schema, &hints[0], rd)).is_none() {
+                return Ok(None);
+            }
+            all = schema.iter().collect();
+            &all
         }
-        None => crate::sparse::join_agg_fallback(cx, l, r, group_vars),
+        (None, None) => unreachable!("checked by ops::step"),
+    };
+    // A join's products are stored unchecked; a marginal's folds are
+    // checked against the step's own name.
+    let check = group_vars.map(|_| site);
+    let Some(out) = join_agg_impl(cx, (l, &hints[0]), r, group, check)? else {
+        return Ok(None);
+    };
+    let (nest, tier) = (out.nest, out.tier);
+    let name = match (r, group_vars) {
+        (Some((r, _)), None) => format!("({}⨝*{})", l.name(), r.name()),
+        (Some((r, _)), Some(_)) => format!("γ({}⨝*{})", l.name(), r.name()),
+        (None, _) => format!("γ({})", l.name()),
+    };
+    let rel = kernel_output(cx, name, out, inputs)?;
+    match (r, group_vars) {
+        (Some(_), None) => cx.record_join_ex(inputs, &rel, OpRepr::Dense),
+        (None, _) => cx.record_group_by_ex(inputs, &rel, OpRepr::Dense),
+        (Some(_), Some(_)) => cx.record_join_agg_ex(inputs, &rel, OpRepr::Dense),
     }
-}
-
-/// [`join_agg`] dispatched through the context's [`DenseMode`]: the
-/// fused dense kernel when it applies, else its sparse-or-hash fallback.
-/// This is the interpreter's entry point for the planner's dense
-/// `JoinAgg` nodes.
-pub fn join_agg_auto(
-    cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-    group_vars: &[VarId],
-) -> Result<FunctionalRelation> {
-    match cx.dense_mode() {
-        DenseMode::Off => crate::sparse::join_agg_fallback(cx, l, r, group_vars),
-        DenseMode::On | DenseMode::Auto => join_agg(cx, l, r, group_vars),
+    cx.note_kernel_op(cx.kernel_mode());
+    // Only the full step reports its nest and tier.
+    if r.is_some() && group_vars.is_some() {
+        cx.note_fused_nest(nest);
+        cx.note_simd(tier);
     }
+    Ok(Some(rel))
 }
 
 /// Per-variable odometer step: the variable's domain (in the join grid)
@@ -1375,8 +1282,43 @@ fn fold_products<S: SemiringOps, const ONE: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops;
     use mpf_semiring::SemiringKind;
     use mpf_storage::{Catalog, Schema};
+
+    // The three step shapes, each entering the fallback chain at the
+    // dense kernel.
+    fn join(
+        cx: &mut ExecContext<'_>,
+        l: &FunctionalRelation,
+        r: &FunctionalRelation,
+    ) -> Result<FunctionalRelation> {
+        ops::step(cx, &[l, r], None, OpRepr::Dense)
+    }
+
+    fn agg(
+        cx: &mut ExecContext<'_>,
+        x: &FunctionalRelation,
+        g: &[VarId],
+    ) -> Result<FunctionalRelation> {
+        ops::step(cx, &[x], Some(g), OpRepr::Dense)
+    }
+
+    fn join_agg(
+        cx: &mut ExecContext<'_>,
+        l: &FunctionalRelation,
+        r: &FunctionalRelation,
+        g: &[VarId],
+    ) -> Result<FunctionalRelation> {
+        ops::step(cx, &[l, r], Some(g), OpRepr::Dense)
+    }
+
+    /// Whether the step over `inputs` runs dense under `mode`.
+    fn runs_dense(mode: DenseMode, inputs: &[&FunctionalRelation], g: Option<&[VarId]>) -> bool {
+        let mut cx = ExecContext::new(SemiringKind::SumProduct).with_dense(mode);
+        ops::step(&mut cx, inputs, g, OpRepr::Dense).unwrap();
+        cx.stats().dense_converts > 0
+    }
 
     fn fixtures() -> (Catalog, FunctionalRelation, FunctionalRelation) {
         let mut cat = Catalog::new();
@@ -1514,8 +1456,8 @@ mod tests {
         });
         for sr in SemiringKind::ALL {
             // An incomplete input never borrows as a dense operand — its
-            // support would differ from the hash join's — so the public
-            // operators take the hash path, whether the O(1) hint or the
+            // support would differ from the hash join's — so the chain
+            // goes on to the sparse kernel, whether the O(1) hint or the
             // step's own order check refuses it.
             assert!(!join_support_exact(&l, &r));
             for (l, r) in [(&l, &r), (&complete, &shuffled)] {
@@ -1524,10 +1466,11 @@ mod tests {
                 let got = join(&mut cx, l, r).unwrap();
                 assert_eq!(cx.stats().dense_joins, 0, "{sr:?} fell back");
                 assert!(want.function_eq(&got), "{sr:?} row-identical");
+                assert_eq!(cx.stats().sparse_joins, 1, "{sr:?} ran sparse");
+                // The sparse join of the complete pair is a grid in
+                // odometer order, so marginalizing it may run dense.
                 let wg = ops::group_by(&mut ExecContext::new(sr), &want, &[b]).unwrap();
-                let mut gx = ExecContext::new(sr);
-                let gg = agg(&mut gx, &got, &[b]).unwrap();
-                assert_eq!(gx.stats().dense_group_bys, 0, "{sr:?} agg fell back");
+                let gg = agg(&mut ExecContext::new(sr), &got, &[b]).unwrap();
                 assert!(wg.function_eq(&gg), "{sr:?} agg");
             }
             let mut gx = ExecContext::new(sr);
@@ -1539,26 +1482,26 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_gates_on_completeness() {
+    fn dispatch_gates_on_mode_and_completeness() {
         let is_complete_on_inferred =
             |rel: &FunctionalRelation| grid_cells(&rel.inferred_domains()) == Some(rel.len() as u64);
-        let (_, l, r) = fixtures();
+        let (cat, l, r) = fixtures();
+        let b = cat.var("b").unwrap();
         assert!(is_complete_on_inferred(&l));
-        assert!(dense_join_applies(DenseMode::Auto, &l, &r));
-        assert!(!dense_join_applies(DenseMode::Off, &l, &r));
+        assert!(runs_dense(DenseMode::Auto, &[&l, &r], None));
+        assert!(!runs_dense(DenseMode::Off, &[&l, &r], None));
         let mut sparse = FunctionalRelation::new("s", l.schema().clone());
         sparse.push_row(&[5, 4], 1.0).unwrap();
         assert!(!is_complete_on_inferred(&sparse));
-        assert!(!dense_join_applies(DenseMode::Auto, &sparse, &r));
+        assert!(!runs_dense(DenseMode::Auto, &[&sparse, &r], None));
         // Support-exactness is a hard precondition: even On refuses
         // incomplete inputs at runtime (the modes differ at the planner).
-        assert!(!dense_join_applies(DenseMode::On, &sparse, &r));
-        assert!(dense_agg_applies(DenseMode::Auto, &l));
-        assert!(!dense_agg_applies(DenseMode::Auto, &sparse));
+        assert!(!runs_dense(DenseMode::On, &[&sparse, &r], None));
+        assert!(runs_dense(DenseMode::Auto, &[&l], Some(&[b])));
+        assert!(!runs_dense(DenseMode::Off, &[&l], Some(&[b])));
+        assert!(!runs_dense(DenseMode::Auto, &[&sparse], Some(&[b])));
         // Complete sides whose shared-variable ranges disagree would
         // zero-fill output cells the hash join never emits — refused too.
-        let (cat, _, _) = fixtures();
-        let b = cat.var("b").unwrap();
         let c = cat.var("c").unwrap();
         let narrow = FunctionalRelation::from_rows(
             "n",
@@ -1568,13 +1511,13 @@ mod tests {
         .unwrap();
         assert!(is_complete_on_inferred(&narrow));
         assert!(!join_support_exact(&l, &narrow));
-        assert!(!dense_join_applies(DenseMode::On, &l, &narrow));
+        assert!(!runs_dense(DenseMode::On, &[&l, &narrow], None));
     }
 
     #[test]
     fn infeasible_grid_falls_back_to_sparse() {
         // Two wide relations whose union grid exceeds MAX_DENSE_CELLS:
-        // the dense operator silently runs the hash join instead.
+        // the dense step declines and the sparse join runs instead.
         let mut cat = Catalog::new();
         let x = cat.add_var("x", 1 << 13).unwrap();
         let y = cat.add_var("y", 1 << 13).unwrap();
@@ -1583,21 +1526,20 @@ mod tests {
         let mut r = FunctionalRelation::new("r", Schema::new(vec![y]).unwrap());
         r.push_row(&[(1 << 13) - 1], 3.0).unwrap();
         let sr = SemiringKind::SumProduct;
-        assert!(!dense_join_applies(DenseMode::On, &l, &r));
-        let mut cx = ExecContext::new(sr);
+        let mut cx = ExecContext::new(sr).with_dense(DenseMode::On);
         let out = join(&mut cx, &l, &r).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(cx.stats().joins, 1);
-        assert_eq!(cx.stats().dense_joins, 0, "fell back to the hash join");
+        assert_eq!(cx.stats().dense_joins, 0);
+        assert_eq!(cx.stats().sparse_joins, 1, "fell back to the sparse join");
         // Complete sides pass every support check, but the step itself
         // refuses their union grid (2^13 × 2^13 cells exceeds
         // MAX_DENSE_CELLS) before borrowing either operand: no conversion
-        // is counted, and the hash join that runs instead trips the
+        // is counted, and the sparse join that runs instead trips the
         // budget capping its 2^26 rows.
         let l = FunctionalRelation::complete("l", Schema::new(vec![x]).unwrap(), &cat, |_| 2.0);
         let r = FunctionalRelation::complete("r", Schema::new(vec![y]).unwrap(), &cat, |_| 3.0);
         assert!(join_support_exact(&l, &r));
-        assert!(!dense_join_applies(DenseMode::On, &l, &r));
         let limits = crate::ExecLimits::none().with_max_output_rows(10);
         let mut cx = ExecContext::with_limits(sr, limits);
         let err = join(&mut cx, &l, &r).unwrap_err();
@@ -1670,7 +1612,6 @@ mod tests {
         let (cat, l, r) = contraction(D as u64);
         let gv = [cat.var("x").unwrap(), cat.var("y").unwrap()];
         assert!(grid_cells(&[D as u64; 3]).is_none(), "join grid is over the cap");
-        assert!(!dense_join_applies(DenseMode::On, &l, &r), "the unfused join stays refused");
         let (lm, rm) = (l.measures(), r.measures());
         for mode in [KernelMode::Chunked, KernelMode::Scalar] {
             let mut cx = ExecContext::new(SemiringKind::SumProduct).with_kernel(mode);

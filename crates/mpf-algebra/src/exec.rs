@@ -6,8 +6,7 @@ use mpf_storage::FunctionalRelation;
 use crate::limits::{ExecBudget, ExecLimits};
 use crate::trace::{SpanDesc, SpanKind};
 use crate::{
-    ops, AggAlgo, AlgebraError, ExecContext, ExecStats, JoinAlgo, PhysicalPlan, Plan,
-    RelationProvider, Result,
+    ops, AlgebraError, ExecContext, ExecStats, PhysicalPlan, Plan, RelationProvider, Result,
 };
 
 /// Evaluates plans against a [`RelationProvider`] under a chosen semiring.
@@ -176,41 +175,20 @@ impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
                 let in_rel = self.run(cx, input)?;
                 Ok(Cow::Owned(ops::select_eq(cx, &in_rel, predicates)?))
             }
-            PhysicalPlan::Join { left, right, algo } => {
-                let (l, r) = self.run_inputs(cx, left, right)?;
-                let out = match algo {
-                    JoinAlgo::Hash => ops::product_join(cx, &l, &r)?,
-                    JoinAlgo::Dense => crate::dense::join(cx, &l, &r)?,
-                    JoinAlgo::SparseTensor => crate::sparse::join(cx, &l, &r)?,
-                };
-                Ok(Cow::Owned(out))
-            }
-            PhysicalPlan::GroupBy {
-                input,
+            PhysicalPlan::Step {
+                inputs,
                 group_vars,
-                algo,
+                repr,
             } => {
-                let in_rel = self.run(cx, input)?;
-                let out = match algo {
-                    AggAlgo::HashAgg => ops::group_by(cx, &in_rel, group_vars)?,
-                    AggAlgo::DenseAgg => crate::dense::agg(cx, &in_rel, group_vars)?,
-                    AggAlgo::SparseAgg => crate::sparse::agg(cx, &in_rel, group_vars)?,
+                let rels = match inputs.as_slice() {
+                    [left, right] => {
+                        let (l, r) = self.run_inputs(cx, left, right)?;
+                        vec![l, r]
+                    }
+                    inputs => inputs.iter().map(|i| self.run(cx, i)).collect::<Result<_>>()?,
                 };
-                Ok(Cow::Owned(out))
-            }
-            PhysicalPlan::JoinAgg {
-                left,
-                right,
-                group_vars,
-                algo,
-            } => {
-                let (l, r) = self.run_inputs(cx, left, right)?;
-                let out = match algo {
-                    JoinAlgo::Dense => crate::dense::join_agg_auto(cx, &l, &r, group_vars)?,
-                    JoinAlgo::SparseTensor => crate::sparse::join_agg(cx, &l, &r, group_vars)?,
-                    JoinAlgo::Hash => ops::join_group_by(cx, &l, &r, group_vars)?,
-                };
-                Ok(Cow::Owned(out))
+                let rels: Vec<&FunctionalRelation> = rels.iter().map(|r| r.as_ref()).collect();
+                Ok(Cow::Owned(ops::step(cx, &rels, group_vars.as_deref(), *repr)?))
             }
         }
     }
@@ -270,20 +248,23 @@ fn span_desc(plan: &PhysicalPlan) -> SpanDesc {
         }
         PhysicalPlan::Select { .. } => SpanDesc::op(SpanKind::Select, "Select"),
         // `SpanDesc::op` leaves the span `Rows` even for the dense/sparse
-        // annotations: the operator may fall back at runtime, and
+        // annotations: the step may fall back at runtime, and
         // record-time merging overwrites the representation only when a
-        // kernel actually ran.
-        PhysicalPlan::Join { algo, .. } => {
-            SpanDesc::op(SpanKind::Join, format!("ProductJoin ({})", algo.label()))
-        }
-        PhysicalPlan::GroupBy { algo, .. } => {
-            SpanDesc::op(SpanKind::GroupBy, format!("GroupBy ({})", algo.label()))
-        }
-        // The fused contraction accounts through `record_join_agg_ex`,
-        // which records under the GroupBy kind (the node's output is the
-        // marginal) and tags the span `fused=true` at run time.
-        PhysicalPlan::JoinAgg { .. } => {
-            SpanDesc::op(SpanKind::GroupBy, "JoinAgg (Fused)")
+        // kernel actually ran. A fused step accounts through
+        // `record_join_agg_ex`, which records under the GroupBy kind (the
+        // node's output is the marginal) and tags the span `fused=true`
+        // at run time.
+        PhysicalPlan::Step {
+            inputs,
+            group_vars,
+            repr,
+        } => {
+            let algo = crate::physical::algo_label(*repr, inputs.len());
+            match (group_vars, inputs.len()) {
+                (None, _) => SpanDesc::op(SpanKind::Join, format!("ProductJoin ({algo})")),
+                (Some(_), 1) => SpanDesc::op(SpanKind::GroupBy, format!("GroupBy ({algo})")),
+                (Some(_), _) => SpanDesc::op(SpanKind::GroupBy, "JoinAgg (Fused)"),
+            }
         }
     }
 }
@@ -291,7 +272,7 @@ fn span_desc(plan: &PhysicalPlan) -> SpanDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RelationStore;
+    use crate::{OpRepr, RelationStore};
     use mpf_semiring::approx_eq;
     use mpf_storage::{Catalog, Schema, VarId};
 
@@ -406,23 +387,21 @@ mod tests {
             ),
             vec![d],
         );
-        let hand_built = PhysicalPlan::GroupBy {
-            input: Box::new(PhysicalPlan::Join {
-                left: Box::new(PhysicalPlan::GroupBy {
-                    input: Box::new(PhysicalPlan::Scan {
-                        relation: "r1".into(),
-                    }),
-                    group_vars: vec![b],
-                    algo: AggAlgo::HashAgg,
-                }),
-                right: Box::new(PhysicalPlan::Scan {
-                    relation: "r2".into(),
-                }),
-                algo: JoinAlgo::Hash,
-            }),
-            group_vars: vec![d],
-            algo: AggAlgo::HashAgg,
+        let step = |inputs, group_vars| PhysicalPlan::Step {
+            inputs,
+            group_vars,
+            repr: OpRepr::Rows,
         };
+        let scan = |name: &str| PhysicalPlan::Scan {
+            relation: name.into(),
+        };
+        let hand_built = step(
+            vec![step(
+                vec![step(vec![scan("r1")], Some(vec![b])), scan("r2")],
+                None,
+            )],
+            Some(vec![d]),
+        );
         let (lowered_out, lowered_stats) = exec.execute(&logical).unwrap();
         let (hand_out, hand_stats) = exec.execute_physical(&hand_built).unwrap();
         assert!(lowered_out.function_eq(&hand_out));
@@ -447,12 +426,15 @@ mod tests {
             relation: "r1".into(),
         };
         for _ in 0..crate::MAX_PLAN_DEPTH + 20 {
-            phys = PhysicalPlan::Join {
-                left: Box::new(phys),
-                right: Box::new(PhysicalPlan::Scan {
-                    relation: "r2".into(),
-                }),
-                algo: JoinAlgo::Hash,
+            phys = PhysicalPlan::Step {
+                inputs: vec![
+                    phys,
+                    PhysicalPlan::Scan {
+                        relation: "r2".into(),
+                    },
+                ],
+                group_vars: None,
+                repr: OpRepr::Rows,
             };
         }
         assert!(matches!(

@@ -13,11 +13,14 @@
 //!
 //! Sites are global to the process, so tests that arm overlapping sites
 //! must serialize themselves (the suites use a shared mutex). Every
-//! operator entry point and the engine's optimizer call are instrumented;
-//! site names are the function names (`"product_join"`, `"group_by"`,
-//! `"join_group_by"`, `"dense::join_agg"`, `"sparse::agg"`,
-//! `"sparse::join_agg"`, ...), plus
-//! `"optimize::<label>"` per strategy in the engine.
+//! operator entry point and the engine's optimizer call are instrumented.
+//! The hash operators' sites are their function names (`"product_join"`,
+//! `"group_by"`, `"join_group_by"`, ...); each kernel of
+//! [`crate::ops::step`]'s chain probes a site named by its module and
+//! the step's shape (`"dense::join"`, `"dense::agg"`, `"dense::join_agg"`,
+//! and the same under `"sparse::"`), plus `"dense::convert"` and
+//! `"sparse::convert"` where an operand is borrowed or keyed; the engine
+//! adds `"optimize::<label>"` per strategy.
 
 #[cfg(not(feature = "fault-injection"))]
 use crate::Result;

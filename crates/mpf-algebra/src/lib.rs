@@ -51,7 +51,7 @@ pub use error::AlgebraError;
 pub use exec::Executor;
 pub use limits::{BudgetLease, BudgetPool, CancelToken, ExecBudget, ExecLimits, OpGuard, ResourceKind};
 pub use metrics::MetricsRegistry;
-pub use physical::{AggAlgo, JoinAlgo, PhysicalPlan};
+pub use physical::PhysicalPlan;
 pub use plan::{Plan, MAX_PLAN_DEPTH};
 pub use provider::{Overlay, RelationProvider, RelationStore};
 pub use sparse::ReprMode;

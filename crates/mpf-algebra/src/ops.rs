@@ -16,7 +16,7 @@ use mpf_semiring::SemiringKind;
 use mpf_storage::{FunctionalRelation, Key, Schema, Value, VarId};
 
 use crate::limits::{ExecBudget, OpGuard};
-use crate::{AlgebraError, ExecContext, Result};
+use crate::{AlgebraError, DenseMode, ExecContext, OpRepr, ReprMode, Result};
 
 /// Product join (`⨝*`, Definition 2): natural join on shared variables with
 /// measures combined by the semiring's multiplicative operation.
@@ -285,6 +285,64 @@ fn join_group_by_impl(
     }
     guard.finish()?;
     Ok(out)
+}
+
+/// The elimination step `GroupBy_X(⨝* inputs)` — the one entry every
+/// planned step and every inference-layer join or marginalization runs
+/// through. `group_vars` is `None` for the product join of two inputs
+/// (every variable kept) and names `X` otherwise; one input is a
+/// marginalization, two with `X` the fused join→marginalize.
+///
+/// One fallback chain runs it, starting at `start`: the dense kernel
+/// ([`crate::dense`], unless the context's [`crate::DenseMode`] is
+/// `Off`), then the sparse kernel ([`crate::sparse`], under
+/// [`crate::ReprMode::Auto`]), then the hash operators — [`product_join`],
+/// [`group_by`] or [`join_group_by`], the reference semantics. A kernel
+/// that cannot take its operands (not a grid, infeasible coordinate
+/// space, rows that are not functional) declines and the next one runs,
+/// so a mis-planned representation costs the fast path, never
+/// correctness. Each kernel probes its own fault site per shape
+/// (`dense::join`, `dense::agg`, `dense::join_agg`, and the same under
+/// `sparse::`) before it looks at its operands.
+///
+/// # Errors
+/// [`AlgebraError::GroupVarNotInInput`] for a group variable no input
+/// has, [`AlgebraError::Internal`] for a step over other than one input
+/// with group variables or two inputs, and whatever the kernel that runs
+/// reports.
+pub fn step(
+    cx: &mut ExecContext<'_>,
+    inputs: &[&FunctionalRelation],
+    group_vars: Option<&[VarId]>,
+    start: OpRepr,
+) -> Result<FunctionalRelation> {
+    if !matches!((inputs.len(), group_vars), (2, _) | (1, Some(_))) {
+        return Err(AlgebraError::Internal(format!(
+            "a step takes one input with group variables or two inputs, not {}",
+            inputs.len()
+        )));
+    }
+    for &v in group_vars.unwrap_or_default() {
+        if !inputs.iter().any(|r| r.schema().contains(v)) {
+            return Err(AlgebraError::GroupVarNotInInput(v));
+        }
+    }
+    if start == OpRepr::Dense && cx.dense_mode() != DenseMode::Off {
+        if let Some(out) = crate::dense::step(cx, inputs, group_vars)? {
+            return Ok(out);
+        }
+    }
+    if start != OpRepr::Rows && cx.repr_mode() == ReprMode::Auto {
+        if let Some(out) = crate::sparse::step(cx, inputs, group_vars)? {
+            return Ok(out);
+        }
+    }
+    match (inputs, group_vars) {
+        ([l, r], None) => product_join(cx, l, r),
+        ([input], Some(g)) => group_by(cx, input, g),
+        ([l, r], Some(g)) => join_group_by(cx, l, r, g),
+        _ => unreachable!("shape checked above"),
+    }
 }
 
 /// Selection on conjunctive variable-equality predicates

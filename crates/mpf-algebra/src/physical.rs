@@ -1,10 +1,16 @@
-//! Physical plans: logical plans annotated with operator algorithms.
+//! Physical plans: logical plans whose elimination steps carry the
+//! representation they are planned to run on.
 //!
 //! The logical [`Plan`](crate::Plan) fixes *where* joins and group-bys sit;
 //! the physical plan additionally fixes *how* each is executed — hash,
 //! dense grid or sparse tensor — which is exactly
 //! the degree of freedom the paper points out distinguishes the
-//! relational setting from the GDL setting. [`PhysicalPlan::from_logical`] annotates a logical plan with a
+//! relational setting from the GDL setting. Every join and every
+//! marginalization is one node, the elimination step
+//! [`PhysicalPlan::Step`] (the paper's GroupBy∘ProductJoin): a product
+//! join is the step that keeps every variable, a marginalization the step
+//! over one input, and a fused join→marginalize the full step.
+//! [`PhysicalPlan::from_logical`] annotates a logical plan with a
 //! caller-supplied chooser (the optimizer's cost-based
 //! `choose_physical`); [`PhysicalPlan::default_hash`] maps everything to
 //! the hash operators, which is what [`Executor`](crate::Executor) does
@@ -12,69 +18,9 @@
 
 use mpf_storage::{Value, VarId};
 
-use crate::Plan;
+use crate::{OpRepr, Plan};
 
-/// Join algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinAlgo {
-    /// Build a hash index on the smaller side, probe with the larger.
-    Hash,
-    /// Dense odometer-indexed join: both operands are read in place as
-    /// their inferred domain grids and the dense elimination step runs
-    /// with nothing eliminated, one stride-aligned product per output
-    /// cell ([`crate::dense::join`]). Falls back to the hash join at
-    /// runtime if the output grid turns out infeasible.
-    Dense,
-    /// Sparse-tensor join: both operands become sorted coordinate
-    /// tensors and merge on shared-variable coordinate prefixes
-    /// ([`crate::sparse::join`]). Falls back to the hash join at runtime
-    /// if the coordinate space turns out infeasible or a side is not
-    /// functional.
-    SparseTensor,
-}
-
-impl JoinAlgo {
-    /// Short display name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            JoinAlgo::Hash => "Hash",
-            JoinAlgo::Dense => "Dense",
-            JoinAlgo::SparseTensor => "SparseTensor",
-        }
-    }
-}
-
-/// Aggregation algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggAlgo {
-    /// Hash table keyed by the grouping values.
-    HashAgg,
-    /// Dense odometer-indexed marginalization: the dense elimination step
-    /// over one operand, read in place as its grid, each output cell
-    /// folding its eliminated-variable subgrid in a fixed index order
-    /// ([`crate::dense::agg`]). Falls back to the hash aggregate at
-    /// runtime if the grid turns out infeasible.
-    DenseAgg,
-    /// Sparse-tensor marginalization: the input becomes a sorted
-    /// coordinate tensor in `[group, eliminated]` axis order and runs of
-    /// equal group prefix collapse in one pass
-    /// ([`crate::sparse::agg`]). Falls back to the hash aggregate at
-    /// runtime on infeasibility.
-    SparseAgg,
-}
-
-impl AggAlgo {
-    /// Short display name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AggAlgo::HashAgg => "HashAgg",
-            AggAlgo::DenseAgg => "DenseAgg",
-            AggAlgo::SparseAgg => "SparseAgg",
-        }
-    }
-}
-
-/// A logical plan with per-operator algorithm annotations.
+/// A logical plan with per-step representation annotations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalPlan {
     /// Scan a base relation.
@@ -89,79 +35,69 @@ pub enum PhysicalPlan {
         /// Predicates.
         predicates: Vec<(VarId, Value)>,
     },
-    /// Product join with a chosen algorithm.
-    Join {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// The join implementation.
-        algo: JoinAlgo,
-    },
-    /// Marginalization with a chosen algorithm.
-    GroupBy {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// Grouping variables.
-        group_vars: Vec<VarId>,
-        /// The aggregation implementation.
-        algo: AggAlgo,
-    },
-    /// Fused join→marginalize: `GroupBy_X(left ⨝* right)` contracted in
-    /// one operator, never materializing the join intermediate — the
-    /// canonical VE elimination step. `algo` is the fused pair's join
-    /// algorithm and picks where the fallback chain starts: `Dense` runs
-    /// the dense fused kernel when both sides densify
-    /// ([`crate::dense::join_agg_auto`]), `SparseTensor` the sparse one
-    /// ([`crate::sparse::join_agg`]), and either falls through to the
-    /// next (dense → sparse → hash [`crate::ops::join_group_by`]) when
-    /// its kernel declines; `Hash` runs the fused hash
-    /// operator. Accounts as one join *plus* one group-by so stats
-    /// reconcile with the unfused plan.
-    JoinAgg {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Grouping variables (must drop at least the join-only ones for
-        /// the planner to pick this node; any subset of the union schema
-        /// is executable).
-        group_vars: Vec<VarId>,
-        /// The join algorithm of the fused pair.
-        algo: JoinAlgo,
+    /// One elimination step `GroupBy_X(⨝* inputs)`, run by
+    /// [`crate::ops::step`] starting its fallback chain (dense → sparse →
+    /// hash) at `repr`. Its degenerate forms are the product join (two
+    /// inputs, every variable kept: `group_vars` is `None`) and the
+    /// marginalization (one input). A two-input step with group variables
+    /// is the fused join→marginalize — the canonical VE elimination step,
+    /// which never materializes the join intermediate and accounts as one
+    /// join *plus* one group-by so stats reconcile with the unfused pair.
+    Step {
+        /// One or two input plans.
+        inputs: Vec<PhysicalPlan>,
+        /// The variables kept (any subset of the inputs' union schema), or
+        /// `None` to keep every variable — the product join.
+        group_vars: Option<Vec<VarId>>,
+        /// The representation the fallback chain starts at.
+        repr: OpRepr,
     },
 }
 
+/// The algorithm name a step of representation `repr` renders with: the
+/// join names for steps over two inputs, the aggregation names for
+/// one-input steps. Plan renderings, and so the digests over them, depend
+/// on these exact strings.
+pub(crate) fn algo_label(repr: OpRepr, inputs: usize) -> &'static str {
+    match (repr, inputs) {
+        (OpRepr::Rows, 1) => "HashAgg",
+        (OpRepr::Dense, 1) => "DenseAgg",
+        (OpRepr::Sparse, 1) => "SparseAgg",
+        (OpRepr::Rows, _) => "Hash",
+        (OpRepr::Dense, _) => "Dense",
+        (OpRepr::Sparse, _) => "SparseTensor",
+    }
+}
+
 impl PhysicalPlan {
-    /// Annotate a logical plan, consulting `choose_join` / `choose_agg` at
-    /// each operator (called bottom-up).
-    pub fn from_logical(
-        plan: &Plan,
-        choose_join: &mut impl FnMut(&Plan, &Plan) -> JoinAlgo,
-        choose_agg: &mut impl FnMut(&Plan, &[VarId]) -> AggAlgo,
-    ) -> PhysicalPlan {
+    /// Annotate a logical plan, consulting `choose` at each join and
+    /// group-by node (called before the node's inputs are lowered).
+    pub fn from_logical(plan: &Plan, choose: &mut impl FnMut(&Plan) -> OpRepr) -> PhysicalPlan {
         match plan {
             Plan::Scan { relation } => PhysicalPlan::Scan {
                 relation: relation.clone(),
             },
             Plan::Select { input, predicates } => PhysicalPlan::Select {
-                input: Box::new(Self::from_logical(input, choose_join, choose_agg)),
+                input: Box::new(Self::from_logical(input, choose)),
                 predicates: predicates.clone(),
             },
             Plan::Join { left, right } => {
-                let algo = choose_join(left, right);
-                PhysicalPlan::Join {
-                    left: Box::new(Self::from_logical(left, choose_join, choose_agg)),
-                    right: Box::new(Self::from_logical(right, choose_join, choose_agg)),
-                    algo,
+                let repr = choose(plan);
+                PhysicalPlan::Step {
+                    inputs: vec![
+                        Self::from_logical(left, choose),
+                        Self::from_logical(right, choose),
+                    ],
+                    group_vars: None,
+                    repr,
                 }
             }
             Plan::GroupBy { input, group_vars } => {
-                let algo = choose_agg(input, group_vars);
-                PhysicalPlan::GroupBy {
-                    input: Box::new(Self::from_logical(input, choose_join, choose_agg)),
-                    group_vars: group_vars.clone(),
-                    algo,
+                let repr = choose(plan);
+                PhysicalPlan::Step {
+                    inputs: vec![Self::from_logical(input, choose)],
+                    group_vars: Some(group_vars.clone()),
+                    repr,
                 }
             }
         }
@@ -169,9 +105,16 @@ impl PhysicalPlan {
 
     /// Annotate with hash operators everywhere (the default pipeline).
     pub fn default_hash(plan: &Plan) -> PhysicalPlan {
-        Self::from_logical(plan, &mut |_, _| JoinAlgo::Hash, &mut |_, _| {
-            AggAlgo::HashAgg
-        })
+        Self::from_logical(plan, &mut |_| OpRepr::Rows)
+    }
+
+    /// The node's child plans.
+    fn children(&self) -> &[PhysicalPlan] {
+        match self {
+            PhysicalPlan::Scan { .. } => &[],
+            PhysicalPlan::Select { input, .. } => std::slice::from_ref(input.as_ref()),
+            PhysicalPlan::Step { inputs, .. } => inputs,
+        }
     }
 
     /// The plan's nesting depth (a scan is depth 1), computed without
@@ -182,95 +125,62 @@ impl PhysicalPlan {
         let mut stack = vec![(self, 1usize)];
         while let Some((node, d)) = stack.pop() {
             max = max.max(d);
-            match node {
-                PhysicalPlan::Scan { .. } => {}
-                PhysicalPlan::Select { input, .. } | PhysicalPlan::GroupBy { input, .. } => {
-                    stack.push((input, d + 1));
-                }
-                PhysicalPlan::Join { left, right, .. }
-                | PhysicalPlan::JoinAgg { left, right, .. } => {
-                    stack.push((left, d + 1));
-                    stack.push((right, d + 1));
-                }
-            }
+            stack.extend(node.children().iter().map(|c| (c, d + 1)));
         }
         max
     }
 
-    /// The underlying logical plan (strip annotations).
+    /// The underlying logical plan (strip annotations): a step is the
+    /// product join of its inputs, marginalized onto its group variables
+    /// unless it keeps every variable.
     pub fn to_logical(&self) -> Plan {
         match self {
             PhysicalPlan::Scan { relation } => Plan::scan(relation.clone()),
             PhysicalPlan::Select { input, predicates } => {
                 Plan::select(input.to_logical(), predicates.clone())
             }
-            PhysicalPlan::Join { left, right, .. } => {
-                Plan::join(left.to_logical(), right.to_logical())
+            PhysicalPlan::Step {
+                inputs, group_vars, ..
+            } => {
+                let joined = inputs
+                    .iter()
+                    .map(PhysicalPlan::to_logical)
+                    .reduce(Plan::join)
+                    .expect("a step has inputs");
+                match group_vars {
+                    Some(g) => Plan::group_by(joined, g.clone()),
+                    None => joined,
+                }
             }
-            PhysicalPlan::GroupBy {
-                input, group_vars, ..
-            } => Plan::group_by(input.to_logical(), group_vars.clone()),
-            PhysicalPlan::JoinAgg {
-                left,
-                right,
+        }
+    }
+
+    /// Count the logical operators (joins and group-bys) in the subtree
+    /// whose step runs on a representation `counted` accepts. A step over
+    /// `k` inputs is `k − 1` joins, plus one group-by when it names its
+    /// group variables.
+    fn count_ops(&self, counted: &dyn Fn(OpRepr) -> bool) -> usize {
+        let own = match self {
+            PhysicalPlan::Step {
+                inputs,
                 group_vars,
-                ..
-            } => Plan::group_by(
-                Plan::join(left.to_logical(), right.to_logical()),
-                group_vars.clone(),
-            ),
-        }
+                repr,
+            } if counted(*repr) => inputs.len() - 1 + group_vars.is_some() as usize,
+            _ => 0,
+        };
+        own + self.children().iter().map(|c| c.count_ops(counted)).sum::<usize>()
     }
 
-    /// Count operators annotated with dense algorithms.
+    /// Count operators annotated dense; a fused step counts as both of
+    /// its operators.
     pub fn dense_operator_count(&self) -> usize {
-        match self {
-            PhysicalPlan::Scan { .. } => 0,
-            PhysicalPlan::Select { input, .. } => input.dense_operator_count(),
-            PhysicalPlan::Join {
-                left, right, algo, ..
-            } => {
-                (*algo == JoinAlgo::Dense) as usize
-                    + left.dense_operator_count()
-                    + right.dense_operator_count()
-            }
-            PhysicalPlan::GroupBy { input, algo, .. } => {
-                (*algo == AggAlgo::DenseAgg) as usize + input.dense_operator_count()
-            }
-            // A fused dense pair still counts as both operators.
-            PhysicalPlan::JoinAgg {
-                left, right, algo, ..
-            } => {
-                2 * (*algo == JoinAlgo::Dense) as usize
-                    + left.dense_operator_count()
-                    + right.dense_operator_count()
-            }
-        }
+        self.count_ops(&|r| r == OpRepr::Dense)
     }
 
-    /// Count operators annotated with sparse-tensor algorithms.
+    /// Count operators annotated sparse; a fused step counts as both of
+    /// its operators.
     pub fn sparse_operator_count(&self) -> usize {
-        match self {
-            PhysicalPlan::Scan { .. } => 0,
-            PhysicalPlan::Select { input, .. } => input.sparse_operator_count(),
-            PhysicalPlan::Join {
-                left, right, algo, ..
-            } => {
-                (*algo == JoinAlgo::SparseTensor) as usize
-                    + left.sparse_operator_count()
-                    + right.sparse_operator_count()
-            }
-            PhysicalPlan::GroupBy { input, algo, .. } => {
-                (*algo == AggAlgo::SparseAgg) as usize + input.sparse_operator_count()
-            }
-            PhysicalPlan::JoinAgg {
-                left, right, algo, ..
-            } => {
-                2 * (*algo == JoinAlgo::SparseTensor) as usize
-                    + left.sparse_operator_count()
-                    + right.sparse_operator_count()
-            }
-        }
+        self.count_ops(&|r| r == OpRepr::Sparse)
     }
 
     /// Count the real work operators (joins and group-bys) in the
@@ -278,18 +188,7 @@ impl PhysicalPlan {
     /// a subtree that contains at least one — spawning a thread to run a
     /// bare scan or selection costs more than it saves.
     pub fn operator_count(&self) -> usize {
-        match self {
-            PhysicalPlan::Scan { .. } => 0,
-            PhysicalPlan::Select { input, .. } => input.operator_count(),
-            PhysicalPlan::Join { left, right, .. } => {
-                1 + left.operator_count() + right.operator_count()
-            }
-            PhysicalPlan::GroupBy { input, .. } => 1 + input.operator_count(),
-            // One join plus one group-by, performed as one contraction.
-            PhysicalPlan::JoinAgg { left, right, .. } => {
-                2 + left.operator_count() + right.operator_count()
-            }
-        }
+        self.count_ops(&|_| true)
     }
 
     /// Names of the base relations scanned anywhere in this subtree, in
@@ -298,19 +197,10 @@ impl PhysicalPlan {
         let mut out = std::collections::BTreeSet::new();
         let mut stack = vec![self];
         while let Some(node) = stack.pop() {
-            match node {
-                PhysicalPlan::Scan { relation } => {
-                    out.insert(relation.clone());
-                }
-                PhysicalPlan::Select { input, .. } | PhysicalPlan::GroupBy { input, .. } => {
-                    stack.push(input);
-                }
-                PhysicalPlan::Join { left, right, .. }
-                | PhysicalPlan::JoinAgg { left, right, .. } => {
-                    stack.push(left);
-                    stack.push(right);
-                }
+            if let PhysicalPlan::Scan { relation } = node {
+                out.insert(relation.clone());
             }
+            stack.extend(node.children());
         }
         out
     }
@@ -320,13 +210,7 @@ impl PhysicalPlan {
     fn touches(&self, touched: &dyn Fn(&str) -> bool) -> bool {
         match self {
             PhysicalPlan::Scan { relation } => touched(relation),
-            PhysicalPlan::Select { input, .. } | PhysicalPlan::GroupBy { input, .. } => {
-                input.touches(touched)
-            }
-            PhysicalPlan::Join { left, right, .. }
-            | PhysicalPlan::JoinAgg { left, right, .. } => {
-                left.touches(touched) || right.touches(touched)
-            }
+            _ => self.children().iter().any(|c| c.touches(touched)),
         }
     }
 
@@ -363,30 +247,14 @@ impl PhysicalPlan {
                 input: Box::new(input.extract_shared(touched, assign)),
                 predicates: predicates.clone(),
             },
-            PhysicalPlan::Join { left, right, algo } => PhysicalPlan::Join {
-                left: Box::new(left.extract_shared(touched, assign)),
-                right: Box::new(right.extract_shared(touched, assign)),
-                algo: *algo,
-            },
-            PhysicalPlan::GroupBy {
-                input,
+            PhysicalPlan::Step {
+                inputs,
                 group_vars,
-                algo,
-            } => PhysicalPlan::GroupBy {
-                input: Box::new(input.extract_shared(touched, assign)),
+                repr,
+            } => PhysicalPlan::Step {
+                inputs: inputs.iter().map(|i| i.extract_shared(touched, assign)).collect(),
                 group_vars: group_vars.clone(),
-                algo: *algo,
-            },
-            PhysicalPlan::JoinAgg {
-                left,
-                right,
-                group_vars,
-                algo,
-            } => PhysicalPlan::JoinAgg {
-                left: Box::new(left.extract_shared(touched, assign)),
-                right: Box::new(right.extract_shared(touched, assign)),
-                group_vars: group_vars.clone(),
-                algo: *algo,
+                repr: *repr,
             },
         }
     }
@@ -400,43 +268,35 @@ impl PhysicalPlan {
 
     fn render_into(&self, out: &mut String, depth: usize, var_name: &dyn Fn(VarId) -> String) {
         let indent = "  ".repeat(depth);
+        let names = |vars: &[VarId]| {
+            vars.iter().map(|&v| var_name(v)).collect::<Vec<_>>().join(", ")
+        };
         match self {
             PhysicalPlan::Scan { relation } => {
                 out.push_str(&format!("{indent}Scan {relation}\n"));
             }
-            PhysicalPlan::Select { input, predicates } => {
+            PhysicalPlan::Select { predicates, .. } => {
                 let preds: Vec<String> = predicates
                     .iter()
                     .map(|(v, c)| format!("{}={}", var_name(*v), c))
                     .collect();
                 out.push_str(&format!("{indent}Select [{}]\n", preds.join(", ")));
-                input.render_into(out, depth + 1, var_name);
             }
-            PhysicalPlan::Join { left, right, algo } => {
-                out.push_str(&format!("{indent}ProductJoin ({algo:?})\n"));
-                left.render_into(out, depth + 1, var_name);
-                right.render_into(out, depth + 1, var_name);
-            }
-            PhysicalPlan::GroupBy {
-                input,
+            PhysicalPlan::Step {
+                inputs,
                 group_vars,
-                algo,
+                repr,
             } => {
-                let vars: Vec<String> = group_vars.iter().map(|&v| var_name(v)).collect();
-                out.push_str(&format!("{indent}GroupBy [{}] ({algo:?})\n", vars.join(", ")));
-                input.render_into(out, depth + 1, var_name);
+                let algo = algo_label(*repr, inputs.len());
+                out.push_str(&match (group_vars, inputs.len()) {
+                    (None, _) => format!("{indent}ProductJoin ({algo})\n"),
+                    (Some(g), 1) => format!("{indent}GroupBy [{}] ({algo})\n", names(g)),
+                    (Some(g), _) => format!("{indent}JoinAgg [{}] (Fused {algo})\n", names(g)),
+                });
             }
-            PhysicalPlan::JoinAgg {
-                left,
-                right,
-                group_vars,
-                algo,
-            } => {
-                let vars: Vec<String> = group_vars.iter().map(|&v| var_name(v)).collect();
-                out.push_str(&format!("{indent}JoinAgg [{}] (Fused {algo:?})\n", vars.join(", ")));
-                left.render_into(out, depth + 1, var_name);
-                right.render_into(out, depth + 1, var_name);
-            }
+        }
+        for child in self.children() {
+            child.render_into(out, depth + 1, var_name);
         }
     }
 }
@@ -456,6 +316,10 @@ mod tests {
         )
     }
 
+    fn scan(name: &str) -> PhysicalPlan {
+        PhysicalPlan::Scan { relation: name.into() }
+    }
+
     #[test]
     fn default_is_all_hash() {
         let p = PhysicalPlan::default_hash(&logical());
@@ -466,81 +330,66 @@ mod tests {
 
     #[test]
     fn chooser_is_consulted_per_operator() {
-        let mut joins = 0;
-        let mut aggs = 0;
-        let p = PhysicalPlan::from_logical(
-            &logical(),
-            &mut |_, _| {
-                joins += 1;
-                JoinAlgo::SparseTensor
-            },
-            &mut |_, _| {
-                aggs += 1;
-                AggAlgo::SparseAgg
-            },
-        );
-        assert_eq!(joins, 1);
-        assert_eq!(aggs, 2);
+        let (mut joins, mut aggs) = (0, 0);
+        let p = PhysicalPlan::from_logical(&logical(), &mut |node| {
+            match node {
+                Plan::Join { .. } => joins += 1,
+                _ => aggs += 1,
+            }
+            OpRepr::Sparse
+        });
+        assert_eq!((joins, aggs), (1, 2));
         assert_eq!(p.sparse_operator_count(), 3);
     }
 
+    /// Every step shape under every representation: its rendered label
+    /// (pinned byte for byte — plan digests hash these strings), its
+    /// operator counts per representation, and its logical plan.
     #[test]
-    fn dense_annotations_are_counted_and_rendered() {
-        let p = PhysicalPlan::from_logical(
-            &logical(),
-            &mut |_, _| JoinAlgo::Dense,
-            &mut |_, _| AggAlgo::DenseAgg,
-        );
-        assert_eq!(p.dense_operator_count(), 3);
-        assert_eq!(p.sparse_operator_count(), 0);
-        assert_eq!(p.to_logical(), logical());
-        let text = p.render(&|v| format!("x{}", v.0));
-        assert!(text.contains("(Dense)"));
-        assert!(text.contains("(DenseAgg)"));
-        assert_eq!(JoinAlgo::Dense.label(), "Dense");
-        assert_eq!(AggAlgo::DenseAgg.label(), "DenseAgg");
-    }
-
-    #[test]
-    fn sparse_annotations_are_counted_and_rendered() {
-        let p = PhysicalPlan::from_logical(
-            &logical(),
-            &mut |_, _| JoinAlgo::SparseTensor,
-            &mut |_, _| AggAlgo::SparseAgg,
-        );
-        assert_eq!(p.sparse_operator_count(), 3);
-        assert_eq!(p.dense_operator_count(), 0);
-        assert_eq!(p.to_logical(), logical());
-        let text = p.render(&|v| format!("x{}", v.0));
-        assert!(text.contains("(SparseTensor)"));
-        assert!(text.contains("(SparseAgg)"));
-        assert_eq!(JoinAlgo::SparseTensor.label(), "SparseTensor");
-        assert_eq!(AggAlgo::SparseAgg.label(), "SparseAgg");
-    }
-
-    #[test]
-    fn fused_nodes_count_as_both_operators_of_their_algo() {
-        let fused = |algo| PhysicalPlan::JoinAgg {
-            left: Box::new(PhysicalPlan::Scan { relation: "a".into() }),
-            right: Box::new(PhysicalPlan::Scan { relation: "b".into() }),
-            group_vars: vec![v(0)],
-            algo,
-        };
-        let dense = fused(JoinAlgo::Dense);
-        let sparse = fused(JoinAlgo::SparseTensor);
-        let hash = fused(JoinAlgo::Hash);
-        assert_eq!((dense.dense_operator_count(), dense.sparse_operator_count()), (2, 0));
-        assert_eq!((sparse.dense_operator_count(), sparse.sparse_operator_count()), (0, 2));
-        assert_eq!((hash.dense_operator_count(), hash.sparse_operator_count()), (0, 0));
-        for p in [&dense, &sparse, &hash] {
-            assert_eq!(p.operator_count(), 2);
-            assert_eq!(
-                p.to_logical(),
-                Plan::group_by(Plan::join(Plan::scan("a"), Plan::scan("b")), vec![v(0)])
-            );
+    fn every_shape_and_repr_renders_counts_and_round_trips() {
+        let join = || Plan::join(Plan::scan("a"), Plan::scan("b"));
+        let shapes = [
+            (vec![scan("a"), scan("b")], None, join(), 1),
+            (
+                vec![scan("a")],
+                Some(vec![v(0), v(1)]),
+                Plan::group_by(Plan::scan("a"), vec![v(0), v(1)]),
+                1,
+            ),
+            (vec![scan("a"), scan("b")], Some(vec![v(0)]), Plan::group_by(join(), vec![v(0)]), 2),
+        ];
+        let labels = [
+            ["ProductJoin (Hash)", "ProductJoin (SparseTensor)", "ProductJoin (Dense)"],
+            [
+                "GroupBy [x0, x1] (HashAgg)",
+                "GroupBy [x0, x1] (SparseAgg)",
+                "GroupBy [x0, x1] (DenseAgg)",
+            ],
+            [
+                "JoinAgg [x0] (Fused Hash)",
+                "JoinAgg [x0] (Fused SparseTensor)",
+                "JoinAgg [x0] (Fused Dense)",
+            ],
+        ];
+        for ((inputs, group_vars, logical, ops), labels) in shapes.into_iter().zip(labels) {
+            let reprs = [OpRepr::Rows, OpRepr::Sparse, OpRepr::Dense];
+            for (repr, label) in reprs.into_iter().zip(labels) {
+                let p = PhysicalPlan::Step {
+                    inputs: inputs.clone(),
+                    group_vars: group_vars.clone(),
+                    repr,
+                };
+                let text = p.render(&|v| format!("x{}", v.0));
+                let children: String =
+                    inputs.iter().map(|i| format!("  {}", i.render(&|_| unreachable!()))).collect();
+                assert_eq!(text, format!("{label}\n{children}"));
+                assert_eq!(p.operator_count(), ops, "{label}");
+                let counted = |r| ops * usize::from(repr == r);
+                assert_eq!(p.dense_operator_count(), counted(OpRepr::Dense), "{label}");
+                assert_eq!(p.sparse_operator_count(), counted(OpRepr::Sparse), "{label}");
+                assert_eq!(p.to_logical(), logical, "{label}");
+            }
         }
-        let text = sparse.render(&|v| format!("x{}", v.0));
-        assert!(text.contains("JoinAgg [x0] (Fused SparseTensor)"), "{text}");
     }
 
     #[test]
@@ -578,12 +427,7 @@ mod tests {
             "__root".to_string()
         });
         assert_eq!(count, 1);
-        assert_eq!(
-            residual,
-            PhysicalPlan::Scan {
-                relation: "__root".to_string()
-            }
-        );
+        assert_eq!(residual, scan("__root"));
     }
 
     #[test]
@@ -591,13 +435,5 @@ mod tests {
         let p = PhysicalPlan::default_hash(&logical());
         let residual = p.extract_shared(&|_| true, &mut |_| unreachable!("no trunk"));
         assert_eq!(residual, p);
-    }
-
-    #[test]
-    fn render_includes_annotations() {
-        let p = PhysicalPlan::default_hash(&logical());
-        let text = p.render(&|v| format!("x{}", v.0));
-        assert!(text.contains("(Hash)"));
-        assert!(text.contains("(HashAgg)"));
     }
 }

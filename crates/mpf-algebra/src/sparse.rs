@@ -9,20 +9,23 @@
 //! so under [`ReprMode::Auto`] the choice is by feasibility alone: these
 //! kernels run whenever they accept the input.
 //!
-//! * [`join`] relinearizes both sides to a `[shared vars, own vars]` axis
-//!   order, so rows joining on the shared variables form contiguous runs
-//!   of equal coordinate *prefix*; a merge of the two sides' run lists
-//!   pairs the runs and emits each output coordinate as `a_key *
-//!   b_own_cells + b_own_index` — ascending by construction, so the
-//!   output needs no sort. No hash table, no per-row key allocation.
-//! * [`agg`] relinearizes to `[group vars, eliminated vars]` order and
-//!   folds each run of equal group prefix in one pass with the semiring's
-//!   additive operation.
-//! * [`join_agg`] is the two as one elimination step: it walks
-//!   [`join`]'s merge but folds each pair straight into its group
-//!   (streaming when the group variables can lead the merge order,
-//!   through a direct-address accumulator otherwise), so the join is
-//!   never materialized — bit-identical to [`join`] then [`agg`].
+//! They are the second link of [`crate::ops::step`]'s fallback chain, in
+//! three shapes:
+//!
+//! * the product join relinearizes both sides to a `[shared vars, own
+//!   vars]` axis order, so rows joining on the shared variables form
+//!   contiguous runs of equal coordinate *prefix*; a merge of the two
+//!   sides' run lists pairs the runs and emits each output coordinate as
+//!   `a_key * b_own_cells + b_own_index` — ascending by construction, so
+//!   the output needs no sort. No hash table, no per-row key allocation.
+//! * the marginalization relinearizes to `[group vars, eliminated vars]`
+//!   order and folds each run of equal group prefix in one pass with the
+//!   semiring's additive operation.
+//! * the fused step is the two as one: it walks the join's merge but
+//!   folds each pair straight into its group (streaming when the group
+//!   variables can lead the merge order, through a direct-address
+//!   accumulator otherwise), so the join is never materialized —
+//!   bit-identical to the join then the marginalization.
 //!
 //! The runs and digits every kernel reads are the trie levels of the
 //! operand's [`KeyedOrder`] ([`KeyedOrder::runs`], [`KeyedOrder::digits`]):
@@ -49,7 +52,8 @@
 //! [`mpf_storage::layout::MAX_SPARSE_COORD_CELLS`], a value falls outside
 //! its inferred domain, or a side holds duplicate argument tuples (the
 //! data is not functional — the hash operators define the semantics
-//! then), the public operators run the hash implementations instead.
+//! then), the step declines and [`crate::ops::step`] runs the hash
+//! operators.
 //! Unlike the dense kernels there is no support-exactness precondition:
 //! the sparse join emits exactly the matching pairs and the sparse
 //! marginalization collapses exactly the present coordinates, so the
@@ -63,10 +67,10 @@ use mpf_semiring::{for_each_semiring, kernel::SemiringOps};
 use mpf_storage::layout::grid_cells_wide;
 use mpf_storage::{FunctionalRelation, KeyedOrder, KeyedSource, Runs, Schema, VarId};
 
-use crate::dense::{self, KernelMode};
+use crate::dense::KernelMode;
 use crate::limits::{ExecBudget, OpGuard};
 use crate::trace::OpRepr;
-use crate::{ops, AlgebraError, ExecContext, Result};
+use crate::{AlgebraError, ExecContext, Result};
 
 /// Cells per budget charge in the chunked value multiply: large enough
 /// that guard traffic vanishes from the profile, small enough that a
@@ -89,153 +93,79 @@ pub enum ReprMode {
     Auto,
 }
 
-/// [`ops::product_join`] dispatched three ways through the context's
-/// [`DenseMode`](crate::DenseMode) and [`ReprMode`]: the dense odometer
-/// kernel when the inputs are support-exact complete grids, else the
-/// sparse sorted-merge kernel (which itself falls back to the hash join
-/// on inputs it cannot take). This is the entry point for callers
-/// outside the planner (the inference layer), whose operator calls never
-/// pass through `choose_physical`.
-pub fn join_auto(
-    cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-) -> Result<FunctionalRelation> {
-    if dense::dense_join_applies(cx.dense_mode(), l, r) {
-        return dense::join(cx, l, r);
-    }
-    match cx.repr_mode() {
-        ReprMode::Auto => join(cx, l, r),
-        ReprMode::Off => ops::product_join(cx, l, r),
-    }
-}
-
-/// [`ops::group_by`] dispatched three ways through the context's
-/// [`DenseMode`](crate::DenseMode) and [`ReprMode`].
-pub fn agg_auto(
-    cx: &mut ExecContext<'_>,
-    input: &FunctionalRelation,
-    group_vars: &[VarId],
-) -> Result<FunctionalRelation> {
-    if dense::dense_agg_applies(cx.dense_mode(), input) {
-        return dense::agg(cx, input, group_vars);
-    }
-    match cx.repr_mode() {
-        ReprMode::Auto => agg(cx, input, group_vars),
-        ReprMode::Off => ops::group_by(cx, input, group_vars),
-    }
-}
-
-/// Sparse product join: relinearize both sides to a shared-prefix axis
-/// order and sorted-merge the runs. Function-identical to
-/// [`ops::product_join`] (verified by `tests/repr_parity.rs`); falls
-/// back to it when the coordinate space is infeasible or a side is not
-/// functional. The output column order is `[shared, l-only, r-only]` —
-/// a permutation of the hash join's union order; every operator is
-/// schema-aware, so only the raw column layout differs.
-pub fn join(
-    cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-) -> Result<FunctionalRelation> {
-    cx.fault("sparse::join")?;
-    let mark = cx.keyed_mark();
-    match join_impl(cx, l, r)? {
-        Some(rel) => {
-            cx.record_join_ex(&[l, r], &rel, OpRepr::Sparse);
-            cx.note_kernel_op(cx.kernel_mode());
-            cx.tag_keyed_since(mark);
-            Ok(rel)
-        }
-        None => ops::product_join(cx, l, r),
-    }
-}
-
-/// Sparse marginalization: relinearize to `[group, eliminated]` axis
-/// order and collapse runs of equal group prefix. Function-identical to
-/// [`ops::group_by`]; falls back to it on infeasibility.
-pub fn agg(
-    cx: &mut ExecContext<'_>,
-    input: &FunctionalRelation,
-    group_vars: &[VarId],
-) -> Result<FunctionalRelation> {
-    cx.fault("sparse::agg")?;
-    for &v in group_vars {
-        if !input.schema().contains(v) {
-            return Err(AlgebraError::GroupVarNotInInput(v));
-        }
-    }
-    let mark = cx.keyed_mark();
-    match agg_impl(cx, input, group_vars)? {
-        Some(rel) => {
-            cx.record_group_by_ex(&[input], &rel, OpRepr::Sparse);
-            cx.tag_keyed_since(mark);
-            Ok(rel)
-        }
-        None => ops::group_by(cx, input, group_vars),
-    }
-}
-
-/// Fused sparse join→marginalize: `GroupBy_X(l ⨝* r)` as one
-/// elimination step. Both sides are keyed exactly as [`join`] keys them
-/// and walked by the same run merge, but each join pair folds straight
-/// into its group instead of being emitted:
+/// The sparse elimination step over one or two operands, run by
+/// [`crate::ops::step`] when the dense kernel declines: the product join
+/// (two operands, `group_vars` `None`), the marginalization (one operand)
+/// or the fused join→marginalize (two operands with group variables).
+/// Probes the fault site of its shape — `sparse::join`, `sparse::agg` or
+/// `sparse::join_agg` — first; `None` when the coordinate space is
+/// infeasible, a value escapes its inferred domain or a side is not
+/// functional. Group variables are validated by the caller.
+///
+/// The join's output column order is `[shared, l-only, r-only]` — a
+/// permutation of the hash join's union order; every operator is
+/// schema-aware, so only the raw column layout differs. The fused step
+/// keys both sides exactly as the join does and walks the same run
+/// merge, but folds each join pair straight into its group instead of
+/// emitting it:
 ///
 /// * **stream** — when the group variables can lead the merge order
 ///   (each block `shared`, `l-own`, `r-own` may be permuted, the blocks
 ///   may not), the pairs of one group are contiguous and collapse inside
 ///   the merge loop in O(output) memory;
 /// * **scatter** — else, when the group grid is small next to the
-///   pre-counted join size (the rule [`agg`] scatters by), every pair
-///   folds into the direct-address accumulator at `ga[i] + gb[j]`;
+///   pre-counted join size (the rule the marginalization scatters by),
+///   every pair folds into the direct-address accumulator at
+///   `ga[i] + gb[j]`;
 /// * **staged** — else the join runs in full and is marginalized in
 ///   coordinate form (the unfused pipeline).
 ///
 /// Every form folds each group's terms in ascending merge coordinate.
 /// The eliminated variables keep their relative order in it, so that is
-/// the order the unfused [`join`] → [`agg`] pipeline folds them on both
-/// of its paths: the result is bit-identical to it, row order included.
-/// Only the output is charged to the budget (and accounted as an
-/// intermediate) unless the staged form runs. Falls back to the fused
-/// hash operator ([`ops::join_group_by`]) on inputs [`join`] refuses.
-pub fn join_agg(
+/// the order the unfused join → marginalization pipeline folds them on
+/// both of its paths: the result is bit-identical to it, row order
+/// included. Only the output is charged to the budget (and accounted as
+/// an intermediate) unless the staged form runs.
+pub(crate) fn step(
     cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-    group_vars: &[VarId],
-) -> Result<FunctionalRelation> {
-    cx.fault("sparse::join_agg")?;
-    for &v in group_vars {
-        if !l.schema().contains(v) && !r.schema().contains(v) {
-            return Err(AlgebraError::GroupVarNotInInput(v));
-        }
-    }
+    inputs: &[&FunctionalRelation],
+    group_vars: Option<&[VarId]>,
+) -> Result<Option<FunctionalRelation>> {
+    cx.fault(match (inputs, group_vars) {
+        ([_, _], None) => "sparse::join",
+        ([_], _) => "sparse::agg",
+        _ => "sparse::join_agg",
+    })?;
     let mark = cx.keyed_mark();
-    match join_agg_impl(cx, l, r, group_vars)? {
-        Some((rel, form, staged_rows)) => {
-            cx.record_join_agg_ex(&[l, r], &rel, OpRepr::Sparse);
+    let rel = match (inputs, group_vars) {
+        ([l, r], None) => {
+            let Some(rel) = join_impl(cx, l, r)? else {
+                return Ok(None);
+            };
+            cx.record_join_ex(inputs, &rel, OpRepr::Sparse);
+            cx.note_kernel_op(cx.kernel_mode());
+            rel
+        }
+        ([input], Some(g)) => {
+            let Some(rel) = agg_impl(cx, input, g)? else {
+                return Ok(None);
+            };
+            cx.record_group_by_ex(inputs, &rel, OpRepr::Sparse);
+            rel
+        }
+        ([l, r], Some(g)) => {
+            let Some((rel, form, staged_rows)) = join_agg_impl(cx, l, r, g)? else {
+                return Ok(None);
+            };
+            cx.record_join_agg_ex(inputs, &rel, OpRepr::Sparse);
             cx.note_intermediate(staged_rows);
             cx.note_fused_nest(form);
-            cx.tag_keyed_since(mark);
-            Ok(rel)
+            rel
         }
-        None => ops::join_group_by(cx, l, r, group_vars),
-    }
-}
-
-/// Where the fused operators go when their own kernel declines: the
-/// fused sparse kernel under [`ReprMode::Auto`], the fused hash operator
-/// under [`ReprMode::Off`].
-pub(crate) fn join_agg_fallback(
-    cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-    group_vars: &[VarId],
-) -> Result<FunctionalRelation> {
-    match cx.repr_mode() {
-        ReprMode::Auto => join_agg(cx, l, r, group_vars),
-        ReprMode::Off => ops::join_group_by(cx, l, r, group_vars),
-    }
+        _ => unreachable!("checked by ops::step"),
+    };
+    cx.tag_keyed_since(mark);
+    Ok(Some(rel))
 }
 
 /// One operand keyed for a kernel: its sorted keys under the requested
@@ -561,9 +491,9 @@ fn agg_impl(
     )))
 }
 
-/// [`join_agg`] body: the marginal, the form that ran (`stream`,
+/// The fused [`step`] body: the marginal, the form that ran (`stream`,
 /// `scatter` or `staged`), and the join rows the staged form
-/// materialized (0 otherwise). `None` where [`join`] would fall back.
+/// materialized (0 otherwise). `None` where the join would decline.
 fn join_agg_impl(
     cx: &mut ExecContext<'_>,
     l: &FunctionalRelation,
@@ -856,8 +786,27 @@ fn join_agg_scatter_kernel<S: SemiringOps>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops;
     use mpf_semiring::SemiringKind;
     use mpf_storage::Catalog;
+
+    // The join and the marginalization, each entering the fallback chain
+    // at the sparse kernel.
+    fn join(
+        cx: &mut ExecContext<'_>,
+        l: &FunctionalRelation,
+        r: &FunctionalRelation,
+    ) -> Result<FunctionalRelation> {
+        ops::step(cx, &[l, r], None, OpRepr::Sparse)
+    }
+
+    fn agg(
+        cx: &mut ExecContext<'_>,
+        x: &FunctionalRelation,
+        g: &[VarId],
+    ) -> Result<FunctionalRelation> {
+        ops::step(cx, &[x], Some(g), OpRepr::Sparse)
+    }
 
     fn fixtures() -> (Catalog, FunctionalRelation, FunctionalRelation) {
         let mut cat = Catalog::new();
@@ -1010,11 +959,11 @@ mod tests {
         thin.push_row(&[1023, 1023], 1.0).unwrap();
         let sr = SemiringKind::SumProduct;
         let mut cx = ExecContext::new(sr);
-        let got = agg_auto(&mut cx, &thin, &[x]).unwrap();
+        let got = ops::step(&mut cx, &[&thin], Some(&[x]), OpRepr::Dense).unwrap();
         assert_eq!(cx.stats().sparse_group_bys, 1, "sparse path at any density");
         assert_eq!(got.len(), 1);
         let mut off = ExecContext::new(sr).with_repr(ReprMode::Off);
-        let want = agg_auto(&mut off, &thin, &[x]).unwrap();
+        let want = ops::step(&mut off, &[&thin], Some(&[x]), OpRepr::Dense).unwrap();
         assert_eq!(off.stats().sparse_group_bys, 0, "Off stays on hash");
         assert!(want.function_eq(&got));
     }

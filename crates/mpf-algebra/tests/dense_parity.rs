@@ -12,8 +12,8 @@
 use std::sync::{Mutex, MutexGuard};
 
 use mpf_algebra::{
-    dense, ops, sparse, AggAlgo, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits,
-    Executor, JoinAlgo, PhysicalPlan, Plan, RelationStore, ResourceKind,
+    dense, ops, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits, Executor, OpRepr,
+    PhysicalPlan, Plan, RelationStore, ReprMode, ResourceKind, TraceLevel,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -97,8 +97,8 @@ proptest! {
             let mut base: Option<(FunctionalRelation, FunctionalRelation)> = None;
             for t in THREADS {
                 let mut cx = ExecContext::new(sr).with_threads(t);
-                let got_join = dense::join(&mut cx, &r1, &r2).unwrap();
-                let got_agg = dense::agg(&mut cx, &got_join, &gv).unwrap();
+                let got_join = ops::step(&mut cx, &[&r1, &r2], None, OpRepr::Dense).unwrap();
+                let got_agg = ops::step(&mut cx, &[&got_join], Some(&gv), OpRepr::Dense).unwrap();
                 prop_assert_eq!(cx.stats().dense_joins, 1, "dense path taken");
                 prop_assert_eq!(cx.stats().dense_group_bys, 1);
                 // Same support, same measures (up to float tolerance for
@@ -118,8 +118,8 @@ proptest! {
         }
     }
 
-    /// Whatever the dense mode, [`sparse::join_auto`] / [`sparse::agg_auto`]
-    /// answer identically: Off never takes the dense kernels, and On/Auto
+    /// Whatever the dense mode, steps starting their chain at the dense
+    /// kernel answer identically: Off never takes the dense kernels, and On/Auto
     /// refuse inputs that are not support-exact, so mode only ever picks
     /// the kernel, never the answer. Holes are punched in r1 (making it
     /// incomplete) to exercise the fallback side.
@@ -144,8 +144,8 @@ proptest! {
             let mut answers: Vec<FunctionalRelation> = Vec::new();
             for mode in [DenseMode::Off, DenseMode::On, DenseMode::Auto] {
                 let mut cx = ExecContext::new(sr).with_dense(mode);
-                let j = sparse::join_auto(&mut cx, input, &r2).unwrap();
-                let g = sparse::agg_auto(&mut cx, &j, &[b]).unwrap();
+                let j = ops::step(&mut cx, &[input, &r2], None, OpRepr::Dense).unwrap();
+                let g = ops::step(&mut cx, &[&j], Some(&[b]), OpRepr::Dense).unwrap();
                 if mode == DenseMode::Off {
                     prop_assert_eq!(cx.stats().dense_joins + cx.stats().dense_group_bys, 0);
                 }
@@ -189,11 +189,11 @@ fn parallel_dense_kernels_match_sequential_bits() {
     let (r1, r2, [_, b, _, d, _]) = big_fixture();
     for sr in [SemiringKind::SumProduct, SemiringKind::LogSumProduct] {
         let mut seq = ExecContext::new(sr).with_threads(1);
-        let j1 = dense::join(&mut seq, &r1, &r2).unwrap();
-        let g1 = dense::agg(&mut seq, &j1, &[b, d]).unwrap();
+        let j1 = ops::step(&mut seq, &[&r1, &r2], None, OpRepr::Dense).unwrap();
+        let g1 = ops::step(&mut seq, &[&j1], Some(&[b, d]), OpRepr::Dense).unwrap();
         let mut par = ExecContext::new(sr).with_threads(4);
-        let j4 = dense::join(&mut par, &r1, &r2).unwrap();
-        let g4 = dense::agg(&mut par, &j4, &[b, d]).unwrap();
+        let j4 = ops::step(&mut par, &[&r1, &r2], None, OpRepr::Dense).unwrap();
+        let g4 = ops::step(&mut par, &[&j4], Some(&[b, d]), OpRepr::Dense).unwrap();
         assert_eq!(seq.stats().dense_joins, 1);
         assert_eq!(par.stats().dense_joins, 1);
         assert!(bit_identical(&j1, &j4), "{sr:?} join");
@@ -223,11 +223,11 @@ fn overflowing_products_are_joined_then_rejected_by_the_group_by() {
     let infinite = |j: &FunctionalRelation| j.len() == 27 && j.measures().iter().all(|&m| m == f64::INFINITY);
 
     let mut dx = ExecContext::new(sr);
-    let dj = dense::join(&mut dx, &r1, &r2).unwrap();
+    let dj = ops::step(&mut dx, &[&r1, &r2], None, OpRepr::Dense).unwrap();
     assert_eq!(dx.stats().dense_joins, 1, "the dense join ran");
     assert!(infinite(&dj), "dense join: {dj:?}");
     let mut sx = ExecContext::new(sr).with_dense(DenseMode::Off);
-    let sj = sparse::join(&mut sx, &r1, &r2).unwrap();
+    let sj = ops::step(&mut sx, &[&r1, &r2], None, OpRepr::Sparse).unwrap();
     assert_eq!(sx.stats().sparse_joins, 1, "the sparse join ran");
     assert!(infinite(&sj), "sparse join: {sj:?}");
     let mut hx = ExecContext::new(sr);
@@ -241,35 +241,42 @@ fn overflowing_products_are_joined_then_rejected_by_the_group_by() {
         }
         other => panic!("{op}: expected NonFiniteMeasure, got {other:?}"),
     };
-    rejected(dense::agg(&mut dx, &dj, &[a]), "dense::agg");
-    rejected(sparse::agg(&mut sx, &sj, &[a]), "sparse::agg");
+    rejected(ops::step(&mut dx, &[&dj], Some(&[a]), OpRepr::Dense), "dense::agg");
+    rejected(ops::step(&mut sx, &[&sj], Some(&[a]), OpRepr::Sparse), "sparse::agg");
     rejected(ops::group_by(&mut hx, &hj, &[a]), "group_by");
 }
 
-/// Physical plans annotated `Dense`/`DenseAgg` by the planner execute
-/// through the interpreter to the same answer and accounting as the
-/// all-hash plan, at every thread count.
+/// Physical plans annotated dense by the planner execute through the
+/// interpreter to the same answer and accounting as the all-hash plan, at
+/// every thread count. Over inputs that are not grids the same dense
+/// join and one-input steps decline to the sparse kernel, the fallback
+/// of the fused dense step, and to the hash operators under
+/// [`ReprMode::Off`]; the spans record the representation that ran.
 #[test]
 fn dense_plans_match_hash_plans_through_the_interpreter() {
     let _g = lock();
     let sr = SemiringKind::SumProduct;
     let (r1, r2, [_, b, _]) = rels(sr, &[3u8; 9], &[5u8; 9]);
+    // r1 without its first row: no longer a grid.
+    let rows = r1.rows().skip(1).map(|(row, m)| (row.to_vec(), m));
+    let holed = FunctionalRelation::from_rows("holed", r1.schema().clone(), rows).unwrap();
     let mut store = RelationStore::new();
     store.insert(r1);
     store.insert(r2);
-    let logical = Plan::group_by(Plan::join(Plan::scan("r1"), Plan::scan("r2")), vec![b]);
+    store.insert(holed);
+    let dense_plan = |left: &str| {
+        let logical = Plan::group_by(Plan::join(Plan::scan(left), Plan::scan("r2")), vec![b]);
+        let physical = PhysicalPlan::from_logical(&logical, &mut |_| OpRepr::Dense);
+        (logical, physical)
+    };
+    let (logical, plan) = dense_plan("r1");
     let (want, want_stats) = Executor::new(&store, sr)
         .execute_physical(&PhysicalPlan::default_hash(&logical))
         .unwrap();
-    let dense_plan = PhysicalPlan::from_logical(
-        &logical,
-        &mut |_, _| JoinAlgo::Dense,
-        &mut |_, _| AggAlgo::DenseAgg,
-    );
     for t in THREADS {
         let (got, stats) = Executor::new(&store, sr)
             .with_threads(t)
-            .execute_physical(&dense_plan)
+            .execute_physical(&plan)
             .unwrap();
         assert!(want.function_eq(&got), "threads {t}");
         assert_eq!(stats.dense_joins, 1, "threads {t}");
@@ -277,6 +284,26 @@ fn dense_plans_match_hash_plans_through_the_interpreter() {
         // Budget accounting parity: both pipelines count the same work.
         assert_eq!(stats.rows_processed, want_stats.rows_processed, "threads {t}");
         assert_eq!(stats.rows_scanned, want_stats.rows_scanned, "threads {t}");
+    }
+
+    let (logical, plan) = dense_plan("holed");
+    let exec = Executor::new(&store, sr);
+    let (want, _) = exec.execute(&logical).unwrap();
+    for (repr, ran) in [(ReprMode::Auto, OpRepr::Sparse), (ReprMode::Off, OpRepr::Rows)] {
+        let mut cx = ExecContext::new(sr).with_repr(repr).with_trace(TraceLevel::Spans);
+        let got = exec.execute_physical_in(&mut cx, &plan).unwrap();
+        assert!(want.function_eq(&got), "{repr:?}");
+        let mut steps = Vec::new();
+        cx.take_trace().for_each(&mut |span| {
+            if span.label != "Scan holed" && span.label != "Scan r2" {
+                steps.push((span.label.clone(), span.repr));
+            }
+        });
+        assert_eq!(
+            steps,
+            [("GroupBy (DenseAgg)".to_string(), ran), ("ProductJoin (Dense)".to_string(), ran)],
+            "{repr:?}"
+        );
     }
 }
 
@@ -295,17 +322,15 @@ fn budget_trips_are_identical_across_paths() {
         want,
         AlgebraError::ResourceExhausted { resource: ResourceKind::OutputRows, limit: 10, .. }
     ));
-    let got = dense::join(&mut ExecContext::with_limits(sr, limits), &r1, &r2).unwrap_err();
+    let mut cx = ExecContext::with_limits(sr, limits);
+    let got = ops::step(&mut cx, &[&r1, &r2], None, OpRepr::Dense).unwrap_err();
     assert_eq!(want, got, "sequential dense trip");
 
     let (b1, b2, _) = big_fixture();
     let limits = ExecLimits::none().with_max_output_rows(100);
     for t in THREADS {
-        match dense::join(
-            &mut ExecContext::with_limits(sr, limits.clone()).with_threads(t),
-            &b1,
-            &b2,
-        ) {
+        let mut cx = ExecContext::with_limits(sr, limits.clone()).with_threads(t);
+        match ops::step(&mut cx, &[&b1, &b2], None, OpRepr::Dense) {
             Err(AlgebraError::ResourceExhausted {
                 resource: ResourceKind::OutputRows,
                 limit: 100,
@@ -328,11 +353,11 @@ fn cancellation_stops_dense_kernels() {
         token.cancel();
         let limits = ExecLimits::none().with_cancel_token(token);
         let mut cx = ExecContext::with_limits(sr, limits).with_threads(t);
-        match dense::join(&mut cx, &r1, &r2) {
+        match ops::step(&mut cx, &[&r1, &r2], None, OpRepr::Dense) {
             Err(AlgebraError::Cancelled) => {}
             other => panic!("threads {t}: expected Cancelled, got {other:?}"),
         }
-        match dense::agg(&mut cx, &r1, &[b]) {
+        match ops::step(&mut cx, &[&r1], Some(&[b]), OpRepr::Dense) {
             Err(AlgebraError::Cancelled) => {}
             other => panic!("threads {t} agg: expected Cancelled, got {other:?}"),
         }
@@ -356,17 +381,17 @@ mod faults {
 
         fault::inject("dense::join", 1);
         assert_eq!(
-            dense::join(&mut ExecContext::new(sr), &r1, &r2).unwrap_err(),
+            ops::step(&mut ExecContext::new(sr), &[&r1, &r2], None, OpRepr::Dense).unwrap_err(),
             AlgebraError::FaultInjected("dense::join".into())
         );
-        assert!(dense::join(&mut ExecContext::new(sr), &r1, &r2).is_ok());
+        assert!(ops::step(&mut ExecContext::new(sr), &[&r1, &r2], None, OpRepr::Dense).is_ok());
 
         fault::inject("dense::agg", 1);
         assert_eq!(
-            dense::agg(&mut ExecContext::new(sr), &r1, &[b]).unwrap_err(),
+            ops::step(&mut ExecContext::new(sr), &[&r1], Some(&[b]), OpRepr::Dense).unwrap_err(),
             AlgebraError::FaultInjected("dense::agg".into())
         );
-        assert!(dense::agg(&mut ExecContext::new(sr), &r1, &[b]).is_ok());
+        assert!(ops::step(&mut ExecContext::new(sr), &[&r1], Some(&[b]), OpRepr::Dense).is_ok());
 
         // The conversion site fires from inside the join (the first
         // operand it borrows) and leaves the context's stats coherent: no
@@ -374,11 +399,11 @@ mod faults {
         fault::inject("dense::convert", 1);
         let mut cx = ExecContext::new(sr);
         assert_eq!(
-            dense::join(&mut cx, &r1, &r2).unwrap_err(),
+            ops::step(&mut cx, &[&r1, &r2], None, OpRepr::Dense).unwrap_err(),
             AlgebraError::FaultInjected("dense::convert".into())
         );
         assert_eq!(cx.stats().dense_joins, 0);
-        assert!(dense::join(&mut cx, &r1, &r2).is_ok());
+        assert!(ops::step(&mut cx, &[&r1, &r2], None, OpRepr::Dense).is_ok());
         assert_eq!(cx.stats().dense_joins, 1);
         fault::clear_all();
     }

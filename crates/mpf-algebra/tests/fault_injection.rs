@@ -9,8 +9,8 @@
 use std::sync::Mutex;
 
 use mpf_algebra::{
-    dense, fault, ops, sparse, AggAlgo, AlgebraError, CancelToken, ExecContext, ExecLimits,
-    Executor, PhysicalPlan, Plan, RelationStore,
+    fault, ops, AlgebraError, CancelToken, ExecContext, ExecLimits, Executor, OpRepr,
+    PhysicalPlan, Plan, RelationStore,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema};
@@ -87,33 +87,47 @@ fn each_operator_site_fires_once() {
         ),
         (
             "dense::join",
-            Box::new(|| dense::join(&mut ExecContext::new(sr), &l, &r)),
+            Box::new(|| {
+                ops::step(&mut ExecContext::new(sr), &[&l, &r], None, OpRepr::Dense)
+            }),
         ),
         (
             "dense::agg",
-            Box::new(|| dense::agg(&mut ExecContext::new(sr), &l, &[a])),
+            Box::new(|| {
+                ops::step(&mut ExecContext::new(sr), &[&l], Some(&[a]), OpRepr::Dense)
+            }),
         ),
         (
             "dense::join_agg",
-            Box::new(|| dense::join_agg(&mut ExecContext::new(sr), &l, &r, &[a])),
+            Box::new(|| {
+                ops::step(&mut ExecContext::new(sr), &[&l, &r], Some(&[a]), OpRepr::Dense)
+            }),
         ),
         // The operand borrow inside the fused kernel, ahead of either nest.
         (
             "dense::convert",
-            Box::new(|| dense::join_agg(&mut ExecContext::new(sr), &l, &r, &[a])),
+            Box::new(|| {
+                ops::step(&mut ExecContext::new(sr), &[&l, &r], Some(&[a]), OpRepr::Dense)
+            }),
         ),
         (
             "sparse::join_agg",
-            Box::new(|| sparse::join_agg(&mut ExecContext::new(sr), &l, &r, &[a])),
+            Box::new(|| {
+                ops::step(&mut ExecContext::new(sr), &[&l, &r], Some(&[a]), OpRepr::Sparse)
+            }),
         ),
         (
             "sparse::join",
-            Box::new(|| sparse::join(&mut ExecContext::new(sr), &l, &r)),
+            Box::new(|| {
+                ops::step(&mut ExecContext::new(sr), &[&l, &r], None, OpRepr::Sparse)
+            }),
         ),
         // Keying a row-major operand, ahead of the sorted merge.
         (
             "sparse::convert",
-            Box::new(|| sparse::join(&mut ExecContext::new(sr), &l, &r)),
+            Box::new(|| {
+                ops::step(&mut ExecContext::new(sr), &[&l, &r], None, OpRepr::Sparse)
+            }),
         ),
     ];
 
@@ -187,12 +201,12 @@ fn context_keeps_stats_accumulated_before_the_fault() {
 
     // A direct PhysicalPlan round-trip also surfaces the fault.
     fault::inject_always("sparse::agg");
-    let sparse = PhysicalPlan::GroupBy {
-        input: Box::new(PhysicalPlan::Scan {
+    let sparse = PhysicalPlan::Step {
+        inputs: vec![PhysicalPlan::Scan {
             relation: "l".into(),
-        }),
-        group_vars: vec![],
-        algo: AggAlgo::SparseAgg,
+        }],
+        group_vars: Some(vec![]),
+        repr: OpRepr::Sparse,
     };
     assert_eq!(
         exec.execute_physical(&sparse).unwrap_err(),
@@ -234,7 +248,7 @@ fn faulted_or_cancelled_keying_memoizes_nothing() {
     let bytes = || (l.heap_bytes(), r.heap_bytes());
     let before = bytes();
     let sr = SemiringKind::SumProduct;
-    let step = |cx: &mut ExecContext<'_>| sparse::join_agg(cx, l, r, &[a, c]);
+    let step = |cx: &mut ExecContext<'_>| ops::step(cx, &[l, r], Some(&[a, c]), OpRepr::Sparse);
     let memo = |cx: &ExecContext<'_>| (cx.stats().keyed_memo_hits, cx.stats().keyed_memo_builds);
 
     fault::inject("sparse::convert", 1);

@@ -23,8 +23,8 @@
 use std::collections::BTreeMap;
 
 use mpf_algebra::{
-    dense, ops, sparse, AggAlgo, DenseMode, ExecContext, Executor, JoinAlgo, KernelMode,
-    PhysicalPlan, Plan, RelationStore, ReprMode, SpanKind, TraceLevel,
+    ops, DenseMode, ExecContext, Executor, KernelMode, OpRepr, PhysicalPlan, Plan, RelationStore,
+    ReprMode, SpanKind, TraceLevel,
 };
 use mpf_semiring::kernel::SimdTier;
 use mpf_semiring::SemiringKind;
@@ -129,11 +129,11 @@ fn ve_chain(
         .with_dense(dense)
         .with_kernel(kernel)
         .with_threads(threads);
-    let t1 = sparse::join_auto(&mut cx, &rels[0], &rels[1]).unwrap();
-    let t1 = sparse::agg_auto(&mut cx, &t1, &[a, c]).unwrap();
-    let t2 = sparse::join_auto(&mut cx, &t1, &rels[2]).unwrap();
-    let t2 = sparse::agg_auto(&mut cx, &t2, &[a, d]).unwrap();
-    let out = sparse::agg_auto(&mut cx, &t2, &[a]).unwrap();
+    let t1 = ops::step(&mut cx, &[&rels[0], &rels[1]], None, OpRepr::Dense).unwrap();
+    let t1 = ops::step(&mut cx, &[&t1], Some(&[a, c]), OpRepr::Dense).unwrap();
+    let t2 = ops::step(&mut cx, &[&t1, &rels[2]], None, OpRepr::Dense).unwrap();
+    let t2 = ops::step(&mut cx, &[&t2], Some(&[a, d]), OpRepr::Dense).unwrap();
+    let out = ops::step(&mut cx, &[&t2], Some(&[a]), OpRepr::Dense).unwrap();
     (out, *cx.stats())
 }
 
@@ -221,15 +221,13 @@ fn fused_fixture(sr: SemiringKind) -> (RelationStore, Vec<VarId>, Plan) {
 }
 
 fn fused_plan(gv: &[VarId]) -> PhysicalPlan {
-    PhysicalPlan::JoinAgg {
-        left: Box::new(PhysicalPlan::Scan {
-            relation: "r1".into(),
-        }),
-        right: Box::new(PhysicalPlan::Scan {
-            relation: "r2".into(),
-        }),
-        group_vars: gv.to_vec(),
-        algo: JoinAlgo::Dense,
+    let scan = |name: &str| PhysicalPlan::Scan {
+        relation: name.into(),
+    };
+    PhysicalPlan::Step {
+        inputs: vec![scan("r1"), scan("r2")],
+        group_vars: Some(gv.to_vec()),
+        repr: OpRepr::Dense,
     }
 }
 
@@ -242,11 +240,7 @@ fn fused_dense_matches_unfused_bitwise_and_lowers_peak() {
     for sr in SemiringKind::ALL {
         let (store, vars, logical) = fused_fixture(sr);
         let gv = [vars[0]];
-        let unfused = PhysicalPlan::from_logical(
-            &logical,
-            &mut |_, _| JoinAlgo::Dense,
-            &mut |_, _| AggAlgo::DenseAgg,
-        );
+        let unfused = PhysicalPlan::from_logical(&logical, &mut |_| OpRepr::Dense);
         let fused = fused_plan(&gv);
         let exec = Executor::new(&store, sr);
         for kernel in KERNELS {
@@ -368,7 +362,7 @@ fn fused_bits(
         .with_kernel(kernel)
         .with_threads(threads)
         .with_trace(TraceLevel::Spans);
-    let out = dense::join_agg(&mut cx, l, r, gv).unwrap();
+    let out = ops::step(&mut cx, &[l, r], Some(gv), OpRepr::Dense).unwrap();
     let stats = *cx.stats();
     assert_eq!((stats.fused_join_aggs, stats.dense_joins), (1, 1), "fused kernel ran dense");
     let mut nest = None;
@@ -394,8 +388,8 @@ fn unfused_bits(
         .with_dense(DenseMode::On)
         .with_kernel(kernel)
         .with_threads(threads);
-    let joined = dense::join(&mut cx, l, r).unwrap();
-    let out = dense::agg(&mut cx, &joined, gv).unwrap();
+    let joined = ops::step(&mut cx, &[l, r], None, OpRepr::Dense).unwrap();
+    let out = ops::step(&mut cx, &[&joined], Some(gv), OpRepr::Dense).unwrap();
     assert_eq!((cx.stats().dense_joins, cx.stats().dense_group_bys), (1, 1), "reference ran dense");
     out.measures().iter().map(|m| m.to_bits()).collect()
 }
@@ -647,7 +641,7 @@ impl PinnedCase<'_> {
 
         // The dense step over the slices against the reduced grids.
         let mut cx = ExecContext::new(sr).with_dense(DenseMode::On);
-        let got = dense::join_agg(&mut cx, &sl, &sr_, group).unwrap();
+        let got = ops::step(&mut cx, &[&sl, &sr_], Some(group), OpRepr::Dense).unwrap();
         assert_eq!(
             (cx.stats().fused_join_aggs, cx.stats().dense_joins),
             (1, 1),
@@ -662,7 +656,7 @@ impl PinnedCase<'_> {
         };
         let reduced_group: Vec<VarId> = group.iter().copied().filter(|&v| v != p).collect();
         let mut cx = ExecContext::new(sr).with_dense(DenseMode::On);
-        let want = dense::join_agg(&mut cx, &rl, &rr, &reduced_group).unwrap();
+        let want = ops::step(&mut cx, &[&rl, &rr], Some(&reduced_group), OpRepr::Dense).unwrap();
         let measure_bits = |rel: &FunctionalRelation| -> Vec<u64> {
             rel.measures().iter().map(|m| m.to_bits()).collect()
         };
@@ -690,9 +684,9 @@ impl PinnedCase<'_> {
             let sr_other = ops::select_eq(&mut cx, r, &[(p, other)]).unwrap();
             let fr_other = ops::select_eq(&mut cx, r_rows, &[(p, other)]).unwrap();
             let mut cx = ExecContext::new(sr).with_dense(DenseMode::On);
-            let got = dense::join_agg_auto(&mut cx, &sl, &sr_other, group).unwrap();
+            let got = ops::step(&mut cx, &[&sl, &sr_other], Some(group), OpRepr::Dense).unwrap();
             assert_eq!(cx.stats().dense_joins, 0, "{what} against {other}");
-            let want = dense::join_agg_auto(&mut cx, &fl, &fr_other, group).unwrap();
+            let want = ops::step(&mut cx, &[&fl, &fr_other], Some(group), OpRepr::Dense).unwrap();
             assert!(got.is_empty() && want.is_empty(), "{what} against {other}");
         }
 
@@ -704,7 +698,7 @@ impl PinnedCase<'_> {
             for dense_mode in DENSES {
                 let run = |a: &FunctionalRelation, b: &FunctionalRelation| {
                     let mut cx = ExecContext::new(sr).with_repr(repr).with_dense(dense_mode);
-                    dense::join_agg_auto(&mut cx, a, b, group).unwrap()
+                    ops::step(&mut cx, &[a, b], Some(group), OpRepr::Dense).unwrap()
                 };
                 let (over_slices, over_filters) = (run(&sl, &sr_), run(&fl, &fr));
                 let mode = format!("{what} repr {repr:?} dense {dense_mode:?}");
@@ -780,7 +774,7 @@ fn spine_shapes_take_the_tile_nest_in_every_semiring() {
                         .with_dense(DenseMode::On)
                         .with_kernel(kernel)
                         .with_trace(TraceLevel::Spans);
-                    dense::join_agg(&mut cx, &l, &r, &[x, y]).unwrap();
+                    ops::step(&mut cx, &[&l, &r], Some(&[x, y]), OpRepr::Dense).unwrap();
                     let rendered = cx.take_trace().render();
                     let tags = format!(
                         "repr=dense, kernel={}, nest={nest}, simd={}, fused=true",
@@ -820,9 +814,9 @@ fn edge_grid(name: &str, vars: &[VarId], cat: &Catalog, salt: u64, sr: SemiringK
 /// grids with `−0.0` in every palette, for all seven semirings and sides
 /// 1, 3, 7 and 33 (which crosses the worker and SIMD thresholds),
 ///
-/// * scalar [`dense::join`] (nothing eliminated) equals
-///   [`ops::product_join`] and scalar [`dense::agg`] (one operand)
-///   equals [`ops::group_by`], row for row and bit for bit — a step that
+/// * the scalar dense join step (nothing eliminated) equals
+///   [`ops::product_join`] and the scalar dense one-operand step equals
+///   [`ops::group_by`], row for row and bit for bit — a step that
 ///   multiplied the lone operand by a unit, or canonicalized a signed
 ///   zero, fails here;
 /// * chunked joins equal the scalar ones (a join has no fold to
@@ -855,7 +849,7 @@ fn degenerate_steps_keep_every_bit() {
                 let mut per_run = Vec::new();
                 for (kernel, t) in [(KernelMode::Scalar, 1), (KernelMode::Chunked, 1), (KernelMode::Chunked, 4)] {
                     let mut cx = run(kernel, t);
-                    let got = dense::join(&mut cx, &l, &r).unwrap();
+                    let got = ops::step(&mut cx, &[&l, &r], None, OpRepr::Dense).unwrap();
                     assert_eq!(cx.stats().dense_joins, 1, "ran dense: {what}");
                     per_run.push(row_bits(&got));
                     assert_eq!(bits(&got), bits(&want), "vs product_join: {what} {kernel:?} threads {t}");
@@ -867,13 +861,17 @@ fn degenerate_steps_keep_every_bit() {
             for group in groups {
                 let what = format!("d {d} sr {sr:?} group {group:?}");
                 let mut cx = run(KernelMode::Scalar, 1);
-                let got = dense::agg(&mut cx, &input, group).unwrap();
+                let got = ops::step(&mut cx, &[&input], Some(group), OpRepr::Dense).unwrap();
                 assert_eq!(cx.stats().dense_group_bys, 1, "ran dense: {what}");
                 let want = ops::group_by(&mut ExecContext::new(sr), &input, group).unwrap();
                 assert_eq!(bits(&got), bits(&want), "vs group_by: {what}");
                 let chunked: Vec<_> = THREADS
                     .iter()
-                    .map(|&t| row_bits(&dense::agg(&mut run(KernelMode::Chunked, t), &input, group).unwrap()))
+                    .map(|&t| {
+                        let mut cx = run(KernelMode::Chunked, t);
+                        let out = ops::step(&mut cx, &[&input], Some(group), OpRepr::Dense);
+                        row_bits(&out.unwrap())
+                    })
                     .collect();
                 assert_eq!(chunked[0], chunked[1], "thread count changed bits: {what}");
             }

@@ -6,7 +6,7 @@
 //! across measure updates, key mutations, duplicate keys and racing
 //! first uses.
 
-use mpf_algebra::{ops, sparse, ExecContext, ExecStats, RelationStore, TraceLevel};
+use mpf_algebra::{ops, ExecContext, ExecStats, OpRepr, RelationStore, TraceLevel};
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
 
@@ -80,7 +80,7 @@ fn step(
     gv: &[VarId],
 ) -> (FunctionalRelation, ExecStats, Option<&'static str>, Option<&'static str>) {
     let mut cx = ExecContext::new(sr).with_trace(TraceLevel::Spans);
-    let out = sparse::join_agg(&mut cx, l, r, gv).unwrap();
+    let out = ops::step(&mut cx, &[l, r], Some(gv), OpRepr::Sparse).unwrap();
     let stats = *cx.stats();
     let (mut nest, mut keyed) = (None, None);
     cx.take_trace().for_each(&mut |span| {
@@ -163,12 +163,12 @@ fn memo_hits_are_bit_identical_to_cold_keying_in_every_form() {
 
             let (sl, sr_rel) = (store.shared("l").unwrap(), store.shared("r").unwrap());
             let mut cx = ExecContext::new(sr);
-            let join_cold = sparse::join(&mut cx, &l, &r).unwrap();
-            let join_hit = sparse::join(&mut cx, sl, sr_rel).unwrap();
+            let join_cold = ops::step(&mut cx, &[&l, &r], None, OpRepr::Sparse).unwrap();
+            let join_hit = ops::step(&mut cx, &[sl, sr_rel], None, OpRepr::Sparse).unwrap();
             assert_eq!(exact(&join_hit), exact(&join_cold), "{ctx}");
             let lv = l.schema().vars().to_vec();
-            let agg_cold = sparse::agg(&mut cx, &l, &[lv[1]]).unwrap();
-            let agg_hit = sparse::agg(&mut cx, sl, &[lv[1]]).unwrap();
+            let agg_cold = ops::step(&mut cx, &[&l], Some(&[lv[1]]), OpRepr::Sparse).unwrap();
+            let agg_hit = ops::step(&mut cx, &[sl], Some(&[lv[1]]), OpRepr::Sparse).unwrap();
             assert_eq!(exact(&agg_hit), exact(&agg_cold), "{ctx}");
         }
     }

@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use mpf_algebra::limits::TICK_INTERVAL;
 use mpf_algebra::{
-    dense, sparse, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits, Executor,
-    KernelMode, Plan, RelationStore, ResourceKind,
+    ops, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits, Executor, KernelMode,
+    OpRepr, Plan, RelationStore, ResourceKind,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -145,7 +145,7 @@ fn fused_under(
         .with_dense(DenseMode::On)
         .with_kernel(kernel)
         .with_threads(1);
-    dense::join_agg(&mut cx, &l, &r, &gv)
+    ops::step(&mut cx, &[&l, &r], Some(&gv), OpRepr::Dense)
 }
 
 /// The fused dense kernel polls once per register tile and charges once
@@ -230,7 +230,7 @@ fn fused_sparse_under(
     let e = l.schema().vars()[1];
     let gv = if group == "stream" { [e, x] } else { [x, y] };
     let mut cx = ExecContext::with_limits(SemiringKind::SumProduct, limits).with_threads(1);
-    sparse::join_agg(&mut cx, &l, &r, &gv)
+    ops::step(&mut cx, &[&l, &r], Some(&gv), OpRepr::Sparse)
 }
 
 /// Both fused sparse forms poll once per `(a row × b run)` and charge

@@ -1,7 +1,8 @@
 //! Property test: physical plans compute the same functional relation as
-//! their logical plan regardless of the operator algorithms chosen.
+//! their logical plan regardless of the representation each step starts
+//! at and of which steps are fused.
 
-use mpf_algebra::{AggAlgo, Executor, JoinAlgo, PhysicalPlan, Plan, RelationStore};
+use mpf_algebra::{Executor, OpRepr, PhysicalPlan, Plan, RelationStore};
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
 use proptest::prelude::*;
@@ -33,17 +34,48 @@ fn store() -> (Catalog, RelationStore, Vec<VarId>) {
     (cat, s, vec![a, b, c])
 }
 
+/// `plan` with one drawn representation per step; a group-by over a
+/// join fuses with it into one two-input step when its drawn flag is set.
+fn draw(plan: &Plan, picks: &mut impl Iterator<Item = (usize, u8)>) -> PhysicalPlan {
+    let (pick, fuse) = picks.next().expect("picks cycle");
+    let repr = [OpRepr::Rows, OpRepr::Dense, OpRepr::Sparse][pick];
+    match plan {
+        Plan::Scan { .. } => PhysicalPlan::default_hash(plan),
+        Plan::Select { input, predicates } => PhysicalPlan::Select {
+            input: Box::new(draw(input, picks)),
+            predicates: predicates.clone(),
+        },
+        Plan::Join { left, right } => PhysicalPlan::Step {
+            inputs: vec![draw(left, picks), draw(right, picks)],
+            group_vars: None,
+            repr,
+        },
+        Plan::GroupBy { input, group_vars } => {
+            let inputs = match input.as_ref() {
+                Plan::Join { left, right } if fuse == 1 => {
+                    vec![draw(left, picks), draw(right, picks)]
+                }
+                input => vec![draw(input, picks)],
+            };
+            PhysicalPlan::Step {
+                inputs,
+                group_vars: Some(group_vars.clone()),
+                repr,
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random algorithm assignments never change the answer.
+    /// Random representations per step, fused or unfused, never change
+    /// the answer or the logical plan.
     #[test]
     fn physical_matches_logical(
-        join_picks in proptest::collection::vec(0usize..3, 8),
-        agg_picks in proptest::collection::vec(0usize..3, 8),
+        picks in proptest::collection::vec((0usize..3, 0u8..2), 12),
         group_var in 0usize..3,
         filter in proptest::option::of((0usize..2, 0u32..3)),
-        fuse_pick in proptest::option::of(0usize..3),
     ) {
         let (_, store, vars) = store();
         let sr = SemiringKind::SumProduct;
@@ -62,37 +94,9 @@ proptest! {
         );
 
         let exec = Executor::new(&store, sr);
-        let (want, _) = exec.execute(&logical).unwrap();
-
-        let mut ji = 0;
-        let mut ai = 0;
-        let physical = PhysicalPlan::from_logical(
-            &logical,
-            &mut |_, _| {
-                ji += 1;
-                [JoinAlgo::Hash, JoinAlgo::Dense, JoinAlgo::SparseTensor]
-                    [join_picks[ji % join_picks.len()]]
-            },
-            &mut |_, _| {
-                ai += 1;
-                [AggAlgo::HashAgg, AggAlgo::DenseAgg, AggAlgo::SparseAgg]
-                    [agg_picks[ai % agg_picks.len()]]
-            },
-        );
-        // Optionally fuse the root elimination step, starting its
-        // fallback chain at a random algorithm.
-        let physical = match (fuse_pick, physical) {
-            (Some(k), PhysicalPlan::GroupBy { input, group_vars, .. }) => match *input {
-                PhysicalPlan::Join { left, right, .. } => PhysicalPlan::JoinAgg {
-                    left,
-                    right,
-                    group_vars,
-                    algo: [JoinAlgo::Hash, JoinAlgo::Dense, JoinAlgo::SparseTensor][k],
-                },
-                other => unreachable!("root group-by sits on a join: {other:?}"),
-            },
-            (_, physical) => physical,
-        };
+        let (want, _) = exec.execute_physical(&PhysicalPlan::default_hash(&logical)).unwrap();
+        let physical = draw(&logical, &mut picks.iter().copied().cycle());
+        prop_assert_eq!(physical.to_logical(), logical.clone());
         let (got, stats) = exec.execute_physical(&physical).unwrap();
         prop_assert!(want.function_eq(&got));
         prop_assert_eq!(stats.joins, 2);

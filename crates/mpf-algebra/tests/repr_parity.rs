@@ -9,8 +9,8 @@
 //! whenever the dense path does not apply.
 
 use mpf_algebra::{
-    ops, sparse, AggAlgo, DenseMode, ExecContext, ExecStats, JoinAlgo, PhysicalPlan, Plan,
-    RelationStore, ReprMode, Executor, TraceLevel,
+    ops, DenseMode, ExecContext, ExecStats, Executor, OpRepr, PhysicalPlan, Plan, RelationStore,
+    ReprMode, TraceLevel,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -82,8 +82,8 @@ fn chain(sr: SemiringKind, density: f64) -> ([FunctionalRelation; 3], [VarId; 4]
 }
 
 /// A variable-elimination pipeline (eliminate b, then c, then marginalize
-/// onto a) under one pinned mode triple. Every operator dispatches through
-/// the three-way `sparse::join_auto` / `sparse::agg_auto` selection.
+/// onto a) under one pinned mode triple. Every operator runs the full
+/// dense → sparse → hash fallback chain.
 fn ve_chain(
     sr: SemiringKind,
     rels: &[FunctionalRelation; 3],
@@ -97,11 +97,11 @@ fn ve_chain(
         .with_repr(repr)
         .with_dense(dense)
         .with_threads(threads);
-    let t1 = sparse::join_auto(&mut cx, &rels[0], &rels[1]).unwrap();
-    let t1 = sparse::agg_auto(&mut cx, &t1, &[a, c]).unwrap();
-    let t2 = sparse::join_auto(&mut cx, &t1, &rels[2]).unwrap();
-    let t2 = sparse::agg_auto(&mut cx, &t2, &[a, d]).unwrap();
-    let out = sparse::agg_auto(&mut cx, &t2, &[a]).unwrap();
+    let t1 = ops::step(&mut cx, &[&rels[0], &rels[1]], None, OpRepr::Dense).unwrap();
+    let t1 = ops::step(&mut cx, &[&t1], Some(&[a, c]), OpRepr::Dense).unwrap();
+    let t2 = ops::step(&mut cx, &[&t1, &rels[2]], None, OpRepr::Dense).unwrap();
+    let t2 = ops::step(&mut cx, &[&t2], Some(&[a, d]), OpRepr::Dense).unwrap();
+    let out = ops::step(&mut cx, &[&t2], Some(&[a]), OpRepr::Dense).unwrap();
     (out, *cx.stats())
 }
 
@@ -149,7 +149,7 @@ fn density_sweep_mode_matrix_parity() {
     }
 }
 
-/// Physical plans annotated `SparseTensor`/`SparseAgg` by the planner
+/// Physical plans annotated sparse by the planner
 /// execute through the interpreter to the same answer as the all-hash
 /// plan, at every thread count, and the executed operators are counted.
 #[test]
@@ -163,11 +163,7 @@ fn sparse_plans_match_hash_plans_through_the_interpreter() {
     let (want, _) = Executor::new(&store, sr)
         .execute_physical(&PhysicalPlan::default_hash(&logical))
         .unwrap();
-    let sparse_plan = PhysicalPlan::from_logical(
-        &logical,
-        &mut |_, _| JoinAlgo::SparseTensor,
-        &mut |_, _| AggAlgo::SparseAgg,
-    );
+    let sparse_plan = PhysicalPlan::from_logical(&logical, &mut |_| OpRepr::Sparse);
     for t in THREADS {
         let (got, stats) = Executor::new(&store, sr)
             .with_threads(t)
@@ -220,8 +216,8 @@ proptest! {
         for repr in REPRS {
             for dense in DENSES {
                 let mut cx = ExecContext::new(sr).with_repr(repr).with_dense(dense);
-                let j = sparse::join_auto(&mut cx, &r1, &r2).unwrap();
-                let g = sparse::agg_auto(&mut cx, &j, &gv).unwrap();
+                let j = ops::step(&mut cx, &[&r1, &r2], None, OpRepr::Dense).unwrap();
+                let g = ops::step(&mut cx, &[&j], Some(&gv), OpRepr::Dense).unwrap();
                 prop_assert!(
                     want.function_eq_in(&g, sr),
                     "sr {sr:?} repr {repr:?} dense {dense:?} holes {holes:?}"
@@ -249,7 +245,7 @@ fn fused_step(
     gv: &[VarId],
 ) -> (FunctionalRelation, ExecStats, Option<&'static str>) {
     let mut cx = ExecContext::new(sr).with_trace(TraceLevel::Spans);
-    let out = sparse::join_agg(&mut cx, l, r, gv).unwrap();
+    let out = ops::step(&mut cx, &[l, r], Some(gv), OpRepr::Sparse).unwrap();
     let stats = *cx.stats();
     let mut form = None;
     cx.take_trace().for_each(&mut |span| {
@@ -268,8 +264,8 @@ fn unfused_step(
     gv: &[VarId],
 ) -> FunctionalRelation {
     let mut cx = ExecContext::new(sr);
-    let joined = sparse::join(&mut cx, l, r).unwrap();
-    sparse::agg(&mut cx, &joined, gv).unwrap()
+    let joined = ops::step(&mut cx, &[l, r], None, OpRepr::Sparse).unwrap();
+    ops::step(&mut cx, &[&joined], Some(gv), OpRepr::Sparse).unwrap()
 }
 
 /// Fused ≡ unfused sparse, bitwise and row for row, in all seven
@@ -400,7 +396,7 @@ fn fused_sparse_falls_back_to_hash() {
     }
 }
 
-/// A planner-shaped sparse `JoinAgg` node through the interpreter: same
+/// A planner-shaped fused sparse step through the interpreter: same
 /// bits as the unfused sparse plan at every thread count, a lower peak,
 /// and counters that reconcile (one join plus one group-by, both sparse).
 /// A dense-annotated node whose inputs are not grids takes the same
@@ -413,29 +409,27 @@ fn sparse_join_agg_plans_match_unfused_plans() {
         store.insert(rels[0].clone());
         store.insert(rels[1].clone());
         let logical = Plan::group_by(Plan::join(Plan::scan("r1"), Plan::scan("r2")), vec![a]);
-        let unfused = PhysicalPlan::from_logical(
-            &logical,
-            &mut |_, _| JoinAlgo::SparseTensor,
-            &mut |_, _| AggAlgo::SparseAgg,
-        );
-        let fused = |algo| PhysicalPlan::JoinAgg {
-            left: Box::new(PhysicalPlan::Scan { relation: "r1".into() }),
-            right: Box::new(PhysicalPlan::Scan { relation: "r2".into() }),
-            group_vars: vec![a],
-            algo,
+        let unfused = PhysicalPlan::from_logical(&logical, &mut |_| OpRepr::Sparse);
+        let fused = |repr| PhysicalPlan::Step {
+            inputs: vec![
+                PhysicalPlan::Scan { relation: "r1".into() },
+                PhysicalPlan::Scan { relation: "r2".into() },
+            ],
+            group_vars: Some(vec![a]),
+            repr,
         };
         for t in THREADS {
             let exec = Executor::new(&store, sr).with_threads(t);
             let (want, us) = exec.execute_physical(&unfused).unwrap();
-            for algo in [JoinAlgo::SparseTensor, JoinAlgo::Dense] {
-                let (got, fs) = exec.execute_physical(&fused(algo)).unwrap();
-                assert_eq!(exact(&got), exact(&want), "sr {sr:?} threads {t} {algo:?}");
+            for repr in [OpRepr::Sparse, OpRepr::Dense] {
+                let (got, fs) = exec.execute_physical(&fused(repr)).unwrap();
+                assert_eq!(exact(&got), exact(&want), "sr {sr:?} threads {t} {repr:?}");
                 assert_eq!((fs.joins, fs.group_bys), (us.joins, us.group_bys));
                 assert_eq!((fs.sparse_joins, fs.sparse_group_bys, fs.fused_join_aggs), (1, 1, 1));
                 assert!(fs.max_intermediate_rows < us.max_intermediate_rows, "sr {sr:?}");
             }
             let mut off = ExecContext::new(sr).with_repr(ReprMode::Off).with_threads(t);
-            let got = exec.execute_physical_in(&mut off, &fused(JoinAlgo::Dense)).unwrap();
+            let got = exec.execute_physical_in(&mut off, &fused(OpRepr::Dense)).unwrap();
             assert!(want.function_eq_in(&got, sr), "sr {sr:?} threads {t}");
             assert_eq!(off.stats().sparse_joins, 0, "Off stays on hash");
         }

@@ -15,8 +15,9 @@
 //!   run for the PR to hold its acceptance criterion.
 //! * **fused_join_agg** — the same plan with fusion on: the D³ join
 //!   feeding the marginalization contracts directly into the output
-//!   accumulator grid (`JoinAgg`) instead of materializing, against the
-//!   unfused dense pipeline as reference. Besides time, each run
+//!   accumulator grid (one two-input step) instead of materializing,
+//!   against the unfused dense pipeline — each fused step split into a
+//!   join step and a one-input step — as reference. Besides time, each run
 //!   reports `peak_rows` — the fused path never materializes the join
 //!   intermediate, so its peak must be strictly below the unfused
 //!   run's.
@@ -80,6 +81,38 @@ fn run_plan(
     (rel, cx.take_stats())
 }
 
+/// `plan` with every fused step split into a product join of its two
+/// inputs and a one-input step over that join, both on the fused step's
+/// representation: the unfused pipeline the fused step replaces.
+fn unfuse(plan: &PhysicalPlan) -> PhysicalPlan {
+    match plan {
+        PhysicalPlan::Scan { .. } => plan.clone(),
+        PhysicalPlan::Select { input, predicates } => PhysicalPlan::Select {
+            input: Box::new(unfuse(input)),
+            predicates: predicates.clone(),
+        },
+        PhysicalPlan::Step {
+            inputs,
+            group_vars,
+            repr,
+        } => {
+            let mut inputs: Vec<PhysicalPlan> = inputs.iter().map(unfuse).collect();
+            if inputs.len() == 2 && group_vars.is_some() {
+                inputs = vec![PhysicalPlan::Step {
+                    inputs,
+                    group_vars: None,
+                    repr: *repr,
+                }];
+            }
+            PhysicalPlan::Step {
+                inputs,
+                group_vars: group_vars.clone(),
+                repr: *repr,
+            }
+        }
+    }
+}
+
 fn feed(metrics: &MetricsRegistry, section: &str, path: &str, ms: f64) {
     metrics.inc(&format!("bench.{section}.runs"));
     metrics.observe(
@@ -137,7 +170,8 @@ fn main() {
         ..PhysicalConfig::default()
     };
     // Fusion off here: this section isolates the kernel inner-loop mode.
-    let unfused_phys = choose_physical(&ctx, &plan, cfg.with_fuse(false));
+    let fused_phys = choose_physical(&ctx, &plan, cfg);
+    let unfused_phys = unfuse(&fused_phys);
 
     let mut sections = Vec::new();
 
@@ -183,7 +217,6 @@ fn main() {
         "fused_join_agg: unfused {unfused_ms:.1} ms, peak {unfused_peak} rows"
     );
     feed(&metrics, "fused_join_agg", "unfused.t1", unfused_ms);
-    let fused_phys = choose_physical(&ctx, &plan, cfg.with_fuse(true));
     let mut fruns = Vec::new();
     for &t in &THREAD_COUNTS {
         let (ms, out) = time_ms(reps, || {

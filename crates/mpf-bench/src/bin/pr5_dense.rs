@@ -4,13 +4,14 @@
 //! complete-relation workloads the paper's inference experiments run:
 //!
 //! * **dense_join** — product join of two complete relations
-//!   ([`mpf_algebra::ops::product_join`] vs. [`mpf_algebra::dense::join`]);
+//!   ([`mpf_algebra::ops::product_join`] vs. the dense step,
+//!   [`mpf_algebra::ops::step`] with nothing eliminated);
 //! * **dense_group_by** — marginalization of the complete join output
-//!   onto one variable (hash aggregate vs. [`mpf_algebra::dense::agg`]);
+//!   onto one variable (hash aggregate vs. the dense one-input step);
 //! * **ve_plus_end_to_end** — a three-relation chain query planned with
 //!   extended-space VE and executed through the physical interpreter,
 //!   the all-hash plan (`MPF_DENSE=off` planning) vs. the plan
-//!   `choose_physical` annotates with `Dense`/`DenseAgg` under
+//!   `choose_physical` annotates dense under
 //!   [`DenseMode::Auto`].
 //!
 //! Every dense run is checked `function_eq` against the sparse result and
@@ -25,7 +26,7 @@
 use std::time::{Duration, Instant};
 
 use mpf_algebra::{
-    dense, ops, DenseMode, ExecContext, Executor, KernelMode, MetricsRegistry, RelationStore,
+    ops, DenseMode, ExecContext, Executor, KernelMode, MetricsRegistry, OpRepr, RelationStore,
 };
 use mpf_bench::Args;
 use mpf_optimizer::{
@@ -125,10 +126,11 @@ fn main() {
     let mut runs = Vec::new();
     for &t in &THREAD_COUNTS {
         let (ms, out) = time_ms(reps, || {
-            dense::join(&mut ExecContext::new(SR).with_threads(t), &l, &r).expect("join fits")
+            let mut cx = ExecContext::new(SR).with_threads(t);
+            ops::step(&mut cx, &[&l, &r], None, OpRepr::Dense).expect("join fits")
         });
         let mut cx = ExecContext::new(SR).with_threads(t);
-        dense::join(&mut cx, &l, &r).expect("join fits");
+        ops::step(&mut cx, &[&l, &r], None, OpRepr::Dense).expect("join fits");
         let run = Run {
             threads: t,
             dense_ops: cx.stats().dense_joins,
@@ -156,7 +158,8 @@ fn main() {
     // arrives in grid (odometer) order — the form the zero-copy borrow
     // requires. (The hash join's output is the same function in hash
     // order, which the dense path would refuse.)
-    let input = dense::join(&mut ExecContext::new(SR), &l, &r).expect("join fits");
+    let input =
+        ops::step(&mut ExecContext::new(SR), &[&l, &r], None, OpRepr::Dense).expect("join fits");
     assert!(input.function_eq(&seq_out), "dense join matches sparse");
     let gb_rows = input.len();
     let (gseq_ms, gseq_out) = time_ms(reps, || {
@@ -167,10 +170,11 @@ fn main() {
     let mut gruns = Vec::new();
     for &t in &THREAD_COUNTS {
         let (ms, out) = time_ms(reps, || {
-            dense::agg(&mut ExecContext::new(SR).with_threads(t), &input, &[a]).expect("agg fits")
+            let mut cx = ExecContext::new(SR).with_threads(t);
+            ops::step(&mut cx, &[&input], Some(&[a]), OpRepr::Dense).expect("agg fits")
         });
         let mut cx = ExecContext::new(SR).with_threads(t);
-        dense::agg(&mut cx, &input, &[a]).expect("agg fits");
+        ops::step(&mut cx, &[&input], Some(&[a]), OpRepr::Dense).expect("agg fits");
         let run = Run {
             threads: t,
             dense_ops: cx.stats().dense_group_bys,

@@ -8,9 +8,9 @@
 //! * **hash** — the row-major reference ([`mpf_algebra::ops::product_join`]
 //!   followed by [`mpf_algebra::ops::group_by`]), single-threaded; its
 //!   time is the section's `sequential_ms` regression reference;
-//! * **sparse** — [`mpf_algebra::sparse::join`] sorted-merges the two
-//!   inputs' coordinate lists and [`mpf_algebra::sparse::agg`] collapses
-//!   coordinates for the marginalization. The intermediate stays a
+//! * **sparse** — [`mpf_algebra::ops::step`] starting at the sparse
+//!   kernel: the join sorted-merges the two inputs' coordinate lists and
+//!   the one-input step collapses coordinates for the marginalization. The intermediate stays a
 //!   coordinate-form relation and never materializes rows; neither does
 //!   the timed output (the equality check reads its rows afterwards).
 //!
@@ -27,7 +27,7 @@
 
 use std::time::{Duration, Instant};
 
-use mpf_algebra::{ops, sparse, DenseMode, ExecContext, MetricsRegistry, ReprMode};
+use mpf_algebra::{ops, DenseMode, ExecContext, MetricsRegistry, OpRepr, ReprMode};
 use mpf_bench::Args;
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -162,8 +162,8 @@ fn main() {
         let mut runs = Vec::new();
         for &t in &THREAD_COUNTS {
             let pipeline = |cx: &mut ExecContext<'_>| {
-                let j = sparse::join(cx, &l, &r).expect("join fits");
-                sparse::agg(cx, &j, &[a]).expect("agg fits")
+                let j = ops::step(cx, &[&l, &r], None, OpRepr::Sparse).expect("join fits");
+                ops::step(cx, &[&j], Some(&[a]), OpRepr::Sparse).expect("agg fits")
             };
             let (ms, out) = time_ms(reps, || {
                 let mut cx = ExecContext::new(SR)

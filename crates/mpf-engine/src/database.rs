@@ -2,7 +2,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use mpf_algebra::{
-    fault, AggAlgo, DenseMode, ExecContext, ExecLimits, ExecStats, Executor, MetricsRegistry,
+    fault, DenseMode, ExecContext, ExecLimits, ExecStats, Executor, MetricsRegistry,
     PhysicalPlan, Plan, RelationProvider, RelationStore, ReprMode, TraceLevel,
 };
 use mpf_infer::VeCache;
@@ -510,7 +510,7 @@ impl Database {
             let rel = snap.store.relation_of(relation).ok_or_else(|| {
                 EngineError::InvalidUpdate(format!("unknown relation `{relation}`"))
             })?;
-            let idx = crate::delta::find_row(rel, row).ok_or_else(|| {
+            let idx = rel.find_row(row).ok_or_else(|| {
                 EngineError::InvalidUpdate(format!("no row {row:?} in `{relation}`"))
             })?;
             let old = rel.measure(idx);
@@ -811,18 +811,13 @@ impl Database {
         let trace = (req.trace != TraceLevel::Off).then(|| cx.take_trace());
         let relation = result?;
         let table = &tree.tables()[idx];
+        let plan = Plan::group_by(Plan::scan("<view-cache>"), vars.to_vec());
         Ok(Answer {
             relation,
             served_by: q.strategy,
             fallback: Vec::new(),
-            plan: Plan::group_by(Plan::scan("<view-cache>"), vars.to_vec()),
-            physical: PhysicalPlan::GroupBy {
-                input: Box::new(PhysicalPlan::Scan {
-                    relation: "<view-cache>".into(),
-                }),
-                group_vars: vars.to_vec(),
-                algo: AggAlgo::HashAgg,
-            },
+            physical: PhysicalPlan::default_hash(&plan),
+            plan,
             est_cost: f64::NAN,
             stats,
             optimize_time: Duration::ZERO,
@@ -900,18 +895,13 @@ impl Database {
                 rows: table.len() as u64,
             }
         });
+        let plan = Plan::group_by(Plan::scan("<ve-cache>"), vars);
         Ok(Answer {
             relation,
             served_by: q.strategy,
             fallback: Vec::new(),
-            plan: Plan::group_by(Plan::scan("<ve-cache>"), vars.clone()),
-            physical: PhysicalPlan::GroupBy {
-                input: Box::new(PhysicalPlan::Scan {
-                    relation: "<ve-cache>".into(),
-                }),
-                group_vars: vars,
-                algo: AggAlgo::HashAgg,
-            },
+            physical: PhysicalPlan::default_hash(&plan),
+            plan,
             est_cost: f64::NAN,
             stats,
             optimize_time: Duration::ZERO,
@@ -1647,7 +1637,10 @@ mod tests {
         let direct = db.run(Query::on("v").group_by(["c"])).unwrap();
         assert!(direct.relation.function_eq(&cached.relation));
         // The cache path synthesizes the plan it actually ran.
-        assert!(matches!(cached.physical, PhysicalPlan::GroupBy { .. }));
+        assert!(matches!(
+            &cached.physical,
+            PhysicalPlan::Step { inputs, group_vars: Some(_), .. } if inputs.len() == 1
+        ));
     }
 
     #[test]
@@ -1692,13 +1685,8 @@ mod tests {
     fn plan_nodes(p: &PhysicalPlan) -> usize {
         match p {
             PhysicalPlan::Scan { .. } => 1,
-            PhysicalPlan::Select { input, .. } | PhysicalPlan::GroupBy { input, .. } => {
-                1 + plan_nodes(input)
-            }
-            PhysicalPlan::Join { left, right, .. }
-            | PhysicalPlan::JoinAgg { left, right, .. } => {
-                1 + plan_nodes(left) + plan_nodes(right)
-            }
+            PhysicalPlan::Select { input, .. } => 1 + plan_nodes(input),
+            PhysicalPlan::Step { inputs, .. } => 1 + inputs.iter().map(plan_nodes).sum::<usize>(),
         }
     }
 

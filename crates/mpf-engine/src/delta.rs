@@ -14,14 +14,10 @@ use mpf_storage::{Catalog, FunctionalRelation, Value};
 
 use crate::{EngineError, Override, Result};
 
-/// Index of the row equal to `row` — the exact-match rule every measure
-/// patch, hypothetical or real, locates its target by.
-pub(crate) fn find_row(rel: &FunctionalRelation, row: &[Value]) -> Option<usize> {
-    (0..rel.len()).find(|&i| rel.row(i) == row)
-}
-
-/// Replace the measure of the row equal to `row`, returning the patched
-/// relation and the previous measure. `None` when no row matches.
+/// Replace the measure of the row equal to `row`
+/// ([`FunctionalRelation::find_row`], the exact-match rule every measure
+/// patch, hypothetical or real, locates its target by), returning the
+/// patched relation and the previous measure. `None` when no row matches.
 ///
 /// The patch is a clone + in-place [`FunctionalRelation::set_measure`]:
 /// row order and representation are preserved exactly, so a patched
@@ -33,7 +29,7 @@ pub(crate) fn patch_measure(
     row: &[Value],
     measure: f64,
 ) -> Option<(FunctionalRelation, f64)> {
-    let idx = find_row(rel, row)?;
+    let idx = rel.find_row(row)?;
     let old = rel.measure(idx);
     let mut updated = rel.clone();
     updated.set_measure(idx, measure);

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use mpf_algebra::ExecContext;
+use mpf_algebra::{ops, ExecContext, OpRepr};
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
 
@@ -350,7 +350,7 @@ impl JunctionTree {
         for r in parts {
             table = Some(match table.take() {
                 None => (*r).clone(),
-                Some(t) => mpf_algebra::sparse::join_auto(cx, &t, r)?,
+                Some(t) => ops::step(cx, &[&t, r], None, OpRepr::Dense)?,
             });
         }
         let clique_vars: Vec<VarId> = self.cliques[c].iter().copied().collect();
@@ -365,7 +365,7 @@ impl JunctionTree {
                     t
                 } else {
                     let pad = identity_relation(sr, &missing, catalog);
-                    mpf_algebra::sparse::join_auto(cx, &t, &pad)?
+                    ops::step(cx, &[&t, &pad], None, OpRepr::Dense)?
                 }
             }
             None => identity_relation(sr, &clique_vars, catalog),

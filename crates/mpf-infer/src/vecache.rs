@@ -37,7 +37,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
-use mpf_algebra::{fault, sparse, ExecContext, ReprMode};
+use mpf_algebra::{fault, ops, ExecContext, OpRepr, ReprMode};
 use mpf_semiring::SemiringKind;
 use mpf_storage::{FunctionalRelation, Key, Value, VarId};
 
@@ -264,12 +264,12 @@ impl VeCache {
                 continue;
             }
             // Join rels(v), smallest first. Under `ReprMode::Auto` every
-            // join tries the sparse kernel first (not `join_auto`, whose
-            // dense-first order would change the tables' column layout and
-            // the elimination's fold order), so the intermediates stay in
+            // join starts its chain at the sparse kernel (a dense-first
+            // chain would change the tables' column layout and the
+            // elimination's fold order), so the intermediates stay in
             // coordinate form between joins and expand into rows once, for
-            // the cached table; under `Off` the dense kernel or the hash
-            // join runs.
+            // the cached table; under `Off` the chain starts dense, and
+            // the dense kernel or the hash join runs.
             let mut group = group;
             group.sort_by_key(|(f, _)| f.len());
             let j = tables.len();
@@ -277,10 +277,11 @@ impl VeCache {
             let (mut joined, first_origin) = iter.next().expect("nonempty");
             let mut origins = vec![first_origin];
             for (f, origin) in iter {
-                joined = match cx.repr_mode() {
-                    ReprMode::Auto => sparse::join(cx, &joined, &f)?,
-                    ReprMode::Off => sparse::join_auto(cx, &joined, &f)?,
+                let start = match cx.repr_mode() {
+                    ReprMode::Auto => OpRepr::Sparse,
+                    ReprMode::Off => OpRepr::Dense,
                 };
+                joined = ops::step(cx, &[&joined, &f], None, start)?;
                 origins.push(origin);
             }
             for origin in origins {
@@ -298,7 +299,7 @@ impl VeCache {
             ));
             // Eliminate v.
             let keep: Vec<VarId> = joined.schema().iter().filter(|&u| u != v).collect();
-            let p = sparse::agg_auto(cx, &joined, &keep)?;
+            let p = ops::step(cx, &[&joined], Some(&keep), OpRepr::Dense)?;
             if p.schema().is_empty() {
                 // Component fully eliminated; remember its total.
                 let total = if p.is_empty() { sr.zero() } else { p.measure(0) };
@@ -512,7 +513,7 @@ impl VeCache {
         vars: &[VarId],
     ) -> Result<FunctionalRelation> {
         let idx = self.best_table_for(vars)?;
-        Ok(sparse::agg_auto(cx, &self.tables[idx], vars)?)
+        Ok(ops::step(cx, &[&self.tables[idx]], Some(vars), OpRepr::Dense)?)
     }
 
     fn best_table_for(&self, vars: &[VarId]) -> Result<usize> {

@@ -166,31 +166,32 @@ fn annotate_rec(
             let (schema, rows) = input_est(input, span.children.first_mut());
             (schema, select_rows(ctx, rows, predicates))
         }
-        PP::Join { left, right, .. } | PP::JoinAgg { left, right, .. } => {
-            let two = span.children.len() == 2;
-            let mut it = span.children.iter_mut();
-            let (ls, lr) = input_est(left, if two { it.next() } else { None });
-            let (rs, rr) = input_est(right, if two { it.next() } else { None });
-            let rows = join_rows(ctx, &ls, lr, &rs, rr);
-            match plan {
-                // A fused step is estimated like the unfused pair: join
-                // cardinality feeds the group-count model, the
-                // intermediate just never materializes.
-                PP::JoinAgg { group_vars, .. } => {
-                    let schema: Schema = group_vars.iter().copied().collect();
+        PP::Step {
+            inputs, group_vars, ..
+        } => {
+            // The inputs join left to right; a step with group variables
+            // is then estimated like the unfused marginalization above
+            // that join: join cardinality feeds the group-count model,
+            // whether or not the intermediate materializes.
+            let mirrored = span.children.len() == inputs.len();
+            let mut children = span.children.iter_mut().filter(|_| mirrored);
+            let mut joined: Option<(Schema, f64)> = None;
+            for input in inputs {
+                let (s, r) = input_est(input, children.next());
+                joined = Some(match joined {
+                    None => (s, r),
+                    Some((js, jr)) => (js.union(&s), join_rows(ctx, &js, jr, &s, r)),
+                });
+            }
+            let (schema, rows) = joined.expect("a step has inputs");
+            match group_vars {
+                Some(g) => {
+                    let schema: Schema = g.iter().copied().collect();
                     let rows = group_rows(ctx, rows, &schema);
                     (schema, rows)
                 }
-                _ => (ls.union(&rs), rows),
+                None => (schema, rows),
             }
-        }
-        PP::GroupBy {
-            input, group_vars, ..
-        } => {
-            let (_, in_rows) = input_est(input, span.children.first_mut());
-            let schema: Schema = group_vars.iter().copied().collect();
-            let rows = group_rows(ctx, in_rows, &schema);
-            (schema, rows)
         }
     };
     span.est_rows = Some(rows);

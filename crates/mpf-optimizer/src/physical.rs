@@ -6,24 +6,22 @@
 //! (multiplication) and aggregation (summation), and the choice of
 //! algorithm is based on the cost of accessing disk-resident operands".
 //! This module makes that choice for a finished logical plan, per
-//! operator, in a fixed order:
+//! elimination step ([`PhysicalPlan::Step`]), in a fixed order of
+//! representations ([`OpRepr`]):
 //!
-//! * the **dense** odometer kernels ([`JoinAlgo::Dense`],
-//!   [`AggAlgo::DenseAgg`]) when every grid is feasible and, under
+//! * **dense** odometer kernels when every grid is feasible and, under
 //!   [`DenseMode::Auto`], every operand is dense enough;
-//! * else the **sparse-tensor** kernels ([`JoinAlgo::SparseTensor`],
-//!   [`AggAlgo::SparseAgg`]) under [`ReprMode::Auto`] whenever every
-//!   coordinate space is feasible, at any density;
+//! * else **sparse** tensor kernels under [`ReprMode::Auto`] whenever
+//!   every coordinate space is feasible, at any density;
 //! * else (coordinate spaces too large for the sparse kernels, or
-//!   [`ReprMode::Off`]) the **hash** operators ([`JoinAlgo::Hash`],
-//!   [`AggAlgo::HashAgg`]).
+//!   [`ReprMode::Off`]) the **hash** operators ([`OpRepr::Rows`]).
 //!
 //! The choice never depends on the executor's thread count: the same plan
 //! runs at every [`mpf_algebra::ExecLimits::threads`].
 //!
-//! With [`PhysicalConfig::fuse`], a dense or sparse join feeding a
-//! marginalization of the same kind then becomes one elimination step
-//! ([`PhysicalPlan::JoinAgg`]).
+//! A dense or sparse join feeding a marginalization of the same
+//! representation then becomes one two-input step with group variables,
+//! the fused elimination step.
 //!
 //! Operand sizes come from the same catalog-based estimator the join
 //! ordering used ([`estimate::plan_estimate`]).
@@ -36,7 +34,7 @@
 //! row filter, whose output the dense kernels grid over the real domain
 //! of `b`, so it pins nothing and is judged as before.
 
-use mpf_algebra::{AggAlgo, DenseMode, JoinAlgo, PhysicalPlan, Plan, ReprMode};
+use mpf_algebra::{DenseMode, OpRepr, PhysicalPlan, Plan, ReprMode};
 use mpf_storage::{Schema, VarId};
 
 use crate::{estimate, OptContext};
@@ -44,25 +42,18 @@ use crate::{estimate, OptContext};
 /// Physical selection knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhysicalConfig {
-    /// Whether to consider the dense odometer kernels ([`JoinAlgo::Dense`],
-    /// [`AggAlgo::DenseAgg`]). The engine passes its own mode (read from
-    /// `MPF_DENSE`); [`DenseMode::Auto`] by default.
+    /// Whether to consider the dense odometer kernels. The engine passes
+    /// its own mode (read from `MPF_DENSE`); [`DenseMode::Auto`] by
+    /// default.
     pub dense_mode: DenseMode,
     /// Minimum estimated operand density (rows over the schema's catalog
     /// grid) before [`DenseMode::Auto`] selects a dense operator. Sparse
     /// operands waste grid cells; at 0.5+ the odometer kernel's
     /// per-cell cost undercuts hashing.
     pub dense_min_density: f64,
-    /// Whether to consider the sparse-tensor kernels
-    /// ([`JoinAlgo::SparseTensor`], [`AggAlgo::SparseAgg`]);
-    /// [`ReprMode::Auto`] by default.
+    /// Whether to consider the sparse-tensor kernels; [`ReprMode::Auto`]
+    /// by default.
     pub repr_mode: ReprMode,
-    /// Whether to fuse a dense (sparse) join feeding a dense (sparse)
-    /// marginalization into a single [`PhysicalPlan::JoinAgg`] operator
-    /// that folds the join straight into the output without
-    /// materializing the join intermediate. On by default; turn off to
-    /// compare unfused plans.
-    pub fuse: bool,
 }
 
 impl Default for PhysicalConfig {
@@ -71,7 +62,6 @@ impl Default for PhysicalConfig {
             dense_mode: DenseMode::default(),
             dense_min_density: 0.5,
             repr_mode: ReprMode::default(),
-            fuse: true,
         }
     }
 }
@@ -86,12 +76,6 @@ impl PhysicalConfig {
     /// Set the sparse-tensor selection mode (builder style).
     pub fn with_repr(mut self, mode: ReprMode) -> Self {
         self.repr_mode = mode;
-        self
-    }
-
-    /// Enable or disable join→marginalize fusion (builder style).
-    pub fn with_fuse(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
         self
     }
 }
@@ -176,37 +160,24 @@ fn sparse_applies(ctx: &OptContext<'_>, cfg: &PhysicalConfig, schemas: &[&Schema
         })
 }
 
-/// The algorithm for a product join of the given operands into `out`.
-fn join_algo(
+/// The representation of a step over `inputs` into `out`: dense when
+/// [`dense_applies`], else sparse when every schema's coordinate space
+/// is feasible, else hash.
+fn step_repr(
     ctx: &OptContext<'_>,
     cfg: &PhysicalConfig,
-    l: &Estimate,
-    r: &Estimate,
+    inputs: &[&Estimate],
     out: &Estimate,
-) -> JoinAlgo {
-    if dense_applies(ctx, cfg, &[l, r], out) {
-        return JoinAlgo::Dense;
+) -> OpRepr {
+    if dense_applies(ctx, cfg, inputs, out) {
+        return OpRepr::Dense;
     }
-    if sparse_applies(ctx, cfg, &[&l.schema, &r.schema, &out.schema]) {
-        return JoinAlgo::SparseTensor;
+    let mut schemas: Vec<&Schema> = inputs.iter().map(|e| &e.schema).collect();
+    schemas.push(&out.schema);
+    if sparse_applies(ctx, cfg, &schemas) {
+        return OpRepr::Sparse;
     }
-    JoinAlgo::Hash
-}
-
-/// The algorithm for a group-by of `input` onto `out`.
-fn agg_algo(
-    ctx: &OptContext<'_>,
-    cfg: &PhysicalConfig,
-    input: &Estimate,
-    out: &Estimate,
-) -> AggAlgo {
-    if dense_applies(ctx, cfg, &[input], out) {
-        return AggAlgo::DenseAgg;
-    }
-    if sparse_applies(ctx, cfg, &[&input.schema, &out.schema]) {
-        return AggAlgo::SparseAgg;
-    }
-    AggAlgo::HashAgg
+    OpRepr::Rows
 }
 
 /// Annotate a logical plan with cost-chosen operator algorithms.
@@ -214,16 +185,15 @@ pub fn choose_physical(ctx: &OptContext<'_>, plan: &Plan, cfg: PhysicalConfig) -
     lower(ctx, &cfg, plan).0
 }
 
-/// Choose each operator's algorithm bottom-up, handing every subplan's
+/// Choose each step's representation bottom-up, handing every subplan's
 /// estimated schema and rows (those of [`estimate::plan_estimate`]) and
 /// its pinned variables to its parent, so each node is estimated once.
 ///
-/// With [`PhysicalConfig::fuse`], a dense join feeding a dense
-/// marginalization, or a sparse join feeding a sparse one, becomes a single
-/// [`PhysicalPlan::JoinAgg`] carrying the join's algorithm: the elimination
-/// step then folds every join pair straight into its group accumulator,
-/// skipping the join intermediate entirely. Mixed and hash pairings keep
-/// their chosen algorithms.
+/// A dense join feeding a dense marginalization, or a sparse join feeding
+/// a sparse one, becomes a single two-input step with group variables:
+/// the elimination step then folds every join pair straight into its
+/// group accumulator, skipping the join intermediate entirely. Mixed and
+/// hash pairings stay two steps.
 fn lower(ctx: &OptContext<'_>, cfg: &PhysicalConfig, plan: &Plan) -> (PhysicalPlan, Estimate) {
     match plan {
         Plan::Scan { relation } => {
@@ -265,13 +235,13 @@ fn lower(ctx: &OptContext<'_>, cfg: &PhysicalConfig, plan: &Plan) -> (PhysicalPl
                 grid: true,
                 pinned,
             };
-            let algo = join_algo(ctx, cfg, &l, &r, &est);
-            let join = PhysicalPlan::Join {
-                left: Box::new(left),
-                right: Box::new(right),
-                algo,
+            let repr = step_repr(ctx, cfg, &[&l, &r], &est);
+            let join = PhysicalPlan::Step {
+                inputs: vec![left, right],
+                group_vars: None,
+                repr,
             };
-            (join, est.ran(algo == JoinAlgo::Dense))
+            (join, est.ran(repr == OpRepr::Dense))
         }
         Plan::GroupBy { input, group_vars } => {
             let (input, in_est) = lower(ctx, cfg, input);
@@ -287,31 +257,21 @@ fn lower(ctx: &OptContext<'_>, cfg: &PhysicalConfig, plan: &Plan) -> (PhysicalPl
                     .collect(),
                 schema,
             };
-            let agg = agg_algo(ctx, cfg, &in_est, &est);
-            let group_vars = group_vars.clone();
-            let group = match input {
-                PhysicalPlan::Join { left, right, algo }
-                    if cfg.fuse
-                        && matches!(
-                            (algo, agg),
-                            (JoinAlgo::Dense, AggAlgo::DenseAgg)
-                                | (JoinAlgo::SparseTensor, AggAlgo::SparseAgg)
-                        ) =>
-                {
-                    PhysicalPlan::JoinAgg {
-                        left,
-                        right,
-                        group_vars,
-                        algo,
-                    }
-                }
-                input => PhysicalPlan::GroupBy {
-                    input: Box::new(input),
-                    group_vars,
-                    algo: agg,
-                },
+            let repr = step_repr(ctx, cfg, &[&in_est], &est);
+            let inputs = match input {
+                PhysicalPlan::Step {
+                    inputs,
+                    group_vars: None,
+                    repr: join,
+                } if join == repr && repr != OpRepr::Rows => inputs,
+                input => vec![input],
             };
-            (group, est.ran(agg == AggAlgo::DenseAgg))
+            let step = PhysicalPlan::Step {
+                inputs,
+                group_vars: Some(group_vars.clone()),
+                repr,
+            };
+            (step, est.ran(repr == OpRepr::Dense))
         }
     }
 }
@@ -425,35 +385,37 @@ mod tests {
             .with_dense(DenseMode::Auto)
             .with_repr(ReprMode::Off);
         let fused = choose_physical(&ctx, &plan, cfg);
-        fn count_fused(p: &PhysicalPlan) -> usize {
-            match p {
-                PhysicalPlan::Scan { .. } => 0,
-                PhysicalPlan::Select { input, .. } | PhysicalPlan::GroupBy { input, .. } => {
-                    count_fused(input)
-                }
-                PhysicalPlan::Join { left, right, .. } => {
-                    count_fused(left) + count_fused(right)
-                }
-                PhysicalPlan::JoinAgg { left, right, .. } => {
-                    1 + count_fused(left) + count_fused(right)
-                }
-            }
-        }
         assert!(
-            count_fused(&fused) > 0,
+            !fused_reprs(&fused).is_empty(),
             "dense join into dense agg fuses:\n{}",
             fused.render(&|v| format!("x{}", v.0))
         );
+        assert!(fused_reprs(&fused).iter().all(|&r| r == OpRepr::Dense));
         // Fusion is an annotation change only: the logical plan and the
         // dense operator accounting (one join + one group-by per fused
-        // node) are unchanged.
+        // step) are unchanged.
         assert_eq!(fused.to_logical(), plan);
-        let unfused = choose_physical(&ctx, &plan, cfg.with_fuse(false));
-        assert_eq!(count_fused(&unfused), 0, "with_fuse(false) keeps the pair");
         assert_eq!(
             fused.dense_operator_count(),
-            unfused.dense_operator_count()
+            plan.join_count() + plan.group_by_count()
         );
+    }
+
+    /// The representation of every fused step (two inputs, group
+    /// variables) in the plan.
+    fn fused_reprs(p: &PhysicalPlan) -> Vec<OpRepr> {
+        match p {
+            PhysicalPlan::Scan { .. } => vec![],
+            PhysicalPlan::Select { input, .. } => fused_reprs(input),
+            PhysicalPlan::Step {
+                inputs,
+                group_vars,
+                repr,
+            } => {
+                let own = (inputs.len() == 2 && group_vars.is_some()).then_some(*repr);
+                own.into_iter().chain(inputs.iter().flat_map(fused_reprs)).collect()
+            }
+        }
     }
 
     #[test]
@@ -493,23 +455,15 @@ mod tests {
         }
     }
 
-    /// Whether a dense join or elimination step reads a selection.
+    /// Whether a dense two-input step reads a selection.
     fn dense_over_select(p: &PhysicalPlan) -> bool {
         let select = |p: &PhysicalPlan| matches!(p, PhysicalPlan::Select { .. });
         match p {
             PhysicalPlan::Scan { .. } => false,
-            PhysicalPlan::Select { input, .. } | PhysicalPlan::GroupBy { input, .. } => {
-                dense_over_select(input)
-            }
-            PhysicalPlan::Join {
-                left, right, algo, ..
-            }
-            | PhysicalPlan::JoinAgg {
-                left, right, algo, ..
-            } => {
-                (*algo == JoinAlgo::Dense && (select(left) || select(right)))
-                    || dense_over_select(left)
-                    || dense_over_select(right)
+            PhysicalPlan::Select { input, .. } => dense_over_select(input),
+            PhysicalPlan::Step { inputs, repr, .. } => {
+                (*repr == OpRepr::Dense && inputs.len() == 2 && inputs.iter().any(select))
+                    || inputs.iter().any(dense_over_select)
             }
         }
     }
@@ -602,31 +556,16 @@ mod tests {
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
         let cfg = PhysicalConfig::default();
-        fn fused(p: &PhysicalPlan) -> Vec<JoinAlgo> {
-            match p {
-                PhysicalPlan::Scan { .. } => vec![],
-                PhysicalPlan::Select { input, .. } | PhysicalPlan::GroupBy { input, .. } => {
-                    fused(input)
-                }
-                PhysicalPlan::Join { left, right, .. } => [fused(left), fused(right)].concat(),
-                PhysicalPlan::JoinAgg {
-                    left, right, algo, ..
-                } => [vec![*algo], fused(left), fused(right)].concat(),
-            }
-        }
         let on = choose_physical(&ctx, &plan, cfg);
-        let off = choose_physical(&ctx, &plan, cfg.with_fuse(false));
         let render = |p: &PhysicalPlan| p.render(&|v| format!("x{}", v.0));
-        assert!(!fused(&on).is_empty(), "sparse pair fuses:\n{}", render(&on));
+        assert!(!fused_reprs(&on).is_empty(), "sparse pair fuses:\n{}", render(&on));
         assert!(
-            fused(&on).iter().all(|&a| a == JoinAlgo::SparseTensor),
+            fused_reprs(&on).iter().all(|&r| r == OpRepr::Sparse),
             "fused as a sparse step:\n{}",
             render(&on)
         );
-        assert!(fused(&off).is_empty(), "with_fuse(false) keeps the pair");
         assert_eq!(on.to_logical(), plan);
-        assert_eq!(off.to_logical(), plan);
-        assert_eq!(on.sparse_operator_count(), off.sparse_operator_count());
+        assert_eq!(on.sparse_operator_count(), plan.join_count() + plan.group_by_count());
         assert_eq!(on.dense_operator_count(), 0);
     }
 

@@ -844,10 +844,42 @@ impl FunctionalRelation {
         index
     }
 
-    /// Look up the measure of an exact variable-value row (linear in the
-    /// relation size; intended for tests and small relations).
+    /// Index of the first row equal to `row`, or `None` when no row is
+    /// (a row of another arity, or with a value outside a grid's or a
+    /// coordinate column's domain, matches nothing). A grid answers in
+    /// O(arity) by the row's odometer index, pinned-slice origins
+    /// honoured, and a coordinate column by binary search on the row's
+    /// linearized coordinate: neither materializes its packed keys.
+    /// Explicit rows are scanned in order, so the first of duplicate
+    /// rows wins.
+    pub fn find_row(&self, row: &[Value]) -> Option<usize> {
+        let arity = self.arity();
+        if row.len() != arity {
+            return None;
+        }
+        // The row's cell index over `domains` after subtracting
+        // `origins`, if every value lies on its axis.
+        let cell = |domains: &[u64], origins: Option<&[Value]>| {
+            row.iter().enumerate().try_fold(0u64, |idx, (p, &v)| {
+                let v = u64::from(v.checked_sub(origins.map_or(0, |o| o[p]))?);
+                (v < domains[p]).then(|| idx * domains[p] + v)
+            })
+        };
+        match &self.keys {
+            KeyCol::Rows(_) if arity == 0 => (!self.measures.is_empty()).then_some(0),
+            KeyCol::Rows(keys) => keys.chunks_exact(arity).position(|r| r == row),
+            KeyCol::Grid {
+                domains, origins, ..
+            } => cell(domains, Some(origins)).map(|i| i as usize),
+            KeyCol::Coords {
+                domains, coords, ..
+            } => coords.binary_search(&cell(domains, None)?).ok(),
+        }
+    }
+
+    /// The measure of the row equal to `row` ([`Self::find_row`]).
     pub fn lookup(&self, row: &[Value]) -> Option<f64> {
-        (0..self.len()).find_map(|i| (self.row(i) == row).then(|| self.measures[i]))
+        self.find_row(row).map(|i| self.measures[i])
     }
 
     /// A canonical copy with rows sorted lexicographically by variable
@@ -1039,6 +1071,58 @@ mod tests {
         assert_eq!(r.lookup(&[0, 0]), Some(0.0));
         r.validate_fd().unwrap();
         r.validate_domains(&c).unwrap();
+    }
+
+    /// `find_row` in every key form, a pinned slice's shifted grid
+    /// included, answers exactly what a first-match row scan answers —
+    /// for present, absent and out-of-domain rows and rows of the wrong
+    /// arity — and the implicit forms never materialize their keys.
+    #[test]
+    fn find_row_matches_a_row_scan_in_every_key_form() {
+        let (c, a, b, d) = catalog3();
+        let schema = Schema::new(vec![a, b, d]).unwrap();
+        let grid = FunctionalRelation::complete("g", schema.clone(), &c, |row| {
+            (row[0] * 100 + row[1] * 10 + row[2]) as f64
+        });
+        let slice = grid.pinned_slice("s", &[(1, 2)]).unwrap();
+        let coords = FunctionalRelation::from_coords(
+            "c",
+            schema.clone(),
+            vec![2, 3, 2],
+            vec![1, 4, 5, 10],
+            vec![1.0; 4],
+        );
+        // Explicit rows, out of order and with a duplicate argument tuple.
+        let rows = FunctionalRelation::from_rows(
+            "r",
+            schema,
+            [(vec![1, 2, 1], 1.0), (vec![0, 0, 1], 2.0), (vec![1, 2, 1], 3.0)],
+        )
+        .unwrap();
+        let keys_cached = |r: &FunctionalRelation| match &r.keys {
+            KeyCol::Rows(_) => false,
+            KeyCol::Grid { cache, .. } | KeyCol::Coords { cache, .. } => cache.get().is_some(),
+        };
+        for rel in [&grid, &slice, &coords, &rows] {
+            let mut probes: Vec<Vec<Value>> = vec![vec![], vec![0, 0], vec![0, 0, 0, 0]];
+            for i in 0..3 * 4 * 3 {
+                probes.push(vec![i / 12, i / 3 % 4, i % 3]);
+            }
+            let got: Vec<Option<usize>> = probes.iter().map(|p| rel.find_row(p)).collect();
+            assert!(!keys_cached(rel), "{} materialized its keys", rel.name());
+            let want: Vec<Option<usize>> = probes
+                .iter()
+                .map(|p| (0..rel.len()).find(|&i| rel.row(i) == p.as_slice()))
+                .collect();
+            assert_eq!(got, want, "{}", rel.name());
+            // The probes reach every stored row (a duplicate through its
+            // first occurrence).
+            let dups = usize::from(rel.name() == "r");
+            assert_eq!(want.iter().flatten().count(), rel.len() - dups, "{}", rel.name());
+        }
+        assert_eq!(rows.lookup(&[1, 2, 1]), Some(1.0), "the first duplicate wins");
+        assert_eq!(slice.lookup(&[1, 2, 0]), Some(120.0));
+        assert_eq!(slice.lookup(&[1, 1, 0]), None, "off the pinned axis");
     }
 
     #[test]
