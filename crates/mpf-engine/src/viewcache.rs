@@ -40,9 +40,17 @@
 //! shape evicts everything built against the old version. A query can
 //! therefore never observe a stale tree: it looks up under its pinned
 //! snapshot's version, and no mutation path leaves an entry behind under
-//! a version it did not verify. Patching runs outside the cache lock on
-//! a tree that shares every untouched table with the one readers still
-//! hold; the lock is taken only to collect the entries and to swap them.
+//! a version it did not verify.
+//!
+//! **Patching** runs outside the cache lock. The lock is taken once to
+//! move the trees a measure update reaches out of the map, and once to
+//! re-insert them under the new version. While a tree is out, nothing in
+//! the cache holds it, so the patch rewrites it in place through
+//! `Arc::make_mut`. Only a tree a reader still holds is copied, and then
+//! only the tables the patch rewrites (counter `patch_copies`); the
+//! reader keeps the whole old tree. A tree the update does not rewrite
+//! goes back as the very same `Arc`. Queries that look a tree up while
+//! it is out miss and run uncached, whichever snapshot they pinned.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -155,14 +163,12 @@ struct Entry {
     patches: u32,
 }
 
-/// What a mutation does to one resident entry.
+/// What a mutation does to a resident entry it does not patch.
 enum Fate {
     /// Still valid as is: re-key to the new version.
     Carry,
     /// Cannot be brought forward.
     Evict,
-    /// Replace the tree with its patched successor.
-    Patched(Arc<VeCache>),
 }
 
 impl Entry {
@@ -203,7 +209,10 @@ struct Counters {
     patched: AtomicU64,
     patched_conditioned: AtomicU64,
     patched_rows: AtomicU64,
-    patch_us: AtomicU64,
+    patch_copies: AtomicU64,
+    /// Summed in nanoseconds, published in microseconds, so that short
+    /// in-place patches do not each truncate to a whole microsecond.
+    patch_ns: AtomicU64,
     carried: AtomicU64,
     derived: AtomicU64,
     uncovered: AtomicU64,
@@ -396,22 +405,34 @@ impl ViewCache {
     /// Patch failures (no division in the semiring, a zero old measure, a
     /// ratio outside the carrier, an injected fault) and trees that have
     /// absorbed [`MAX_PATCHES`] updates degrade to eviction — correctness
-    /// never depends on a patch landing. Trees are patched with the cache
-    /// unlocked: readers pinned to the old snapshot keep hitting the old
-    /// entries until the swap.
+    /// never depends on a patch landing. The trees a measure update
+    /// reaches are taken out of the map under the lock and patched with
+    /// the cache unlocked, in place unless a reader still holds them
+    /// (then copy-on-write, counted as `patch_copies`); queries looking
+    /// them up miss until they are re-inserted under `new_version`, and
+    /// run uncached. Every other stale entry keeps serving readers pinned
+    /// to `old_version` until it is re-keyed or evicted under the second
+    /// lock.
     pub fn on_mutation(&self, old_version: u64, new_version: u64, event: &CacheEvent) {
         if !self.enabled() || old_version == new_version {
             return;
         }
         let reads = |entry: &Entry, name: &String| entry.base.contains(name);
-        // Under the lock: each stale entry's fate, and the trees a measure
-        // update reaches (evicted unless their patch lands).
-        let mut to_patch: Vec<(usize, Arc<VeCache>)> = Vec::new();
+        // Under the lock: the fate of each stale entry left in the map,
+        // and the entries a measure update reaches, taken out to patch.
+        let mut taken: Vec<(CacheKey, Entry)> = Vec::new();
         let mut fates: Vec<(CacheKey, Fate)> = Vec::new();
         {
             let mut inner = lock(&self.inner);
             inner.demand.retain(|k, _| k.version != old_version);
-            for (key, entry) in inner.entries.iter().filter(|(k, _)| k.version == old_version) {
+            let stale: Vec<CacheKey> = inner
+                .entries
+                .keys()
+                .filter(|k| k.version == old_version)
+                .cloned()
+                .collect();
+            for key in stale {
+                let entry = &inner.entries[&key];
                 let fate = match event {
                     CacheEvent::Unknown => Fate::Evict,
                     CacheEvent::Touched(names) if names.iter().any(|n| reads(entry, n)) => {
@@ -421,18 +442,20 @@ impl ViewCache {
                     CacheEvent::MeasureUpdate { relation, .. } if !reads(entry, relation) => {
                         Fate::Carry
                     }
-                    CacheEvent::MeasureUpdate { .. } => {
-                        if entry.patches < MAX_PATCHES {
-                            to_patch.push((fates.len(), Arc::clone(&entry.tree)));
-                        }
-                        Fate::Evict
+                    CacheEvent::MeasureUpdate { .. } if entry.patches < MAX_PATCHES => {
+                        let entry = inner.entries.remove(&key).expect("listed above");
+                        inner.bytes -= entry.bytes;
+                        taken.push((key, entry));
+                        continue;
                     }
+                    CacheEvent::MeasureUpdate { .. } => Fate::Evict,
                 };
-                fates.push((key.clone(), fate));
+                fates.push((key, fate));
             }
         }
 
         // Unlocked: patching a tree is the only real work of an install.
+        let mut forward: Vec<(CacheKey, Entry)> = Vec::with_capacity(taken.len());
         if let CacheEvent::MeasureUpdate {
             relation,
             row,
@@ -441,31 +464,44 @@ impl ViewCache {
         } = event
         {
             let c = &self.counters;
-            for (at, tree) in to_patch {
+            for (key, mut entry) in taken {
                 let t0 = Instant::now();
-                match tree.update_measure(relation, row, *old, *new) {
+                let held = Arc::as_ptr(&entry.tree);
+                let outcome = entry.tree.update_measure(relation, row, *old, *new);
+                c.patch_ns
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                c.invalidations.fetch_add(1, Ordering::Relaxed);
+                match outcome {
                     // The tree's evidence excludes the row (or the measure
-                    // did not move): nothing to rewrite.
-                    Ok((_, 0)) => fates[at].1 = Fate::Carry,
-                    Ok((patched, rows)) => {
+                    // did not move): the same tree, nothing rewritten.
+                    Ok(0) => {
+                        c.carried.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(rows) => {
                         c.patched.fetch_add(1, Ordering::Relaxed);
-                        if !fates[at].0.evidence.is_empty() {
+                        if !key.evidence.is_empty() {
                             c.patched_conditioned.fetch_add(1, Ordering::Relaxed);
                         }
+                        if !std::ptr::eq(held, Arc::as_ptr(&entry.tree)) {
+                            c.patch_copies.fetch_add(1, Ordering::Relaxed);
+                        }
                         c.patched_rows.fetch_add(rows as u64, Ordering::Relaxed);
-                        fates[at].1 = Fate::Patched(Arc::new(patched));
+                        entry.bytes = entry.tree.heap_bytes();
+                        entry.patches += 1;
                     }
-                    Err(_) => {}
+                    Err(_) => {
+                        c.evictions.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
                 }
-                c.patch_us
-                    .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+                forward.push((key, entry));
             }
         }
 
         let mut inner = lock(&self.inner);
-        for (mut key, fate) in fates {
-            // An admission may have evicted the entry while it was patched.
-            let Some(mut entry) = inner.entries.remove(&key) else {
+        for (key, fate) in fates {
+            // An admission may have evicted the entry meanwhile.
+            let Some(entry) = inner.entries.remove(&key) else {
                 continue;
             };
             inner.bytes -= entry.bytes;
@@ -473,19 +509,18 @@ impl ViewCache {
             match fate {
                 Fate::Evict => {
                     self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-                    continue;
                 }
                 Fate::Carry => {
                     self.counters.carried.fetch_add(1, Ordering::Relaxed);
-                }
-                Fate::Patched(tree) => {
-                    entry.bytes = tree.heap_bytes();
-                    entry.tree = tree;
-                    entry.patches += 1;
+                    forward.push((key, entry));
                 }
             }
+        }
+        for (mut key, entry) in forward {
             key.version = new_version;
             inner.bytes += entry.bytes;
+            // A reader that missed meanwhile may have admitted a fresh
+            // build under the new version; the patched tree replaces it.
             if let Some(old) = inner.entries.insert(key, entry) {
                 inner.bytes -= old.bytes;
             }
@@ -550,7 +585,14 @@ impl ViewCache {
             "engine.cache.patched_rows",
             c.patched_rows.load(Ordering::Relaxed),
         );
-        m.set("engine.cache.patch_us", c.patch_us.load(Ordering::Relaxed));
+        m.set(
+            "engine.cache.patch_copies",
+            c.patch_copies.load(Ordering::Relaxed),
+        );
+        m.set(
+            "engine.cache.patch_us",
+            c.patch_ns.load(Ordering::Relaxed) / 1000,
+        );
         m.set("engine.cache.carried", c.carried.load(Ordering::Relaxed));
         m.set("engine.cache.derived", c.derived.load(Ordering::Relaxed));
         m.set("engine.cache.uncovered", c.uncovered.load(Ordering::Relaxed));
@@ -564,8 +606,9 @@ impl ViewCache {
 
     /// A named cumulative counter, for tests and diagnostics: one of
     /// `hits`, `misses`, `admits`, `evictions`, `invalidations`,
-    /// `patched`, `patched_conditioned`, `patched_rows`, `patch_us`,
-    /// `carried`, `derived`, `uncovered`, `build_discarded`.
+    /// `patched`, `patched_conditioned`, `patched_rows`, `patch_copies`
+    /// (patches that copied their tree because a reader still held it),
+    /// `patch_us`, `carried`, `derived`, `uncovered`, `build_discarded`.
     pub fn counter(&self, name: &str) -> u64 {
         let c = &self.counters;
         match name {
@@ -577,7 +620,8 @@ impl ViewCache {
             "patched" => c.patched.load(Ordering::Relaxed),
             "patched_conditioned" => c.patched_conditioned.load(Ordering::Relaxed),
             "patched_rows" => c.patched_rows.load(Ordering::Relaxed),
-            "patch_us" => c.patch_us.load(Ordering::Relaxed),
+            "patch_copies" => c.patch_copies.load(Ordering::Relaxed),
+            "patch_us" => c.patch_ns.load(Ordering::Relaxed) / 1000,
             "carried" => c.carried.load(Ordering::Relaxed),
             "derived" => c.derived.load(Ordering::Relaxed),
             "uncovered" => c.uncovered.load(Ordering::Relaxed),

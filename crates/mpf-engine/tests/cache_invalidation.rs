@@ -249,6 +249,72 @@ fn a_racing_build_does_not_replace_a_patched_tree() {
     assert_eq!(vc.counter("build_discarded"), discarded + 1);
 }
 
+/// A reader holding a tree across a point update keeps exactly what it
+/// held: the patch copies that tree (counter `patch_copies`), and the
+/// new version's entry answers as a cold database does. Once no reader
+/// holds the tree, the next patch rewrites it in place.
+#[test]
+fn a_held_tree_is_copied_on_write_and_an_unheld_one_is_patched_in_place() {
+    let warm = build_db(16 << 20);
+    let cold = build_db(0);
+    let queries = ["a", "b", "c"].map(|v| Query::on("v").group_by([v]));
+    for _ in 0..3 {
+        warm.run(&queries[0]).unwrap();
+    }
+    let vc = warm.view_cache().unwrap();
+    let mut key = mpf_engine::CacheKey {
+        version: warm.snapshot().version(),
+        view: "v".into(),
+        semiring: mpf_semiring::SemiringKind::SumProduct,
+        evidence: Vec::new(),
+    };
+    let measure_bits = |tree: &mpf_infer::VeCache| -> Vec<Vec<u64>> {
+        let bits = |t: &FunctionalRelation| t.measures().iter().map(|m| m.to_bits()).collect();
+        tree.tables().iter().map(|t| bits(t)).collect()
+    };
+    let agree = |step: &str| {
+        for q in &queries {
+            let served = warm.run(q).unwrap();
+            assert!(served.cache.is_some(), "{q} fell out of the cache {step}");
+            assert_eq!(canon(&served), canon(&cold.run(q).unwrap()), "{q} {step}");
+        }
+    };
+
+    let held = vc.lookup(&key).expect("tree resident");
+    let before = measure_bits(&held);
+    let (patched, copies) = (vc.counter("patched"), vc.counter("patch_copies"));
+    for db in [&warm, &cold] {
+        db.update_measure("r1", &[1, 1], 3.0).unwrap();
+    }
+    assert_eq!(vc.counter("patched"), patched + 1);
+    assert_eq!(
+        vc.counter("patch_copies"),
+        copies + 1,
+        "the held tree was not copied"
+    );
+    assert_eq!(
+        measure_bits(&held),
+        before,
+        "the held tree changed under its reader"
+    );
+    key.version = warm.snapshot().version();
+    let resident = vc.lookup(&key).expect("patched tree resident");
+    assert!(!std::sync::Arc::ptr_eq(&held, &resident));
+    drop((held, resident));
+    agree("after a copy-on-write patch");
+
+    for db in [&warm, &cold] {
+        db.update_measure("r1", &[1, 1], 1.5).unwrap();
+    }
+    assert_eq!(vc.counter("patched"), patched + 2);
+    assert_eq!(
+        vc.counter("patch_copies"),
+        copies + 1,
+        "an unheld tree was copied"
+    );
+    agree("after an in-place patch");
+}
+
 /// Warm `v`'s base tree and the tree conditioned on `b = 1`, and return
 /// the conditioned tree's cache key at the current snapshot version.
 fn warm_with_conditioned_tree(db: &Database) -> mpf_engine::CacheKey {

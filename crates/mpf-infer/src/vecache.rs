@@ -30,9 +30,14 @@
 //! a calibrated tree already agrees on every other key. A point update
 //! therefore rewrites only the rows whose measure really changes; evidence
 //! is the same walk with every row of the source in the change set.
-//! Tables sit behind `Arc`s: a derived or patched tree shares every table
-//! the walk did not touch with the tree it came from, and a reader holding
-//! the old tree never observes a partial patch.
+//! Tables sit behind `Arc`s: a derived tree shares every table the walk
+//! did not touch with the tree it came from. A point update patches its
+//! tree in place through `Arc::make_mut`, so it copies a table only while
+//! someone else still holds it: a reader holding the old tree keeps it
+//! whole and never observes a partial patch, and a tree nobody else holds
+//! is rewritten without copying. An update that rewrites nothing (the
+//! tree's evidence excludes the row, or the ratio is one) is settled by a
+//! read-only scan and leaves the very same `Arc`.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -566,10 +571,11 @@ impl VeCache {
         Ok(out)
     }
 
-    /// Incremental view maintenance: return a cache reflecting a changed
-    /// measure of one row of a base relation (the materialize-and-maintain
-    /// option the paper's introduction raises), without rebuilding, plus
-    /// the number of cached rows the change rewrote.
+    /// Incremental view maintenance: patch the tree in place to reflect a
+    /// changed measure of one row of a base relation (the
+    /// materialize-and-maintain option the paper's introduction raises),
+    /// without rebuilding, and return the number of cached rows the change
+    /// rewrote.
     ///
     /// The base row's measure enters the view product exactly once — inside
     /// the cached table whose join consumed the base relation — so the
@@ -577,9 +583,17 @@ impl VeCache {
     /// and carries the change outward along the cache tree, rescaling on
     /// each edge only the rows whose separator key a changed row carries
     /// (the same walk as evidence conditioning, with a smaller change
-    /// set). Rows, row order and every untouched table are shared with
-    /// `self`; a tree conditioned on evidence that excludes `row` comes
-    /// back with nothing rewritten.
+    /// set).
+    ///
+    /// A read-only scan of the consuming table decides first whether
+    /// anything is rewritten. When nothing is (the tree's evidence excludes
+    /// `row`, or the ratio is one) the tree is left as the very same `Arc`
+    /// and `0` returned. Otherwise the patch goes through [`Arc::make_mut`],
+    /// on the tree and on each table it rewrites: in place where nothing
+    /// else holds them, copied where something does. A caller that keeps
+    /// the old tree patches an [`Arc::clone`] of it; the patched tree then
+    /// shares rows, row order and every untouched table with the old one,
+    /// and the old one never observes a partial patch.
     ///
     /// The result equals a rebuild bit for bit when every ratio involved
     /// is exact in `f64`; otherwise each rewritten measure picks up a few
@@ -590,14 +604,16 @@ impl VeCache {
     /// measure is the additive identity (a `0 → x` change alters the view's
     /// support and needs a rebuild), a separator ratio leaves the carrier
     /// (a marginal collapsed to the additive identity), or the semiring
-    /// cannot express the ratio.
+    /// cannot express the ratio. The first two leave the tree untouched;
+    /// after the others (and after an injected fault) the tree may be
+    /// partly patched and must be dropped.
     pub fn update_measure(
-        &self,
+        self: &mut Arc<Self>,
         relation: &str,
         row: &[Value],
         old: f64,
         new: f64,
-    ) -> Result<(VeCache, usize)> {
+    ) -> Result<usize> {
         let sr = self.semiring;
         let base = self
             .base_names
@@ -619,35 +635,34 @@ impl VeCache {
                 "base relation `{relation}` has no variables; rebuild the cache"
             )));
         };
-        let positions = self.tables[source]
+        if ratio == sr.one() {
+            return Ok(0);
+        }
+        // The consuming table's rows matching the base row, scanned over
+        // the packed key column (its arity is at least the base
+        // relation's, which is not zero) before anything is copied.
+        let table = &self.tables[source];
+        let positions = table
             .schema()
             .positions(self.base_schemas[base].vars())
             .expect("base variables are inside the consuming clique");
+        let matches = |r: &[Value]| positions.iter().zip(row).all(|(&p, &v)| r[p] == v);
+        let hits: Vec<u32> = (0u32..)
+            .zip(table.values_col().chunks_exact(table.arity()))
+            .filter_map(|(i, r)| matches(r).then_some(i))
+            .collect();
+        if hits.is_empty() {
+            return Ok(0);
+        }
 
-        let mut out = self.clone();
-        let rewritten = out.change_and_propagate(source, |table| {
-            // The consuming table's rows matching the base row, scanned
-            // over the packed key column (its arity is at least the base
-            // relation's, which is not zero).
-            let matches = |r: &[Value]| positions.iter().zip(row).all(|(&p, &v)| r[p] == v);
-            let hits: Vec<u32> = if ratio == sr.one() {
-                Vec::new()
-            } else {
-                (0u32..)
-                    .zip(table.values_col().chunks_exact(table.arity()))
-                    .filter_map(|(i, r)| matches(r).then_some(i))
-                    .collect()
-            };
-            if !hits.is_empty() {
-                let table = Arc::make_mut(table);
-                for &i in &hits {
-                    let m = table.measure(i as usize);
-                    table.set_measure(i as usize, sr.mul(m, ratio));
-                }
+        Arc::make_mut(self).change_and_propagate(source, |table| {
+            let table = Arc::make_mut(table);
+            for &i in &hits {
+                let m = table.measure(i as usize);
+                table.set_measure(i as usize, sr.mul(m, ratio));
             }
             Ok(Changed::Rows(hits))
-        })?;
-        Ok((out, rewritten))
+        })
     }
 
     /// Column positions of the separator between tables `a` and `b`, in
@@ -701,9 +716,6 @@ impl VeCache {
         let old_total = (walk.len() < self.tables.len()).then(|| total(&self.tables[source]));
 
         let changed = change(&mut self.tables[source])?;
-        if matches!(&changed, Changed::Rows(rows) if rows.is_empty()) {
-            return Ok(0);
-        }
         let mut rewritten = changed.count(&self.tables[source]);
         let mut state: Vec<Option<Changed>> = (0..self.tables.len()).map(|_| None).collect();
         state[source] = Some(changed);
@@ -1087,14 +1099,15 @@ mod tests {
         let rels = supply_chain(&mut cat);
         let refs: Vec<&FunctionalRelation> = rels.iter().collect();
         let sr = SemiringKind::SumProduct;
-        let cache = VeCache::build_in(&mut ExecContext::new(sr), &refs, None).unwrap();
+        let mut maintained =
+            Arc::new(VeCache::build_in(&mut ExecContext::new(sr), &refs, None).unwrap());
 
         // Change one row of `warehouses` and maintain incrementally.
         let wh_idx = rels.iter().position(|r| r.name() == "warehouses").unwrap();
         let row = rels[wh_idx].row(0).to_vec();
         let old = rels[wh_idx].measure(0);
         let new = old * 3.5;
-        let (maintained, _) = cache
+        maintained
             .update_measure("warehouses", &row, old, new)
             .unwrap();
 
@@ -1119,7 +1132,10 @@ mod tests {
         let mut cat = Catalog::new();
         let rels = supply_chain(&mut cat);
         let refs: Vec<&FunctionalRelation> = rels.iter().collect();
-        let cache = VeCache::build_in(&mut ExecContext::new(SemiringKind::SumProduct), &refs, None).unwrap();
+        let mut cache = Arc::new(
+            VeCache::build_in(&mut ExecContext::new(SemiringKind::SumProduct), &refs, None)
+                .unwrap(),
+        );
         assert!(matches!(
             cache.update_measure("warehouses", &[0, 0], 0.0, 1.0),
             Err(InferError::InvalidUpdate(_))
@@ -1170,14 +1186,16 @@ mod tests {
         let (rels, order) = sparse_chain(&mut cat);
         let refs: Vec<&FunctionalRelation> = rels.iter().collect();
         let sr = SemiringKind::SumProduct;
-        let cache = VeCache::build_in(&mut ExecContext::new(sr), &refs, Some(&order)).unwrap();
+        let cache =
+            Arc::new(VeCache::build_in(&mut ExecContext::new(sr), &refs, Some(&order)).unwrap());
         assert_eq!(cache.edges(), &[(0, 1), (1, 2)]);
         let rows: Vec<usize> = cache.tables().iter().map(|t| t.len()).collect();
         assert_eq!(rows, [6, 4, 3]);
 
         // r0(a=0, b=1) × 3: one row of t0; b = 1 reaches the two rows
         // (1,1), (1,2) of t1; their c ∈ {1, 2} reaches two rows of t2.
-        let (patched, n) = cache.update_measure("r0", &[0, 1], 1.25, 3.75).unwrap();
+        let mut patched = Arc::clone(&cache);
+        let n = patched.update_measure("r0", &[0, 1], 1.25, 3.75).unwrap();
         assert_eq!(n, 1 + 2 + 2);
         let changed: Vec<Vec<usize>> = (0..3)
             .map(|i| rewritten_rows(&cache.tables()[i], &patched.tables()[i]))
@@ -1186,7 +1204,7 @@ mod tests {
 
         // From the other end: r2(c=0) reaches t1's (0,0), (2,0), whose
         // b ∈ {0, 2} reaches four rows of t0.
-        let (patched, n) = patched.update_measure("r2", &[0], 2.0, 5.0).unwrap();
+        let n = patched.update_measure("r2", &[0], 2.0, 5.0).unwrap();
         assert_eq!(n, 1 + 2 + 4);
 
         let mut modified = rels.clone();
@@ -1197,6 +1215,39 @@ mod tests {
     }
 
     #[test]
+    fn an_unshared_tree_is_patched_in_place_and_a_carry_copies_nothing() {
+        let mut cat = Catalog::new();
+        let (rels, order) = sparse_chain(&mut cat);
+        let refs: Vec<&FunctionalRelation> = rels.iter().collect();
+        let sr = SemiringKind::SumProduct;
+        let mut tree =
+            Arc::new(VeCache::build_in(&mut ExecContext::new(sr), &refs, Some(&order)).unwrap());
+        let addresses = |t: &Arc<VeCache>| {
+            let tables: Vec<_> = t.tables().iter().map(Arc::as_ptr).collect();
+            (Arc::as_ptr(t), tables)
+        };
+        let before = addresses(&tree);
+        assert_eq!(
+            tree.update_measure("r0", &[0, 1], 1.25, 3.75).unwrap(),
+            1 + 2 + 2
+        );
+        assert_eq!(addresses(&tree), before, "an unshared tree was copied");
+
+        // Held elsewhere, a tree that the update does not rewrite is left
+        // as the same allocation: a ratio of one, or evidence that
+        // excludes the row.
+        let held = Arc::clone(&tree);
+        assert_eq!(tree.update_measure("r0", &[0, 1], 3.75, 3.75).unwrap(), 0);
+        assert!(Arc::ptr_eq(&tree, &held));
+        let a = order[0];
+        let mut conditioned = Arc::new(tree.with_evidence(a, 1).unwrap());
+        let held = Arc::clone(&conditioned);
+        let n = conditioned.update_measure("r0", &[0, 1], 3.75, 7.5).unwrap();
+        assert_eq!(n, 0);
+        assert!(Arc::ptr_eq(&conditioned, &held));
+    }
+
+    #[test]
     fn update_that_moves_no_marginal_shares_downstream_tables() {
         // In max-product a row below its group's maximum does not move the
         // max-marginal, so the quotient is exactly one and the walk stops.
@@ -1204,11 +1255,13 @@ mod tests {
         let (rels, order) = sparse_chain(&mut cat);
         let refs: Vec<&FunctionalRelation> = rels.iter().collect();
         let sr = SemiringKind::MaxProduct;
-        let cache = VeCache::build_in(&mut ExecContext::new(sr), &refs, Some(&order)).unwrap();
+        let cache =
+            Arc::new(VeCache::build_in(&mut ExecContext::new(sr), &refs, Some(&order)).unwrap());
         // r0(a=0,b=1) = 1.25 < r0(a=1,b=1) = 2.0; raising it to 1.5 keeps
         // the max over a at b = 1.
         let before = cache.tables()[0].measure(1);
-        let (patched, n) = cache.update_measure("r0", &[0, 1], 1.25, 1.5).unwrap();
+        let mut patched = Arc::clone(&cache);
+        let n = patched.update_measure("r0", &[0, 1], 1.25, 1.5).unwrap();
         assert_eq!(n, 1);
         assert!(!Arc::ptr_eq(&cache.tables()[0], &patched.tables()[0]));
         assert!(Arc::ptr_eq(&cache.tables()[1], &patched.tables()[1]));
@@ -1230,14 +1283,15 @@ mod tests {
         let refs: Vec<&FunctionalRelation> = rels.iter().collect();
         let tid = cat.var("tid").unwrap();
         let built = VeCache::build_in(&mut ExecContext::new(sr), &refs, None).unwrap();
-        let mut trees = [built.clone(), built.with_evidence(tid, 1).unwrap()];
-        let shape = |t: &VeCache| -> Vec<(String, usize)> {
+        let mut trees = [built.clone(), built.with_evidence(tid, 1).unwrap()].map(Arc::new);
+        let shape = |t: &Arc<VeCache>| -> Vec<(String, usize)> {
             t.tables()
                 .iter()
                 .map(|t| (t.name().to_string(), t.len()))
                 .collect()
         };
-        let table_bytes = |t: &VeCache| t.tables().iter().map(|t| t.heap_bytes()).sum::<usize>();
+        let table_bytes =
+            |t: &Arc<VeCache>| t.tables().iter().map(|t| t.heap_bytes()).sum::<usize>();
         let shapes = trees.each_ref().map(shape);
         let built_bytes = trees.each_ref().map(table_bytes);
         for (i, names) in shapes.iter().enumerate() {
@@ -1254,11 +1308,11 @@ mod tests {
             let new = if step % 2 == 0 { old * 1.7 } else { old / 1.3 };
             rels[r].set_measure(i, new);
             for tree in &mut trees {
-                *tree = tree.update_measure(rels[r].name(), &row, old, new).unwrap().0;
+                tree.update_measure(rels[r].name(), &row, old, new).unwrap();
             }
             // The first patch adds the separator row groups and copies the
             // tables it touches (here: all) to exact capacity — once.
-            let bytes = trees.each_ref().map(VeCache::heap_bytes);
+            let bytes = trees.each_ref().map(|t| t.heap_bytes());
             assert_eq!(*bytes_after_first.get_or_insert(bytes), bytes, "step {step}");
         }
         assert_eq!(trees.each_ref().map(shape), shapes);

@@ -9,6 +9,8 @@
 //! `cache_invalidation` suite holds that line); this suite bounds what
 //! inexact ratios may add on top.
 
+use std::sync::Arc;
+
 use mpf_algebra::ExecContext;
 use mpf_infer::VeCache;
 use mpf_semiring::SemiringKind;
@@ -101,7 +103,10 @@ fn drift_after(patches: &[(usize, usize, f64)]) -> f64 {
         ev => base.with_evidence_set(ev).unwrap(),
     };
     let base = build(&rels);
-    let mut trees: Vec<VeCache> = evidence.iter().map(|ev| derive(&base, ev)).collect();
+    let mut trees: Vec<Arc<VeCache>> = evidence
+        .iter()
+        .map(|ev| Arc::new(derive(&base, ev)))
+        .collect();
 
     for &(r, i, ratio) in patches {
         let i = i % rels[r].len();
@@ -110,7 +115,7 @@ fn drift_after(patches: &[(usize, usize, f64)]) -> f64 {
         let new = if (1e-3..1e3).contains(&(old * ratio)) { old * ratio } else { old / ratio };
         rels[r].set_measure(i, new);
         for tree in &mut trees {
-            *tree = tree.update_measure(rels[r].name(), &row, old, new).unwrap().0;
+            tree.update_measure(rels[r].name(), &row, old, new).unwrap();
         }
     }
 

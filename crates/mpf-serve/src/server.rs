@@ -520,11 +520,14 @@ mod tests {
         assert_eq!(m.counter("engine.cache.patched"), 2);
         assert_eq!(m.counter("engine.cache.patched_conditioned"), 1);
         assert!(m.counter("engine.cache.patched_rows") >= 2);
+        // No request held a tree across the update: both patched in place.
+        assert_eq!(m.counter("engine.cache.patch_copies"), 0);
         let (frame, _) = server.handle_line("METRICS");
         for name in [
             "engine.update_us",
             "engine.writer_lock_hold_us",
             "engine.cache.patch_us",
+            "engine.cache.patch_copies",
             "engine.cache.patched_rows",
             "engine.cache.patched_conditioned",
         ] {

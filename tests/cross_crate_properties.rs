@@ -1,6 +1,8 @@
 //! Cross-crate property tests: random view structures exercised through
 //! the optimizer, executor, and inference layers simultaneously.
 
+use std::sync::Arc;
+
 use mpf::algebra::{ops, ExecContext, RelationStore};
 use mpf::infer::{acyclic, bp, VeCache};
 use mpf::semiring::SemiringKind;
@@ -146,7 +148,8 @@ proptest! {
         }
         let sr = SemiringKind::SumProduct;
         let refs: Vec<&FunctionalRelation> = rels.iter().collect();
-        let cache = VeCache::build_in(&mut ExecContext::new(sr), &refs, None).unwrap();
+        let mut maintained =
+            Arc::new(VeCache::build_in(&mut ExecContext::new(sr), &refs, None).unwrap());
 
         // Pick a base relation and row.
         let ri = pick % rels.len();
@@ -156,7 +159,7 @@ proptest! {
         let new = old * (factor as f64) / 2.0;
         let name = rels[ri].name().to_string();
 
-        let (maintained, _) = cache.update_measure(&name, &row, old, new).unwrap();
+        maintained.update_measure(&name, &row, old, new).unwrap();
         rels[ri].set_measure(row_i, new);
         let mod_refs: Vec<&FunctionalRelation> = rels.iter().collect();
 
