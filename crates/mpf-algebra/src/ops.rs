@@ -12,6 +12,9 @@
 //! semiring's carrier (NaN, or an infinity that is not the additive
 //! identity) with [`AlgebraError::NonFiniteMeasure`].
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
 use mpf_semiring::SemiringKind;
 use mpf_storage::{FunctionalRelation, Key, Schema, Value, VarId};
 
@@ -25,80 +28,19 @@ use crate::{AlgebraError, DenseMode, ExecContext, OpRepr, ReprMode, Result};
 /// `Var(l) ∩ Var(r)`. When the schemas are disjoint this degenerates to a
 /// cross product with multiplied measures, as the algebra requires.
 ///
-/// Implementation: classic hash join. The smaller input is built into a hash
-/// index keyed on the shared variables; the larger input probes it.
+/// Implementation: the hash step with nothing eliminated, so every
+/// matching pair is one output row, emitted as it is produced. The
+/// smaller input is built into a hash index keyed on the shared
+/// variables; the larger input probes it. Rows that are not functional
+/// keep their duplicates.
 pub fn product_join(
     cx: &mut ExecContext<'_>,
     l: &FunctionalRelation,
     r: &FunctionalRelation,
 ) -> Result<FunctionalRelation> {
     cx.fault("product_join")?;
-    let out = product_join_impl(cx.semiring(), l, r, cx.budget())?;
+    let out = hash_step(cx.semiring(), &[l, r], None, cx.budget())?;
     cx.record_join(&[l, r], &out);
-    Ok(out)
-}
-
-/// [`product_join`] body: budget-guarded, no fault site or accounting.
-fn product_join_impl(
-    sr: SemiringKind,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-    budget: Option<&ExecBudget>,
-) -> Result<FunctionalRelation> {
-    let out_schema = l.schema().union(r.schema());
-    let mut guard = OpGuard::new(budget, out_schema.arity());
-    let shared = l.schema().intersect(r.schema());
-
-    // Choose build/probe sides by cardinality.
-    let (build, probe) = if l.len() <= r.len() { (l, r) } else { (r, l) };
-    let build_shared = build.schema().positions(shared.vars())?;
-    let probe_shared = probe.schema().positions(shared.vars())?;
-
-    // For each output column, record which side and position it comes from.
-    // Prefer the probe side so the inner loop copies contiguously when
-    // possible; correctness is unaffected because shared columns are equal.
-    enum Src {
-        Probe(usize),
-        Build(usize),
-    }
-    let srcs: Vec<Src> = out_schema
-        .iter()
-        .map(|v| {
-            if let Ok(p) = probe.schema().position(v) {
-                Ok(Src::Probe(p))
-            } else {
-                Ok(Src::Build(build.schema().position(v)?))
-            }
-        })
-        .collect::<Result<_>>()?;
-
-    let index = build.build_index(&build_shared);
-    let mut out = FunctionalRelation::new(
-        format!("({}⨝*{})", l.name(), r.name()),
-        out_schema.clone(),
-    );
-    let mut row_buf: Vec<Value> = vec![0; out_schema.arity()];
-    for i in 0..probe.len() {
-        guard.poll()?;
-        let prow = probe.row(i);
-        let key = Key::extract(prow, &probe_shared);
-        let Some(matches) = index.get(&key) else {
-            continue;
-        };
-        let pm = probe.measure(i);
-        for &j in matches {
-            let brow = build.row(j as usize);
-            for (c, src) in srcs.iter().enumerate() {
-                row_buf[c] = match src {
-                    Src::Probe(p) => prow[*p],
-                    Src::Build(p) => brow[*p],
-                };
-            }
-            out.push_row(&row_buf, sr.mul(pm, build.measure(j as usize)))?;
-            guard.produced()?;
-        }
-    }
-    guard.finish()?;
     Ok(out)
 }
 
@@ -114,63 +56,8 @@ pub fn group_by(
     group_vars: &[VarId],
 ) -> Result<FunctionalRelation> {
     cx.fault("group_by")?;
-    let out = group_by_impl(cx.semiring(), input, group_vars, cx.budget())?;
+    let out = hash_step(cx.semiring(), &[input], Some(group_vars), cx.budget())?;
     cx.record_group_by(&[input], &out);
-    Ok(out)
-}
-
-/// [`group_by`] body: budget-guarded, no fault site or accounting.
-fn group_by_impl(
-    sr: SemiringKind,
-    input: &FunctionalRelation,
-    group_vars: &[VarId],
-    budget: Option<&ExecBudget>,
-) -> Result<FunctionalRelation> {
-    for &v in group_vars {
-        if !input.schema().contains(v) {
-            return Err(AlgebraError::GroupVarNotInInput(v));
-        }
-    }
-    let out_schema = Schema::new(group_vars.to_vec())?;
-    let positions = input.schema().positions(group_vars)?;
-    let mut guard = OpGuard::new(budget, group_vars.len());
-
-    let mut groups: std::collections::HashMap<Key, usize> =
-        std::collections::HashMap::with_capacity(input.len().min(1 << 20));
-    let mut out = FunctionalRelation::new(
-        format!("γ({})", input.name()),
-        out_schema,
-    );
-    let mut key_row: Vec<Value> = vec![0; group_vars.len()];
-    for i in 0..input.len() {
-        guard.poll()?;
-        let row = input.row(i);
-        let key = Key::extract(row, &positions);
-        let m = input.measure(i);
-        match groups.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let idx = *e.get();
-                let acc = sr.add(out.measure(idx), m);
-                if !sr.is_valid_accumulation(acc) {
-                    return Err(AlgebraError::NonFiniteMeasure {
-                        op: "group_by",
-                        value: acc,
-                    });
-                }
-                // Re-push is not possible; mutate via measures slice.
-                out.set_measure(idx, acc);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                for (c, &p) in positions.iter().enumerate() {
-                    key_row[c] = row[p];
-                }
-                e.insert(out.len());
-                out.push_row(&key_row, m)?;
-                guard.produced()?;
-            }
-        }
-    }
-    guard.finish()?;
     Ok(out)
 }
 
@@ -179,7 +66,9 @@ fn group_by_impl(
 /// materializing the intermediate join — the canonical VE elimination
 /// step, where `X` drops the join-only variables.
 ///
-/// Bit-identical to the unfused hash pipeline: the probe loop visits
+/// It is the hash step that [`product_join`] (nothing eliminated) and
+/// [`group_by`] (one operand) are the degenerate forms of, so it is
+/// bit-identical to the unfused hash pipeline: the probe loop visits
 /// matches in exactly [`product_join`]'s order (build = smaller side,
 /// probe-major emission, `mul(probe, build)`), and groups accumulate in
 /// production order with first-occurrence output order, exactly like
@@ -192,95 +81,124 @@ pub fn join_group_by(
     group_vars: &[VarId],
 ) -> Result<FunctionalRelation> {
     cx.fault("join_group_by")?;
-    let out = join_group_by_impl(cx.semiring(), l, r, group_vars, cx.budget())?;
+    let out = hash_step(cx.semiring(), &[l, r], Some(group_vars), cx.budget())?;
     cx.record_join_agg_ex(&[l, r], &out, crate::trace::OpRepr::Rows);
     Ok(out)
 }
 
-/// [`join_group_by`] body: budget-guarded, no fault site or accounting.
-fn join_group_by_impl(
+/// The hash elimination step `GroupBy_X(⨝* inputs)` over one or two
+/// inputs, the reference semantics: budget-guarded, no fault site or
+/// accounting. The smaller of two inputs is built into a hash index on
+/// the shared variables and the larger probes it, each match's product
+/// being `mul(probe, build)`; a lone input is probed with no build side,
+/// and its measures are its products. With `group_vars` `None` (a join)
+/// every product is one output row over `Var(l) ∪ Var(r)`, emitted as it
+/// is produced; otherwise products fold into their group in production
+/// order, groups kept in first-occurrence order.
+fn hash_step(
     sr: SemiringKind,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-    group_vars: &[VarId],
+    inputs: &[&FunctionalRelation],
+    group_vars: Option<&[VarId]>,
     budget: Option<&ExecBudget>,
 ) -> Result<FunctionalRelation> {
-    for &v in group_vars {
-        if !l.schema().contains(v) && !r.schema().contains(v) {
+    for &v in group_vars.unwrap_or_default() {
+        if !inputs.iter().any(|r| r.schema().contains(v)) {
             return Err(AlgebraError::GroupVarNotInInput(v));
         }
     }
-    let out_schema = Schema::new(group_vars.to_vec())?;
+    let (name, out_schema, probe, build) = match *inputs {
+        [l, r] => {
+            let name = format!("({}⨝*{})", l.name(), r.name());
+            let (build, probe) = if l.len() <= r.len() { (l, r) } else { (r, l) };
+            (name, l.schema().union(r.schema()), probe, Some(build))
+        }
+        [x] => (x.name().to_string(), x.schema().clone(), x, None),
+        _ => unreachable!("one or two inputs"),
+    };
+    let (name, out_schema) = match group_vars {
+        Some(g) => (format!("γ({name})"), Schema::new(g.to_vec())?),
+        None => (name, out_schema),
+    };
+    let op = if build.is_some() {
+        "join_group_by"
+    } else {
+        "group_by"
+    };
     let mut guard = OpGuard::new(budget, out_schema.arity());
-    let shared = l.schema().intersect(r.schema());
 
-    // Same build/probe choice as the unfused join, so the match order —
-    // and therefore the accumulation order — is identical.
-    let (build, probe) = if l.len() <= r.len() { (l, r) } else { (r, l) };
-    let build_shared = build.schema().positions(shared.vars())?;
-    let probe_shared = probe.schema().positions(shared.vars())?;
-
+    // For each output column, record which side and position it comes from.
+    // Prefer the probe side so the inner loop copies contiguously when
+    // possible; correctness is unaffected because shared columns are equal.
     enum Src {
         Probe(usize),
         Build(usize),
     }
-    let srcs: Vec<Src> = group_vars
+    let srcs: Vec<Src> = out_schema
         .iter()
-        .map(|&v| {
-            if let Ok(p) = probe.schema().position(v) {
-                Ok(Src::Probe(p))
-            } else {
-                Ok(Src::Build(build.schema().position(v)?))
-            }
+        .map(|v| match probe.schema().position(v) {
+            Ok(p) => Ok(Src::Probe(p)),
+            Err(e) => Ok(Src::Build(build.ok_or(e)?.schema().position(v)?)),
         })
         .collect::<Result<_>>()?;
-    let key_positions: Vec<usize> = (0..group_vars.len()).collect();
+    let key_positions: Vec<usize> = (0..out_schema.arity()).collect();
+    // The build side, its index on the shared variables, and where the
+    // probe side holds them.
+    let index = match build {
+        Some(b) => {
+            let shared = inputs[0].schema().intersect(inputs[1].schema());
+            let index = b.build_index(&b.schema().positions(shared.vars())?);
+            Some((b, index, probe.schema().positions(shared.vars())?))
+        }
+        None => None,
+    };
 
-    let index = build.build_index(&build_shared);
-    let mut groups: std::collections::HashMap<Key, usize> =
-        std::collections::HashMap::with_capacity(probe.len().min(1 << 20));
-    let mut out = FunctionalRelation::new(
-        format!("γ(({}⨝*{}))", l.name(), r.name()),
-        out_schema,
-    );
-    let mut key_row: Vec<Value> = vec![0; group_vars.len()];
+    let mut groups: Option<HashMap<Key, usize>> =
+        group_vars.map(|_| HashMap::with_capacity(probe.len().min(1 << 20)));
+    let mut out = FunctionalRelation::new(name, out_schema.clone());
+    let mut row: Vec<Value> = vec![0; out_schema.arity()];
+    // Emit one product: a join row, or a fold into its group.
+    let mut term = |guard: &mut OpGuard<'_>, prow: &[Value], brow: &[Value], m: f64| {
+        for (c, src) in srcs.iter().enumerate() {
+            row[c] = match src {
+                Src::Probe(p) => prow[*p],
+                Src::Build(p) => brow[*p],
+            };
+        }
+        let Some(groups) = groups.as_mut() else {
+            out.push_row(&row, m)?;
+            return guard.produced();
+        };
+        match groups.entry(Key::extract(&row, &key_positions)) {
+            Entry::Occupied(e) => {
+                let idx = *e.get();
+                let acc = sr.add(out.measure(idx), m);
+                if !sr.is_valid_accumulation(acc) {
+                    return Err(AlgebraError::NonFiniteMeasure { op, value: acc });
+                }
+                out.set_measure(idx, acc);
+                Ok(())
+            }
+            Entry::Vacant(e) => {
+                e.insert(out.len());
+                out.push_row(&row, m)?;
+                guard.produced()
+            }
+        }
+    };
     for i in 0..probe.len() {
         guard.poll()?;
-        let prow = probe.row(i);
-        let key = Key::extract(prow, &probe_shared);
-        let Some(matches) = index.get(&key) else {
+        let (prow, pm) = (probe.row(i), probe.measure(i));
+        let Some((build, index, probe_shared)) = &index else {
+            term(&mut guard, prow, &[], pm)?;
             continue;
         };
-        let pm = probe.measure(i);
+        let Some(matches) = index.get(&Key::extract(prow, probe_shared)) else {
+            continue;
+        };
         for &j in matches {
             guard.poll()?;
-            let brow = build.row(j as usize);
-            for (c, src) in srcs.iter().enumerate() {
-                key_row[c] = match src {
-                    Src::Probe(p) => prow[*p],
-                    Src::Build(p) => brow[*p],
-                };
-            }
-            let m = sr.mul(pm, build.measure(j as usize));
-            let gkey = Key::extract(&key_row, &key_positions);
-            match groups.entry(gkey) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let idx = *e.get();
-                    let acc = sr.add(out.measure(idx), m);
-                    if !sr.is_valid_accumulation(acc) {
-                        return Err(AlgebraError::NonFiniteMeasure {
-                            op: "join_group_by",
-                            value: acc,
-                        });
-                    }
-                    out.set_measure(idx, acc);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(out.len());
-                    out.push_row(&key_row, m)?;
-                    guard.produced()?;
-                }
-            }
+            let j = j as usize;
+            term(&mut guard, prow, build.row(j), sr.mul(pm, build.measure(j)))?;
         }
     }
     guard.finish()?;
@@ -293,17 +211,20 @@ fn join_group_by_impl(
 /// (every variable kept) and names `X` otherwise; one input is a
 /// marginalization, two with `X` the fused join→marginalize.
 ///
-/// One fallback chain runs it, starting at `start`: the dense kernel
+/// One fallback chain runs it, starting at `start`: the dense step
 /// ([`crate::dense`], unless the context's [`crate::DenseMode`] is
-/// `Off`), then the sparse kernel ([`crate::sparse`], under
-/// [`crate::ReprMode::Auto`]), then the hash operators — [`product_join`],
-/// [`group_by`] or [`join_group_by`], the reference semantics. A kernel
-/// that cannot take its operands (not a grid, infeasible coordinate
-/// space, rows that are not functional) declines and the next one runs,
-/// so a mis-planned representation costs the fast path, never
-/// correctness. Each kernel probes its own fault site per shape
-/// (`dense::join`, `dense::agg`, `dense::join_agg`, and the same under
-/// `sparse::`) before it looks at its operands.
+/// `Off`), then the sparse step ([`crate::sparse`], under
+/// [`crate::ReprMode::Auto`]), then the hash step, the reference
+/// semantics, entered through [`product_join`], [`group_by`] or
+/// [`join_group_by`]. Each link has one step body over one or two
+/// operands, whose degenerate forms are the join (nothing eliminated)
+/// and the marginalization (one operand). A step that cannot take its
+/// operands (not a grid, infeasible coordinate space, rows that are not
+/// functional) declines and the next one runs, so a mis-planned
+/// representation costs the fast path, never correctness. Each link
+/// probes its own fault site per shape (`dense::join`, `dense::agg`,
+/// `dense::join_agg`, the same under `sparse::`, and `product_join`,
+/// `group_by`, `join_group_by`) before it looks at its operands.
 ///
 /// # Errors
 /// [`AlgebraError::GroupVarNotInInput`] for a group variable no input
