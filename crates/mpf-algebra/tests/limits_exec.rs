@@ -293,6 +293,36 @@ fn fused_sparse_kernel_rejects_overflow_in_both_forms() {
     }
 }
 
+/// A sparse cross product of two 2^20-row operands has 2^40 rows, 16 TiB
+/// of output no machine can reserve up front. Under a row cap both the
+/// join and the staged fused step (its group grid of 2^23 cells is too
+/// large to scatter) stop at the cap with a typed error: the kernel grows
+/// its output as it goes instead of reserving the full join.
+#[test]
+fn huge_sparse_join_trips_its_cap_before_reserving() {
+    let mut c = Catalog::new();
+    let x = c.add_var("x", 1 << 20).unwrap();
+    let y = c.add_var("y", 1 << 23).unwrap();
+    let n = 1u64 << 20;
+    let operand = |name: &str, v: VarId, stride: u64| {
+        let (doms, coords) = (vec![c.domain_size(v)], (0..n).map(|i| i * stride).collect());
+        FunctionalRelation::from_coords(name, Schema::new(vec![v]).unwrap(), doms, coords, vec![1.0; n as usize])
+    };
+    let (l, r) = (operand("l", x, 1), operand("r", y, 8));
+    for group in [None, Some(&[y][..])] {
+        let limits = ExecLimits::none().with_max_output_rows(1000);
+        let mut cx = ExecContext::with_limits(SemiringKind::SumProduct, limits).with_threads(1);
+        match ops::step(&mut cx, &[&l, &r], group, OpRepr::Sparse) {
+            Err(AlgebraError::ResourceExhausted {
+                resource: ResourceKind::OutputRows,
+                limit: 1000,
+                observed,
+            }) => assert!(observed <= 1000 + u64::from(TICK_INTERVAL), "{group:?}: stopped late at {observed}"),
+            other => panic!("{group:?}: expected OutputRows trip, got {other:?}"),
+        }
+    }
+}
+
 proptest! {
     /// Guardrail transparency: under any semiring, measures, and grouping,
     /// an execution with limits far above the query's needs returns exactly
