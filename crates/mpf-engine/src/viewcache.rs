@@ -325,10 +325,10 @@ impl ViewCache {
     ///
     /// A resident key wins because it is what a reader that missed while
     /// a writer was still patching races against: the patched tree
-    /// answers for the same version, and it keeps the separator row
-    /// groups its earlier patches built. Replacing it with the fresh build
-    /// would make the next update rebuild them, widening the window in
-    /// which readers miss and rebuild again.
+    /// answers for the same version, and it keeps the sorted-run indexes
+    /// its earlier patches built. Replacing it with the fresh build would
+    /// make the next update rebuild them, widening the window in which
+    /// readers miss and rebuild again.
     pub fn admit(&self, key: CacheKey, base: Vec<String>, tree: Arc<VeCache>) -> bool {
         if !self.enabled() {
             return false;
@@ -486,7 +486,6 @@ impl ViewCache {
                             c.patch_copies.fetch_add(1, Ordering::Relaxed);
                         }
                         c.patched_rows.fetch_add(rows as u64, Ordering::Relaxed);
-                        entry.bytes = entry.tree.heap_bytes();
                         entry.patches += 1;
                     }
                     Err(_) => {
@@ -495,6 +494,13 @@ impl ViewCache {
                     }
                 }
                 forward.push((key, entry));
+            }
+            // Charge bytes once every tree is patched: a patch builds the
+            // indexes it needs (a carried tree its base-row index too), and
+            // a tree derived from another shares them, so a later patch can
+            // raise an earlier tree's bytes.
+            for (_, entry) in &mut forward {
+                entry.bytes = entry.tree.heap_bytes();
             }
         }
 
@@ -525,8 +531,8 @@ impl ViewCache {
                 inner.bytes -= old.bytes;
             }
         }
-        // The first patch of a tree adds its separator row groups; shed
-        // by score if that crosses the budget.
+        // The first patches of a tree add its sorted-run indexes; shed by
+        // score if that crosses the budget.
         self.shed_over_budget(&mut inner);
     }
 

@@ -222,7 +222,7 @@ fn measure_updates_patch_resident_trees_instead_of_evicting() {
 
 /// A reader that missed while a writer was patching builds the same
 /// version's tree again and offers it for admission. The patched tree
-/// (which keeps the row groups its patch built) stays resident and the
+/// (which keeps the indexes its patch built) stays resident and the
 /// fresh build is discarded, so the next update patches without
 /// rebuilding them.
 #[test]

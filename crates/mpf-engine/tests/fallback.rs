@@ -329,4 +329,91 @@ mod faults {
         assert!(approx_eq(ans.relation.lookup(&[0]).unwrap(), 230.0));
         fault::clear_all();
     }
+
+    /// Rows of an answer with their measure bits, in key order.
+    fn bits(ans: &mpf_engine::Answer) -> Vec<(Vec<mpf_storage::Value>, u64)> {
+        let mut rows: Vec<_> = ans
+            .relation
+            .rows()
+            .map(|(row, m)| (row.to_vec(), m.to_bits()))
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    /// The base tree and a tree derived from it on `a = 1` share the
+    /// indexes of the table whose rows the evidence kept. A fault while
+    /// one of them is patched evicts that tree only; the other keeps being
+    /// patched through the shared indexes and keeps answering like an
+    /// uncached database.
+    #[test]
+    fn fault_while_patching_one_of_two_sharing_trees_evicts_only_it() {
+        let _g = lock();
+        fault::clear_all();
+        let db = tiny_db().with_cache_bytes(1 << 20);
+        let cold = tiny_db();
+        let queries = [
+            Query::on("v").group_by(["c"]),
+            Query::on("v").group_by(["c"]).filter("a", 1),
+        ];
+        for _ in 0..3 {
+            db.run(&queries[0]).unwrap();
+        }
+        db.run(&queries[1]).unwrap();
+        let vc = db.view_cache().unwrap().clone();
+        assert_eq!((vc.len(), vc.counter("derived")), (2, 1));
+        let a = db.catalog().var("a").unwrap();
+        let keys = |version: u64| {
+            [vec![], vec![(a, 1)]].map(|evidence| mpf_engine::CacheKey {
+                version,
+                view: "v".into(),
+                semiring: mpf_semiring::SemiringKind::SumProduct,
+                evidence,
+            })
+        };
+        // The derived tree kept one table whole (and shares its indexes)
+        // and filtered another.
+        let trees = keys(db.snapshot().version()).map(|k| vc.lookup(&k).unwrap());
+        let kept: Vec<bool> = trees[0]
+            .tables()
+            .iter()
+            .zip(trees[1].tables())
+            .map(|(t, u)| t.len() == u.len())
+            .collect();
+        assert!(kept.contains(&true) && kept.contains(&false), "{kept:?}");
+        drop(trees);
+        let update = |relation: &str, row: &[u32], measure: f64| {
+            for d in [&db, &cold] {
+                d.update_measure(relation, row, measure).unwrap();
+            }
+        };
+
+        // The first update builds the indexes through both trees.
+        update("r1", &[1, 0], 6.0);
+        assert_eq!((vc.counter("patched"), vc.counter("evictions")), (2, 0));
+
+        fault::inject("vecache::propagate", 1);
+        update("r2", &[0, 1], 40.0);
+        assert_eq!((vc.counter("patched"), vc.counter("evictions")), (3, 1));
+        let resident = keys(db.snapshot().version()).map(|k| vc.lookup(&k).is_some());
+        assert_eq!(resident.iter().filter(|&&r| r).count(), 1, "{resident:?}");
+        let survivor = resident.iter().position(|&r| r).unwrap();
+
+        update("r1", &[1, 1], 2.0);
+        update("r2", &[1, 0], 15.0);
+        assert_eq!((vc.counter("patched"), vc.counter("evictions")), (5, 1));
+        let key = keys(db.snapshot().version())[survivor].clone();
+        assert!(vc.lookup(&key).is_some(), "the surviving tree was evicted");
+        let served = db.run(&queries[survivor]).unwrap();
+        assert!(served.cache.is_some());
+        assert_eq!(bits(&served), bits(&cold.run(&queries[survivor]).unwrap()));
+        for q in &queries {
+            assert_eq!(
+                bits(&db.run(q).unwrap()),
+                bits(&cold.run(q).unwrap()),
+                "{q}"
+            );
+        }
+        fault::clear_all();
+    }
 }

@@ -36,10 +36,18 @@
 //! someone else still holds it: a reader holding the old tree keeps it
 //! whole and never observes a partial patch, and a tree nobody else holds
 //! is rewritten without copying. An update that rewrites nothing (the
-//! tree's evidence excludes the row, or the ratio is one) is settled by a
-//! read-only scan and leaves the very same `Arc`.
+//! tree's evidence excludes the row, or the ratio is one) is settled
+//! before anything is copied and leaves the very same `Arc`.
+//!
+//! Rows are found by key, never by a scan: each table keeps sorted-run
+//! indexes (keys ascending, the rows of each key ascending) on the
+//! separator of each incident edge and on the variables of each base
+//! relation it consumed. An index is built the first time an update
+//! needs it and lives in a cell shared by every tree that holds the
+//! same rows: patched trees (updates change measures, never keys or row
+//! order) and derived trees whose evidence kept the table whole.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use mpf_algebra::{fault, ops, ExecContext, OpRepr, ReprMode};
@@ -80,89 +88,117 @@ pub struct VeCache {
     /// For each base relation, the cached table whose join consumed it
     /// (`None` for zero-arity bases that never join).
     base_consumer: Vec<Option<usize>>,
-    /// Every table's rows grouped by the separator key of each incident
-    /// edge. Built by the first point update and — updates change
+    /// Per cached table, the sorted-run indexes a point update looks its
+    /// rows up by. Each is built on first use and — updates change
     /// measures, never keys or row order — shared by every tree patched
-    /// from this one.
-    groups: OnceLock<Arc<SeparatorGroups>>,
+    /// from this one, and by every derived tree that kept the table's rows.
+    index: Vec<Arc<TableIndex>>,
 }
 
-/// The rows of one cached table grouped by the key they carry on one
-/// edge's separator: what lets a point update reach the rows sharing a
-/// changed separator value without scanning the table.
+/// The rows of one cached table grouped by the key they carry on some of
+/// its columns, as sorted runs: what lets a point update reach the rows
+/// sharing a key without scanning the table.
 #[derive(Debug)]
-struct RowGroups {
-    /// Separator key → `(start, len)` in `rows`.
-    ranges: HashMap<Key, (u32, u32)>,
-    /// Row ids grouped by key, ascending within a group, so walking a
-    /// group folds measures in table row order.
+struct Runs {
+    /// The distinct keys, ascending.
+    keys: Vec<Key>,
+    /// Run `k` is `rows[starts[k]..starts[k + 1]]`.
+    starts: Vec<u32>,
+    /// Row ids ordered by key, ascending within a run, so walking a run
+    /// folds measures in table row order.
     rows: Vec<u32>,
 }
 
-impl RowGroups {
-    fn build(table: &FunctionalRelation, positions: &[usize]) -> RowGroups {
-        let mut group_ids: HashMap<Key, u32> = HashMap::new();
-        let mut counts: Vec<u32> = Vec::new();
-        let mut group_of_row: Vec<u32> = Vec::with_capacity(table.len());
-        for i in 0..table.len() {
-            let fresh = counts.len() as u32;
-            let g = *group_ids
-                .entry(Key::extract(table.row(i), positions))
-                .or_insert(fresh);
-            if g == fresh {
-                counts.push(0);
+impl Runs {
+    fn build(table: &FunctionalRelation, positions: &[usize]) -> Runs {
+        let key = |i: u32| Key::extract(table.row(i as usize), positions);
+        // A stable sort of the ascending row ids keeps each run ascending.
+        // Packed keys are extracted per comparison without allocating;
+        // `Key::Big` allocates, so once per row.
+        let mut rows: Vec<u32> = (0..table.len() as u32).collect();
+        if positions.len() <= 4 {
+            rows.sort_by_key(|&i| key(i));
+        } else {
+            rows.sort_by_cached_key(|&i| key(i));
+        }
+        let mut keys: Vec<Key> = Vec::new();
+        let mut starts: Vec<u32> = Vec::new();
+        for (at, &i) in (0u32..).zip(&rows) {
+            let k = key(i);
+            if keys.last() != Some(&k) {
+                keys.push(k);
+                starts.push(at);
             }
-            counts[g as usize] += 1;
-            group_of_row.push(g);
         }
-        let mut starts: Vec<u32> = Vec::with_capacity(counts.len());
-        let mut at = 0;
-        for &c in &counts {
-            starts.push(at);
-            at += c;
-        }
-        let mut cursor = starts.clone();
-        let mut rows = vec![0u32; table.len()];
-        for (i, &g) in group_of_row.iter().enumerate() {
-            rows[cursor[g as usize] as usize] = i as u32;
-            cursor[g as usize] += 1;
-        }
-        let ranges = group_ids
-            .into_iter()
-            .map(|(k, g)| (k, (starts[g as usize], counts[g as usize])))
-            .collect();
-        RowGroups { ranges, rows }
+        starts.push(rows.len() as u32);
+        keys.shrink_to_fit();
+        starts.shrink_to_fit();
+        Runs { keys, starts, rows }
     }
 
     /// The rows carrying `key`, ascending (empty when none does).
     fn rows_of(&self, key: &Key) -> &[u32] {
-        match self.ranges.get(key) {
-            Some(&(start, len)) => &self.rows[start as usize..(start + len) as usize],
-            None => &[],
+        match self.keys.binary_search(key) {
+            Ok(k) => &self.rows[self.starts[k] as usize..self.starts[k + 1] as usize],
+            Err(_) => &[],
         }
     }
 
     fn heap_bytes(&self) -> usize {
-        self.ranges.capacity() * std::mem::size_of::<(Key, (u32, u32))>()
-            + self.rows.capacity() * std::mem::size_of::<u32>()
+        // Every key has the same width; only `Key::Big` owns heap.
+        let wide = match self.keys.first() {
+            Some(Key::Big(values)) => self.keys.len() * std::mem::size_of_val(&**values),
+            _ => 0,
+        };
+        self.keys.capacity() * std::mem::size_of::<Key>()
+            + wide
+            + (self.starts.capacity() + self.rows.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
-/// [`RowGroups`] of both tables of every tree edge, keyed
-/// `(table, neighbour)`.
+/// The [`Runs`] of one cached table, one per column set a point update
+/// looks its rows up by: the separator of each incident tree edge and the
+/// variables of each base relation the table consumed. Each is built on
+/// first use.
 #[derive(Debug)]
-struct SeparatorGroups {
-    sides: HashMap<(usize, usize), RowGroups>,
+struct TableIndex {
+    runs: Vec<(Box<[usize]>, OnceLock<Runs>)>,
 }
 
-impl SeparatorGroups {
-    fn side(&self, table: usize, neighbour: usize) -> &RowGroups {
-        &self.sides[&(table, neighbour)]
+impl TableIndex {
+    /// An index over the same column sets with nothing built, for a table
+    /// whose rows changed.
+    fn unbuilt(&self) -> TableIndex {
+        TableIndex {
+            runs: self
+                .runs
+                .iter()
+                .map(|(positions, _)| (positions.clone(), OnceLock::new()))
+                .collect(),
+        }
     }
 
+    /// The runs of `table` (the table this index describes) on
+    /// `positions`, built on first use.
+    fn runs(&self, table: &FunctionalRelation, positions: &[usize]) -> &Runs {
+        let (_, cell) = self
+            .runs
+            .iter()
+            .find(|(p, _)| **p == *positions)
+            .expect("an indexed column set of the table");
+        cell.get_or_init(|| Runs::build(table, positions))
+    }
+
+    /// The column sets and the runs built so far.
     fn heap_bytes(&self) -> usize {
-        self.sides.capacity() * std::mem::size_of::<((usize, usize), RowGroups)>()
-            + self.sides.values().map(RowGroups::heap_bytes).sum::<usize>()
+        self.runs.capacity() * std::mem::size_of::<(Box<[usize]>, OnceLock<Runs>)>()
+            + self
+                .runs
+                .iter()
+                .map(|(positions, cell)| {
+                    std::mem::size_of_val(&**positions) + cell.get().map_or(0, Runs::heap_bytes)
+                })
+                .sum::<usize>()
     }
 }
 
@@ -332,7 +368,7 @@ impl VeCache {
             base_names: rels.iter().map(|r| r.name().to_string()).collect(),
             base_schemas: rels.iter().map(|r| r.schema().clone()).collect(),
             base_consumer,
-            groups: OnceLock::new(),
+            index: Vec::new(),
         };
 
         // Backward pass (lines 3–7 of Algorithm 3).
@@ -354,6 +390,7 @@ impl VeCache {
         // Cross-component scaling, so Definition 5 holds against the *full*
         // (cross-product) view even when the schema is disconnected.
         cache.apply_component_scaling(&leftover_scalars)?;
+        cache.index = cache.unbuilt_index();
         Ok(cache)
     }
 
@@ -451,17 +488,20 @@ impl VeCache {
     }
 
     /// Heap bytes reachable from the cache: every cached table, the
-    /// separator row groups once a point update has built them, and the
-    /// tree bookkeeping (edges, order, base-relation names/schemas/
-    /// consumer map), all charged at vector *capacity*. This is what a
-    /// residency budget (the engine's `MPF_CACHE_BYTES` view cache)
-    /// accounts per entry; tables and groups shared with another tree
-    /// are charged to each holder in full.
+    /// sorted-run indexes point updates have built so far, and the tree
+    /// bookkeeping (edges, order, base-relation names/schemas/consumer
+    /// map), all charged at vector *capacity*. This is what a residency
+    /// budget (the engine's `MPF_CACHE_BYTES` view cache) accounts per
+    /// entry; tables and indexes shared with another tree are charged to
+    /// each holder in full, and an index that a sharing tree builds
+    /// raises the bytes of every holder.
     pub fn heap_bytes(&self) -> usize {
         let tables: usize = self.tables.iter().map(|t| t.heap_bytes()).sum();
+        let index: usize = self.index.iter().map(|t| t.heap_bytes()).sum();
         tables
             + self.tables.capacity() * std::mem::size_of::<Arc<FunctionalRelation>>()
-            + self.groups.get().map_or(0, |g| g.heap_bytes())
+            + index
+            + self.index.capacity() * std::mem::size_of::<Arc<TableIndex>>()
             + self.edges.capacity() * std::mem::size_of::<(usize, usize)>()
             + self.order.capacity() * std::mem::size_of::<VarId>()
             + self
@@ -537,12 +577,7 @@ impl VeCache {
     pub fn with_evidence(&self, var: VarId, value: Value) -> Result<VeCache> {
         let source = self.best_table_for(&[var])?;
         let sr = self.semiring;
-        // Selection removes rows, so the row groups of `self` do not
-        // describe the conditioned tables.
-        let mut out = VeCache {
-            groups: OnceLock::new(),
-            ..self.clone()
-        };
+        let mut out = self.clone();
         out.change_and_propagate(source, |table| {
             let selected =
                 mpf_algebra::ops::select_eq(&mut ExecContext::new(sr), table, &[(var, value)])?
@@ -550,6 +585,16 @@ impl VeCache {
             *table = Arc::new(selected);
             Ok(Changed::All)
         })?;
+        // Selection only ever removes rows, in order: a table of unchanged
+        // length kept its key column and shares its indexes with `self`; a
+        // filtered one starts over.
+        for ((index, kept), was) in out.index.iter_mut().zip(&out.tables).zip(&self.tables) {
+            if kept.len() == was.len() {
+                debug_assert_eq!(kept.values_col(), was.values_col());
+            } else {
+                *index = Arc::new(index.unbuilt());
+            }
+        }
         Ok(out)
     }
 
@@ -585,26 +630,30 @@ impl VeCache {
     /// (the same walk as evidence conditioning, with a smaller change
     /// set).
     ///
-    /// A read-only scan of the consuming table decides first whether
-    /// anything is rewritten. When nothing is (the tree's evidence excludes
-    /// `row`, or the ratio is one) the tree is left as the very same `Arc`
-    /// and `0` returned. Otherwise the patch goes through [`Arc::make_mut`],
-    /// on the tree and on each table it rewrites: in place where nothing
-    /// else holds them, copied where something does. A caller that keeps
-    /// the old tree patches an [`Arc::clone`] of it; the patched tree then
-    /// shares rows, row order and every untouched table with the old one,
-    /// and the old one never observes a partial patch.
+    /// The rows of the consuming table that match `row` are one run of its
+    /// sorted-run index on the base relation's variables (built by the
+    /// first update of that relation, here or in any tree sharing the
+    /// table), looked up before anything is copied. When there are none
+    /// (the tree's evidence excludes `row`), or the ratio is one, the tree
+    /// is left as the very same `Arc` and `0` returned. Otherwise the
+    /// patch goes through [`Arc::make_mut`], on the tree and on each table
+    /// it rewrites: in place where nothing else holds them, copied where
+    /// something does. A caller that keeps the old tree patches an
+    /// [`Arc::clone`] of it; the patched tree then shares rows, row order,
+    /// indexes and every untouched table with the old one, and the old one
+    /// never observes a partial patch.
     ///
     /// The result equals a rebuild bit for bit when every ratio involved
     /// is exact in `f64`; otherwise each rewritten measure picks up a few
     /// roundings per patch.
     ///
     /// # Errors
-    /// [`InferError::InvalidUpdate`] if the relation is unknown, the old
-    /// measure is the additive identity (a `0 → x` change alters the view's
-    /// support and needs a rebuild), a separator ratio leaves the carrier
-    /// (a marginal collapsed to the additive identity), or the semiring
-    /// cannot express the ratio. The first two leave the tree untouched;
+    /// [`InferError::InvalidUpdate`] if the relation is unknown, `row` does
+    /// not have one value per variable of it, the old measure is the
+    /// additive identity (a `0 → x` change alters the view's support and
+    /// needs a rebuild), a separator ratio leaves the carrier (a marginal
+    /// collapsed to the additive identity), or the semiring cannot express
+    /// the ratio. The first three leave the tree untouched;
     /// after the others (and after an injected fault) the tree may be
     /// partly patched and must be dropped.
     pub fn update_measure(
@@ -622,6 +671,13 @@ impl VeCache {
             .ok_or_else(|| {
                 InferError::InvalidUpdate(format!("unknown base relation `{relation}`"))
             })?;
+        let base_vars = self.base_schemas[base].vars();
+        if row.len() != base_vars.len() {
+            return Err(InferError::InvalidUpdate(format!(
+                "row {row:?} does not match the {} variables of `{relation}`",
+                base_vars.len()
+            )));
+        }
         if old == sr.zero() {
             return Err(InferError::InvalidUpdate(
                 "old measure is the additive identity; the update changes the view's \
@@ -638,19 +694,18 @@ impl VeCache {
         if ratio == sr.one() {
             return Ok(0);
         }
-        // The consuming table's rows matching the base row, scanned over
-        // the packed key column (its arity is at least the base
-        // relation's, which is not zero) before anything is copied.
+        // The consuming table's rows matching the base row, in ascending
+        // row order: the table carries the base relation's variables in
+        // the base's order at `positions`.
         let table = &self.tables[source];
         let positions = table
             .schema()
-            .positions(self.base_schemas[base].vars())
+            .positions(base_vars)
             .expect("base variables are inside the consuming clique");
-        let matches = |r: &[Value]| positions.iter().zip(row).all(|(&p, &v)| r[p] == v);
-        let hits: Vec<u32> = (0u32..)
-            .zip(table.values_col().chunks_exact(table.arity()))
-            .filter_map(|(i, r)| matches(r).then_some(i))
-            .collect();
+        let hits = self.index[source]
+            .runs(table, &positions)
+            .rows_of(&Key::of_row(row))
+            .to_vec();
         if hits.is_empty() {
             return Ok(0);
         }
@@ -682,17 +737,35 @@ impl VeCache {
         (positions(a), positions(b))
     }
 
-    /// The separator row groups of this tree's tables, built on first use.
-    fn separator_groups(&self) -> Arc<SeparatorGroups> {
-        Arc::clone(self.groups.get_or_init(|| {
-            let mut sides = HashMap::with_capacity(2 * self.edges.len());
-            for &(i, j) in &self.edges {
-                let (in_i, in_j) = self.separator(i, j);
-                sides.insert((i, j), RowGroups::build(&self.tables[i], &in_i));
-                sides.insert((j, i), RowGroups::build(&self.tables[j], &in_j));
+    /// Every table's index, nothing built yet: one column set per
+    /// incident edge's separator and per base relation the table consumed.
+    fn unbuilt_index(&self) -> Vec<Arc<TableIndex>> {
+        let mut sets: Vec<Vec<Box<[usize]>>> = vec![Vec::new(); self.tables.len()];
+        let mut add = |t: usize, positions: Vec<usize>| {
+            if !sets[t].iter().any(|p| **p == *positions) {
+                sets[t].push(positions.into());
             }
-            Arc::new(SeparatorGroups { sides })
-        }))
+        };
+        for &(i, j) in &self.edges {
+            let (in_i, in_j) = self.separator(i, j);
+            add(i, in_i);
+            add(j, in_j);
+        }
+        for (schema, consumer) in self.base_schemas.iter().zip(&self.base_consumer) {
+            if let Some(t) = *consumer {
+                let positions = self.tables[t].schema().positions(schema.vars());
+                add(
+                    t,
+                    positions.expect("base variables are inside the consuming clique"),
+                );
+            }
+        }
+        sets.into_iter()
+            .map(|runs| {
+                let runs = runs.into_iter().map(|p| (p, OnceLock::new())).collect();
+                Arc::new(TableIndex { runs })
+            })
+            .collect()
     }
 
     /// The one maintenance routine: let `change` rewrite `tables[source]`
@@ -779,16 +852,18 @@ impl VeCache {
         let scaled = |i: u32, q: f64| (i, sr.mul(below.measure(i as usize), q));
 
         match from {
+            Changed::Rows(rows) if rows.is_empty() => {}
             Changed::Rows(rows) => {
-                // Key by key through the row groups: no row outside them
+                // Key by key through both sides' runs: no row outside them
                 // is read, none of them is hashed.
-                let groups = self.separator_groups();
-                let (same_above, same_below) =
-                    (groups.side(parent, node), groups.side(node, parent));
-                let keys: HashSet<Key> = rows
+                let same_above = self.index[parent].runs(&above, &in_parent);
+                let same_below = self.index[node].runs(&below, &in_node);
+                let mut keys: Vec<Key> = rows
                     .iter()
                     .map(|&r| Key::extract(above.row(r as usize), &in_parent))
                     .collect();
+                keys.sort_unstable();
+                keys.dedup();
                 for key in &keys {
                     let members = same_below.rows_of(key);
                     if members.is_empty() {
@@ -1300,7 +1375,7 @@ mod tests {
             }
         }
 
-        let mut bytes_after_first = None;
+        let mut bytes = trees.each_ref().map(|t| t.heap_bytes());
         for step in 0..200usize {
             let r = step % rels.len();
             let i = (step * 7) % rels[r].len();
@@ -1310,10 +1385,15 @@ mod tests {
             for tree in &mut trees {
                 tree.update_measure(rels[r].name(), &row, old, new).unwrap();
             }
-            // The first patch adds the separator row groups and copies the
-            // tables it touches (here: all) to exact capacity — once.
-            let bytes = trees.each_ref().map(|t| t.heap_bytes());
-            assert_eq!(*bytes_after_first.get_or_insert(bytes), bytes, "step {step}");
+            // Bytes move only at the first patch of each base relation
+            // (steps 0 to 4): it builds that relation's base-row index, the
+            // separator indexes its walk needs, and copies the tables it
+            // touches to exact capacity. Later patches build nothing.
+            let now = trees.each_ref().map(|t| t.heap_bytes());
+            if step >= rels.len() {
+                assert_eq!(now, bytes, "step {step}");
+            }
+            bytes = now;
         }
         assert_eq!(trees.each_ref().map(shape), shapes);
         for (after, built) in trees.each_ref().map(table_bytes).iter().zip(built_bytes) {
@@ -1321,6 +1401,137 @@ mod tests {
         }
         let refs: Vec<&FunctionalRelation> = rels.iter().collect();
         assert!(satisfies_invariant(sr, &refs, trees[0].tables()).unwrap());
+    }
+
+    /// Measure bits of every table, in row order.
+    fn table_bits(tree: &VeCache) -> Vec<Vec<u64>> {
+        tree.tables()
+            .iter()
+            .map(|t| t.measures().iter().map(|m| m.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn derived_trees_share_the_indexes_of_the_tables_they_kept() {
+        let mut cat = Catalog::new();
+        let rels = supply_chain(&mut cat);
+        let refs: Vec<&FunctionalRelation> = rels.iter().collect();
+        let sr = SemiringKind::SumProduct;
+        let tid = cat.var("tid").unwrap();
+        let built = VeCache::build_in(&mut ExecContext::new(sr), &refs, None).unwrap();
+        let conditioned = built.with_evidence(tid, 1).unwrap();
+        let kept: Vec<bool> = (0..built.tables().len())
+            .map(|i| conditioned.tables()[i].len() == built.tables()[i].len())
+            .collect();
+        assert!(kept.contains(&true) && kept.contains(&false), "{kept:?}");
+        let shared = |a: &VeCache, b: &VeCache| -> Vec<bool> {
+            a.index
+                .iter()
+                .zip(&b.index)
+                .map(|(x, y)| Arc::ptr_eq(x, y))
+                .collect()
+        };
+        assert_eq!(shared(&built, &conditioned), kept);
+
+        // The first update builds indexes through both trees; the kept
+        // tables' indexes are still one allocation, each built once.
+        let mut trees = [built, conditioned].map(Arc::new);
+        let (row, old) = (rels[0].row(0).to_vec(), rels[0].measure(0));
+        for tree in &mut trees {
+            tree.update_measure(rels[0].name(), &row, old, old * 2.0)
+                .unwrap();
+        }
+        assert_eq!(shared(&trees[0], &trees[1]), kept);
+        let mut built_runs = 0;
+        for tree in &trees {
+            for index in &tree.index {
+                for runs in index.runs.iter().filter_map(|(_, cell)| cell.get()) {
+                    built_runs += 1;
+                    let bound = 4 * runs.rows.len() + 40 * runs.keys.len();
+                    assert!(
+                        runs.heap_bytes() <= bound,
+                        "{} > {bound}",
+                        runs.heap_bytes()
+                    );
+                }
+            }
+        }
+        assert!(built_runs > 0);
+    }
+
+    /// r0(a,b,c,d,e) — r1(c,d,e,f) — r2(f) under the order a, b, c, d, e,
+    /// f: the base-row index of r0 has five-column keys (`Key::Big`), the
+    /// t0–t1 separator four and the t1–t2 separator three. Unit measures
+    /// and power-of-two update ratios keep the folds and quotients the
+    /// test meets exact in `f64`, so a patch must match a rebuild bit for
+    /// bit.
+    fn wide_chain(cat: &mut Catalog) -> (Vec<FunctionalRelation>, Vec<VarId>) {
+        let vars: Vec<VarId> = ["a", "b", "c", "d", "e", "f"]
+            .iter()
+            .map(|v| cat.add_var(v, 2).unwrap())
+            .collect();
+        let unit = |name: &str, vs: &[VarId]| {
+            FunctionalRelation::complete(name, Schema::new(vs.to_vec()).unwrap(), cat, |_| 1.0)
+        };
+        let rels = vec![
+            unit("r0", &vars[..5]),
+            unit("r1", &vars[2..]),
+            unit("r2", &vars[5..]),
+        ];
+        (rels, vars)
+    }
+
+    #[test]
+    fn wide_keys_patch_bit_identically_to_a_rebuild() {
+        let mut cat = Catalog::new();
+        let (mut rels, order) = wide_chain(&mut cat);
+        let sr = SemiringKind::SumProduct;
+        let build = |rels: &[FunctionalRelation]| {
+            let refs: Vec<&FunctionalRelation> = rels.iter().collect();
+            VeCache::build_in(&mut ExecContext::new(sr), &refs, Some(&order)).unwrap()
+        };
+        let built = build(&rels);
+        let widths: Vec<usize> = built
+            .edges()
+            .iter()
+            .map(|&(i, j)| built.separator(i, j).0.len())
+            .collect();
+        assert!(widths.contains(&3) && widths.contains(&4), "{widths:?}");
+        let e = order[4];
+        let mut trees = [built.clone(), built.with_evidence(e, 1).unwrap()].map(Arc::new);
+
+        let updates = [
+            (0, 27, 2.0),
+            (1, 6, 0.5),
+            (0, 5, 4.0),
+            (2, 1, 0.5),
+            (0, 27, 0.5),
+            (1, 13, 2.0),
+            (0, 30, 0.25),
+            (2, 0, 8.0),
+        ];
+        for (step, (r, i, ratio)) in updates.into_iter().enumerate() {
+            let (row, old) = (rels[r].row(i).to_vec(), rels[r].measure(i));
+            rels[r].set_measure(i, old * ratio);
+            for tree in &mut trees {
+                tree.update_measure(rels[r].name(), &row, old, old * ratio)
+                    .unwrap();
+            }
+            let cold = build(&rels);
+            let cold_conditioned = cold.with_evidence(e, 1).unwrap();
+            assert_eq!(table_bits(&trees[0]), table_bits(&cold), "step {step}");
+            assert_eq!(
+                table_bits(&trees[1]),
+                table_bits(&cold_conditioned),
+                "step {step}"
+            );
+        }
+        let big = trees[0].index[trees[0].base_consumer[0].unwrap()]
+            .runs
+            .iter()
+            .filter_map(|(_, cell)| cell.get())
+            .any(|runs| matches!(runs.keys[0], Key::Big(_)));
+        assert!(big, "r0's base-row index has five-column keys");
     }
 
     #[test]

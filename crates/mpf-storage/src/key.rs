@@ -5,8 +5,9 @@ use crate::Value;
 /// Join and group-by keys in MPF plans are almost always 1–4 variables wide
 /// (a variable's `rels` set, or a separator between junction-tree cliques),
 /// so keys pack into machine words instead of allocating. Wider keys fall
-/// back to a boxed slice.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// back to a boxed slice. Keys of one width order by their packed value,
+/// so a sorted key column can be binary-searched.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Key {
     /// Up to one column, packed.
     P1(u32),
