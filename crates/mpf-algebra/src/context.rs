@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 use mpf_semiring::SemiringKind;
 use mpf_storage::{FunctionalRelation, KeyedSource, VarId};
 
-use crate::dense::{DenseMode, KernelMode};
+use crate::dense::DenseMode;
 use crate::limits::{ExecBudget, ExecLimits, OpGuard};
 use crate::sparse::ReprMode;
 use crate::trace::{OpRepr, SpanDesc, SpanKind, TraceCollector, TraceLevel, TraceTree};
@@ -85,9 +85,6 @@ pub struct ExecContext<'b> {
     /// Whether [`crate::sparse`] tensor kernels may be dispatched to
     /// ([`ReprMode::Auto`] unless set).
     repr: ReprMode,
-    /// Which inner-loop flavor the monomorphized kernels run
-    /// ([`KernelMode::Chunked`] unless set).
-    kernel: KernelMode,
 }
 
 impl<'b> ExecContext<'b> {
@@ -103,7 +100,6 @@ impl<'b> ExecContext<'b> {
             trace: TraceCollector::new(TraceLevel::Off),
             dense: DenseMode::default(),
             repr: ReprMode::default(),
-            kernel: KernelMode::default(),
         }
     }
 
@@ -198,23 +194,6 @@ impl<'b> ExecContext<'b> {
         self.repr
     }
 
-    /// Override the kernel inner-loop mode (builder style).
-    pub fn with_kernel(mut self, mode: KernelMode) -> ExecContext<'b> {
-        self.kernel = mode;
-        self
-    }
-
-    /// Override the kernel inner-loop mode.
-    pub fn set_kernel(&mut self, mode: KernelMode) {
-        self.kernel = mode;
-    }
-
-    /// The kernel inner-loop mode (the [`crate::dense`] and
-    /// [`crate::sparse`] kernels consult this).
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
-    }
-
     /// Enable per-operator tracing (builder style).
     pub fn with_trace(mut self, level: TraceLevel) -> ExecContext<'b> {
         self.set_trace_level(level);
@@ -307,7 +286,6 @@ impl<'b> ExecContext<'b> {
             trace: TraceCollector::new(self.trace.level()),
             dense: self.dense,
             repr: self.repr,
-            kernel: self.kernel,
         }
     }
 
@@ -504,8 +482,9 @@ impl<'b> ExecContext<'b> {
     }
 
     /// Tag the active span with the variables a pinned slice fixed
-    /// (`pinned=b`). Same call-order rule as
-    /// [`ExecContext::note_kernel_op`].
+    /// (`pinned=b`). Call *after* the operator's `record_*` hook so an
+    /// ad-hoc leaf span exists to tag; every `note_*`/`tag_*` span tag
+    /// below follows the same rule.
     pub(crate) fn note_pinned(&mut self, vars: Vec<VarId>) {
         self.trace.set_pinned(vars);
     }
@@ -521,17 +500,6 @@ impl<'b> ExecContext<'b> {
     /// kernel (a coordinate-form operand needs no conversion).
     pub(crate) fn note_sparse_convert(&mut self) {
         self.stats.sparse_converts += 1;
-    }
-
-    /// Count one kernel dispatch by inner-loop mode and tag the active
-    /// span with `kernel=`. Call *after* the operator's `record_*` hook
-    /// so an ad-hoc leaf span exists to tag.
-    pub(crate) fn note_kernel_op(&mut self, mode: KernelMode) {
-        match mode {
-            KernelMode::Scalar => self.stats.kernel_scalar_ops += 1,
-            KernelMode::Chunked => self.stats.kernel_chunked_ops += 1,
-        }
-        self.trace.set_kernel(mode.name());
     }
 
     /// Count where a row-major sparse operand's keyed order came from.
@@ -551,7 +519,7 @@ impl<'b> ExecContext<'b> {
     /// Tag the active span `keyed=built` when the operator filled a
     /// relation's memo since `mark`, `keyed=memo` when memos served all
     /// its memo lookups, and not at all when it made none. Same call-order
-    /// rule as [`ExecContext::note_kernel_op`].
+    /// rule as [`ExecContext::note_pinned`].
     pub(crate) fn tag_keyed_since(&mut self, mark: (u64, u64)) {
         let (hits, builds) = self.keyed_mark();
         if builds > mark.1 {
@@ -564,14 +532,14 @@ impl<'b> ExecContext<'b> {
     /// Tag the active fused span with the form its kernel ran — dense
     /// `nest=tile` / `nest=cell`, sparse `nest=stream` / `nest=scatter` /
     /// `nest=staged`. Same call-order rule as
-    /// [`ExecContext::note_kernel_op`].
+    /// [`ExecContext::note_pinned`].
     pub(crate) fn note_fused_nest(&mut self, nest: &'static str) {
         self.trace.set_nest(nest);
     }
 
     /// Tag the active fused dense span with the instruction-set tier its
     /// kernel ran (`simd=base|avx2|avx512`). Same call-order rule as
-    /// [`ExecContext::note_kernel_op`].
+    /// [`ExecContext::note_pinned`].
     pub(crate) fn note_simd(&mut self, tier: mpf_semiring::kernel::SimdTier) {
         self.trace.set_simd(tier.name());
     }

@@ -51,42 +51,32 @@
 //! output array and errors surface in box order, so answers, budget
 //! trips, and error precedence match the sequential kernel exactly.
 //!
-//! # Kernel modes and the fold
+//! # The fold
 //!
 //! The kernel is generic over a statically-known semiring
 //! ([`mpf_semiring::kernel::SemiringOps`], instantiated for all seven
 //! through [`mpf_semiring::for_each_semiring`]), so the inner loops are
-//! straight-line per-semiring code with no dispatch branch per cell. On
-//! top of that, [`KernelMode`] (a typed context setting) picks the loop
-//! shape:
-//!
-//! * [`KernelMode::Scalar`] — the cell-major nest, one cell at a time,
-//!   budget guard polled per cell: the reference shape. Each cell folds
-//!   its first product, then `⊕` in eliminated-odometer order — the
-//!   order the sparse operators fold a complete relation's rows.
-//! * [`KernelMode::Chunked`] (default) — where the step's innermost
-//!   eliminated run is contiguous (the join grid's innermost axis is
-//!   eliminated; for one operand, its unit-stride axis is), each run
-//!   folds through [`mpf_semiring::kernel::LANES`]-wide accumulators with
-//!   the fixed reduction tree of [`mpf_semiring::kernel::reduce_lanes`],
-//!   runs combined in order; otherwise the fold is the scalar one. The
-//!   shape is a pure function of the layout — never of thread count or
-//!   scheduling — so chunked results are bit-identical at any
-//!   `MPF_THREADS`, and bit-identical to scalar for the min/max-family
-//!   semirings and for every step without a lane fold (a join's cells,
-//!   for one).
+//! straight-line per-semiring code with no dispatch branch per cell. Every
+//! cell folds one way: its first product, then `⊕` in eliminated-odometer
+//! order (eliminated axes in join-schema order). The order is a pure
+//! function of the layout, never of the nest, the SIMD tier, the thread
+//! count or scheduling, so answers are bit-identical at any
+//! `MPF_THREADS`. The sparse kernel and the hash operators fold the same
+//! way along their own walk of the eliminated axes, so on complete inputs
+//! the three agree bit for bit wherever the walks coincide — always for a
+//! join and for one operand.
 //!
 //! A two-operand step never materializes the join: the union grid is
 //! only indexed, never allocated, so it may exceed
 //! [`mpf_storage::layout::MAX_DENSE_CELLS`]; the operands and the output
 //! may not. The full step is therefore bit-identical to the product
-//! join then the marginalization under the same mode (their cells fold
-//! the same products in the same order), while peak memory drops from
-//! the union grid to the output grid.
+//! join then the marginalization (their cells fold the same products in
+//! the same order), while peak memory drops from the union grid to the
+//! output grid.
 //!
 //! # Nests and SIMD tiers
 //!
-//! The chunked kernel picks its loop nest from the operand strides
+//! The kernel picks its loop nest from the operand strides
 //! (`join_agg_impl`): when some group axis is unit-stride in one operand
 //! and unit-stride or broadcast in the other, it runs register tiles
 //! (`join_agg_tiles`, `nest=tile`): `MR` cells along a second group axis
@@ -96,7 +86,7 @@
 //! (GEMM's micro-kernel; `MR = 1` when no second axis qualifies, and for
 //! one operand). Otherwise both operands are contiguous along an
 //! eliminated axis and each cell folds its own run (`join_agg_cells`,
-//! `nest=cell`, also the scalar reference). The nest changes which cells
+//! `nest=cell`). The nest changes which cells
 //! are computed together, never the order one cell's products are
 //! folded, so it cannot move a bit. Both nests take the operand count as
 //! a constant, so a two-operand step compiles exactly as it would
@@ -114,7 +104,7 @@
 
 use std::marker::PhantomData;
 
-use mpf_semiring::kernel::{reduce_lanes, SemiringOps, SimdTier, Tier, TierKernel, LANES};
+use mpf_semiring::kernel::{SemiringOps, SimdTier, Tier, TierKernel};
 use mpf_semiring::for_each_semiring;
 use mpf_storage::layout::{delinearize, grid_cells, is_odometer_ordered, strides_of};
 use mpf_storage::{FunctionalRelation, Schema, Value, VarId};
@@ -136,7 +126,7 @@ pub enum DenseMode {
     Off,
     /// Plan dense whenever the grids are feasible, skipping the planner's
     /// estimated-density heuristic. The kernels still verify
-    /// support-exactness at runtime and fall back to the hash operators
+    /// support-exactness at runtime and fall back to the sparse kernel
     /// otherwise.
     On,
     /// Plan dense when the estimated density clears the planner's
@@ -155,31 +145,6 @@ impl DenseMode {
             .ok()
             .and_then(|v| crate::config::parse_dense(&v).ok())
             .unwrap_or(DenseMode::Auto)
-    }
-}
-
-/// Which loop shape the dense (and aligned-coordinate sparse) kernels
-/// run, carried by the execution context ([`KernelMode::Chunked`]
-/// unless a test or bench sets the scalar reference).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// One cell at a time, budget guard polled per cell — the reference
-    /// shape, kept for parity testing and bisection.
-    Scalar,
-    /// Fixed-width lane chunking with block-granular budget charges —
-    /// the autovectorizing default. Deterministic reduction shape: see
-    /// the module docs.
-    #[default]
-    Chunked,
-}
-
-impl KernelMode {
-    /// The mode's name, for trace spans and metrics.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelMode::Scalar => "scalar",
-            KernelMode::Chunked => "chunked",
-        }
     }
 }
 
@@ -391,7 +356,6 @@ pub(crate) fn step(
         (None, _) => cx.record_group_by_ex(inputs, &rel, OpRepr::Dense),
         (Some(_), Some(_)) => cx.record_join_agg_ex(inputs, &rel, OpRepr::Dense),
     }
-    cx.note_kernel_op(cx.kernel_mode());
     // Only the full step reports its nest and tier.
     if r.is_some() && group_vars.is_some() {
         cx.note_fused_nest(nest);
@@ -491,42 +455,22 @@ fn join_agg_impl(
         .collect();
 
     let sr = cx.semiring();
-    let mode = cx.kernel_mode();
     let arity = out_schema.arity();
     let threads = cx.threads();
     let budget = cx.budget();
-    // The lane fold needs a contiguous innermost eliminated run. In a
-    // two-operand step that is the join grid's innermost axis being
-    // eliminated — the gate of the unfused marginalization over the
-    // materialized join. One operand *is* that materialized grid, so
-    // its gate reads the operand's own strides (a trailing one-cell
-    // group axis leaves the run contiguous).
-    let lane = mode == KernelMode::Chunked
-        && match r {
-            Some(_) => join_schema.iter().last().is_some_and(|v| !group_vars.contains(&v)),
-            None => edims.last().is_some_and(|d| d.sa == 1),
-        };
     let workers = if join_cells_total >= PARALLEL_MIN_CELLS as u64 && total > 1 {
         threads.max(1)
     } else {
         1
     };
-    // Nest selection: the chunked kernel runs register tiles along the
-    // last group axis that is unit-stride in one operand and unit-stride
-    // or broadcast in the other (so each tile row streams and vectorizes,
-    // with the eliminated axes outside it). Without such an axis both
-    // operands are contiguous along an eliminated axis and the cell-major
-    // lane fold already vectorizes; the scalar mode keeps the cell-major
-    // nest as the reference shape. Either nest folds each cell's products
-    // in the same order, so the choice never moves a bit. A one-operand
-    // lane fold stays cell-major too: with a unit-stride group axis it
-    // only arises over one-cell eliminated axes, not worth a tile pattern.
-    let row_axis = match mode {
-        KernelMode::Chunked if !(lane && r.is_none()) => gdims
-            .iter()
-            .rposition(|d| d.dom > 1 && matches!((d.sa, d.sb), (1, 0) | (0, 1) | (1, 1))),
-        _ => None,
-    };
+    // Nest selection: register tiles along the last group axis that is
+    // unit-stride in one operand and unit-stride or broadcast in the other
+    // (so each tile row streams and vectorizes, with the eliminated axes
+    // outside it); without such an axis, the cell-major nest. Either nest
+    // folds each cell's products in the same order, so the choice never
+    // moves a bit.
+    let row_axis =
+        gdims.iter().rposition(|d| d.dom > 1 && matches!((d.sa, d.sb), (1, 0) | (0, 1) | (1, 1)));
     let tiles = row_axis.map(|row| TileAxes::choose(&gdims, row));
     // Small steps stay on the baseline tier, so a workload of small
     // dense steps never faults in the wide tiers' code (DESIGN §16).
@@ -542,7 +486,6 @@ fn join_agg_impl(
         edims: &edims,
         budget,
         arity,
-        lane,
         check,
     };
     let job = &job;
@@ -629,8 +572,8 @@ impl TileAxes {
 
 /// Everything either nest reads besides its output slice: the operands'
 /// value arrays (`bv` is `None` in a one-operand step), the group and
-/// eliminated axes, whether cells lane-fold, and the operator a
-/// non-finite cell is reported against (`None`: stored unchecked).
+/// eliminated axes, and the operator a non-finite cell is reported
+/// against (`None`: stored unchecked).
 struct StepJob<'a> {
     av: &'a [f64],
     bv: Option<&'a [f64]>,
@@ -639,7 +582,6 @@ struct StepJob<'a> {
     edims: &'a [FusedDim],
     budget: Option<&'a ExecBudget>,
     arity: usize,
-    lane: bool,
     check: Option<&'static str>,
 }
 
@@ -668,10 +610,8 @@ fn store<S: SemiringOps>(check: Option<&'static str>, slot: &mut f64, v: f64) ->
 /// rows as `1 × NR` tiles.
 ///
 /// Each cell's fold is exactly the cell-major one ([`join_agg_cells`]):
-/// the first product, then `S::add` in eliminated-odometer order, or —
-/// `lane` — per eliminated run the [`LANES`]-way fold of
-/// [`fold_products`] ([`reduce_lanes`] tree, scalar tail), runs combined
-/// in order. The tile shape and the tier change which cells share
+/// the first product, then `S::add` in eliminated-odometer order. The
+/// tile shape and the tier change which cells share
 /// registers, never an operation or its order, so every tier computes the
 /// same bits. The guard polls once per tile; a finished tile is
 /// validated cell by cell (unless the step stores unchecked); a strip of
@@ -721,18 +661,12 @@ fn tile_nest<S: SemiringOps, const MR: usize, const NR: usize, const NT: usize>(
     start: usize,
     out: &mut [f64],
 ) -> Result<()> {
-    // The lane fold keeps `LANES` partial tiles per tile, so its tiles
-    // are one row deep, as are a one-operand step's (it has no `m` axis,
-    // and never a lane fold here).
-    debug_assert!(job.bv.is_some() || !job.lane, "one-operand lane folds are cell-major");
-    match (job.bv.is_some(), job.lane, axes.q_row, axes.swap) {
-        (true, false, false, false) => strips::<S, 0, false, MR, NR, NT, false, false>(job, axes, start, out),
-        (true, false, false, true) => strips::<S, 0, true, MR, NR, NT, false, false>(job, axes, start, out),
-        (true, false, true, _) => strips::<S, 1, false, MR, NR, NT, false, false>(job, axes, start, out),
-        (true, true, false, false) => strips::<S, 0, false, 1, NR, NT, true, false>(job, axes, start, out),
-        (true, true, false, true) => strips::<S, 0, true, 1, NR, NT, true, false>(job, axes, start, out),
-        (true, true, true, _) => strips::<S, 1, false, 1, NR, NT, true, false>(job, axes, start, out),
-        (false, ..) => strips::<S, 0, false, 1, NR, NT, false, true>(job, axes, start, out),
+    // A one-operand step has no `m` axis, so its tiles are one row deep.
+    match (job.bv.is_some(), axes.q_row, axes.swap) {
+        (true, false, false) => strips::<S, 0, false, MR, NR, NT, false>(job, axes, start, out),
+        (true, false, true) => strips::<S, 0, true, MR, NR, NT, false>(job, axes, start, out),
+        (true, true, _) => strips::<S, 1, false, MR, NR, NT, false>(job, axes, start, out),
+        (false, ..) => strips::<S, 0, false, 1, NR, NT, true>(job, axes, start, out),
     }
 }
 
@@ -759,10 +693,9 @@ struct TileSrc<'a> {
     last: ElimDim,
 }
 
-/// The tile nest for one operand pattern and fold: `QJ` is `Q`'s stride
-/// along the row (0 or 1), `SWAP` whether `P` is `b`, `LANE` whether
-/// cells lane-fold, `ONE` whether the step has one operand (its product
-/// is `P`'s value; `Q` is never read).
+/// The tile nest for one operand pattern: `QJ` is `Q`'s stride along the
+/// row (0 or 1), `SWAP` whether `P` is `b`, `ONE` whether the step has one
+/// operand (its product is `P`'s value; `Q` is never read).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn strips<
@@ -772,7 +705,6 @@ fn strips<
     const MR: usize,
     const NR: usize,
     const NT: usize,
-    const LANE: bool,
     const ONE: bool,
 >(
     job: &StepJob<'_>,
@@ -832,13 +764,13 @@ fn strips<
                     sor,
                 };
                 if mr == MR {
-                    strip_tiles::<S, QJ, SWAP, MR, NR, NT, LANE, ONE>(
+                    strip_tiles::<S, QJ, SWAP, MR, NR, NT, ONE>(
                         &src, &mut ecoords, strip, n, &mut guard, check, out,
                     )?;
                 } else {
                     for i in 0..mr {
                         let strip = Strip { q: strip.q + i * sqm, o: strip.o + i * som, ..strip };
-                        strip_tiles::<S, QJ, SWAP, 1, NR, NT, LANE, ONE>(
+                        strip_tiles::<S, QJ, SWAP, 1, NR, NT, ONE>(
                             &src, &mut ecoords, strip, n, &mut guard, check, out,
                         )?;
                     }
@@ -890,7 +822,6 @@ fn strip_tiles<
     const R: usize,
     const NR: usize,
     const NT: usize,
-    const LANE: bool,
     const ONE: bool,
 >(
     src: &TileSrc<'_>,
@@ -905,8 +836,7 @@ fn strip_tiles<
     let mut x = 0;
     while x + NR <= n {
         guard.poll_many(work.saturating_mul((R * NR) as u64))?;
-        let acc =
-            tile::<S, QJ, SWAP, R, NR, LANE, ONE>(src, ecoords, strip.p + x, strip.q + x * QJ);
+        let acc = tile::<S, QJ, SWAP, R, NR, ONE>(src, ecoords, strip.p + x, strip.q + x * QJ);
         store_tile::<S, R, NR>(&acc, check, out, strip.o + x * strip.sor, strip.som, strip.sor)?;
         x += NR;
     }
@@ -915,13 +845,13 @@ fn strip_tiles<
             let x0 = x.min(n - NT);
             guard.poll_many(work.saturating_mul((R * NT) as u64))?;
             let (p, q) = (strip.p + x0, strip.q + x0 * QJ);
-            let acc = tile::<S, QJ, SWAP, R, NT, LANE, ONE>(src, ecoords, p, q);
+            let acc = tile::<S, QJ, SWAP, R, NT, ONE>(src, ecoords, p, q);
             store_tile::<S, R, NT>(&acc, check, out, strip.o + x0 * strip.sor, strip.som, strip.sor)?;
             x = x0 + NT;
         } else {
             guard.poll_many(work.saturating_mul(R as u64))?;
             let (p, q) = (strip.p + x, strip.q + x * QJ);
-            let acc = tile::<S, QJ, SWAP, R, 1, LANE, ONE>(src, ecoords, p, q);
+            let acc = tile::<S, QJ, SWAP, R, 1, ONE>(src, ecoords, p, q);
             store_tile::<S, R, 1>(&acc, check, out, strip.o + x * strip.sor, strip.som, strip.sor)?;
             x += 1;
         }
@@ -956,7 +886,6 @@ fn tile<
     const SWAP: bool,
     const R: usize,
     const C: usize,
-    const LANE: bool,
     const ONE: bool,
 >(
     src: &TileSrc<'_>,
@@ -989,44 +918,14 @@ fn tile<
         let qs: [&[f64]; R] =
             std::array::from_fn(|i| if ONE { &[][..] } else { &qv[qr + i * sqm..] });
         let ps = &pv[pr..];
-        if LANE {
-            let full = delast - delast % LANES;
-            let mut lanes = [[[S::ZERO; C]; R]; LANES];
-            for (l, lane_acc) in lanes.iter_mut().enumerate() {
-                let mut t = l;
-                while t < full {
-                    tile_step::<S, QJ, SWAP, R, C, false, ONE>(lane_acc, ps, t * spl, &qs, t * sql);
-                    t += LANES;
-                }
-            }
-            let mut v = [[S::ZERO; C]; R];
-            for i in 0..R {
-                for j in 0..C {
-                    v[i][j] = reduce_lanes::<S>(std::array::from_fn(|l| lanes[l][i][j]));
-                }
-            }
-            for t in full..delast {
-                tile_step::<S, QJ, SWAP, R, C, false, ONE>(&mut v, ps, t * spl, &qs, t * sql);
-            }
-            if run == 0 {
-                acc = v;
-            } else {
-                for (arow, vrow) in acc.iter_mut().zip(&v) {
-                    for (slot, &x) in arow.iter_mut().zip(vrow) {
-                        *slot = S::add(*slot, x);
-                    }
-                }
-            }
-        } else {
-            let mut t = 0;
-            if run == 0 {
-                tile_step::<S, QJ, SWAP, R, C, true, ONE>(&mut acc, ps, 0, &qs, 0);
-                t = 1;
-            }
-            while t < delast {
-                tile_step::<S, QJ, SWAP, R, C, false, ONE>(&mut acc, ps, t * spl, &qs, t * sql);
-                t += 1;
-            }
+        let mut t = 0;
+        if run == 0 {
+            tile_step::<S, QJ, SWAP, R, C, true, ONE>(&mut acc, ps, 0, &qs, 0);
+            t = 1;
+        }
+        while t < delast {
+            tile_step::<S, QJ, SWAP, R, C, false, ONE>(&mut acc, ps, t * spl, &qs, t * sql);
+            t += 1;
         }
     }
     acc
@@ -1104,9 +1003,7 @@ fn tile_row<
 /// Cell-major contraction over one contiguous output-cell range: each
 /// cell folds its eliminated subgrid's products (`mul(a, b)`, or `a`'s
 /// value in a one-operand step) through strided odometers, first product
-/// then `S::add` in eliminated-odometer order — or, `job.lane`, each
-/// contiguous innermost run through [`fold_products`]' lane shape, runs
-/// combined in order.
+/// then `S::add` in eliminated-odometer order.
 fn join_agg_cells<S: SemiringOps>(job: &StepJob<'_>, start: usize, out: &mut [f64]) -> Result<()> {
     match job.bv {
         Some(_) => cells::<S, false>(job, start, out),
@@ -1121,7 +1018,7 @@ fn cells<S: SemiringOps, const ONE: bool>(
     start: usize,
     out: &mut [f64],
 ) -> Result<()> {
-    let StepJob { av, bv, gdims, out_strides, edims, budget, arity, lane, check } = *job;
+    let StepJob { av, bv, gdims, out_strides, edims, budget, arity, check } = *job;
     let bv = bv.unwrap_or_default();
     let product = |i: usize, j: usize| if ONE { av[i] } else { S::mul(av[i], bv[j]) };
     let mut guard = OpGuard::new(budget, arity);
@@ -1147,15 +1044,10 @@ fn cells<S: SemiringOps, const ONE: bool>(
     let mut ecoords = vec![0u64; ek.saturating_sub(1)];
     for slot in out.iter_mut() {
         guard.poll()?;
-        let mut acc = if lane {
-            fold_products::<S, ONE>(av, abase, sal, bv, bbase, sbl, delast as usize)
-        } else {
-            let mut acc = product(abase, bbase);
-            for j in 1..delast as usize {
-                acc = S::add(acc, product(abase + j * sal, bbase + j * sbl));
-            }
-            acc
-        };
+        let mut acc = product(abase, bbase);
+        for j in 1..delast as usize {
+            acc = S::add(acc, product(abase + j * sal, bbase + j * sbl));
+        }
         let (mut ea, mut eb) = (0usize, 0usize);
         for _ in 1..eruns {
             for j in (0..ek - 1).rev() {
@@ -1170,12 +1062,8 @@ fn cells<S: SemiringOps, const ONE: bool>(
                 eb -= edims[j].sb * edims[j].dom as usize;
             }
             let (ra, rb) = (abase + ea, bbase + eb);
-            if lane {
-                acc = S::add(acc, fold_products::<S, ONE>(av, ra, sal, bv, rb, sbl, delast as usize));
-            } else {
-                for j in 0..delast as usize {
-                    acc = S::add(acc, product(ra + j * sal, rb + j * sbl));
-                }
+            for j in 0..delast as usize {
+                acc = S::add(acc, product(ra + j * sal, rb + j * sbl));
             }
         }
         for e in ecoords.iter_mut() {
@@ -1217,66 +1105,6 @@ fn union_domains(
             from_l.max(from_r)
         })
         .collect()
-}
-
-/// Chunked fold of `add(mul(a, b))` (`ONE`: of `a`'s values) over one
-/// eliminated run of length `n`: [`LANES`] independent accumulators
-/// seeded with the additive identity, combined by the fixed
-/// [`reduce_lanes`] tree, remainder folded last — the shape of
-/// [`mpf_semiring::kernel::fold_run`] over the materialized products, so
-/// a two-operand step folds the same bits as the one-operand step over
-/// its materialized join. The shape depends only on `n`.
-#[inline(always)]
-fn fold_products<S: SemiringOps, const ONE: bool>(
-    av: &[f64],
-    ai: usize,
-    sal: usize,
-    bv: &[f64],
-    bi: usize,
-    sbl: usize,
-    n: usize,
-) -> f64 {
-    #[inline(always)]
-    fn go<S: SemiringOps>(n: usize, f: impl Fn(usize) -> f64) -> f64 {
-        let mut lanes = [S::ZERO; LANES];
-        let mut t = 0usize;
-        while t + LANES <= n {
-            for (q, lane) in lanes.iter_mut().enumerate() {
-                *lane = S::add(*lane, f(t + q));
-            }
-            t += LANES;
-        }
-        let mut acc = reduce_lanes::<S>(lanes);
-        while t < n {
-            acc = S::add(acc, f(t));
-            t += 1;
-        }
-        acc
-    }
-    if ONE {
-        return match sal {
-            1 => {
-                let xs = &av[ai..ai + n];
-                go::<S>(n, |t| xs[t])
-            }
-            _ => go::<S>(n, |t| av[ai + t * sal]),
-        };
-    }
-    match (sal, sbl) {
-        (1, 1) => {
-            let (xs, ys) = (&av[ai..ai + n], &bv[bi..bi + n]);
-            go::<S>(n, |t| S::mul(xs[t], ys[t]))
-        }
-        (1, 0) => {
-            let (xs, y) = (&av[ai..ai + n], bv[bi]);
-            go::<S>(n, |t| S::mul(xs[t], y))
-        }
-        (0, 1) => {
-            let (x, ys) = (av[ai], &bv[bi..bi + n]);
-            go::<S>(n, |t| S::mul(x, ys[t]))
-        }
-        _ => go::<S>(n, |t| S::mul(av[ai + t * sal], bv[bi + t * sbl])),
-    }
 }
 
 #[cfg(test)]
@@ -1613,22 +1441,20 @@ mod tests {
         let gv = [cat.var("x").unwrap(), cat.var("y").unwrap()];
         assert!(grid_cells(&[D as u64; 3]).is_none(), "join grid is over the cap");
         let (lm, rm) = (l.measures(), r.measures());
-        for mode in [KernelMode::Chunked, KernelMode::Scalar] {
-            let mut cx = ExecContext::new(SemiringKind::SumProduct).with_kernel(mode);
-            let out = join_agg(&mut cx, &l, &r, &gv).unwrap();
-            let stats = cx.stats();
-            assert_eq!((stats.fused_join_aggs, stats.dense_joins), (1, 1), "{mode:?} ran dense");
-            assert_eq!(stats.max_intermediate_rows, (D * D) as u64);
-            let got = out.measures();
-            assert_eq!(got.len(), D * D);
-            for x in 0..D {
-                for y in 0..D {
-                    let mut want = lm[x * D] * rm[y];
-                    for e in 1..D {
-                        want += lm[x * D + e] * rm[e * D + y];
-                    }
-                    assert_eq!(got[x * D + y].to_bits(), want.to_bits(), "{mode:?} ({x}, {y})");
+        let mut cx = ExecContext::new(SemiringKind::SumProduct);
+        let out = join_agg(&mut cx, &l, &r, &gv).unwrap();
+        let stats = cx.stats();
+        assert_eq!((stats.fused_join_aggs, stats.dense_joins), (1, 1), "ran dense");
+        assert_eq!(stats.max_intermediate_rows, (D * D) as u64);
+        let got = out.measures();
+        assert_eq!(got.len(), D * D);
+        for x in 0..D {
+            for y in 0..D {
+                let mut want = lm[x * D] * rm[y];
+                for e in 1..D {
+                    want += lm[x * D + e] * rm[e * D + y];
                 }
+                assert_eq!(got[x * D + y].to_bits(), want.to_bits(), "({x}, {y})");
             }
         }
     }
@@ -1653,7 +1479,6 @@ mod tests {
             edims: &edims,
             budget: Some(&budget),
             arity: 2,
-            lane: false,
             check: Some("dense::join_agg"),
         };
         let err = join_agg_tiles::<mpf_semiring::kernel::SumProduct>(
@@ -1796,7 +1621,6 @@ mod tests {
         doms: &[u64],
         layout: &Layout<'_>,
         group: &[usize],
-        lane: bool,
         av: &[f64],
         bv: Option<&[f64]>,
     ) -> Result<Vec<u64>> {
@@ -1823,7 +1647,6 @@ mod tests {
             edims: &edims,
             budget: None,
             arity: group.len(),
-            lane,
             check,
         };
         let axes = TileAxes::choose(&gdims, row);
@@ -1832,7 +1655,7 @@ mod tests {
         let by_cell = join_agg_cells::<S>(&job, 0, &mut cells)
             .map(|()| cells.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         let what = format!(
-            "{:?} doms {doms:?} a {:?} b {:?} elim {:?} group {group:?} lane {lane}",
+            "{:?} doms {doms:?} a {:?} b {:?} elim {:?} group {group:?}",
             S::KIND,
             layout.a,
             layout.b,
@@ -1891,13 +1714,9 @@ mod tests {
                 for layout in &layouts {
                     let av = vals(layout.a, 6);
                     let bv = layout.b.map(|b| vals(b, 7));
-                    // A one-operand lane fold never takes the tile nest.
-                    let lanes: &[bool] = if layout.b.is_some() { &[false, true] } else { &[false] };
-                    for &lane in lanes {
-                        for group in [[0, 1], [1, 0]] {
-                            check_tiers::<S>(&doms, layout, &group, lane, &av, bv.as_deref())
-                                .unwrap_or_else(|e| panic!("{:?} d {d}: {e:?}", S::KIND));
-                        }
+                    for group in [[0, 1], [1, 0]] {
+                        check_tiers::<S>(&doms, layout, &group, &av, bv.as_deref())
+                            .unwrap_or_else(|e| panic!("{:?} d {d}: {e:?}", S::KIND));
                     }
                 }
             }
@@ -1918,7 +1737,7 @@ mod tests {
             bv[(4 * d + d / 2) as usize] = 1e300;
             let layout = Layout { a: &[0, 2], b: Some(&[2, 1]), elim: &[2] };
             let err =
-                check_tiers::<S>(&doms, &layout, &[0, 1], false, &av, Some(&bv)).unwrap_err();
+                check_tiers::<S>(&doms, &layout, &[0, 1], &av, Some(&bv)).unwrap_err();
             assert!(matches!(err, AlgebraError::NonFiniteMeasure { .. }), "{err:?}");
             err
         }
@@ -1948,7 +1767,6 @@ mod tests {
                 &doms,
                 &layout,
                 &[0, 1],
-                false,
                 &big,
                 Some(&bv),
             )
@@ -1959,7 +1777,6 @@ mod tests {
                 &doms,
                 &layout,
                 &[0, 1],
-                false,
                 &av,
                 Some(&bv),
             )

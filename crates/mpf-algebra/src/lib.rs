@@ -46,7 +46,7 @@ pub mod trace;
 
 pub use config::{ConfigError, EnvKnobs};
 pub use context::ExecContext;
-pub use dense::{DenseMode, KernelMode};
+pub use dense::DenseMode;
 pub use error::AlgebraError;
 pub use exec::Executor;
 pub use limits::{BudgetLease, BudgetPool, CancelToken, ExecBudget, ExecLimits, OpGuard, ResourceKind};

@@ -375,9 +375,10 @@ impl<'a> OpGuard<'a> {
 
     /// Count `n` emitted output rows at once — the block-granular
     /// equivalent of `n` calls to [`OpGuard::produced`], used by the
-    /// chunked dense kernels whose inner loops run guard-free over
-    /// contiguous runs. Flushes on the same cumulative-row thresholds,
-    /// so a budget trip reports the same observed row count either way
+    /// operators whose inner loops run guard-free over a block of rows
+    /// (a strip of dense tiles, for one). Flushes on the same
+    /// cumulative-row thresholds, so a budget trip reports the same
+    /// observed row count either way
     /// (callers pass blocks well under [`TICK_INTERVAL`] multiples, e.g.
     /// one tile row or a few thousand cells at a time).
     #[inline]

@@ -604,6 +604,27 @@ mod tests {
     }
 
     #[test]
+    fn group_by_on_four_variables_tells_apart_first_values_past_2_pow_30() {
+        // Two rows whose four group values differ only in bit 30 of the
+        // first: the hash group-by must keep two groups.
+        let mut c = Catalog::new();
+        let vars: Vec<VarId> = [("w", 1u64 << 31), ("x", 1), ("y", 1), ("z", 1), ("t", 2)]
+            .into_iter()
+            .map(|(v, d)| c.add_var(v, d).unwrap())
+            .collect();
+        let rel = FunctionalRelation::from_rows(
+            "r",
+            Schema::new(vars.clone()).unwrap(),
+            [(vec![1 << 30, 0, 0, 0, 0], 1.0), (vec![0, 0, 0, 0, 1], 2.0)],
+        )
+        .unwrap();
+        let mut cx = ExecContext::new(SemiringKind::SumProduct);
+        let g = group_by(&mut cx, &rel, &vars[..4]).unwrap();
+        assert_eq!(g.len(), 2, "{g:?}");
+        assert_eq!(g.measures().iter().sum::<f64>(), 3.0);
+    }
+
+    #[test]
     fn group_by_unknown_var_errors() {
         let (_, r1, _) = setup();
         let mut cx = ExecContext::new(SemiringKind::SumProduct);

@@ -144,10 +144,7 @@ pub(crate) fn step(
         return Ok(None);
     };
     match (inputs, group_vars) {
-        ([_, _], None) => {
-            cx.record_join_ex(inputs, &rel, OpRepr::Sparse);
-            cx.note_kernel_op(cx.kernel_mode());
-        }
+        ([_, _], None) => cx.record_join_ex(inputs, &rel, OpRepr::Sparse),
         ([_], _) => cx.record_group_by_ex(inputs, &rel, OpRepr::Sparse),
         _ => {
             cx.record_join_agg_ex(inputs, &rel, OpRepr::Sparse);

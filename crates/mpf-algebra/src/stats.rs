@@ -43,10 +43,6 @@ pub struct ExecStats {
     /// both `joins` and `group_bys`, so totals reconcile with an unfused
     /// plan).
     pub fused_join_aggs: u64,
-    /// Kernel dispatches that ran the lane-chunked inner loops.
-    pub kernel_chunked_ops: u64,
-    /// Kernel dispatches that ran the scalar reference inner loops.
-    pub kernel_scalar_ops: u64,
     /// Sparse operands keyed from a stored relation's memoized order
     /// (no linearization, no sort).
     pub keyed_memo_hits: u64,
@@ -73,8 +69,6 @@ impl ExecStats {
         self.trunk_builds += other.trunk_builds;
         self.trunk_hits += other.trunk_hits;
         self.fused_join_aggs += other.fused_join_aggs;
-        self.kernel_chunked_ops += other.kernel_chunked_ops;
-        self.kernel_scalar_ops += other.kernel_scalar_ops;
         self.keyed_memo_hits += other.keyed_memo_hits;
         self.keyed_memo_builds += other.keyed_memo_builds;
     }
@@ -102,8 +96,6 @@ mod tests {
             trunk_builds: 1,
             trunk_hits: 4,
             fused_join_aggs: 1,
-            kernel_chunked_ops: 3,
-            kernel_scalar_ops: 0,
             keyed_memo_hits: 5,
             keyed_memo_builds: 1,
         };
@@ -123,8 +115,6 @@ mod tests {
             trunk_builds: 2,
             trunk_hits: 10,
             fused_join_aggs: 2,
-            kernel_chunked_ops: 1,
-            kernel_scalar_ops: 2,
             keyed_memo_hits: 2,
             keyed_memo_builds: 3,
         };
@@ -144,8 +134,6 @@ mod tests {
         assert_eq!(a.trunk_builds, 3);
         assert_eq!(a.trunk_hits, 14);
         assert_eq!(a.fused_join_aggs, 3);
-        assert_eq!(a.kernel_chunked_ops, 4);
-        assert_eq!(a.kernel_scalar_ops, 2);
         assert_eq!(a.keyed_memo_hits, 7);
         assert_eq!(a.keyed_memo_builds, 4);
     }

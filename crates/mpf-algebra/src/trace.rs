@@ -155,10 +155,6 @@ pub struct TraceSpan {
     pub elapsed: Duration,
     /// The storage representation the operator ran on.
     pub repr: OpRepr,
-    /// The kernel inner-loop mode (`"scalar"`/`"chunked"`) a
-    /// monomorphized kernel ran with; `None` for operators that never
-    /// touched a monomorphized kernel (hash path, scans, phases).
-    pub kernel: Option<&'static str>,
     /// The loop nest a fused contraction ran: dense `"tile"` (register
     /// tiles along output axes) or `"cell"` (one serial fold per output
     /// cell), sparse `"stream"`, `"scatter"` or `"staged"`; `None` for
@@ -199,7 +195,6 @@ impl TraceSpan {
             cells: 0,
             elapsed: Duration::ZERO,
             repr: desc.repr,
-            kernel: None,
             nest: None,
             simd: None,
             keyed: None,
@@ -247,9 +242,6 @@ impl TraceSpan {
                 self.rows_out, self.cells, self.elapsed
             ));
             out.push_str(&format!(", repr={}", self.repr.name()));
-            if let Some(k) = self.kernel {
-                out.push_str(&format!(", kernel={k}"));
-            }
             if let Some(n) = self.nest {
                 out.push_str(&format!(", nest={n}"));
             }
@@ -289,9 +281,6 @@ impl TraceSpan {
         ));
         if self.kind != SpanKind::Phase {
             out.push_str(&format!(",\"repr\":\"{}\"", self.repr.name()));
-        }
-        if let Some(k) = self.kernel {
-            out.push_str(&format!(",\"kernel\":\"{k}\""));
         }
         if let Some(n) = self.nest {
             out.push_str(&format!(",\"nest\":\"{n}\""));
@@ -515,18 +504,10 @@ impl TraceCollector {
         self.attach(leaf);
     }
 
-    /// Tag the active span with the kernel inner-loop mode: the innermost
-    /// open span when one exists (interpreter path), else the span most
-    /// recently attached at the current level (ad-hoc operator calls,
-    /// whose accounting attaches a leaf just before this runs).
-    pub(crate) fn set_kernel(&mut self, kernel: &'static str) {
-        if let Some(span) = self.active_span() {
-            span.kernel = Some(kernel);
-        }
-    }
-
-    /// Tag the active span with the fused kernel's loop nest (same
-    /// targeting rule as [`TraceCollector::set_kernel`]).
+    /// Tag the active span with the fused kernel's loop nest: the
+    /// innermost open span when one exists (interpreter path), else the
+    /// span most recently attached at the current level (ad-hoc operator
+    /// calls, whose accounting attaches a leaf just before this runs).
     pub(crate) fn set_nest(&mut self, nest: &'static str) {
         if let Some(span) = self.active_span() {
             span.nest = Some(nest);
@@ -534,7 +515,7 @@ impl TraceCollector {
     }
 
     /// Tag the active span with the instruction-set tier its kernel ran
-    /// (same targeting rule as [`TraceCollector::set_kernel`]).
+    /// (same targeting rule as [`TraceCollector::set_nest`]).
     pub(crate) fn set_simd(&mut self, simd: &'static str) {
         if let Some(span) = self.active_span() {
             span.simd = Some(simd);
@@ -542,7 +523,7 @@ impl TraceCollector {
     }
 
     /// Tag the active span with where its operands were keyed from (same
-    /// targeting rule as [`TraceCollector::set_kernel`]).
+    /// targeting rule as [`TraceCollector::set_nest`]).
     pub(crate) fn set_keyed(&mut self, keyed: &'static str) {
         if let Some(span) = self.active_span() {
             span.keyed = Some(keyed);
@@ -550,7 +531,7 @@ impl TraceCollector {
     }
 
     /// Tag the active span with the variables a pinned slice fixed (same
-    /// targeting rule as [`TraceCollector::set_kernel`]).
+    /// targeting rule as [`TraceCollector::set_nest`]).
     pub(crate) fn set_pinned(&mut self, vars: Vec<VarId>) {
         if let Some(span) = self.active_span() {
             span.pinned = vars;
@@ -558,7 +539,7 @@ impl TraceCollector {
     }
 
     /// Mark the active span as a fused join→marginalize contraction (same
-    /// targeting rule as [`TraceCollector::set_kernel`]).
+    /// targeting rule as [`TraceCollector::set_nest`]).
     pub(crate) fn set_fused(&mut self, fused: bool) {
         if let Some(span) = self.active_span() {
             span.fused = fused;

@@ -1,21 +1,25 @@
-//! Kernel-mode parity: whatever [`KernelMode`] selects — scalar inner
-//! loops or the 8-wide chunked kernels — answers are the same function,
-//! for every semiring, under every representation mode, at every thread
-//! count; and the fused join→marginalize operator is indistinguishable
-//! from the unfused pair except in the work it skips.
+//! Representation parity: the dense, sparse and hash elimination steps
+//! fold each cell's products in one order — the first product, then `⊕`
+//! term by term in the order they walk the eliminated axes — for every
+//! semiring, at every thread count; and the fused join→marginalize step
+//! is indistinguishable from the unfused pair except in the work it
+//! skips.
 //!
-//! The guarantees under test, in decreasing strength:
+//! The guarantees under test:
 //!
-//! * **Bit-identity across thread counts** for *all* semirings in either
-//!   kernel mode: the chunked reduction shape is a pure function of run
-//!   length, never of the worker partitioning.
-//! * **Bit-identity scalar vs chunked** for the selective semirings
-//!   (min/max/or families): reassociating a selective fold cannot change
-//!   the result. The rounding semirings (sum-product, log-sum-product)
-//!   agree within [`FunctionalRelation::function_eq_in`] tolerance.
+//! * **Bit-identity across thread counts** for *all* semirings in every
+//!   representation: a cell's fold is a pure function of the layout,
+//!   never of the worker partitioning.
+//! * **Bit-identity across representations** on complete inputs wherever
+//!   the steps walk the eliminated axes in the same order. The dense step
+//!   walks them in join-schema order (`l`'s variables, then `r`'s own),
+//!   the sparse step in merge order (shared, then `l`'s own, then `r`'s
+//!   own) and the hash step in probe-row order, then build-row order;
+//!   the forms where those differ are named at each check, and agree
+//!   there within [`FunctionalRelation::function_eq_in`] tolerance.
 //! * **Bit-identity fused vs unfused** for *all* semirings: the fused
-//!   kernel folds products in exactly the unfused join-then-aggregate
-//!   order, on both the dense grid path and the hash fallback.
+//!   step folds products in exactly the unfused join-then-aggregate
+//!   order, on the dense grid path and the hash fallback.
 //!
 //! Modes are pinned on the [`ExecContext`]; both thread counts run inside
 //! the suite.
@@ -23,8 +27,8 @@
 use std::collections::BTreeMap;
 
 use mpf_algebra::{
-    ops, DenseMode, ExecContext, Executor, KernelMode, OpRepr, PhysicalPlan, Plan, RelationStore,
-    ReprMode, SpanKind, TraceLevel,
+    ops, DenseMode, ExecContext, Executor, OpRepr, PhysicalPlan, Plan, RelationStore, ReprMode,
+    SpanKind, TraceLevel,
 };
 use mpf_semiring::kernel::SimdTier;
 use mpf_semiring::SemiringKind;
@@ -32,16 +36,8 @@ use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
 use proptest::prelude::*;
 
 const THREADS: [usize; 2] = [1, 4];
-const KERNELS: [KernelMode; 2] = [KernelMode::Scalar, KernelMode::Chunked];
 const REPRS: [ReprMode; 2] = [ReprMode::Off, ReprMode::Auto];
 const DENSES: [DenseMode; 2] = [DenseMode::Off, DenseMode::Auto];
-
-/// Semirings whose additive operation is selective (min/max/or): the
-/// fold's value is one of its operands, so any reassociation — lane
-/// chunking included — is exact, not just within rounding.
-fn selective(sr: SemiringKind) -> bool {
-    !matches!(sr, SemiringKind::SumProduct | SemiringKind::LogSumProduct)
-}
 
 /// Row-keyed measure bits, for order-independent bitwise comparison.
 fn bits(rel: &FunctionalRelation) -> BTreeMap<Vec<u32>, u64> {
@@ -94,8 +90,8 @@ fn gen_rel(
     FunctionalRelation::from_rows(name, Schema::new(vars).unwrap(), rows).unwrap()
 }
 
-/// Chain fixture r1(a,b), r2(b,c), r3(c,d) over domains big enough that
-/// the innermost runs exceed one 8-lane chunk (domain 12 ⇒ 12-cell runs).
+/// Chain fixture r1(a,b), r2(b,c), r3(c,d) over 12-value domains, so each
+/// marginalization folds twelve terms per cell.
 fn chain(sr: SemiringKind, density: f64) -> ([FunctionalRelation; 3], [VarId; 4]) {
     let mut cat = Catalog::new();
     let a = cat.add_var("a", 12).unwrap();
@@ -113,22 +109,17 @@ fn chain(sr: SemiringKind, density: f64) -> ([FunctionalRelation; 3], [VarId; 4]
 }
 
 /// A VE pipeline (eliminate b, then c, then marginalize onto a) under one
-/// pinned (repr, dense, kernel, threads) mode tuple.
+/// pinned (repr, dense, threads) mode tuple.
 fn ve_chain(
     sr: SemiringKind,
     rels: &[FunctionalRelation; 3],
     vars: &[VarId; 4],
     repr: ReprMode,
     dense: DenseMode,
-    kernel: KernelMode,
     threads: usize,
 ) -> (FunctionalRelation, mpf_algebra::ExecStats) {
     let [a, _, c, d] = *vars;
-    let mut cx = ExecContext::new(sr)
-        .with_repr(repr)
-        .with_dense(dense)
-        .with_kernel(kernel)
-        .with_threads(threads);
+    let mut cx = ExecContext::new(sr).with_repr(repr).with_dense(dense).with_threads(threads);
     let t1 = ops::step(&mut cx, &[&rels[0], &rels[1]], None, OpRepr::Dense).unwrap();
     let t1 = ops::step(&mut cx, &[&t1], Some(&[a, c]), OpRepr::Dense).unwrap();
     let t2 = ops::step(&mut cx, &[&t1, &rels[2]], None, OpRepr::Dense).unwrap();
@@ -137,68 +128,45 @@ fn ve_chain(
     (out, *cx.stats())
 }
 
-/// The full matrix: 7 semirings × {off,auto} × {off,auto} × both
-/// kernels × threads {1,4}, at a sparse and a near-complete density.
-/// Scalar and chunked always compute the same function; selective
-/// semirings agree bit-for-bit; *every* cell of the matrix is
-/// bit-identical across thread counts.
+/// The full matrix: 7 semirings × {off,auto} × {off,auto} × threads
+/// {1,4}, at two sparse densities and on complete inputs. Every cell of
+/// the matrix computes the hash pipeline's function and is bit-identical
+/// across thread counts. Each step of the chain eliminates one variable,
+/// and every representation walks it in ascending order, so on complete
+/// inputs — where the dense kernels run — every cell is bit-identical to
+/// the hash pipeline too. Below completeness the hash join emits rows in
+/// probe order, so the hash marginalization above it may meet a group's
+/// terms out of ascending order: there the sum-family semirings agree
+/// within tolerance.
 #[test]
 fn kernel_matrix_parity() {
-    for density in [0.3, 0.95] {
+    for density in [0.3, 0.95, 1.0] {
         for sr in SemiringKind::ALL {
             let (rels, vars) = chain(sr, density);
-            let (baseline, _) = ve_chain(
-                sr,
-                &rels,
-                &vars,
-                ReprMode::Off,
-                DenseMode::Off,
-                KernelMode::Scalar,
-                1,
-            );
+            let (baseline, _) = ve_chain(sr, &rels, &vars, ReprMode::Off, DenseMode::Off, 1);
             for repr in REPRS {
                 for dense in DENSES {
-                    for kernel in KERNELS {
-                        let mut per_thread: Vec<BTreeMap<Vec<u32>, u64>> = Vec::new();
-                        for t in THREADS {
-                            let (got, stats) =
-                                ve_chain(sr, &rels, &vars, repr, dense, kernel, t);
-                            assert!(
-                                baseline.function_eq_in(&got, sr),
-                                "diverged from scalar-hash baseline: density {density} \
-                                 sr {sr:?} repr {repr:?} dense {dense:?} kernel \
-                                 {kernel:?} threads {t}"
-                            );
-                            // Mode accounting: a context pinned to one kernel
-                            // mode never counts ops under the other.
-                            match kernel {
-                                KernelMode::Scalar => assert_eq!(stats.kernel_chunked_ops, 0),
-                                KernelMode::Chunked => assert_eq!(stats.kernel_scalar_ops, 0),
+                    let mut per_thread: Vec<BTreeMap<Vec<u32>, u64>> = Vec::new();
+                    for t in THREADS {
+                        let (got, stats) = ve_chain(sr, &rels, &vars, repr, dense, t);
+                        let what = format!(
+                            "density {density} sr {sr:?} repr {repr:?} dense {dense:?} threads {t}"
+                        );
+                        if density == 1.0 {
+                            assert_eq!(bits(&got), bits(&baseline), "vs hash baseline: {what}");
+                            if dense == DenseMode::Auto {
+                                assert_eq!(stats.dense_group_bys, 3, "ran dense: {what}");
                             }
-                            per_thread.push(bits(&got));
+                        } else {
+                            assert!(baseline.function_eq_in(&got, sr), "vs hash baseline: {what}");
                         }
-                        assert_eq!(
-                            per_thread[0], per_thread[1],
-                            "thread count changed bits: density {density} sr {sr:?} \
-                             repr {repr:?} dense {dense:?} kernel {kernel:?}"
-                        );
+                        per_thread.push(bits(&got));
                     }
-                    // Selective addition makes chunking exact, so the two
-                    // kernel modes agree bit-for-bit, not just in tolerance.
-                    if selective(sr) {
-                        let (s, _) = ve_chain(
-                            sr, &rels, &vars, repr, dense, KernelMode::Scalar, 1,
-                        );
-                        let (c, _) = ve_chain(
-                            sr, &rels, &vars, repr, dense, KernelMode::Chunked, 1,
-                        );
-                        assert_eq!(
-                            bits(&s),
-                            bits(&c),
-                            "selective fold reassociated: density {density} sr {sr:?} \
-                             repr {repr:?} dense {dense:?}"
-                        );
-                    }
+                    assert_eq!(
+                        per_thread[0], per_thread[1],
+                        "thread count changed bits: density {density} sr {sr:?} \
+                         repr {repr:?} dense {dense:?}"
+                    );
                 }
             }
         }
@@ -209,15 +177,22 @@ fn kernel_matrix_parity() {
 /// r2(b,c) over 8-value domains, marginalized onto `a` — b and c are
 /// join-only/eliminated, the shape the fused operator exists for.
 fn fused_fixture(sr: SemiringKind) -> (RelationStore, Vec<VarId>, Plan) {
+    let (store, [a, b, c]) = fused_store(sr, 8);
+    let logical = Plan::group_by(Plan::join(Plan::scan("r1"), Plan::scan("r2")), vec![a]);
+    (store, vec![a, b, c], logical)
+}
+
+/// Complete r1(a,b), r2(b,c) with `c` over `c_dom` values and the rest
+/// over 8.
+fn fused_store(sr: SemiringKind, c_dom: u64) -> (RelationStore, [VarId; 3]) {
     let mut cat = Catalog::new();
     let a = cat.add_var("a", 8).unwrap();
     let b = cat.add_var("b", 8).unwrap();
-    let c = cat.add_var("c", 8).unwrap();
+    let c = cat.add_var("c", c_dom).unwrap();
     let mut store = RelationStore::new();
     store.insert(gen_rel("r1", vec![a, b], &[8, 8], 1.0, 4, sr));
-    store.insert(gen_rel("r2", vec![b, c], &[8, 8], 1.0, 5, sr));
-    let logical = Plan::group_by(Plan::join(Plan::scan("r1"), Plan::scan("r2")), vec![a]);
-    (store, vec![a, b, c], logical)
+    store.insert(gen_rel("r2", vec![b, c], &[8, c_dom], 1.0, 5, sr));
+    (store, [a, b, c])
 }
 
 fn fused_plan(gv: &[VarId]) -> PhysicalPlan {
@@ -232,47 +207,48 @@ fn fused_plan(gv: &[VarId]) -> PhysicalPlan {
 }
 
 /// Fused vs unfused on the dense grid path: bit-identical output for all
-/// semirings and kernel modes at both thread counts, with the fused run
-/// reporting strictly lower peak intermediate rows and reconciled
-/// operator counts (one join plus one group-by).
+/// semirings at both thread counts, with the fused run reporting strictly
+/// lower peak intermediate rows and reconciled operator counts (one join
+/// plus one group-by).
+///
+/// The second case keeps a trailing group axis one cell wide (`c`, onto
+/// `[a, c]`): the join grid then ends in a group axis while the
+/// materialized join's innermost axis wider than one cell is eliminated.
+/// Both steps still fold each cell in eliminated-odometer order, so they
+/// agree there bit for bit too.
 #[test]
 fn fused_dense_matches_unfused_bitwise_and_lowers_peak() {
     for sr in SemiringKind::ALL {
-        let (store, vars, logical) = fused_fixture(sr);
-        let gv = [vars[0]];
-        let unfused = PhysicalPlan::from_logical(&logical, &mut |_| OpRepr::Dense);
-        let fused = fused_plan(&gv);
-        let exec = Executor::new(&store, sr);
-        for kernel in KERNELS {
+        for (c_dom, keep_c) in [(8, false), (1, true)] {
+            let (store, [a, _, c]) = fused_store(sr, c_dom);
+            let gv = if keep_c { vec![a, c] } else { vec![a] };
+            let join = Plan::join(Plan::scan("r1"), Plan::scan("r2"));
+            let logical = Plan::group_by(join, gv.clone());
+            let unfused = PhysicalPlan::from_logical(&logical, &mut |_| OpRepr::Dense);
+            let fused = fused_plan(&gv);
+            let exec = Executor::new(&store, sr);
             for t in THREADS {
-                let mk = || {
-                    ExecContext::new(sr)
-                        .with_dense(DenseMode::On)
-                        .with_kernel(kernel)
-                        .with_threads(t)
-                };
+                let what = format!("sr {sr:?} group {gv:?} threads {t}");
+                let mk = || ExecContext::new(sr).with_dense(DenseMode::On).with_threads(t);
                 let mut ucx = mk();
                 let want = exec.execute_physical_in(&mut ucx, &unfused).unwrap();
                 let mut fcx = mk();
                 let got = exec.execute_physical_in(&mut fcx, &fused).unwrap();
-                assert_eq!(
-                    bits(&want),
-                    bits(&got),
-                    "fused dense diverged: sr {sr:?} kernel {kernel:?} threads {t}"
-                );
+                assert_eq!(bits(&want), bits(&got), "fused dense diverged: {what}");
                 let (us, fs) = (ucx.take_stats(), fcx.take_stats());
-                assert_eq!(fs.fused_join_aggs, 1, "sr {sr:?}");
+                assert_eq!(fs.fused_join_aggs, 1, "{what}");
                 assert_eq!(us.fused_join_aggs, 0);
+                assert_eq!((us.dense_joins, us.dense_group_bys), (1, 1), "{what}");
                 // The fused operator accounts as one join *plus* one
                 // group-by, so the counters reconcile with the unfused run.
-                assert_eq!(fs.joins, us.joins, "sr {sr:?}");
-                assert_eq!(fs.group_bys, us.group_bys, "sr {sr:?}");
-                assert_eq!(fs.dense_joins, 1, "sr {sr:?}");
-                assert_eq!(fs.dense_group_bys, 1, "sr {sr:?}");
-                // It never materializes the 512-cell join intermediate.
+                assert_eq!(fs.joins, us.joins, "{what}");
+                assert_eq!(fs.group_bys, us.group_bys, "{what}");
+                assert_eq!(fs.dense_joins, 1, "{what}");
+                assert_eq!(fs.dense_group_bys, 1, "{what}");
+                // It never materializes the join intermediate.
                 assert!(
                     fs.max_intermediate_rows < us.max_intermediate_rows,
-                    "fused peak {} !< unfused peak {}: sr {sr:?}",
+                    "fused peak {} !< unfused peak {}: {what}",
                     fs.max_intermediate_rows,
                     us.max_intermediate_rows
                 );
@@ -310,18 +286,17 @@ fn fused_hash_fallback_matches_hash_pipeline_bitwise() {
     }
 }
 
-/// The fused span carries `fused=true` and the kernel tag, and its row
+/// The fused span carries `fused=true` and its nest, and its row
 /// accounting reconciles with the executed result — what `EXPLAIN
-/// ANALYZE` and the metrics pipeline read.
+/// ANALYZE` and the metrics pipeline read. No group axis of the fixture's
+/// step is unit-stride (`a` is `r1`'s outer axis), so it folds cell by
+/// cell.
 #[test]
-fn fused_span_reports_kernel_and_reconciles() {
+fn fused_span_reports_nest_and_reconciles() {
     let sr = SemiringKind::SumProduct;
     let (store, vars, _) = fused_fixture(sr);
     let gv = [vars[0]];
-    let mut cx = ExecContext::new(sr)
-        .with_dense(DenseMode::On)
-        .with_kernel(KernelMode::Chunked)
-        .with_trace(TraceLevel::Spans);
+    let mut cx = ExecContext::new(sr).with_dense(DenseMode::On).with_trace(TraceLevel::Spans);
     let out = Executor::new(&store, sr)
         .execute_physical_in(&mut cx, &fused_plan(&gv))
         .unwrap();
@@ -332,81 +307,72 @@ fn fused_span_reports_kernel_and_reconciles() {
         if span.fused {
             fused_spans += 1;
             assert_eq!(span.kind, SpanKind::GroupBy);
-            assert_eq!(span.kernel, Some("chunked"), "fused dense span is tagged");
+            assert_eq!(span.nest, Some("cell"), "fused dense span is tagged");
             assert_eq!(span.rows_out, out.len() as u64, "span rows match the result");
         }
     });
     assert_eq!(fused_spans, 1, "exactly one fused span:\n{}", trace.render());
     assert_eq!(stats.fused_join_aggs, 1);
-    assert_eq!(stats.kernel_chunked_ops, 1);
     let rendered = trace.render();
     assert!(
-        rendered.contains("fused=true") && rendered.contains("kernel=chunked"),
+        rendered.contains("fused=true") && rendered.contains("nest=cell"),
         "render surfaces the tags:\n{rendered}"
     );
 }
 
-/// One fused dense contraction under pinned (kernel, threads), traced:
-/// the output's measure bits in odometer order and the nest tag of the
-/// fused span. Panics unless the dense fused kernel itself ran.
+/// One fused contraction at `threads`, starting its fallback chain at the
+/// dense kernel under `dense` (and `ReprMode::Auto`), traced: the
+/// output's measure bits keyed by row (in `gv` order), and the nest tag
+/// and representation of the fused span.
 fn fused_bits(
     sr: SemiringKind,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
+    [l, r]: [&FunctionalRelation; 2],
     gv: &[VarId],
-    kernel: KernelMode,
+    dense: DenseMode,
     threads: usize,
-) -> (Vec<u64>, &'static str) {
+) -> (BTreeMap<Vec<u32>, u64>, Option<&'static str>, OpRepr) {
     let mut cx = ExecContext::new(sr)
-        .with_dense(DenseMode::On)
-        .with_kernel(kernel)
+        .with_dense(dense)
         .with_threads(threads)
         .with_trace(TraceLevel::Spans);
     let out = ops::step(&mut cx, &[l, r], Some(gv), OpRepr::Dense).unwrap();
-    let stats = *cx.stats();
-    assert_eq!((stats.fused_join_aggs, stats.dense_joins), (1, 1), "fused kernel ran dense");
-    let mut nest = None;
+    assert_eq!(cx.stats().fused_join_aggs, 1, "the fused step ran");
+    let mut tags = None;
     cx.take_trace().for_each(&mut |span| {
         if span.fused {
-            nest = span.nest;
+            tags = Some((span.nest, span.repr));
         }
     });
-    (out.measures().iter().map(|m| m.to_bits()).collect(), nest.expect("fused span has a nest"))
+    let (nest, ran) = tags.expect("a fused span");
+    (bits_in(&out, &Schema::new(gv.to_vec()).unwrap()), nest, ran)
 }
 
-/// The unfused dense pipeline (join, then marginalize) under the same
-/// pinned mode — the reference the fused kernel must match bit for bit.
+/// The unfused dense pipeline (join, then marginalize) — the reference
+/// the fused kernel must match bit for bit — keyed like [`fused_bits`].
 fn unfused_bits(
     sr: SemiringKind,
     l: &FunctionalRelation,
     r: &FunctionalRelation,
     gv: &[VarId],
-    kernel: KernelMode,
     threads: usize,
-) -> Vec<u64> {
-    let mut cx = ExecContext::new(sr)
-        .with_dense(DenseMode::On)
-        .with_kernel(kernel)
-        .with_threads(threads);
+) -> BTreeMap<Vec<u32>, u64> {
+    let mut cx = ExecContext::new(sr).with_dense(DenseMode::On).with_threads(threads);
     let joined = ops::step(&mut cx, &[l, r], None, OpRepr::Dense).unwrap();
     let out = ops::step(&mut cx, &[&joined], Some(gv), OpRepr::Dense).unwrap();
     assert_eq!((cx.stats().dense_joins, cx.stats().dense_group_bys), (1, 1), "reference ran dense");
-    out.measures().iter().map(|m| m.to_bits()).collect()
+    bits_in(&out, &Schema::new(gv.to_vec()).unwrap())
 }
 
 /// Check one contraction `γ_gv(l ⨝ r)` across all seven semirings ×
-/// both kernel modes × threads {1, 4}: fused ≡ unfused bitwise under the
-/// same mode, thread-count-invariant, scalar always on the cell-major
-/// nest and chunked on `chunked_nest`; where the fold is sequential in
-/// both modes (`lane_ok` false) chunked ≡ scalar bitwise for *every*
-/// semiring, otherwise for the selective ones.
+/// threads {1, 4}: fused ≡ unfused bitwise, thread-count-invariant, on
+/// `nest`, and bit-identical to the sparse step (which walks these
+/// layouts' eliminated axes in the dense step's order).
 fn check_contraction(
     doms: [u64; 3],
     l_vars: [usize; 2],
     r_vars: [usize; 2],
     group: &[usize],
-    lane_ok: bool,
-    chunked_nest: &str,
+    nest: &str,
 ) {
     let mut cat = Catalog::new();
     let vars = [
@@ -421,44 +387,32 @@ fn check_contraction(
             gen_rel(name, idx.map(|i| vars[i]).to_vec(), &idx.map(|i| doms[i]), 1.0, salt, sr)
         };
         let (l, r) = (side("l", l_vars, 6), side("r", r_vars, 7));
-        let mut per_kernel = Vec::new();
-        for kernel in KERNELS {
-            let mut per_thread = Vec::new();
-            for t in THREADS {
-                let (got, nest) = fused_bits(sr, &l, &r, &gv, kernel, t);
-                let want_nest = match kernel {
-                    KernelMode::Scalar => "cell",
-                    KernelMode::Chunked => chunked_nest,
-                };
-                assert_eq!(nest, want_nest, "nest: {what} sr {sr:?} kernel {kernel:?}");
-                assert_eq!(
-                    got,
-                    unfused_bits(sr, &l, &r, &gv, kernel, t),
-                    "fused diverged from unfused: {what} sr {sr:?} kernel {kernel:?} threads {t}"
-                );
-                per_thread.push(got);
-            }
+        let mut per_thread = Vec::new();
+        for t in THREADS {
+            let (got, got_nest, ran) = fused_bits(sr, [&l, &r], &gv, DenseMode::On, t);
+            assert_eq!((got_nest, ran), (Some(nest), OpRepr::Dense), "{what} sr {sr:?}");
             assert_eq!(
-                per_thread[0], per_thread[1],
-                "thread count changed bits: {what} sr {sr:?} kernel {kernel:?}"
+                got,
+                unfused_bits(sr, &l, &r, &gv, t),
+                "fused diverged from unfused: {what} sr {sr:?} threads {t}"
             );
-            per_kernel.push(per_thread.swap_remove(0));
+            per_thread.push(got);
         }
-        if !lane_ok || selective(sr) {
-            assert_eq!(per_kernel[0], per_kernel[1], "chunked diverged from scalar: {what} sr {sr:?}");
-        }
+        assert_eq!(per_thread[0], per_thread[1], "thread count changed bits: {what} sr {sr:?}");
+        let (sparse, _, ran) = fused_bits(sr, [&l, &r], &gv, DenseMode::Off, 1);
+        assert_eq!(ran, OpRepr::Sparse, "{what}");
+        assert_eq!(per_thread[0], sparse, "dense vs sparse: {what} sr {sr:?}");
     }
 }
 
 /// The stride-layout matrix: operand layouts `L[x,e]`/`L[e,x]` ×
 /// `R[e,y]`/`R[y,e]` × output order `[x,y]`/`[y,x]`, at sides covering
-/// the degenerate row (1), sub-lane (7), exact-lane (8), lane-plus-tail
-/// (9), one short of, exactly and one past a 32-cell tile row (31, 32,
+/// the degenerate row (1), one short of, exactly and one past an 8-cell
+/// tile row (7, 8, 9: the AVX2 tier's), the same for a 32-cell one (31, 32,
 /// 33: the widest tier's tile remainders, on the tier the host runs
 /// past `SIMD_MIN_WORK`) and multi-block, parallel (67: the join grid
-/// clears `PARALLEL_MIN_CELLS`) cases. The join grid's innermost axis is always
-/// a group axis here, so the fold is sequential in both modes and every
-/// cell of the matrix is bit-identical to everything else. Two of the
+/// clears `PARALLEL_MIN_CELLS`) cases. Every cell of the matrix is
+/// bit-identical to everything else. Two of the
 /// layouts are the D³ steps the benchmark spine issues on `tri`:
 /// `L[e,x] R[y,e] → [x,y]` (`g=[(D,1,0),(D,0,D)] e=[(D,D,1)]`) and
 /// `L[x,e] R[e,y] → [x,y]` (`g=[(D,D,0),(D,0,1)] e=[(D,1,D)]`).
@@ -474,7 +428,7 @@ fn stride_layout_matrix_parity() {
                 let tiled = d > 1 && (l_vars[1] == 0 || r_vars[1] == 2);
                 let nest = if tiled { "tile" } else { "cell" };
                 for group in [[0, 2], [2, 0]] {
-                    check_contraction([d; 3], l_vars, r_vars, &group, false, nest);
+                    check_contraction([d; 3], l_vars, r_vars, &group, nest);
                 }
             }
         }
@@ -541,10 +495,10 @@ fn pushed(rel: &FunctionalRelation) -> FunctionalRelation {
 ///   `p` keeping the value `c`;
 /// * slices pinned to different constants on a shared axis never take
 ///   the dense step, and join to nothing;
-/// * consumers under `DenseMode::Off` (the sparse kernel, or the hash
+/// * consumers under every mode (the dense or sparse kernel, or the hash
 ///   operator under `ReprMode::Off`) give the same bits over a slice as
-///   over the row filter's output, and the dense consumer the same
-///   function (at the sides below 33, which cover every layout).
+///   over the row filter's output (at the sides below 33, which cover
+///   every layout).
 ///
 /// In release builds the tile nest runs on every SIMD tier the host
 /// supports past `SIMD_MIN_WORK` (`d = 33`), so the CI tier-parity step
@@ -702,62 +656,56 @@ impl PinnedCase<'_> {
                 };
                 let (over_slices, over_filters) = (run(&sl, &sr_), run(&fl, &fr));
                 let mode = format!("{what} repr {repr:?} dense {dense_mode:?}");
-                if dense_mode == DenseMode::Off || selective(sr) {
-                    assert_eq!(bits(&over_slices), bits(&over_filters), "{mode}");
-                } else {
-                    assert!(over_slices.function_eq_in(&over_filters, sr), "{mode}");
-                }
+                assert_eq!(bits(&over_slices), bits(&over_filters), "{mode}");
             }
         }
     }
 }
 
-/// Layouts whose join grid ends in an eliminated axis (`lane_ok`): the
-/// chunked fold is the `LANES`-way tree per eliminated run, which the
-/// tile nest must reproduce with whole accumulator tiles — over one
-/// eliminated axis and over two (runs combined in order), with the row
-/// axis unit-stride in one operand or in both — and which the
-/// cell-major nest keeps where no group axis qualifies. Uneven sides so
-/// a transposed stride cannot pass by symmetry.
+/// Layouts whose join grid ends in an eliminated axis: the tile nest
+/// folds each cell over one eliminated axis and over two (runs in order),
+/// with the row axis unit-stride in one operand or in both, and the
+/// cell-major nest where no group axis qualifies; both bit-identical to
+/// the sparse step. Uneven sides so a transposed stride cannot pass by
+/// symmetry.
 #[test]
 fn lane_fold_layouts_parity() {
     for doms in [[5u64, 9, 19], [11, 3, 8], [37, 29, 41]] {
         // L[e,x] R[e,y] → [x]: row axis x broadcast in R; e and y eliminated.
-        check_contraction(doms, [1, 0], [1, 2], &[0], true, "tile");
+        check_contraction(doms, [1, 0], [1, 2], &[0], "tile");
         // L[e,x] R[y,e] → [x]: the same with R transposed.
-        check_contraction(doms, [1, 0], [2, 1], &[0], true, "tile");
+        check_contraction(doms, [1, 0], [2, 1], &[0], "tile");
         // L[e,x] R[e,y] → [x,e] / [e,x]: one eliminated run per cell.
-        check_contraction(doms, [1, 0], [1, 2], &[0, 1], true, "tile");
-        check_contraction(doms, [1, 0], [1, 2], &[1, 0], true, "tile");
+        check_contraction(doms, [1, 0], [1, 2], &[0, 1], "tile");
+        check_contraction(doms, [1, 0], [1, 2], &[1, 0], "tile");
         // L[x,e] R[e,y] → [x]: no group axis is unit-stride — cell-major.
-        check_contraction(doms, [0, 1], [1, 2], &[0], true, "cell");
+        check_contraction(doms, [0, 1], [1, 2], &[0], "cell");
     }
     // L[e,x] R[y,x] → [x]: the row axis is unit-stride in both operands.
-    check_contraction([23, 6, 10], [1, 0], [2, 0], &[0], true, "tile");
+    check_contraction([23, 6, 10], [1, 0], [2, 0], &[0], "tile");
 }
 
 /// Output rows longer than one charged strip (256 cells), with the
 /// row axis as the output's *outer* axis so the parallel split cuts the
-/// row itself into per-worker boxes: sequential and lane folds.
+/// row itself into per-worker boxes.
 #[test]
 fn blocked_and_boxed_rows_parity() {
     // L[e,x] R[y,e] → [x,y]: x (600 cells, 3 blocks) is axis 0.
-    check_contraction([600, 8, 9], [1, 0], [2, 1], &[0, 2], false, "tile");
-    // L[e,x] R[e,y] → [x]: the same row under the lane fold.
-    check_contraction([600, 3, 19], [1, 0], [1, 2], &[0], true, "tile");
+    check_contraction([600, 8, 9], [1, 0], [2, 1], &[0, 2], "tile");
+    // L[e,x] R[e,y] → [x]: the same row, y eliminated too.
+    check_contraction([600, 3, 19], [1, 0], [1, 2], &[0], "tile");
     // L[x,e] R[e,y] → [x,y]: y (300 cells, 2 blocks) is the inner axis.
-    check_contraction([12, 10, 300], [0, 1], [1, 2], &[0, 2], false, "tile");
+    check_contraction([12, 10, 300], [0, 1], [1, 2], &[0, 2], "tile");
 }
 
-/// Both D³ shapes the spine issues take the tile nest under the default
-/// kernel for every semiring, on the widest tier the host supports once
-/// the step clears `SIMD_MIN_WORK` (on the base tier below it), and the
-/// choice is visible from outside: the fused span renders `nest=tile,
-/// simd=…` next to `kernel=` and `fused=true` (and `nest=cell,
-/// simd=base` under the scalar reference).
+/// Both D³ shapes the spine issues take the tile nest for every
+/// semiring, on the widest tier the host supports once the step clears
+/// `SIMD_MIN_WORK` (on the base tier below it), and the choice is visible
+/// from outside: the fused span renders `nest=tile, simd=…` next to
+/// `fused=true`.
 #[test]
 fn spine_shapes_take_the_tile_nest_in_every_semiring() {
-    for (d, widest) in [(16u64, SimdTier::Base), (40, SimdTier::detect())] {
+    for (d, tier) in [(16u64, SimdTier::Base), (40, SimdTier::detect())] {
         let mut cat = Catalog::new();
         let x = cat.add_var("x", d).unwrap();
         let e = cat.add_var("e", d).unwrap();
@@ -766,23 +714,13 @@ fn spine_shapes_take_the_tile_nest_in_every_semiring() {
             for (l_vars, r_vars) in [([e, x], [y, e]), ([x, e], [e, y])] {
                 let l = gen_rel("l", l_vars.to_vec(), &[d, d], 1.0, 8, sr);
                 let r = gen_rel("r", r_vars.to_vec(), &[d, d], 1.0, 9, sr);
-                for (kernel, nest, tier) in [
-                    (KernelMode::Chunked, "tile", widest),
-                    (KernelMode::Scalar, "cell", SimdTier::Base),
-                ] {
-                    let mut cx = ExecContext::new(sr)
-                        .with_dense(DenseMode::On)
-                        .with_kernel(kernel)
-                        .with_trace(TraceLevel::Spans);
-                    ops::step(&mut cx, &[&l, &r], Some(&[x, y]), OpRepr::Dense).unwrap();
-                    let rendered = cx.take_trace().render();
-                    let tags = format!(
-                        "repr=dense, kernel={}, nest={nest}, simd={}, fused=true",
-                        kernel.name(),
-                        tier.name()
-                    );
-                    assert!(rendered.contains(&tags), "sr {sr:?}: want `{tags}` in:\n{rendered}");
-                }
+                let mut cx = ExecContext::new(sr)
+                    .with_dense(DenseMode::On)
+                    .with_trace(TraceLevel::Spans);
+                ops::step(&mut cx, &[&l, &r], Some(&[x, y]), OpRepr::Dense).unwrap();
+                let rendered = cx.take_trace().render();
+                let tags = format!("repr=dense, nest=tile, simd={}, fused=true", tier.name());
+                assert!(rendered.contains(&tags), "sr {sr:?}: want `{tags}` in:\n{rendered}");
             }
         }
     }
@@ -791,16 +729,22 @@ fn spine_shapes_take_the_tile_nest_in_every_semiring() {
 /// Measures from a palette of edge values for `sr`, picked by a hash of
 /// the cell: signed zeros (`−0.0` wherever the carrier has it, so a
 /// product taken against a unit shows in the bits), the additive
-/// identity where it is infinite, subnormals and ordinary values.
+/// identity where it is infinite, subnormals and ordinary values —
+/// inexact ones in the sum family, so a fold in another order shows in
+/// the bits.
 fn edge_grid(name: &str, vars: &[VarId], cat: &Catalog, salt: u64, sr: SemiringKind) -> FunctionalRelation {
     let palette: &[f64] = match sr {
-        SemiringKind::SumProduct => &[0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 1.5, -0.75],
+        SemiringKind::SumProduct => {
+            &[0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 1.5, -0.75, 0.1, 1.0 / 3.0]
+        }
         SemiringKind::MinSum => &[f64::INFINITY, 0.0, -0.0, 5e-324, 1.0, 2.5, -3.0],
         SemiringKind::MaxSum => &[f64::NEG_INFINITY, 0.0, -0.0, 5e-324, 1.0, -2.0],
         SemiringKind::MinProduct => &[f64::INFINITY, 0.0, -0.0, 5e-324, 0.5, 2.0],
         SemiringKind::MaxProduct => &[0.0, -0.0, 5e-324, 1e-310, 0.5, 2.0],
         SemiringKind::BoolOrAnd => &[0.0, -0.0, 1.0],
-        SemiringKind::LogSumProduct => &[f64::NEG_INFINITY, 0.0, -0.0, 5e-324, -1.5, 2.0],
+        SemiringKind::LogSumProduct => {
+            &[f64::NEG_INFINITY, 0.0, -0.0, 5e-324, -1.5, 2.0, -0.1, 1.0 / 3.0]
+        }
     };
     let schema = Schema::new(vars.to_vec()).unwrap();
     FunctionalRelation::complete(name, schema, cat, |row| {
@@ -826,13 +770,11 @@ fn bits_in(rel: &FunctionalRelation, schema: &Schema) -> BTreeMap<Vec<u32>, u64>
 /// grids with `−0.0` in every palette, for all seven semirings and sides
 /// 1, 3, 7 and 33 (which crosses the worker and SIMD thresholds),
 ///
-/// * the scalar dense join step (nothing eliminated) equals
-///   [`ops::product_join`] and the scalar dense one-operand step equals
-///   [`ops::group_by`], row for row and bit for bit — a step that
-///   multiplied the lone operand by a unit, or canonicalized a signed
-///   zero, fails here;
-/// * chunked joins equal the scalar ones (a join has no fold to
-///   reassociate), and chunked runs are bit-identical at threads 1 and 4;
+/// * the dense join step (nothing eliminated) equals
+///   [`ops::product_join`] and the dense one-operand step equals
+///   [`ops::group_by`], row for row and bit for bit, at threads 1 and 4
+///   — a step that multiplied the lone operand by a unit, or
+///   canonicalized a signed zero, fails here;
 /// * the same steps started at the sparse kernel run sparse and equal
 ///   the hash operators row for row and bit for bit too, over the same
 ///   operands and over copies whose first cells hold `f64::MAX` — a
@@ -854,8 +796,8 @@ fn degenerate_steps_keep_every_bit() {
         let [x, e, y] = ["x", "e", "y"].map(|v| cat.add_var(v, d).unwrap());
         let w = cat.add_var("w", 1 << 21).unwrap();
         for sr in SemiringKind::ALL {
-            let run = |kernel: KernelMode, threads: usize| {
-                ExecContext::new(sr).with_dense(DenseMode::On).with_kernel(kernel).with_threads(threads)
+            let run = |threads: usize| {
+                ExecContext::new(sr).with_dense(DenseMode::On).with_threads(threads)
             };
             let joins: [(&[VarId], &[VarId]); 5] = [
                 (&[x, e], &[e, y]),
@@ -880,12 +822,12 @@ fn degenerate_steps_keep_every_bit() {
                 let what = format!("d {d} sr {sr:?} join {lv:?} ⨝ {rv:?}");
                 let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
                 let mut per_run = Vec::new();
-                for (kernel, t) in [(KernelMode::Scalar, 1), (KernelMode::Chunked, 1), (KernelMode::Chunked, 4)] {
-                    let mut cx = run(kernel, t);
+                for t in THREADS {
+                    let mut cx = run(t);
                     let got = ops::step(&mut cx, &[&l, &r], None, OpRepr::Dense).unwrap();
                     assert_eq!(cx.stats().dense_joins, 1, "ran dense: {what}");
                     per_run.push(row_bits(&got));
-                    assert_eq!(bits(&got), bits(&want), "vs product_join: {what} {kernel:?} threads {t}");
+                    assert_eq!(bits(&got), bits(&want), "vs product_join: {what} threads {t}");
                 }
                 assert!(per_run.windows(2).all(|w| w[0] == w[1]), "runs differ: {what}");
                 for (l, r) in [(l.clone(), r.clone()), (huge(&l), huge(&r))] {
@@ -904,24 +846,20 @@ fn degenerate_steps_keep_every_bit() {
             let groups: [&[VarId]; 8] = [&[x], &[e], &[y], &[x, y], &[y, x], &[], &[x, e, y], &[y, e, x]];
             for group in groups {
                 let what = format!("d {d} sr {sr:?} group {group:?}");
-                let mut cx = run(KernelMode::Scalar, 1);
-                let got = ops::step(&mut cx, &[&input], Some(group), OpRepr::Dense).unwrap();
-                assert_eq!(cx.stats().dense_group_bys, 1, "ran dense: {what}");
                 let want = ops::group_by(&mut ExecContext::new(sr), &input, group).unwrap();
-                assert_eq!(bits(&got), bits(&want), "vs group_by: {what}");
+                let mut per_run = Vec::new();
+                for t in THREADS {
+                    let mut cx = run(t);
+                    let got = ops::step(&mut cx, &[&input], Some(group), OpRepr::Dense).unwrap();
+                    assert_eq!(cx.stats().dense_group_bys, 1, "ran dense: {what}");
+                    assert_eq!(bits(&got), bits(&want), "vs group_by: {what} threads {t}");
+                    per_run.push(row_bits(&got));
+                }
+                assert_eq!(per_run[0], per_run[1], "thread count changed bits: {what}");
                 let mut cx = ExecContext::new(sr);
                 let got = ops::step(&mut cx, &[&input], Some(group), OpRepr::Sparse).unwrap();
                 assert_eq!(cx.stats().sparse_group_bys, 1, "ran sparse: {what}");
                 assert_eq!(bits(&got), bits(&want), "sparse vs group_by: {what}");
-                let chunked: Vec<_> = THREADS
-                    .iter()
-                    .map(|&t| {
-                        let mut cx = run(KernelMode::Chunked, t);
-                        let out = ops::step(&mut cx, &[&input], Some(group), OpRepr::Dense);
-                        row_bits(&out.unwrap())
-                    })
-                    .collect();
-                assert_eq!(chunked[0], chunked[1], "thread count changed bits: {what}");
             }
             // The same grid with `x` and `y` folded into one variable `w`
             // spread 1024 apart, so `w`'s group grid dwarfs the rows and the
@@ -946,13 +884,171 @@ fn degenerate_steps_keep_every_bit() {
     }
 }
 
+/// One fused step for [`representations_agree_bitwise_on_complete_inputs`]:
+/// operand axes and group axes over `x, e, y, f`, and whether the sparse
+/// and the hash step walk the eliminated axes in the dense step's
+/// join-schema order (`why` names the difference where one does not).
+struct FusedCase {
+    l: &'static [usize],
+    r: &'static [usize],
+    group: &'static [usize],
+    sparse: bool,
+    hash: bool,
+    why: &'static str,
+}
+
+/// On complete inputs the dense, sparse and hash steps fold every cell in
+/// one order wherever they walk its eliminated axes alike, so they agree
+/// bit for bit — over edge-value grids, in all seven semirings, form by
+/// form: the fused two-operand step (the sparse step streaming and
+/// scattering), the join, and the one-operand step (the sparse step
+/// scattering its stored rows; its keyed form and the fused step's
+/// staged form only run past a 2²²-cell group grid on complete inputs,
+/// see [`staged_sparse_step_matches_dense_bitwise`]). Where a walk
+/// differs they agree within tolerance: the sum family rounds in another
+/// order, and the min/max family can pick the other of `0.0` and `−0.0`.
+#[test]
+fn representations_agree_bitwise_on_complete_inputs() {
+    const FUSED: [FusedCase; 6] = [
+        FusedCase { l: &[0, 1], r: &[1, 2], group: &[0, 2], sparse: true, hash: true, why: "" },
+        FusedCase { l: &[0, 1], r: &[1, 2], group: &[0], sparse: true, hash: true, why: "" },
+        FusedCase { l: &[1, 0], r: &[1, 2], group: &[2], sparse: true, hash: true, why: "" },
+        FusedCase {
+            l: &[0, 1],
+            r: &[1, 2],
+            group: &[1],
+            sparse: true,
+            hash: false,
+            why: "the hash step walks the probe side `r`'s own axis `y` outside `l`'s own `x`",
+        },
+        FusedCase {
+            l: &[0, 1],
+            r: &[1, 2],
+            group: &[2],
+            sparse: false,
+            hash: false,
+            why: "`l`'s own `x` precedes the shared `e` in `l`, and the sparse and hash steps \
+                  walk shared axes first",
+        },
+        FusedCase {
+            l: &[0, 1, 3],
+            r: &[3, 1, 2],
+            group: &[0, 2],
+            sparse: true,
+            hash: false,
+            why: "the hash step walks the shared axes in the probe side `r`'s order `f, e`",
+        },
+    ];
+    let doms = [3u64, 4, 5, 2];
+    let mut cat = Catalog::new();
+    let vars: [VarId; 4] =
+        std::array::from_fn(|i| cat.add_var(["x", "e", "y", "f"][i], doms[i]).unwrap());
+    let pick = |axes: &[usize]| -> Vec<VarId> { axes.iter().map(|&i| vars[i]).collect() };
+    let modes = [
+        ("dense", DenseMode::On, ReprMode::Auto, OpRepr::Dense),
+        ("sparse", DenseMode::Off, ReprMode::Auto, OpRepr::Sparse),
+        ("hash", DenseMode::Off, ReprMode::Off, OpRepr::Rows),
+    ];
+    for sr in SemiringKind::ALL {
+        // Each run's rows keyed in `schema`'s order, from every mode.
+        let run = |inputs: &[&FunctionalRelation], group: Option<&[VarId]>, schema: &Schema| {
+            modes.map(|(name, dense, repr, ran)| {
+                let mut cx = ExecContext::new(sr)
+                    .with_dense(dense)
+                    .with_repr(repr)
+                    .with_trace(TraceLevel::Spans);
+                let out = ops::step(&mut cx, inputs, group, OpRepr::Dense).unwrap();
+                let mut tags = Vec::new();
+                cx.take_trace().for_each(&mut |span| tags.push((span.repr, span.nest)));
+                assert_eq!(tags.len(), 1, "{name}: one span");
+                assert_eq!(tags[0].0, ran, "{name} ran {ran:?}");
+                (bits_in(&out, schema), tags[0].1, out)
+            })
+        };
+        let mut forms = std::collections::BTreeSet::new();
+        for case in &FUSED {
+            let l = edge_grid("l", &pick(case.l), &cat, 3, sr);
+            let r = edge_grid("r", &pick(case.r), &cat, 4, sr);
+            let gv = pick(case.group);
+            let schema = Schema::new(gv.clone()).unwrap();
+            let what = format!("sr {sr:?} {:?} ⨝ {:?} → {:?}", case.l, case.r, case.group);
+            let [(dense, _, d), (sparse, form, s), (hash, _, h)] =
+                run(&[&l, &r], Some(&gv), &schema);
+            forms.insert(form.expect("a fused sparse span has a form"));
+            let others = [("sparse", sparse, s, case.sparse), ("hash", hash, h, case.hash)];
+            for (name, got, rel, same) in others {
+                if same {
+                    assert_eq!(got, dense, "dense vs {name}: {what}");
+                } else {
+                    assert!(d.function_eq_in(&rel, sr), "dense vs {name} ({}): {what}", case.why);
+                }
+            }
+        }
+        assert!(forms.contains("stream") && forms.contains("scatter"), "sr {sr:?}: {forms:?}");
+        // Joins fold nothing: every representation stores the same products.
+        let joins: [(&[usize], &[usize]); 3] =
+            [(&[0, 1], &[1, 2]), (&[0, 1], &[2, 1]), (&[0, 3], &[1, 2])];
+        for (lv, rv) in joins {
+            let l = edge_grid("l", &pick(lv), &cat, 5, sr);
+            let r = edge_grid("r", &pick(rv), &cat, 6, sr);
+            let schema = l.schema().union(r.schema());
+            let [(dense, ..), (sparse, ..), (hash, ..)] = run(&[&l, &r], None, &schema);
+            assert_eq!(sparse, dense, "sr {sr:?} join {lv:?} ⨝ {rv:?}: sparse");
+            assert_eq!(hash, dense, "sr {sr:?} join {lv:?} ⨝ {rv:?}: hash");
+        }
+        // One operand: every representation walks the stored rows, in
+        // odometer order.
+        let input = edge_grid("t", &pick(&[0, 1, 2, 3]), &cat, 7, sr);
+        let groups: [&[usize]; 6] = [&[0], &[1], &[2, 0], &[3, 1], &[], &[0, 1, 2, 3]];
+        for group in groups {
+            let gv = pick(group);
+            let schema = Schema::new(gv.clone()).unwrap();
+            let [(dense, ..), (sparse, form, _), (hash, ..)] = run(&[&input], Some(&gv), &schema);
+            assert_eq!(form, None, "a one-operand span carries no form");
+            assert_eq!(sparse, dense, "sr {sr:?} group {group:?}: sparse");
+            assert_eq!(hash, dense, "sr {sr:?} group {group:?}: hash");
+        }
+    }
+}
+
+/// The sparse fused step's staged form (the sparse join, then the sparse
+/// one-operand step) runs on complete inputs only when the group grid
+/// passes the scatter form's 2²²-cell cap: `l(x, e) · r(e, y)` onto
+/// `[x, y]` at `x = y = 2049`, `e = 2`. It folds each cell in the dense
+/// step's order, bit for bit, in the sum-product semiring (the one whose
+/// bits an order change moves; the fold is the same code for all seven).
+#[test]
+fn staged_sparse_step_matches_dense_bitwise() {
+    let sr = SemiringKind::SumProduct;
+    let mut cat = Catalog::new();
+    let [x, e, y] = [("x", 2049), ("e", 2), ("y", 2049)].map(|(v, d)| cat.add_var(v, d).unwrap());
+    let l = edge_grid("l", &[x, e], &cat, 8, sr);
+    let r = edge_grid("r", &[e, y], &cat, 9, sr);
+    let step = |dense: DenseMode| {
+        let mut cx = ExecContext::new(sr).with_dense(dense).with_trace(TraceLevel::Spans);
+        let out = ops::step(&mut cx, &[&l, &r], Some(&[x, y]), OpRepr::Dense).unwrap();
+        let mut tags = None;
+        cx.take_trace().for_each(&mut |span| tags = Some((span.repr, span.nest)));
+        (out, tags.expect("a fused span"))
+    };
+    let (dense, tags) = step(DenseMode::On);
+    assert_eq!(tags, (OpRepr::Dense, Some("tile")));
+    let (sparse, tags) = step(DenseMode::Off);
+    assert_eq!(tags, (OpRepr::Sparse, Some("staged")));
+    // Both outputs are `[x, y]` in ascending order: compare them row for
+    // row, without a keyed copy of 4.2 million rows.
+    assert_eq!((sparse.schema(), sparse.len()), (dense.schema(), dense.len()));
+    let cell = |(row, m): (&[u32], f64)| (row.to_vec(), m.to_bits());
+    assert!(sparse.rows().map(cell).eq(dense.rows().map(cell)));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random measures and random support holes: neither the kernel mode
+    /// Random measures and random support holes: neither the dense mode
     /// nor fusion ever changes the answer, under either representation.
     #[test]
-    fn kernel_and_fusion_never_change_answers(
+    fn dense_mode_and_fusion_never_change_answers(
         m1 in proptest::collection::vec(0u8..10, 16),
         m2 in proptest::collection::vec(0u8..10, 16),
         hole_picks in proptest::collection::vec(0usize..16, 0..6),
@@ -986,14 +1082,12 @@ proptest! {
         let exec = Executor::new(&store, sr);
         let (want, _) = exec.execute_physical(&PhysicalPlan::default_hash(&logical)).unwrap();
         for dense in DENSES {
-            for kernel in KERNELS {
-                let mut cx = ExecContext::new(sr).with_dense(dense).with_kernel(kernel);
-                let got = exec.execute_physical_in(&mut cx, &fused_plan(&[a])).unwrap();
-                prop_assert!(
-                    want.function_eq_in(&got, sr),
-                    "sr {sr:?} dense {dense:?} kernel {kernel:?} holes {holes:?}"
-                );
-            }
+            let mut cx = ExecContext::new(sr).with_dense(dense);
+            let got = exec.execute_physical_in(&mut cx, &fused_plan(&[a])).unwrap();
+            prop_assert!(
+                want.function_eq_in(&got, sr),
+                "sr {sr:?} dense {dense:?} holes {holes:?}"
+            );
         }
     }
 }

@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use mpf_algebra::limits::TICK_INTERVAL;
 use mpf_algebra::{
-    ops, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits, Executor, KernelMode,
-    OpRepr, Plan, RelationStore, ResourceKind,
+    ops, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits, Executor, OpRepr, Plan,
+    RelationStore, ResourceKind, TraceLevel,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -121,73 +121,100 @@ fn unlimited_limits_mean_no_budget() {
     assert!(exec.budget().is_none());
 }
 
-/// Complete `l(x, e)`, `r(e, y)` of side 67 with constant measures: the
-/// fused dense contraction onto `[x, y]` has 4 489 output rows of 3 cells,
-/// each output row (67 cells × 67 eliminated values) well over one guard
-/// tick of work.
-fn contraction(measure: f64) -> (FunctionalRelation, FunctionalRelation, [VarId; 2]) {
+/// Complete `l(x, e)` and `r` of side 67 with constant measures, `r`
+/// over `[e, y]` or, `transposed`, over `[y, e]`: the fused dense
+/// contraction onto `[x, y]` has 4 489 output rows of 3 cells, each
+/// output row (67 cells × 67 eliminated values) well over one guard tick
+/// of work.
+fn contraction(
+    measure: f64,
+    transposed: bool,
+) -> (FunctionalRelation, FunctionalRelation, [VarId; 2]) {
     let mut c = Catalog::new();
     let x = c.add_var("x", 67).unwrap();
     let e = c.add_var("e", 67).unwrap();
     let y = c.add_var("y", 67).unwrap();
+    let r_vars = if transposed { vec![y, e] } else { vec![e, y] };
     let l = FunctionalRelation::complete("l", Schema::new(vec![x, e]).unwrap(), &c, |_| measure);
-    let r = FunctionalRelation::complete("r", Schema::new(vec![e, y]).unwrap(), &c, |_| measure);
+    let r = FunctionalRelation::complete("r", Schema::new(r_vars).unwrap(), &c, |_| measure);
     (l, r, [x, y])
 }
 
+/// The two nests of the fused dense step and the layouts that take them:
+/// `r(e, y)` has `y` unit-stride in `r` and broadcast in `l`, so the
+/// step runs register tiles; `r(y, e)` has no such group axis (both
+/// operands are contiguous along `e`), so it folds cell by cell.
+const NESTS: [(&str, bool); 2] = [("tile", false), ("cell", true)];
+
 fn fused_under(
-    kernel: KernelMode,
+    transposed: bool,
     limits: ExecLimits,
     measure: f64,
 ) -> Result<FunctionalRelation, AlgebraError> {
-    let (l, r, gv) = contraction(measure);
+    let (l, r, gv) = contraction(measure, transposed);
     let mut cx = ExecContext::with_limits(SemiringKind::SumProduct, limits)
         .with_dense(DenseMode::On)
-        .with_kernel(kernel)
         .with_threads(1);
     ops::step(&mut cx, &[&l, &r], Some(&gv), OpRepr::Dense)
 }
 
+/// The nest the fused span of an unlimited run reports.
+fn nest_of(transposed: bool) -> &'static str {
+    let (l, r, gv) = contraction(1.0, transposed);
+    let mut cx = ExecContext::new(SemiringKind::SumProduct)
+        .with_dense(DenseMode::On)
+        .with_threads(1)
+        .with_trace(TraceLevel::Spans);
+    ops::step(&mut cx, &[&l, &r], Some(&gv), OpRepr::Dense).unwrap();
+    let mut nest = None;
+    cx.take_trace().for_each(&mut |span| {
+        if span.fused {
+            nest = span.nest;
+        }
+    });
+    nest.expect("the fused dense step ran")
+}
+
 /// The fused dense kernel polls once per register tile and charges once
-/// per stored strip of tiles in its tile nest (chunked), and polls and
-/// charges once per cell in the cell-major one (scalar); either way every
-/// limit trips with its typed error *inside* the kernel — the observed
-/// count shows it stopped at the first settlement past the cap (at most
-/// a tick plus one output row later), not after materializing all 4 489
-/// rows.
+/// per stored strip of tiles in its tile nest, and polls and charges once
+/// per cell in the cell-major one; either way every limit trips with its
+/// typed error *inside* the kernel — the observed count shows it stopped
+/// at the first settlement past the cap (at most a tick plus one output
+/// row later), not after materializing all 4 489 rows.
 #[test]
 fn fused_dense_kernel_trips_every_limit_mid_flight() {
     let slack = u64::from(TICK_INTERVAL) + 67;
-    for kernel in [KernelMode::Chunked, KernelMode::Scalar] {
-        match fused_under(kernel, ExecLimits::none().with_max_output_rows(2000), 1.0) {
+    for (nest, transposed) in NESTS {
+        assert_eq!(nest_of(transposed), nest);
+        match fused_under(transposed, ExecLimits::none().with_max_output_rows(2000), 1.0) {
             Err(AlgebraError::ResourceExhausted {
                 resource: ResourceKind::OutputRows,
                 limit: 2000,
                 observed,
-            }) => assert!(observed <= 2000 + slack, "{kernel:?}: stopped late at {observed}"),
-            other => panic!("{kernel:?}: expected OutputRows trip, got {other:?}"),
+            }) => assert!(observed <= 2000 + slack, "{nest}: stopped late at {observed}"),
+            other => panic!("{nest}: expected OutputRows trip, got {other:?}"),
         }
-        match fused_under(kernel, ExecLimits::none().with_max_total_cells(6000), 1.0) {
+        match fused_under(transposed, ExecLimits::none().with_max_total_cells(6000), 1.0) {
             Err(AlgebraError::ResourceExhausted {
                 resource: ResourceKind::TotalCells,
                 limit: 6000,
                 observed,
-            }) => assert!(observed <= 6000 + 3 * slack, "{kernel:?}: stopped late at {observed}"),
-            other => panic!("{kernel:?}: expected TotalCells trip, got {other:?}"),
+            }) => assert!(observed <= 6000 + 3 * slack, "{nest}: stopped late at {observed}"),
+            other => panic!("{nest}: expected TotalCells trip, got {other:?}"),
         }
         let token = CancelToken::new();
         token.cancel();
         assert_eq!(
-            fused_under(kernel, ExecLimits::none().with_cancel_token(token), 1.0).unwrap_err(),
+            fused_under(transposed, ExecLimits::none().with_cancel_token(token), 1.0).unwrap_err(),
             AlgebraError::Cancelled,
-            "{kernel:?}"
+            "{nest}"
         );
-        match fused_under(kernel, ExecLimits::none().with_timeout(Duration::ZERO), 1.0) {
+        match fused_under(transposed, ExecLimits::none().with_timeout(Duration::ZERO), 1.0) {
             Err(AlgebraError::ResourceExhausted {
                 resource: ResourceKind::WallClock,
                 ..
             }) => {}
-            other => panic!("{kernel:?}: expected WallClock trip, got {other:?}"),
+            other => panic!("{nest}: expected WallClock trip, got {other:?}"),
         }
         // Generous limits are transparent, bit for bit.
         let generous = ExecLimits::none()
@@ -195,9 +222,9 @@ fn fused_dense_kernel_trips_every_limit_mid_flight() {
             .with_max_total_cells(10_000_000)
             .with_timeout(Duration::from_secs(3600))
             .with_cancel_token(CancelToken::new());
-        let got = fused_under(kernel, generous, 1.5).unwrap();
-        let want = fused_under(kernel, ExecLimits::none(), 1.5).unwrap();
-        assert_eq!(got.measures(), want.measures(), "{kernel:?}");
+        let got = fused_under(transposed, generous, 1.5).unwrap();
+        let want = fused_under(transposed, ExecLimits::none(), 1.5).unwrap();
+        assert_eq!(got.measures(), want.measures(), "{nest}");
     }
 }
 
@@ -206,13 +233,13 @@ fn fused_dense_kernel_trips_every_limit_mid_flight() {
 /// validated cell by cell before they are stored.
 #[test]
 fn fused_dense_kernel_rejects_overflow_in_both_nests() {
-    for kernel in [KernelMode::Chunked, KernelMode::Scalar] {
-        match fused_under(kernel, ExecLimits::none(), 1e200) {
+    for (nest, transposed) in NESTS {
+        match fused_under(transposed, ExecLimits::none(), 1e200) {
             Err(AlgebraError::NonFiniteMeasure {
                 op: "dense::join_agg",
                 value,
-            }) => assert_eq!(value, f64::INFINITY, "{kernel:?}"),
-            other => panic!("{kernel:?}: expected NonFiniteMeasure, got {other:?}"),
+            }) => assert_eq!(value, f64::INFINITY, "{nest}"),
+            other => panic!("{nest}: expected NonFiniteMeasure, got {other:?}"),
         }
     }
 }
@@ -226,7 +253,7 @@ fn fused_sparse_under(
     limits: ExecLimits,
     measure: f64,
 ) -> Result<FunctionalRelation, AlgebraError> {
-    let (l, r, [x, y]) = contraction(measure);
+    let (l, r, [x, y]) = contraction(measure, false);
     let e = l.schema().vars()[1];
     let gv = if group == "stream" { [e, x] } else { [x, y] };
     let mut cx = ExecContext::with_limits(SemiringKind::SumProduct, limits).with_threads(1);

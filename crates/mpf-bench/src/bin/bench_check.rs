@@ -12,8 +12,9 @@
 //! the row-major hash reference), `function_eq_cache: false` (a
 //! cache-served run diverging from a cold recompute),
 //! `function_eq_scenarios: false` (a scenario batch diverging from a
-//! sequential loop of single-scenario runs), `function_eq_scalar: false`
-//! (a chunked-kernel run diverging from scalar), or
+//! sequential loop of single-scenario runs), `bit_eq_sparse: false`
+//! (a dense-kernel run in `pr10_kernels` not bit-identical to the same
+//! plan on the sparse kernel), or
 //! `function_eq_unfused: false` (a fused join→marginalize run diverging
 //! from the unfused pipeline) anywhere in the new results fails
 //! unconditionally: a wrong answer is a regression at any scale. So does
@@ -123,8 +124,10 @@ fn main() -> ExitCode {
         );
         failed = true;
     }
-    if fresh.contains("\"function_eq_scalar\": false") {
-        eprintln!("FAIL: a chunked-kernel run diverged from its scalar reference in {new_path}");
+    if fresh.contains("\"bit_eq_sparse\": false") {
+        eprintln!(
+            "FAIL: a dense-kernel run is not bit-identical to its sparse reference in {new_path}"
+        );
         failed = true;
     }
     if fresh.contains("\"function_eq_unfused\": false") {
@@ -208,8 +211,7 @@ mod tests {
   "name": "ve_plus_end_to_end", "rows_per_relation": 300,
   "result_rows": 2,
   "sequential_ms": 8.000,
-  "runs": [],
-  "scalar_kernel_ms": 3.0
+  "runs": []
 }
 ]
 }"#;

@@ -1,4 +1,4 @@
-//! Benchmark for the chunked monomorphized kernels and the fused
+//! Benchmark for the monomorphized dense kernels and the fused
 //! join→marginalize operator (PR 10).
 //!
 //! Sections:
@@ -8,11 +8,9 @@
 //!   the physical interpreter. Eliminating the first variable joins two
 //!   D²-cell relations into a D³-cell grid and folds it back down, so
 //!   the run is dominated by the grid kernels rather than by row→grid
-//!   conversion. The sequential reference runs the dense plan with the
-//!   *scalar* kernel mode (`KernelMode::Scalar`); the timed runs use the
-//!   chunked kernels at threads {1, 4}. This is the headline number:
-//!   the chunked mode must beat scalar by ≥1.5× on the single-threaded
-//!   run for the PR to hold its acceptance criterion.
+//!   conversion. The sequential reference runs the same plan with the
+//!   dense kernels off (`DenseMode::Off`), so every step runs the sparse
+//!   kernel; the timed runs use the dense kernels at threads {1, 4}.
 //! * **fused_join_agg** — the same plan with fusion on: the D³ join
 //!   feeding the marginalization contracts directly into the output
 //!   accumulator grid (one two-input step) instead of materializing,
@@ -22,19 +20,21 @@
 //!   intermediate, so its peak must be strictly below the unfused
 //!   run's.
 //!
-//! Every chunked run is checked `function_eq` against the scalar
-//! reference (`function_eq_scalar`) and every fused run against the
+//! Both kernels fold each cell's products in the same order, so every
+//! dense run is checked bit for bit against the sparse reference
+//! (`bit_eq_sparse`), and every fused run `function_eq` against the
 //! unfused pipeline (`function_eq_unfused`); a `false` anywhere fails
 //! `bench_check` unconditionally. Timings are the median of `--reps`
 //! runs after one untimed warmup.
 //!
 //! Usage: `pr10_kernels [--rows <n>] [--reps <n>] [--scale <f>] [--out <path>]`
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use mpf_algebra::{
-    DenseMode, ExecContext, ExecStats, Executor, KernelMode, MetricsRegistry, PhysicalPlan,
-    RelationStore, ReprMode,
+    DenseMode, ExecContext, ExecStats, Executor, MetricsRegistry, PhysicalPlan, RelationStore,
+    ReprMode,
 };
 use mpf_bench::Args;
 use mpf_optimizer::{
@@ -42,7 +42,7 @@ use mpf_optimizer::{
     PhysicalConfig, QuerySpec,
 };
 use mpf_semiring::SemiringKind;
-use mpf_storage::{Catalog, FunctionalRelation, Schema};
+use mpf_storage::{Catalog, FunctionalRelation, Schema, Value};
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 const SR: SemiringKind = SemiringKind::SumProduct;
@@ -64,19 +64,31 @@ fn time_ms(reps: usize, mut f: impl FnMut() -> FunctionalRelation) -> (f64, Func
     (median(samples), out)
 }
 
-/// Execute a physical plan with the kernel mode pinned on the context.
+/// Whether `x` and `y` hold the same rows with bit-identical measures
+/// (`y`'s columns read in `x`'s order).
+fn bit_eq(x: &FunctionalRelation, y: &FunctionalRelation) -> bool {
+    let bits = |r: &FunctionalRelation| -> Option<BTreeMap<Vec<Value>, u64>> {
+        let pos: Vec<usize> =
+            x.schema().iter().map(|v| r.schema().position(v).ok()).collect::<Option<_>>()?;
+        let keyed = |(row, m): (&[Value], f64)| (pos.iter().map(|&p| row[p]).collect(), m.to_bits());
+        Some(r.rows().map(keyed).collect())
+    };
+    x.schema().arity() == y.schema().arity() && x.len() == y.len() && bits(x) == bits(y)
+}
+
+/// Execute a physical plan with the dense mode pinned on the context:
+/// under `DenseMode::Off` every step runs the sparse kernel.
 fn run_plan(
     store: &RelationStore,
     phys: &PhysicalPlan,
     threads: usize,
-    kernel: KernelMode,
+    dense: DenseMode,
 ) -> (FunctionalRelation, ExecStats) {
     let exec = Executor::new(store, SR).with_threads(threads);
     let mut cx = ExecContext::new(SR)
         .with_threads(threads)
-        .with_dense(DenseMode::Auto)
-        .with_repr(ReprMode::Off)
-        .with_kernel(kernel);
+        .with_dense(dense)
+        .with_repr(ReprMode::Auto);
     let rel = exec.execute_physical_in(&mut cx, phys).expect("plan executes");
     (rel, cx.take_stats())
 }
@@ -133,7 +145,7 @@ fn main() {
     // common √rows-value domain, marginalized onto `a` under
     // extended-space VE. Every operator densifies, and eliminating the
     // first variable expands two D²-cell grids into a D³-cell
-    // intermediate — the kernel-bound regime the chunked mode targets
+    // intermediate — the kernel-bound regime the dense kernels target
     // (row→grid conversion stays O(D²)).
     let side = (rows as f64).sqrt().max(4.0) as u64;
     let mut cat = Catalog::new();
@@ -169,49 +181,47 @@ fn main() {
         dense_mode: DenseMode::Auto,
         ..PhysicalConfig::default()
     };
-    // Fusion off here: this section isolates the kernel inner-loop mode.
+    // Fusion off in the first section: it times the dense kernels alone.
     let fused_phys = choose_physical(&ctx, &plan, cfg);
     let unfused_phys = unfuse(&fused_phys);
 
     let mut sections = Vec::new();
 
     // -- kernel_ve_plus ---------------------------------------------------
-    let (scalar_ms, scalar_out) =
-        time_ms(reps, || run_plan(&store, &unfused_phys, 1, KernelMode::Scalar).0);
-    eprintln!("kernel_ve_plus: scalar {scalar_ms:.1} ms, {} rows", scalar_out.len());
-    feed(&metrics, "kernel_ve_plus", "scalar.t1", scalar_ms);
+    let (sparse_ms, sparse_out) =
+        time_ms(reps, || run_plan(&store, &unfused_phys, 1, DenseMode::Off).0);
+    eprintln!("kernel_ve_plus: sparse {sparse_ms:.1} ms, {} rows", sparse_out.len());
+    feed(&metrics, "kernel_ve_plus", "sparse.t1", sparse_ms);
     let mut runs = Vec::new();
     for &t in &THREAD_COUNTS {
-        let (ms, out) = time_ms(reps, || {
-            run_plan(&store, &unfused_phys, t, KernelMode::Chunked).0
-        });
-        let (_, stats) = run_plan(&store, &unfused_phys, t, KernelMode::Chunked);
-        let speedup = scalar_ms / ms;
-        let eq = out.function_eq(&scalar_out);
+        let (ms, out) = time_ms(reps, || run_plan(&store, &unfused_phys, t, DenseMode::Auto).0);
+        let (_, stats) = run_plan(&store, &unfused_phys, t, DenseMode::Auto);
+        let speedup = sparse_ms / ms;
+        let eq = bit_eq(&out, &sparse_out);
         eprintln!(
-            "kernel_ve_plus: chunked threads {t} -> {ms:.1} ms ({speedup:.2}x vs scalar, eq {eq})"
+            "kernel_ve_plus: dense threads {t} -> {ms:.1} ms ({speedup:.2}x vs sparse, bit_eq {eq})"
         );
-        feed(&metrics, "kernel_ve_plus", &format!("chunked.t{t}"), ms);
+        feed(&metrics, "kernel_ve_plus", &format!("dense.t{t}"), ms);
         runs.push(format!(
-            "    {{\"threads\": {t}, \"kernel_ops\": {}, \"ms\": {ms:.3}, \
-             \"speedup\": {speedup:.3}, \"function_eq_scalar\": {eq}}}",
-            stats.kernel_chunked_ops
+            "    {{\"threads\": {t}, \"dense_ops\": {}, \"ms\": {ms:.3}, \
+             \"speedup\": {speedup:.3}, \"bit_eq_sparse\": {eq}}}",
+            stats.dense_joins + stats.dense_group_bys
         ));
     }
     sections.push(format!(
         "{{\n  \"name\": \"kernel_ve_plus\", \"rows_per_relation\": {rows_per_relation},\n  \
-         \"result_rows\": {},\n  \"sequential_ms\": {scalar_ms:.3},\n  \"runs\": [\n{}\n  ]\n}}",
-        scalar_out.len(),
+         \"result_rows\": {},\n  \"sequential_ms\": {sparse_ms:.3},\n  \"runs\": [\n{}\n  ]\n}}",
+        sparse_out.len(),
         runs.join(",\n")
     ));
 
     // -- fused_join_agg ---------------------------------------------------
     // The same plan with fusion on: every dense join feeding a dense
     // marginalization contracts straight into the output accumulator.
-    // Reference is the unfused chunked single-thread run.
+    // Reference is the unfused dense single-thread run.
     let (unfused_ms, unfused_out) =
-        time_ms(reps, || run_plan(&store, &unfused_phys, 1, KernelMode::Chunked).0);
-    let (_, unfused_stats) = run_plan(&store, &unfused_phys, 1, KernelMode::Chunked);
+        time_ms(reps, || run_plan(&store, &unfused_phys, 1, DenseMode::Auto).0);
+    let (_, unfused_stats) = run_plan(&store, &unfused_phys, 1, DenseMode::Auto);
     let unfused_peak = unfused_stats.max_intermediate_rows;
     eprintln!(
         "fused_join_agg: unfused {unfused_ms:.1} ms, peak {unfused_peak} rows"
@@ -219,10 +229,8 @@ fn main() {
     feed(&metrics, "fused_join_agg", "unfused.t1", unfused_ms);
     let mut fruns = Vec::new();
     for &t in &THREAD_COUNTS {
-        let (ms, out) = time_ms(reps, || {
-            run_plan(&store, &fused_phys, t, KernelMode::Chunked).0
-        });
-        let (_, stats) = run_plan(&store, &fused_phys, t, KernelMode::Chunked);
+        let (ms, out) = time_ms(reps, || run_plan(&store, &fused_phys, t, DenseMode::Auto).0);
+        let (_, stats) = run_plan(&store, &fused_phys, t, DenseMode::Auto);
         let speedup = unfused_ms / ms;
         let eq = out.function_eq(&unfused_out);
         let peak_ok = stats.fused_join_aggs == 0 || stats.max_intermediate_rows < unfused_peak;

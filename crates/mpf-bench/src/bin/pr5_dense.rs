@@ -25,9 +25,7 @@
 
 use std::time::{Duration, Instant};
 
-use mpf_algebra::{
-    ops, DenseMode, ExecContext, Executor, KernelMode, MetricsRegistry, OpRepr, RelationStore,
-};
+use mpf_algebra::{ops, DenseMode, ExecContext, Executor, MetricsRegistry, OpRepr, RelationStore};
 use mpf_bench::Args;
 use mpf_optimizer::{
     choose_physical, optimize, Algorithm, BaseRel, CostModel, Heuristic, OptContext,
@@ -273,38 +271,9 @@ fn main() {
         feed(&metrics, "ve_plus", Some(t), ms);
         vruns.push(run);
     }
-    // The dense runs above use the chunked kernels (the default
-    // `KernelMode`). Re-run the single-threaded dense plan with
-    // the kernels pinned to *scalar* — the inner loops this baseline
-    // originally measured — so the artifact records how much of the
-    // dense-over-hash win now comes from the chunked mode alone.
-    let (kscalar_ms, kscalar_out) = time_ms(reps, || {
-        let exec = Executor::new(&store, SR).with_threads(1);
-        let mut cx = ExecContext::new(SR)
-            .with_threads(1)
-            .with_dense(DenseMode::Auto)
-            .with_repr(mpf_algebra::ReprMode::Off)
-            .with_kernel(KernelMode::Scalar);
-        exec.execute_physical_in(&mut cx, &dense_phys).expect("plan executes")
-    });
-    let chunked_t1_ms = vruns
-        .iter()
-        .find(|r| r.threads == 1)
-        .map_or(kscalar_ms, |r| r.ms);
-    let kernel_gain = kscalar_ms / chunked_t1_ms;
-    eprintln!(
-        "ve_plus: scalar-kernel dense {kscalar_ms:.1} ms -> chunked kernels {kernel_gain:.2}x \
-         (eq {})",
-        kscalar_out.function_eq(&vseq_out)
-    );
-    metrics.observe(
-        "bench.ve_plus.dense.scalar_kernel.t1",
-        Duration::from_secs_f64(kscalar_ms / 1e3),
-    );
     sections.push(format!(
         "{{\n  \"name\": \"ve_plus_end_to_end\", \"rows_per_relation\": {rows_per_relation},\n  \
-         \"result_rows\": {},\n  {},\n  \"scalar_kernel_ms\": {kscalar_ms:.3},\n  \
-         \"chunked_vs_scalar_kernel\": {kernel_gain:.3}\n}}",
+         \"result_rows\": {},\n  {}\n}}",
         vseq_out.len(),
         runs_json(vseq_ms, &vruns)
     ));

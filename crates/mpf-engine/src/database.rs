@@ -638,9 +638,7 @@ impl Database {
                     m.add("engine.repr.dense_ops", a.stats.dense_joins + a.stats.dense_group_bys);
                     m.add("engine.repr.sparse_converts", a.stats.sparse_converts);
                     m.add("engine.repr.dense_converts", a.stats.dense_converts);
-                    m.add("engine.kernel.chunked_ops", a.stats.kernel_chunked_ops);
-                    m.add("engine.kernel.scalar_ops", a.stats.kernel_scalar_ops);
-                    m.add("engine.kernel.fused_join_aggs", a.stats.fused_join_aggs);
+                    m.add("engine.fused_join_aggs", a.stats.fused_join_aggs);
                     m.add("engine.repr.keyed_memo_hits", a.stats.keyed_memo_hits);
                     m.add("engine.repr.keyed_memo_builds", a.stats.keyed_memo_builds);
                     m.observe("engine.optimize_us", a.optimize_time);
@@ -1808,14 +1806,7 @@ mod tests {
             ans.stats.fused_join_aggs > 0,
             "dense join feeding dense agg runs the fused operator"
         );
-        assert!(
-            ans.stats.kernel_chunked_ops > 0,
-            "chunked is the default kernel mode"
-        );
-        assert_eq!(ans.stats.kernel_scalar_ops, 0);
-        assert!(metrics.counter("engine.kernel.fused_join_aggs") > 0);
-        assert!(metrics.counter("engine.kernel.chunked_ops") > 0);
-        assert_eq!(metrics.counter("engine.kernel.scalar_ops"), 0);
+        assert!(metrics.counter("engine.fused_join_aggs") > 0);
     }
 
     #[test]

@@ -19,21 +19,13 @@
 //! [`crate::SemiringKind::mul`] arms, so both paths produce
 //! bit-identical results cell for cell.
 //!
-//! # Deterministic reduction shape
+//! # Deterministic fold order
 //!
-//! The chunked (SIMD-friendly) kernels fold contiguous runs through
-//! [`LANES`] parallel accumulators and combine them with
-//! [`reduce_lanes`], a fixed pairwise tree. The association order of a
-//! chunked fold is therefore a pure function of the run *length* —
-//! never of thread count, partitioning, or chunk scheduling — so a
-//! given query produces bit-identical answers at any `MPF_THREADS`
-//! setting, under either kernel mode. Across kernel modes
-//! (`scalar` vs `chunked`) the association order differs, which for the
-//! non-associative floating-point folds (`SumProduct`,
-//! `LogSumProduct`) may change results within rounding; the min/max
-//! family (`MinSum`, `MaxSum`, `MinProduct`, `MaxProduct`,
-//! `BoolOrAnd`) is insensitive to association, so scalar and chunked
-//! kernels agree exactly there.
+//! Every kernel folds a group's terms in one fixed order — its first
+//! term, then the additive operation term by term — that depends only on
+//! the data's layout, never on thread count, partitioning, or chunk
+//! scheduling, so a given query produces bit-identical answers at any
+//! `MPF_THREADS` setting.
 //!
 //! # SIMD tiers
 //!
@@ -47,55 +39,6 @@
 //! bits.
 
 use crate::{logsumexp, SemiringKind};
-
-/// Lane width of the chunked kernels: contiguous runs fold through this
-/// many independent `f64` accumulators so the additive operation
-/// autovectorizes. 8 × f64 is four SSE2/NEON registers, two AVX2
-/// registers or one AVX-512 register. The default build targets the
-/// baseline instruction set (SSE2 on x86-64), so the plain kernels never
-/// use 512-bit or even 256-bit registers; only kernel bodies run through
-/// a [`SimdTier`] wrapper do, and the lane shape — hence every bit of the
-/// result — is the same in every tier.
-pub const LANES: usize = 8;
-
-/// Combine [`LANES`] partial accumulators with a fixed pairwise
-/// reduction tree: `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` for
-/// `LANES = 8`. The shape is a compile-time constant — part of the
-/// deterministic-reduction contract documented at the module level —
-/// so chunked results never depend on how work was scheduled.
-#[inline(always)]
-pub fn reduce_lanes<S: SemiringOps>(lanes: [f64; LANES]) -> f64 {
-    let a = S::add(lanes[0], lanes[4]);
-    let b = S::add(lanes[1], lanes[5]);
-    let c = S::add(lanes[2], lanes[6]);
-    let d = S::add(lanes[3], lanes[7]);
-    S::add(S::add(a, c), S::add(b, d))
-}
-
-/// Fold a contiguous run of values with the semiring's additive
-/// operation using the chunked lane shape: [`LANES`] independent
-/// accumulators over full blocks, [`reduce_lanes`]'s fixed tree, then a
-/// left-to-right scalar tail. The association order depends only on
-/// `vals.len()` (the deterministic-reduction contract), and the lane
-/// loop has no cross-iteration dependence, so it autovectorizes.
-#[inline(always)]
-pub fn fold_run<S: SemiringOps>(vals: &[f64]) -> f64 {
-    let n = vals.len();
-    let mut lanes = [S::ZERO; LANES];
-    let mut t = 0;
-    while t + LANES <= n {
-        for q in 0..LANES {
-            lanes[q] = S::add(lanes[q], vals[t + q]);
-        }
-        t += LANES;
-    }
-    let mut acc = reduce_lanes::<S>(lanes);
-    while t < n {
-        acc = S::add(acc, vals[t]);
-        t += 1;
-    }
-    acc
-}
 
 /// Statically-known semiring operations over `f64` measures (Boolean
 /// measures are `0.0`/`1.0`, as everywhere in the engine).
@@ -472,56 +415,6 @@ mod tests {
         ];
         for sr in SemiringKind::ALL {
             for_each_semiring!(sr, check(&cases));
-        }
-    }
-
-    #[test]
-    fn reduce_lanes_matches_reference_tree() {
-        fn check_tree<S: SemiringOps>() {
-            let lanes = [3.0, -1.0, 4.0, 1.5, -9.0, 2.5, 6.0, -5.0];
-            let a = S::add(lanes[0], lanes[4]);
-            let b = S::add(lanes[1], lanes[5]);
-            let c = S::add(lanes[2], lanes[6]);
-            let d = S::add(lanes[3], lanes[7]);
-            let expect = S::add(S::add(a, c), S::add(b, d));
-            let got = reduce_lanes::<S>(lanes);
-            assert!(
-                got == expect || (got.is_nan() && expect.is_nan()),
-                "{:?}",
-                S::KIND
-            );
-            // All-identity lanes reduce to the additive identity.
-            assert_eq!(reduce_lanes::<S>([S::ZERO; LANES]), S::ZERO);
-        }
-        for sr in SemiringKind::ALL {
-            for_each_semiring!(sr, check_tree());
-        }
-    }
-
-    #[test]
-    fn fold_run_shape_is_a_function_of_length_only() {
-        fn check_fold<S: SemiringOps>() {
-            for n in [0usize, 1, 7, 8, 9, 16, 23] {
-                let vals: Vec<f64> = (0..n).map(|i| 0.5 + i as f64).collect();
-                // Reference: the documented lane shape, written out.
-                let mut lanes = [S::ZERO; LANES];
-                let mut t = 0;
-                while t + LANES <= n {
-                    for q in 0..LANES {
-                        lanes[q] = S::add(lanes[q], vals[t + q]);
-                    }
-                    t += LANES;
-                }
-                let mut expect = reduce_lanes::<S>(lanes);
-                for &v in &vals[t..] {
-                    expect = S::add(expect, v);
-                }
-                assert_eq!(fold_run::<S>(&vals).to_bits(), expect.to_bits(), "{:?} n={n}", S::KIND);
-            }
-            assert_eq!(fold_run::<S>(&[]), S::ZERO);
-        }
-        for sr in SemiringKind::ALL {
-            for_each_semiring!(sr, check_fold());
         }
     }
 

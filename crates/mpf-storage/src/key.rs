@@ -13,7 +13,10 @@ pub enum Key {
     P1(u32),
     /// Two columns, packed.
     P2(u64),
-    /// Three or four columns, packed.
+    /// Three columns, packed.
+    P3(u128),
+    /// Four columns, packed. The variant carries the width, so all 128
+    /// bits hold values.
     P4(u128),
     /// Five or more columns.
     Big(Box<[Value]>),
@@ -26,40 +29,27 @@ impl Key {
     /// Extract the key of `row` at the given column positions.
     #[inline]
     pub fn extract(row: &[Value], positions: &[usize]) -> Key {
-        match positions.len() {
-            0 => Key::UNIT,
-            1 => Key::P1(row[positions[0]]),
-            2 => Key::P2(((row[positions[0]] as u64) << 32) | row[positions[1]] as u64),
-            3 | 4 => {
-                let mut p: u128 = 0;
-                for &i in positions {
-                    p = (p << 32) | row[i] as u128;
-                }
-                // Disambiguate arity 3 vs 4 (a leading zero value would
-                // otherwise collide): record the arity in the top bits.
-                p |= (positions.len() as u128) << 124;
-                Key::P4(p)
-            }
-            _ => Key::Big(positions.iter().map(|&i| row[i]).collect()),
-        }
+        Key::pack(positions.len(), |j| row[positions[j]])
     }
 
     /// Extract the key of an entire row (all columns in order).
     #[inline]
     pub fn of_row(row: &[Value]) -> Key {
-        match row.len() {
+        Key::pack(row.len(), |j| row[j])
+    }
+
+    /// The key of the `n` columns `col(0), …, col(n - 1)`, the first in
+    /// the most significant bits.
+    #[inline(always)]
+    fn pack(n: usize, col: impl Fn(usize) -> Value) -> Key {
+        let wide = || (0..n).fold(0u128, |p, j| (p << 32) | col(j) as u128);
+        match n {
             0 => Key::UNIT,
-            1 => Key::P1(row[0]),
-            2 => Key::P2(((row[0] as u64) << 32) | row[1] as u64),
-            3 | 4 => {
-                let mut p: u128 = 0;
-                for &v in row {
-                    p = (p << 32) | v as u128;
-                }
-                p |= (row.len() as u128) << 124;
-                Key::P4(p)
-            }
-            _ => Key::Big(row.into()),
+            1 => Key::P1(col(0)),
+            2 => Key::P2(((col(0) as u64) << 32) | col(1) as u64),
+            3 => Key::P3(wide()),
+            4 => Key::P4(wide()),
+            _ => Key::Big((0..n).map(col).collect()),
         }
     }
 }
@@ -91,8 +81,18 @@ mod tests {
     }
 
     #[test]
+    fn four_column_keys_keep_every_bit_of_the_first_value() {
+        let all = [0, 1, 2, 3];
+        assert_ne!(Key::extract(&[1 << 30, 0, 0, 0], &all), Key::extract(&[0, 0, 0, 0], &all));
+        assert_ne!(Key::of_row(&[u32::MAX, 0, 0, 0]), Key::of_row(&[u32::MAX >> 2, 0, 0, 0]));
+        // Keys of one width still order by their values, first column first.
+        assert!(Key::of_row(&[1 << 31, 0, 0, 0]) > Key::of_row(&[1, u32::MAX, u32::MAX, u32::MAX]));
+        assert!(Key::of_row(&[2, 0, 0]) > Key::of_row(&[1, 5, 5]));
+    }
+
+    #[test]
     fn of_row_matches_extract_all() {
-        for row in [vec![3u32], vec![3, 4], vec![3, 4, 5], vec![3, 4, 5, 6, 7]] {
+        for row in [vec![3u32], vec![3, 4], vec![3, 4, 5], vec![3, 4, 5, 6], vec![3, 4, 5, 6, 7]] {
             let all: Vec<usize> = (0..row.len()).collect();
             assert_eq!(Key::of_row(&row), Key::extract(&row, &all));
         }

@@ -94,7 +94,7 @@ fn supply_chain_explain_analyze_snapshot() {
 -- estimated cost: 17016.00
 -- rows scanned=4428, processed=4536, peak intermediate=20
 JoinAgg (Fused)  (est rows=20.0, rows=20, cells=40, time=_, repr=sparse, nest=stream, fused=true)
-  ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse, kernel=chunked, keyed=built)
+  ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse, keyed=built)
     JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=sparse, nest=scatter, keyed=built, fused=true)
       Scan transporters  (est rows=2.0, rows=2, cells=4, time=_, repr=rows)
       Scan ctdeals  (est rows=6.0, rows=6, cells=18, time=_, repr=rows)
@@ -121,11 +121,11 @@ fn bayes_net_explain_analyze_snapshot() {
 -- strategy: ve+(degree)
 -- estimated cost: 86.00
 -- rows scanned=18, processed=52, peak intermediate=8
-JoinAgg (Fused)  (est rows=2.0, rows=2, cells=4, time=_, repr=dense, kernel=chunked, nest=tile, simd=base, fused=true)
+JoinAgg (Fused)  (est rows=2.0, rows=2, cells=4, time=_, repr=dense, nest=tile, simd=base, fused=true)
   Select  (est rows=4.0, rows=4, cells=16, time=_, repr=dense, pinned=wet)
     Scan cpt_wet  (est rows=8.0, rows=8, cells=32, time=_, repr=rows)
-  ProductJoin (Dense)  (est rows=8.0, rows=8, cells=32, time=_, repr=dense, kernel=chunked)
-    ProductJoin (Dense)  (est rows=4.0, rows=4, cells=12, time=_, repr=dense, kernel=chunked)
+  ProductJoin (Dense)  (est rows=8.0, rows=8, cells=32, time=_, repr=dense)
+    ProductJoin (Dense)  (est rows=4.0, rows=4, cells=12, time=_, repr=dense)
       Scan cpt_cloudy  (est rows=2.0, rows=2, cells=4, time=_, repr=rows)
       Scan cpt_sprinkler  (est rows=4.0, rows=4, cells=12, time=_, repr=rows)
     Scan cpt_rain  (est rows=4.0, rows=4, cells=12, time=_, repr=rows)
@@ -155,7 +155,7 @@ fn triangle_db(d: u64) -> Database {
 
 /// A fused elimination step that runs on the dense kernels reports the
 /// loop nest it took (`nest=tile`: register tiles along output axes) and
-/// the instruction-set tier it ran on next to the kernel mode — the D³
+/// the instruction-set tier it ran on — the D³
 /// step of every `tri` marginal. Steps this small stay on the base tier
 /// on every host.
 #[test]
@@ -172,10 +172,10 @@ fn dense_triangle_explain_analyze_snapshot() {
 -- strategy: ve(degree)
 -- estimated cost: 300.00
 -- rows scanned=48, processed=92, peak intermediate=16
-GroupBy (DenseAgg)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked)
-  JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked, nest=cell, simd=base, fused=true)
+GroupBy (DenseAgg)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense)
+  JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, nest=cell, simd=base, fused=true)
     Scan r3  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
-    JoinAgg (Fused)  (est rows=16.0, rows=16, cells=48, time=_, repr=dense, kernel=chunked, nest=tile, simd=base, fused=true)
+    JoinAgg (Fused)  (est rows=16.0, rows=16, cells=48, time=_, repr=dense, nest=tile, simd=base, fused=true)
       Scan r1  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
       Scan r2  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
 ";
@@ -197,11 +197,11 @@ fn dense_triangle_evidence_explain_analyze_snapshot() {
 -- strategy: ve(degree)
 -- estimated cost: 172.00
 -- rows scanned=48, processed=84, peak intermediate=4
-GroupBy (DenseAgg)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked)
-  JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, kernel=chunked, nest=tile, simd=base, fused=true)
+GroupBy (DenseAgg)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense)
+  JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=dense, nest=tile, simd=base, fused=true)
     Select  (est rows=4.0, rows=4, cells=12, time=_, repr=dense, pinned=b)
       Scan r1  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
-    JoinAgg (Fused)  (est rows=4.0, rows=4, cells=12, time=_, repr=dense, kernel=chunked, nest=tile, simd=base, fused=true)
+    JoinAgg (Fused)  (est rows=4.0, rows=4, cells=12, time=_, repr=dense, nest=tile, simd=base, fused=true)
       Select  (est rows=4.0, rows=4, cells=12, time=_, repr=dense, pinned=b)
         Scan r2  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
       Scan r3  (est rows=16.0, rows=16, cells=48, time=_, repr=rows)
@@ -240,7 +240,7 @@ fn dense_triangle_explain_analyze_names_the_host_tier() {
     let tier = SimdTier::detect().name();
     let d3 = format!(
         "JoinAgg (Fused)  (est rows=4096.0, rows=4096, cells=12288, time=_, repr=dense, \
-         kernel=chunked, nest=tile, simd={tier}, fused=true)"
+         nest=tile, simd={tier}, fused=true)"
     );
     let text = normalize(&text);
     assert!(text.contains(&d3), "want `{d3}` in:\n{text}");
