@@ -1,21 +1,18 @@
 //! Typed parsing for the engine's environment knobs.
 //!
-//! The engine reads three environment variables: `MPF_THREADS` (worker
-//! threads, [`crate::limits::default_threads`]), `MPF_DENSE` (dense-kernel
-//! selection, [`crate::DenseMode::from_env`]), and `MPF_CACHE_BYTES` (the
+//! The engine reads two environment variables: `MPF_THREADS` (worker
+//! threads, [`crate::limits::default_threads`]) and `MPF_CACHE_BYTES` (the
 //! engine view-cache byte budget, [`cache_bytes_from_env`]). The runtime
 //! defaults are deliberately lenient — a malformed value falls back so a
 //! hot query path never errors on configuration — but a *service* should
 //! refuse to start on a knob it cannot honor rather than silently run
-//! with different parallelism or kernels than the operator asked for.
+//! with a different parallelism or cache than the operator asked for.
 //!
 //! [`validate_env`] is that strict startup check: it parses every knob
 //! and returns a typed [`ConfigError`] naming the variable, the rejected
 //! value, and what would have been accepted. `Database::from_env` and the
 //! `mpf_serve` binary call it before serving anything. Any other `MPF_*`
 //! variable is ignored, not rejected.
-
-use crate::dense::DenseMode;
 
 /// A configuration knob held a value that does not parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +42,6 @@ impl std::error::Error for ConfigError {}
 pub struct EnvKnobs {
     /// `MPF_THREADS`, when set and valid.
     pub threads: Option<usize>,
-    /// `MPF_DENSE`, when set and valid.
-    pub dense: Option<DenseMode>,
     /// `MPF_CACHE_BYTES`, when set and valid (`0` disables the cache).
     pub cache_bytes: Option<u64>,
 }
@@ -59,21 +54,6 @@ pub fn parse_threads(value: &str) -> Result<usize, ConfigError> {
             var: "MPF_THREADS".into(),
             value: value.into(),
             expected: "a positive integer",
-        }),
-    }
-}
-
-/// Parse an `MPF_DENSE` value: `off`/`0`/`false`, `on`/`1`/`true`, or
-/// `auto`.
-pub fn parse_dense(value: &str) -> Result<DenseMode, ConfigError> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" => Ok(DenseMode::Off),
-        "on" | "1" | "true" => Ok(DenseMode::On),
-        "auto" => Ok(DenseMode::Auto),
-        _ => Err(ConfigError {
-            var: "MPF_DENSE".into(),
-            value: value.into(),
-            expected: "one of `off`, `on`, `auto` (or 0/1/false/true)",
         }),
     }
 }
@@ -124,17 +104,12 @@ pub fn validate_env() -> Result<EnvKnobs, ConfigError> {
         Ok(v) => Some(parse_threads(&v)?),
         Err(_) => None,
     };
-    let dense = match std::env::var("MPF_DENSE") {
-        Ok(v) => Some(parse_dense(&v)?),
-        Err(_) => None,
-    };
     let cache_bytes = match std::env::var("MPF_CACHE_BYTES") {
         Ok(v) => Some(parse_cache_bytes(&v)?),
         Err(_) => None,
     };
     Ok(EnvKnobs {
         threads,
-        dense,
         cache_bytes,
     })
 }
@@ -156,26 +131,6 @@ mod tests {
             assert_eq!(e.var, "MPF_THREADS");
             assert_eq!(e.value, bad);
             assert!(e.to_string().contains("positive integer"), "{e}");
-        }
-    }
-
-    #[test]
-    fn dense_accepts_documented_spellings() {
-        assert_eq!(parse_dense("off").unwrap(), DenseMode::Off);
-        assert_eq!(parse_dense("0").unwrap(), DenseMode::Off);
-        assert_eq!(parse_dense("FALSE").unwrap(), DenseMode::Off);
-        assert_eq!(parse_dense("on").unwrap(), DenseMode::On);
-        assert_eq!(parse_dense("1").unwrap(), DenseMode::On);
-        assert_eq!(parse_dense(" auto ").unwrap(), DenseMode::Auto);
-    }
-
-    #[test]
-    fn dense_rejects_malformed_values() {
-        for bad in ["dense", "2", "", "yes please"] {
-            let e = parse_dense(bad).unwrap_err();
-            assert_eq!(e.var, "MPF_DENSE");
-            assert_eq!(e.value, bad);
-            assert!(e.to_string().contains("`auto`"), "{e}");
         }
     }
 

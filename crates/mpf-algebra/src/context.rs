@@ -166,11 +166,6 @@ impl<'b> ExecContext<'b> {
         self
     }
 
-    /// Override the dense-kernel dispatch mode.
-    pub fn set_dense(&mut self, mode: DenseMode) {
-        self.dense = mode;
-    }
-
     /// The dense-kernel dispatch mode ([`crate::ops::step`] skips the
     /// dense kernel under [`DenseMode::Off`]).
     pub fn dense_mode(&self) -> DenseMode {

@@ -14,7 +14,8 @@
 //! * two operands, the group variables kept and every other variable
 //!   eliminated (the fused join→marginalize);
 //! * two operands and nothing eliminated (the product join): every
-//!   variable of `l ∪ r` is a group variable, so each cell is one product
+//!   variable of `l ∪ r` is a group variable, in the sparse join's column
+//!   order (`sparse::merge_order`), so each cell is one product
 //!   `l ⊗ r`, stored as it is (no join validates a product; the
 //!   marginalization above it does);
 //! * one operand (the marginalization): the "product" of a cell is the
@@ -33,10 +34,10 @@
 //! sequence of its grid, borrowed in place, and the outputs are
 //! row-identical to the sparse path.
 //!
-//! Operators have no catalog, so grids come from
-//! [`FunctionalRelation::inferred_domains`] (a pure function of the input
-//! data — deterministic across threads); for a variable shared by both
-//! join sides the larger inferred domain wins. The kernel charges the
+//! Operators have no catalog, so grids come from each operand's O(1) grid
+//! hint (`ordered_grid_hint`, a pure function of the input data —
+//! deterministic across threads), and the operands must agree on every
+//! shared variable. The kernel charges the
 //! [`crate::ExecBudget`] one `produced` per output cell — identical to
 //! the sparse operators on complete inputs — and borrowing an operand
 //! charges nothing but polls cancellation and the deadline. When a grid
@@ -58,13 +59,16 @@
 //! through [`mpf_semiring::for_each_semiring`]), so the inner loops are
 //! straight-line per-semiring code with no dispatch branch per cell. Every
 //! cell folds one way: its first product, then `⊕` in eliminated-odometer
-//! order (eliminated axes in join-schema order). The order is a pure
-//! function of the layout, never of the nest, the SIMD tier, the thread
-//! count or scheduling, so answers are bit-identical at any
-//! `MPF_THREADS`. The sparse kernel and the hash operators fold the same
-//! way along their own walk of the eliminated axes, so on complete inputs
-//! the three agree bit for bit wherever the walks coincide — always for a
-//! join and for one operand.
+//! order, the eliminated axes in the step's merge order
+//! (`sparse::merge_order`: shared, then `l`'s own, then `r`'s own). The
+//! order is a pure function of the schemas and the group variables,
+//! never of the nest, the SIMD tier, the thread count or scheduling, so
+//! answers are bit-identical at any `MPF_THREADS`. The
+//! sparse kernel walks the same order, so the two agree bit for bit on
+//! every input both accept. The hash operators fold the same way along
+//! their own walk (probe rows, then build rows), so they agree bit for
+//! bit wherever that walk coincides — always for a join and for one
+//! operand.
 //!
 //! A two-operand step never materializes the join: the union grid is
 //! only indexed, never allocated, so it may exceed
@@ -84,10 +88,11 @@
 //! axis, the accumulators held in registers across the whole eliminated
 //! odometer, so each load of the row operand feeds `MR` output rows
 //! (GEMM's micro-kernel; `MR = 1` when no second axis qualifies, and for
-//! one operand). Otherwise both operands are contiguous along an
-//! eliminated axis and each cell folds its own run (`join_agg_cells`,
-//! `nest=cell`). The nest changes which cells
-//! are computed together, never the order one cell's products are
+//! one operand). Otherwise it folds blocks of `CELL_BLOCK` adjacent cells
+//! along the output's innermost axis side by side, each on its own
+//! accumulator, loading an operand broadcast along the block once for
+//! all of them (`join_agg_cells`, `nest=cell`). The nest changes which
+//! cells are computed together, never the order one cell's products are
 //! folded, so it cannot move a bit. Both nests take the operand count as
 //! a constant, so a two-operand step compiles exactly as it would
 //! without the one-operand form.
@@ -118,34 +123,19 @@ use crate::{AlgebraError, ExecContext, Result};
 pub const PARALLEL_MIN_CELLS: usize = 1 << 15;
 
 /// Whether the dense fast path may be used, carried by the planner
-/// config and the execution context (`Database` reads `MPF_DENSE`
-/// through [`DenseMode::from_env`]).
+/// config and the execution context. On every input the dense step
+/// accepts it computes the sparse step's bits, so the mode only ever
+/// picks the kernel, never the answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DenseMode {
     /// Never use the dense kernels.
     Off,
-    /// Plan dense whenever the grids are feasible, skipping the planner's
-    /// estimated-density heuristic. The kernels still verify
+    /// Plan dense when the estimated density clears the planner's
+    /// threshold and the grids are feasible. The kernels still verify
     /// support-exactness at runtime and fall back to the sparse kernel
     /// otherwise.
-    On,
-    /// Plan dense when the estimated density clears the planner's
-    /// threshold and the grids are feasible — the cost-based default.
     #[default]
     Auto,
-}
-
-impl DenseMode {
-    /// Resolve from the `MPF_DENSE` environment variable through
-    /// [`crate::config::parse_dense`]; unset or malformed means
-    /// [`DenseMode::Auto`] (the lenient runtime default — services wanting
-    /// strictness go through [`crate::config::validate_env`]).
-    pub fn from_env() -> DenseMode {
-        std::env::var("MPF_DENSE")
-            .ok()
-            .and_then(|v| crate::config::parse_dense(&v).ok())
-            .unwrap_or(DenseMode::Auto)
-    }
 }
 
 /// The O(1) grid hint: for a relation whose rows are the odometer
@@ -324,27 +314,29 @@ pub(crate) fn step(
         [_, r] => Some((*r, hints[1].as_slice())),
         _ => None,
     };
-    let l = inputs[0];
-    let all: Vec<VarId>;
-    let group = match (group_vars, r) {
-        (Some(g), _) => g,
-        (None, Some((r, rd))) => {
-            let schema = l.schema().union(r.schema());
-            if grid_cells(&union_domains(l, r, &schema, &hints[0], rd)).is_none() {
+    let l = (inputs[0], hints[0].as_slice());
+    let schemas: Vec<&Schema> = inputs.iter().map(|r| r.schema()).collect();
+    let (order, ..) = crate::sparse::merge_order(&schemas, group_vars);
+    let group = match group_vars {
+        Some(g) => g,
+        None => {
+            // The product join's output is its whole join grid.
+            let doms: Vec<u64> = order.iter().map(|&v| join_dom(l, r, v)).collect();
+            if grid_cells(&doms).is_none() {
                 return Ok(None);
             }
-            all = schema.iter().collect();
-            &all
+            &order
         }
-        (None, None) => unreachable!("checked by ops::step"),
     };
+    let elim: Vec<VarId> = order.iter().copied().filter(|v| !group.contains(v)).collect();
     // A join's products are stored unchecked; a marginal's folds are
     // checked against the step's own name.
     let check = group_vars.map(|_| site);
-    let Some(out) = join_agg_impl(cx, (l, &hints[0]), r, group, check)? else {
+    let Some(out) = join_agg_impl(cx, l, r, group, &elim, check)? else {
         return Ok(None);
     };
     let (nest, tier) = (out.nest, out.tier);
+    let l = l.0;
     let name = match (r, group_vars) {
         (Some((r, _)), None) => format!("({}⨝*{})", l.name(), r.name()),
         (Some((r, _)), Some(_)) => format!("γ({}⨝*{})", l.name(), r.name()),
@@ -385,34 +377,27 @@ struct StepOut {
 
 /// The elimination step `γ_group_vars(a ⨝ b)` over borrowed operand
 /// grids — `a` is `(relation, its grid)`, and `b` is `None` for a
-/// one-operand step, whose products are `a`'s values. `check` names the
-/// operator a non-finite cell is reported against, or is `None` to
-/// store the cells unchecked (a join's products). `None` when an
-/// operand does not borrow as a grid or the output grid is infeasible.
+/// one-operand step, whose products are `a`'s values. Each cell folds
+/// over `elim`, the eliminated variables in the step's
+/// [`crate::sparse::merge_order`]. `check` names the operator a
+/// non-finite cell is reported against, or is `None` to store the cells
+/// unchecked (a join's products). `None` when an operand does not borrow
+/// as a grid or the output grid is infeasible.
 fn join_agg_impl(
     cx: &mut ExecContext<'_>,
     (l, ld): (&FunctionalRelation, &[u64]),
     r: Option<(&FunctionalRelation, &[u64])>,
     group_vars: &[VarId],
+    elim: &[VarId],
     check: Option<&'static str>,
 ) -> Result<Option<StepOut>> {
+    let dom = |v: VarId| join_dom((l, ld), r, v);
     // The join grid is only ever *indexed*, never allocated: the kernel
     // needs the operands and the output grid, so a join grid beyond
     // `MAX_DENSE_CELLS` is no reason to refuse.
-    let (join_schema, join_domains) = match r {
-        Some((r, rd)) => {
-            let schema = l.schema().union(r.schema());
-            let domains = union_domains(l, r, &schema, ld, rd);
-            (schema, domains)
-        }
-        None => (l.schema().clone(), ld.to_vec()),
-    };
-    let join_cells_total = join_domains.iter().fold(1u64, |n, &d| n.saturating_mul(d));
-    let side_domains = |s: &Schema| -> Vec<u64> {
-        s.iter()
-            .map(|v| join_domains[join_schema.position(v).expect("var in union")])
-            .collect()
-    };
+    let join_cells_total =
+        group_vars.iter().chain(elim).fold(1u64, |n, &v| n.saturating_mul(dom(v)));
+    let side_domains = |s: &Schema| -> Vec<u64> { s.iter().map(dom).collect() };
     let Some(a) = dense_input(cx, l, &side_domains(l.schema()))? else {
         return Ok(None);
     };
@@ -425,10 +410,7 @@ fn join_agg_impl(
     };
 
     let out_schema = Schema::new(group_vars.to_vec())?;
-    let out_domains: Vec<u64> = group_vars
-        .iter()
-        .map(|&v| join_domains[join_schema.position(v).expect("validated")])
-        .collect();
+    let out_domains: Vec<u64> = group_vars.iter().map(|&v| dom(v)).collect();
     let Some(total) = grid_cells(&out_domains).map(|n| n as usize) else {
         return Ok(None);
     };
@@ -437,22 +419,15 @@ fn join_agg_impl(
     let stride_in = |v: VarId, s: &Schema, strides: &[u64]| -> usize {
         s.position(v).ok().map_or(0, |p| strides[p] as usize)
     };
-    let dim = |v: VarId, dom: u64| FusedDim {
-        dom,
+    let dim = |v: VarId| FusedDim {
+        dom: dom(v),
         sa: stride_in(v, l.schema(), &a.strides),
         sb: b.as_ref().map_or(0, |(s, b)| stride_in(v, s, &b.strides)),
     };
-    // Group axes in output-schema order; eliminated axes in join-schema
-    // order — the intermediate factor's fold order, which keeps the
-    // fused result bit-identical to the unfused dense pipeline.
-    let gdims: Vec<FusedDim> =
-        group_vars.iter().zip(&out_domains).map(|(&v, &dom)| dim(v, dom)).collect();
-    let edims: Vec<FusedDim> = join_schema
-        .iter()
-        .zip(&join_domains)
-        .filter(|(v, _)| !group_vars.contains(v))
-        .map(|(v, &dom)| dim(v, dom))
-        .collect();
+    // Group axes in output-schema order; eliminated axes in merge order,
+    // the order the sparse step folds them in too.
+    let gdims: Vec<FusedDim> = group_vars.iter().map(|&v| dim(v)).collect();
+    let edims: Vec<FusedDim> = elim.iter().map(|&v| dim(v)).collect();
 
     let sr = cx.semiring();
     let arity = out_schema.arity();
@@ -681,8 +656,9 @@ struct ElimDim {
 /// What every tile of one kernel call reads: the operands as `P` and
 /// `Q` (empty in a one-operand step), `Q`'s stride along the tile's `m`
 /// rows, and the eliminated odometer in `P`/`Q` terms — the outer axes
-/// (`runs`, in join-schema order) and the innermost one (`last`), whose
-/// run each cell folds contiguously.
+/// (`runs`, in merge order) and the innermost one (`last`), whose run
+/// each cell folds contiguously. The cell nest reads it too, with `a` as
+/// `P` and `b` as `Q`.
 #[derive(Clone, Copy)]
 struct TileSrc<'a> {
     pv: &'a [f64],
@@ -691,6 +667,34 @@ struct TileSrc<'a> {
     runs: &'a [ElimDim],
     eruns: u64,
     last: ElimDim,
+}
+
+impl<'a> TileSrc<'a> {
+    /// The source over the eliminated axes `elim` (in `P`/`Q` terms).
+    fn new(pv: &'a [f64], qv: &'a [f64], sqm: usize, elim: &'a [ElimDim]) -> TileSrc<'a> {
+        let (runs, last) = match elim.split_last() {
+            Some((&last, runs)) => (runs, last),
+            None => (&[][..], ElimDim { dom: 1, sp: 0, sq: 0 }),
+        };
+        TileSrc { pv, qv, sqm, runs, eruns: runs.iter().map(|d| d.dom).product(), last }
+    }
+
+    /// Step the outer eliminated odometer `ecoords` to its next run,
+    /// moving the `P`/`Q` offsets `p`/`q` with it.
+    #[inline(always)]
+    fn next_run(&self, ecoords: &mut [u64], p: &mut usize, q: &mut usize) {
+        for (j, d) in self.runs.iter().enumerate().rev() {
+            ecoords[j] += 1;
+            *p += d.sp;
+            *q += d.sq;
+            if ecoords[j] < d.dom {
+                return;
+            }
+            ecoords[j] = 0;
+            *p -= d.sp * d.dom as usize;
+            *q -= d.sq * d.dom as usize;
+        }
+    }
 }
 
 /// The tile nest for one operand pattern: `QJ` is `Q`'s stride along the
@@ -734,12 +738,8 @@ fn strips<
             ElimDim { dom: d.dom, sp, sq }
         })
         .collect();
-    let (runs, last) = match elim_dims.split_last() {
-        Some((&last, runs)) => (runs, last),
-        None => (&[][..], ElimDim { dom: 1, sp: 0, sq: 0 }),
-    };
-    let src = TileSrc { pv, qv, sqm, runs, eruns: runs.iter().map(|d| d.dom).product(), last };
-    let mut ecoords = vec![0u64; runs.len()];
+    let src = TileSrc::new(pv, qv, sqm, &elim_dims);
+    let mut ecoords = vec![0u64; src.runs.len()];
     // The other group axes run as an outer odometer, in output order.
     let mut coords: Vec<usize> = (0..k).map(|j| bounds(j).0).collect();
     loop {
@@ -893,7 +893,7 @@ fn tile<
     p: usize,
     q: usize,
 ) -> [[f64; C]; R] {
-    let TileSrc { pv, qv, sqm, runs, eruns, last } = *src;
+    let TileSrc { pv, qv, sqm, eruns, last, .. } = *src;
     let ElimDim { dom: delast, sp: spl, sq: sql } = last;
     let delast = delast as usize;
     let mut acc = [[S::ZERO; C]; R];
@@ -901,17 +901,7 @@ fn tile<
     ecoords.fill(0);
     for run in 0..eruns {
         if run > 0 {
-            for (j, d) in runs.iter().enumerate().rev() {
-                ecoords[j] += 1;
-                pr += d.sp;
-                qr += d.sq;
-                if ecoords[j] < d.dom {
-                    break;
-                }
-                ecoords[j] = 0;
-                pr -= d.sp * d.dom as usize;
-                qr -= d.sq * d.dom as usize;
-            }
+            src.next_run(ecoords, &mut pr, &mut qr);
         }
         // Each tile row's `Q` operand and the run's `P` rows, sliced once
         // per run so a step checks one index per row.
@@ -1011,7 +1001,15 @@ fn join_agg_cells<S: SemiringOps>(job: &StepJob<'_>, start: usize, out: &mut [f6
     }
 }
 
-/// [`join_agg_cells`] for one operand count (`ONE`: `b` is absent).
+/// Output cells the cell nest folds side by side: adjacent cells along
+/// the output's innermost axis, each on its own accumulator, so their
+/// folds overlap and share each load of an operand broadcast along that
+/// axis. A cell still folds its own products in its own order.
+const CELL_BLOCK: usize = 8;
+
+/// [`join_agg_cells`] for one operand count (`ONE`: `b` is absent):
+/// blocks of [`CELL_BLOCK`] cells along the innermost group axis, single
+/// cells where a block would cross that axis or the range.
 #[inline(always)]
 fn cells<S: SemiringOps, const ONE: bool>(
     job: &StepJob<'_>,
@@ -1019,8 +1017,6 @@ fn cells<S: SemiringOps, const ONE: bool>(
     out: &mut [f64],
 ) -> Result<()> {
     let StepJob { av, bv, gdims, out_strides, edims, budget, arity, check } = *job;
-    let bv = bv.unwrap_or_default();
-    let product = |i: usize, j: usize| if ONE { av[i] } else { S::mul(av[i], bv[j]) };
     let mut guard = OpGuard::new(budget, arity);
     let k = gdims.len();
     let mut coords = vec![0u64; k];
@@ -1033,78 +1029,112 @@ fn cells<S: SemiringOps, const ONE: bool>(
         abase += c as usize * gdims[j].sa;
         bbase += c as usize * gdims[j].sb;
     }
-    let ecells: u64 = edims.iter().map(|d| d.dom).product();
-    let ek = edims.len();
-    let (delast, sal, sbl) = if ek == 0 {
-        (1u64, 0usize, 0usize)
-    } else {
-        (edims[ek - 1].dom, edims[ek - 1].sa, edims[ek - 1].sb)
-    };
-    let eruns = ecells.checked_div(delast).unwrap_or(0);
-    let mut ecoords = vec![0u64; ek.saturating_sub(1)];
-    for slot in out.iter_mut() {
-        guard.poll()?;
-        let mut acc = product(abase, bbase);
-        for j in 1..delast as usize {
-            acc = S::add(acc, product(abase + j * sal, bbase + j * sbl));
+    let elim_dims: Vec<ElimDim> =
+        edims.iter().map(|d| ElimDim { dom: d.dom, sp: d.sa, sq: d.sb }).collect();
+    let src = TileSrc::new(av, bv.unwrap_or_default(), 0, &elim_dims);
+    let mut ecoords = vec![0u64; src.runs.len()];
+    // The block's step in each operand: the innermost group axis's stride.
+    let along = gdims.last().map_or((0, 0), |d| (d.sa, d.sb));
+    let mut i = 0;
+    while i < out.len() {
+        let row_left = gdims.last().map_or(1, |d| (d.dom - coords[k - 1]) as usize);
+        let n = if row_left.min(out.len() - i) >= CELL_BLOCK { CELL_BLOCK } else { 1 };
+        guard.poll_many(n as u64)?;
+        let at = (abase, bbase);
+        let acc = if n == CELL_BLOCK {
+            fold_cells::<S, ONE, CELL_BLOCK>(&src, &mut ecoords, at, along)
+        } else {
+            [fold_cells::<S, ONE, 1>(&src, &mut ecoords, at, along)[0]; CELL_BLOCK]
+        };
+        for (slot, &v) in out[i..i + n].iter_mut().zip(&acc) {
+            store::<S>(check, slot, v)?;
+            guard.produced()?;
         }
-        let (mut ea, mut eb) = (0usize, 0usize);
-        for _ in 1..eruns {
-            for j in (0..ek - 1).rev() {
-                ecoords[j] += 1;
-                ea += edims[j].sa;
-                eb += edims[j].sb;
-                if ecoords[j] < edims[j].dom {
-                    break;
-                }
-                ecoords[j] = 0;
-                ea -= edims[j].sa * edims[j].dom as usize;
-                eb -= edims[j].sb * edims[j].dom as usize;
-            }
-            let (ra, rb) = (abase + ea, bbase + eb);
-            for j in 0..delast as usize {
-                acc = S::add(acc, product(ra + j * sal, rb + j * sbl));
-            }
-        }
-        for e in ecoords.iter_mut() {
-            *e = 0;
-        }
-        store::<S>(check, slot, acc)?;
-        guard.produced()?;
+        i += n;
+        // Advance the group odometer by the `n` cells, which never cross
+        // the innermost axis.
+        let mut step = n as u64;
         for j in (0..k).rev() {
-            coords[j] += 1;
-            abase += gdims[j].sa;
-            bbase += gdims[j].sb;
+            coords[j] += step;
+            abase += step as usize * gdims[j].sa;
+            bbase += step as usize * gdims[j].sb;
             if coords[j] < gdims[j].dom {
                 break;
             }
             coords[j] = 0;
             abase -= gdims[j].sa * gdims[j].dom as usize;
             bbase -= gdims[j].sb * gdims[j].dom as usize;
+            step = 1;
         }
     }
-    guard.finish()?;
-    Ok(())
+    guard.finish()
 }
 
-/// The union grid: for each output variable, the larger of the two
-/// sides' inferred domains (a variable on one side only takes that
-/// side's). `ld`/`rd` are the sides' precomputed inferred domains.
-fn union_domains(
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-    out_schema: &Schema,
-    ld: &[u64],
-    rd: &[u64],
-) -> Vec<u64> {
-    out_schema
-        .iter()
-        .map(|v| {
-            let from_l = l.schema().position(v).ok().map_or(0, |p| ld[p]);
-            let from_r = r.schema().position(v).ok().map_or(0, |p| rd[p]);
-            from_l.max(from_r)
-        })
-        .collect()
+/// The folds of `K` adjacent cells, the `c`-th at `a`/`b` offsets
+/// `a + c·along.0` and `b + c·along.1` (`src` holds `a` as `P`, `b` as
+/// `Q`): each cell's first product, then `S::add` in eliminated-odometer
+/// order.
+#[inline(always)]
+fn fold_cells<S: SemiringOps, const ONE: bool, const K: usize>(
+    src: &TileSrc<'_>,
+    ecoords: &mut [u64],
+    (a, b): (usize, usize),
+    along: (usize, usize),
+) -> [f64; K] {
+    let TileSrc { pv: av, qv: bv, eruns, last, .. } = *src;
+    let product = |i: usize, j: usize| if ONE { av[i] } else { S::mul(av[i], bv[j]) };
+    let at = |c: usize, ea: usize, eb: usize| (a + c * along.0 + ea, b + c * along.1 + eb);
+    let mut acc: [f64; K] = std::array::from_fn(|c| {
+        let (i, j) = at(c, 0, 0);
+        product(i, j)
+    });
+    let (mut ea, mut eb) = (0usize, 0usize);
+    ecoords.fill(0);
+    for run in 0..eruns {
+        if run > 0 {
+            src.next_run(ecoords, &mut ea, &mut eb);
+        }
+        let first = usize::from(run == 0);
+        let base: [(usize, usize); K] = std::array::from_fn(|c| at(c, ea, eb));
+        if !ONE && along.0 == 0 {
+            // `a` is broadcast along the block: one load per point.
+            for t in first..last.dom as usize {
+                let x = av[base[0].0 + t * last.sp];
+                for (c, acc) in acc.iter_mut().enumerate() {
+                    *acc = S::add(*acc, S::mul(x, bv[base[c].1 + t * last.sq]));
+                }
+            }
+        } else if !ONE && along.1 == 0 {
+            for t in first..last.dom as usize {
+                let y = bv[base[0].1 + t * last.sq];
+                for (c, acc) in acc.iter_mut().enumerate() {
+                    *acc = S::add(*acc, S::mul(av[base[c].0 + t * last.sp], y));
+                }
+            }
+        } else {
+            for t in first..last.dom as usize {
+                for (c, acc) in acc.iter_mut().enumerate() {
+                    let (i, j) = base[c];
+                    *acc = S::add(*acc, product(i + t * last.sp, j + t * last.sq));
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// `v`'s domain in a step's join grid: its grid-hint domain in the first
+/// operand that has it (the operands agree on shared variables,
+/// [`shared_domains_agree`]).
+fn join_dom(
+    (l, ld): (&FunctionalRelation, &[u64]),
+    r: Option<(&FunctionalRelation, &[u64])>,
+    v: VarId,
+) -> u64 {
+    std::iter::once((l, ld))
+        .chain(r)
+        .find_map(|(s, d)| s.schema().position(v).ok().map(|p| d[p]))
+        .expect("a variable of an operand")
 }
 
 #[cfg(test)]
@@ -1321,10 +1351,8 @@ mod tests {
         let mut sparse = FunctionalRelation::new("s", l.schema().clone());
         sparse.push_row(&[5, 4], 1.0).unwrap();
         assert!(!is_complete_on_inferred(&sparse));
+        // Support-exactness is a hard precondition, checked at runtime.
         assert!(!runs_dense(DenseMode::Auto, &[&sparse, &r], None));
-        // Support-exactness is a hard precondition: even On refuses
-        // incomplete inputs at runtime (the modes differ at the planner).
-        assert!(!runs_dense(DenseMode::On, &[&sparse, &r], None));
         assert!(runs_dense(DenseMode::Auto, &[&l], Some(&[b])));
         assert!(!runs_dense(DenseMode::Off, &[&l], Some(&[b])));
         assert!(!runs_dense(DenseMode::Auto, &[&sparse], Some(&[b])));
@@ -1339,7 +1367,7 @@ mod tests {
         .unwrap();
         assert!(is_complete_on_inferred(&narrow));
         assert!(!join_support_exact(&l, &narrow));
-        assert!(!runs_dense(DenseMode::On, &[&l, &narrow], None));
+        assert!(!runs_dense(DenseMode::Auto, &[&l, &narrow], None));
     }
 
     #[test]
@@ -1354,7 +1382,7 @@ mod tests {
         let mut r = FunctionalRelation::new("r", Schema::new(vec![y]).unwrap());
         r.push_row(&[(1 << 13) - 1], 3.0).unwrap();
         let sr = SemiringKind::SumProduct;
-        let mut cx = ExecContext::new(sr).with_dense(DenseMode::On);
+        let mut cx = ExecContext::new(sr);
         let out = join(&mut cx, &l, &r).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(cx.stats().joins, 1);
@@ -1553,7 +1581,7 @@ mod tests {
     /// Fused dims for a step over axes with domains `doms`: `a` stored
     /// over `a_axes`, `b` over `b_axes` (row-major; empty for a
     /// one-operand step), walked along `axes` (group axes in output
-    /// order, or eliminated ones in join order).
+    /// order, or eliminated ones in merge order).
     fn dims_of(doms: &[u64], a_axes: &[usize], b_axes: &[usize], axes: &[usize]) -> Vec<FusedDim> {
         let stride = |side: &[usize], v: usize| {
             let strides = strides_of(&side.iter().map(|&u| doms[u]).collect::<Vec<_>>());
@@ -1606,7 +1634,7 @@ mod tests {
 
     /// An elimination step for the tier checks, over the axes of `doms`:
     /// `a`'s axes, `b`'s (`None` for a one-operand step), and the
-    /// eliminated axes in join order (empty for a join).
+    /// eliminated axes in merge order (empty for a join).
     struct Layout<'a> {
         a: &'a [usize],
         b: Option<&'a [usize]>,
@@ -1694,7 +1722,7 @@ mod tests {
                     two(&[0, 2], &[2, 1], &[2]),
                     // (1,0): the row operand `a` is broadcast along y.
                     two(&[2, 0], &[1, 2], &[2]),
-                    // Two eliminated axes, f outermost in join order.
+                    // Two eliminated axes, f outermost in merge order.
                     two(&[0, 3, 2], &[3, 2, 1], &[3, 2]),
                     // Row axis x unit-stride in both operands.
                     two(&[2, 0], &[1, 0], &[2]),
@@ -1787,9 +1815,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_from_env_strings() {
-        // Only exercises the parser (no env mutation: tests run in
-        // parallel and the context carries the mode explicitly).
+    fn mode_defaults_to_auto() {
         assert_eq!(DenseMode::default(), DenseMode::Auto);
     }
 }

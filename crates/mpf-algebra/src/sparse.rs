@@ -161,12 +161,43 @@ pub(crate) fn step(
 /// otherwise).
 type Stepped = (FunctionalRelation, &'static str, u64);
 
-/// A step's merge axis order: its variables and their domains in the
-/// blocks `[shared, l-own, r-own]` — a lone operand's variables are all
-/// `shared` — with each block's group variables leading, in output
-/// order, and its eliminated ones in schema order. A shared variable
-/// indexes through the wider of the two sides' inferred domains, so the
-/// prefix coordinates agree across sides.
+/// The one axis order of an elimination step, which the dense and the
+/// sparse step both walk: the step's variables in the blocks `[shared,
+/// l-own, r-own]` (a lone operand's are all `shared`), each block's group
+/// variables leading, in output order, and its eliminated ones in schema
+/// order (a shared one in `l`'s). A fold meets a cell's terms in this
+/// order of their eliminated variables, and a join (`group_vars` `None`)
+/// emits its columns in it. Returns the variables and the lengths of the
+/// `shared` and the `shared + l-own` blocks.
+pub(crate) fn merge_order(
+    schemas: &[&Schema],
+    group_vars: Option<&[VarId]>,
+) -> (Vec<VarId>, usize, usize) {
+    let rank = |v: VarId| group_vars.and_then(|gv| gv.iter().position(|&g| g == v));
+    // A stable sort: eliminated variables keep their relative order,
+    // which is what keeps a step's fold order the unfused pipeline's.
+    let order = |mut vars: Vec<VarId>| {
+        vars.sort_by_key(|&v| rank(v).unwrap_or(usize::MAX));
+        vars
+    };
+    let shared = match schemas {
+        [l, r] => order(l.intersect(r).vars().to_vec()),
+        _ => order(schemas[0].vars().to_vec()),
+    };
+    let own = |s: &Schema| order(s.difference(&shared).vars().to_vec());
+    let l_own = own(schemas[0]);
+    let r_own = schemas.get(1).map_or_else(Vec::new, |r| own(r));
+    let (n_shared, n_a) = (shared.len(), shared.len() + l_own.len());
+    (
+        shared.into_iter().chain(l_own).chain(r_own).collect(),
+        n_shared,
+        n_a,
+    )
+}
+
+/// A step's [`merge_order`] and each variable's domain in it. A shared
+/// variable indexes through the wider of the two sides' inferred domains,
+/// so the prefix coordinates agree across sides.
 struct MergeOrder {
     vars: Vec<VarId>,
     doms: Vec<u64>,
@@ -178,21 +209,8 @@ struct MergeOrder {
 impl MergeOrder {
     /// `None` when the merge grid overflows the coordinate space.
     fn new(inputs: &[&FunctionalRelation], group_vars: Option<&[VarId]>) -> Option<MergeOrder> {
-        let rank = |v: VarId| group_vars.and_then(|gv| gv.iter().position(|&g| g == v));
-        // A stable sort: eliminated variables keep their relative order,
-        // which is what keeps a step's fold order the unfused pipeline's.
-        let order = |mut vars: Vec<VarId>| {
-            vars.sort_by_key(|&v| rank(v).unwrap_or(usize::MAX));
-            vars
-        };
-        let shared_schema = match inputs {
-            [l, r] => l.schema().intersect(r.schema()),
-            _ => inputs[0].schema().clone(),
-        };
-        let shared = order(shared_schema.vars().to_vec());
-        let own = |s: &FunctionalRelation| order(s.schema().difference(&shared).vars().to_vec());
-        let l_own = own(inputs[0]);
-        let r_own = inputs.get(1).map_or_else(Vec::new, |r| own(r));
+        let schemas: Vec<&Schema> = inputs.iter().map(|s| s.schema()).collect();
+        let (vars, n_shared, n_a) = merge_order(&schemas, group_vars);
         let domains: Vec<Vec<u64>> = inputs.iter().map(|s| s.inferred_domains()).collect();
         let dom_of = |v: VarId| -> u64 {
             let side_dom = |(s, d): (&&FunctionalRelation, &Vec<u64>)| {
@@ -205,8 +223,6 @@ impl MergeOrder {
                 .max()
                 .unwrap_or(0)
         };
-        let (n_shared, n_a) = (shared.len(), shared.len() + l_own.len());
-        let vars: Vec<VarId> = shared.into_iter().chain(l_own).chain(r_own).collect();
         let doms: Vec<u64> = vars.iter().map(|&v| dom_of(v)).collect();
         grid_cells_wide(&doms)?;
         Some(MergeOrder {

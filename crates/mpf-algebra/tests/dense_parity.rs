@@ -1,15 +1,16 @@
 //! Property tests for the dense odometer kernels: on support-exact inputs
 //! the dense join and marginalization equal the hash operators for every
 //! semiring — bit for bit wherever both walk a cell's eliminated axes in
-//! the same order, as functions otherwise — are *bit-identical across
-//! thread counts*, and charge the budgets identically (same typed error
-//! on a trip, same rows-processed accounting). On inputs that are not
-//! support-exact every [`DenseMode`] falls back to the sparse operators,
-//! so answers never depend on the mode.
+//! the same order, as functions otherwise — equal the sparse step bit
+//! for bit, are *bit-identical across thread counts*, and charge the
+//! budgets identically (same typed error on a trip, same rows-processed
+//! accounting). On inputs that are not support-exact every [`DenseMode`]
+//! falls back to the sparse operators, so answers never depend on the
+//! mode.
 //!
-//! Modes are pinned on the [`ExecContext`]; a context never reads
-//! `MPF_DENSE`, so the ambient environment cannot reach these tests.
+//! Modes are pinned on the [`ExecContext`].
 
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
 use mpf_algebra::{
@@ -30,10 +31,16 @@ fn lock() -> Option<MutexGuard<'static, ()>> {
     cfg!(feature = "fault-injection").then(|| LOCK.lock().unwrap_or_else(|e| e.into_inner()))
 }
 
-/// Exact equality up to row/column order — no float tolerance.
+/// Exact equality up to row and column order — no float tolerance.
 fn bit_identical(a: &FunctionalRelation, b: &FunctionalRelation) -> bool {
-    let (a, b) = (a.canonicalized(), b.canonicalized());
-    a.schema() == b.schema() && a.len() == b.len() && a.rows().eq(b.rows())
+    // Each row's values in `a`'s variable order, and its measure's bits.
+    let cells = |rel: &FunctionalRelation| -> Option<BTreeMap<Vec<u32>, u64>> {
+        let pos: Vec<usize> =
+            a.schema().iter().map(|v| rel.schema().position(v).ok()).collect::<Option<_>>()?;
+        let cell = |(row, m): (&[u32], f64)| (pos.iter().map(|&p| row[p]).collect(), m.to_bits());
+        Some(rel.rows().map(cell).collect())
+    };
+    a.schema().arity() == b.schema().arity() && a.len() == b.len() && cells(a) == cells(b)
 }
 
 /// Complete r1(a, b) and r2(b, c) over 3-value domains with the given
@@ -109,9 +116,10 @@ proptest! {
                 prop_assert!(bit_identical(&over_dense, &got_agg), "agg: sr {sr:?} threads {t}");
                 // ...and the hash pipeline's answer. Its join emits rows
                 // probe-major (`r2`'s `b, c` outside `r1`'s `a`), so its
-                // group-by folds in the dense step's order only onto `a`;
-                // onto `b` or `c` the orders differ, within tolerance.
-                if group_var == 0 {
+                // group-by folds in the dense step's merge order (shared
+                // `b`, then `a`, then `c`) onto `a` and `c`; onto `b` it
+                // folds `c` outside `a`, within tolerance.
+                if group_var != 1 {
                     prop_assert!(bit_identical(&want_agg, &got_agg), "agg: sr {sr:?} threads {t}");
                 } else {
                     prop_assert!(want_agg.function_eq(&got_agg), "agg: sr {sr:?} threads {t}");
@@ -131,9 +139,9 @@ proptest! {
 
     /// Whatever the dense mode, steps starting their chain at the dense
     /// kernel answer identically, bit for bit: Off runs the sparse kernel,
-    /// which folds this chain in the dense kernel's order, and On/Auto
-    /// refuse inputs that are not support-exact, so mode only ever picks
-    /// the kernel, never the answer. Holes are punched in r1 (making it
+    /// which folds in the dense kernel's order, and Auto refuses inputs
+    /// that are not support-exact, so mode only ever picks the kernel,
+    /// never the answer. Holes are punched in r1 (making it
     /// incomplete) to exercise the fallback side.
     #[test]
     fn mode_never_changes_answers(
@@ -154,7 +162,7 @@ proptest! {
         .unwrap();
         for input in [&r1, &punched] {
             let mut answers: Vec<FunctionalRelation> = Vec::new();
-            for mode in [DenseMode::Off, DenseMode::On, DenseMode::Auto] {
+            for mode in [DenseMode::Off, DenseMode::Auto] {
                 let mut cx = ExecContext::new(sr).with_dense(mode);
                 let j = ops::step(&mut cx, &[input, &r2], None, OpRepr::Dense).unwrap();
                 let g = ops::step(&mut cx, &[&j], Some(&[b]), OpRepr::Dense).unwrap();
@@ -213,7 +221,7 @@ fn parallel_dense_kernels_match_sequential_bits() {
         // The hash join stores the same products. Its rows come
         // probe-major (`r2`'s `c, d, e` outside `r1`'s `a, b`), so the
         // hash group-by folds `c, e` outside `a` where the dense step
-        // folds `a, c, e`: the same function, within tolerance.
+        // folds `c, a, e`: the same function, within tolerance.
         let sj = ops::product_join(&mut ExecContext::new(sr), &r1, &r2).unwrap();
         let sg = ops::group_by(&mut ExecContext::new(sr), &sj, &[b, d]).unwrap();
         assert!(bit_identical(&sj, &j4), "{sr:?} hash join parity");
@@ -248,7 +256,7 @@ fn overflowing_products_are_joined_then_rejected_by_the_group_by() {
     let mut hx = ExecContext::new(sr);
     let hj = ops::product_join(&mut hx, &r1, &r2).unwrap();
     assert!(infinite(&hj), "hash join: {hj:?}");
-    assert!(dj.function_eq(&sj) && dj.function_eq(&hj), "same rows in every form");
+    assert!(bit_identical(&dj, &sj) && bit_identical(&dj, &hj), "same rows in every form");
 
     let rejected = |r: Result<FunctionalRelation, AlgebraError>, op: &str| match r {
         Err(AlgebraError::NonFiniteMeasure { op: got, value }) => {

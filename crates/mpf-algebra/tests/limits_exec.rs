@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use mpf_algebra::limits::TICK_INTERVAL;
 use mpf_algebra::{
-    ops, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits, Executor, OpRepr, Plan,
-    RelationStore, ResourceKind, TraceLevel,
+    ops, AlgebraError, CancelToken, ExecContext, ExecLimits, Executor, OpRepr, Plan, RelationStore,
+    ResourceKind, TraceLevel,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -152,9 +152,7 @@ fn fused_under(
     measure: f64,
 ) -> Result<FunctionalRelation, AlgebraError> {
     let (l, r, gv) = contraction(measure, transposed);
-    let mut cx = ExecContext::with_limits(SemiringKind::SumProduct, limits)
-        .with_dense(DenseMode::On)
-        .with_threads(1);
+    let mut cx = ExecContext::with_limits(SemiringKind::SumProduct, limits).with_threads(1);
     ops::step(&mut cx, &[&l, &r], Some(&gv), OpRepr::Dense)
 }
 
@@ -162,7 +160,6 @@ fn fused_under(
 fn nest_of(transposed: bool) -> &'static str {
     let (l, r, gv) = contraction(1.0, transposed);
     let mut cx = ExecContext::new(SemiringKind::SumProduct)
-        .with_dense(DenseMode::On)
         .with_threads(1)
         .with_trace(TraceLevel::Spans);
     ops::step(&mut cx, &[&l, &r], Some(&gv), OpRepr::Dense).unwrap();

@@ -1,7 +1,8 @@
 //! Representation parity: whatever [`ReprMode`] / [`DenseMode`] select —
 //! row-major hash, CSR sparse tensor, or dense odometer — answers are the
 //! same function, for every semiring, at every density band, at every
-//! thread count. Modes are pinned on the [`ExecContext`].
+//! thread count; with the sparse kernels on, the dense mode never moves
+//! a bit. Modes are pinned on the [`ExecContext`].
 //!
 //! The density sweep mirrors the representation lattice the planner works
 //! with: 0.005 and 0.05 (very sparse), 0.3 (mid-density), 0.9 (dense
@@ -106,9 +107,10 @@ fn ve_chain(
 }
 
 /// The full mode matrix answers identically at every density band, for
-/// every semiring, at every thread count — and the `Auto` runs without
-/// dense kernels actually take the sparse kernels whenever any work
-/// exists, at every density.
+/// every semiring, at every thread count — bit for bit across the dense
+/// mode under `ReprMode::Auto` — and the `Auto` runs without dense
+/// kernels actually take the sparse kernels whenever any work exists, at
+/// every density.
 #[test]
 fn density_sweep_mode_matrix_parity() {
     for density in DENSITIES {
@@ -125,6 +127,14 @@ fn density_sweep_mode_matrix_parity() {
                             "diverged: density {density} sr {sr:?} repr {repr:?} \
                              dense {dense:?} threads {t}"
                         );
+                        if repr == ReprMode::Auto {
+                            let (sparse, _) = ve_chain(sr, &rels, &vars, repr, DenseMode::Off, t);
+                            assert_eq!(
+                                exact(&got),
+                                exact(&sparse),
+                                "dense vs sparse: density {density} sr {sr:?} threads {t}"
+                            );
+                        }
                         if repr == ReprMode::Off {
                             assert_eq!(
                                 stats.sparse_joins + stats.sparse_group_bys,
@@ -179,7 +189,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random measures and random support holes: mode only ever picks the
-    /// kernel, never the answer. Mirrors `mode_never_changes_answers` in
+    /// kernel, never the answer — and under `ReprMode::Auto` the dense
+    /// mode never moves a bit. Mirrors `mode_never_changes_answers` in
     /// the dense parity suite, over the representation dimension.
     #[test]
     fn repr_never_changes_answers(
@@ -214,6 +225,7 @@ proptest! {
         let want_join = ops::product_join(&mut ExecContext::new(sr), &r1, &r2).unwrap();
         let want = ops::group_by(&mut ExecContext::new(sr), &want_join, &gv).unwrap();
         for repr in REPRS {
+            let mut runs = Vec::new();
             for dense in DENSES {
                 let mut cx = ExecContext::new(sr).with_repr(repr).with_dense(dense);
                 let j = ops::step(&mut cx, &[&r1, &r2], None, OpRepr::Dense).unwrap();
@@ -222,6 +234,10 @@ proptest! {
                     want.function_eq_in(&g, sr),
                     "sr {sr:?} repr {repr:?} dense {dense:?} holes {holes:?}"
                 );
+                runs.push(exact(&g));
+            }
+            if repr == ReprMode::Auto {
+                prop_assert_eq!(&runs[0], &runs[1], "sr {sr:?} holes {holes:?}");
             }
         }
     }

@@ -176,11 +176,7 @@ fn main() {
     store.insert(r3);
     let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
     let plan = optimize(&ctx, Algorithm::VePlus(Heuristic::Degree)).plan;
-    let cfg = PhysicalConfig {
-        repr_mode: ReprMode::Off,
-        dense_mode: DenseMode::Auto,
-        ..PhysicalConfig::default()
-    };
+    let cfg = PhysicalConfig::default().with_repr(ReprMode::Off);
     // Fusion off in the first section: it times the dense kernels alone.
     let fused_phys = choose_physical(&ctx, &plan, cfg);
     let unfused_phys = unfuse(&fused_phys);

@@ -10,7 +10,7 @@
 //!   onto one variable (hash aggregate vs. the dense one-input step);
 //! * **ve_plus_end_to_end** — a three-relation chain query planned with
 //!   extended-space VE and executed through the physical interpreter,
-//!   the all-hash plan (`MPF_DENSE=off` planning) vs. the plan
+//!   the all-hash plan (`DenseMode::Off` planning) vs. the plan
 //!   `choose_physical` annotates dense under
 //!   [`DenseMode::Auto`].
 //!

@@ -156,7 +156,7 @@ pub struct Database {
     /// Strategy fallback chain for recoverable query failures.
     fallback: FallbackPolicy,
     /// Dense-kernel selection mode handed to physical planning
-    /// (`MPF_DENSE` by default).
+    /// ([`DenseMode::Auto`] by default).
     dense: DenseMode,
     /// Sparse-tensor selection mode handed to physical planning
     /// ([`ReprMode::Auto`] by default).
@@ -210,7 +210,7 @@ impl Database {
             cost_model: CostModel::Io,
             limits: ExecLimits::none(),
             fallback: FallbackPolicy::default(),
-            dense: DenseMode::from_env(),
+            dense: DenseMode::Auto,
             repr: ReprMode::Auto,
             metrics: None,
             view_cache: (cache_bytes > 0).then(|| Arc::new(ViewCache::new(cache_bytes))),
@@ -218,14 +218,13 @@ impl Database {
     }
 
     /// An empty database configured from the environment knobs
-    /// (`MPF_THREADS`, `MPF_DENSE`, `MPF_CACHE_BYTES`) with *strict*
-    /// parsing: a malformed
-    /// value is a typed [`EngineError::Config`] instead of the silent
-    /// fallback [`Database::new`] applies. Services should start here.
+    /// (`MPF_THREADS`, `MPF_CACHE_BYTES`) with *strict* parsing: a
+    /// malformed value is a typed [`EngineError::Config`] instead of the
+    /// silent fallback [`Database::new`] applies. Services should start
+    /// here.
     pub fn from_env() -> Result<Database> {
         let knobs = mpf_algebra::config::validate_env().map_err(EngineError::Config)?;
         let mut db = Database::new();
-        db.dense = knobs.dense.unwrap_or_default();
         if let Some(threads) = knobs.threads {
             db.limits = db.limits.clone().with_threads(threads);
         }
@@ -298,8 +297,10 @@ impl Database {
         self
     }
 
-    /// Set the dense-kernel selection mode for physical planning,
-    /// overriding the `MPF_DENSE` environment default.
+    /// Set the dense-kernel selection mode for physical planning
+    /// ([`DenseMode::Auto`] by default). It picks the kernel, never the
+    /// answer: [`DenseMode::Off`] runs the sparse step, which computes
+    /// the dense step's bits.
     pub fn with_dense(mut self, mode: DenseMode) -> Database {
         self.dense = mode;
         self
@@ -1796,12 +1797,14 @@ mod tests {
             .run(Query::on("v").group_by(["c"]))
             .unwrap();
         let metrics = Arc::new(MetricsRegistry::new());
+        // tiny_db's relations are complete grids: the default mode plans
+        // them dense.
         let db = tiny_db()
-            .with_dense(DenseMode::On)
             .with_repr(ReprMode::Off)
             .with_metrics(Arc::clone(&metrics));
         let ans = db.run(Query::on("v").group_by(["c"])).unwrap();
         assert!(reference.relation.function_eq(&ans.relation));
+        assert!(ans.stats.dense_joins > 0, "the default mode planned dense");
         assert!(
             ans.stats.fused_join_aggs > 0,
             "dense join feeding dense agg runs the fused operator"

@@ -38,8 +38,8 @@ pub enum EngineError {
     /// An MPF view with no base relations (rejected at creation, and again
     /// defensively at planning time).
     EmptyView(String),
-    /// An environment knob (`MPF_THREADS`, `MPF_DENSE`, `MPF_CACHE_BYTES`)
-    /// held a value that does not parse; raised by the strict startup paths
+    /// An environment knob (`MPF_THREADS`, `MPF_CACHE_BYTES`) held a value
+    /// that does not parse; raised by the strict startup paths
     /// ([`crate::Database::from_env`], the `mpf_serve` binary) instead of
     /// silently falling back to a default.
     Config(ConfigError),

@@ -39,31 +39,21 @@ use mpf_storage::{Schema, VarId};
 
 use crate::{estimate, OptContext};
 
+/// Minimum estimated operand density (rows over the schema's catalog
+/// grid) before [`DenseMode::Auto`] selects a dense operator. Sparse
+/// operands waste grid cells; at 0.5+ the odometer kernel's per-cell cost
+/// undercuts hashing.
+const DENSE_MIN_DENSITY: f64 = 0.5;
+
 /// Physical selection knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhysicalConfig {
     /// Whether to consider the dense odometer kernels. The engine passes
-    /// its own mode (read from `MPF_DENSE`); [`DenseMode::Auto`] by
-    /// default.
+    /// its own mode; [`DenseMode::Auto`] by default.
     pub dense_mode: DenseMode,
-    /// Minimum estimated operand density (rows over the schema's catalog
-    /// grid) before [`DenseMode::Auto`] selects a dense operator. Sparse
-    /// operands waste grid cells; at 0.5+ the odometer kernel's
-    /// per-cell cost undercuts hashing.
-    pub dense_min_density: f64,
     /// Whether to consider the sparse-tensor kernels; [`ReprMode::Auto`]
     /// by default.
     pub repr_mode: ReprMode,
-}
-
-impl Default for PhysicalConfig {
-    fn default() -> Self {
-        PhysicalConfig {
-            dense_mode: DenseMode::default(),
-            dense_min_density: 0.5,
-            repr_mode: ReprMode::default(),
-        }
-    }
 }
 
 impl PhysicalConfig {
@@ -106,10 +96,9 @@ impl Estimate {
 /// Whether the dense kernel should be selected for an operator whose
 /// inputs have the given estimates and whose output grid (`out`'s
 /// schema, its pinned variables one cell wide) must be materialized.
-/// `Off`: never.
-/// `On`: whenever every grid is feasible. `Auto`: additionally every
-/// input must clear the density threshold — near-complete operands are
-/// where the odometer kernel wins. A variable pinned in one input but
+/// `Off`: never. `Auto`: when every grid is feasible and every input
+/// clears [`DENSE_MIN_DENSITY`] — near-complete operands are where the
+/// odometer kernel wins. A variable pinned in one input but
 /// not in another that has it never goes dense: the grids disagree on
 /// its axis.
 fn dense_applies(
@@ -131,17 +120,10 @@ fn dense_applies(
     if out.pinned.iter().any(pinned_unevenly) {
         return false;
     }
-    for input in inputs {
-        match estimate::schema_density(ctx, &input.schema, &input.pinned, input.rows) {
-            None => return false,
-            Some(d) => {
-                if cfg.dense_mode == DenseMode::Auto && d < cfg.dense_min_density {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    inputs.iter().all(|input| {
+        estimate::schema_density(ctx, &input.schema, &input.pinned, input.rows)
+            .is_some_and(|d| d >= DENSE_MIN_DENSITY)
+    })
 }
 
 /// Whether a sparse-tensor kernel should be selected for an operator over
@@ -353,7 +335,7 @@ mod tests {
         );
         assert_eq!(auto.to_logical(), plan);
 
-        // Sparse data (density 1/16): auto declines, forced mode selects.
+        // Sparse data (density 1/16): auto declines.
         let sparse = vec![
             BaseRel::fixture("r1", vec![a, b], 4),
             BaseRel::fixture("r2", vec![b, c], 4),
@@ -362,8 +344,6 @@ mod tests {
         let splan = optimize(&sctx, Algorithm::CsPlusNonlinear).plan;
         let sauto = choose_physical(&sctx, &splan, cfg.with_dense(DenseMode::Auto));
         assert_eq!(sauto.dense_operator_count(), 0, "sparse operands stay hash");
-        let son = choose_physical(&sctx, &splan, cfg.with_dense(DenseMode::On));
-        assert!(son.dense_operator_count() > 0, "forced mode ignores density");
     }
 
     #[test]
@@ -470,7 +450,8 @@ mod tests {
 
     #[test]
     fn infeasible_grids_are_never_dense() {
-        // Domains whose cross product exceeds MAX_DENSE_CELLS.
+        // Domains whose cross product exceeds MAX_DENSE_CELLS, estimated
+        // complete: only the feasibility check keeps the step off dense.
         let mut cat = Catalog::new();
         let a = cat.add_var("a", 1 << 13).unwrap();
         let b = cat.add_var("b", 1 << 13).unwrap();
@@ -483,14 +464,12 @@ mod tests {
         }];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
-        let on = choose_physical(
+        let phys = choose_physical(
             &ctx,
             &plan,
-            PhysicalConfig::default()
-                .with_dense(DenseMode::On)
-                .with_repr(ReprMode::Off),
+            PhysicalConfig::default().with_repr(ReprMode::Off),
         );
-        assert_eq!(on.dense_operator_count(), 0, "grid never materializes");
+        assert_eq!(phys.dense_operator_count(), 0, "grid never materializes");
     }
 
     #[test]
@@ -596,26 +575,21 @@ mod tests {
 
     #[test]
     fn wide_grids_go_sparse_where_dense_cannot() {
-        // Grid of 2^26 cells: over the dense cap, within the sparse cap.
+        // Grid of 2^26 cells, estimated complete: over the dense cap,
+        // within the sparse cap.
         let mut cat = Catalog::new();
         let a = cat.add_var("a", 1 << 13).unwrap();
         let b = cat.add_var("b", 1 << 13).unwrap();
         let rels = vec![BaseRel {
             name: "r1".into(),
             schema: Schema::new(vec![a, b]).unwrap(),
-            cardinality: 1 << 22,
+            cardinality: 1 << 26,
             fd_lhs: None,
             grid: false,
         }];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
-        let phys = choose_physical(
-            &ctx,
-            &plan,
-            PhysicalConfig::default()
-                .with_dense(DenseMode::On)
-                .with_repr(ReprMode::Auto),
-        );
+        let phys = choose_physical(&ctx, &plan, PhysicalConfig::default());
         assert_eq!(phys.dense_operator_count(), 0, "grid never fits densely");
         assert!(
             phys.sparse_operator_count() > 0,

@@ -12,9 +12,10 @@
 //! concurrent TCP connections, one session per connection.
 //!
 //! Startup is strict about configuration: malformed `MPF_THREADS` /
-//! `MPF_DENSE` / `MPF_CACHE_BYTES` values (or malformed flags) print a
-//! typed configuration error and exit with status 2 instead of silently
-//! running with defaults. Other `MPF_*` variables are ignored.
+//! `MPF_CACHE_BYTES` values (or malformed flags) print a typed
+//! configuration error and exit with status 2 instead of silently
+//! running with defaults. Other `MPF_*` variables (`MPF_DENSE` among
+//! them) are ignored.
 
 use std::io::{stdin, stdout, BufReader};
 use std::net::TcpListener;
@@ -108,7 +109,7 @@ fn run() -> Result<(), String> {
     let opts = parse_args(&args)?;
 
     // Strict knob validation: refuse to start on malformed MPF_THREADS /
-    // MPF_DENSE rather than serving with silently different settings.
+    // MPF_CACHE_BYTES rather than serving with silently different settings.
     let db = Database::from_env().map_err(|e| e.to_string())?;
     if opts.demo {
         seed_demo(&db).map_err(|e| format!("demo seed failed: {e}"))?;

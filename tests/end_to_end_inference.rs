@@ -281,7 +281,6 @@ fn degenerate_evidence_on_grids_matches_the_row_filter() {
     let var = |n: &str| catalog.var(n).unwrap();
     let on_grids = [
         tri_db(&db, &grids, DenseMode::Auto, ReprMode::Auto),
-        tri_db(&db, &grids, DenseMode::On, ReprMode::Auto),
         tri_db(&db, &grids, DenseMode::Off, ReprMode::Auto),
         tri_db(&db, &grids, DenseMode::Auto, ReprMode::Off),
     ];

@@ -46,7 +46,6 @@ fn supply_chain_db() -> Database {
         ctdeals_density: 0.7,
         ..Default::default()
     });
-    // Pinned so the snapshots don't depend on the ambient MPF_DENSE.
     let db = Database::from_parts(sc.catalog, sc.store)
         .with_dense(DenseMode::Auto)
         .with_repr(ReprMode::Auto);
