@@ -19,22 +19,20 @@
 //!
 //! # Parallel execution
 //!
-//! [`ExecContext::fork`] produces a child context for a worker thread:
-//! the child charges the *same* budget (the cell counter is atomic and
-//! the cancellation/deadline state is shared), shares the parent's
-//! scanned-relation ledger (so a base relation scanned from two
-//! concurrent subplans is still charged once, exactly as in sequential
-//! execution), and accumulates its own fresh [`ExecStats`]. When the
-//! worker finishes, the parent merges the child's counters back with
-//! [`ExecContext::absorb`] in a deterministic (plan) order; all
-//! [`ExecStats`] fields merge commutatively (sums, and `max` for the
-//! high-water mark), so the totals are identical to a sequential run.
-//! The number of *extra* workers the whole execution may fan out to is
-//! bounded by a token pool shared by every fork of one root context
-//! (`threads - 1` tokens).
+//! Two mechanisms use more than one thread, and only these two pay
+//! (DESIGN §9): a dense elimination step splits its output rows across
+//! scoped workers when it has enough products per worker
+//! ([`crate::dense::PARALLEL_MIN_WORK`]), and a scenario batch runs its
+//! scenarios on worker threads. The dense workers charge the step's
+//! budget directly and record nothing else. Each execution on a scenario
+//! worker gets a child context from [`ExecContext::fork`]: the child
+//! charges the *same* budget (the cell counter is atomic and the
+//! cancellation/deadline state is shared), shares the parent's
+//! scanned-relation ledger (so a base relation scanned by two scenarios
+//! is still charged once), and accumulates its own fresh [`ExecStats`],
+//! which the batch reads per scenario.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpf_semiring::SemiringKind;
@@ -52,7 +50,7 @@ enum BudgetSlot<'b> {
     /// No limits configured: every budget operation is a no-op.
     None,
     /// The context owns the budget (inference entry points). Shared, so
-    /// forked worker contexts charge the same counters.
+    /// forked scenario-worker contexts charge the same counters.
     Owned(Arc<ExecBudget>),
     /// The budget lives in the executor (or another caller) so its
     /// counters survive the context.
@@ -68,14 +66,11 @@ pub struct ExecContext<'b> {
     stats: ExecStats,
     /// Base relations already charged to the budget as materialized
     /// input, so repeated scans of the same relation are charged once.
-    /// Shared across forks: two concurrent subplans scanning the same
-    /// relation still charge it once, matching sequential execution.
+    /// Shared across forks: two scenario workers scanning the same
+    /// relation still charge it once.
     charged_scans: Arc<Mutex<HashSet<String>>>,
     /// Worker threads this execution may use (including the caller).
     threads: usize,
-    /// Spare worker tokens (`threads - 1`) shared by every fork of one
-    /// root context, bounding total fan-out across nested fork points.
-    fork_tokens: Arc<AtomicIsize>,
     /// Per-operator span collector ([`TraceLevel::Off`] by default:
     /// every trace hook is a single branch, no allocation).
     trace: TraceCollector,
@@ -96,7 +91,6 @@ impl<'b> ExecContext<'b> {
             stats: ExecStats::default(),
             charged_scans: Arc::new(Mutex::new(HashSet::new())),
             threads,
-            fork_tokens: Arc::new(AtomicIsize::new(threads as isize - 1)),
             trace: TraceCollector::new(TraceLevel::Off),
             dense: DenseMode::default(),
             repr: ReprMode::default(),
@@ -147,17 +141,15 @@ impl<'b> ExecContext<'b> {
         )
     }
 
-    /// Override the worker-thread count (builder style). Resets the
-    /// fork-token pool, so call this before execution starts.
+    /// Override the worker-thread count (builder style).
     pub fn with_threads(mut self, threads: usize) -> ExecContext<'b> {
         self.set_threads(threads);
         self
     }
 
-    /// Override the worker-thread count. Resets the fork-token pool.
+    /// Override the worker-thread count.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-        self.fork_tokens = Arc::new(AtomicIsize::new(self.threads as isize - 1));
     }
 
     /// Override the dense-kernel dispatch mode (builder style).
@@ -235,14 +227,6 @@ impl<'b> ExecContext<'b> {
         self.trace.take()
     }
 
-    /// Graft a finished worker's spans under the innermost open span (or
-    /// the roots), in call order — the trace counterpart of
-    /// [`ExecContext::absorb`]. Callers absorb children in plan order, so
-    /// the tree is identical at every thread count.
-    pub fn absorb_trace(&mut self, trace: TraceTree) {
-        self.trace.absorb(trace.roots);
-    }
-
     /// The active semiring.
     pub fn semiring(&self) -> SemiringKind {
         self.semiring
@@ -262,10 +246,10 @@ impl<'b> ExecContext<'b> {
         }
     }
 
-    /// A child context for a worker thread: same semiring and knobs, the
-    /// *same* budget (atomic counters, shared deadline/cancellation), the
-    /// same scanned-relation ledger and fork-token pool, and fresh stats.
-    /// Merge the child's stats back with [`ExecContext::absorb`].
+    /// A child context for one execution on a scenario worker: same
+    /// semiring and knobs, the *same* budget (atomic counters, shared
+    /// deadline/cancellation), the same scanned-relation ledger, and
+    /// fresh stats and trace, which the caller reads from the child.
     pub fn fork(&self) -> ExecContext<'b> {
         ExecContext {
             semiring: self.semiring,
@@ -277,38 +261,10 @@ impl<'b> ExecContext<'b> {
             stats: ExecStats::default(),
             charged_scans: Arc::clone(&self.charged_scans),
             threads: self.threads,
-            fork_tokens: Arc::clone(&self.fork_tokens),
             trace: TraceCollector::new(self.trace.level()),
             dense: self.dense,
             repr: self.repr,
         }
-    }
-
-    /// Merge a finished worker's counters into this context. Callers
-    /// absorb children in plan order; because every [`ExecStats`] field
-    /// merges commutatively the totals equal a sequential run's.
-    pub fn absorb(&mut self, child: ExecStats) {
-        self.stats.merge(&child);
-    }
-
-    /// Try to take a worker token for one extra thread. Returns `false`
-    /// when the execution is single-threaded or the pool is exhausted;
-    /// pair a `true` with [`ExecContext::release_worker`].
-    pub(crate) fn try_acquire_worker(&self) -> bool {
-        if self.threads <= 1 {
-            return false;
-        }
-        if self.fork_tokens.fetch_sub(1, Ordering::AcqRel) > 0 {
-            true
-        } else {
-            self.fork_tokens.fetch_add(1, Ordering::AcqRel);
-            false
-        }
-    }
-
-    /// Return a worker token taken by [`ExecContext::try_acquire_worker`].
-    pub(crate) fn release_worker(&self) {
-        self.fork_tokens.fetch_add(1, Ordering::AcqRel);
     }
 
     /// The work counters accumulated so far.
@@ -344,7 +300,8 @@ impl<'b> ExecContext<'b> {
     /// stats on every scan, but charges the budget only the first time
     /// each relation is scanned (scans borrow the stored relation — there
     /// is no per-scan clone to charge). The ledger is shared across
-    /// forks, so concurrent subplans also charge each relation once.
+    /// forks, so concurrent scenario workers also charge each relation
+    /// once.
     pub fn record_scan(&mut self, name: &str, rel: &FunctionalRelation) -> Result<()> {
         self.stats.rows_scanned += rel.len() as u64;
         self.trace_op(SpanKind::Scan, &[], rel, OpRepr::Rows);
@@ -641,24 +598,9 @@ mod tests {
         assert_eq!(cx.budget().unwrap().cells_used(), 4);
         cx.record_scan("r", &r).unwrap();
         assert_eq!(cx.budget().unwrap().cells_used(), 4, "still charged once");
-        // Stats are per-context until absorbed.
+        // Stats are per-context.
         assert_eq!(cx.stats().rows_scanned, 2);
-        cx.absorb(child.take_stats());
-        assert_eq!(cx.stats().rows_scanned, 4);
-    }
-
-    #[test]
-    fn worker_tokens_bound_fan_out() {
-        let cx = ExecContext::new(SemiringKind::SumProduct).with_threads(3);
-        assert_eq!(cx.threads(), 3);
-        let child = cx.fork();
-        assert!(cx.try_acquire_worker());
-        assert!(child.try_acquire_worker(), "pool is shared with forks");
-        assert!(!cx.try_acquire_worker(), "threads - 1 tokens total");
-        child.release_worker();
-        assert!(cx.try_acquire_worker());
-
-        let single = ExecContext::new(SemiringKind::SumProduct).with_threads(1);
-        assert!(!single.try_acquire_worker());
+        assert_eq!(child.stats().rows_scanned, 2);
+        assert_eq!(child.threads(), 4, "the child keeps the thread count");
     }
 }

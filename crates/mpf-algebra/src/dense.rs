@@ -47,10 +47,11 @@
 //! [`crate::ops::step`] runs the sparse kernel, then the hash operators,
 //! so a planner mis-estimate costs the fast path, never an error.
 //!
-//! Parallelism splits the output along its first axis into contiguous
-//! boxes (not hash partitions): workers write disjoint slices of the
-//! output array and errors surface in box order, so answers, budget
-//! trips, and error precedence match the sequential kernel exactly.
+//! A step with at least two [`PARALLEL_MIN_WORK`]s of products splits
+//! the output along its first axis into contiguous boxes (not hash
+//! partitions): workers write disjoint slices of the output array and
+//! errors surface in box order, so answers, budget trips, and error
+//! precedence match the sequential kernel exactly.
 //!
 //! # The fold
 //!
@@ -118,9 +119,21 @@ use crate::limits::{ExecBudget, OpGuard};
 use crate::trace::OpRepr;
 use crate::{AlgebraError, ExecContext, Result};
 
-/// Minimum join-grid cells before the dense kernel fans out to worker
-/// threads; below this the spawn cost dominates.
-pub const PARALLEL_MIN_CELLS: usize = 1 << 15;
+/// Products (join-grid cells) each worker of a dense step must get
+/// before the step fans out: a step with `n` products runs on at most
+/// `n / PARALLEL_MIN_WORK` workers, so a step with fewer than twice this
+/// many stays on the calling thread, where the spawn and join cost more
+/// than they save.
+pub const PARALLEL_MIN_WORK: u64 = 1 << 20;
+
+/// Workers a dense step runs on: the context's `threads`, at most one
+/// per row of output axis 0 (`rows0`; `None` for a scalar output, which
+/// has no axis to split) and at most one per [`PARALLEL_MIN_WORK`] of
+/// the step's `products`.
+fn fan_out(threads: usize, rows0: Option<u64>, products: u64) -> usize {
+    let by_work = products / PARALLEL_MIN_WORK;
+    rows0.map_or(1, |rows| (threads as u64).min(rows).min(by_work).max(1) as usize)
+}
 
 /// Whether the dense fast path may be used, carried by the planner
 /// config and the execution context. On every input the dense step
@@ -431,13 +444,8 @@ fn join_agg_impl(
 
     let sr = cx.semiring();
     let arity = out_schema.arity();
-    let threads = cx.threads();
     let budget = cx.budget();
-    let workers = if join_cells_total >= PARALLEL_MIN_CELLS as u64 && total > 1 {
-        threads.max(1)
-    } else {
-        1
-    };
+    let workers = fan_out(cx.threads(), gdims.first().map(|d| d.dom), join_cells_total);
     // Nest selection: register tiles along the last group axis that is
     // unit-stride in one operand and unit-stride or broadcast in the other
     // (so each tile row streams and vectorizes, with the eliminated axes
@@ -475,7 +483,6 @@ fn join_agg_impl(
         // slice and every cell's fold runs entirely in one worker, so
         // results are thread-invariant.
         let stride0 = out_strides[0] as usize;
-        let workers = workers.min(gdims[0].dom as usize).max(1);
         let chunk_rows = gdims[0].dom.div_ceil(workers as u64);
         let chunk = chunk_rows as usize * stride0;
         let results: Vec<Result<()>> = std::thread::scope(|scope| {
@@ -1223,6 +1230,21 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_needs_work_per_worker() {
+        // A D³ triangle step: a D = 64 step (2^18 products) stays on the
+        // calling thread at 4 threads, a D = 256 one (2^24) takes both
+        // workers at 2.
+        let tri = |d: u64, threads| fan_out(threads, Some(d), d * d * d);
+        assert_eq!(tri(64, 4), 1);
+        assert_eq!(tri(256, 2), 2);
+        // At most one worker per `PARALLEL_MIN_WORK` products and per row
+        // of output axis 0; a scalar output has no axis to split.
+        assert_eq!(tri(128, 8), 2);
+        assert_eq!(fan_out(8, Some(3), 1 << 30), 3);
+        assert_eq!(fan_out(8, None, 1 << 30), 1);
+    }
+
+    #[test]
     fn dense_results_bit_identical_across_threads() {
         let (cat, l, r) = fixtures();
         let b = cat.var("b").unwrap();
@@ -1237,26 +1259,39 @@ mod tests {
 
     #[test]
     fn transposed_join_matches_hash_join() {
-        // The (c, b) output is ~69k cells (past PARALLEL_MIN_CELLS) while
-        // `r` is stored (b, c): the step's row axis `c` is unit-stride in
-        // both operands but strided in the output, and neither domain is
-        // a multiple of any tile width, so remainder tiles clip.
-        let mut cat = Catalog::new();
-        let b = cat.add_var("b", 230).unwrap();
-        let c = cat.add_var("c", 300).unwrap();
-        let l = FunctionalRelation::complete("l", Schema::new(vec![c]).unwrap(), &cat, |row| {
-            1.0 + row[0] as f64
-        });
-        let r =
-            FunctionalRelation::complete("r", Schema::new(vec![b, c]).unwrap(), &cat, |row| {
-                ((row[0] * 7 + row[1] * 3) % 11) as f64 + 0.25
-            });
-        let sr = SemiringKind::SumProduct;
-        let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
-        let got1 = join(&mut ExecContext::new(sr).with_threads(1), &l, &r).unwrap();
-        let got4 = join(&mut ExecContext::new(sr).with_threads(4), &l, &r).unwrap();
-        assert!(want.function_eq(&got1));
-        assert_eq!(got1, got4, "the step is chunk-invariant");
+        // The (c, b) output has `r` stored (b, c): the step's row axis `c`
+        // is unit-stride in both operands but strided in the output, and
+        // no domain is a multiple of any tile width, so remainder tiles
+        // clip. At 230 × 300 the step runs on one worker; at 1030 × 2050
+        // its ≈2.1·10^6 products are two `PARALLEL_MIN_WORK`s, so 4
+        // threads split it across two. The hash reference runs at the
+        // small size only: at the big one it takes seconds in a debug
+        // build.
+        for (nb, nc) in [(230, 300), (1030, 2050)] {
+            let mut cat = Catalog::new();
+            let b = cat.add_var("b", nb).unwrap();
+            let c = cat.add_var("c", nc).unwrap();
+            let l =
+                FunctionalRelation::complete("l", Schema::new(vec![c]).unwrap(), &cat, |row| {
+                    1.0 + row[0] as f64
+                });
+            let r =
+                FunctionalRelation::complete("r", Schema::new(vec![b, c]).unwrap(), &cat, |row| {
+                    ((row[0] * 7 + row[1] * 3) % 11) as f64 + 0.25
+                });
+            let sr = SemiringKind::SumProduct;
+            let got1 = join(&mut ExecContext::new(sr).with_threads(1), &l, &r).unwrap();
+            let got4 = join(&mut ExecContext::new(sr).with_threads(4), &l, &r).unwrap();
+            let bits = |rel: &FunctionalRelation| -> Vec<u64> {
+                rel.measures().iter().map(|m| m.to_bits()).collect()
+            };
+            assert_eq!(got1, got4, "{nb}×{nc}: the same rows at every thread count");
+            assert_eq!(bits(&got1), bits(&got4), "{nb}×{nc}: the step is chunk-invariant");
+            if nb == 230 {
+                let want = ops::product_join(&mut ExecContext::new(sr), &l, &r).unwrap();
+                assert!(want.function_eq(&got1));
+            }
+        }
     }
 
     #[test]

@@ -31,14 +31,14 @@ use crate::{
 /// budgets ([`ExecLimits`]) on every operator it runs; the wall clock for
 /// a configured deadline starts when the executor is created.
 ///
-/// With more than one worker thread ([`ExecLimits::threads`] /
-/// [`Executor::with_threads`]) the interpreter evaluates independent join
-/// subtrees concurrently on scoped workers (bounded by a shared token
-/// pool), and the dense kernels split their output rows across the
-/// workers. The thread count never changes the plan: the same physical
-/// operators run at every count. Worker contexts charge the same budget
-/// and the stats merge deterministically, so answers, counters, and typed
-/// errors are identical at any thread count.
+/// The interpreter walks the plan on the calling thread. With more than
+/// one worker thread ([`ExecLimits::threads`] /
+/// [`Executor::with_threads`]) a dense elimination step with enough
+/// products per worker ([`crate::dense::PARALLEL_MIN_WORK`]) splits its
+/// output rows across scoped workers; that is the only parallelism
+/// inside one query. The thread count never changes the plan, and every
+/// cell folds in one worker, so answers, counters, and typed errors are
+/// identical at any thread count.
 #[derive(Debug)]
 pub struct Executor<'a, P: RelationProvider> {
     provider: &'a P,
@@ -47,7 +47,7 @@ pub struct Executor<'a, P: RelationProvider> {
     threads: usize,
 }
 
-impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
+impl<'a, P: RelationProvider> Executor<'a, P> {
     /// Create an executor over `provider` with the given semiring, no
     /// resource limits, and the environment-default parallelism
     /// ([`crate::limits::default_threads`]).
@@ -180,62 +180,14 @@ impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
                 group_vars,
                 repr,
             } => {
-                let rels = match inputs.as_slice() {
-                    [left, right] => {
-                        let (l, r) = self.run_inputs(cx, left, right)?;
-                        vec![l, r]
-                    }
-                    inputs => inputs.iter().map(|i| self.run(cx, i)).collect::<Result<_>>()?,
-                };
+                let rels = inputs
+                    .iter()
+                    .map(|i| self.run(cx, i))
+                    .collect::<Result<Vec<_>>>()?;
                 let rels: Vec<&FunctionalRelation> = rels.iter().map(|r| r.as_ref()).collect();
                 Ok(Cow::Owned(ops::step(cx, &rels, group_vars.as_deref(), *repr)?))
             }
         }
-    }
-
-    /// Evaluate a join's two input subtrees, concurrently when it pays:
-    /// both subtrees must contain real work (at least one join or
-    /// group-by each) and a worker token must be available from the
-    /// context's shared pool. The right subtree runs on a scoped worker
-    /// against a forked context (shared budget and scan ledger, own
-    /// stats); the left runs inline. Stats are absorbed and errors
-    /// inspected left-before-right, so counters and error precedence are
-    /// identical to sequential execution.
-    #[allow(clippy::type_complexity)]
-    fn run_inputs(
-        &self,
-        cx: &mut ExecContext<'_>,
-        left: &PhysicalPlan,
-        right: &PhysicalPlan,
-    ) -> Result<(Cow<'a, FunctionalRelation>, Cow<'a, FunctionalRelation>)> {
-        if left.operator_count() == 0 || right.operator_count() == 0 || !cx.try_acquire_worker() {
-            let l = self.run(cx, left)?;
-            let r = self.run(cx, right)?;
-            return Ok((l, r));
-        }
-        let mut rcx = cx.fork();
-        let (lres, rres, rstats, rtrace) = std::thread::scope(|scope| {
-            let handle = scope.spawn(move || {
-                let r = self.run(&mut rcx, right);
-                (r, rcx.take_stats(), rcx.take_trace())
-            });
-            let l = self.run(cx, left);
-            let (r, rstats, rtrace) = handle.join().unwrap_or_else(|_| {
-                (
-                    Err(AlgebraError::Internal("subplan worker panicked".into())),
-                    ExecStats::default(),
-                    crate::TraceTree::default(),
-                )
-            });
-            (l, r, rstats, rtrace)
-        });
-        cx.release_worker();
-        cx.absorb(rstats);
-        // The left subtree's spans attached inline (under the open join
-        // span); grafting the worker's spans after them reproduces the
-        // sequential left-then-right order exactly.
-        cx.absorb_trace(rtrace);
-        Ok((lres?, rres?))
     }
 }
 

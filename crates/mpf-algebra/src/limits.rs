@@ -103,11 +103,12 @@ pub struct ExecLimits {
     pub timeout: Option<Duration>,
     /// External cancellation handle.
     pub cancel: Option<CancelToken>,
-    /// Worker threads for concurrent subplan scheduling and the dense
-    /// kernels' row-range workers. `None` resolves through
+    /// Worker threads for the dense kernels' row-range workers and a
+    /// scenario batch's workers. `None` resolves through
     /// [`default_threads`] (the `MPF_THREADS` environment variable, else
-    /// the machine's available parallelism). A knob, not a budget: it never trips an
-    /// error and is ignored by [`ExecLimits::is_unlimited`].
+    /// the machine's available parallelism). A knob, not a budget: it
+    /// never trips an error and is ignored by
+    /// [`ExecLimits::is_unlimited`].
     pub threads: Option<usize>,
 }
 
@@ -167,28 +168,28 @@ impl ExecLimits {
 }
 
 /// Worker threads used when [`ExecLimits::threads`] is unset: the
-/// `MPF_THREADS` environment variable when it parses as a positive
-/// integer, else the machine's available parallelism. The latter is read
-/// once per process: on Linux it parses cgroup files, tens of
-/// microseconds that every executor and context construction would pay.
+/// `MPF_THREADS` environment variable when
+/// [`crate::config::parse_threads`] accepts it, else the machine's
+/// available parallelism (a bad value is ignored here; the service
+/// rejects it at startup). The latter is read once per process: on Linux
+/// it parses cgroup files, tens of microseconds that every executor and
+/// context construction would pay.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("MPF_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     static MACHINE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    std::env::var("MPF_THREADS")
+        .ok()
+        .and_then(|v| crate::config::parse_threads(&v).ok())
+        .unwrap_or_else(|| {
+            *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        })
 }
 
 /// How many rows a tight loop processes between deadline/cancel polls.
 pub const TICK_INTERVAL: u32 = 1024;
 
-/// Runtime budget tracker for one execution. Counters are atomic so
-/// forked subplan workers and dense row-range workers can charge one
-/// budget from their own threads.
+/// Runtime budget tracker for one execution. Counters are atomic so a
+/// dense step's row-range workers and a scenario batch's workers can
+/// charge one budget from their own threads.
 #[derive(Debug)]
 pub struct ExecBudget {
     limits: ExecLimits,

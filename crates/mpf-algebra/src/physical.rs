@@ -184,9 +184,7 @@ impl PhysicalPlan {
     }
 
     /// Count the real work operators (joins and group-bys) in the
-    /// subtree. The concurrent subplan scheduler only forks a worker for
-    /// a subtree that contains at least one — spawning a thread to run a
-    /// bare scan or selection costs more than it saves.
+    /// subtree.
     pub fn operator_count(&self) -> usize {
         self.count_ops(&|_| true)
     }

@@ -22,11 +22,11 @@
 //!   `JunctionTree::populate_in`, `bp::calibrate_in`) open a *phase* span;
 //!   operator accounting calls with no fillable open span attach leaf
 //!   spans, so ad-hoc operator sequences trace too (without per-leaf
-//!   timing — only spans opened explicitly carry wall time);
-//! * forked worker contexts collect into their own tree; the parent
-//!   grafts the workers' finished spans in deterministic (plan/chunk)
-//!   order via `ExecContext::absorb_trace`, so the tree shape is
-//!   identical at every thread count.
+//!   timing — only spans opened explicitly carry wall time).
+//!
+//! A context records its tree on the thread that runs its plan. A dense
+//! step's output-row workers record nothing, so the tree shape is
+//! identical at every thread count.
 //!
 //! At [`TraceLevel::Off`] (the default) every hook is a single branch on
 //! the level — no allocation, no clock reads.
@@ -567,17 +567,6 @@ impl TraceCollector {
         }
     }
 
-    /// Graft finished spans from a forked worker context, in call order.
-    pub(crate) fn absorb(&mut self, spans: Vec<TraceSpan>) {
-        if !self.enabled() || spans.is_empty() {
-            return;
-        }
-        match self.stack.last_mut() {
-            Some(top) => top.span.children.extend(spans),
-            None => self.roots.extend(spans),
-        }
-    }
-
     /// Take the finished tree, resetting the collector (open spans are
     /// discarded — callers close spans on both success and error paths).
     pub(crate) fn take(&mut self) -> TraceTree {
@@ -642,22 +631,6 @@ mod tests {
         assert_eq!(t.roots[0].kind, SpanKind::Phase);
         assert_eq!(t.roots[0].children.len(), 2);
         assert_eq!(t.roots[0].children[1].kind, SpanKind::GroupBy);
-    }
-
-    #[test]
-    fn absorb_grafts_into_the_open_span() {
-        let mut worker = TraceCollector::new(TraceLevel::Spans);
-        worker.record_op(SpanKind::Join, 2, 2, 6, OpRepr::Rows);
-        let spans = worker.take().roots;
-
-        let mut c = TraceCollector::new(TraceLevel::Spans);
-        c.open(|| desc(SpanKind::Join, "root"));
-        c.absorb(spans);
-        c.record_op(SpanKind::Join, 4, 4, 12, OpRepr::Rows);
-        c.close(|| None);
-        let t = c.take();
-        assert_eq!(t.roots[0].children.len(), 1);
-        assert_eq!(t.roots[0].rows_out, 4);
     }
 
     #[test]

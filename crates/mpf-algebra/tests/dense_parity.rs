@@ -43,6 +43,13 @@ fn bit_identical(a: &FunctionalRelation, b: &FunctionalRelation) -> bool {
     a.schema().arity() == b.schema().arity() && a.len() == b.len() && cells(a) == cells(b)
 }
 
+/// The same schema, the same rows in the same order and the same measure
+/// bits: what one kernel gives at every thread count.
+fn same_bits_in_order(a: &FunctionalRelation, b: &FunctionalRelation) -> bool {
+    let bits = |(row, m): (&[u32], f64)| (row.to_vec(), m.to_bits());
+    a.schema() == b.schema() && a.rows().map(bits).eq(b.rows().map(bits))
+}
+
 /// Complete r1(a, b) and r2(b, c) over 3-value domains with the given
 /// measures (support-exact join inputs: every grid point is a row and the
 /// shared variable spans the same range on both sides).
@@ -181,51 +188,64 @@ proptest! {
     }
 }
 
-/// A fixture big enough to cross [`dense::PARALLEL_MIN_CELLS`]: joining
-/// two complete 8^3-row relations yields an 8^5 = 32768-cell output grid,
-/// so at 4 threads the kernels actually fan out.
-fn big_fixture() -> (FunctionalRelation, FunctionalRelation, [VarId; 5]) {
+/// Sides of [`big_fixture`]: at 8 the join's 8^5 = 32 768 products stay
+/// on one worker; at 19 its 19^5 ≈ 2.5·10^6 products are two
+/// [`dense::PARALLEL_MIN_WORK`]s, so at 4 threads the step fans out to
+/// two workers.
+const BIG_SIDES: [u32; 2] = [8, 19];
+
+/// Two complete `side`^3-row relations `r1(a, b, c)` and `r2(c, d, e)`:
+/// their join is a `side`^5-cell output grid.
+fn big_fixture(side: u32) -> (FunctionalRelation, FunctionalRelation, [VarId; 5]) {
     let mut cat = Catalog::new();
     let vars: Vec<VarId> = ["a", "b", "c", "d", "e"]
         .iter()
-        .map(|n| cat.add_var(n, 8).unwrap())
+        .map(|n| cat.add_var(n, u64::from(side)).unwrap())
         .collect();
     let &[a, b, c, d, e] = vars.as_slice() else { unreachable!() };
+    let cell = |row: &[u32]| (row[0] * side * side + row[1] * side + row[2]) as f64;
     let r1 = FunctionalRelation::complete("r1", Schema::new(vec![a, b, c]).unwrap(), &cat, |row| {
-        0.1 + (row[0] * 64 + row[1] * 8 + row[2]) as f64 / 7.0
+        0.1 + cell(row) / 7.0
     });
     let r2 = FunctionalRelation::complete("r2", Schema::new(vec![c, d, e]).unwrap(), &cat, |row| {
-        0.3 + (row[0] * 64 + row[1] * 8 + row[2]) as f64 / 11.0
+        0.3 + cell(row) / 11.0
     });
     (r1, r2, [a, b, c, d, e])
 }
 
-/// The parallel kernels are bit-identical to the sequential ones on an
-/// output large enough to actually engage them, for the semirings whose
-/// additions are float-order-sensitive.
+/// The parallel kernels are bit-identical to the sequential ones, below
+/// the fan-out gate and on an output large enough to engage them, for the
+/// semirings whose additions are float-order-sensitive.
 #[test]
 fn parallel_dense_kernels_match_sequential_bits() {
     let _g = lock();
-    let (r1, r2, [_, b, _, d, _]) = big_fixture();
-    for sr in [SemiringKind::SumProduct, SemiringKind::LogSumProduct] {
-        let mut seq = ExecContext::new(sr).with_threads(1);
-        let j1 = ops::step(&mut seq, &[&r1, &r2], None, OpRepr::Dense).unwrap();
-        let g1 = ops::step(&mut seq, &[&j1], Some(&[b, d]), OpRepr::Dense).unwrap();
-        let mut par = ExecContext::new(sr).with_threads(4);
-        let j4 = ops::step(&mut par, &[&r1, &r2], None, OpRepr::Dense).unwrap();
-        let g4 = ops::step(&mut par, &[&j4], Some(&[b, d]), OpRepr::Dense).unwrap();
-        assert_eq!(seq.stats().dense_joins, 1);
-        assert_eq!(par.stats().dense_joins, 1);
-        assert!(bit_identical(&j1, &j4), "{sr:?} join");
-        assert!(bit_identical(&g1, &g4), "{sr:?} agg");
-        // The hash join stores the same products. Its rows come
-        // probe-major (`r2`'s `c, d, e` outside `r1`'s `a, b`), so the
-        // hash group-by folds `c, e` outside `a` where the dense step
-        // folds `c, a, e`: the same function, within tolerance.
-        let sj = ops::product_join(&mut ExecContext::new(sr), &r1, &r2).unwrap();
-        let sg = ops::group_by(&mut ExecContext::new(sr), &sj, &[b, d]).unwrap();
-        assert!(bit_identical(&sj, &j4), "{sr:?} hash join parity");
-        assert!(sg.function_eq(&g4), "{sr:?} hash agg parity");
+    for side in BIG_SIDES {
+        let (r1, r2, [_, b, _, d, _]) = big_fixture(side);
+        for sr in [SemiringKind::SumProduct, SemiringKind::LogSumProduct] {
+            let mut seq = ExecContext::new(sr).with_threads(1);
+            let j1 = ops::step(&mut seq, &[&r1, &r2], None, OpRepr::Dense).unwrap();
+            let g1 = ops::step(&mut seq, &[&j1], Some(&[b, d]), OpRepr::Dense).unwrap();
+            let mut par = ExecContext::new(sr).with_threads(4);
+            let j4 = ops::step(&mut par, &[&r1, &r2], None, OpRepr::Dense).unwrap();
+            let g4 = ops::step(&mut par, &[&j4], Some(&[b, d]), OpRepr::Dense).unwrap();
+            assert_eq!(seq.stats().dense_joins, 1);
+            assert_eq!(par.stats().dense_joins, 1);
+            assert!(same_bits_in_order(&j1, &j4), "{sr:?} side {side} join");
+            assert!(same_bits_in_order(&g1, &g4), "{sr:?} side {side} agg");
+            // The hash join stores the same products. Its rows come
+            // probe-major (`r2`'s `c, d, e` outside `r1`'s `a, b`), so the
+            // hash group-by folds `c, e` outside `a` where the dense step
+            // folds `c, a, e`: the same function, within tolerance. Checked
+            // below the gate only: the hash pipeline over the bigger side's
+            // 2.5·10^6 rows is most of this suite's debug-build time.
+            if side != BIG_SIDES[0] {
+                continue;
+            }
+            let sj = ops::product_join(&mut ExecContext::new(sr), &r1, &r2).unwrap();
+            let sg = ops::group_by(&mut ExecContext::new(sr), &sj, &[b, d]).unwrap();
+            assert!(bit_identical(&sj, &j4), "{sr:?} side {side} hash join parity");
+            assert!(sg.function_eq(&g4), "{sr:?} side {side} hash agg parity");
+        }
     }
 }
 
@@ -349,7 +369,7 @@ fn budget_trips_are_identical_across_paths() {
     let got = ops::step(&mut cx, &[&r1, &r2], None, OpRepr::Dense).unwrap_err();
     assert_eq!(want, got, "sequential dense trip");
 
-    let (b1, b2, _) = big_fixture();
+    let (b1, b2, _) = big_fixture(BIG_SIDES[1]);
     let limits = ExecLimits::none().with_max_output_rows(100);
     for t in THREADS {
         let mut cx = ExecContext::with_limits(sr, limits.clone()).with_threads(t);

@@ -418,15 +418,16 @@ fn check_contraction(
 /// the degenerate row (1), one short of, exactly and one past an 8-cell
 /// tile row (7, 8, 9: the AVX2 tier's), the same for a 32-cell one (31, 32,
 /// 33: the widest tier's tile remainders, on the tier the host runs
-/// past `SIMD_MIN_WORK`) and multi-block, parallel (67: the join grid
-/// clears `PARALLEL_MIN_CELLS`) cases. Every cell of the matrix is
+/// past `SIMD_MIN_WORK`), multi-block (67) and parallel (128: its 2^21
+/// products are two `PARALLEL_MIN_WORK`s, so at 4 threads the step splits
+/// across two workers) cases. Every cell of the matrix is
 /// bit-identical to everything else. Two of the
 /// layouts are the D³ steps the benchmark spine issues on `tri`:
 /// `L[e,x] R[y,e] → [x,y]` (`g=[(D,1,0),(D,0,D)] e=[(D,D,1)]`) and
 /// `L[x,e] R[e,y] → [x,y]` (`g=[(D,D,0),(D,0,1)] e=[(D,1,D)]`).
 #[test]
 fn stride_layout_matrix_parity() {
-    for d in [1u64, 7, 8, 9, 31, 32, 33, 67] {
+    for d in [1u64, 7, 8, 9, 31, 32, 33, 67, 128] {
         for l_vars in [[0, 1], [1, 0]] {
             for r_vars in [[1, 2], [2, 1]] {
                 // The tile nest needs a group axis that is some operand's

@@ -498,6 +498,11 @@ impl Database {
         result
     }
 
+    /// [`Database::run_scenarios`] without the metrics. Scenarios are
+    /// independent whole queries, so handing them to worker threads is the
+    /// one parallelism above a single elimination step that pays (DESIGN
+    /// §9): each worker claims the next scenario and runs it on its own
+    /// fork of one root context.
     fn run_scenario_set(&self, req: &QueryRequest<'_>) -> Result<ScenarioReport> {
         let t0 = Instant::now();
         if req.cache.is_some() {
@@ -528,9 +533,9 @@ impl Database {
                 aggregate: q.agg,
             })?;
         let limits = req.limits.clone().unwrap_or_else(|| self.limits().clone());
-        // One root context: forks share its budget, scan ledger, and
-        // worker-token pool, so intra-scenario subplan workers and the
-        // cross-scenario fan-out draw from the same allowance.
+        // One root context: every worker's fork charges its budget and
+        // shares its scan ledger, so the whole batch draws from one
+        // allowance.
         let root = ExecContext::with_limits(sr, limits.clone())
             .with_dense(self.dense())
             .with_repr(self.repr());

@@ -230,14 +230,11 @@ impl JunctionTree {
     /// complete identity relation (measure `one`), so each clique table
     /// spans its full variable set.
     ///
-    /// With more than one worker thread (`cx.threads()`), independent
-    /// clique tables are built concurrently: contiguous chunks of cliques
-    /// go to scoped workers, each with a forked context charging the same
-    /// shared budget. Tables come back in clique order, worker stats are
-    /// merged into `cx` (the merge is commutative, so totals equal the
-    /// sequential run), and on failure the reported error is the one from
-    /// the lowest-numbered failing clique — identical to what the
-    /// sequential path would surface.
+    /// Cliques are built one after another in clique order, so the first
+    /// failing clique's error is the one reported. A clique's dense
+    /// product join may still split its output rows across `cx.threads()`
+    /// workers when it is big enough to pay
+    /// ([`mpf_algebra::dense::PARALLEL_MIN_WORK`]).
     pub fn populate_in(
         &self,
         cx: &mut ExecContext<'_>,
@@ -263,75 +260,9 @@ impl JunctionTree {
             buckets[c].push(r);
         }
 
-        let workers = cx.threads().min(self.cliques.len());
-        if workers <= 1 {
-            let mut out = Vec::with_capacity(self.cliques.len());
-            for (c, parts) in buckets.iter().enumerate() {
-                out.push(self.build_clique(cx, c, parts, catalog)?);
-            }
-            return Ok(out);
-        }
-
-        // Per worker: the built (clique index, table) pairs of its chunk,
-        // plus the stats and trace its forked context accumulated.
-        type WorkerOut = (
-            Vec<(usize, Result<FunctionalRelation>)>,
-            mpf_algebra::ExecStats,
-            mpf_algebra::TraceTree,
-        );
-        let chunk = self.cliques.len().div_ceil(workers);
-        let worker_out: Vec<WorkerOut> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for start in (0..buckets.len()).step_by(chunk) {
-                    let end = (start + chunk).min(buckets.len());
-                    let slice = &buckets[start..end];
-                    let mut wcx = cx.fork();
-                    handles.push((
-                        start,
-                        scope.spawn(move || {
-                            let mut built = Vec::with_capacity(slice.len());
-                            for (off, parts) in slice.iter().enumerate() {
-                                built.push((
-                                    start + off,
-                                    self.build_clique(&mut wcx, start + off, parts, catalog),
-                                ));
-                            }
-                            (built, wcx.take_stats(), wcx.take_trace())
-                        }),
-                    ));
-                }
-                handles
-                    .into_iter()
-                    .map(|(start, h)| {
-                        h.join().unwrap_or_else(|_| {
-                            (
-                                vec![(start, Err(worker_panicked()))],
-                                mpf_algebra::ExecStats::default(),
-                                mpf_algebra::TraceTree::default(),
-                            )
-                        })
-                    })
-                    .collect()
-            });
-
-        let mut slots: Vec<Option<Result<FunctionalRelation>>> =
-            (0..self.cliques.len()).map(|_| None).collect();
-        // Workers come back in chunk (clique) order, so grafted trace
-        // spans land deterministically regardless of thread count.
-        for (built, stats, trace) in worker_out {
-            cx.absorb(stats);
-            cx.absorb_trace(trace);
-            for (idx, res) in built {
-                slots[idx] = Some(res);
-            }
-        }
         let mut out = Vec::with_capacity(self.cliques.len());
-        for slot in slots {
-            // A `None` slot means the chunk's worker stopped early (its
-            // own error sits at a lower clique index, so `?` fires there
-            // first) or panicked before reaching this clique.
-            out.push(slot.unwrap_or_else(|| Err(worker_panicked()))?);
+        for (c, parts) in buckets.iter().enumerate() {
+            out.push(self.build_clique(cx, c, parts, catalog)?);
         }
         Ok(out)
     }
@@ -374,12 +305,6 @@ impl JunctionTree {
         // semijoins.
         Ok(rel.without_coords().with_name(format!("clique{c}")))
     }
-}
-
-fn worker_panicked() -> InferError {
-    InferError::Algebra(mpf_algebra::AlgebraError::Internal(
-        "clique population worker panicked".into(),
-    ))
 }
 
 /// A complete relation over `vars` whose every measure is the semiring's
