@@ -20,7 +20,10 @@
 //! the step's shape (`"dense::join"`, `"dense::agg"`, `"dense::join_agg"`,
 //! and the same under `"sparse::"`), plus `"dense::convert"` and
 //! `"sparse::convert"` where an operand is borrowed or keyed; the engine
-//! adds `"optimize::<label>"` per strategy.
+//! adds `"optimize::<label>"` per strategy. One site fails differently:
+//! `"op_guard::cancel"`, polled by every [`crate::OpGuard`] tick, cancels
+//! the execution's [`crate::CancelToken`] (when it has one) so the tick
+//! trips with [`crate::AlgebraError::Cancelled`] inside the operator.
 
 #[cfg(not(feature = "fault-injection"))]
 use crate::Result;

@@ -321,9 +321,25 @@ impl<'a> OpGuard<'a> {
         self.poll_count += 1;
         if self.poll_count >= TICK_INTERVAL {
             self.poll_count = 0;
-            budget.checkpoint()?;
+            Self::tick(budget)?;
         }
         Ok(())
+    }
+
+    /// A guard's periodic deadline/cancel poll. Under `fault-injection`
+    /// the `"op_guard::cancel"` failpoint fires here by cancelling the
+    /// budget's token first, so a test can cancel an operator inside its
+    /// row loop (a dense step's workers included) without racing a
+    /// timer.
+    #[inline]
+    fn tick(budget: &ExecBudget) -> Result<()> {
+        #[cfg(feature = "fault-injection")]
+        if crate::fault::check("op_guard::cancel").is_err() {
+            if let Some(token) = &budget.limits.cancel {
+                token.cancel();
+            }
+        }
+        budget.checkpoint()
     }
 
     fn flush(&mut self, budget: &ExecBudget) -> Result<()> {
@@ -354,7 +370,7 @@ impl<'a> OpGuard<'a> {
             self.poll_count = self.poll_count.saturating_add(units.min(u32::MAX as u64) as u32);
             if self.poll_count >= TICK_INTERVAL {
                 self.poll_count = 0;
-                budget.checkpoint()?;
+                Self::tick(budget)?;
             }
         }
         Ok(())

@@ -288,7 +288,7 @@ mod tests {
         for _ in 0..MAX_PLAN_DEPTH + 10 {
             p = Plan::join(p, Plan::scan("a"));
         }
-        let provider = std::collections::HashMap::new();
+        let provider = crate::RelationStore::new();
         assert!(matches!(
             p.schema(&provider),
             Err(AlgebraError::PlanTooDeep { .. })

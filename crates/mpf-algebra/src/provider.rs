@@ -91,12 +91,6 @@ impl RelationProvider for RelationStore {
     }
 }
 
-impl RelationProvider for HashMap<String, FunctionalRelation> {
-    fn relation_of(&self, name: &str) -> Option<&FunctionalRelation> {
-        self.get(name)
-    }
-}
-
 /// A copy-on-write view over a base provider: a small set of patched or
 /// synthetic relations shadows the base by name, everything else resolves
 /// through untouched.
@@ -126,11 +120,6 @@ impl<'a, P: RelationProvider> Overlay<'a, P> {
     /// way so the residual plan's generated scan names need no rename pass.
     pub fn insert_as(&mut self, name: impl Into<String>, rel: Arc<FunctionalRelation>) {
         self.extra.insert(name.into(), rel);
-    }
-
-    /// Number of shadowed relations.
-    pub fn shadowed(&self) -> usize {
-        self.extra.len()
     }
 }
 

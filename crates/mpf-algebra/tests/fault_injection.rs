@@ -9,7 +9,7 @@
 use std::sync::Mutex;
 
 use mpf_algebra::{
-    fault, ops, AlgebraError, CancelToken, ExecContext, ExecLimits, Executor, OpRepr,
+    dense, fault, ops, AlgebraError, CancelToken, ExecContext, ExecLimits, Executor, OpRepr,
     PhysicalPlan, Plan, RelationStore,
 };
 use mpf_semiring::SemiringKind;
@@ -282,5 +282,47 @@ fn faulted_or_cancelled_keying_memoizes_nothing() {
     assert_eq!(memo(&cx), (1, 1));
     let want = ops::join_group_by(&mut ExecContext::new(sr), l, r, &[a, c]).unwrap();
     assert!(want.function_eq(&got));
+    fault::clear_all();
+}
+
+/// A dense step cancelled while its row-range workers run stops inside
+/// the workers' guard polls with the typed `Cancelled` error. The
+/// `op_guard::cancel` failpoint cancels the token at the first guard
+/// tick, which only the workers reach: the step's operand checks poll
+/// the context directly, not through a guard. The workers then charge
+/// a small fraction of the step's output cells.
+#[test]
+fn cancelling_a_dense_step_stops_its_workers() {
+    let _g = lock();
+    fault::clear_all();
+    // `γ_{x,y}(l(x, e) ⨝ r(e, y))` over complete grids: 2^22 products,
+    // four `PARALLEL_MIN_WORK`s, so the step splits its 2^20 output rows
+    // across every worker of a 2- or 4-thread context.
+    const _: () = assert!(1024 * 4 * 1024 >= 4 * dense::PARALLEL_MIN_WORK, "the step fans out");
+    let mut cat = Catalog::new();
+    let x = cat.add_var("x", 1024).unwrap();
+    let e = cat.add_var("e", 4).unwrap();
+    let y = cat.add_var("y", 1024).unwrap();
+    let [l, r] = [("l", vec![x, e]), ("r", vec![e, y])].map(|(name, vars)| {
+        FunctionalRelation::complete(name, Schema::new(vars).unwrap(), &cat, |row| {
+            1.0 + f64::from(row[0] % 3 + row[1] % 5)
+        })
+    });
+    let output_cells = 3u64 << 20;
+    for threads in [2, 4] {
+        let token = CancelToken::new();
+        let limits = ExecLimits::none().with_cancel_token(token.clone());
+        let mut cx =
+            ExecContext::with_limits(SemiringKind::SumProduct, limits).with_threads(threads);
+        fault::inject("op_guard::cancel", 1);
+        let out = ops::step(&mut cx, &[&l, &r], Some(&[x, y]), OpRepr::Dense);
+        assert_eq!(out.unwrap_err(), AlgebraError::Cancelled, "threads {threads}");
+        assert!(token.is_cancelled(), "threads {threads}: the failpoint fired");
+        let used = cx.budget().unwrap().cells_used();
+        assert!(
+            used < output_cells / 8,
+            "threads {threads}: the workers ran on after the cancel ({used} cells charged)"
+        );
+    }
     fault::clear_all();
 }

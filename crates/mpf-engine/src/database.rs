@@ -2,7 +2,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use mpf_algebra::{
-    fault, DenseMode, ExecContext, ExecLimits, ExecStats, Executor, MetricsRegistry,
+    fault, DenseMode, ExecContext, ExecLimits, ExecStats, Executor, MetricsRegistry, Overlay,
     PhysicalPlan, Plan, RelationProvider, RelationStore, ReprMode, TraceLevel,
 };
 use mpf_infer::VeCache;
@@ -16,6 +16,7 @@ use mpf_storage::{Catalog, FunctionalRelation, Value, VarId};
 
 use crate::parser::{parse, Statement};
 use crate::query::CacheServed;
+use crate::scenario::{scenario_provider, BatchShare};
 use crate::snapshot::{fresh_version, CatalogRef, RelationRef, Snapshot, StoreRef, ViewRef};
 use crate::viewcache::{CacheEvent, CacheKey, ViewCache};
 use crate::{Answer, EngineError, Query, QueryRequest, Result, Strategy};
@@ -609,23 +610,10 @@ impl Database {
                 count: req.scenarios.len(),
             })
         } else {
-            // One scenario: the classic hypothetical path — a store copy
-            // (one pointer per relation) with the overridden relations
-            // replaced, evidence folded into the query's predicates.
-            let sc = &req.scenarios.items[0];
-            let mut store = snap.store.clone();
-            for ov in sc.overrides() {
-                apply_override(&snap.catalog, &mut store, ov)?;
-            }
-            if sc.evidence_set().is_empty() {
-                self.query_on_store(&snap, req, &store)
-            } else {
-                let mut req2 = req.clone();
-                for (var, value) in sc.evidence_set() {
-                    req2.query = req2.query.clone().filter(var.clone(), *value);
-                }
-                self.query_on_store(&snap, &req2, &store)
-            }
+            // One scenario: the provider a batch worker would build for
+            // it, queried without the batch's shared state.
+            scenario_provider(&snap, &req.scenarios.items[0], &req.query)
+                .and_then(|(overlay, _, q)| self.query_on(&snap, req, &q, &overlay, None))
         };
         if let Some(m) = &self.metrics {
             m.inc("engine.queries");
@@ -668,18 +656,20 @@ impl Database {
     /// skipped silently — the request already has its answer.
     fn run_with_view_cache(&self, snap: &Arc<Snapshot>, req: &QueryRequest<'_>) -> Result<Answer> {
         let Some(plan) = self.cache_plan(snap, req) else {
-            return self.query_on_store(snap, req, &snap.store);
+            return self.query_on(snap, req, &req.query, &snap.store, None);
         };
         // `cache_plan` returned Some, so the cache is attached and enabled.
         let vc = Arc::clone(self.view_cache.as_ref().expect("cache plan implies cache"));
+        let labels = ("viewcache::answer", "<view-cache>");
         if let Some(tree) = vc.lookup(&plan.key) {
-            match tree.covering_table(&plan.vars) {
-                Ok(idx) => match self.serve_from_tree(req, &tree, idx, &plan.vars) {
+            if tree.covering_table(&plan.vars).is_ok() {
+                match self.answer_from_tree(req, &tree, &plan.vars, labels) {
                     Ok(a) => return Ok(a),
                     Err(e) if is_fault(&e) || !e.fallback_may_cure() => return Err(e),
                     Err(_) => {} // budget trip: the normal path's fallback chain takes over
-                },
-                Err(_) => vc.note_uncovered(),
+                }
+            } else {
+                vc.note_uncovered();
             }
         } else if !plan.key.evidence.is_empty() {
             if let Some(base_tree) = vc.lookup(&plan.key.base()) {
@@ -688,11 +678,11 @@ impl Database {
                     .map_err(EngineError::from)
                 {
                     Ok(derived) => {
-                        if let Ok(idx) = derived.covering_table(&plan.vars) {
+                        if derived.covering_table(&plan.vars).is_ok() {
                             let derived = Arc::new(derived);
                             vc.note_derived();
                             vc.admit(plan.key.clone(), plan.base.clone(), Arc::clone(&derived));
-                            match self.serve_from_tree(req, &derived, idx, &plan.vars) {
+                            match self.answer_from_tree(req, &derived, &plan.vars, labels) {
                                 Ok(a) => return Ok(a),
                                 Err(e) if is_fault(&e) || !e.fallback_may_cure() => return Err(e),
                                 Err(_) => {}
@@ -709,12 +699,12 @@ impl Database {
         // Miss: answer normally, then let demand decide whether to pay
         // for the (unconditioned) tree build.
         let t0 = Instant::now();
-        let result = self.query_on_store(snap, req, &snap.store);
+        let result = self.query_on(snap, req, &req.query, &snap.store, None);
         if result.is_ok() {
             let cost_us = t0.elapsed().as_secs_f64() * 1e6;
             let base_key = plan.key.base();
             if vc.record_miss(&base_key, cost_us) {
-                match self.build_tree(snap, &plan) {
+                match self.build_tree(snap, &plan.base, plan.key.semiring, None) {
                     Ok(tree) => {
                         vc.admit(base_key, plan.base, Arc::new(tree));
                     }
@@ -742,8 +732,7 @@ impl Database {
         if q.having.is_some() {
             return None;
         }
-        let view = snap.view_of(&q.view)?;
-        let sr = resolve_semiring(view.combine, q.agg)?;
+        let (view, sr) = view_semiring(snap, &q.view, q.agg).ok()?;
         let vars: Vec<VarId> = q
             .group_vars
             .iter()
@@ -766,12 +755,17 @@ impl Database {
         })
     }
 
-    /// Build the unconditioned elimination tree for a cache plan's view,
-    /// under the database's own limits (the entry is shared, so one
-    /// request's per-query limits must not shape it).
-    fn build_tree(&self, snap: &Snapshot, plan: &CachePlan) -> Result<VeCache> {
-        let rels: Vec<&FunctionalRelation> = plan
-            .base
+    /// Build the unconditioned elimination tree over a view's base
+    /// relations, under the database's own limits (a cache entry is
+    /// shared, so one request's per-query limits must not shape it).
+    fn build_tree(
+        &self,
+        snap: &Snapshot,
+        base: &[String],
+        sr: SemiringKind,
+        order: Option<&[VarId]>,
+    ) -> Result<VeCache> {
+        let rels: Vec<&FunctionalRelation> = base
             .iter()
             .map(|n| {
                 snap.relation_of(n).ok_or_else(|| {
@@ -779,41 +773,64 @@ impl Database {
                 })
             })
             .collect::<Result<_>>()?;
-        let mut cx = ExecContext::with_limits(plan.key.semiring, self.limits.clone())
-            .with_dense(self.dense)
-            .with_repr(self.repr);
-        Ok(VeCache::build_in(&mut cx, &rels, None)?)
+        let mut cx = self.exec_context(sr, self.limits.clone());
+        Ok(VeCache::build_in(&mut cx, &rels, order)?)
     }
 
-    /// Serve a query by marginalizing table `idx` of a cached tree. The
-    /// synthesized plan records the cache scan + group-by actually run;
-    /// [`Answer::cache`] records the clique that answered.
-    fn serve_from_tree(
+    /// An execution context under `limits` with this database's kernel
+    /// selection modes: every context the engine runs a query, a tree
+    /// build or a scenario batch in starts here.
+    pub(crate) fn exec_context(
+        &self,
+        sr: SemiringKind,
+        limits: ExecLimits,
+    ) -> ExecContext<'static> {
+        ExecContext::with_limits(sr, limits)
+            .with_dense(self.dense)
+            .with_repr(self.repr)
+    }
+
+    /// The budgets a request runs under: its own, else the database's.
+    pub(crate) fn request_limits<'s>(&'s self, req: &'s QueryRequest<'_>) -> &'s ExecLimits {
+        req.limits.as_ref().unwrap_or(&self.limits)
+    }
+
+    /// Answer a plain group-by by marginalizing the smallest table of an
+    /// elimination tree that covers `vars`: a tree resident in the view
+    /// cache, or one the caller supplied with
+    /// [`QueryRequest::via_cache`]. `span` labels the traced phase and
+    /// `scan` names the one scan of the synthesized plan, which records
+    /// the scan + group-by actually run; [`Answer::cache`] records the
+    /// clique that answered.
+    fn answer_from_tree(
         &self,
         req: &QueryRequest<'_>,
         tree: &VeCache,
-        idx: usize,
         vars: &[VarId],
+        (span, scan): (&str, &str),
     ) -> Result<Answer> {
-        let q = &req.query;
-        let limits = req.limits.clone().unwrap_or_else(|| self.limits.clone());
-        let mut cx = ExecContext::with_limits(tree.semiring(), limits)
-            .with_dense(self.dense)
-            .with_repr(self.repr)
+        let mut cx = self
+            .exec_context(tree.semiring(), self.request_limits(req).clone())
             .with_trace(req.trace);
         let t1 = Instant::now();
-        cx.span_phase("viewcache::answer");
+        cx.span_phase(span);
         let result = tree.answer_set_in(&mut cx, vars);
         cx.span_close(|| result.as_ref().err().map(|e| e.to_string()));
         let execute_time = t1.elapsed();
         let stats = *cx.stats();
         let trace = (req.trace != TraceLevel::Off).then(|| cx.take_trace());
         let relation = result?;
-        let table = &tree.tables()[idx];
-        let plan = Plan::group_by(Plan::scan("<view-cache>"), vars.to_vec());
+        let served = tree.covering_table(vars).ok().map(|idx| {
+            let table = &tree.tables()[idx];
+            CacheServed {
+                clique: table.schema().vars().to_vec(),
+                rows: table.len() as u64,
+            }
+        });
+        let plan = Plan::group_by(Plan::scan(scan), vars.to_vec());
         Ok(Answer {
             relation,
-            served_by: q.strategy,
+            served_by: req.query.strategy,
             fallback: Vec::new(),
             physical: PhysicalPlan::default_hash(&plan),
             plan,
@@ -822,16 +839,12 @@ impl Database {
             optimize_time: Duration::ZERO,
             execute_time,
             trace,
-            cache: Some(CacheServed {
-                clique: table.schema().vars().to_vec(),
-                rows: table.len() as u64,
-            }),
+            cache: served,
         })
     }
 
-    /// Serve a cache-eligible request: a plain group-by answered by
-    /// marginalizing the smallest covering cached table. The synthesized
-    /// plan in the answer records the cache scan + group-by actually run.
+    /// Serve a [`QueryRequest::via_cache`] request: a plain group-by
+    /// answered from the caller's tree.
     fn serve_from_cache(
         &self,
         snap: &Snapshot,
@@ -855,14 +868,7 @@ impl Database {
         }
         // The cache was built under one semiring; serving a query that
         // resolves to another would aggregate with the wrong operations.
-        let view = snap
-            .view_of(&q.view)
-            .ok_or_else(|| EngineError::UnknownView(q.view.clone()))?;
-        let sr =
-            resolve_semiring(view.combine, q.agg).ok_or(EngineError::IncompatibleAggregate {
-                combine: view.combine,
-                aggregate: q.agg,
-            })?;
+        let (_, sr) = view_semiring(snap, &q.view, q.agg)?;
         if sr != cache.semiring() {
             return Err(EngineError::CacheSemiringMismatch {
                 expected: sr,
@@ -874,60 +880,24 @@ impl Database {
             .iter()
             .map(|n| resolve_var(&snap.catalog, n))
             .collect::<Result<_>>()?;
-        let limits = req.limits.clone().unwrap_or_else(|| self.limits.clone());
-        let mut cx = ExecContext::with_limits(cache.semiring(), limits)
-            .with_dense(self.dense)
-            .with_repr(self.repr)
-            .with_trace(req.trace);
-        let t1 = Instant::now();
-        cx.span_phase("cache::answer");
-        let result = cache.answer_set_in(&mut cx, &vars);
-        cx.span_close(|| result.as_ref().err().map(|e| e.to_string()));
-        let execute_time = t1.elapsed();
-        let stats = *cx.stats();
-        let trace = (req.trace != TraceLevel::Off).then(|| cx.take_trace());
-        let relation = result?;
-        let served = cache.covering_table(&vars).ok().map(|idx| {
-            let table = &cache.tables()[idx];
-            CacheServed {
-                clique: table.schema().vars().to_vec(),
-                rows: table.len() as u64,
-            }
-        });
-        let plan = Plan::group_by(Plan::scan("<ve-cache>"), vars);
-        Ok(Answer {
-            relation,
-            served_by: q.strategy,
-            fallback: Vec::new(),
-            physical: PhysicalPlan::default_hash(&plan),
-            plan,
-            est_cost: f64::NAN,
-            stats,
-            optimize_time: Duration::ZERO,
-            execute_time,
-            trace,
-            cache: served,
-        })
+        self.answer_from_tree(req, cache, &vars, ("cache::answer", "<ve-cache>"))
     }
 
-    fn query_on_store(
+    /// Answer `q` from `provider` (the snapshot's store, or a scenario's
+    /// overlay) through the strategy fallback chain: the requested
+    /// strategy first, then the chain's entries not tried yet. `req`
+    /// supplies the limits and trace level. `share` carries a scenario
+    /// batch's shared state to one of its scenarios; plain and
+    /// one-scenario runs pass `None`.
+    pub(crate) fn query_on<P: RelationProvider>(
         &self,
         snap: &Snapshot,
         req: &QueryRequest<'_>,
-        store: &RelationStore,
+        q: &Query,
+        provider: &P,
+        share: Option<&BatchShare<'_>>,
     ) -> Result<Answer> {
-        let q = &req.query;
-        let view = snap
-            .view_of(&q.view)
-            .ok_or_else(|| EngineError::UnknownView(q.view.clone()))?;
-        let sr =
-            resolve_semiring(view.combine, q.agg).ok_or(EngineError::IncompatibleAggregate {
-                combine: view.combine,
-                aggregate: q.agg,
-            })?;
-        let spec = resolve_spec(snap, q)?;
-        let ctx = self.opt_context(snap, view, store, spec)?;
-        let limits = req.limits.as_ref().unwrap_or(&self.limits);
+        let (_, sr, ctx) = self.plan_input(snap, q, provider)?;
 
         // The requested strategy first, then the fallback chain, with
         // already-tried entries skipped.
@@ -945,9 +915,10 @@ impl Database {
         let mut total = ExecStats::default();
         let last = attempts.len() - 1;
         for (i, &strategy) in attempts.iter().enumerate() {
-            match self.attempt(req, store, &ctx, sr, strategy, limits, &mut total) {
+            match self.attempt(
+                snap, req, q, provider, &ctx, sr, strategy, share, &mut total,
+            ) {
                 Ok(mut answer) => {
-                    answer.served_by = strategy;
                     answer.fallback = failed;
                     return Ok(answer);
                 }
@@ -959,46 +930,56 @@ impl Database {
         Err(EngineError::EmptyView(q.view.clone()))
     }
 
-    /// One optimize-and-execute attempt with a single strategy. The work
-    /// it does — even when it fails — is merged into `total`.
+    /// One plan-and-execute attempt with a single strategy. The work it
+    /// does — even when it fails — is merged into `total`. Under a batch
+    /// `share` the plan may come from the batch's plan memo, shared
+    /// trunks are read from its trunk memo, and the execution context is
+    /// a fork of the batch's root; neither substitution moves a bit.
     #[allow(clippy::too_many_arguments)]
-    fn attempt(
+    fn attempt<P: RelationProvider>(
         &self,
+        snap: &Snapshot,
         req: &QueryRequest<'_>,
-        store: &RelationStore,
+        q: &Query,
+        provider: &P,
         ctx: &OptContext<'_>,
         sr: SemiringKind,
         strategy: Strategy,
-        limits: &ExecLimits,
+        share: Option<&BatchShare<'_>>,
         total: &mut ExecStats,
     ) -> Result<Answer> {
-        let q = &req.query;
         let t0 = Instant::now();
-        let (plan, est_cost) = self.plan_for(&q.view, ctx, strategy)?;
-        let physical = choose_physical(
-            ctx,
-            &plan,
-            PhysicalConfig::default()
-                .with_dense(self.dense)
-                .with_repr(self.repr),
-        );
+        let planned = match share {
+            Some(s) => s.planned(strategy, || self.plan_physical(&q.view, ctx, strategy))?,
+            None => Arc::new(self.plan_physical(&q.view, ctx, strategy)?),
+        };
         let optimize_time = t0.elapsed();
 
-        let exec = Executor::new(store, sr);
-        let mut cx = ExecContext::with_limits(sr, limits.clone())
-            .with_dense(self.dense)
-            .with_repr(self.repr)
-            .with_trace(req.trace);
+        // Trunk outputs shadow the provider under their synthetic scan
+        // names.
+        let mut scans = Overlay::new(provider);
+        let (residual, mut cx) = match share {
+            Some(s) => {
+                let residual = s.residual(snap, sr, &planned.physical, &mut scans, total)?;
+                (Some(residual), s.cx.fork())
+            }
+            None => {
+                let cx = self.exec_context(sr, self.request_limits(req).clone());
+                (None, cx.with_trace(req.trace))
+            }
+        };
+        let exec = Executor::new(&scans, sr);
         let t1 = Instant::now();
-        let result = exec.execute_physical_in(&mut cx, &physical);
+        let result =
+            exec.execute_physical_in(&mut cx, residual.as_ref().unwrap_or(&planned.physical));
         let execute_time = t1.elapsed();
         total.merge(cx.stats());
         // Annotate the executed-plan spans with the optimizer's estimated
         // rows, so EXPLAIN ANALYZE prints est-vs-actual per node.
-        let trace = (req.trace != TraceLevel::Off).then(|| {
+        let trace = (cx.trace_level() != TraceLevel::Off).then(|| {
             let mut tree = cx.take_trace();
             if let Some(root) = tree.roots.first_mut() {
-                annotate_estimates(ctx, &physical, root);
+                annotate_estimates(ctx, &planned.physical, root);
             }
             tree
         });
@@ -1016,6 +997,12 @@ impl Database {
             relation = filtered;
         }
 
+        // A memoized plan is shared with the batch's other scenarios.
+        let Planned {
+            plan,
+            est_cost,
+            physical,
+        } = Arc::unwrap_or_clone(planned);
         Ok(Answer {
             relation,
             served_by: strategy,
@@ -1031,9 +1018,49 @@ impl Database {
         })
     }
 
+    /// What planning `q` against `provider` starts from: the view, the
+    /// semiring its combine operation forms with `q`'s aggregate, and
+    /// the optimizer's context.
+    fn plan_input<'s, P: RelationProvider>(
+        &self,
+        snap: &'s Snapshot,
+        q: &Query,
+        provider: &P,
+    ) -> Result<(&'s MpfView, SemiringKind, OptContext<'s>)> {
+        let (view, sr) = view_semiring(snap, &q.view, q.agg)?;
+        let spec = resolve_spec(snap, q)?;
+        let ctx = self.opt_context(snap, view, provider, spec)?;
+        Ok((view, sr, ctx))
+    }
+
+    /// Plan a query with one strategy and lower the plan to the physical
+    /// plan that runs, under this database's kernel selection modes.
+    fn plan_physical(
+        &self,
+        view_name: &str,
+        ctx: &OptContext<'_>,
+        strategy: Strategy,
+    ) -> Result<Planned> {
+        let (plan, est_cost) = self.plan_for(view_name, ctx, strategy)?;
+        let physical = choose_physical(
+            ctx,
+            &plan,
+            PhysicalConfig::default()
+                .with_dense(self.dense)
+                .with_repr(self.repr),
+        );
+        Ok(Planned {
+            plan,
+            est_cost,
+            physical,
+        })
+    }
+
     /// Render the plan a strategy would choose, without executing it
     /// (the `EXPLAIN` half of the request API; overrides and per-request
-    /// limits are honored, tracing is irrelevant).
+    /// limits are honored, tracing is irrelevant). A request [`Database::run`]
+    /// would reject before planning, such as an aggregate the view's
+    /// combine operation forms no semiring with, is rejected the same way.
     pub fn describe<'a>(&self, req: impl Into<QueryRequest<'a>>) -> Result<String> {
         let req = req.into();
         if req.scenarios.len() > 1 {
@@ -1041,55 +1068,26 @@ impl Database {
                 count: req.scenarios.len(),
             });
         }
-        // A single scenario's evidence folds into the query predicates,
-        // exactly as `run` would evaluate it.
-        let q_owned;
-        let q = match req.scenarios.items.first() {
-            Some(sc) if !sc.evidence_set().is_empty() => {
-                let mut q = req.query.clone();
-                for (var, value) in sc.evidence_set() {
-                    q = q.filter(var.clone(), *value);
-                }
-                q_owned = q;
-                &q_owned
-            }
-            _ => &req.query,
-        };
         let snap = self.snapshot();
-        let view = snap
-            .view_of(&q.view)
-            .ok_or_else(|| EngineError::UnknownView(q.view.clone()))?;
-        let spec = resolve_spec(&snap, q)?;
-        // Overrides can change cardinalities (a domain remap merges rows),
-        // so the explain plans against the hypothetical store.
-        let store_owned;
-        let store = match req.scenarios.items.first() {
-            None => &snap.store,
+        // A scenario plans against the provider `run` evaluates it on:
+        // overrides can change cardinalities (a domain move merges rows),
+        // and its evidence folds into the query.
+        let (provider, q) = match req.scenarios.items.first() {
             Some(sc) => {
-                let mut s = snap.store.clone();
-                for ov in sc.overrides() {
-                    apply_override(&snap.catalog, &mut s, ov)?;
-                }
-                store_owned = s;
-                &store_owned
+                let (overlay, _, q) = scenario_provider(&snap, sc, &req.query)?;
+                (overlay, q)
             }
+            None => (Overlay::new(&snap.store), req.query.clone()),
         };
-        let ctx = self.opt_context(&snap, view, store, spec)?;
-        let (plan, est_cost) = self.plan_for(&q.view, &ctx, q.strategy)?;
-        let physical = choose_physical(
-            &ctx,
-            &plan,
-            PhysicalConfig::default()
-                .with_dense(self.dense)
-                .with_repr(self.repr),
-        );
+        let (view, _, ctx) = self.plan_input(&snap, &q, &provider)?;
+        let planned = self.plan_physical(&q.view, &ctx, q.strategy)?;
         let catalog = &snap.catalog;
         // Exact base-relation densities (rows over the schema's domain
         // grid) — the statistic the dense-path selection rule keys on.
         let densities: Vec<String> = view
             .base
             .iter()
-            .filter_map(|n| store.relation_of(n).map(|rel| (n, rel)))
+            .filter_map(|n| provider.relation_of(n).map(|rel| (n, rel)))
             .map(|(n, rel)| {
                 let d = mpf_storage::density_of(
                     rel.len() as u64,
@@ -1099,9 +1097,10 @@ impl Database {
             })
             .collect();
         Ok(format!(
-            "-- estimated cost: {est_cost:.2}\n-- base density: {}\n{}",
+            "-- estimated cost: {:.2}\n-- base density: {}\n{}",
+            planned.est_cost,
             densities.join(", "),
-            physical.render(&|v| catalog.name(v).to_string())
+            planned.physical.render(&|v| catalog.name(v).to_string())
         ))
     }
 
@@ -1137,7 +1136,7 @@ impl Database {
             ));
         }
         out.push_str(&format!("-- estimated cost: {:.2}\n", answer.est_cost));
-        let limits = req.limits.as_ref().unwrap_or(&self.limits);
+        let limits = self.request_limits(&req);
         out.push_str(&format!("-- workers: {}\n", limits.effective_threads()));
         let st = &answer.stats;
         out.push_str(&format!(
@@ -1167,11 +1166,11 @@ impl Database {
         Ok(out)
     }
 
-    /// Build the optimizer's context over any relation provider — the
-    /// base store, a hypothetical copy, or a scenario [`Overlay`]
-    /// ([`mpf_algebra::Overlay`]). [`BaseRel::of`] captures only
-    /// measure-independent statistics (schema, cardinality), so
-    /// measure-only hypotheticals yield the exact baseline context.
+    /// Build the optimizer's context over a relation provider: the
+    /// snapshot's store, or a scenario's [`Overlay`] of patched
+    /// relations. [`BaseRel::of`] captures only measure-independent
+    /// statistics (schema, cardinality), so measure-only scenarios yield
+    /// the exact baseline context.
     pub(crate) fn opt_context<'a>(
         &self,
         snap: &'a Snapshot,
@@ -1308,27 +1307,8 @@ impl Database {
         order: Option<&[VarId]>,
     ) -> Result<VeCache> {
         let snap = self.snapshot();
-        let view = snap
-            .view_of(view_name)
-            .ok_or_else(|| EngineError::UnknownView(view_name.to_string()))?;
-        let sr =
-            resolve_semiring(view.combine, agg).ok_or(EngineError::IncompatibleAggregate {
-                combine: view.combine,
-                aggregate: agg,
-            })?;
-        let rels: Vec<&FunctionalRelation> = view
-            .base
-            .iter()
-            .map(|n| {
-                snap.relation_of(n).ok_or_else(|| {
-                    EngineError::Algebra(mpf_algebra::AlgebraError::UnknownRelation(n.clone()))
-                })
-            })
-            .collect::<Result<_>>()?;
-        let mut cx = ExecContext::with_limits(sr, self.limits.clone())
-            .with_dense(self.dense)
-            .with_repr(self.repr);
-        Ok(VeCache::build_in(&mut cx, &rels, order)?)
+        let (view, sr) = view_semiring(&snap, view_name, agg)?;
+        self.build_tree(&snap, &view.base, sr, order)
     }
 
     /// Run the Section 5.1 plan-linearity test for a query variable of a
@@ -1344,14 +1324,7 @@ impl Database {
 
     /// The semiring a `(view, aggregate)` pair evaluates in.
     pub fn semiring_for(&self, view_name: &str, agg: Aggregate) -> Result<SemiringKind> {
-        let snap = self.snapshot();
-        let view = snap
-            .view_of(view_name)
-            .ok_or_else(|| EngineError::UnknownView(view_name.to_string()))?;
-        resolve_semiring(view.combine, agg).ok_or(EngineError::IncompatibleAggregate {
-            combine: view.combine,
-            aggregate: agg,
-        })
+        view_semiring(&self.snapshot(), view_name, agg).map(|(_, sr)| sr)
     }
 }
 
@@ -1362,6 +1335,15 @@ struct CachePlan {
     key: CacheKey,
     vars: Vec<VarId>,
     base: Vec<String>,
+}
+
+/// A strategy's plan, its estimated cost, and the physical plan it
+/// lowers to ([`Database::plan_physical`]).
+#[derive(Clone)]
+pub(crate) struct Planned {
+    plan: Plan,
+    est_cost: f64,
+    physical: PhysicalPlan,
 }
 
 /// Whether an error is an injected fault (which must propagate to exactly
@@ -1377,6 +1359,23 @@ fn is_fault(e: &EngineError) -> bool {
     )
 }
 
+/// Resolve a view and the semiring its combine operation forms with
+/// `agg`.
+pub(crate) fn view_semiring<'s>(
+    snap: &'s Snapshot,
+    view: &str,
+    agg: Aggregate,
+) -> Result<(&'s MpfView, SemiringKind)> {
+    let view = snap
+        .view_of(view)
+        .ok_or_else(|| EngineError::UnknownView(view.to_string()))?;
+    let sr = resolve_semiring(view.combine, agg).ok_or(EngineError::IncompatibleAggregate {
+        combine: view.combine,
+        aggregate: agg,
+    })?;
+    Ok((view, sr))
+}
+
 /// Resolve a variable name against a catalog.
 fn resolve_var(catalog: &Catalog, name: &str) -> Result<VarId> {
     catalog
@@ -1385,7 +1384,7 @@ fn resolve_var(catalog: &Catalog, name: &str) -> Result<VarId> {
 }
 
 /// Resolve a query's group-by/filter names into a [`QuerySpec`].
-pub(crate) fn resolve_spec(snap: &Snapshot, q: &Query) -> Result<QuerySpec> {
+fn resolve_spec(snap: &Snapshot, q: &Query) -> Result<QuerySpec> {
     let mut spec = QuerySpec::group_by(
         q.group_vars
             .iter()
@@ -1422,21 +1421,6 @@ fn create_view_in(snap: &mut Snapshot, name: &str, base: &[&str], combine: Combi
             combine,
         },
     );
-    Ok(())
-}
-
-/// Apply one hypothetical override to a (cloned) store — a thin wrapper
-/// over the unified [`crate::delta`] patching path, which the scenario
-/// engine and real point updates share.
-fn apply_override(catalog: &Catalog, store: &mut RelationStore, ov: &Override) -> Result<()> {
-    let name = ov.relation();
-    let patched = {
-        let rel = store
-            .relation_of(name)
-            .ok_or_else(|| EngineError::BadOverride(format!("no relation `{name}`")))?;
-        crate::delta::apply(catalog, rel, ov)?
-    };
-    store.insert(patched);
     Ok(())
 }
 
@@ -1565,6 +1549,11 @@ mod tests {
         db.create_view("s", &["r1", "r2"], Combine::Sum).unwrap();
         let e = db
             .run(Query::on("s").group_by(["a"]).aggregate(Aggregate::Sum))
+            .unwrap_err();
+        assert!(matches!(e, EngineError::IncompatibleAggregate { .. }));
+        // `describe` plans only what `run` would run.
+        let e = db
+            .describe(Query::on("s").group_by(["a"]).aggregate(Aggregate::Sum))
             .unwrap_err();
         assert!(matches!(e, EngineError::IncompatibleAggregate { .. }));
         // But MIN over SUM-combine is the min-sum semiring.

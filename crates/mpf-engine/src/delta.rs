@@ -1,11 +1,11 @@
 //! The single base-relation patching path behind every what-if mechanism.
 //!
-//! Three callers apply "change one base relation" deltas: hypothetical
-//! scenario evaluation ([`crate::Scenario`] overrides, applied to copies),
-//! the legacy per-request override path ([`crate::Database::run`] with a
-//! one-scenario set), and real point updates
+//! Two callers apply "change one base relation" deltas: hypothetical
+//! scenario evaluation ([`crate::Scenario`] overrides, applied to copies
+//! that shadow the base relations in a scenario's overlay, whether the
+//! scenario runs alone or in a batch), and real point updates
 //! ([`crate::Database::update_measure`], whose [`crate::CacheEvent`] drives
-//! the view cache's Section 6 update-semijoin patching). They all route
+//! the view cache's Section 6 update-semijoin patching). Both route
 //! through this module so the semantics — exact row matching, measure
 //! replacement in place, first-occurrence-wins domain merges — cannot
 //! drift between the hypothetical and the real paths.

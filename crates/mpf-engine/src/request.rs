@@ -11,10 +11,13 @@
 //!
 //! The what-if unit is the named [`Scenario`] (any number of
 //! [`Override`](crate::Override)s plus optional evidence). A request carrying **one**
-//! scenario still flows through [`Database::run`](crate::Database::run);
+//! scenario flows through [`Database::run`](crate::Database::run);
 //! a request carrying a whole [`ScenarioSet`] goes to
 //! [`Database::run_scenarios`](crate::Database::run_scenarios), which
-//! evaluates the set as one batch with shared-subplan fan-out.
+//! evaluates the set as one batch with shared-subplan fan-out. Either
+//! way a scenario is evaluated on the same overlay of its patched
+//! relations, through the same query path: the batch adds only plan
+//! reuse and shared trunks, neither of which moves a bit.
 
 use mpf_algebra::{ExecLimits, TraceLevel};
 use mpf_infer::VeCache;

@@ -15,8 +15,9 @@
 //!
 //! 1. **baseline** — the unmodified query through the normal path (the
 //!    transparent [`crate::ViewCache`] serves it when resident);
-//! 2. **plan** — each scenario is planned exactly as a sequential
-//!    single-scenario run would be (measure-only scenarios reuse one
+//! 2. **plan** — each scenario is planned on the overlay
+//!    [`scenario_provider`] builds, exactly as a sequential
+//!    single-scenario run plans it (measure-only scenarios reuse one
 //!    plan per strategy: [`mpf_optimizer::BaseRel`] statistics are
 //!    measure-independent, so the optimizer input is identical);
 //! 3. **partition** — the physical plan splits into a *shared trunk*
@@ -44,12 +45,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mpf_algebra::{ExecContext, ExecStats, Executor, Overlay, PhysicalPlan, Plan, RelationProvider};
-use mpf_optimizer::{choose_physical, PhysicalConfig};
-use mpf_semiring::{resolve_semiring, SemiringKind};
+use mpf_algebra::{
+    ExecContext, ExecStats, Executor, Overlay, PhysicalPlan, RelationProvider, RelationStore,
+};
+use mpf_semiring::SemiringKind;
 use mpf_storage::{FunctionalRelation, Value};
 
-use crate::database::{resolve_spec, MpfView};
+use crate::database::{view_semiring, Planned};
 use crate::snapshot::Snapshot;
 use crate::{
     delta, Answer, Database, EngineError, Override, Query, QueryRequest, Result, Strategy,
@@ -374,13 +376,6 @@ impl ScenarioReport {
     }
 }
 
-/// A planned (strategy → plan) entry shared by plan-reusable scenarios.
-struct Planned {
-    plan: Plan,
-    est_cost: f64,
-    physical: PhysicalPlan,
-}
-
 /// Per-batch plan memo: measure-only scenarios produce optimizer input
 /// identical to the baseline's, so each strategy is planned once.
 #[derive(Default)]
@@ -464,10 +459,12 @@ impl Database {
     /// full answer and an invariant-vs-divergent summary ranked by group
     /// shift.
     ///
-    /// Answers are bit-identical to running each scenario alone through
-    /// [`Database::run`]; the batch is faster because plan subtrees
-    /// untouched by any scenario's overrides are computed once and
-    /// shared, measure-only scenarios share one plan per strategy, and
+    /// Each scenario is evaluated as a one-scenario [`Database::run`]
+    /// evaluates it: on an overlay of its patched relations, through the
+    /// same strategy-fallback loop. Answers are therefore bit-identical
+    /// to running each scenario alone; the batch is faster because plan
+    /// subtrees untouched by any scenario's overrides are computed once
+    /// and shared, measure-only scenarios share one plan per strategy, and
     /// scenarios fan out across the worker threads the effective
     /// [`mpf_algebra::ExecLimits::threads`] allows — all under one shared
     /// execution budget (a batch that trips a budget mid-way fails where the
@@ -523,22 +520,12 @@ impl Database {
         let snap = self.snapshot();
         let baseline = self.run_request(&req.baseline())?;
 
-        let q = &req.query;
-        let view = snap
-            .view_of(&q.view)
-            .ok_or_else(|| EngineError::UnknownView(q.view.clone()))?;
-        let sr =
-            resolve_semiring(view.combine, q.agg).ok_or(EngineError::IncompatibleAggregate {
-                combine: view.combine,
-                aggregate: q.agg,
-            })?;
-        let limits = req.limits.clone().unwrap_or_else(|| self.limits().clone());
+        let (_, sr) = view_semiring(&snap, &req.query.view, req.query.agg)?;
+        let limits = self.request_limits(req);
         // One root context: every worker's fork charges its budget and
         // shares its scan ledger, so the whole batch draws from one
         // allowance.
-        let root = ExecContext::with_limits(sr, limits.clone())
-            .with_dense(self.dense())
-            .with_repr(self.repr());
+        let root = self.exec_context(sr, limits.clone());
         let memo = TrunkMemo::default();
         let plans = PlanCache::default();
 
@@ -556,16 +543,18 @@ impl Database {
                     if i >= n {
                         break;
                     }
-                    let out = self.eval_scenario(
-                        snap.as_ref(),
-                        req,
-                        &scenarios[i],
-                        view,
-                        sr,
-                        &worker_cx,
-                        memo,
-                        plans,
-                    );
+                    let sc = &scenarios[i];
+                    let out =
+                        scenario_provider(snap, sc, &req.query).and_then(|(p, touched, q)| {
+                            let share = BatchShare {
+                                cx: &worker_cx,
+                                plans,
+                                memo,
+                                touched: &touched,
+                                reusable: sc.plan_reusable(),
+                            };
+                            self.query_on(snap, req, &q, &p, Some(&share))
+                        });
                     *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
                 });
             }
@@ -595,134 +584,102 @@ impl Database {
             elapsed: t0.elapsed(),
         })
     }
+}
 
-    /// Evaluate one scenario inside the batch: overlay its patched
-    /// relations, plan it exactly as a sequential run would, and walk
-    /// the same strategy-fallback chain — with trunk substitution and
-    /// plan reuse as the only (bit-preserving) differences.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_scenario(
+/// A scenario's relation provider: an [`Overlay`] over the snapshot's
+/// store in which each relation the scenario's overrides touch is
+/// shadowed by its patched copy (overrides of one relation compose in
+/// order), the names of those relations, and the query with the
+/// scenario's evidence folded into its equality predicates. A
+/// one-scenario [`Database::run`], [`Database::describe`] and every
+/// batch worker evaluate a scenario through this provider.
+pub(crate) fn scenario_provider<'s>(
+    snap: &'s Snapshot,
+    sc: &Scenario,
+    query: &Query,
+) -> Result<(Overlay<'s, RelationStore>, HashSet<String>, Query)> {
+    let mut overlay = Overlay::new(&snap.store);
+    let mut touched = HashSet::new();
+    for ov in sc.overrides() {
+        let name = ov.relation();
+        let patched = {
+            let current = overlay
+                .relation_of(name)
+                .ok_or_else(|| EngineError::BadOverride(format!("no relation `{name}`")))?;
+            delta::apply(&snap.catalog, current, ov)?
+        };
+        overlay.insert_as(name, Arc::new(patched));
+        touched.insert(name.to_string());
+    }
+    let mut q = query.clone();
+    for (var, value) in sc.evidence_set() {
+        q = q.filter(var.clone(), *value);
+    }
+    Ok((overlay, touched, q))
+}
+
+/// What a scenario batch shares with one of its scenarios: the worker's
+/// fork of the batch's root context (one budget, one scan ledger), the
+/// plan memo, the trunk memo, and the relations the scenario touches.
+/// [`Database::query_on`] takes it; plan reuse and trunk substitution
+/// are the only differences it makes, and neither moves a bit.
+pub(crate) struct BatchShare<'s> {
+    pub(crate) cx: &'s ExecContext<'s>,
+    plans: &'s PlanCache,
+    memo: &'s TrunkMemo,
+    touched: &'s HashSet<String>,
+    /// Whether the scenario's optimizer input is the baseline's
+    /// ([`Scenario::plan_reusable`]).
+    reusable: bool,
+}
+
+impl BatchShare<'_> {
+    /// The plan for `strategy`: the batch's memoized one when the
+    /// scenario's optimizer input is the baseline's, else `plan()`'s
+    /// (memoized for the next such scenario).
+    pub(crate) fn planned(
         &self,
-        snap: &Snapshot,
-        req: &QueryRequest<'_>,
-        sc: &Scenario,
-        view: &MpfView,
-        sr: SemiringKind,
-        worker_cx: &ExecContext<'_>,
-        memo: &TrunkMemo,
-        plans: &PlanCache,
-    ) -> Result<Answer> {
-        // Evidence merges into the query's equality predicates — the
-        // constrained-domain form a sequential run would use.
-        let mut q = req.query.clone();
-        for (var, value) in sc.evidence_set() {
-            q = q.filter(var.clone(), *value);
+        strategy: Strategy,
+        plan: impl FnOnce() -> Result<Planned>,
+    ) -> Result<Arc<Planned>> {
+        if !self.reusable {
+            return plan().map(Arc::new);
         }
-        let spec = resolve_spec(snap, &q)?;
-        let mut overlay = Overlay::new(&snap.store);
-        let mut touched: HashSet<String> = HashSet::new();
-        for ov in sc.overrides() {
-            let name = ov.relation();
-            let patched = {
-                let current = overlay.relation_of(name).ok_or_else(|| {
-                    EngineError::BadOverride(format!("no relation `{name}`"))
-                })?;
-                delta::apply(&snap.catalog, current, ov)?
-            };
-            overlay.insert_as(name, Arc::new(patched));
-            touched.insert(name.to_string());
+        if let Some(p) = self.plans.get(strategy) {
+            return Ok(p);
         }
-        let ctx = self.opt_context(snap, view, &overlay, spec)?;
-
-        let mut attempts = vec![q.strategy];
-        for s in &self.fallback().chain {
-            if !attempts.contains(s) {
-                attempts.push(*s);
-            }
-        }
-        let mut failed: Vec<(Strategy, EngineError)> = Vec::new();
-        let mut total = ExecStats::default();
-        let last = attempts.len() - 1;
-        for (i, &strategy) in attempts.iter().enumerate() {
-            match self.scenario_attempt(
-                &q, sc, snap, &overlay, &ctx, sr, strategy, &mut total, worker_cx, memo, plans,
-                &touched,
-            ) {
-                Ok(mut answer) => {
-                    answer.served_by = strategy;
-                    answer.fallback = failed;
-                    return Ok(answer);
-                }
-                Err(e) if i < last && e.fallback_may_cure() => failed.push((strategy, e)),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(EngineError::EmptyView(q.view.clone()))
+        let p = Arc::new(plan()?);
+        self.plans.put(strategy, Arc::clone(&p));
+        Ok(p)
     }
 
-    /// One strategy attempt for one scenario: plan (or reuse), partition
-    /// into trunk + frontier, materialize missing trunks against the
-    /// pristine base data, execute the residual against the overlay.
-    #[allow(clippy::too_many_arguments)]
-    fn scenario_attempt(
+    /// Split `physical` into shared trunks (maximal subtrees scanning no
+    /// touched relation) and the residual plan the scenario executes.
+    /// Each trunk is materialized once per batch against the pristine
+    /// store, and its output shadows `scans` under the synthetic name
+    /// the residual scans it by. Trunk work is merged into `total`.
+    pub(crate) fn residual<P: RelationProvider>(
         &self,
-        q: &Query,
-        sc: &Scenario,
         snap: &Snapshot,
-        overlay: &Overlay<'_, mpf_algebra::RelationStore>,
-        ctx: &mpf_optimizer::OptContext<'_>,
         sr: SemiringKind,
-        strategy: Strategy,
+        physical: &PhysicalPlan,
+        scans: &mut Overlay<'_, P>,
         total: &mut ExecStats,
-        worker_cx: &ExecContext<'_>,
-        memo: &TrunkMemo,
-        plans: &PlanCache,
-        touched: &HashSet<String>,
-    ) -> Result<Answer> {
-        let t0 = Instant::now();
-        let reusable = sc.plan_reusable();
-        let planned = match reusable.then(|| plans.get(strategy)).flatten() {
-            Some(p) => p,
-            None => {
-                let (plan, est_cost) = self.plan_for(&q.view, ctx, strategy)?;
-                let physical = choose_physical(
-                    ctx,
-                    &plan,
-                    PhysicalConfig::default()
-                        .with_dense(self.dense())
-                        .with_repr(self.repr()),
-                );
-                let p = Arc::new(Planned {
-                    plan,
-                    est_cost,
-                    physical,
-                });
-                if reusable {
-                    plans.put(strategy, Arc::clone(&p));
-                }
-                p
-            }
-        };
-        let optimize_time = t0.elapsed();
-
+    ) -> Result<PhysicalPlan> {
         let mut pieces: Vec<(Arc<TrunkSlot>, PhysicalPlan)> = Vec::new();
-        let residual = planned.physical.extract_shared(
-            &|name| touched.contains(name),
-            &mut |sub| {
-                let slot = memo.slot(sub);
-                let name = slot.scan_name.clone();
-                pieces.push((slot, sub.clone()));
-                name
-            },
-        );
-        let mut exec_overlay = overlay.clone();
+        let residual = physical.extract_shared(&|name| self.touched.contains(name), &mut |sub| {
+            let slot = self.memo.slot(sub);
+            let name = slot.scan_name.clone();
+            pieces.push((slot, sub.clone()));
+            name
+        });
         for (slot, sub) in pieces {
             let mut build_stats = ExecStats::default();
             let (rel, built) = slot.get_or_build(|| {
                 // Trunks scan only untouched relations, so they execute
                 // against the pristine base store — once per batch.
                 let exec = Executor::new(&snap.store, sr);
-                let mut cx = worker_cx.fork();
+                let mut cx = self.cx.fork();
                 let out = exec.execute_physical_in(&mut cx, &sub);
                 build_stats.merge(cx.stats());
                 out.map(Arc::new).map_err(EngineError::from)
@@ -733,42 +690,9 @@ impl Database {
             } else {
                 total.trunk_hits += 1;
             }
-            exec_overlay.insert_as(slot.scan_name.clone(), rel?);
+            scans.insert_as(slot.scan_name.clone(), rel?);
         }
-
-        let exec = Executor::new(&exec_overlay, sr);
-        let mut cx = worker_cx.fork();
-        let t1 = Instant::now();
-        let result = exec.execute_physical_in(&mut cx, &residual);
-        let execute_time = t1.elapsed();
-        total.merge(cx.stats());
-        let mut relation = result.map_err(EngineError::from)?;
-
-        // Identical constrained-range post-filter to the sequential path.
-        if let Some((cmp, bound)) = q.having {
-            let mut filtered =
-                FunctionalRelation::new(relation.name().to_string(), relation.schema().clone());
-            for (row, m) in relation.rows() {
-                if cmp.matches(m, bound) {
-                    filtered.push_row(row, m)?;
-                }
-            }
-            relation = filtered;
-        }
-
-        Ok(Answer {
-            relation,
-            served_by: strategy,
-            fallback: Vec::new(),
-            plan: planned.plan.clone(),
-            physical: planned.physical.clone(),
-            est_cost: planned.est_cost,
-            stats: *total,
-            optimize_time,
-            execute_time,
-            trace: None,
-            cache: None,
-        })
+        Ok(residual)
     }
 }
 

@@ -148,6 +148,7 @@ mod faults {
     use super::*;
 
     use mpf_algebra::fault;
+    use mpf_engine::{QueryRequest, Scenario};
     use mpf_semiring::approx_eq;
     use mpf_storage::Schema;
 
@@ -229,6 +230,41 @@ mod faults {
             Strategy::VePlus(mpf_optimizer::Heuristic::Degree)
         );
         assert!(again.fallback.is_empty());
+    }
+
+    /// A scenario walks the same fallback chain alone and inside a batch:
+    /// a VE+ optimizer fault armed once is cured by linear CS+ either way,
+    /// and both answers record the same serving strategy, failed attempt
+    /// and bits. The measure shock takes the batch's plan-reuse path, the
+    /// domain move the per-scenario planning path.
+    #[test]
+    fn a_scenario_falls_back_alike_alone_and_in_a_batch() {
+        let _g = lock();
+        fault::clear_all();
+        let db = tiny_db().with_cache_bytes(0);
+        let vep = Strategy::VePlus(mpf_optimizer::Heuristic::Degree);
+        let site = "optimize::VE(deg) ext.";
+        for sc in [
+            Scenario::named("shock").measure("r1", vec![0, 0], 100.0),
+            Scenario::named("move").move_domain("r2", "b", 1, 0),
+        ] {
+            let req = QueryRequest::on("v").group_by(["c"]).strategy(vep).scenario(sc);
+            fault::inject(site, 1);
+            let alone = db.run(req.clone()).unwrap();
+            assert_eq!(alone.served_by, Strategy::CsPlusLinear);
+            assert_eq!(alone.fallback.len(), 1);
+            // The batch plans its baseline first: the scenario's VE+ plan
+            // is the site's second call.
+            fault::inject(site, 2);
+            let report = db.run_scenarios(req).unwrap();
+            assert_eq!(report.baseline.served_by, vep);
+            assert!(report.baseline.fallback.is_empty());
+            let batched = &report.outcomes[0].answer;
+            assert_eq!(batched.served_by, alone.served_by);
+            assert_eq!(batched.fallback, alone.fallback);
+            assert_eq!(bits(batched), bits(&alone));
+        }
+        fault::clear_all();
     }
 
     /// An execution-side operator fault is also cured by the retry.

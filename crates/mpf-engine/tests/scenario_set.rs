@@ -1,6 +1,12 @@
 //! Scenario-batch contract: `Database::run_scenarios` fan-out is
 //! **bit-identical** to a sequential loop of single-scenario runs —
-//! shared trunks, plan reuse, and worker fan-out are pure optimizations.
+//! shared trunks, plan reuse, and worker fan-out are pure optimizations —
+//! and to an independent reference that applies each scenario as real
+//! data to a second database (measure edits through `update_measure`,
+//! domain moves remapped in this file and installed with
+//! `insert_relation`, evidence as query filters). The sequential loop
+//! builds each scenario's overlay the way the batch does, so only the
+//! reference checks how overrides are applied.
 //!
 //! The property is checked across four semirings (including division-free
 //! `MinProduct`, so the recompute frontier path is exercised where the
@@ -8,7 +14,9 @@
 //! transparent view cache off/on — with random measures, random scenario
 //! sets (measure shocks, domain moves, evidence), and random group-bys.
 
-use mpf_engine::{Database, Query, QueryRequest, Scenario, ScenarioSet};
+use std::collections::HashSet;
+
+use mpf_engine::{Database, Override, Query, QueryRequest, Scenario, ScenarioSet};
 use mpf_algebra::ExecLimits;
 use mpf_semiring::{Aggregate, Combine};
 use mpf_storage::{FunctionalRelation, Schema, Value};
@@ -122,6 +130,57 @@ fn resolve(db: &Database, name: String, edits: &[Edit]) -> Scenario {
     sc
 }
 
+/// `rel` with its `pos` column's `from` values moved to `to`; where the
+/// move merges rows, the first occurrence wins (the alternate-domain
+/// convention of Section 3.1, written out here independently of the
+/// engine's override code).
+fn remapped(rel: &FunctionalRelation, pos: usize, from: Value, to: Value) -> FunctionalRelation {
+    let mut seen = HashSet::new();
+    let rows: Vec<(Vec<Value>, f64)> = rel
+        .rows()
+        .filter_map(|(row, m)| {
+            let mut row = row.to_vec();
+            if row[pos] == from {
+                row[pos] = to;
+            }
+            seen.insert(row.clone()).then_some((row, m))
+        })
+        .collect();
+    FunctionalRelation::from_rows(rel.name(), rel.schema().clone(), rows).unwrap()
+}
+
+/// The independent reference for one scenario: a fresh database, view
+/// cache off, holding the scenario's overrides as real data, queried
+/// with the scenario's evidence as equality filters.
+fn applied(
+    combine: Combine,
+    threads: usize,
+    seed: u32,
+    q: &Query,
+    sc: &Scenario,
+) -> FunctionalRelation {
+    let db = build_db(combine, threads, 0, seed);
+    for ov in sc.overrides() {
+        match ov {
+            Override::Measure { relation, row, measure } => {
+                db.update_measure(relation, row, *measure).unwrap();
+            }
+            Override::Domain { relation, var, from, to } => {
+                let rel = db.relation(relation).unwrap();
+                let pos = rel.schema().position(db.catalog().var(var).unwrap()).unwrap();
+                let moved = remapped(&rel, pos, *from, *to);
+                drop(rel);
+                db.insert_relation(moved).unwrap();
+            }
+        }
+    }
+    let mut q = q.clone();
+    for (var, value) in sc.evidence_set() {
+        q = q.filter(var.clone(), *value);
+    }
+    db.run(&q).unwrap().relation
+}
+
 /// The answer's content, bit-exactly: rows in relation order with raw
 /// measure bits (schema column order included via the row vectors).
 fn bits(rel: &FunctionalRelation) -> Vec<(Vec<Value>, u64)> {
@@ -159,6 +218,10 @@ proptest! {
                         })
                         .collect();
                     let baseline = db.run(&q).unwrap();
+                    let reference: Vec<_> = scenarios
+                        .iter()
+                        .map(|sc| applied(combine, threads, seed, &q, sc))
+                        .collect();
 
                     let set: ScenarioSet = scenarios.clone().into_iter().collect();
                     let report = db
@@ -179,6 +242,11 @@ proptest! {
                             bits(&outcome.answer.relation),
                             bits(&seq.relation),
                             "scenario s{i} diverged ({combine:?}/{agg:?}, threads={threads}, cache={cache_bytes})"
+                        );
+                        prop_assert_eq!(
+                            bits(&outcome.answer.relation),
+                            bits(&reference[i]),
+                            "scenario s{i} diverged from its applied reference ({combine:?}/{agg:?}, threads={threads}, cache={cache_bytes})"
                         );
                         // The divergence summary is consistent with the
                         // bit comparison it claims to report.
@@ -261,4 +329,23 @@ fn trunks_are_shared_across_scenarios() {
         report.trunk_builds,
         report.trunk_hits
     );
+}
+
+/// `describe` plans a scenario against the provider `run` evaluates it
+/// on: domain moves that leave `r2` a third full (too sparse for the
+/// dense kernels) render the physical plan the scenario's answer
+/// records, not the baseline's.
+#[test]
+fn describe_renders_the_plan_a_domain_move_runs() {
+    let db = build_db(Combine::Product, 1, 0, 3);
+    let q = QueryRequest::on("v").group_by(["a", "d"]);
+    let mv = Scenario::named("mv").move_domain("r2", "b", 1, 0).move_domain("r2", "b", 2, 0);
+    let req = q.clone().scenario(mv);
+    let text = db.describe(req.clone()).unwrap();
+    let physical = db.run(req).unwrap().physical;
+    let catalog = db.catalog();
+    let rendered = physical.render(&|v| catalog.name(v).to_string());
+    assert!(text.ends_with(&rendered), "describe:\n{text}\nrun:\n{rendered}");
+    let baseline = db.run(q).unwrap().physical;
+    assert_ne!(baseline, physical, "the move changes the plan");
 }
